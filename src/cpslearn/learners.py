@@ -271,11 +271,36 @@ def _best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int):
     """Exhaustive greedy split search.
 
     Candidates are midpoints between consecutive distinct sorted feature
-    values; the score is the weighted child variance. A candidate replaces
-    the incumbent only when better by more than 1e-12, so ties resolve to
-    the lowest feature index, then the lowest threshold.
+    values; the score is the weighted child variance. Features are scanned
+    in index order and each feature's candidates in ascending threshold
+    order. A candidate replaces the incumbent only when its score is below
+    the incumbent's by more than 1e-12 (the first candidate seen is always
+    taken), so ties resolve to the lowest feature index, then the lowest
+    threshold.
+
+    Every candidate score of a feature is computed in one numpy pass. The
+    elementwise operations are the ones of the scalar expression
+    ``(n_l * max(0, s2_l/n_l - (s_l/n_l)**2) + n_r * max(0, ...)) / n`` in
+    the same order, so each score is bit-identical to evaluating it one
+    candidate at a time. Two details keep it so: squares use
+    ``np.float_power``, which calls the C library ``pow`` as a float64
+    scalar's ``** 2`` does (an array's ``** 2`` is a multiply, and the two
+    differ by one ulp for about one value in a thousand); negative variances
+    are clamped with ``np.where(v > 0.0, v, 0.0)``, which like Python's
+    ``max(0.0, v)`` maps -0.0 and NaN to 0.0 where ``np.maximum`` would keep
+    them.
+
+    Only candidates that are a strict running minimum of their feature's
+    scores go through the sequential rule; this filtering is exact. If a
+    candidate replaces the incumbent, its score is below every earlier
+    score: a candidate that replaced became the incumbent, and incumbents
+    only decrease; one that did not was at least the incumbent of its time
+    minus 1e-12, itself at least the current incumbent minus 1e-12. So a
+    score at or above an earlier (non-NaN) score of its feature never
+    replaces, and the incumbent changes only at the candidates kept.
     """
     n = len(y)
+    cuts = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
     best = None  # (score, feature, threshold)
     for feature in range(matrix.shape[1]):
         order = np.argsort(matrix[:, feature], kind="stable")
@@ -284,17 +309,25 @@ def _best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int):
         sums = np.concatenate([[0.0], np.cumsum(ys)])
         squares = np.concatenate([[0.0], np.cumsum(ys * ys)])
         total, total_sq = sums[n], squares[n]
-        for i in range(min_samples_leaf, n - min_samples_leaf + 1):
-            if xs[i - 1] == xs[i]:
-                continue
-            n_left, n_right = i, n - i
-            var_left = max(0.0, squares[i] / n_left - (sums[i] / n_left) ** 2)
-            var_right = max(
-                0.0, (total_sq - squares[i]) / n_right - ((total - sums[i]) / n_right) ** 2
-            )
-            score = (n_left * var_left + n_right * var_right) / n
+        i = cuts[xs[cuts - 1] != xs[cuts]]
+        if not i.size:
+            continue
+        n_left, n_right = i, n - i
+        var_left = squares[i] / n_left - np.float_power(sums[i] / n_left, 2.0)
+        var_right = (total_sq - squares[i]) / n_right - np.float_power(
+            (total - sums[i]) / n_right, 2.0
+        )
+        var_left = np.where(var_left > 0.0, var_left, 0.0)
+        var_right = np.where(var_right > 0.0, var_right, 0.0)
+        scores = (n_left * var_left + n_right * var_right) / n
+        # Drop every score at or above an earlier non-NaN score (fmin skips NaN).
+        keep = np.ones(scores.size, dtype=bool)
+        keep[1:] = ~(scores[1:] >= np.fmin.accumulate(scores)[:-1])
+        for j in np.flatnonzero(keep).tolist():
+            score = scores[j]
             if best is None or score < best[0] - _SPLIT_TIE_EPS:
-                best = (score, feature, (xs[i - 1] + xs[i]) / 2.0)
+                cut = i[j]
+                best = (score, feature, (xs[cut - 1] + xs[cut]) / 2.0)
     return best
 
 
@@ -505,7 +538,6 @@ class EpsilonGreedyActiveLearner:
         self._surrogate = RecursiveLeastSquares(
             len(self.state_columns) + 2, forgetting_factor, regularization
         )
-        self.transitions: list[tuple[np.ndarray, float, float]] = []
 
     def _state_vector(self, observation: Dataset) -> np.ndarray:
         if observation.row_count != 1:
@@ -535,7 +567,6 @@ class EpsilonGreedyActiveLearner:
         target = float(target_cell[0])
         regressor = np.concatenate([state, [action, 1.0]])
         self._surrogate.update(regressor, target)
-        self.transitions.append((regressor, float(action), target))
 
     def finalize(self) -> LinearModel:
         """Freeze the surrogate into a model predicting the next target value

@@ -21,10 +21,12 @@ Responses::
     {"kind": "error", "message": "..."}
 
 Floats are serialized with their shortest round-trippable decimal form;
-NaN and infinities are rejected on both ends. The frame limit (default
-64 MiB per line) is negotiated down to the smaller of the two peers' limits
-during hello. Model identifiers are scoped to one session; sessions never
-see each other's models.
+column values must be JSON numbers (``true`` or ``"1e3"`` are refused), and
+NaN and infinities, including literals too large for a double, are rejected
+on both ends. The frame limit (default 64 MiB per line) is negotiated down
+to the smaller of the two peers' limits during hello; it must be a JSON
+integer of at least ``MIN_FRAME`` bytes. Model identifiers are scoped to one
+session; sessions never see each other's models.
 """
 
 from __future__ import annotations
@@ -36,12 +38,18 @@ import socketserver
 import threading
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .dataset import ColumnKind, Dataset
 from .errors import PipelineError
 from .learners import LinearRegressionLearner, Model, SchemaMismatch, model_from_dict
 
 PROTOCOL_VERSION = 1
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
+# Smallest frame limit a peer may set. Any error record the server sends in
+# place of an oversized response ("message of N bytes exceeds frame limit M")
+# takes at most ~110 bytes, so every request can still be answered.
+MIN_FRAME = 256
 DEFAULT_TIMEOUT = 30.0
 
 
@@ -84,6 +92,15 @@ def _reject_nonfinite(token: str):
     raise ValueError(f"non-finite number {token!r} is forbidden on the wire")
 
 
+def _check_frame_limit(value) -> int:
+    """Return ``value`` if it is a valid frame limit, else raise ValueError."""
+    if type(value) is not int:  # bool is a subclass of int, not int itself
+        raise ValueError(f"max_frame must be an integer, got {value!r}")
+    if value < MIN_FRAME:
+        raise ValueError(f"max_frame must be at least {MIN_FRAME} bytes, got {value}")
+    return value
+
+
 def _encode(payload: dict, max_frame: int) -> bytes:
     try:
         text = json.dumps(payload, allow_nan=False, separators=(",", ":"))
@@ -102,6 +119,16 @@ def _dataset_to_wire(dataset: Dataset) -> dict:
     return {name: dataset.column(name).tolist() for name in dataset.column_names}
 
 
+def _wire_number(name: str, value) -> float:
+    """Convert a non-float column value; only JSON integers are accepted."""
+    if type(value) is not int:  # bool and str are not JSON numbers
+        raise ValueError(f"column {name!r} holds {value!r}; only JSON numbers are accepted")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"column {name!r} holds an integer too large for a double") from None
+
+
 def _wire_to_dataset(obj) -> Dataset:
     if not isinstance(obj, dict) or not obj:
         raise ValueError("expected a non-empty object of column arrays")
@@ -109,8 +136,12 @@ def _wire_to_dataset(obj) -> Dataset:
     for name, values in obj.items():
         if not isinstance(values, list):
             raise ValueError(f"column {name!r} must be an array")
-        columns.append((name, [float(v) for v in values]))
-    return Dataset(columns)
+        columns.append((name, [v if type(v) is float else _wire_number(name, v) for v in values]))
+    dataset = Dataset(columns)
+    for name in dataset.column_names:
+        if np.isinf(dataset.column(name)).any():  # a literal such as 1e400 parses as inf
+            raise ValueError(f"column {name!r} holds a number too large for a double")
+    return dataset
 
 
 class RemoteModel:
@@ -227,10 +258,13 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
     """Open a session: TCP connect plus hello/hello_ack negotiation.
 
     Raises:
-        ConnectFailed: if the server is unreachable or refuses the session.
+        ValueError: if ``max_frame`` is not an integer of at least ``MIN_FRAME``.
+        ConnectFailed: if the server is unreachable, refuses the session, or
+            acknowledges a frame limit that is invalid or above ``max_frame``.
         VersionMismatch: if the protocol versions are incompatible.
         TimeoutError: if the server does not answer within ``timeout``.
     """
+    _check_frame_limit(max_frame)
     host, port = parse_address(address)
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
@@ -254,7 +288,14 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
         raise VersionMismatch(
             f"server speaks version {response.get('version')}, client {PROTOCOL_VERSION}"
         )
-    session._max_frame = int(response.get("max_frame", max_frame))
+    try:
+        negotiated = _check_frame_limit(response.get("max_frame", max_frame))
+        if negotiated > max_frame:
+            raise ValueError(f"server raised max_frame to {negotiated}, above the offered {max_frame}")
+    except ValueError as exc:
+        session.close()
+        raise ConnectFailed(str(exc)) from None
+    session._max_frame = negotiated
     return session
 
 
@@ -316,7 +357,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
             version = message.get("version")
             if version != PROTOCOL_VERSION:
                 raise ValueError(f"unsupported protocol version: {version}")
-            negotiated = min(max_frame, int(message.get("max_frame", max_frame)))
+            negotiated = min(max_frame, _check_frame_limit(message.get("max_frame", max_frame)))
             ack = {"kind": "hello_ack", "version": PROTOCOL_VERSION, "max_frame": negotiated}
             return ack, negotiated, False
         if kind == "fit":
@@ -383,7 +424,7 @@ class LearnerServer:
         if max_sessions < 1:
             raise ValueError(f"max_sessions must be positive, got {max_sessions}")
         self.learner_factory = learner_factory or LinearRegressionLearner
-        self.max_frame = max_frame
+        self.max_frame = _check_frame_limit(max_frame)
         self._session_slots = threading.Semaphore(max_sessions)
         try:
             self._tcp = _TcpServer((host, port), _SessionHandler)

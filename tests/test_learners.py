@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpslearn import (
     ActionSpace,
@@ -17,6 +19,7 @@ from cpslearn import (
     load_model,
     save_model,
 )
+from cpslearn import learners
 from cpslearn.learners import (
     DimensionMismatch,
     NeverUpdated,
@@ -44,6 +47,85 @@ def brute_force_stump(matrix: np.ndarray, y: np.ndarray, min_leaf: int = 1):
             if best is None or score < best[0] - 1e-12:
                 best = (score, feature, threshold, float(np.mean(y[mask])), float(np.mean(y[~mask])))
     return best
+
+
+def reference_best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int):
+    """Oracle: the split search as a scalar loop over every candidate cut."""
+    n = len(y)
+    best = None  # (score, feature, threshold)
+    for feature in range(matrix.shape[1]):
+        order = np.argsort(matrix[:, feature], kind="stable")
+        xs = matrix[order, feature]
+        ys = y[order]
+        sums = np.concatenate([[0.0], np.cumsum(ys)])
+        squares = np.concatenate([[0.0], np.cumsum(ys * ys)])
+        total, total_sq = sums[n], squares[n]
+        for i in range(min_samples_leaf, n - min_samples_leaf + 1):
+            if xs[i - 1] == xs[i]:
+                continue
+            n_left, n_right = i, n - i
+            var_left = max(0.0, squares[i] / n_left - (sums[i] / n_left) ** 2)
+            var_right = max(
+                0.0, (total_sq - squares[i]) / n_right - ((total - sums[i]) / n_right) ** 2
+            )
+            score = (n_left * var_left + n_right * var_right) / n
+            if best is None or score < best[0] - 1e-12:
+                best = (score, feature, (xs[i - 1] + xs[i]) / 2.0)
+    return best
+
+
+@st.composite
+def split_problems(draw):
+    """A node's (matrix, y, min_samples_leaf) with ties, constants and offsets."""
+    n = draw(st.integers(2, 300))
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(p):
+        kind = draw(st.sampled_from(["continuous", "rounded", "constant"]))
+        column = rng.normal(size=n) * 10.0 ** draw(st.integers(-3, 4))
+        if kind == "rounded":
+            column = np.round(column, draw(st.integers(-1, 1)))
+        elif kind == "constant":
+            column = np.full(n, column[0])
+        columns.append(column)
+    matrix = np.column_stack(columns)
+    y_kind = draw(st.sampled_from(["continuous", "rounded", "constant", "linear"]))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e4, 1e8]))
+    y = rng.normal(size=n) * 10.0 ** draw(st.integers(-3, 3))
+    if y_kind == "rounded":
+        y = np.round(y)
+    elif y_kind == "constant":
+        y = np.full(n, y[0])
+    elif y_kind == "linear":
+        y = 3.0 * matrix[:, 0]
+    min_samples_leaf = draw(st.integers(1, n // 2))
+    return matrix, y + offset, min_samples_leaf
+
+
+class TestSplitSearchOracle:
+    @settings(deadline=None, max_examples=200)
+    @given(split_problems())
+    def test_matches_scalar_loop(self, problem):
+        matrix, y, min_samples_leaf = problem
+        assert learners._best_split(matrix, y, min_samples_leaf) == reference_best_split(
+            matrix, y, min_samples_leaf
+        )
+
+    def test_all_constant_features_have_no_split(self):
+        matrix = np.full((6, 2), 3.0)
+        y = np.arange(6.0)
+        assert learners._best_split(matrix, y, 1) is None
+        assert reference_best_split(matrix, y, 1) is None
+
+    def test_fitted_tree_matches_reference(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        inputs = random_dataset(rng, 2_000, 5)
+        matrix = np.column_stack([inputs.column(c) for c in inputs.column_names])
+        y = Dataset({"y": np.sin(matrix[:, 0]) + 0.1 * np.round(matrix[:, 1]) + rng.normal(size=2_000)})
+        fitted = fit_tree(inputs, y, max_depth=6, min_samples_leaf=3).to_dict()
+        monkeypatch.setattr(learners, "_best_split", reference_best_split)
+        assert fitted == fit_tree(inputs, y, max_depth=6, min_samples_leaf=3).to_dict()
 
 
 class TestLinear:

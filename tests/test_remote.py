@@ -1,5 +1,6 @@
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -43,6 +44,33 @@ def raw_exchange(address, lines, expect=None, timeout=5.0):
         return [json.loads(reader.readline()) for _ in range(expect or len(lines))]
     finally:
         sock.close()
+
+
+def exchange_to_eof(address, lines, timeout=5.0):
+    """Send raw protocol lines, half-close, and read every response until EOF."""
+    sock = socket.create_connection(address, timeout=timeout)
+    try:
+        for line in lines:
+            sock.sendall(line)
+        sock.shutdown(socket.SHUT_WR)
+        return [json.loads(line) for line in sock.makefile("rb")]
+    finally:
+        sock.close()
+
+
+@pytest.fixture
+def thread_errors(monkeypatch):
+    """Exceptions escaping any thread, including the server's session handlers."""
+    errors = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: errors.append(args.exc_value))
+    monkeypatch.setattr(
+        remote._TcpServer, "handle_error", lambda self, request, address: errors.append(sys.exc_info()[1])
+    )
+    return errors
+
+
+# Frame limits a peer may not set: not a JSON integer, or below MIN_FRAME.
+BAD_FRAME_LIMITS = [b"0", b"-5", b'"12"', b"1.5", b"true"]
 
 
 class StubServer:
@@ -145,6 +173,25 @@ class TestServerBehaviour:
         kinds = [r["kind"] for r in responses]
         assert kinds == ["hello_ack", "fit_ack", "prediction", "prediction"]
 
+    @pytest.mark.parametrize(
+        "column, rows",
+        [
+            (b'["1e3",true,2]', 3),
+            (b"[true]", 1),
+            (b'["1"]', 1),
+            (b"[null]", 1),
+            (b"[1e400]", 1),
+            (b"[" + b"9" * 400 + b"]", 1),
+        ],
+    )
+    def test_fit_accepts_only_json_numbers(self, server, column, rows, thread_errors):
+        outputs = json.dumps({"y": [1.0] * rows}).encode()
+        fit_line = b'{"kind":"fit","inputs":{"a":' + column + b'},"outputs":' + outputs + b"}\n"
+        responses = exchange_to_eof(server.address, [fit_line, b'{"kind":"hello","version":1}\n'])
+        assert [r["kind"] for r in responses] == ["error", "hello_ack"]
+        assert "'a'" in responses[0]["message"]
+        assert thread_errors == []
+
     def test_nan_on_the_wire_is_rejected(self, server):
         (response,) = raw_exchange(
             server.address,
@@ -215,6 +262,44 @@ class TestFrameLimits:
                 assert session._max_frame == 2_000
             finally:
                 session.close()
+
+    @pytest.mark.parametrize("limit", BAD_FRAME_LIMITS)
+    def test_bad_hello_max_frame_gets_one_error(self, limit, thread_errors):
+        with LearnerServer(max_frame=2_000) as srv:
+            responses = exchange_to_eof(
+                srv.address,
+                [
+                    b'{"kind":"hello","version":1,"max_frame":' + limit + b"}\n",
+                    b'{"kind":"hello","version":1}\n',
+                ],
+            )
+        assert [r["kind"] for r in responses] == ["error", "hello_ack"]
+        assert "max_frame" in responses[0]["message"]
+        assert responses[1]["max_frame"] == 2_000  # the session kept its limit
+        assert thread_errors == []
+
+    @pytest.mark.parametrize("limit", [*BAD_FRAME_LIMITS, b"2000000"])
+    def test_client_rejects_bad_negotiated_max_frame(self, limit, thread_errors):
+        requests = []
+
+        def script(conn, reader):
+            requests.append(reader.readline())
+            conn.sendall(b'{"kind":"hello_ack","version":1,"max_frame":' + limit + b"}\n")
+            requests.append(reader.readline())  # EOF: the client gave up
+
+        stub = StubServer(script)
+        with pytest.raises(ConnectFailed, match="max_frame"):
+            connect(stub.address, timeout=2.0, max_frame=1_000_000)
+        stub._thread.join(timeout=5.0)
+        assert len(requests) == 2 and requests[1] == b""
+        assert json.loads(requests[0])["kind"] == "hello"
+        assert thread_errors == []
+
+    def test_local_frame_limits_are_checked(self):
+        with pytest.raises(ValueError, match="max_frame"):
+            LearnerServer(max_frame=remote.MIN_FRAME - 1)
+        with pytest.raises(ValueError, match="max_frame"):
+            connect(("127.0.0.1", 1), max_frame=True)
 
 
 class TestFaultInjection:
