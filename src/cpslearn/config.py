@@ -15,6 +15,13 @@ A pipeline config is a JSON document with these fields::
       "metrics": ["mae", "mse", ...]
     }
 
+Every environment, transform and learner kind is one entry of
+``ENVIRONMENT_KINDS``, ``TRANSFORM_KINDS`` or ``LEARNER_KINDS``: a factory
+plus, for each parameter, a check and a default. These tables are the single
+source of truth: validation diagnostics, default filling, construction and
+``watertank_config()`` all read them. A parameter that its kind's table does
+not name is reported as unknown, for every kind.
+
 Execution order: observe the environment, fit and apply the transforms,
 split rows chronologically, learn on the leading part, evaluate on the rest.
 Adaptive transforms are fitted on the full observed dataset, before the
@@ -24,11 +31,12 @@ byte-identical report files.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 from pathlib import Path
 
 from . import remote
-from .dataset import Dataset
 from .environments import DatasetStream, OdeEnvironment, OfflineEnvironment, WaterTankSystem
 from .errors import PipelineError
 from .learners import (
@@ -46,21 +54,8 @@ from .transforms import Explode, Select, SlidingWindow, Standardize, TransformCh
 CONFIG_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
 
-ENVIRONMENT_KINDS = ("ode_watertank", "csv", "json")
-TRANSFORM_KINDS = ("sliding_window", "select", "explode", "standardize")
-LEARNER_KINDS = ("regression_tree", "linear", "incremental_linear", "remote")
-
-_TOP_LEVEL_KEYS = {
-    "schema_version",
-    "seed",
-    "environment",
-    "transforms",
-    "io",
-    "split_fraction",
-    "learner",
-    "metrics",
-    "output_dir",
-}
+_REQUIRED_FIELDS = ("environment", "io", "learner", "metrics", "split_fraction")
+_TOP_LEVEL_KEYS = {*_REQUIRED_FIELDS, "schema_version", "seed", "transforms", "output_dir"}
 
 
 class ConfigError(PipelineError):
@@ -87,215 +82,246 @@ def load_config(path) -> dict:
     return cfg
 
 
+# Parameter checks: each takes a value and returns None if it is valid, else
+# the diagnostic's message. ``bool`` is a subclass of ``int`` in Python, so
+# JSON ``true``/``false`` is excluded from integers and numbers explicitly;
+# ``json`` also parses ``Infinity`` and ``NaN``, which no parameter accepts.
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
-def _check_names(diags: list[str], field: str, value, allow_empty: bool = False) -> None:
+def _check(ok, message: str):
+    return lambda value: None if ok(value) else message
+
+
+_positive_int = _check(lambda v: _is_int(v) and v >= 1, "must be a positive integer")
+_non_negative_int = _check(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
+_positive = _check(lambda v: _is_number(v) and v > 0, "must be a positive number")
+_number = _check(_is_number, "must be a number")
+_path = _check(lambda v: isinstance(v, str), "must be a file path string")
+
+
+def _non_negative(value):
+    return _number(value) or (None if value >= 0 else "must be non-negative")
+
+
+def _names(value, allow_empty: bool = False):
     if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
-        diags.append(f"{field}: must be a list of column names")
-    elif not value and not allow_empty:
-        diags.append(f"{field}: must not be empty")
+        return "must be a list of column names"
+    return None if value or allow_empty else "must not be empty"
 
 
-def _validate_environment(diags: list[str], spec) -> None:
-    if not isinstance(spec, dict):
-        diags.append("environment: must be an object")
-        return
-    kind = spec.get("kind")
-    if kind not in ENVIRONMENT_KINDS:
-        diags.append(f"environment.kind: unknown kind {kind!r} (known: {list(ENVIRONMENT_KINDS)})")
-        return
-    if kind == "ode_watertank":
-        defaults = _WATERTANK_DEFAULTS
-        for key, value in spec.items():
-            if key != "kind" and key not in defaults:
-                diags.append(f"environment.{key}: unknown parameter")
-        for key in ("samples",):
-            if key in spec and (not isinstance(spec[key], int) or spec[key] < 1):
-                diags.append(f"environment.{key}: must be a positive integer")
-        for key in ("dt", "substep", "area"):
-            if key in spec and (not _is_number(spec[key]) or spec[key] <= 0):
-                diags.append(f"environment.{key}: must be a positive number")
-        for key in ("initial_level", "outflow_coeff", "inflow_gain"):
-            if key in spec and not _is_number(spec[key]):
-                diags.append(f"environment.{key}: must be a number")
-        if "initial_level" in spec and _is_number(spec["initial_level"]) and spec["initial_level"] < 0:
-            diags.append("environment.initial_level: must be non-negative")
-    elif kind in ("csv", "json"):
-        if not isinstance(spec.get("path"), str):
-            diags.append("environment.path: must be a file path string")
-        if kind == "csv":
-            if "has_header" in spec and not isinstance(spec["has_header"], bool):
-                diags.append("environment.has_header: must be a boolean")
-            if "delimiter" in spec and (
-                not isinstance(spec["delimiter"], str) or len(spec["delimiter"]) != 1
-            ):
-                diags.append("environment.delimiter: must be a single character")
+def _address(value):
+    if not isinstance(value, str):
+        return "must be a 'host:port' string"
+    try:
+        remote.parse_address(value)
+    except ValueError:
+        return f"not a 'host:port' string: {value!r}"
+    return None
 
 
-def _validate_transform(diags: list[str], index: int, spec) -> None:
-    field = f"transforms[{index}]"
+# The kind tables: kind -> (factory, {parameter -> (check, default)}).
+# A parameter whose default is _REQUIRED must be given. Environment and
+# transform factories take the parameters; learner factories also take the
+# training rows, the IoSpec and an ExitStack that owns what must stay open
+# until the model is evaluated and fetched, and return the model.
+
+_REQUIRED = object()
+
+
+def _watertank(samples, dt, substep, initial_level, area, outflow_coeff, inflow_gain):
+    system = WaterTankSystem(
+        level=initial_level, area=area, outflow_coeff=outflow_coeff, inflow_gain=inflow_gain
+    )
+    ode = OdeEnvironment(system, sample_period=dt, substep=substep)
+    return OfflineEnvironment.from_dataset(ode.sample_trajectory(samples))
+
+
+ENVIRONMENT_KINDS = {
+    "ode_watertank": (_watertank, {
+        "samples": (_positive_int, 250),
+        "dt": (_positive, 0.1),
+        "substep": (_positive, 1e-3),
+        "initial_level": (_non_negative, 1.0),
+        "area": (_positive, 5.0),
+        "outflow_coeff": (_number, 0.5),
+        "inflow_gain": (_number, 2.0),
+    }),
+    "csv": (OfflineEnvironment.from_csv, {
+        "path": (_path, _REQUIRED),
+        "has_header": (_check(lambda v: isinstance(v, bool), "must be a boolean"), True),
+        "delimiter": (
+            _check(lambda v: isinstance(v, str) and len(v) == 1, "must be a single character"), ","
+        ),
+    }),
+    "json": (OfflineEnvironment.from_json, {"path": (_path, _REQUIRED)}),
+}
+
+TRANSFORM_KINDS = {
+    "sliding_window": (SlidingWindow, {"window_size": (_positive_int, _REQUIRED)}),
+    "select": (Select, {"names": (lambda v: _names(v, allow_empty=True), _REQUIRED)}),
+    "explode": (Explode, {"names": (_names, _REQUIRED)}),
+    "standardize": (Standardize, {"names": (_names, _REQUIRED)}),
+}
+
+
+def _offline(learner_class):
+    def fit(train, io, resources, **params):
+        environment = OfflineEnvironment.from_dataset(train)
+        return learn_offline(environment, None, io, learner_class(**params))
+
+    return fit
+
+
+def _incremental(train, io, resources, batch_size, **params):
+    stream = DatasetStream(train, batch_size)
+    return learn_incremental(stream, None, io, IncrementalLinearLearner(**params))
+
+
+def _remote(train, io, resources, address, timeout):
+    session = resources.enter_context(remote.connect(address, timeout=timeout))
+    return learn_offline(OfflineEnvironment.from_dataset(train), None, io, session)
+
+
+LEARNER_KINDS = {
+    "regression_tree": (_offline(RegressionTreeLearner), {
+        "max_depth": (_non_negative_int, 5),
+        "min_samples_leaf": (_positive_int, 1),
+    }),
+    "linear": (_offline(LinearRegressionLearner), {}),
+    "incremental_linear": (_incremental, {
+        "forgetting_factor": (
+            _check(lambda v: _is_number(v) and 0 < v <= 1, "must be in (0, 1]"), 1.0
+        ),
+        "regularization": (_check(lambda v: _is_number(v) and v > 0, "must be positive"), 1e-8),
+        "batch_size": (_positive_int, 32),
+    }),
+    "remote": (_remote, {
+        "address": (_address, _REQUIRED),
+        "timeout": (_positive, remote.DEFAULT_TIMEOUT),
+    }),
+}
+
+
+def _check_spec(diags: list[str], field: str, spec, table: dict) -> None:
+    """Append the diagnostics of one kind spec, as ``table`` describes its kind."""
     if not isinstance(spec, dict):
         diags.append(f"{field}: must be an object")
         return
     kind = spec.get("kind")
-    if kind not in TRANSFORM_KINDS:
-        diags.append(f"{field}.kind: unknown kind {kind!r} (known: {list(TRANSFORM_KINDS)})")
+    if not isinstance(kind, str) or kind not in table:
+        diags.append(f"{field}.kind: unknown kind {kind!r} (known: {list(table)})")
         return
-    if kind == "sliding_window":
-        size = spec.get("window_size")
-        if not isinstance(size, int) or size < 1:
-            diags.append(f"{field}.window_size: must be a positive integer")
-    elif kind == "select":
-        _check_names(diags, f"{field}.names", spec.get("names"), allow_empty=True)
-    else:
-        _check_names(diags, f"{field}.names", spec.get("names"))
+    params = table[kind][1]
+    diags.extend(
+        f"{field}.{key}: unknown parameter" for key in spec if key != "kind" and key not in params
+    )
+    for key, (check, default) in params.items():
+        problem = check(spec.get(key)) if key in spec or default is _REQUIRED else None
+        if problem:
+            diags.append(f"{field}.{key}: {problem}")
 
 
-def _validate_learner(diags: list[str], spec) -> None:
-    if not isinstance(spec, dict):
-        diags.append("learner: must be an object")
+def _build(spec: dict, table: dict, *args):
+    """Construct a validated spec's kind from ``table``, filling in the defaults."""
+    factory, params = table[spec["kind"]]
+    return factory(*args, **{key: spec.get(key, default) for key, (_, default) in params.items()})
+
+
+def _defaults(table: dict, kind: str) -> dict:
+    """The spec of ``kind`` with every parameter written out at its default."""
+    return {"kind": kind, **{key: default for key, (_, default) in table[kind][1].items()}}
+
+
+def _raise_first(diagnostics: list[str]) -> None:
+    if diagnostics:
+        field, _, message = diagnostics[0].partition(": ")
+        raise ConfigError(field, message or diagnostics[0])
+
+
+def _check_io(diags: list[str], io) -> None:
+    if not isinstance(io, dict):
+        diags.append("io: must be an object")
         return
-    kind = spec.get("kind")
-    if kind not in LEARNER_KINDS:
-        diags.append(f"learner.kind: unknown kind {kind!r} (known: {list(LEARNER_KINDS)})")
-        return
-    if kind == "regression_tree":
-        if "max_depth" in spec and (not isinstance(spec["max_depth"], int) or spec["max_depth"] < 0):
-            diags.append("learner.max_depth: must be a non-negative integer")
-        if "min_samples_leaf" in spec and (
-            not isinstance(spec["min_samples_leaf"], int) or spec["min_samples_leaf"] < 1
-        ):
-            diags.append("learner.min_samples_leaf: must be a positive integer")
-    elif kind == "incremental_linear":
-        if "forgetting_factor" in spec and not (
-            _is_number(spec["forgetting_factor"]) and 0 < spec["forgetting_factor"] <= 1
-        ):
-            diags.append("learner.forgetting_factor: must be in (0, 1]")
-        if "regularization" in spec and not (
-            _is_number(spec["regularization"]) and spec["regularization"] > 0
-        ):
-            diags.append("learner.regularization: must be positive")
-        if "batch_size" in spec and (not isinstance(spec["batch_size"], int) or spec["batch_size"] < 1):
-            diags.append("learner.batch_size: must be a positive integer")
-    elif kind == "remote":
-        address = spec.get("address")
-        if not isinstance(address, str):
-            diags.append("learner.address: must be a 'host:port' string")
-        else:
-            try:
-                remote.parse_address(address)
-            except ValueError:
-                diags.append(f"learner.address: not a 'host:port' string: {address!r}")
-        if "timeout" in spec and not (_is_number(spec["timeout"]) and spec["timeout"] > 0):
-            diags.append("learner.timeout: must be a positive number")
+    problems = {key: _names(io.get(key)) for key in ("inputs", "outputs")}
+    diags.extend(f"io.{key}: {problem}" for key, problem in problems.items() if problem)
+    if isinstance(io.get("outputs"), list) and len(io["outputs"]) != 1:
+        diags.append("io.outputs: exactly one output column is supported")
+    if not any(problems.values()):  # names are strings, so the sets below can be built
+        overlap = set(io["inputs"]) & set(io["outputs"])
+        if overlap:
+            diags.append(f"io: inputs and outputs overlap: {sorted(overlap)}")
 
 
 def validate_config(cfg: dict) -> list[str]:
     """Schema plus cross-field validation, without executing anything.
 
     Returns a list of diagnostics; an empty list means the config is valid.
+    Never raises for a config parsed from JSON.
     """
-    diags: list[str] = []
-    for key in cfg:
-        if key not in _TOP_LEVEL_KEYS:
-            diags.append(f"{key}: unknown top-level field")
-    if "schema_version" in cfg and cfg["schema_version"] != CONFIG_SCHEMA_VERSION:
-        diags.append(f"schema_version: expected {CONFIG_SCHEMA_VERSION}, got {cfg['schema_version']}")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
+    diags = [f"{key}: unknown top-level field" for key in cfg if key not in _TOP_LEVEL_KEYS]
+    version = cfg.get("schema_version")
+    if "schema_version" in cfg and not (_is_int(version) and version == CONFIG_SCHEMA_VERSION):
+        diags.append(f"schema_version: expected {CONFIG_SCHEMA_VERSION}, got {version}")
+    if "seed" in cfg and not _is_int(cfg["seed"]):
         diags.append("seed: must be an integer")
     if "output_dir" in cfg and not isinstance(cfg["output_dir"], str):
         diags.append("output_dir: must be a directory path string")
-
-    for field in ("environment", "io", "learner", "metrics", "split_fraction"):
-        if field not in cfg:
-            diags.append(f"{field}: required field is missing")
+    diags.extend(f"{field}: required field is missing" for field in _REQUIRED_FIELDS if field not in cfg)
 
     if "environment" in cfg:
-        _validate_environment(diags, cfg["environment"])
-    for index, spec in enumerate(cfg.get("transforms", []) or []):
-        _validate_transform(diags, index, spec)
-    if "transforms" in cfg and not isinstance(cfg["transforms"], list):
+        _check_spec(diags, "environment", cfg["environment"], ENVIRONMENT_KINDS)
+    transforms = cfg.get("transforms", [])
+    if not isinstance(transforms, list):
         diags.append("transforms: must be a list")
+    else:
+        for index, spec in enumerate(transforms):
+            _check_spec(diags, f"transforms[{index}]", spec, TRANSFORM_KINDS)
 
-    io = cfg.get("io")
-    if io is not None:
-        if not isinstance(io, dict):
-            diags.append("io: must be an object")
-        else:
-            _check_names(diags, "io.inputs", io.get("inputs"))
-            _check_names(diags, "io.outputs", io.get("outputs"))
-            if isinstance(io.get("outputs"), list) and len(io["outputs"]) != 1:
-                diags.append("io.outputs: exactly one output column is supported")
-            if isinstance(io.get("inputs"), list) and isinstance(io.get("outputs"), list):
-                overlap = set(io["inputs"]) & set(io["outputs"])
-                if overlap:
-                    diags.append(f"io: inputs and outputs overlap: {sorted(overlap)}")
+    if "io" in cfg:
+        _check_io(diags, cfg["io"])
 
     fraction = cfg.get("split_fraction")
-    if fraction is not None and not (_is_number(fraction) and 0 < fraction < 1):
+    if "split_fraction" in cfg and not (_is_number(fraction) and 0 < fraction < 1):
         diags.append("split_fraction: must be a number in (0, 1)")
 
     if "learner" in cfg:
-        _validate_learner(diags, cfg["learner"])
+        _check_spec(diags, "learner", cfg["learner"], LEARNER_KINDS)
 
     names = cfg.get("metrics")
-    if names is not None:
-        if not isinstance(names, list) or not names:
-            diags.append("metrics: must be a non-empty list of metric names")
-        else:
-            for name in names:
-                if name not in REGISTRY:
-                    diags.append(f"metrics: unknown metric {name!r} (known: {sorted(REGISTRY)})")
+    if "metrics" in cfg and (not isinstance(names, list) or not names):
+        diags.append("metrics: must be a non-empty list of metric names")
+    elif names:
+        diags.extend(
+            f"metrics: unknown metric {name!r} (known: {sorted(REGISTRY)})"
+            for name in names
+            if not isinstance(name, str) or name not in REGISTRY
+        )
     return diags
 
 
-_WATERTANK_DEFAULTS = {
-    "samples": 250,
-    "dt": 0.1,
-    "substep": 1e-3,
-    "initial_level": 1.0,
-    "area": 5.0,
-    "outflow_coeff": 0.5,
-    "inflow_gain": 2.0,
-}
-
-
 def build_environment(spec: dict) -> OfflineEnvironment:
-    kind = spec["kind"]
-    if kind == "ode_watertank":
-        params = {**_WATERTANK_DEFAULTS, **{k: v for k, v in spec.items() if k != "kind"}}
-        system = WaterTankSystem(
-            level=params["initial_level"],
-            area=params["area"],
-            outflow_coeff=params["outflow_coeff"],
-            inflow_gain=params["inflow_gain"],
-        )
-        ode = OdeEnvironment(system, sample_period=params["dt"], substep=params["substep"])
-        return OfflineEnvironment.from_dataset(ode.sample_trajectory(params["samples"]))
-    if kind == "csv":
-        return OfflineEnvironment.from_csv(
-            spec["path"],
-            has_header=spec.get("has_header", True),
-            delimiter=spec.get("delimiter", ","),
-        )
-    if kind == "json":
-        return OfflineEnvironment.from_json(spec["path"])
-    raise ConfigError("environment.kind", f"unknown kind {kind!r}")
+    """Build the environment that a config's ``environment`` entry describes.
 
-
-def build_transform(spec: dict, index: int):
-    kind = spec["kind"]
-    if kind == "sliding_window":
-        return SlidingWindow(spec["window_size"])
-    if kind == "select":
-        return Select(spec["names"])
-    if kind == "explode":
-        return Explode(spec["names"])
-    if kind == "standardize":
-        return Standardize(spec["names"])
-    raise ConfigError(f"transforms[{index}].kind", f"unknown kind {kind!r}")
+    Raises:
+        ConfigError: naming the offending field, if the entry is invalid.
+    """
+    diags: list[str] = []
+    _check_spec(diags, "environment", spec, ENVIRONMENT_KINDS)
+    _raise_first(diags)
+    return _build(spec, ENVIRONMENT_KINDS)
 
 
 class PipelineResult:
@@ -316,61 +342,22 @@ def run_config(cfg: dict, seed_override: int | None = None) -> PipelineResult:
     Raises:
         ConfigError: naming the offending field, if validation fails.
     """
-    diagnostics = validate_config(cfg)
-    if diagnostics:
-        first = diagnostics[0]
-        field, _, message = first.partition(": ")
-        raise ConfigError(field, message or first)
+    _raise_first(validate_config(cfg))
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
 
-    environment = build_environment(cfg["environment"])
-    chain = TransformChain(
-        [build_transform(spec, i) for i, spec in enumerate(cfg.get("transforms", []))]
-    )
+    environment = _build(cfg["environment"], ENVIRONMENT_KINDS)
+    chain = TransformChain([_build(spec, TRANSFORM_KINDS) for spec in cfg.get("transforms", [])])
     observed = environment.observe()
     chain.fit(observed)
     transformed = chain.apply(observed)
     train, held_out = transformed.split(cfg["split_fraction"])
 
     io = IoSpec(cfg["io"]["inputs"], cfg["io"]["outputs"])
-    learner_spec = cfg["learner"]
-    kind = learner_spec["kind"]
-    session = None
-    try:
-        if kind == "regression_tree":
-            learner = RegressionTreeLearner(
-                max_depth=learner_spec.get("max_depth", 5),
-                min_samples_leaf=learner_spec.get("min_samples_leaf", 1),
-            )
-            model = learn_offline(OfflineEnvironment.from_dataset(train), None, io, learner)
-        elif kind == "linear":
-            model = learn_offline(
-                OfflineEnvironment.from_dataset(train), None, io, LinearRegressionLearner()
-            )
-        elif kind == "incremental_linear":
-            learner = IncrementalLinearLearner(
-                forgetting_factor=learner_spec.get("forgetting_factor", 1.0),
-                regularization=learner_spec.get("regularization", 1e-8),
-            )
-            stream = DatasetStream(train, learner_spec.get("batch_size", 32))
-            model = learn_incremental(stream, None, io, learner)
-        else:  # remote
-            session = remote.connect(
-                learner_spec["address"], timeout=learner_spec.get("timeout", remote.DEFAULT_TIMEOUT)
-            )
-            model = learn_offline(
-                OfflineEnvironment.from_dataset(train),
-                None,
-                io,
-                remote.RemoteLearnerClient(session),
-            )
-
+    with contextlib.ExitStack() as resources:
+        model = _build(cfg["learner"], LEARNER_KINDS, train, io, resources)
         report = evaluate(OfflineEnvironment.from_dataset(held_out), model, io, cfg["metrics"])
         if isinstance(model, remote.RemoteModel):
             model = model.fetch()  # persistable local copy of the remote artifact
-    finally:
-        if session is not None:
-            session.close()
     return PipelineResult(report, model, seed)
 
 
@@ -386,32 +373,28 @@ def write_result(result: PipelineResult, out_dir) -> tuple[Path, Path]:
     return report_path, model_path
 
 
-def watertank_config(learner: str = "tree", max_depth: int = 5, seed: int = 0) -> dict:
+def watertank_config(learner: str = "tree", max_depth: int | None = None, seed: int = 0) -> dict:
     """The built-in benchmark scenario as an explicit config.
 
-    Simulates the water tank (250 samples at 0.1 s), windows three time
-    steps, predicts the newest level from the five preceding window columns,
-    trains on the leading 80% of rows, and reports MAE and MSE.
+    Simulates the water tank with every ``ode_watertank`` parameter at its
+    default, windows three time steps, predicts the newest level from the
+    five preceding window columns, trains on the leading 80% of rows, and
+    reports MAE and MSE. The learner's parameters are written out at their
+    defaults too; ``max_depth``, if given, replaces the tree's default depth.
     """
-    learners = {
-        "tree": {"kind": "regression_tree", "max_depth": max_depth, "min_samples_leaf": 1},
-        "linear": {"kind": "linear"},
-        "incremental_linear": {
-            "kind": "incremental_linear",
-            "forgetting_factor": 1.0,
-            "regularization": 1e-8,
-            "batch_size": 32,
-        },
-    }
-    if learner not in learners:
-        raise ConfigError("learner", f"unknown learner {learner!r} (known: {sorted(learners)})")
+    kinds = {"tree": "regression_tree", "linear": "linear", "incremental_linear": "incremental_linear"}
+    if learner not in kinds:
+        raise ConfigError("learner", f"unknown learner {learner!r} (known: {sorted(kinds)})")
+    learner_spec = _defaults(LEARNER_KINDS, kinds[learner])
+    if learner == "tree" and max_depth is not None:
+        learner_spec["max_depth"] = max_depth
     return {
         "schema_version": CONFIG_SCHEMA_VERSION,
         "seed": seed,
-        "environment": {"kind": "ode_watertank", **_WATERTANK_DEFAULTS},
+        "environment": _defaults(ENVIRONMENT_KINDS, "ode_watertank"),
         "transforms": [{"kind": "sliding_window", "window_size": 3}],
         "io": {"inputs": ["V_0", "x_0", "V_1", "x_1", "V_2"], "outputs": ["x_2"]},
         "split_fraction": 0.8,
-        "learner": learners[learner],
+        "learner": learner_spec,
         "metrics": ["mae", "mse"],
     }

@@ -299,16 +299,6 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
     return session
 
 
-class RemoteLearnerClient:
-    """Offline-learner adapter that trains through a remote session."""
-
-    def __init__(self, session: RemoteSession):
-        self._session = session
-
-    def fit(self, inputs: Dataset, outputs: Dataset) -> RemoteModel:
-        return self._session.fit(inputs, outputs)
-
-
 class _SessionHandler(socketserver.StreamRequestHandler):
     def handle(self):
         owner: LearnerServer = self.server.owner
@@ -464,10 +454,3 @@ class LearnerServer:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-def serve(learner_factory=None, address="127.0.0.1:0", max_sessions: int = 8) -> LearnerServer:
-    """Bind and start a learner server in the background; returns the server."""
-    host, port = parse_address(address)
-    server = LearnerServer(learner_factory, host=host, port=port, max_sessions=max_sessions)
-    return server.start()

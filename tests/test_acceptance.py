@@ -389,11 +389,11 @@ def test_criterion_09_remote_transparency_and_faults():
             listener.close()
 
         threading.Thread(target=die_after_hello, daemon=True).start()
-        session = connect(listener.getsockname(), timeout=3.0)
-        start = time.perf_counter()
-        with pytest.raises(ConnectionClosed):
-            session.fit(Dataset({"x": [1.0, 2.0]}), Dataset({"y": [1.0, 2.0]}))
-        assert time.perf_counter() - start < 3.0
+        with connect(listener.getsockname(), timeout=3.0) as session:
+            start = time.perf_counter()
+            with pytest.raises(ConnectionClosed):
+                session.fit(Dataset({"x": [1.0, 2.0]}), Dataset({"y": [1.0, 2.0]}))
+            assert time.perf_counter() - start < 3.0
 
 
 def test_criterion_10_reproducible_reports(tmp_path):

@@ -21,6 +21,18 @@ def read_report(out_dir):
     return json.loads((out_dir / "report.json").read_text())
 
 
+def unhashable_config(tmp_path, field, key):
+    """The benchmark config with a list where a column or metric name belongs."""
+    cfg = watertank_config()
+    if key is None:
+        cfg[field] = [["mae"]]
+    else:
+        cfg[field][key] = [["a"]]
+    path = tmp_path / "unhashable.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 class TestWatertankCommand:
     def test_default_run(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -154,6 +166,21 @@ class TestValidateCommand:
         assert any("io" in d for d in diags)
         assert any("nope" in d for d in diags)
 
+    @pytest.mark.parametrize("field, key", [("io", "inputs"), ("metrics", None)])
+    def test_unhashable_names_give_diagnostics(self, tmp_path, capsys, field, key):
+        path = unhashable_config(tmp_path, field, key)
+        assert main(["validate", str(path)]) == 1
+        diags = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diags and all(d.startswith(field) for d in diags)
+
+    @pytest.mark.parametrize("field, key", [("io", "inputs"), ("metrics", None)])
+    def test_run_reports_unhashable_names_as_config_error(self, tmp_path, capsys, field, key):
+        path = unhashable_config(tmp_path, field, key)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["error"] == "ConfigError"
+
     def test_validation_collects_many(self):
         diags = validate_config({"environment": {"kind": "teapot"}, "split_fraction": 2})
         fields = " ".join(diags)
@@ -198,6 +225,7 @@ class TestServeLearnerCommand:
             if process.poll() is None:
                 process.kill()
                 process.wait()
+            process.stdout.close()
 
 
 class TestErrorRecords:

@@ -311,11 +311,11 @@ class TestFaultInjection:
             # ... and the server dies without answering.
 
         stub = StubServer(script)
-        session = connect(stub.address, timeout=2.0)
-        start = time.perf_counter()
-        with pytest.raises(ConnectionClosed):
-            session.fit(Dataset({"x": [1.0, 2.0]}), Dataset({"y": [1.0, 2.0]}))
-        assert time.perf_counter() - start < 2.0
+        with connect(stub.address, timeout=2.0) as session:
+            start = time.perf_counter()
+            with pytest.raises(ConnectionClosed):
+                session.fit(Dataset({"x": [1.0, 2.0]}), Dataset({"y": [1.0, 2.0]}))
+            assert time.perf_counter() - start < 2.0
 
     def test_unresponsive_server_times_out(self):
         def script(conn, reader):
@@ -325,11 +325,11 @@ class TestFaultInjection:
             time.sleep(5.0)  # never answer within the client timeout
 
         stub = StubServer(script)
-        session = connect(stub.address, timeout=0.5)
-        start = time.perf_counter()
-        with pytest.raises(TimeoutError):
-            session.fit(Dataset({"x": [1.0, 2.0]}), Dataset({"y": [1.0, 2.0]}))
-        assert time.perf_counter() - start < 3.0
+        with connect(stub.address, timeout=0.5) as session:
+            start = time.perf_counter()
+            with pytest.raises(TimeoutError):
+                session.fit(Dataset({"x": [1.0, 2.0]}), Dataset({"y": [1.0, 2.0]}))
+            assert time.perf_counter() - start < 3.0
 
     def test_malformed_server_response_is_typed(self):
         def script(conn, reader):
