@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 from pathlib import Path
 
 from . import remote
@@ -45,6 +44,8 @@ from .learners import (
     LinearRegressionLearner,
     Model,
     RegressionTreeLearner,
+    _is_int,
+    _is_number,
     save_model,
 )
 from .metrics import REGISTRY
@@ -83,22 +84,8 @@ def load_config(path) -> dict:
 
 
 # Parameter checks: each takes a value and returns None if it is valid, else
-# the diagnostic's message. ``bool`` is a subclass of ``int`` in Python, so
-# JSON ``true``/``false`` is excluded from integers and numbers explicitly;
-# ``json`` also parses ``Infinity`` and ``NaN``, which no parameter accepts.
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
+# the diagnostic's message. Integers and numbers are JSON ones, as
+# ``learners._is_int`` / ``learners._is_number`` define them.
 
 
 def _check(ok, message: str):
@@ -255,6 +242,7 @@ def _check_io(diags: list[str], io) -> None:
     if not isinstance(io, dict):
         diags.append("io: must be an object")
         return
+    diags.extend(f"io.{key}: unknown parameter" for key in io if key not in ("inputs", "outputs"))
     problems = {key: _names(io.get(key)) for key in ("inputs", "outputs")}
     diags.extend(f"io.{key}: {problem}" for key, problem in problems.items() if problem)
     if isinstance(io.get("outputs"), list) and len(io["outputs"]) != 1:

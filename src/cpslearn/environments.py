@@ -151,15 +151,6 @@ def zero_inflow(t: float) -> float:
     return 0.0
 
 
-def rk4_step(f: Callable[[float, float], float], t: float, y: float, h: float) -> float:
-    """One classical 4th-order Runge-Kutta step for a scalar ODE y' = f(t, y)."""
-    k1 = f(t, y)
-    k2 = f(t + h / 2.0, y + h * k1 / 2.0)
-    k3 = f(t + h / 2.0, y + h * k2 / 2.0)
-    k4 = f(t + h, y + h * k3)
-    return y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-
-
 @dataclass(frozen=True)
 class WaterTankSystem:
     """A tank with level-proportional-root outflow and a gated inflow.
@@ -175,7 +166,7 @@ class WaterTankSystem:
         area: tank cross-section, must be positive.
         outflow_coeff: scaling of the square-root outflow term.
         inflow_gain: scaling of the inflow term.
-        inflow: time-dependent inflow signal.
+        inflow: inflow signal, a pure function of time; called once per distinct time point.
     """
 
     level: float = 1.0
@@ -202,10 +193,34 @@ class WaterTankSystem:
         """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        level = rk4_step(self.rate, self.time, self.level, dt)
-        if not math.isfinite(level):
-            raise NonFiniteState(f"level became non-finite at t={self.time + dt}")
-        return replace(self, level=max(level, 0.0), time=self.time + dt)
+        level, time = _rk4(self, self.inflow, self.level, self.time, self.inflow(self.time), dt, 1)
+        return replace(self, level=level, time=time)
+
+
+def _rk4(tank: WaterTankSystem, inflow, y: float, t: float, u: float, h: float, steps: int):
+    """Run ``steps`` RK4 steps of size ``h`` from level ``y`` at time ``t``; return (y, t).
+
+    ``u`` is ``inflow(t)``; ``inflow`` is called once per distinct time point. The float
+    operations and their order are those of an RK4 step over :meth:`WaterTankSystem.rate`;
+    ``0.0 if v < 0.0 else v`` is ``max(v, 0.0)``, for -0.0 and NaN too.
+    """
+    area, coeff, gain = tank.area, tank.outflow_coeff, tank.inflow_gain
+    half, sqrt = h / 2.0, math.sqrt
+    for _ in range(steps):
+        u_mid, u_end = inflow(t + half), inflow(t + h)
+        k1 = (gain * u - coeff * sqrt(0.0 if y < 0.0 else y)) / area
+        v = y + h * k1 / 2.0
+        k2 = (gain * u_mid - coeff * sqrt(0.0 if v < 0.0 else v)) / area
+        v = y + h * k2 / 2.0
+        k3 = (gain * u_mid - coeff * sqrt(0.0 if v < 0.0 else v)) / area
+        v = y + h * k3
+        k4 = (gain * u_end - coeff * sqrt(0.0 if v < 0.0 else v)) / area
+        y = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        t, u = t + h, u_end
+        if not math.isfinite(y):
+            raise NonFiniteState(f"level became non-finite at t={t}")
+        y = 0.0 if y < 0.0 else y
+    return y, t
 
 
 class OdeEnvironment:
@@ -234,24 +249,17 @@ class OdeEnvironment:
         """
         if n < 1:
             raise ValueError(f"need at least one sample, got {n}")
-        system = self._initial
+        tank = self._initial
         substeps = max(1, round(self.sample_period / self.substep))
         h = self.sample_period / substeps
-
-        times = np.empty(n, dtype=np.float64)
-        inflows = np.empty(n, dtype=np.float64)
-        levels = np.empty(n, dtype=np.float64)
-        t0 = system.time
+        times, inflows, levels = np.empty((3, n), dtype=np.float64)
+        level, t0 = tank.level, tank.time
         for i in range(n):
-            # Re-anchor the clock each sample so times carry no accumulated drift.
-            t_i = t0 + i * self.sample_period
-            system = replace(system, time=t_i)
-            times[i] = t_i
-            inflows[i] = system.inflow(t_i)
-            levels[i] = system.level
+            t_i = t0 + i * self.sample_period  # re-anchored: times carry no drift
+            u = tank.inflow(t_i)
+            times[i], inflows[i], levels[i] = t_i, u, level
             if i + 1 < n:
-                for _ in range(substeps):
-                    system = system.step(h)
+                level, _ = _rk4(tank, tank.inflow, level, t_i, u, h, substeps)
         return Dataset([("t", times), ("V", inflows), ("x", levels)])
 
 
@@ -262,18 +270,13 @@ class WaterTankActiveEnvironment(ActiveEnvironment):
     one is submitted; before any action the default inflow 0 is used.
     """
 
-    def __init__(
-        self,
-        system: WaterTankSystem | None = None,
-        step_period: float = 0.1,
-        substep: float = 1e-3,
-        max_inflow: float = 1.0,
-    ):
+    def __init__(self, system: WaterTankSystem | None = None, step_period: float = 0.1,
+                 substep: float = 1e-3, max_inflow: float = 1.0):
         self._system = system if system is not None else WaterTankSystem()
         self._space = ActionSpace("V", 0.0, max_inflow)
         self._pending = 0.0
-        self._step_period = step_period
         self._substeps = max(1, round(step_period / substep))
+        self._h = step_period / self._substeps
 
     @property
     def action_space(self) -> ActionSpace:
@@ -284,19 +287,15 @@ class WaterTankActiveEnvironment(ActiveEnvironment):
         return self._system.time
 
     def act(self, action: float) -> None:
-        if not self._space.contains(action):
-            raise ActionOutOfRange(
-                f"action {action} outside [{self._space.low}, {self._space.high}]"
-            )
+        space = self._space
+        if not space.contains(action):
+            raise ActionOutOfRange(f"action {action} outside [{space.low}, {space.high}]")
         self._pending = float(action)
 
     def advance(self) -> None:
-        held = self._pending
-        system = replace(self._system, inflow=lambda t: held)
-        h = self._step_period / self._substeps
-        for _ in range(self._substeps):
-            system = system.step(h)
-        self._system = replace(system, inflow=self._system.inflow)
+        held, tank, h = self._pending, self._system, self._h
+        level, time = _rk4(tank, lambda t: held, tank.level, tank.time, held, h, self._substeps)
+        self._system = replace(tank, level=level, time=time)
 
     def observe(self) -> Dataset:
         return Dataset([("t", [self._system.time]), ("x", [self._system.level])])

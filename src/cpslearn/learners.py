@@ -22,6 +22,7 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -189,14 +190,22 @@ class TreeNode:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
+    def from_dict(cls, d: dict, n_features: int, where: str = "params.root") -> "TreeNode":
+        """Rebuild a subtree; a malformed node raises ValueError naming its path."""
         if "value" in d:
-            return cls(value=float(d["value"]), samples=int(d["samples"]))
+            value = _entry(d, "value", where, _is_number, "a number")
+            samples = _entry(d, "samples", where, _is_int, "an integer")
+            return cls(value=float(value), samples=samples)
+        feature = _entry(d, "feature", where, lambda v: _is_int(v) and 0 <= v < n_features,
+                         f"a column index below {n_features}")
+        threshold = _entry(d, "threshold", where, _is_number, "a number")
+        left = _entry(d, "left", where, _is_object, "an object")
+        right = _entry(d, "right", where, _is_object, "an object")
         return cls(
-            feature=int(d["feature"]),
-            threshold=float(d["threshold"]),
-            left=cls.from_dict(d["left"]),
-            right=cls.from_dict(d["right"]),
+            feature=feature,
+            threshold=float(threshold),
+            left=cls.from_dict(left, n_features, f"{where}.left"),
+            right=cls.from_dict(right, n_features, f"{where}.right"),
         )
 
 
@@ -582,40 +591,87 @@ class EpsilonGreedyActiveLearner:
         return LinearModel(weights[:-1], weights[-1], input_columns, self.target_column)
 
 
-_MODEL_KINDS = {}
+# Checks of values read from JSON documents. ``bool`` is a subclass of
+# ``int`` in Python, so JSON ``true``/``false`` is excluded from integers and
+# numbers explicitly; ``json`` also parses ``Infinity`` and ``NaN``, which no
+# document written by this package holds.
 
 
-def _rebuild_linear(doc: dict) -> LinearModel:
-    params = doc["params"]
-    return LinearModel(
-        params["weights"], params["intercept"], doc["input_schema"], doc["output_schema"][0]
-    )
+def _is_object(value) -> bool:
+    return isinstance(value, dict)
 
 
-def _rebuild_tree(doc: dict) -> RegressionTreeModel:
-    params = doc["params"]
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(name, str) for name in value)
+
+
+def _entry(obj: dict, key: str, where: str, check, what: str):
+    """``obj[key]``, or a ValueError naming ``where.key`` if it is missing or fails ``check``."""
+    if key not in obj:
+        raise ValueError(f"malformed model document: {where}.{key} is missing")
+    if not check(obj[key]):
+        raise ValueError(f"malformed model document: {where}.{key} must be {what}")
+    return obj[key]
+
+
+def _rebuild_linear(params: dict, inputs: list, output: str) -> LinearModel:
+    n = len(inputs)
+    weights = _entry(params, "weights", "params",
+                     lambda v: isinstance(v, list) and len(v) == n and all(map(_is_number, v)),
+                     f"a list of {n} numbers")
+    intercept = _entry(params, "intercept", "params", _is_number, "a number")
+    return LinearModel(weights, intercept, inputs, output)
+
+
+def _rebuild_tree(params: dict, inputs: list, output: str) -> RegressionTreeModel:
     return RegressionTreeModel(
-        TreeNode.from_dict(params["root"]),
-        doc["input_schema"],
-        doc["output_schema"][0],
-        params["max_depth"],
-        params["min_samples_leaf"],
+        TreeNode.from_dict(_entry(params, "root", "params", _is_object, "an object"), len(inputs)),
+        inputs,
+        output,
+        _entry(params, "max_depth", "params", _is_int, "an integer"),
+        _entry(params, "min_samples_leaf", "params", _is_int, "an integer"),
     )
 
 
-_MODEL_KINDS[LinearModel.kind] = _rebuild_linear
-_MODEL_KINDS[RegressionTreeModel.kind] = _rebuild_tree
+_MODEL_KINDS = {LinearModel.kind: _rebuild_linear, RegressionTreeModel.kind: _rebuild_tree}
 
 
 def model_from_dict(doc: dict) -> Model:
-    """Rebuild a model from its serialized dictionary form."""
+    """Rebuild a model from its serialized dictionary form.
+
+    Raises:
+        ValueError: naming the first missing or ill-typed entry of a malformed
+            document, including a tree nested past the interpreter's recursion limit.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("malformed model document: must be an object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version: {version}")
     kind = doc.get("kind")
     if kind not in _MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind}")
-    return _MODEL_KINDS[kind](doc)
+    inputs = _entry(doc, "input_schema", "model", _is_names, "a list of column names")
+    outputs = _entry(doc, "output_schema", "model", lambda v: _is_names(v) and len(v) == 1,
+                     "a list of one column name")
+    params = _entry(doc, "params", "model", _is_object, "an object")
+    try:
+        return _MODEL_KINDS[kind](params, inputs, outputs[0])
+    except RecursionError:
+        raise ValueError("malformed model document: tree nested too deeply") from None
 
 
 def save_model(model: Model, path) -> None:
@@ -626,6 +682,14 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    """Load a model saved by :func:`save_model`."""
+    """Load a model saved by :func:`save_model`.
+
+    Raises:
+        ValueError: if the file is not JSON or not a well-formed model document.
+    """
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"malformed model document: {path} is nested too deeply") from None
+    return model_from_dict(doc)

@@ -182,7 +182,7 @@ class RemoteModel:
         response = self._session._request({"kind": "save", "model": self.remote_id})
         if response.get("kind") != "saved":
             raise RemoteError(f"unexpected response kind {response.get('kind')!r}")
-        return model_from_dict(response["data"])
+        return model_from_dict(response.get("data"))
 
 
 class RemoteSession:
@@ -213,7 +213,7 @@ class RemoteSession:
             raise ConnectionClosed("server closed the connection mid-message")
         try:
             message = json.loads(raw.decode("utf-8"), parse_constant=_reject_nonfinite)
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
             raise RemoteError(f"malformed response: {exc}") from None
         if not isinstance(message, dict):
             raise RemoteError("malformed response: not an object")
@@ -329,7 +329,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 message = json.loads(line.decode("utf-8"), parse_constant=_reject_nonfinite)
                 if not isinstance(message, dict):
                     raise ValueError("message is not an object")
-            except (ValueError, UnicodeDecodeError) as exc:
+            except (ValueError, UnicodeDecodeError, RecursionError) as exc:
                 self._send({"kind": "error", "message": f"malformed message: {exc}"}, max_frame)
                 continue
 

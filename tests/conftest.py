@@ -1,7 +1,18 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cpslearn import Dataset, OdeEnvironment, WaterTankSystem
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checkout_on_child_path():
+    """Child interpreters (CLI runs, demos) import the package from this checkout too."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"), prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cpslearn import load_model, remote
+from cpslearn import fit_linear, load_model, remote
 from cpslearn.cli import main
 from cpslearn.config import validate_config, watertank_config
 
@@ -243,3 +243,30 @@ class TestErrorRecords:
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["error"] == "UnknownColumn"
         assert record["error"]["module"] == "cpslearn.dataset"
+
+    def test_malformed_remote_model_is_one_record(self, tmp_path, capsys):
+        class WeightlessLinear:
+            """Fits the reference model, but saves a document without weights."""
+
+            def fit(self, inputs, outputs):
+                model = fit_linear(inputs, outputs)
+                doc = model.to_dict()
+                del doc["params"]["weights"]
+                model.to_dict = lambda: doc
+                return model
+
+        with remote.LearnerServer(learner_factory=WeightlessLinear) as server:
+            host, port = server.address
+            cfg = watertank_config()
+            cfg["learner"] = {"kind": "remote", "address": f"{host}:{port}", "timeout": 10}
+            path = tmp_path / "remote.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == {
+            "error": "ValueError",
+            "module": "builtins",
+            "message": "malformed model document: params.weights is missing",
+        }
+        assert not (tmp_path / "out").exists()

@@ -57,6 +57,7 @@ GOLDEN = [
     ("io-outputs-two", ("io", "outputs"), ["x_2", "y"],
      ["io.outputs: exactly one output column is supported"]),
     ("io-overlap", ("io", "inputs"), ["V_0", "x_2"], ["io: inputs and outputs overlap: ['x_2']"]),
+    ("io-unknown-key", ("io", "extra"), 1, ["io.extra: unknown parameter"]),
     ("metrics-empty", ("metrics",), [], ["metrics: must be a non-empty list of metric names"]),
     ("metrics-string", ("metrics",), "mae", ["metrics: must be a non-empty list of metric names"]),
     ("metrics-unknown", ("metrics",), ["mae", "nope"],

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpslearn import (
     Dataset,
@@ -13,6 +16,40 @@ from cpslearn import (
     WaterTankSystem,
 )
 from cpslearn.environments import ActionOutOfRange, NonFiniteState, clipped_sine_inflow, zero_inflow
+
+
+def rk4_step(f, t: float, y: float, h: float) -> float:
+    """One classical 4th-order Runge-Kutta step for a scalar ODE y' = f(t, y)."""
+    k1 = f(t, y)
+    k2 = f(t + h / 2.0, y + h * k1 / 2.0)
+    k3 = f(t + h / 2.0, y + h * k2 / 2.0)
+    k4 = f(t + h, y + h * k3)
+    return y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+
+def reference_step(system: WaterTankSystem, dt: float) -> WaterTankSystem:
+    """Reference step: RK4 over ``system.rate``, returning a new system."""
+    level = rk4_step(system.rate, system.time, system.level, dt)
+    if not math.isfinite(level):
+        raise NonFiniteState(f"level became non-finite at t={system.time + dt}")
+    return replace(system, level=max(level, 0.0), time=system.time + dt)
+
+
+def reference_sample_trajectory(system: WaterTankSystem, sample_period: float, substep: float,
+                                n: int) -> Dataset:
+    """Reference ``OdeEnvironment.sample_trajectory``: one ``reference_step`` per substep."""
+    substeps = max(1, round(sample_period / substep))
+    h = sample_period / substeps
+    times, inflows, levels = np.empty(n), np.empty(n), np.empty(n)
+    t0 = system.time
+    for i in range(n):
+        t_i = t0 + i * sample_period
+        system = replace(system, time=t_i)
+        times[i], inflows[i], levels[i] = t_i, system.inflow(t_i), system.level
+        if i + 1 < n:
+            for _ in range(substeps):
+                system = reference_step(system, h)
+    return Dataset([("t", times), ("V", inflows), ("x", levels)])
 
 
 def closed_form_level(t: float, x0: float = 1.0, outflow: float = 0.5, area: float = 5.0) -> float:
@@ -196,3 +233,93 @@ class TestWaterTankActiveEnvironment:
             times.append(env.time)
         assert times == sorted(times)
         assert len(set(times)) == 3
+
+
+PAPER_TANK = {"level": 1.0, "area": 5.0, "outflow_coeff": 0.5, "inflow_gain": 2.0}
+finite = st.floats(-3.0, 3.0, allow_nan=False)
+tank_params = st.one_of(
+    st.sampled_from([
+        PAPER_TANK,
+        {key: value * 0.8 for key, value in PAPER_TANK.items()},
+        {key: value * 1.2 for key, value in PAPER_TANK.items()},
+    ]),
+    st.fixed_dictionaries({
+        "level": st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 4.0)),
+        "time": st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+        "area": st.floats(0.2, 10.0),
+        "outflow_coeff": finite,
+        "inflow_gain": finite,
+        "inflow": st.sampled_from([clipped_sine_inflow, zero_inflow]),
+    }),
+)
+# (sample_period, substep); the last pair has a non-integer ratio.
+grids = st.sampled_from([(0.1, 1e-3), (0.5, 0.05), (1.0, 0.25), (0.37, 0.013)])
+
+
+class TestSimulatorOracle:
+    """The plain-float integrator reproduces the per-step dataclass path bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=tank_params, grid=grids, n=st.integers(1, 300))
+    def test_trajectory_columns_are_byte_equal(self, params, grid, n):
+        sample_period, substep = grid
+        if n * sample_period / substep > 40_000:  # keep each example well under a second
+            n = max(1, int(40_000 * substep / sample_period))
+        system = WaterTankSystem(**params)
+        got = OdeEnvironment(system, sample_period, substep).sample_trajectory(n)
+        want = reference_sample_trajectory(system, sample_period, substep, n)
+        for name in ("t", "V", "x"):
+            assert got.column(name).tobytes() == want.column(name).tobytes(), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=tank_params, dt=st.floats(1e-4, 2.0))
+    def test_step_is_byte_equal(self, params, dt):
+        system = WaterTankSystem(**params)
+        for _ in range(5):
+            got, system = system.step(dt), reference_step(system, dt)
+            assert (got.level, got.time) == (system.level, system.time)
+            assert math.copysign(1.0, got.level) == math.copysign(1.0, system.level)
+
+    def test_negative_zero_level_is_kept(self):
+        # With zero inflow and negative coefficients every stage is -0.0, and
+        # max(-0.0, 0.0) keeps the sign of the zero.
+        system = WaterTankSystem(level=-0.0, outflow_coeff=-0.5, inflow_gain=-2.0, inflow=zero_inflow)
+        got = OdeEnvironment(system, 0.1, 0.05).sample_trajectory(3).column("x")
+        want = reference_sample_trajectory(system, 0.1, 0.05, 3).column("x")
+        assert got.tobytes() == want.tobytes()
+        assert math.copysign(1.0, got[-1]) == -1.0
+
+    def test_active_environment_matches_reference(self):
+        env = WaterTankActiveEnvironment(step_period=0.1, substep=1e-3)
+        system = WaterTankSystem()
+        actions = [None, 1.0, None, 0.25, 0.0, None, 0.7, 1.0, None, None, 0.0, 0.5]
+        held = 0.0
+        for action in actions * 3:
+            if action is not None:
+                env.act(action)
+                held = action
+            env.advance()
+            stepped = replace(system, inflow=lambda t, u=held: u)
+            for _ in range(100):
+                stepped = reference_step(stepped, 0.1 / 100)
+            system = replace(stepped, inflow=system.inflow)
+            obs = env.observe()
+            assert obs.column("t")[0] == system.time == env.time
+            assert obs.column("x")[0] == system.level
+
+    def test_non_finite_message_matches_reference(self):
+        tank = WaterTankSystem(inflow=lambda t: math.inf)
+        with pytest.raises(NonFiniteState) as want:
+            reference_step(tank, 0.1)
+        with pytest.raises(NonFiniteState) as got:
+            tank.step(0.1)
+        assert str(got.value) == str(want.value) == "level became non-finite at t=0.1"
+        with pytest.raises(NonFiniteState, match=r"^level became non-finite at t=0\.001$"):
+            OdeEnvironment(tank).sample_trajectory(2)
+
+    def test_inflow_is_called_once_per_time_point(self):
+        calls = []
+        tank = WaterTankSystem(inflow=lambda t: calls.append(t) or clipped_sine_inflow(t))
+        OdeEnvironment(tank, sample_period=0.1, substep=0.01).sample_trajectory(5)
+        # One call per sample row, two per RK4 step (midpoint and end point).
+        assert len(calls) == 5 + 2 * 4 * 10

@@ -17,6 +17,7 @@ from cpslearn import (
     fit_linear,
     fit_tree,
     load_model,
+    model_from_dict,
     save_model,
 )
 from cpslearn import learners
@@ -386,6 +387,108 @@ class TestSerialization:
             check=True,
         )
         assert json.loads(result.stdout) == expected
+
+
+def linear_doc() -> dict:
+    return fit_linear(Dataset({"a": [0.0, 1.0, 2.0], "b": [1.0, 0.0, 4.0]}),
+                      Dataset({"y": [1.0, 2.0, 5.0]})).to_dict()
+
+
+def tree_doc() -> dict:
+    rng = np.random.default_rng(63)
+    return fit_tree(random_dataset(rng, 40, 2), Dataset({"y": rng.normal(size=40)}), 2).to_dict()
+
+
+def deep_tree_doc(depth: int) -> dict:
+    node = {"value": 0.0, "samples": 1}
+    for _ in range(depth):
+        node = {"feature": 0, "threshold": 0.0, "left": node, "right": {"value": 1.0, "samples": 1}}
+    doc = tree_doc()
+    doc["params"].update(max_depth=depth, root=node)
+    return doc
+
+
+DELETE = object()
+
+
+def edited(doc: dict, path: tuple, value) -> dict:
+    """``doc`` with the entry at ``path`` set to ``value``, or deleted if ``value`` is DELETE."""
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+# (document maker, path, new value or DELETE, the entry the error names).
+MALFORMED = [
+    (linear_doc, ("params",), DELETE, "model.params is missing"),
+    (linear_doc, ("params",), [1.0], "model.params must be an object"),
+    (linear_doc, ("input_schema",), DELETE, "model.input_schema is missing"),
+    (linear_doc, ("input_schema",), "a", "model.input_schema must be a list of column names"),
+    (linear_doc, ("input_schema",), [1, 2], "model.input_schema must be a list of column names"),
+    (linear_doc, ("output_schema",), [], "model.output_schema must be a list of one column name"),
+    (linear_doc, ("output_schema",), None, "model.output_schema must be a list of one column name"),
+    (linear_doc, ("params", "weights"), DELETE, "params.weights is missing"),
+    (linear_doc, ("params", "weights"), "1,2", "params.weights must be a list of 2 numbers"),
+    (linear_doc, ("params", "weights"), [1.0], "params.weights must be a list of 2 numbers"),
+    (linear_doc, ("params", "weights"), [1.0, "2"], "params.weights must be a list of 2 numbers"),
+    (linear_doc, ("params", "weights"), [1.0, 10**400], "params.weights must be a list of 2 numbers"),
+    (linear_doc, ("params", "intercept"), DELETE, "params.intercept is missing"),
+    (linear_doc, ("params", "intercept"), None, "params.intercept must be a number"),
+    (linear_doc, ("params", "intercept"), float("nan"), "params.intercept must be a number"),
+    (tree_doc, ("params", "root"), DELETE, "params.root is missing"),
+    (tree_doc, ("params", "root"), [], "params.root must be an object"),
+    (tree_doc, ("params", "max_depth"), DELETE, "params.max_depth is missing"),
+    (tree_doc, ("params", "min_samples_leaf"), "1", "params.min_samples_leaf must be an integer"),
+    (tree_doc, ("params", "root", "left"), DELETE, "params.root.left is missing"),
+    (tree_doc, ("params", "root", "right"), 3, "params.root.right must be an object"),
+    (tree_doc, ("params", "root", "feature"), 2, "params.root.feature must be a column index below 2"),
+    (tree_doc, ("params", "root", "feature"), -1, "params.root.feature must be a column index below 2"),
+    (tree_doc, ("params", "root", "feature"), True, "params.root.feature must be a column index below 2"),
+    (tree_doc, ("params", "root", "threshold"), "0.5", "params.root.threshold must be a number"),
+    (tree_doc, ("params", "root", "left", "left"), {"value": "x", "samples": 1},
+     "params.root.left.left.value must be a number"),
+    (tree_doc, ("params", "root", "left", "left"), {"value": 1.0}, "params.root.left.left.samples is missing"),
+]
+
+
+class TestMalformedModelDocuments:
+    @pytest.mark.parametrize("make, path, value, message", MALFORMED)
+    def test_malformed_entry_is_named(self, make, path, value, message):
+        with pytest.raises(ValueError) as info:
+            model_from_dict(edited(make(), path, value))
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"malformed model document: {message}"
+
+    @pytest.mark.parametrize("doc", [None, [], "model"])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(ValueError, match="must be an object"):
+            model_from_dict(doc)
+
+    def test_tree_nested_past_the_recursion_limit(self):
+        with pytest.raises(ValueError, match="tree nested too deeply"):
+            model_from_dict(deep_tree_doc(sys.getrecursionlimit() + 100))
+
+    def test_deep_but_loadable_tree_still_loads(self):
+        model = model_from_dict(deep_tree_doc(200))
+        assert model.root.depth() == 200
+        predicted = model.predict(Dataset({"c0": [-1.0, 1.0], "c1": [0.0, 0.0]})).column("y")
+        assert predicted.tolist() == [0.0, 1.0]
+
+    def test_load_model_reports_malformed_files(self, tmp_path):
+        path = tmp_path / "m.fcm.json"
+        path.write_text(json.dumps(edited(tree_doc(), ("params", "root", "left"), DELETE)))
+        with pytest.raises(ValueError, match="params.root.left is missing"):
+            load_model(path)
+        depth = sys.getrecursionlimit() * 3
+        path.write_text('{"params": ' * depth + "{}" + "}" * depth)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            load_model(path)
 
 
 class TestActiveLearner:

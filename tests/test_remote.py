@@ -199,6 +199,14 @@ class TestServerBehaviour:
         )
         assert response["kind"] == "error"
 
+    def test_deeply_nested_request_gets_one_error(self, server, thread_errors):
+        depth = sys.getrecursionlimit() * 3
+        nested = b'{"kind":"fit","inputs":' + b"[" * depth + b"]" * depth + b"}\n"
+        responses = exchange_to_eof(server.address, [nested, b'{"kind":"hello","version":1}\n'])
+        assert [r["kind"] for r in responses] == ["error", "hello_ack"]
+        assert responses[0]["message"].startswith("malformed message")
+        assert thread_errors == []
+
     def test_version_rejected(self, server):
         (response,) = raw_exchange(server.address, [b'{"kind":"hello","version":99}\n'])
         assert response["kind"] == "error"
@@ -339,6 +347,46 @@ class TestFaultInjection:
         stub = StubServer(script)
         with pytest.raises(ConnectFailed):
             connect(stub.address, timeout=2.0)
+
+    @staticmethod
+    def _serve_saved(saved: bytes):
+        """A stub that completes hello and fit, then answers ``save`` with ``saved``."""
+
+        def script(conn, reader):
+            reader.readline()
+            conn.sendall(b'{"kind":"hello_ack","version":1,"max_frame":100000}\n')
+            reader.readline()
+            conn.sendall(b'{"kind":"fit_ack","model":"m1"}\n')
+            reader.readline()
+            conn.sendall(saved + b"\n")
+            reader.readline()  # EOF once the client closes
+
+        return StubServer(script)
+
+    @pytest.mark.parametrize(
+        "saved, message",
+        [
+            (b'{"kind":"saved","model":"m1"}', "malformed model document: must be an object"),
+            (b'{"kind":"saved","model":"m1","data":{"format_version":1,"kind":"linear",'
+             b'"input_schema":["x"],"output_schema":["y"],"params":{"intercept":0.0}}}',
+             "malformed model document: params.weights is missing"),
+        ],
+    )
+    def test_malformed_fetched_model_is_a_value_error(self, saved, message):
+        stub = self._serve_saved(saved)
+        with connect(stub.address, timeout=2.0) as session:
+            model = session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
+            with pytest.raises(ValueError) as info:
+                model.fetch()
+        assert str(info.value) == message
+
+    def test_deeply_nested_response_is_typed(self):
+        depth = sys.getrecursionlimit() * 3
+        stub = self._serve_saved(b'{"kind":"saved","data":' + b"[" * depth + b"]" * depth + b"}")
+        with connect(stub.address, timeout=2.0) as session:
+            model = session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
+            with pytest.raises(RemoteError, match="malformed response"):
+                model.fetch()
 
     def test_wrong_ack_version_is_version_mismatch(self):
         def script(conn, reader):
