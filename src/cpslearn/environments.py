@@ -272,6 +272,10 @@ class WaterTankActiveEnvironment(ActiveEnvironment):
 
     def __init__(self, system: WaterTankSystem | None = None, step_period: float = 0.1,
                  substep: float = 1e-3, max_inflow: float = 1.0):
+        if step_period <= 0:
+            raise ValueError(f"step_period must be positive, got {step_period}")
+        if substep <= 0:
+            raise ValueError(f"substep must be positive, got {substep}")
         self._system = system if system is not None else WaterTankSystem()
         self._space = ActionSpace("V", 0.0, max_inflow)
         self._pending = 0.0

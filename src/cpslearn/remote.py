@@ -26,7 +26,9 @@ NaN and infinities, including literals too large for a double, are rejected
 on both ends. The frame limit (default 64 MiB per line) is negotiated down
 to the smaller of the two peers' limits during hello; it must be a JSON
 integer of at least ``MIN_FRAME`` bytes. Model identifiers are scoped to one
-session; sessions never see each other's models.
+session; sessions never see each other's models. The server ends a session
+whose peer sends nothing for ``DEFAULT_TIMEOUT`` seconds (30) while it waits
+for a request, so idle peers cannot hold every session slot.
 """
 
 from __future__ import annotations
@@ -119,14 +121,7 @@ def _dataset_to_wire(dataset: Dataset) -> dict:
     return {name: dataset.column(name).tolist() for name in dataset.column_names}
 
 
-def _wire_number(name: str, value) -> float:
-    """Convert a non-float column value; only JSON integers are accepted."""
-    if type(value) is not int:  # bool and str are not JSON numbers
-        raise ValueError(f"column {name!r} holds {value!r}; only JSON numbers are accepted")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"column {name!r} holds an integer too large for a double") from None
+_WIRE_NUMBER_TYPES = frozenset((float, int))  # bool and str are not JSON numbers
 
 
 def _wire_to_dataset(obj) -> Dataset:
@@ -136,12 +131,17 @@ def _wire_to_dataset(obj) -> Dataset:
     for name, values in obj.items():
         if not isinstance(values, list):
             raise ValueError(f"column {name!r} must be an array")
-        columns.append((name, [v if type(v) is float else _wire_number(name, v) for v in values]))
-    dataset = Dataset(columns)
-    for name in dataset.column_names:
-        if np.isinf(dataset.column(name)).any():  # a literal such as 1e400 parses as inf
+        if not set(map(type, values)) <= _WIRE_NUMBER_TYPES:
+            bad = next(v for v in values if type(v) not in _WIRE_NUMBER_TYPES)
+            raise ValueError(f"column {name!r} holds {bad!r}; only JSON numbers are accepted")
+        try:
+            column = np.array(values, dtype=np.float64)  # int -> float64 equals float(int)
+        except OverflowError:
+            raise ValueError(f"column {name!r} holds an integer too large for a double") from None
+        if np.isinf(column).any():  # a literal such as 1e400 parses as inf
             raise ValueError(f"column {name!r} holds a number too large for a double")
-    return dataset
+        columns.append((name, column))
+    return Dataset(columns)
 
 
 class RemoteModel:
@@ -175,7 +175,10 @@ class RemoteModel:
         )
         if response.get("kind") != "prediction":
             raise RemoteError(f"unexpected response kind {response.get('kind')!r}")
-        return _wire_to_dataset(response["outputs"])
+        outputs = response.get("outputs")
+        if outputs is None:
+            raise RemoteError("malformed response: prediction without 'outputs'")
+        return _wire_to_dataset(outputs)
 
     def fetch(self) -> Model:
         """Download the serialized model and rebuild it locally."""
@@ -228,9 +231,10 @@ class RemoteSession:
         )
         if response.get("kind") != "fit_ack":
             raise RemoteError(f"unexpected response kind {response.get('kind')!r}")
-        return RemoteModel(
-            self, response["model"], inputs.column_names, outputs.column_names[0]
-        )
+        model_id = response.get("model")
+        if not isinstance(model_id, str):
+            raise RemoteError(f"malformed response: fit_ack 'model' must be a string, got {model_id!r}")
+        return RemoteModel(self, model_id, inputs.column_names, outputs.column_names[0])
 
     def shutdown_server(self) -> None:
         """Ask the server process to stop accepting sessions and exit."""
@@ -300,6 +304,8 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
 
 
 class _SessionHandler(socketserver.StreamRequestHandler):
+    timeout = DEFAULT_TIMEOUT  # idle read limit; ``setup`` applies it to the socket
+
     def handle(self):
         owner: LearnerServer = self.server.owner
         if not owner._session_slots.acquire(blocking=False):
@@ -315,7 +321,10 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         ids = itertools.count(1)
         max_frame = owner.max_frame
         while True:
-            line = self.rfile.readline(max_frame + 1)
+            try:
+                line = self.rfile.readline(max_frame + 1)
+            except TimeoutError:
+                return  # idle peer; end the session and free its slot
             if not line:
                 return
             if not line.endswith(b"\n"):

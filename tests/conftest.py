@@ -1,4 +1,6 @@
 import os
+import socket
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,3 +33,25 @@ def random_dataset(rng: np.random.Generator, rows: int, columns: int, prefix: st
     return Dataset(
         [(f"{prefix}{i}", rng.uniform(-5.0, 5.0, size=rows)) for i in range(columns)]
     )
+
+
+class StubServer:
+    """Scriptable fake server for client-side fault injection."""
+
+    def __init__(self, script):
+        self._script = script
+        self._sock = socket.socket()
+        self._sock.bind(("127.0.0.1", 0))
+        self._sock.listen(1)
+        self.address = self._sock.getsockname()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self):
+        conn, _ = self._sock.accept()
+        reader = conn.makefile("rb")
+        try:
+            self._script(conn, reader)
+        finally:
+            conn.close()
+            self._sock.close()

@@ -8,6 +8,7 @@ import pytest
 from cpslearn import fit_linear, load_model, remote
 from cpslearn.cli import main
 from cpslearn.config import validate_config, watertank_config
+from conftest import StubServer
 
 
 @pytest.fixture
@@ -268,5 +269,29 @@ class TestErrorRecords:
             "error": "ValueError",
             "module": "builtins",
             "message": "malformed model document: params.weights is missing",
+        }
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_fit_ack_is_one_record(self, tmp_path, capsys):
+        def script(conn, reader):
+            reader.readline()
+            conn.sendall(b'{"kind":"hello_ack","version":1,"max_frame":100000}\n')
+            reader.readline()
+            conn.sendall(b'{"kind":"fit_ack"}\n')
+            reader.readline()  # EOF once the client closes
+
+        stub = StubServer(script)
+        host, port = stub.address
+        cfg = watertank_config()
+        cfg["learner"] = {"kind": "remote", "address": f"{host}:{port}", "timeout": 10}
+        path = tmp_path / "remote.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == {
+            "error": "RemoteError",
+            "module": "cpslearn.remote",
+            "message": "malformed response: fit_ack 'model' must be a string, got None",
         }
         assert not (tmp_path / "out").exists()

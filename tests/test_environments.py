@@ -234,6 +234,16 @@ class TestWaterTankActiveEnvironment:
         assert times == sorted(times)
         assert len(set(times)) == 3
 
+    @pytest.mark.parametrize("step_period", [0.0, -0.1])
+    def test_step_period_must_be_positive(self, step_period):
+        with pytest.raises(ValueError, match="step_period must be positive"):
+            WaterTankActiveEnvironment(step_period=step_period)
+
+    @pytest.mark.parametrize("substep", [0.0, -1e-3])
+    def test_substep_must_be_positive(self, substep):
+        with pytest.raises(ValueError, match="substep must be positive"):
+            WaterTankActiveEnvironment(substep=substep)
+
 
 PAPER_TANK = {"level": 1.0, "area": 5.0, "outflow_coeff": 0.5, "inflow_gain": 2.0}
 finite = st.floats(-3.0, 3.0, allow_nan=False)

@@ -1,4 +1,5 @@
 import json
+import math
 import socket
 import sys
 import threading
@@ -6,8 +7,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpslearn import Dataset, fit_linear
+from cpslearn.dataset import ColumnKind
 from cpslearn.learners import SchemaMismatch
 from cpslearn import remote
 from cpslearn.remote import (
@@ -19,7 +23,7 @@ from cpslearn.remote import (
     VersionMismatch,
     connect,
 )
-from conftest import random_dataset
+from conftest import StubServer, random_dataset
 
 
 @pytest.fixture
@@ -71,28 +75,77 @@ def thread_errors(monkeypatch):
 
 # Frame limits a peer may not set: not a JSON integer, or below MIN_FRAME.
 BAD_FRAME_LIMITS = [b"0", b"-5", b'"12"', b"1.5", b"true"]
+HELLO_ACK = b'{"kind":"hello_ack","version":1,"max_frame":100000}'
 
 
-class StubServer:
-    """Scriptable fake server for client-side fault injection."""
+def reference_wire_number(name: str, value) -> float:
+    """Convert a non-float column value; only JSON integers are accepted."""
+    if type(value) is not int:  # bool and str are not JSON numbers
+        raise ValueError(f"column {name!r} holds {value!r}; only JSON numbers are accepted")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"column {name!r} holds an integer too large for a double") from None
 
-    def __init__(self, script):
-        self._script = script
-        self._sock = socket.socket()
-        self._sock.bind(("127.0.0.1", 0))
-        self._sock.listen(1)
-        self.address = self._sock.getsockname()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
 
-    def _run(self):
-        conn, _ = self._sock.accept()
-        reader = conn.makefile("rb")
-        try:
-            self._script(conn, reader)
-        finally:
-            conn.close()
-            self._sock.close()
+def reference_wire_to_dataset(obj) -> Dataset:
+    """Oracle: the wire decoder as a per-value conversion into Python floats."""
+    if not isinstance(obj, dict) or not obj:
+        raise ValueError("expected a non-empty object of column arrays")
+    columns = []
+    for name, values in obj.items():
+        if not isinstance(values, list):
+            raise ValueError(f"column {name!r} must be an array")
+        columns.append((name, [v if type(v) is float else reference_wire_number(name, v) for v in values]))
+    dataset = Dataset(columns)
+    for name in dataset.column_names:
+        if np.isinf(dataset.column(name)).any():
+            raise ValueError(f"column {name!r} holds a number too large for a double")
+    return dataset
+
+
+DBL_MAX_INT = 2**1024 - 2**971  # the largest double, as an integer
+wire_numbers = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, math.inf, -math.inf]),
+    st.integers(-(2**64), 2**64),
+    st.integers(2**1015, 2**1025).map(lambda v: v * (-1) ** (v % 2)),
+    st.sampled_from([2**53 + 1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**1023,
+                     DBL_MAX_INT, DBL_MAX_INT + 2**970 - 1, DBL_MAX_INT + 2**970, 10**400]),
+)
+wire_values = st.one_of(
+    wire_numbers,
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(wire_numbers, max_size=2),
+    st.dictionaries(st.text(max_size=2), wire_numbers, max_size=2),
+)
+
+
+@st.composite
+def wire_objects(draw):
+    """1-3 columns, mostly of one shared length so that many objects decode."""
+    rows = draw(st.integers(0, 4))
+    names = draw(st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True))
+    column = st.one_of(
+        st.lists(wire_numbers, min_size=rows, max_size=rows),
+        st.lists(st.one_of(wire_numbers, st.booleans()), min_size=rows, max_size=rows),
+        st.lists(wire_values, min_size=rows, max_size=rows),
+        st.lists(wire_numbers, max_size=5),  # ragged or empty
+        wire_values,  # not an array
+    )
+    return {name: draw(column) for name in names}
+
+
+def decoded(decode, obj):
+    """Schema and column bytes of ``decode(obj)``, or None if it raised ValueError."""
+    try:
+        dataset = decode(obj)
+    except ValueError:
+        return None
+    return dataset.schema, [dataset.column(name).tobytes() for name in dataset.column_names]
 
 
 class TestTransparency:
@@ -128,6 +181,33 @@ class TestTransparency:
         assert np.array_equal(
             remote_model.predict(probe).column("y"), local_copy.predict(probe).column("y")
         )
+
+
+class TestWireDecoderOracle:
+    @settings(deadline=None, max_examples=400)
+    @given(wire_objects())
+    def test_matches_reference(self, obj):
+        # Any exception other than ValueError escapes and fails the test.
+        result = decoded(remote._wire_to_dataset, obj)
+        assert result == decoded(reference_wire_to_dataset, obj)
+        if result is not None:
+            assert all(kind is ColumnKind.FLOAT64 for _, kind in result[0])
+
+    def test_integer_column_stays_float(self):
+        dataset = remote._wire_to_dataset({"a": [1, 2]})
+        assert dataset.schema == (("a", ColumnKind.FLOAT64),)
+        assert dataset.column("a").tolist() == [1.0, 2.0]
+
+    def test_refusals_name_the_column(self):
+        for column, message in [
+            ([1.0, "1e3"], "column 'a' holds '1e3'; only JSON numbers are accepted"),
+            ([True], "column 'a' holds True; only JSON numbers are accepted"),
+            ([1, 10**400], "column 'a' holds an integer too large for a double"),
+            ([1.0, math.inf], "column 'a' holds a number too large for a double"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                remote._wire_to_dataset({"a": column})
+            assert str(info.value) == message
 
 
 class TestServerBehaviour:
@@ -230,6 +310,20 @@ class TestServerBehaviour:
                     second._request(
                         {"kind": "predict", "model": "m1", "inputs": {"x": [1.0]}}
                     )
+
+    def test_idle_peer_is_dropped_and_frees_its_slot(self, monkeypatch, thread_errors):
+        monkeypatch.setattr(remote._SessionHandler, "timeout", 0.2)
+        with LearnerServer(max_sessions=1) as srv:
+            idle = socket.create_connection(srv.address, timeout=5.0)
+            try:
+                start = time.perf_counter()
+                assert idle.recv(1) == b""  # EOF: the server ended the idle session
+                assert time.perf_counter() - start < 4.0
+            finally:
+                idle.close()
+            (response,) = raw_exchange(srv.address, [b'{"kind":"hello","version":1}\n'])
+            assert response["kind"] == "hello_ack"
+        assert thread_errors == []
 
     def test_session_capacity(self):
         with LearnerServer(max_sessions=1) as srv:
@@ -349,19 +443,43 @@ class TestFaultInjection:
             connect(stub.address, timeout=2.0)
 
     @staticmethod
-    def _serve_saved(saved: bytes):
-        """A stub that completes hello and fit, then answers ``save`` with ``saved``."""
+    def _answering(*responses: bytes):
+        """A stub that completes hello, then answers each request with the next of ``responses``."""
 
         def script(conn, reader):
-            reader.readline()
-            conn.sendall(b'{"kind":"hello_ack","version":1,"max_frame":100000}\n')
-            reader.readline()
-            conn.sendall(b'{"kind":"fit_ack","model":"m1"}\n')
-            reader.readline()
-            conn.sendall(saved + b"\n")
+            for response in (HELLO_ACK, *responses):
+                reader.readline()
+                conn.sendall(response + b"\n")
             reader.readline()  # EOF once the client closes
 
         return StubServer(script)
+
+    @classmethod
+    def _serve_saved(cls, saved: bytes):
+        """A stub that completes hello and fit, then answers ``save`` with ``saved``."""
+        return cls._answering(b'{"kind":"fit_ack","model":"m1"}', saved)
+
+    @pytest.mark.parametrize(
+        "ack, message",
+        [
+            (b'{"kind":"fit_ack"}', "malformed response: fit_ack 'model' must be a string, got None"),
+            (b'{"kind":"fit_ack","model":7}', "malformed response: fit_ack 'model' must be a string, got 7"),
+        ],
+    )
+    def test_malformed_fit_ack_is_typed(self, ack, message):
+        stub = self._answering(ack)
+        with connect(stub.address, timeout=2.0) as session:
+            with pytest.raises(RemoteError) as info:
+                session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
+        assert str(info.value) == message
+
+    def test_prediction_without_outputs_is_typed(self):
+        stub = self._answering(b'{"kind":"fit_ack","model":"m1"}', b'{"kind":"prediction"}')
+        with connect(stub.address, timeout=2.0) as session:
+            model = session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
+            with pytest.raises(RemoteError) as info:
+                model.predict(Dataset({"x": [2.0]}))
+        assert str(info.value) == "malformed response: prediction without 'outputs'"
 
     @pytest.mark.parametrize(
         "saved, message",
