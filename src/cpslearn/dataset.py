@@ -8,8 +8,10 @@ Dataset, so instances can be shared freely between threads.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import enum
+import io
 import json
 import math
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -317,6 +319,55 @@ class Dataset:
         return f"Dataset({self._row_count} rows; {cols})"
 
 
+# The fast path is a whitelist: np.loadtxt reads some cells float() refuses
+# (e.g. '1.5\x1c' as 1.5), but none made only of these bytes.
+_NUMERIC_BYTES = b"0123456789+-.eE\n"
+
+
+def _load_numeric_csv(data: bytes, has_header: bool, delimiter: str):
+    """``(names, values)`` of a plain numeric CSV via numpy's C parser, or None.
+
+    ``values`` is an (n_rows, n_cols) float64 array. None means the file is
+    not plain numeric text or does not parse into a rectangle matching its
+    header; :func:`load_csv` then parses it with ``csv.reader`` + ``float()``,
+    which accepts and refuses exactly what it always has. A quote or
+    carriage-return delimiter is special to ``csv.reader`` and never taken here.
+    """
+    if (
+        not isinstance(delimiter, str)
+        or len(delimiter) != 1
+        or not delimiter.isascii()
+        or delimiter.encode() in _NUMERIC_BYTES + b'\r"'
+    ):
+        return None
+    head, _, body = data.partition(b"\n") if has_header else (b"", b"", data)
+    if (
+        not body
+        or body.startswith(b"\n")
+        or b"\n\n" in body
+        or body.translate(None, _NUMERIC_BYTES + delimiter.encode())
+    ):
+        return None
+    try:
+        values = np.loadtxt(
+            io.StringIO(body.decode("ascii")),
+            delimiter=delimiter,
+            comments=None,
+            dtype=np.float64,
+            ndmin=2,
+        )
+        if not has_header:
+            return [f"column_{i}" for i in range(values.shape[1])], values
+        # strict: a quoted field left open at the end of the line (which
+        # csv.reader would carry into the next line) raises instead.
+        [names] = csv.reader(
+            io.StringIO(head.decode("utf-8"), newline=""), delimiter=delimiter, strict=True
+        )
+    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        return None
+    return (names, values) if len(names) == values.shape[1] else None
+
+
 def load_csv(
     path,
     has_header: bool = True,
@@ -327,6 +378,13 @@ def load_csv(
 
     Every cell must be numeric; the file must be rectangular. When
     ``has_header`` is false, columns are named ``column_0``, ``column_1``, ...
+    The file is UTF-8 text; a leading byte-order mark is skipped.
+
+    Cells are read as ``float()`` reads them, after ``csv.reader`` has split
+    the rows. A file whose data rows hold only digits, ``+-.eE``, the
+    delimiter and single line feeds (no blank line, carriage return or quote) is
+    parsed by numpy's C parser instead, which reads exactly those files to the
+    same columns; the accepted inputs and the errors are the same either way.
 
     Raises:
         FileNotFoundError: if the file does not exist.
@@ -334,8 +392,14 @@ def load_csv(
         RaggedRows: if row widths differ.
         ParseError: for a non-numeric cell (carries ``row`` and ``column``).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    numeric = _load_numeric_csv(data, has_header, delimiter)
+    if numeric is not None:
+        names, values = numeric
+        return Dataset([(name, values[:, j]) for j, name in enumerate(names)], allow_nan=allow_nan)
+
+    rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline=""), delimiter=delimiter))
     if not rows:
         raise EmptyFile(f"no rows in {path}")
 

@@ -138,7 +138,7 @@ class LinearModel(Model):
 
     def __init__(self, weights, intercept: float, input_columns: Sequence[str], output_column: str):
         super().__init__(input_columns, output_column)
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = np.array(weights, dtype=np.float64)  # a copy: callers may mutate theirs
         if weights.shape != (len(self.input_columns),):
             raise ShapeMismatch(
                 f"{weights.shape[0] if weights.ndim else 0} weights for "
@@ -421,15 +421,18 @@ class RecursiveLeastSquares:
     appended here. :class:`IncrementalLinearLearner` adds the bias term.
 
     Attributes:
-        weights: current estimate, shape (dim,).
+        weights: current estimate, shape (dim,). Updated in place, so copy
+            it to keep a snapshot.
         updates: number of samples absorbed so far.
     """
 
     def __init__(self, dim: int, forgetting_factor: float = 1.0, regularization: float = 1e-8):
+        if not _is_int(dim) or dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim!r}")
         if not 0.0 < forgetting_factor <= 1.0:
             raise ValueError(f"forgetting_factor must be in (0, 1], got {forgetting_factor}")
-        if regularization <= 0.0:
-            raise ValueError(f"regularization must be positive, got {regularization}")
+        if not 0.0 < regularization < math.inf:
+            raise ValueError(f"regularization must be positive and finite, got {regularization}")
         self.dim = dim
         self.forgetting_factor = forgetting_factor
         self.weights = np.zeros(dim, dtype=np.float64)
@@ -445,13 +448,41 @@ class RecursiveLeastSquares:
         row = np.asarray(row, dtype=np.float64)
         if row.shape != (self.dim,):
             raise DimensionMismatch(f"regressor of shape {row.shape}, expected ({self.dim},)")
+        self._absorb(row[np.newaxis, :], [target])
+
+    def _absorb(self, rows: np.ndarray, targets: list) -> None:
+        """Absorb the rows of an (n, dim) float64 matrix in order, one target each.
+
+        Each step is the rank-one update
+
+            Pr = P r;  gain = Pr / (forget + r'Pr);  w += gain (target - r'w)
+            P = ((P - gain Pr') / forget + its transpose) / 2
+
+        run as the same ufuncs and BLAS calls (gemv, dot), in the same order,
+        as the plain array expressions, but into buffers allocated once per
+        call, so the results are bit-identical to them. The symmetrization
+        keeps P numerically symmetric.
+        """
         forget = self.forgetting_factor
-        Pr = self._P @ row
-        gain = Pr / (forget + row @ Pr)
-        self.weights = self.weights + gain * (target - row @ self.weights)
-        self._P = (self._P - np.outer(gain, Pr)) / forget
-        self._P = (self._P + self._P.T) / 2.0  # keep P numerically symmetric
-        self.updates += 1
+        P, w = self._P, self.weights
+        Pr, gain, step = (np.empty(self.dim) for _ in range(3))
+        outer = np.empty((self.dim, self.dim))
+        gain_col, outer_t = gain[:, np.newaxis], outer.T
+        # 0-d divisors: the same float64 loop as a Python float, without
+        # converting the scalar on every call.
+        forget_0d, two_0d = np.array(forget), np.array(2.0)
+        multiply, divide, add, subtract = np.multiply, np.divide, np.add, np.subtract
+        for row, target in zip(rows, targets):
+            P.dot(row, Pr)
+            divide(Pr, forget + row.dot(Pr), gain)
+            multiply(gain, target - row.dot(w), step)
+            add(w, step, w)
+            multiply(gain_col, Pr, outer)  # np.outer(gain, Pr)
+            subtract(P, outer, outer)
+            divide(outer, forget_0d, outer)
+            add(outer, outer_t, P)
+            divide(P, two_0d, P)
+        self.updates += len(targets)
 
     def predictive_variance(self, row) -> float:
         """Quadratic form row' P row: relative uncertainty of a prediction."""
@@ -494,9 +525,8 @@ class IncrementalLinearLearner:
             raise SchemaMismatch(
                 f"batch columns {list(inputs.column_names)} != {list(self._input_columns)}"
             )
-        matrix = _float_matrix(inputs, self._input_columns)
-        for i in range(matrix.shape[0]):
-            self._rls.update(np.append(matrix[i], 1.0), y[i])
+        design = np.column_stack([_float_matrix(inputs, self._input_columns), np.ones(len(y))])
+        self._rls._absorb(design, y.tolist())
 
     def finalize(self) -> LinearModel:
         """Snapshot the current weights as an immutable model.

@@ -272,6 +272,70 @@ class TestRegressionTree:
             assert model.root.right.value == right_value
 
 
+def reference_rls_update(rls: RecursiveLeastSquares, row, target: float) -> None:
+    """Oracle: one rank-one update as plain array expressions, a new array per step."""
+    row = np.asarray(row, dtype=np.float64)
+    forget = rls.forgetting_factor
+    Pr = rls._P @ row
+    gain = Pr / (forget + row @ Pr)
+    rls.weights = rls.weights + gain * (target - row @ rls.weights)
+    rls._P = (rls._P - np.outer(gain, Pr)) / forget
+    rls._P = (rls._P + rls._P.T) / 2.0
+    rls.updates += 1
+
+
+@st.composite
+def rls_streams(draw):
+    """(dim, forgetting factor, regularization, rows, targets, batch size)."""
+    dim = draw(st.integers(1, 8))
+    forget = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
+    regularization = draw(st.sampled_from([1e-8, 1e-2, 1.0, 1e3]))
+    n = draw(st.integers(1, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 8))
+    rows = rng.uniform(-1.0, 1.0, (n, dim)) * scale
+    rows[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
+    targets = rng.uniform(-1.0, 1.0, n) * 10.0 ** draw(st.integers(-3, 8))
+    return dim, forget, regularization, rows, targets, draw(st.integers(1, 64))
+
+
+def assert_same_state(rls: RecursiveLeastSquares, reference: RecursiveLeastSquares) -> None:
+    assert rls.weights.tobytes() == reference.weights.tobytes()
+    assert rls.covariance.tobytes() == reference.covariance.tobytes()
+    assert rls.updates == reference.updates
+
+
+class TestRecursiveLeastSquaresOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(rls_streams())
+    def test_public_update_matches_reference(self, stream):
+        dim, forget, regularization, rows, targets, _ = stream
+        rls = RecursiveLeastSquares(dim, forget, regularization)
+        reference = RecursiveLeastSquares(dim, forget, regularization)
+        with np.errstate(all="ignore"):  # tiny factors overflow P; both sides alike
+            for row, target in zip(rows, targets):
+                rls.update(row, target)
+                reference_rls_update(reference, row, target)
+        assert_same_state(rls, reference)
+
+    @settings(deadline=None, max_examples=150)
+    @given(rls_streams())
+    def test_learner_batches_match_reference(self, stream):
+        dim, forget, regularization, rows, targets, batch = stream
+        inputs = Dataset([(f"c{j}", rows[:, j]) for j in range(dim - 1)], row_count=len(rows))
+        outputs = Dataset({"y": targets})
+        learner = IncrementalLinearLearner(forget, regularization)
+        reference = RecursiveLeastSquares(dim, forget, regularization)
+        with np.errstate(all="ignore"):
+            for start in range(0, len(rows), batch):  # the last batch may be short
+                learner.update(
+                    inputs.slice_rows(start, start + batch), outputs.slice_rows(start, start + batch)
+                )
+            for row, target in zip(rows, targets):
+                reference_rls_update(reference, np.append(row[:-1], 1.0), target)
+        assert_same_state(learner._rls, reference)
+
+
 class TestRecursiveLeastSquares:
     def test_matches_batch_ols_via_incremental_learner(self):
         rng = np.random.default_rng(41)
@@ -311,12 +375,26 @@ class TestRecursiveLeastSquares:
             RecursiveLeastSquares(2, forgetting_factor=0.0)
         with pytest.raises(ValueError):
             RecursiveLeastSquares(2, forgetting_factor=1.5)
-        with pytest.raises(ValueError):
-            RecursiveLeastSquares(2, regularization=0.0)
+        for regularization in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="regularization must be positive and finite"):
+                RecursiveLeastSquares(2, regularization=regularization)
+        for dim in (0, -1, 2.0, True):
+            with pytest.raises(ValueError, match="dim must be a positive integer"):
+                RecursiveLeastSquares(dim)
 
     def test_never_updated(self):
         with pytest.raises(NeverUpdated):
             IncrementalLinearLearner().finalize()
+
+    def test_finalized_model_is_a_snapshot(self):
+        learner = IncrementalLinearLearner()
+        learner.update(Dataset({"a": [1.0, 2.0]}), Dataset({"y": [3.0, 5.0]}))
+        model = learner.finalize()
+        weights, intercept = model.weights.copy(), model.intercept
+        learner.update(Dataset({"a": [3.0, 4.0]}), Dataset({"y": [-1.0, 9.0]}))
+        assert not np.array_equal(learner.finalize().weights, weights)
+        assert np.array_equal(model.weights, weights)
+        assert model.intercept == intercept
 
     def test_schema_fixed_by_first_batch(self):
         learner = IncrementalLinearLearner()
