@@ -332,6 +332,8 @@ def _load_numeric_csv(data: bytes, has_header: bool, delimiter: str):
     header; :func:`load_csv` then parses it with ``csv.reader`` + ``float()``,
     which accepts and refuses exactly what it always has. A quote or
     carriage-return delimiter is special to ``csv.reader`` and never taken here.
+    A file whose every ``\r`` starts a ``\r\n`` (as :func:`write_csv` ends its
+    rows) is read with ``\n`` ends, which ``csv.reader`` splits the same way.
     """
     if (
         not isinstance(delimiter, str)
@@ -340,6 +342,10 @@ def _load_numeric_csv(data: bytes, has_header: bool, delimiter: str):
         or delimiter.encode() in _NUMERIC_BYTES + b'\r"'
     ):
         return None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+        if b"\r" in data:
+            return None
     head, _, body = data.partition(b"\n") if has_header else (b"", b"", data)
     if (
         not body
@@ -382,9 +388,10 @@ def load_csv(
 
     Cells are read as ``float()`` reads them, after ``csv.reader`` has split
     the rows. A file whose data rows hold only digits, ``+-.eE``, the
-    delimiter and single line feeds (no blank line, carriage return or quote) is
-    parsed by numpy's C parser instead, which reads exactly those files to the
-    same columns; the accepted inputs and the errors are the same either way.
+    delimiter and single ``\n`` or ``\r\n`` line ends (no blank line, lone
+    carriage return or quote) is parsed by numpy's C parser instead, which reads
+    exactly those files to the same columns; the accepted inputs and the errors
+    are the same either way.
 
     Raises:
         FileNotFoundError: if the file does not exist.

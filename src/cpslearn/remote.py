@@ -5,39 +5,60 @@ terminated by LF. Every request receives exactly one response, in order.
 
 Requests::
 
-    {"kind": "hello", "version": 1, "max_frame": <bytes, optional>}
-    {"kind": "fit", "inputs": {col: [...]}, "outputs": {col: [...]}}
-    {"kind": "predict", "model": "<id>", "inputs": {col: [...]}}
+    {"kind": "hello", "version": 1, "max_frame": <bytes, optional>,
+     "encodings": ["json", "f64le-b64"] <optional>}
+    {"kind": "fit", "inputs": {col: <column>}, "outputs": {col: <column>}}
+    {"kind": "predict", "model": "<id>", "inputs": {col: <column>}}
     {"kind": "save", "model": "<id>"}
     {"kind": "shutdown"}
 
 Responses::
 
-    {"kind": "hello_ack", "version": 1, "max_frame": <negotiated>}
+    {"kind": "hello_ack", "version": 1, "max_frame": <negotiated>,
+     "encoding": "<picked>" <only if the hello offered encodings>}
     {"kind": "fit_ack", "model": "<id>"}
-    {"kind": "prediction", "outputs": {col: [...]}}
+    {"kind": "prediction", "outputs": {col: <column>}}
     {"kind": "saved", "model": "<id>", "data": {...serialized model...}}
     {"kind": "shutdown_ack"}
     {"kind": "error", "message": "..."}
 
-Floats are serialized with their shortest round-trippable decimal form;
-column values must be JSON numbers (``true`` or ``"1e3"`` are refused), and
-NaN and infinities, including literals too large for a double, are rejected
-on both ends. The frame limit (default 64 MiB per line) is negotiated down
-to the smaller of the two peers' limits during hello; it must be a JSON
-integer of at least ``MIN_FRAME`` bytes. Model identifiers are scoped to one
-session; sessions never see each other's models. The server ends a session
-whose peer sends nothing for ``DEFAULT_TIMEOUT`` seconds (30) while it waits
-for a request, so idle peers cannot hold every session slot.
+A ``<column>`` travels in the session's column encoding, which the last
+successful hello sets:
+
+- ``json``, the default and the only one for a peer that offers no
+  ``encodings``: an array of JSON numbers. Floats are serialized with their
+  shortest round-trippable decimal form; values must be JSON numbers
+  (``true`` or ``"1e3"`` are refused), and literals too large for a double
+  are refused.
+- ``f64le-b64``: one string, the canonical base64 (RFC 4648, padded) of the
+  column's little-endian IEEE 754 float64 bytes, as in numpy's ``.npy``
+  format. It is bit-exact by construction. A non-string column, invalid or
+  non-canonical base64 and a byte length that is not a multiple of 8 are
+  refused.
+
+``encodings`` must be an array of strings; the server picks ``f64le-b64``
+when it is offered, else ``json``, and answers an error when it knows
+neither. The client refuses a ``hello_ack`` whose ``encoding`` it did not
+offer. In either encoding NaN and infinities are rejected on both ends, and
+the columns of one object must have equal lengths. The frame limit (default
+64 MiB per line) is negotiated down to the smaller of the two peers' limits
+during hello; it must be a JSON integer of at least ``MIN_FRAME`` bytes.
+Model identifiers are scoped to one session; sessions never see each other's
+models. The server ends a session whose peer sends nothing for
+``DEFAULT_TIMEOUT`` seconds (30) while it waits for a request, or takes
+longer than that from a request's first byte to its LF, so idle or trickling
+peers cannot hold every session slot.
 """
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import socket
 import socketserver
 import threading
+import time
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,6 +74,10 @@ DEFAULT_MAX_FRAME = 64 * 1024 * 1024
 # takes at most ~110 bytes, so every request can still be answered.
 MIN_FRAME = 256
 DEFAULT_TIMEOUT = 30.0
+JSON = "json"
+F64LE_B64 = "f64le-b64"
+ENCODINGS = (JSON, F64LE_B64)  # what a client offers in hello
+_RECV_SIZE = 64 * 1024
 
 
 class ConnectFailed(PipelineError):
@@ -114,19 +139,57 @@ def _encode(payload: dict, max_frame: int) -> bytes:
     return line
 
 
-def _dataset_to_wire(dataset: Dataset) -> dict:
+def _pick_encoding(offered) -> str:
+    """The server's choice among the ``encodings`` a hello offers."""
+    if not isinstance(offered, list) or not all(type(name) is str for name in offered):
+        raise ValueError("encodings must be an array of strings")
+    for encoding in (F64LE_B64, JSON):
+        if encoding in offered:
+            return encoding
+    raise ValueError(f"none of the offered encodings is supported; this server speaks {', '.join(ENCODINGS)}")
+
+
+def _dataset_to_wire(dataset: Dataset, encoding: str = JSON) -> dict:
     for name, kind in dataset.schema:
         if kind is not ColumnKind.FLOAT64:
             raise ValueError(f"only float columns travel on the wire; {name!r} is {kind.value}")
-    return {name: dataset.column(name).tolist() for name in dataset.column_names}
+    if encoding == JSON:
+        return {name: dataset.column(name).tolist() for name in dataset.column_names}
+    wire = {}
+    for name in dataset.column_names:
+        column = dataset.column(name)
+        if not np.isfinite(column).all():  # what json.dumps(allow_nan=False) refuses
+            raise RemoteError(f"cannot serialize message: column {name!r} holds NaN or an infinity")
+        wire[name] = base64.b64encode(column.astype("<f8", copy=False).tobytes()).decode("ascii")
+    return wire
+
+
+def _f64le_column(name: str, text) -> np.ndarray:
+    """Decode one ``f64le-b64`` column, refusing anything but canonical finite float64 bytes."""
+    if not isinstance(text, str):
+        raise ValueError(f"column {name!r} must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or text that is not ASCII
+        raw = None
+    if raw is None or base64.b64encode(raw) != text.encode("ascii"):
+        raise ValueError(f"column {name!r} is not canonical base64")
+    if len(raw) % 8:
+        raise ValueError(f"column {name!r} holds {len(raw)} bytes, not a multiple of 8")
+    column = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(column).all():
+        raise ValueError(f"column {name!r} holds NaN or an infinity")
+    return column
 
 
 _WIRE_NUMBER_TYPES = frozenset((float, int))  # bool and str are not JSON numbers
 
 
-def _wire_to_dataset(obj) -> Dataset:
+def _wire_to_dataset(obj, encoding: str = JSON) -> Dataset:
     if not isinstance(obj, dict) or not obj:
         raise ValueError("expected a non-empty object of column arrays")
+    if encoding == F64LE_B64:
+        return Dataset([(name, _f64le_column(name, text)) for name, text in obj.items()])
     columns = []
     for name, values in obj.items():
         if not isinstance(values, list):
@@ -170,15 +233,25 @@ class RemoteModel:
                 f"model expects columns {list(self.input_columns)}, got {list(inputs.column_names)}"
             )
         ordered = inputs.select(self.input_columns)
+        encoding = self._session._encoding
         response = self._session._request(
-            {"kind": "predict", "model": self.remote_id, "inputs": _dataset_to_wire(ordered)}
+            {"kind": "predict", "model": self.remote_id, "inputs": _dataset_to_wire(ordered, encoding)}
         )
         if response.get("kind") != "prediction":
             raise RemoteError(f"unexpected response kind {response.get('kind')!r}")
         outputs = response.get("outputs")
         if outputs is None:
             raise RemoteError("malformed response: prediction without 'outputs'")
-        return _wire_to_dataset(outputs)
+        try:
+            predictions = _wire_to_dataset(outputs, encoding)
+        except ValueError as exc:
+            raise RemoteError(f"malformed response: {exc}") from None
+        if predictions.column_names != (self.output_column,) or predictions.row_count != ordered.row_count:
+            raise RemoteError(
+                f"malformed response: expected column {self.output_column!r} with "
+                f"{ordered.row_count} rows, got {predictions!r}"
+            )
+        return predictions
 
     def fetch(self) -> Model:
         """Download the serialized model and rebuild it locally."""
@@ -195,6 +268,7 @@ class RemoteSession:
         self._sock = sock
         self._rfile = sock.makefile("rb")
         self._max_frame = max_frame
+        self._encoding = JSON
         self._closed = False
 
     def _request(self, payload: dict) -> dict:
@@ -226,9 +300,11 @@ class RemoteSession:
 
     def fit(self, inputs: Dataset, outputs: Dataset) -> RemoteModel:
         """Train on the server; returns a handle to the remote model."""
-        response = self._request(
-            {"kind": "fit", "inputs": _dataset_to_wire(inputs), "outputs": _dataset_to_wire(outputs)}
-        )
+        response = self._request({
+            "kind": "fit",
+            "inputs": _dataset_to_wire(inputs, self._encoding),
+            "outputs": _dataset_to_wire(outputs, self._encoding),
+        })
         if response.get("kind") != "fit_ack":
             raise RemoteError(f"unexpected response kind {response.get('kind')!r}")
         model_id = response.get("model")
@@ -261,10 +337,14 @@ class RemoteSession:
 def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_MAX_FRAME) -> RemoteSession:
     """Open a session: TCP connect plus hello/hello_ack negotiation.
 
+    The hello offers every column encoding in ``ENCODINGS``; the session uses
+    the one the server picks, or ``json`` if its ``hello_ack`` names none.
+
     Raises:
         ValueError: if ``max_frame`` is not an integer of at least ``MIN_FRAME``.
-        ConnectFailed: if the server is unreachable, refuses the session, or
-            acknowledges a frame limit that is invalid or above ``max_frame``.
+        ConnectFailed: if the server is unreachable, refuses the session,
+            acknowledges a frame limit that is invalid or above ``max_frame``,
+            or picks a column encoding the client did not offer.
         VersionMismatch: if the protocol versions are incompatible.
         TimeoutError: if the server does not answer within ``timeout``.
     """
@@ -277,7 +357,7 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
     session = RemoteSession(sock, max_frame)
     try:
         response = session._request(
-            {"kind": "hello", "version": PROTOCOL_VERSION, "max_frame": max_frame}
+            {"kind": "hello", "version": PROTOCOL_VERSION, "max_frame": max_frame, "encodings": list(ENCODINGS)}
         )
     except RemoteError as exc:
         session.close()
@@ -296,20 +376,27 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
         negotiated = _check_frame_limit(response.get("max_frame", max_frame))
         if negotiated > max_frame:
             raise ValueError(f"server raised max_frame to {negotiated}, above the offered {max_frame}")
+        encoding = response.get("encoding", JSON)
+        if encoding not in ENCODINGS:
+            raise ValueError(f"server picked encoding {encoding!r}, which the client did not offer")
     except ValueError as exc:
         session.close()
         raise ConnectFailed(str(exc)) from None
     session._max_frame = negotiated
+    session._encoding = encoding
     return session
 
 
-class _SessionHandler(socketserver.StreamRequestHandler):
-    timeout = DEFAULT_TIMEOUT  # idle read limit; ``setup`` applies it to the socket
+class _SessionHandler(socketserver.BaseRequestHandler):
+    timeout = DEFAULT_TIMEOUT  # limit on the wait for a request, and on each send
+    frame_deadline = DEFAULT_TIMEOUT  # limit from a request's first byte to its LF
 
     def handle(self):
         owner: LearnerServer = self.server.owner
+        self.request.settimeout(self.timeout)
+        self._max_frame = owner.max_frame
         if not owner._session_slots.acquire(blocking=False):
-            self._send({"kind": "error", "message": "server at capacity"}, owner.max_frame)
+            self._send({"kind": "error", "message": "server at capacity"})
             return
         try:
             self._serve_session(owner)
@@ -317,84 +404,118 @@ class _SessionHandler(socketserver.StreamRequestHandler):
             owner._session_slots.release()
 
     def _serve_session(self, owner: "LearnerServer") -> None:
-        models: dict[str, Model] = {}
-        ids = itertools.count(1)
-        max_frame = owner.max_frame
+        self._models: dict[str, Model] = {}
+        self._ids = itertools.count(1)
+        self._encoding = JSON
+        self._buffer = bytearray()
         while True:
             try:
-                line = self.rfile.readline(max_frame + 1)
-            except TimeoutError:
-                return  # idle peer; end the session and free its slot
+                line = self._read_frame()
+            except OSError:  # TimeoutError included
+                return  # idle, trickling or vanished peer; end the session and free its slot
             if not line:
                 return
             if not line.endswith(b"\n"):
-                if len(line) > max_frame:
-                    self._send(
-                        {"kind": "error", "message": f"frame exceeds limit of {max_frame} bytes"},
-                        max_frame,
-                    )
+                if len(line) > self._max_frame:
+                    self._send({"kind": "error", "message": f"frame exceeds limit of {self._max_frame} bytes"})
                 return  # framing lost or peer vanished; end the session
             try:
                 message = json.loads(line.decode("utf-8"), parse_constant=_reject_nonfinite)
                 if not isinstance(message, dict):
                     raise ValueError("message is not an object")
             except (ValueError, UnicodeDecodeError, RecursionError) as exc:
-                self._send({"kind": "error", "message": f"malformed message: {exc}"}, max_frame)
+                self._send({"kind": "error", "message": f"malformed message: {exc}"})
                 continue
 
             try:
-                response, max_frame, stop = self._dispatch(owner, message, models, ids, max_frame)
+                response, stop = self._dispatch(owner, message)
             except (PipelineError, ValueError, KeyError, TypeError) as exc:
                 response, stop = {"kind": "error", "message": str(exc)}, False
-            self._send(response, max_frame)
+            self._send(response)
             if stop:
                 return
 
-    def _dispatch(self, owner, message, models, ids, max_frame):
+    def _read_frame(self) -> bytes:
+        """The next request line, as a buffered ``readline(max_frame + 1)`` returns it.
+
+        That is the line with its LF; or ``max_frame + 1`` bytes holding no LF;
+        or, at EOF, what is left (empty if nothing). Raises TimeoutError if no
+        byte arrives within ``timeout``, or if a line is not complete within
+        ``frame_deadline`` of its first byte, however steadily it trickles in.
+        """
+        sock, buffer, limit = self.request, self._buffer, self._max_frame + 1
+        scanned, deadline = 0, None
+        while True:
+            end = buffer.find(b"\n", scanned, limit)
+            if end >= 0 or len(buffer) >= limit:
+                size = end + 1 if end >= 0 else limit
+                line = bytes(buffer[:size])
+                del buffer[:size]
+                sock.settimeout(self.timeout)
+                return line
+            scanned = len(buffer)
+            wait = self.timeout
+            if buffer:
+                if deadline is None:
+                    deadline = time.monotonic() + self.frame_deadline
+                wait = deadline - time.monotonic()
+                if wait <= 0:
+                    raise TimeoutError("request frame not completed in time")
+            sock.settimeout(wait)
+            chunk = sock.recv(_RECV_SIZE)
+            if not chunk:
+                line = bytes(buffer)
+                buffer.clear()
+                return line
+            buffer += chunk
+
+    def _dispatch(self, owner, message):
+        """The response to one request, and whether the session ends after it."""
         kind = message.get("kind")
         if kind == "hello":
             version = message.get("version")
             if version != PROTOCOL_VERSION:
                 raise ValueError(f"unsupported protocol version: {version}")
-            negotiated = min(max_frame, _check_frame_limit(message.get("max_frame", max_frame)))
-            ack = {"kind": "hello_ack", "version": PROTOCOL_VERSION, "max_frame": negotiated}
-            return ack, negotiated, False
+            max_frame = min(self._max_frame, _check_frame_limit(message.get("max_frame", self._max_frame)))
+            ack = {"kind": "hello_ack", "version": PROTOCOL_VERSION, "max_frame": max_frame}
+            encoding = JSON
+            if "encodings" in message:
+                encoding = ack["encoding"] = _pick_encoding(message["encodings"])
+            self._max_frame, self._encoding = max_frame, encoding
+            return ack, False
         if kind == "fit":
-            inputs = _wire_to_dataset(message.get("inputs"))
-            outputs = _wire_to_dataset(message.get("outputs"))
+            inputs = _wire_to_dataset(message.get("inputs"), self._encoding)
+            outputs = _wire_to_dataset(message.get("outputs"), self._encoding)
             model = owner.learner_factory().fit(inputs, outputs)
-            model_id = f"m{next(ids)}"
-            models[model_id] = model
-            return {"kind": "fit_ack", "model": model_id}, max_frame, False
+            model_id = f"m{next(self._ids)}"
+            self._models[model_id] = model
+            return {"kind": "fit_ack", "model": model_id}, False
         if kind == "predict":
-            model = self._lookup(models, message)
-            inputs = _wire_to_dataset(message.get("inputs"))
+            model = self._lookup(message)
+            inputs = _wire_to_dataset(message.get("inputs"), self._encoding)
             predictions = model.predict(inputs)
-            wire = {"kind": "prediction", "outputs": _dataset_to_wire(predictions)}
-            return wire, max_frame, False
+            return {"kind": "prediction", "outputs": _dataset_to_wire(predictions, self._encoding)}, False
         if kind == "save":
-            model = self._lookup(models, message)
-            return {"kind": "saved", "model": message["model"], "data": model.to_dict()}, max_frame, False
+            model = self._lookup(message)
+            return {"kind": "saved", "model": message["model"], "data": model.to_dict()}, False
         if kind == "shutdown":
             threading.Thread(target=self.server.shutdown, daemon=True).start()
-            return {"kind": "shutdown_ack"}, max_frame, True
+            return {"kind": "shutdown_ack"}, True
         raise ValueError(f"unknown request kind: {kind!r}")
 
-    @staticmethod
-    def _lookup(models: dict, message: dict) -> Model:
+    def _lookup(self, message: dict) -> Model:
         model_id = message.get("model")
-        if model_id not in models:
+        if model_id not in self._models:
             raise ValueError(f"unknown model id: {model_id!r}")
-        return models[model_id]
+        return self._models[model_id]
 
-    def _send(self, payload: dict, max_frame: int) -> None:
+    def _send(self, payload: dict) -> None:
         try:
-            line = _encode(payload, max_frame)
+            line = _encode(payload, self._max_frame)
         except (FrameTooLarge, RemoteError) as exc:
-            line = _encode({"kind": "error", "message": str(exc)}, max_frame)
+            line = _encode({"kind": "error", "message": str(exc)}, self._max_frame)
         try:
-            self.wfile.write(line)
-            self.wfile.flush()
+            self.request.sendall(line)
         except OSError:
             pass  # peer already gone; session loop will observe EOF
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpslearn import ColumnKind, Dataset, load_csv, load_json, write_csv
+from cpslearn import dataset as dataset_module
 from cpslearn.dataset import (
     EmptyFile,
     InconsistentKeys,
@@ -212,6 +213,38 @@ def test_load_csv_matches_reference(tmp_path_factory, file, allow_nan):
 def test_load_csv_edge_cases_match_reference(tmp_path, text):
     path = tmp_path / "f.csv"
     path.write_bytes(text.encode("utf-8"))
+    assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv, path)
+
+
+def test_write_csv_files_take_the_fast_path(tmp_path):
+    rng = np.random.default_rng(3)
+    d = Dataset({"t": rng.uniform(-1e6, 1e6, 50), "V": rng.standard_normal(50), "x": [-0.0, 5e-324] * 25})
+    path = tmp_path / "w.csv"
+    write_csv(d, path)
+    assert b"\r\n" in path.read_bytes()  # csv.writer's default line terminator
+    names, values = dataset_module._load_numeric_csv(path.read_bytes(), True, ",")
+    assert tuple(names) == d.column_names
+    assert [values[:, j].tobytes() for j in range(3)] == [d.column(n).tobytes() for n in d.column_names]
+    assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv, path)
+
+
+@pytest.mark.parametrize(
+    "text, fast",
+    [
+        ("t,x\r\n1,2\r\n3,4\r\n", True),
+        ("t,x\r\n1,2\r\n3,4", True),  # no final line end
+        ("t,x\n1,2\r\n3,4\n", True),  # mixed \n and \r\n ends
+        ("t,x\r\n1,2\r\n\r\n3,4\r\n", False),  # a blank line
+        ("t,x\r\n1,2\r\r\n3,4\r\n", False),  # a carriage return inside a row
+        ("t,x\r\n1,2\r3,4\r\n", False),  # a lone carriage return ends a row
+        ('"t\r\nu",x\r\n1,2\r\n', False),  # a quoted line end in the header
+    ],
+)
+def test_crlf_line_ends_match_reference(tmp_path, text, fast):
+    data = text.encode()
+    assert (dataset_module._load_numeric_csv(data, True, ",") is not None) == fast
+    path = tmp_path / "f.csv"
+    path.write_bytes(data)
     assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv, path)
 
 

@@ -1,6 +1,8 @@
+import base64
 import json
 import math
 import socket
+import struct
 import sys
 import threading
 import time
@@ -210,6 +212,178 @@ class TestWireDecoderOracle:
             assert str(info.value) == message
 
 
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@st.composite
+def finite_datasets(draw):
+    rows = draw(st.integers(0, 6))
+    names = draw(st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True))
+    return Dataset([(name, draw(st.lists(finite_floats, min_size=rows, max_size=rows))) for name in names])
+
+
+def f64le(*values: float) -> str:
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def f64le_bits(*patterns: int) -> str:
+    return base64.b64encode(b"".join(p.to_bytes(8, "little") for p in patterns)).decode("ascii")
+
+
+class TestColumnEncodings:
+    @settings(deadline=None, max_examples=200)
+    @given(finite_datasets())
+    def test_both_encodings_decode_to_the_same_bytes(self, dataset):
+        expected = decoded(lambda d: d, dataset)
+        for encoding in remote.ENCODINGS:
+            wire = json.loads(json.dumps(remote._dataset_to_wire(dataset, encoding)))
+            assert decoded(lambda obj: remote._wire_to_dataset(obj, encoding), wire) == expected
+
+    def test_binary_column_is_base64_of_little_endian_doubles(self):
+        wire = remote._dataset_to_wire(Dataset({"a": [1.0, -0.0]}), remote.F64LE_B64)
+        assert wire == {"a": "AAAAAAAA8D8AAAAAAAAAgA=="}
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"a": [1.0]}, "column 'a' must be a base64 string"),
+            ({"a": None}, "column 'a' must be a base64 string"),
+            ({"a": "A"}, "column 'a' is not canonical base64"),
+            ({"a": "AAAAAAAA8D8"}, "column 'a' is not canonical base64"),  # padding missing
+            ({"a": "AAAAAAAA8D9="}, "column 'a' is not canonical base64"),  # padding bits set
+            ({"a": "AAAAAAAA 8D8="}, "column 'a' is not canonical base64"),
+            ({"a": "AAAAAAAA\n8D8="}, "column 'a' is not canonical base64"),
+            ({"a": "AAAAAAAA8D8=AAAA"}, "column 'a' is not canonical base64"),
+            ({"a": "AAAAAAAA8D8\u00e9"}, "column 'a' is not canonical base64"),
+            ({"a": "AAAAAAAA-_8="}, "column 'a' is not canonical base64"),  # URL-safe alphabet
+            ({"a": base64.b64encode(bytes(7)).decode()}, "column 'a' holds 7 bytes, not a multiple of 8"),
+            ({"a": base64.b64encode(bytes(12)).decode()}, "column 'a' holds 12 bytes, not a multiple of 8"),
+            ({"a": f64le_bits(0x7FF8000000000000)}, "column 'a' holds NaN or an infinity"),
+            ({"a": f64le_bits(0x3FF0000000000000, 0xFFF0000000000001)}, "column 'a' holds NaN or an infinity"),
+            ({"a": f64le(1.0, math.inf)}, "column 'a' holds NaN or an infinity"),
+            ({"a": f64le(-math.inf)}, "column 'a' holds NaN or an infinity"),
+            ({"a": f64le(1.0), "b": f64le(1.0, 2.0)}, "columns have differing lengths: [1, 2]"),
+            ({}, "expected a non-empty object of column arrays"),
+            ([f64le(1.0)], "expected a non-empty object of column arrays"),
+        ],
+    )
+    def test_binary_refusals(self, obj, message):
+        with pytest.raises(ValueError) as info:
+            remote._wire_to_dataset(obj, remote.F64LE_B64)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_binary_sender_refuses_non_finite_values(self, value):
+        dataset = Dataset({"a": [1.0, value]}, allow_nan=True)
+        with pytest.raises(RemoteError, match="cannot serialize message: column 'a' holds NaN or an infinity"):
+            remote._dataset_to_wire(dataset, remote.F64LE_B64)
+
+    def test_json_peer_gets_the_json_frames(self, server):
+        """A peer that offers no encodings gets byte for byte the frames of protocol version 1."""
+        sock = socket.create_connection(server.address, timeout=5.0)
+        try:
+            reader = sock.makefile("rb")
+            answers = []
+            for line in [
+                b'{"kind":"hello","version":1}\n',
+                b'{"kind":"fit","inputs":{"x":[0.1,0.7,2.3]},"outputs":{"y":[1.0,2.9,7.1]}}\n',
+                b'{"kind":"predict","model":"m1","inputs":{"x":[0.5,-3.3,1e-7]}}\n',
+            ]:
+                sock.sendall(line)
+                answers.append(reader.readline())
+        finally:
+            sock.close()
+        assert answers == [
+            b'{"kind":"hello_ack","version":1,"max_frame":67108864}\n',
+            b'{"kind":"fit_ack","model":"m1"}\n',
+            b'{"kind":"prediction","outputs":{"y":[2.2041237113402063,-8.21649484536083,0.8329899649484531]}}\n',
+        ]
+
+    def test_binary_peer_gets_binary_frames(self, server):
+        inputs, outputs = Dataset({"x": [0.1, 0.7, 2.3]}), Dataset({"y": [1.0, 2.9, 7.1]})
+        probe = Dataset({"x": [0.5, -3.3, 1e-7]})
+        fit = {"kind": "fit", "inputs": remote._dataset_to_wire(inputs, remote.F64LE_B64),
+               "outputs": remote._dataset_to_wire(outputs, remote.F64LE_B64)}
+        predict = {"kind": "predict", "model": "m1", "inputs": remote._dataset_to_wire(probe, remote.F64LE_B64)}
+        ack, fit_ack, prediction = raw_exchange(server.address, [
+            b'{"kind":"hello","version":1,"encodings":["json","f64le-b64"]}\n',
+            json.dumps(fit).encode() + b"\n",
+            json.dumps(predict).encode() + b"\n",
+        ])
+        assert ack == {"kind": "hello_ack", "version": 1, "max_frame": remote.DEFAULT_MAX_FRAME,
+                       "encoding": "f64le-b64"}
+        assert fit_ack == {"kind": "fit_ack", "model": "m1"}
+        expected = fit_linear(inputs, outputs).predict(probe).column("y")
+        assert prediction == {"kind": "prediction", "outputs": {"y": base64.b64encode(expected.tobytes()).decode()}}
+
+    @pytest.mark.parametrize(
+        "offered, picked",
+        [(["json"], "json"), (["f64le-b64"], "f64le-b64"), (["f64le-b64", "json"], "f64le-b64"),
+         (["xml", "json"], "json")],
+    )
+    def test_server_picks_binary_when_offered(self, server, offered, picked):
+        hello = json.dumps({"kind": "hello", "version": 1, "encodings": offered}).encode() + b"\n"
+        (ack,) = raw_exchange(server.address, [hello])
+        assert ack["encoding"] == picked
+
+    @pytest.mark.parametrize("offered", [b'"json"', b"[1]", b"[]", b'["xml"]', b"null", b'{"json":1}',
+                                         b'[["json"]]'])
+    def test_bad_encodings_get_one_error_and_keep_the_session(self, server, offered, thread_errors):
+        responses = exchange_to_eof(server.address, [
+            b'{"kind":"hello","version":1,"max_frame":1000,"encodings":' + offered + b"}\n",
+            b'{"kind":"hello","version":1}\n',
+        ])
+        assert [r["kind"] for r in responses] == ["error", "hello_ack"]
+        assert "encodings" in responses[0]["message"]
+        assert responses[1]["max_frame"] == remote.DEFAULT_MAX_FRAME  # the failed hello set nothing
+        assert thread_errors == []
+
+    def test_client_negotiates_binary_with_the_reference_server(self, session):
+        assert session._encoding == remote.F64LE_B64
+
+    def test_json_session_against_the_reference_server(self, server, monkeypatch):
+        monkeypatch.setattr(remote, "ENCODINGS", (remote.JSON,))
+        rng = np.random.default_rng(93)
+        inputs, outputs, probe = random_dataset(rng, 30, 2), Dataset({"y": rng.normal(size=30)}), random_dataset(rng, 9, 2)
+        with connect(server.address, timeout=5.0) as json_session:
+            assert json_session._encoding == remote.JSON
+            remote_pred = json_session.fit(inputs, outputs).predict(probe).column("y")
+        assert np.array_equal(remote_pred, fit_linear(inputs, outputs).predict(probe).column("y"))
+
+    def test_client_sends_json_to_a_server_that_names_no_encoding(self):
+        requests = []
+
+        def script(conn, reader):
+            for response in (HELLO_ACK, b'{"kind":"fit_ack","model":"m1"}'):
+                requests.append(json.loads(reader.readline()))
+                conn.sendall(response + b"\n")
+            reader.readline()
+
+        stub = StubServer(script)
+        with connect(stub.address, timeout=2.0) as session:
+            session.fit(Dataset({"x": [0.0, 0.5]}), Dataset({"y": [1.0, -0.0]}))
+        hello, fit = requests
+        assert hello["encodings"] == ["json", "f64le-b64"]
+        assert fit == {"kind": "fit", "inputs": {"x": [0.0, 0.5]}, "outputs": {"y": [1.0, -0.0]}}
+
+    @pytest.mark.parametrize("encoding", [b'"xml"', b'"JSON"', b"null", b'["json"]', b"7"])
+    def test_client_refuses_an_encoding_it_did_not_offer(self, encoding, thread_errors):
+        def script(conn, reader):
+            reader.readline()
+            conn.sendall(b'{"kind":"hello_ack","version":1,"max_frame":100000,"encoding":' + encoding + b"}\n")
+            reader.readline()  # EOF: the client gave up
+
+        stub = StubServer(script)
+        with pytest.raises(ConnectFailed, match="which the client did not offer"):
+            connect(stub.address, timeout=2.0)
+        stub._thread.join(timeout=5.0)
+        assert thread_errors == []
+
+
 class TestServerBehaviour:
     def test_mismatched_fit_rows_is_remote_error(self, session):
         with pytest.raises(RemoteError):
@@ -321,6 +495,34 @@ class TestServerBehaviour:
                 assert time.perf_counter() - start < 4.0
             finally:
                 idle.close()
+            (response,) = raw_exchange(srv.address, [b'{"kind":"hello","version":1}\n'])
+            assert response["kind"] == "hello_ack"
+        assert thread_errors == []
+
+    def test_trickling_peer_is_dropped_and_frees_its_slot(self, monkeypatch, thread_errors):
+        monkeypatch.setattr(remote._SessionHandler, "frame_deadline", 0.3)
+        with LearnerServer(max_sessions=1) as srv:
+            trickle = socket.create_connection(srv.address, timeout=5.0)
+            try:
+                reader = trickle.makefile("rb")
+                for part in (b'{"kind":"hel', b'lo","version":1}\n'):  # one frame in two reads
+                    trickle.sendall(part)
+                    time.sleep(0.05)
+                assert json.loads(reader.readline())["kind"] == "hello_ack"
+                trickle.settimeout(0.1)
+                start = time.perf_counter()
+                dropped = False
+                while not dropped and time.perf_counter() - start < 4.0:
+                    try:
+                        dropped = trickle.recv(1) == b""
+                    except TimeoutError:
+                        trickle.sendall(b" ")  # far inside the 30 s idle limit
+                    except ConnectionResetError:
+                        dropped = True
+                assert dropped
+                assert time.perf_counter() - start >= 0.3
+            finally:
+                trickle.close()
             (response,) = raw_exchange(srv.address, [b'{"kind":"hello","version":1}\n'])
             assert response["kind"] == "hello_ack"
         assert thread_errors == []
@@ -480,6 +682,32 @@ class TestFaultInjection:
             with pytest.raises(RemoteError) as info:
                 model.predict(Dataset({"x": [2.0]}))
         assert str(info.value) == "malformed response: prediction without 'outputs'"
+
+    @pytest.mark.parametrize(
+        "outputs, got",
+        [
+            (b'{"zzz":[1.0]}', "Dataset(1 rows; zzz: float64)"),
+            (b'{"zzz":[1.0,2.0,3.0,4.0,5.0]}', "Dataset(5 rows; zzz: float64)"),
+            (b'{"y":[1.0,2.0,3.0,4.0,5.0],"z":[1.0,2.0,3.0,4.0,5.0]}', "Dataset(5 rows; y: float64, z: float64)"),
+            (b'{"y":[1.0,2.0,3.0,4.0]}', "Dataset(4 rows; y: float64)"),
+            (b'{"y":[1.0,2.0,3.0,4.0,5.0,6.0]}', "Dataset(6 rows; y: float64)"),
+        ],
+    )
+    def test_prediction_must_match_the_request(self, outputs, got):
+        stub = self._answering(b'{"kind":"fit_ack","model":"m1"}', b'{"kind":"prediction","outputs":' + outputs + b"}")
+        with connect(stub.address, timeout=2.0) as session:
+            model = session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
+            with pytest.raises(RemoteError) as info:
+                model.predict(Dataset({"x": [1.0, 2.0, 3.0, 4.0, 5.0]}))
+        assert str(info.value) == f"malformed response: expected column 'y' with 5 rows, got {got}"
+
+    def test_undecodable_prediction_is_typed(self):
+        stub = self._answering(b'{"kind":"fit_ack","model":"m1"}', b'{"kind":"prediction","outputs":{"y":[true]}}')
+        with connect(stub.address, timeout=2.0) as session:
+            model = session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
+            with pytest.raises(RemoteError) as info:
+                model.predict(Dataset({"x": [1.0]}))
+        assert str(info.value) == "malformed response: column 'y' holds True; only JSON numbers are accepted"
 
     @pytest.mark.parametrize(
         "saved, message",
