@@ -58,6 +58,10 @@ class TooFewSamples(PipelineError):
     """Not enough training rows for the requested tree configuration."""
 
 
+class TreeTooDeep(PipelineError):
+    """The tree grew deeper than Python's recursion limit allows."""
+
+
 class DimensionMismatch(PipelineError):
     """An input row does not match the dimension of the online estimator."""
 
@@ -276,16 +280,18 @@ def fit_linear(inputs: Dataset, outputs: Dataset) -> LinearModel:
     )
 
 
-def _best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int):
+def _best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int, orders=None):
     """Exhaustive greedy split search.
 
-    Candidates are midpoints between consecutive distinct sorted feature
-    values; the score is the weighted child variance. Features are scanned
-    in index order and each feature's candidates in ascending threshold
-    order. A candidate replaces the incumbent only when its score is below
-    the incumbent's by more than 1e-12 (the first candidate seen is always
-    taken), so ties resolve to the lowest feature index, then the lowest
-    threshold.
+    ``orders`` holds, per feature, the node's row indices into ``matrix`` and
+    ``y`` in stable ascending order of that feature; by default every row,
+    argsorted here. Candidates are midpoints between consecutive distinct
+    sorted feature values; the score is the weighted child variance.
+    Features are scanned in index order and each feature's candidates in
+    ascending threshold order. A candidate replaces the incumbent only when
+    its score is below the incumbent's by more than 1e-12 (the first
+    candidate seen is always taken), so ties resolve to the lowest feature
+    index, then the lowest threshold.
 
     Every candidate score of a feature is computed in one numpy pass. The
     elementwise operations are the ones of the scalar expression
@@ -306,13 +312,17 @@ def _best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int):
     only decrease; one that did not was at least the incumbent of its time
     minus 1e-12, itself at least the current incumbent minus 1e-12. So a
     score at or above an earlier (non-NaN) score of its feature never
-    replaces, and the incumbent changes only at the candidates kept.
+    replaces, and the incumbent changes only at the candidates kept. The
+    rule runs on Python floats (``tolist``), whose subtraction and ``<`` are
+    the same IEEE double operations as on numpy float64 scalars, and the
+    threshold is formed once, for the winning cut of each feature.
     """
-    n = len(y)
-    cuts = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
-    best = None  # (score, feature, threshold)
-    for feature in range(matrix.shape[1]):
-        order = np.argsort(matrix[:, feature], kind="stable")
+    if orders is None:
+        orders = _presort(matrix)
+    best, best_score = None, None  # (score, feature, threshold), score
+    for feature, order in enumerate(orders):
+        n = len(order)
+        cuts = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
         xs = matrix[order, feature]
         ys = y[order]
         sums = np.concatenate([[0.0], np.cumsum(ys)])
@@ -332,27 +342,46 @@ def _best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int):
         # Drop every score at or above an earlier non-NaN score (fmin skips NaN).
         keep = np.ones(scores.size, dtype=bool)
         keep[1:] = ~(scores[1:] >= np.fmin.accumulate(scores)[:-1])
-        for j in np.flatnonzero(keep).tolist():
-            score = scores[j]
-            if best is None or score < best[0] - _SPLIT_TIE_EPS:
-                cut = i[j]
-                best = (score, feature, (xs[cut - 1] + xs[cut]) / 2.0)
+        kept = np.flatnonzero(keep)
+        winner = None
+        for j, score in zip(kept.tolist(), scores[kept].tolist()):
+            if best_score is None or score < best_score - _SPLIT_TIE_EPS:
+                best_score, winner = score, j
+        if winner is not None:
+            cut = i[winner]
+            best = (best_score, feature, (xs[cut - 1] + xs[cut]) / 2.0)
     return best
 
 
-def _grow_tree(matrix, y, depth, max_depth, min_samples_leaf) -> TreeNode:
-    if depth >= max_depth or len(y) < 2 * min_samples_leaf or np.var(y) == 0.0:
-        return TreeNode(value=float(np.mean(y)), samples=len(y))
-    split = _best_split(matrix, y, min_samples_leaf)
+def _presort(matrix: np.ndarray) -> list:
+    """Each column's stable argsort: row indices in ascending order of that feature."""
+    return [np.argsort(column, kind="stable") for column in matrix.T]
+
+
+def _grow_tree(matrix, y, rows, orders, depth, max_depth, min_samples_leaf) -> TreeNode:
+    """The subtree over ``rows``, ascending indices into ``matrix`` and ``y``.
+
+    ``orders`` holds the same rows once per feature, in stable ascending order
+    of that feature. A child filters its parent's rows and orders by the split
+    mask; this keeps each child's rows in their original relative order, so
+    the filtered order is exactly the child's own stable argsort.
+    """
+    node_y = y[rows]
+    if depth >= max_depth or len(rows) < 2 * min_samples_leaf or np.var(node_y) == 0.0:
+        return TreeNode(value=float(np.mean(node_y)), samples=len(rows))
+    split = _best_split(matrix, y, min_samples_leaf, orders)
     if split is None:  # all features constant within this node
-        return TreeNode(value=float(np.mean(y)), samples=len(y))
+        return TreeNode(value=float(np.mean(node_y)), samples=len(rows))
     _, feature, threshold = split
-    mask = matrix[:, feature] <= threshold
+    left = matrix[:, feature] <= threshold
+    right = ~left
     return TreeNode(
         feature=feature,
         threshold=threshold,
-        left=_grow_tree(matrix[mask], y[mask], depth + 1, max_depth, min_samples_leaf),
-        right=_grow_tree(matrix[~mask], y[~mask], depth + 1, max_depth, min_samples_leaf),
+        left=_grow_tree(matrix, y, rows[left[rows]], [order[left[order]] for order in orders],
+                        depth + 1, max_depth, min_samples_leaf),
+        right=_grow_tree(matrix, y, rows[right[rows]], [order[right[order]] for order in orders],
+                         depth + 1, max_depth, min_samples_leaf),
     )
 
 
@@ -369,9 +398,19 @@ def fit_tree(
     leaf), on pure nodes, or when a child would fall below
     ``min_samples_leaf`` rows.
 
+    Each feature is argsorted once per fit (``kind="stable"``), and every node
+    searches its split in its share of these orders. This is exact: a child
+    keeps its rows in their original relative order, so filtering the
+    parent's order by the child's mask gives the child's own stable argsort,
+    ties included (in row order; ``-0.0`` ties ``0.0``, NaN sorts last). A
+    node's targets ``y[rows]`` stay in row order, so its variance and leaf
+    mean are those of the rows it holds, summed in the same order.
+
     Raises:
         ShapeMismatch: if row counts differ or outputs are not one column.
         TooFewSamples: if fewer than ``2 * min_samples_leaf`` rows are given.
+        TreeTooDeep: if the tree grows deeper than Python's recursion limit
+            allows; a smaller ``max_depth`` bounds it.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
@@ -385,7 +424,14 @@ def fit_tree(
             f"{inputs.row_count} rows < 2 * min_samples_leaf = {2 * min_samples_leaf}"
         )
     matrix = _float_matrix(inputs, inputs.column_names)
-    root = _grow_tree(matrix, y, 0, max_depth, min_samples_leaf)
+    rows = np.arange(inputs.row_count)
+    try:
+        root = _grow_tree(matrix, y, rows, _presort(matrix), 0, max_depth, min_samples_leaf)
+    except RecursionError:
+        raise TreeTooDeep(
+            f"tree grew past Python's recursion limit at max_depth={max_depth}; "
+            "use a smaller max_depth"
+        ) from None
     return RegressionTreeModel(
         root, inputs.column_names, outputs.column_names[0], max_depth, min_samples_leaf
     )

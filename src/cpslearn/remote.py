@@ -551,6 +551,7 @@ class LearnerServer:
         except OSError as exc:
             raise BindFailed(f"cannot bind {host}:{port}: {exc}") from None
         self._tcp.owner = self
+        self._serving = False  # whether a serve loop was started, which shutdown() waits for
         self._thread: threading.Thread | None = None
 
     @property
@@ -559,6 +560,7 @@ class LearnerServer:
 
     def start(self) -> "LearnerServer":
         """Serve on a background thread; returns self."""
+        self._serving = True
         self._thread = threading.Thread(
             target=self._tcp.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
@@ -567,13 +569,29 @@ class LearnerServer:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until shut down."""
+        self._serving = True
         try:
             self._tcp.serve_forever(poll_interval=0.05)
         finally:
             self._tcp.server_close()
 
     def stop(self) -> None:
-        self._tcp.shutdown()
+        """End the serve loop, if one was started, and close the listening socket.
+
+        The loop polls for a shutdown request every 50 ms; loopback connects
+        wake it so that stop returns at once instead of waiting out the poll.
+        """
+        if self._serving:
+            host, port = self.address
+            shutdown = threading.Thread(target=self._tcp.shutdown, daemon=True)
+            shutdown.start()
+            while shutdown.is_alive():
+                try:
+                    socket.create_connection(("127.0.0.1" if host == "0.0.0.0" else host, port), 0.05).close()
+                except OSError:
+                    pass  # the loop still ends at its next poll
+                shutdown.join(0.005)
+            self._serving = False
         self._tcp.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

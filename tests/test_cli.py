@@ -245,6 +245,25 @@ class TestErrorRecords:
         assert record["error"]["error"] == "UnknownColumn"
         assert record["error"]["module"] == "cpslearn.dataset"
 
+    def test_tree_past_the_recursion_limit_is_one_record(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("u,y\n" + "".join(f"{i},{1.2 ** (i - 1499)!r}\n" for i in range(1500)))
+        cfg = {
+            "environment": {"kind": "csv", "path": str(data)},
+            "io": {"inputs": ["u"], "outputs": ["y"]},
+            "split_fraction": 0.9,
+            "learner": {"kind": "regression_tree", "max_depth": 10_000},
+            "metrics": ["mae"],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])["error"]
+        assert (record["error"], record["module"]) == ("TreeTooDeep", "cpslearn.learners")
+        assert "max_depth=10000" in record["message"]
+
     def test_malformed_remote_model_is_one_record(self, tmp_path, capsys):
         class WeightlessLinear:
             """Fits the reference model, but saves a document without weights."""

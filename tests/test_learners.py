@@ -28,6 +28,7 @@ from cpslearn.learners import (
     ShapeMismatch,
     SingularDesign,
     TooFewSamples,
+    TreeTooDeep,
 )
 from conftest import random_dataset
 
@@ -75,6 +76,33 @@ def reference_best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: in
     return best
 
 
+def reference_tree(matrix: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_samples_leaf: int) -> dict:
+    """Oracle: the tree grown on each node's own row subset, searched by
+    ``reference_best_split``, as the ``root`` entry of its model document."""
+    if depth >= max_depth or len(y) < 2 * min_samples_leaf or np.var(y) == 0.0:
+        return {"value": float(np.mean(y)), "samples": len(y)}
+    split = reference_best_split(matrix, y, min_samples_leaf)
+    if split is None:
+        return {"value": float(np.mean(y)), "samples": len(y)}
+    _, feature, threshold = split
+    mask = matrix[:, feature] <= threshold
+    return {
+        "feature": feature,
+        "threshold": threshold,
+        "left": reference_tree(matrix[mask], y[mask], depth + 1, max_depth, min_samples_leaf),
+        "right": reference_tree(matrix[~mask], y[~mask], depth + 1, max_depth, min_samples_leaf),
+    }
+
+
+def assert_tree_matches_reference(matrix: np.ndarray, y: np.ndarray, max_depth: int, min_samples_leaf: int):
+    """``fit_tree``'s document equals the oracle's, compared as JSON text so
+    that every float (``-0.0`` included) must match bit for bit."""
+    inputs = Dataset({f"x{k}": matrix[:, k] for k in range(matrix.shape[1])})
+    fitted = fit_tree(inputs, Dataset({"y": y}), max_depth, min_samples_leaf).to_dict()
+    expected = reference_tree(matrix, y, 0, max_depth, min_samples_leaf)
+    assert json.dumps(fitted["params"]["root"]) == json.dumps(expected)
+
+
 @st.composite
 def split_problems(draw):
     """A node's (matrix, y, min_samples_leaf) with ties, constants and offsets."""
@@ -119,14 +147,23 @@ class TestSplitSearchOracle:
         assert learners._best_split(matrix, y, 1) is None
         assert reference_best_split(matrix, y, 1) is None
 
-    def test_fitted_tree_matches_reference(self, monkeypatch):
+    def test_fitted_tree_matches_reference(self):
         rng = np.random.default_rng(33)
         inputs = random_dataset(rng, 2_000, 5)
         matrix = np.column_stack([inputs.column(c) for c in inputs.column_names])
-        y = Dataset({"y": np.sin(matrix[:, 0]) + 0.1 * np.round(matrix[:, 1]) + rng.normal(size=2_000)})
-        fitted = fit_tree(inputs, y, max_depth=6, min_samples_leaf=3).to_dict()
-        monkeypatch.setattr(learners, "_best_split", reference_best_split)
-        assert fitted == fit_tree(inputs, y, max_depth=6, min_samples_leaf=3).to_dict()
+        y = np.sin(matrix[:, 0]) + 0.1 * np.round(matrix[:, 1]) + rng.normal(size=2_000)
+        assert_tree_matches_reference(matrix, y, max_depth=6, min_samples_leaf=3)
+
+    @settings(deadline=None, max_examples=100)
+    @given(split_problems(), st.integers(0, 8), st.data())
+    def test_fitted_tree_matches_reference_on_ties_and_signed_zeros(self, problem, max_depth, data):
+        matrix, y, min_samples_leaf = problem
+        if data.draw(st.booleans(), label="signed zeros"):
+            # Stable sorting must keep -0.0 and 0.0 as ties, in row order.
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="zeros seed"))
+            column = data.draw(st.integers(0, matrix.shape[1] - 1), label="column")
+            matrix[:, column] = rng.choice([-0.0, 0.0, 1.0, -1.0], size=len(y))
+        assert_tree_matches_reference(matrix, y, max_depth, min_samples_leaf)
 
 
 class TestLinear:
@@ -215,6 +252,13 @@ class TestRegressionTree:
         with pytest.raises(TooFewSamples):
             fit_tree(Dataset({"x": [1.0, 2.0, 3.0]}), Dataset({"y": [1.0, 2.0, 3.0]}), 3,
                      min_samples_leaf=2)
+
+    def test_tree_past_the_recursion_limit_is_typed(self):
+        # Exponential targets peel one row off per split: a chain 1 499 nodes deep.
+        x = np.arange(1500.0)
+        y = 1.2 ** x / 1.2 ** x[-1]
+        with pytest.raises(TreeTooDeep, match="max_depth=10000"):
+            fit_tree(Dataset({"x": x}), Dataset({"y": y}), max_depth=10_000)
 
     def test_constant_features_become_leaf(self):
         model = fit_tree(Dataset({"x": [2.0, 2.0, 2.0, 2.0]}),

@@ -779,6 +779,26 @@ class TestLifecycle:
         with pytest.raises(ConnectFailed):
             connect(server.address, timeout=1.0)
 
+    def test_stop_without_start_returns_and_closes(self):
+        server = LearnerServer()
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        with pytest.raises(ConnectFailed):
+            connect(server.address, timeout=1.0)
+
+    def test_stop_ends_serve_forever_on_another_thread(self):
+        server = LearnerServer()
+        loop = threading.Thread(target=server.serve_forever, daemon=True)
+        loop.start()
+        connect(server.address, timeout=5.0).close()  # the hello was answered: the loop serves
+        server.stop()
+        loop.join(timeout=5)
+        assert not loop.is_alive()
+        with pytest.raises(ConnectFailed):
+            connect(server.address, timeout=1.0)
+
     def test_bind_failure(self):
         with LearnerServer() as srv:
             host, port = srv.address
