@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+from collections import Counter
 from pathlib import Path
 
 from . import remote
@@ -103,10 +104,18 @@ def _non_negative(value):
     return _number(value) or (None if value >= 0 else "must be non-negative")
 
 
-def _names(value, allow_empty: bool = False):
+def _names(value, allow_empty: bool = False, unique: bool = False):
     if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
         return "must be a list of column names"
-    return None if value or allow_empty else "must not be empty"
+    if not value and not allow_empty:
+        return "must not be empty"
+    return _repeats(value) if unique else None
+
+
+def _repeats(names: list):
+    """The diagnostic for a list of strings that names one twice, else None."""
+    repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+    return f"repeated names: {repeated}" if repeated else None
 
 
 def _address(value):
@@ -158,7 +167,7 @@ ENVIRONMENT_KINDS = {
 
 TRANSFORM_KINDS = {
     "sliding_window": (SlidingWindow, {"window_size": (_positive_int, _REQUIRED)}),
-    "select": (Select, {"names": (lambda v: _names(v, allow_empty=True), _REQUIRED)}),
+    "select": (Select, {"names": (lambda v: _names(v, allow_empty=True, unique=True), _REQUIRED)}),
     "explode": (Explode, {"names": (_names, _REQUIRED)}),
     "standardize": (Standardize, {"names": (_names, _REQUIRED)}),
 }
@@ -243,7 +252,7 @@ def _check_io(diags: list[str], io) -> None:
         diags.append("io: must be an object")
         return
     diags.extend(f"io.{key}: unknown parameter" for key in io if key not in ("inputs", "outputs"))
-    problems = {key: _names(io.get(key)) for key in ("inputs", "outputs")}
+    problems = {"inputs": _names(io.get("inputs"), unique=True), "outputs": _names(io.get("outputs"))}
     diags.extend(f"io.{key}: {problem}" for key, problem in problems.items() if problem)
     if isinstance(io.get("outputs"), list) and len(io["outputs"]) != 1:
         diags.append("io.outputs: exactly one output column is supported")
@@ -292,11 +301,11 @@ def validate_config(cfg: dict) -> list[str]:
     if "metrics" in cfg and (not isinstance(names, list) or not names):
         diags.append("metrics: must be a non-empty list of metric names")
     elif names:
-        diags.extend(
-            f"metrics: unknown metric {name!r} (known: {sorted(REGISTRY)})"
-            for name in names
-            if not isinstance(name, str) or name not in REGISTRY
-        )
+        unknown = [name for name in names if not isinstance(name, str) or name not in REGISTRY]
+        diags.extend(f"metrics: unknown metric {name!r} (known: {sorted(REGISTRY)})" for name in unknown)
+        repeats = None if unknown else _repeats(names)
+        if repeats:
+            diags.append(f"metrics: {repeats}")
     return diags
 
 

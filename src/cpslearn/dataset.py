@@ -14,7 +14,7 @@ import enum
 import io
 import json
 import math
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -99,13 +99,18 @@ def _lock(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _lock_floats(arr: np.ndarray, allow_nan: bool) -> np.ndarray:
+    """Lock a float64 array, refusing NaN unless ``allow_nan``."""
+    if not allow_nan and np.isnan(arr).any():
+        raise ValueError("NaN values are not permitted (pass allow_nan=True to accept them)")
+    return _lock(arr)
+
+
 def _list_cell(value, allow_nan: bool) -> np.ndarray:
     cell = np.array(value, dtype=np.float64)
     if cell.ndim != 1:
         raise ValueError("trace cells must be one-dimensional")
-    if not allow_nan and np.isnan(cell).any():
-        raise ValueError("NaN values are not permitted (pass allow_nan=True to accept them)")
-    return _lock(cell)
+    return _lock_floats(cell, allow_nan)
 
 
 def _as_column(values, allow_nan: bool = False) -> Column:
@@ -127,12 +132,7 @@ def _as_column(values, allow_nan: bool = False) -> Column:
             if np.issubdtype(values.dtype, np.integer):
                 return Column(ColumnKind.INT64, _lock(values.astype(np.int64)))
             if np.issubdtype(values.dtype, np.floating):
-                arr = values.astype(np.float64)
-                if not allow_nan and np.isnan(arr).any():
-                    raise ValueError(
-                        "NaN values are not permitted (pass allow_nan=True to accept them)"
-                    )
-                return Column(ColumnKind.FLOAT64, _lock(arr))
+                return Column(ColumnKind.FLOAT64, _lock_floats(values.astype(np.float64), allow_nan))
             raise ValueError(f"unsupported array dtype: {values.dtype}")
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"cannot build a column from {type(values).__name__}")
@@ -149,10 +149,7 @@ def _as_column(values, allow_nan: bool = False) -> Column:
     if all(isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_)) for v in items):
         return Column(ColumnKind.INT64, _lock(np.array(items, dtype=np.int64)))
     if all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, (bool, np.bool_)) for v in items):
-        arr = np.array(items, dtype=np.float64)
-        if not allow_nan and np.isnan(arr).any():
-            raise ValueError("NaN values are not permitted (pass allow_nan=True to accept them)")
-        return Column(ColumnKind.FLOAT64, _lock(arr))
+        return Column(ColumnKind.FLOAT64, _lock_floats(np.array(items, dtype=np.float64), allow_nan))
     raise ValueError("column values must be numbers, booleans, or numeric traces")
 
 
@@ -224,18 +221,18 @@ class Dataset:
         """Ordered (name, kind) pairs describing the columns."""
         return tuple((n, self._columns[n].kind) for n in self._names)
 
-    def column(self, name: str):
-        """Return the raw values of a column (read-only)."""
+    def _column(self, name: str) -> Column:
         try:
-            return self._columns[name].values
+            return self._columns[name]
         except KeyError:
             raise UnknownColumn(name) from None
 
+    def column(self, name: str):
+        """Return the raw values of a column (read-only)."""
+        return self._column(name).values
+
     def column_kind(self, name: str) -> ColumnKind:
-        try:
-            return self._columns[name].kind
-        except KeyError:
-            raise UnknownColumn(name) from None
+        return self._column(name).kind
 
     def select(self, names: Iterable[str]) -> "Dataset":
         """Return a Dataset with exactly the named columns, in the given order.
@@ -243,11 +240,7 @@ class Dataset:
         Raises:
             UnknownColumn: if any name is absent.
         """
-        names = list(names)
-        for name in names:
-            if name not in self._columns:
-                raise UnknownColumn(name)
-        return Dataset([(n, self._columns[n]) for n in names], row_count=self._row_count)
+        return Dataset([(n, self._column(n)) for n in names], row_count=self._row_count)
 
     def split(self, fraction: float) -> tuple["Dataset", "Dataset"]:
         """Split rows chronologically: the first part holds
@@ -290,17 +283,6 @@ class Dataset:
                 merged = _lock(np.concatenate([p.column(name) for p in parts]))
             columns.append((name, Column(kind, merged)))
         return cls(columns, row_count=sum(p.row_count for p in parts))
-
-    def to_columns(self) -> dict[str, list]:
-        """Plain-Python column dict, e.g. for JSON serialization."""
-        out: dict[str, list] = {}
-        for name in self._names:
-            col = self._columns[name]
-            if col.kind is ColumnKind.LIST_FLOAT64:
-                out[name] = [cell.tolist() for cell in col.values]
-            else:
-                out[name] = col.values.tolist()
-        return out
 
     def __len__(self) -> int:
         return self._row_count

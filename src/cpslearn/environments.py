@@ -13,13 +13,13 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .dataset import Dataset, load_csv, load_json
 from .errors import PipelineError
-from .transforms import Transform, TransformChain, as_chain
+from .transforms import Transform, TransformChain
 
 
 class ActionOutOfRange(PipelineError):
@@ -39,9 +39,9 @@ class OfflineEnvironment:
     are applied, in attachment order, to every observation.
     """
 
-    def __init__(self, loader: Callable[[], Dataset], transforms: TransformChain | None = None):
+    def __init__(self, loader: Callable[[], Dataset], transforms: Transform | None = None):
         self._loader = loader
-        self._chain = as_chain(transforms)
+        self._chain = TransformChain() if transforms is None else transforms
         self._raw: Dataset | None = None
 
     @classmethod
@@ -58,7 +58,7 @@ class OfflineEnvironment:
 
     def with_transform(self, transform: Transform) -> "OfflineEnvironment":
         """Return a new environment with one more transform attached."""
-        env = OfflineEnvironment(self._loader, TransformChain([*self._chain, transform]))
+        env = OfflineEnvironment(self._loader, TransformChain([self._chain, transform]))
         env._raw = self._raw
         return env
 
@@ -78,10 +78,6 @@ class IncrementalEnvironment(abc.ABC):
         Exhaustion is stable: after the first None, every further call
         returns None as well.
         """
-
-    def __iter__(self) -> Iterator[Dataset]:
-        while (batch := self.next_batch()) is not None:
-            yield batch
 
 
 class DatasetStream(IncrementalEnvironment):
@@ -197,6 +193,16 @@ class WaterTankSystem:
         return replace(self, level=level, time=time)
 
 
+def _substeps(period: float, substep: float, name: str) -> tuple[int, float]:
+    """The number and size of the RK4 steps that cover one ``period`` in steps of about ``substep``."""
+    if period <= 0:
+        raise ValueError(f"{name} must be positive, got {period}")
+    if substep <= 0:
+        raise ValueError(f"substep must be positive, got {substep}")
+    steps = max(1, round(period / substep))
+    return steps, period / steps
+
+
 def _rk4(tank: WaterTankSystem, inflow, y: float, t: float, u: float, h: float, steps: int):
     """Run ``steps`` RK4 steps of size ``h`` from level ``y`` at time ``t``; return (y, t).
 
@@ -233,10 +239,7 @@ class OdeEnvironment:
     """
 
     def __init__(self, system: WaterTankSystem, sample_period: float = 0.1, substep: float = 1e-3):
-        if sample_period <= 0:
-            raise ValueError(f"sample_period must be positive, got {sample_period}")
-        if substep <= 0:
-            raise ValueError(f"substep must be positive, got {substep}")
+        self._substeps, self._h = _substeps(sample_period, substep, "sample_period")
         self._initial = system
         self.sample_period = sample_period
         self.substep = substep
@@ -249,9 +252,7 @@ class OdeEnvironment:
         """
         if n < 1:
             raise ValueError(f"need at least one sample, got {n}")
-        tank = self._initial
-        substeps = max(1, round(self.sample_period / self.substep))
-        h = self.sample_period / substeps
+        tank, substeps, h = self._initial, self._substeps, self._h
         times, inflows, levels = np.empty((3, n), dtype=np.float64)
         level, t0 = tank.level, tank.time
         for i in range(n):
@@ -272,15 +273,10 @@ class WaterTankActiveEnvironment(ActiveEnvironment):
 
     def __init__(self, system: WaterTankSystem | None = None, step_period: float = 0.1,
                  substep: float = 1e-3, max_inflow: float = 1.0):
-        if step_period <= 0:
-            raise ValueError(f"step_period must be positive, got {step_period}")
-        if substep <= 0:
-            raise ValueError(f"substep must be positive, got {substep}")
+        self._substeps, self._h = _substeps(step_period, substep, "step_period")
         self._system = system if system is not None else WaterTankSystem()
         self._space = ActionSpace("V", 0.0, max_inflow)
         self._pending = 0.0
-        self._substeps = max(1, round(step_period / substep))
-        self._h = step_period / self._substeps
 
     @property
     def action_space(self) -> ActionSpace:

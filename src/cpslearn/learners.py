@@ -80,10 +80,22 @@ def _float_matrix(dataset: Dataset, columns: Sequence[str]) -> np.ndarray:
     return np.column_stack([dataset.column(name) for name in columns])
 
 
-def _target_vector(outputs: Dataset) -> np.ndarray:
+def _training_arrays(inputs: Dataset, outputs: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The float design matrix and target vector of one training pair, checked to match."""
     if len(outputs.column_names) != 1:
         raise ShapeMismatch(f"expected a single output column, got {len(outputs.column_names)}")
-    return _float_matrix(outputs, outputs.column_names)[:, 0]
+    y = _float_matrix(outputs, outputs.column_names)[:, 0]
+    if inputs.row_count != outputs.row_count:
+        raise ShapeMismatch(f"{inputs.row_count} input rows vs {outputs.row_count} output rows")
+    return _float_matrix(inputs, inputs.column_names), y
+
+
+def _check_input_columns(inputs: Dataset, input_columns: tuple[str, ...]) -> None:
+    """Raise SchemaMismatch unless ``inputs`` holds exactly ``input_columns``, in any order."""
+    if set(inputs.column_names) != set(input_columns):
+        raise SchemaMismatch(
+            f"model expects columns {list(input_columns)}, got {list(inputs.column_names)}"
+        )
 
 
 class Model(abc.ABC):
@@ -106,10 +118,7 @@ class Model(abc.ABC):
         Raises:
             SchemaMismatch: if input columns differ from the trained schema.
         """
-        if set(inputs.column_names) != set(self.input_columns):
-            raise SchemaMismatch(
-                f"model expects columns {list(self.input_columns)}, got {list(inputs.column_names)}"
-            )
+        _check_input_columns(inputs, self.input_columns)
         matrix = _float_matrix(inputs, self.input_columns)
         return Dataset([(self.output_column, self._predict_matrix(matrix))])
 
@@ -265,10 +274,7 @@ def fit_linear(inputs: Dataset, outputs: Dataset) -> LinearModel:
             deficient, including the underdetermined case of fewer rows than
             coefficients.
     """
-    y = _target_vector(outputs)
-    if inputs.row_count != outputs.row_count:
-        raise ShapeMismatch(f"{inputs.row_count} input rows vs {outputs.row_count} output rows")
-    matrix = _float_matrix(inputs, inputs.column_names)
+    matrix, y = _training_arrays(inputs, outputs)
     design = np.column_stack([matrix, np.ones(inputs.row_count)])
     solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
@@ -280,12 +286,12 @@ def fit_linear(inputs: Dataset, outputs: Dataset) -> LinearModel:
     )
 
 
-def _best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int, orders=None):
+def _best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int, orders: list):
     """Exhaustive greedy split search.
 
     ``orders`` holds, per feature, the node's row indices into ``matrix`` and
-    ``y`` in stable ascending order of that feature; by default every row,
-    argsorted here. Candidates are midpoints between consecutive distinct
+    ``y`` in stable ascending order of that feature (:func:`_presort` gives
+    them for every row). Candidates are midpoints between consecutive distinct
     sorted feature values; the score is the weighted child variance.
     Features are scanned in index order and each feature's candidates in
     ascending threshold order. A candidate replaces the incumbent only when
@@ -317,8 +323,6 @@ def _best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int, orders
     the same IEEE double operations as on numpy float64 scalars, and the
     threshold is formed once, for the winning cut of each feature.
     """
-    if orders is None:
-        orders = _presort(matrix)
     best, best_score = None, None  # (score, feature, threshold), score
     for feature, order in enumerate(orders):
         n = len(order)
@@ -416,14 +420,11 @@ def fit_tree(
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     if min_samples_leaf < 1:
         raise ValueError(f"min_samples_leaf must be positive, got {min_samples_leaf}")
-    y = _target_vector(outputs)
-    if inputs.row_count != outputs.row_count:
-        raise ShapeMismatch(f"{inputs.row_count} input rows vs {outputs.row_count} output rows")
+    matrix, y = _training_arrays(inputs, outputs)
     if inputs.row_count < 2 * min_samples_leaf:
         raise TooFewSamples(
             f"{inputs.row_count} rows < 2 * min_samples_leaf = {2 * min_samples_leaf}"
         )
-    matrix = _float_matrix(inputs, inputs.column_names)
     rows = np.arange(inputs.row_count)
     try:
         root = _grow_tree(matrix, y, rows, _presort(matrix), 0, max_depth, min_samples_leaf)
@@ -491,9 +492,7 @@ class RecursiveLeastSquares:
         Raises:
             DimensionMismatch: if the regressor length differs from ``dim``.
         """
-        row = np.asarray(row, dtype=np.float64)
-        if row.shape != (self.dim,):
-            raise DimensionMismatch(f"regressor of shape {row.shape}, expected ({self.dim},)")
+        row = self._regressor(row)
         self._absorb(row[np.newaxis, :], [target])
 
     def _absorb(self, rows: np.ndarray, targets: list) -> None:
@@ -532,10 +531,14 @@ class RecursiveLeastSquares:
 
     def predictive_variance(self, row) -> float:
         """Quadratic form row' P row: relative uncertainty of a prediction."""
+        row = self._regressor(row)
+        return float(row @ self._P @ row)
+
+    def _regressor(self, row) -> np.ndarray:
         row = np.asarray(row, dtype=np.float64)
         if row.shape != (self.dim,):
             raise DimensionMismatch(f"regressor of shape {row.shape}, expected ({self.dim},)")
-        return float(row @ self._P @ row)
+        return row
 
     @property
     def covariance(self) -> np.ndarray:
@@ -558,20 +561,19 @@ class IncrementalLinearLearner:
         self._output_column: str | None = None
 
     def update(self, inputs: Dataset, outputs: Dataset) -> None:
-        y = _target_vector(outputs)
-        if inputs.row_count != outputs.row_count:
-            raise ShapeMismatch(f"{inputs.row_count} input rows vs {outputs.row_count} output rows")
+        """Absorb one batch; a batch refused with an error leaves the learner unchanged."""
+        matrix, y = _training_arrays(inputs, outputs)
         if self._rls is None:
+            self._rls = RecursiveLeastSquares(
+                len(inputs.column_names) + 1, self.forgetting_factor, self.regularization
+            )
             self._input_columns = inputs.column_names
             self._output_column = outputs.column_names[0]
-            self._rls = RecursiveLeastSquares(
-                len(self._input_columns) + 1, self.forgetting_factor, self.regularization
-            )
         elif inputs.column_names != self._input_columns:
             raise SchemaMismatch(
                 f"batch columns {list(inputs.column_names)} != {list(self._input_columns)}"
             )
-        design = np.column_stack([_float_matrix(inputs, self._input_columns), np.ones(len(y))])
+        design = np.column_stack([matrix, np.ones(len(y))])
         self._rls._absorb(design, y.tolist())
 
     def finalize(self) -> LinearModel:
@@ -627,8 +629,7 @@ class EpsilonGreedyActiveLearner:
     def _state_vector(self, observation: Dataset) -> np.ndarray:
         if observation.row_count != 1:
             raise SchemaMismatch(f"expected a single-row observation, got {observation.row_count}")
-        selected = observation.select(self.state_columns)
-        return _float_matrix(selected, self.state_columns)[0]
+        return _float_matrix(observation, self.state_columns)[0]
 
     def propose_action(self, observation: Dataset) -> float:
         """Pick the next action for the given single-row observation."""

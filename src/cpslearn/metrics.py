@@ -113,6 +113,14 @@ def _confusion(p: list[float], a: list[float]) -> tuple[int, int, int, int]:
     return tp, fp, fn, tn
 
 
+def _share(hits: int, total: int, degenerate: str) -> float:
+    """hits / total, or 0 with a MetricWarning saying ``degenerate`` when total is 0."""
+    if total == 0:
+        warnings.warn(degenerate, MetricWarning, stacklevel=3)
+        return 0.0
+    return hits / total
+
+
 def accuracy(predicted, actual) -> float:
     """Fraction of exact matches."""
     p, a = _check_binary(predicted, actual)
@@ -124,20 +132,14 @@ def precision(predicted, actual) -> float:
     """tp / (tp + fp); 0 with a warning when nothing was predicted positive."""
     p, a = _check_binary(predicted, actual)
     tp, fp, _, _ = _confusion(p, a)
-    if tp + fp == 0:
-        warnings.warn("no predicted positives; precision set to 0", MetricWarning, stacklevel=2)
-        return 0.0
-    return tp / (tp + fp)
+    return _share(tp, tp + fp, "no predicted positives; precision set to 0")
 
 
 def recall(predicted, actual) -> float:
     """tp / (tp + fn); 0 with a warning when there are no actual positives."""
     p, a = _check_binary(predicted, actual)
     tp, _, fn, _ = _confusion(p, a)
-    if tp + fn == 0:
-        warnings.warn("no actual positives; recall set to 0", MetricWarning, stacklevel=2)
-        return 0.0
-    return tp / (tp + fn)
+    return _share(tp, tp + fn, "no actual positives; recall set to 0")
 
 
 def f_beta(predicted, actual, beta: float = 1.0) -> float:
@@ -146,16 +148,8 @@ def f_beta(predicted, actual, beta: float = 1.0) -> float:
         raise ValueError(f"beta must be positive, got {beta}")
     p, a = _check_binary(predicted, actual)
     tp, fp, fn, _ = _confusion(p, a)
-    if tp + fp == 0:
-        warnings.warn("no predicted positives; precision set to 0", MetricWarning, stacklevel=2)
-        prec = 0.0
-    else:
-        prec = tp / (tp + fp)
-    if tp + fn == 0:
-        warnings.warn("no actual positives; recall set to 0", MetricWarning, stacklevel=2)
-        rec = 0.0
-    else:
-        rec = tp / (tp + fn)
+    prec = _share(tp, tp + fp, "no predicted positives; precision set to 0")
+    rec = _share(tp, tp + fn, "no actual positives; recall set to 0")
     if prec == 0.0 and rec == 0.0:
         return 0.0
     return (1.0 + beta**2) * prec * rec / (beta**2 * prec + rec)

@@ -47,7 +47,9 @@ Model identifiers are scoped to one session; sessions never see each other's
 models. The server ends a session whose peer sends nothing for
 ``DEFAULT_TIMEOUT`` seconds (30) while it waits for a request, or takes
 longer than that from a request's first byte to its LF, so idle or trickling
-peers cannot hold every session slot.
+peers cannot hold every session slot. The client bounds each response the
+same way by its ``timeout``: at most that long for the first byte, and at
+most that long again from the first byte to the LF.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import numpy as np
 
 from .dataset import ColumnKind, Dataset
 from .errors import PipelineError
-from .learners import LinearRegressionLearner, Model, SchemaMismatch, model_from_dict
+from .learners import LinearRegressionLearner, Model, _check_input_columns, model_from_dict
 
 PROTOCOL_VERSION = 1
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
@@ -228,17 +230,13 @@ class RemoteModel:
             SchemaMismatch: if input columns differ from the trained schema.
             RemoteError / TimeoutError: on transport or server failures.
         """
-        if set(inputs.column_names) != set(self.input_columns):
-            raise SchemaMismatch(
-                f"model expects columns {list(self.input_columns)}, got {list(inputs.column_names)}"
-            )
+        _check_input_columns(inputs, self.input_columns)
         ordered = inputs.select(self.input_columns)
         encoding = self._session._encoding
         response = self._session._request(
-            {"kind": "predict", "model": self.remote_id, "inputs": _dataset_to_wire(ordered, encoding)}
+            {"kind": "predict", "model": self.remote_id, "inputs": _dataset_to_wire(ordered, encoding)},
+            "prediction",
         )
-        if response.get("kind") != "prediction":
-            raise RemoteError(f"unexpected response kind {response.get('kind')!r}")
         outputs = response.get("outputs")
         if outputs is None:
             raise RemoteError("malformed response: prediction without 'outputs'")
@@ -255,30 +253,31 @@ class RemoteModel:
 
     def fetch(self) -> Model:
         """Download the serialized model and rebuild it locally."""
-        response = self._session._request({"kind": "save", "model": self.remote_id})
-        if response.get("kind") != "saved":
-            raise RemoteError(f"unexpected response kind {response.get('kind')!r}")
+        response = self._session._request({"kind": "save", "model": self.remote_id}, "saved")
         return model_from_dict(response.get("data"))
 
 
 class RemoteSession:
     """One client connection; requests are answered strictly in order."""
 
-    def __init__(self, sock: socket.socket, max_frame: int):
+    def __init__(self, sock: socket.socket, max_frame: int, timeout: float):
         self._sock = sock
-        self._rfile = sock.makefile("rb")
+        self._buffer = bytearray()
+        self._timeout = timeout
         self._max_frame = max_frame
         self._encoding = JSON
         self._closed = False
 
-    def _request(self, payload: dict) -> dict:
+    def _request(self, payload: dict, expect: str) -> dict:
+        """Send one request and return its response, which must be of kind ``expect``."""
         if self._closed:
             raise ConnectionClosed("session is closed")
         line = _encode(payload, self._max_frame)
         try:
             self._sock.sendall(line)
-            raw = self._rfile.readline(self._max_frame + 1)
+            raw = _read_frame(self._sock, self._buffer, self._max_frame, self._timeout, self._timeout)
         except TimeoutError:
+            self.close()  # the late response would answer the next request
             raise
         except OSError as exc:
             raise ConnectionClosed(f"connection lost: {exc}") from None
@@ -296,6 +295,8 @@ class RemoteSession:
             raise RemoteError("malformed response: not an object")
         if message.get("kind") == "error":
             raise RemoteError(message.get("message", "unspecified server error"))
+        if message.get("kind") != expect:
+            raise RemoteError(f"unexpected response kind {message.get('kind')!r}")
         return message
 
     def fit(self, inputs: Dataset, outputs: Dataset) -> RemoteModel:
@@ -304,9 +305,7 @@ class RemoteSession:
             "kind": "fit",
             "inputs": _dataset_to_wire(inputs, self._encoding),
             "outputs": _dataset_to_wire(outputs, self._encoding),
-        })
-        if response.get("kind") != "fit_ack":
-            raise RemoteError(f"unexpected response kind {response.get('kind')!r}")
+        }, "fit_ack")
         model_id = response.get("model")
         if not isinstance(model_id, str):
             raise RemoteError(f"malformed response: fit_ack 'model' must be a string, got {model_id!r}")
@@ -314,15 +313,12 @@ class RemoteSession:
 
     def shutdown_server(self) -> None:
         """Ask the server process to stop accepting sessions and exit."""
-        response = self._request({"kind": "shutdown"})
-        if response.get("kind") != "shutdown_ack":
-            raise RemoteError(f"unexpected response kind {response.get('kind')!r}")
+        self._request({"kind": "shutdown"}, "shutdown_ack")
 
     def close(self) -> None:
         if not self._closed:
             self._closed = True
             try:
-                self._rfile.close()
                 self._sock.close()
             except OSError:
                 pass
@@ -346,7 +342,9 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
             acknowledges a frame limit that is invalid or above ``max_frame``,
             or picks a column encoding the client did not offer.
         VersionMismatch: if the protocol versions are incompatible.
-        TimeoutError: if the server does not answer within ``timeout``.
+        TimeoutError: if the server sends no byte of its answer within
+            ``timeout``, or does not complete it within ``timeout`` of its
+            first byte.
     """
     _check_frame_limit(max_frame)
     host, port = parse_address(address)
@@ -354,19 +352,17 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:
         raise ConnectFailed(f"cannot connect to {host}:{port}: {exc}") from None
-    session = RemoteSession(sock, max_frame)
+    session = RemoteSession(sock, max_frame, timeout)
     try:
         response = session._request(
-            {"kind": "hello", "version": PROTOCOL_VERSION, "max_frame": max_frame, "encodings": list(ENCODINGS)}
+            {"kind": "hello", "version": PROTOCOL_VERSION, "max_frame": max_frame, "encodings": list(ENCODINGS)},
+            "hello_ack",
         )
     except RemoteError as exc:
         session.close()
         if "version" in str(exc):
             raise VersionMismatch(str(exc)) from None
         raise ConnectFailed(str(exc)) from None
-    if response.get("kind") != "hello_ack":
-        session.close()
-        raise ConnectFailed(f"unexpected response kind {response.get('kind')!r}")
     if response.get("version") != PROTOCOL_VERSION:
         session.close()
         raise VersionMismatch(
@@ -385,6 +381,43 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
     session._max_frame = negotiated
     session._encoding = encoding
     return session
+
+
+def _read_frame(sock: socket.socket, buffer: bytearray, max_frame: int, timeout: float,
+                frame_deadline: float) -> bytes:
+    """The next line from ``sock``, as a buffered ``readline(max_frame + 1)`` returns it.
+
+    That is the line with its LF; or ``max_frame + 1`` bytes holding no LF;
+    or, at EOF, what is left (empty if nothing). ``buffer`` keeps the bytes
+    read past the line for the next call. Raises TimeoutError if no byte
+    arrives within ``timeout``, or if a line is not complete within
+    ``frame_deadline`` of its first byte, however steadily it trickles in.
+    """
+    limit = max_frame + 1
+    scanned, deadline = 0, None
+    while True:
+        end = buffer.find(b"\n", scanned, limit)
+        if end >= 0 or len(buffer) >= limit:
+            size = end + 1 if end >= 0 else limit
+            line = bytes(buffer[:size])
+            del buffer[:size]
+            sock.settimeout(timeout)
+            return line
+        scanned = len(buffer)
+        wait = timeout
+        if buffer:
+            if deadline is None:
+                deadline = time.monotonic() + frame_deadline
+            wait = deadline - time.monotonic()
+            if wait <= 0:
+                raise TimeoutError("frame not completed in time")
+        sock.settimeout(wait)
+        chunk = sock.recv(_RECV_SIZE)
+        if not chunk:
+            line = bytes(buffer)
+            buffer.clear()
+            return line
+        buffer += chunk
 
 
 class _SessionHandler(socketserver.BaseRequestHandler):
@@ -407,10 +440,10 @@ class _SessionHandler(socketserver.BaseRequestHandler):
         self._models: dict[str, Model] = {}
         self._ids = itertools.count(1)
         self._encoding = JSON
-        self._buffer = bytearray()
+        buffer = bytearray()
         while True:
             try:
-                line = self._read_frame()
+                line = _read_frame(self.request, buffer, self._max_frame, self.timeout, self.frame_deadline)
             except OSError:  # TimeoutError included
                 return  # idle, trickling or vanished peer; end the session and free its slot
             if not line:
@@ -434,40 +467,6 @@ class _SessionHandler(socketserver.BaseRequestHandler):
             self._send(response)
             if stop:
                 return
-
-    def _read_frame(self) -> bytes:
-        """The next request line, as a buffered ``readline(max_frame + 1)`` returns it.
-
-        That is the line with its LF; or ``max_frame + 1`` bytes holding no LF;
-        or, at EOF, what is left (empty if nothing). Raises TimeoutError if no
-        byte arrives within ``timeout``, or if a line is not complete within
-        ``frame_deadline`` of its first byte, however steadily it trickles in.
-        """
-        sock, buffer, limit = self.request, self._buffer, self._max_frame + 1
-        scanned, deadline = 0, None
-        while True:
-            end = buffer.find(b"\n", scanned, limit)
-            if end >= 0 or len(buffer) >= limit:
-                size = end + 1 if end >= 0 else limit
-                line = bytes(buffer[:size])
-                del buffer[:size]
-                sock.settimeout(self.timeout)
-                return line
-            scanned = len(buffer)
-            wait = self.timeout
-            if buffer:
-                if deadline is None:
-                    deadline = time.monotonic() + self.frame_deadline
-                wait = deadline - time.monotonic()
-                if wait <= 0:
-                    raise TimeoutError("request frame not completed in time")
-            sock.settimeout(wait)
-            chunk = sock.recv(_RECV_SIZE)
-            if not chunk:
-                line = bytes(buffer)
-                buffer.clear()
-                return line
-            buffer += chunk
 
     def _dispatch(self, owner, message):
         """The response to one request, and whether the session ends after it."""
@@ -578,19 +577,11 @@ class LearnerServer:
     def stop(self) -> None:
         """End the serve loop, if one was started, and close the listening socket.
 
-        The loop polls for a shutdown request every 50 ms; loopback connects
-        wake it so that stop returns at once instead of waiting out the poll.
+        The loop polls for a shutdown request every 50 ms, so stop returns
+        within about that long.
         """
         if self._serving:
-            host, port = self.address
-            shutdown = threading.Thread(target=self._tcp.shutdown, daemon=True)
-            shutdown.start()
-            while shutdown.is_alive():
-                try:
-                    socket.create_connection(("127.0.0.1" if host == "0.0.0.0" else host, port), 0.05).close()
-                except OSError:
-                    pass  # the loop still ends at its next poll
-                shutdown.join(0.005)
+            self._tcp.shutdown()
             self._serving = False
         self._tcp.server_close()
         if self._thread is not None:

@@ -13,7 +13,7 @@ from typing import Sequence
 from .dataset import Dataset
 from .environments import ActiveEnvironment, IncrementalEnvironment, OfflineEnvironment
 from .metrics import get_metric
-from .transforms import as_chain
+from .transforms import Transform
 
 
 @dataclass(frozen=True)
@@ -63,33 +63,34 @@ def _split_io(dataset: Dataset, io: IoSpec) -> tuple[Dataset, Dataset]:
     return dataset.select(io.inputs), dataset.select(io.outputs)
 
 
-def learn_offline(environment: OfflineEnvironment, transforms, io: IoSpec, learner):
+def learn_offline(environment: OfflineEnvironment, transforms: Transform | None, io: IoSpec, learner):
     """Offline driver: observe once, transform, select io, fit.
 
-    The environment is observed exactly once; ``transforms`` (a chain, a
-    single transform, a sequence, or None) run after any transforms already
-    attached to the environment, and the io selection runs last.
+    The environment is observed exactly once; ``transforms`` (a transform,
+    such as a chain, or None) run after any transforms already attached to
+    the environment, and the io selection runs last.
     """
-    chain = as_chain(transforms)
-    data = chain.apply(environment.observe())
+    data = environment.observe()
+    if transforms is not None:
+        data = transforms.apply(data)
     inputs, outputs = _split_io(data, io)
     return learner.fit(inputs, outputs)
 
 
-def learn_incremental(environment: IncrementalEnvironment, transforms, io: IoSpec, learner):
+def learn_incremental(environment: IncrementalEnvironment, transforms: Transform | None, io: IoSpec, learner):
     """Incremental driver: update on every batch until the stream is exhausted.
 
-    Each batch passes through the transforms and io selection before the
-    learner update; exhaustion of the environment ends the loop, after which
-    the learner is finalized into a model.
+    Each batch passes through ``transforms`` (a transform, such as a chain,
+    or None) and the io selection before the learner update; exhaustion of
+    the environment ends the loop, after which the learner is finalized.
 
     Raises:
         NeverUpdated: (from the learner) if the stream yields no batches.
     """
-    chain = as_chain(transforms)
     while (batch := environment.next_batch()) is not None:
-        transformed = chain.apply(batch)
-        inputs, outputs = _split_io(transformed, io)
+        if transforms is not None:
+            batch = transforms.apply(batch)
+        inputs, outputs = _split_io(batch, io)
         learner.update(inputs, outputs)
     return learner.finalize()
 

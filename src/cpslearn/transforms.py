@@ -7,7 +7,7 @@ always yields the same output. Adaptive transforms (currently only
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -206,20 +206,3 @@ class TransformChain(Transform):
         for transform in self.transforms:
             current = transform.apply(current)
         return current
-
-    def __len__(self) -> int:
-        return len(self.transforms)
-
-    def __iter__(self) -> Iterator[Transform]:
-        return iter(self.transforms)
-
-
-def as_chain(transforms) -> TransformChain:
-    """Coerce None, a single transform, or a sequence into a TransformChain."""
-    if transforms is None:
-        return TransformChain()
-    if isinstance(transforms, TransformChain):
-        return transforms
-    if isinstance(transforms, Transform):
-        return TransformChain([transforms])
-    return TransformChain(transforms)

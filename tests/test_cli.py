@@ -88,6 +88,28 @@ class TestRunCommand:
         assert record["error"]["error"] == "ConfigError"
         assert record["error"]["field"] == "transforms[0].kind"
 
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("io.inputs", lambda cfg: cfg["io"].update(inputs=["V_0", "x_0", "V_0"])),
+            ("transforms[1].names", lambda cfg: cfg["transforms"].append(
+                {"kind": "select", "names": ["V_0", "x_2", "V_0"]})),
+            ("metrics", lambda cfg: cfg.update(metrics=["mae", "mae"])),
+        ],
+    )
+    def test_repeated_names_are_a_config_error(self, tmp_path, capsys, field, edit):
+        cfg = watertank_config()
+        edit(cfg)
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])["error"]
+        assert (record["error"], record["field"]) == ("ConfigError", field)
+        assert record["message"].startswith(f"{field}: repeated names: ")
+        assert not (tmp_path / "out").exists()
+
     def test_output_dir_from_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = {**watertank_config(), "output_dir": "from_config"}

@@ -64,10 +64,13 @@ GOLDEN = [
      ["io.outputs: exactly one output column is supported"]),
     ("io-overlap", ("io", "inputs"), ["V_0", "x_2"], ["io: inputs and outputs overlap: ['x_2']"]),
     ("io-unknown-key", ("io", "extra"), 1, ["io.extra: unknown parameter"]),
+    ("io-inputs-repeated", ("io", "inputs"), ["V_0", "x_0", "V_0", "x_0", "V_1"],
+     ["io.inputs: repeated names: ['V_0', 'x_0']"]),
     ("metrics-empty", ("metrics",), [], ["metrics: must be a non-empty list of metric names"]),
     ("metrics-string", ("metrics",), "mae", ["metrics: must be a non-empty list of metric names"]),
     ("metrics-unknown", ("metrics",), ["mae", "nope"],
      [f"metrics: unknown metric 'nope' (known: {METRIC_NAMES})"]),
+    ("metrics-repeated", ("metrics",), ["mae", "mse", "mae"], ["metrics: repeated names: ['mae']"]),
     ("transforms-null", ("transforms",), None, ["transforms: must be a list"]),
     ("transform-not-object", ("transforms",), [3], ["transforms[0]: must be an object"]),
     ("transform-unknown-kind", ("transforms",), [{"kind": "wavelet"}],
@@ -83,6 +86,10 @@ GOLDEN = [
     ("select-string", ("transforms",), [{"kind": "select", "names": "a"}],
      ["transforms[0].names: must be a list of column names"]),
     ("select-empty-ok", ("transforms",), [{"kind": "select", "names": []}], []),
+    ("select-repeated", ("transforms",), [{"kind": "select", "names": ["V", "x", "V"]}],
+     ["transforms[0].names: repeated names: ['V']"]),
+    ("standardize-repeated-ok", ("transforms",), [{"kind": "standardize", "names": ["V", "V"]}], []),
+    ("explode-repeated-ok", ("transforms",), [{"kind": "explode", "names": ["V", "V"]}], []),
     ("explode-empty", ("transforms",), [{"kind": "explode", "names": []}],
      ["transforms[0].names: must not be empty"]),
     ("explode-missing", ("transforms",), [{"kind": "explode"}],

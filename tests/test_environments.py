@@ -88,19 +88,19 @@ class TestDatasetStream:
     def test_batch_sizes(self):
         d = Dataset({"v": np.arange(10, dtype=np.float64)})
         stream = DatasetStream(d, batch_size=4)
-        sizes = [b.row_count for b in stream]
+        sizes = [b.row_count for b in iter(stream.next_batch, None)]
         assert sizes == [4, 4, 2]
         assert stream.next_batch() is None
         assert stream.next_batch() is None  # exhaustion is stable
 
     def test_single_row_batches(self):
         d = Dataset({"v": [1.0, 2.0, 3.0]})
-        assert [b.row_count for b in DatasetStream(d, 1)] == [1, 1, 1]
+        assert [b.row_count for b in iter(DatasetStream(d, 1).next_batch, None)] == [1, 1, 1]
 
     def test_replay_reproduces_source(self):
         rng = np.random.default_rng(5)
         d = Dataset({"a": rng.normal(size=23), "b": rng.normal(size=23)})
-        batches = list(DatasetStream(d, 7))
+        batches = list(iter(DatasetStream(d, 7).next_batch, None))
         assert Dataset.concat(batches) == d
 
     def test_batch_size_validation(self):

@@ -1,0 +1,61 @@
+"""Static checks of the package source: every import is used, every export exists."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import cpslearn
+
+MODULES = sorted(
+    path for path in Path(cpslearn.__file__).resolve().parent.glob("*.py") if path.name != "__init__.py"
+)
+
+
+def module_imports(tree: ast.Module) -> dict[str, int]:
+    """The name each module-level import binds, with its line number."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def annotations(tree: ast.Module):
+    """Every annotation expression, with string annotations parsed."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere in the module, including inside string annotations."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in annotations(tree):
+        for node in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                used |= {name.id for name in ast.walk(parsed) if isinstance(name, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_every_module_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = used_names(tree)
+    unused = {name: line for name, line in module_imports(tree).items() if name not in used}
+    assert unused == {}
+
+
+def test_every_export_resolves():
+    missing = [name for name in cpslearn.__all__ if not hasattr(cpslearn, name)]
+    assert missing == []
+    assert len(set(cpslearn.__all__)) == len(cpslearn.__all__)

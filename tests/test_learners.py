@@ -137,14 +137,15 @@ class TestSplitSearchOracle:
     @given(split_problems())
     def test_matches_scalar_loop(self, problem):
         matrix, y, min_samples_leaf = problem
-        assert learners._best_split(matrix, y, min_samples_leaf) == reference_best_split(
+        orders = learners._presort(matrix)
+        assert learners._best_split(matrix, y, min_samples_leaf, orders) == reference_best_split(
             matrix, y, min_samples_leaf
         )
 
     def test_all_constant_features_have_no_split(self):
         matrix = np.full((6, 2), 3.0)
         y = np.arange(6.0)
-        assert learners._best_split(matrix, y, 1) is None
+        assert learners._best_split(matrix, y, 1, learners._presort(matrix)) is None
         assert reference_best_split(matrix, y, 1) is None
 
     def test_fitted_tree_matches_reference(self):
@@ -446,6 +447,23 @@ class TestRecursiveLeastSquares:
         with pytest.raises(SchemaMismatch):
             learner.update(Dataset({"b": [1.0]}), Dataset({"y": [1.0]}))
 
+    @pytest.mark.parametrize(
+        "inputs, outputs",
+        [
+            (Dataset({"a": [1, 2]}), Dataset({"y": [1.0, 2.0]})),  # an int64 input column
+            (Dataset({"a": [1.0, 2.0]}), Dataset({"y": [1, 2]})),  # an int64 target
+            (Dataset({"a": [1.0, 2.0]}), Dataset({"y": [1.0]})),  # row counts differ
+            (Dataset({"a": [1.0]}), Dataset({"y": [1.0], "z": [2.0]})),  # two targets
+        ],
+    )
+    def test_rejected_first_batch_fixes_no_schema(self, inputs, outputs):
+        learner = IncrementalLinearLearner()
+        with pytest.raises((SchemaMismatch, learners.ShapeMismatch)):
+            learner.update(inputs, outputs)
+        learner.update(Dataset({"b": [1.0, 2.0]}), Dataset({"w": [3.0, 5.0]}))
+        model = learner.finalize()
+        assert (model.input_columns, model.output_column) == (("b",), "w")
+
 
 class TestDeterminism:
     def test_identical_fits_are_bit_identical(self):
@@ -503,7 +521,8 @@ class TestSerialization:
             "print(json.dumps(model.predict(probe).column('y').tolist()))\n"
         )
         result = subprocess.run(
-            [sys.executable, "-c", script, str(path), json.dumps(probe.to_columns())],
+            [sys.executable, "-c", script, str(path),
+             json.dumps({name: probe.column(name).tolist() for name in probe.column_names})],
             capture_output=True,
             text=True,
             check=True,

@@ -482,7 +482,7 @@ class TestServerBehaviour:
                 # The other session's m1 must be invisible here.
                 with pytest.raises(RemoteError):
                     second._request(
-                        {"kind": "predict", "model": "m1", "inputs": {"x": [1.0]}}
+                        {"kind": "predict", "model": "m1", "inputs": {"x": [1.0]}}, "prediction"
                     )
 
     def test_idle_peer_is_dropped_and_frees_its_slot(self, monkeypatch, thread_errors):
@@ -634,6 +634,22 @@ class TestFaultInjection:
             with pytest.raises(TimeoutError):
                 session.fit(Dataset({"x": [1.0, 2.0]}), Dataset({"y": [1.0, 2.0]}))
             assert time.perf_counter() - start < 3.0
+
+    def test_trickling_response_is_bounded_by_the_timeout(self):
+        def script(conn, reader):
+            reader.readline()
+            try:
+                for byte in HELLO_ACK + b"\n":  # one byte every 0.15 s: ~8 s in all
+                    conn.sendall(bytes([byte]))
+                    time.sleep(0.15)
+            except OSError:
+                pass  # the client gave up and closed the connection
+
+        stub = StubServer(script)
+        start = time.perf_counter()
+        with pytest.raises(TimeoutError):
+            connect(stub.address, timeout=1.0)
+        assert time.perf_counter() - start < 2.0
 
     def test_malformed_server_response_is_typed(self):
         def script(conn, reader):

@@ -140,7 +140,7 @@ class TestLearnIncremental:
 
     def test_empty_stream(self):
         stream = DatasetStream(Dataset({"x": [1.0], "y": [1.0]}), 1)
-        list(stream)  # drain it first
+        list(iter(stream.next_batch, None))  # drain it first
         with pytest.raises(NeverUpdated):
             learn_incremental(stream, None, IoSpec(["x"], ["y"]), IncrementalLinearLearner())
 
