@@ -77,7 +77,7 @@ def load_config(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, bad UTF-8, too many digits, too deep
             raise ConfigError("<file>", f"invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("<file>", "config root must be an object")

@@ -106,8 +106,16 @@ def _lock_floats(arr: np.ndarray, allow_nan: bool) -> np.ndarray:
     return _lock(arr)
 
 
+def _array(values, dtype) -> np.ndarray:
+    """``np.array(values, dtype=dtype)``, refusing a Python int the dtype cannot hold with ValueError."""
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"integer out of the {np.dtype(dtype)} range") from None
+
+
 def _list_cell(value, allow_nan: bool) -> np.ndarray:
-    cell = np.array(value, dtype=np.float64)
+    cell = _array(value, np.float64)
     if cell.ndim != 1:
         raise ValueError("trace cells must be one-dimensional")
     return _lock_floats(cell, allow_nan)
@@ -130,6 +138,8 @@ def _as_column(values, allow_nan: bool = False) -> Column:
             if values.dtype == np.bool_:
                 return Column(ColumnKind.BOOL, _lock(values.copy()))
             if np.issubdtype(values.dtype, np.integer):
+                if values.dtype == np.uint64 and values.max(initial=0) > np.iinfo(np.int64).max:
+                    raise ValueError("integer out of the int64 range")
                 return Column(ColumnKind.INT64, _lock(values.astype(np.int64)))
             if np.issubdtype(values.dtype, np.floating):
                 return Column(ColumnKind.FLOAT64, _lock_floats(values.astype(np.float64), allow_nan))
@@ -147,9 +157,9 @@ def _as_column(values, allow_nan: bool = False) -> Column:
     if all(isinstance(v, (bool, np.bool_)) for v in items):
         return Column(ColumnKind.BOOL, _lock(np.array(items, dtype=np.bool_)))
     if all(isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_)) for v in items):
-        return Column(ColumnKind.INT64, _lock(np.array(items, dtype=np.int64)))
+        return Column(ColumnKind.INT64, _lock(_array(items, np.int64)))
     if all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, (bool, np.bool_)) for v in items):
-        return Column(ColumnKind.FLOAT64, _lock_floats(np.array(items, dtype=np.float64), allow_nan))
+        return Column(ColumnKind.FLOAT64, _lock_floats(_array(items, np.float64), allow_nan))
     raise ValueError("column values must be numbers, booleans, or numeric traces")
 
 
@@ -485,7 +495,7 @@ def load_json(path, allow_nan: bool = False) -> Dataset:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, bad UTF-8, too many digits, too deep
             raise ParseError(f"malformed JSON in {path}: {exc}") from None
 
     if isinstance(doc, list):

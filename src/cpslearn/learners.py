@@ -456,6 +456,14 @@ class RegressionTreeLearner:
         return fit_tree(inputs, outputs, self.max_depth, self.min_samples_leaf)
 
 
+def _check_rls_parameters(forgetting_factor: float, regularization: float) -> None:
+    """Refuse a forgetting factor outside (0, 1] or a regularization that is not positive and finite."""
+    if not 0.0 < forgetting_factor <= 1.0:
+        raise ValueError(f"forgetting_factor must be in (0, 1], got {forgetting_factor}")
+    if not 0.0 < regularization < math.inf:
+        raise ValueError(f"regularization must be positive and finite, got {regularization}")
+
+
 class RecursiveLeastSquares:
     """Online least squares over a fixed regressor dimension.
 
@@ -476,10 +484,7 @@ class RecursiveLeastSquares:
     def __init__(self, dim: int, forgetting_factor: float = 1.0, regularization: float = 1e-8):
         if not _is_int(dim) or dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim!r}")
-        if not 0.0 < forgetting_factor <= 1.0:
-            raise ValueError(f"forgetting_factor must be in (0, 1], got {forgetting_factor}")
-        if not 0.0 < regularization < math.inf:
-            raise ValueError(f"regularization must be positive and finite, got {regularization}")
+        _check_rls_parameters(forgetting_factor, regularization)
         self.dim = dim
         self.forgetting_factor = forgetting_factor
         self.weights = np.zeros(dim, dtype=np.float64)
@@ -554,6 +559,7 @@ class IncrementalLinearLearner:
     """
 
     def __init__(self, forgetting_factor: float = 1.0, regularization: float = 1e-8):
+        _check_rls_parameters(forgetting_factor, regularization)
         self.forgetting_factor = forgetting_factor
         self.regularization = regularization
         self._rls: RecursiveLeastSquares | None = None

@@ -49,7 +49,8 @@ models. The server ends a session whose peer sends nothing for
 longer than that from a request's first byte to its LF, so idle or trickling
 peers cannot hold every session slot. The client bounds each response the
 same way by its ``timeout``: at most that long for the first byte, and at
-most that long again from the first byte to the LF.
+most that long again from the first byte to the LF. It closes its session
+after a timeout and after an oversized or truncated response.
 """
 
 from __future__ import annotations
@@ -266,33 +267,25 @@ class RemoteSession:
         self._timeout = timeout
         self._max_frame = max_frame
         self._encoding = JSON
-        self._closed = False
 
     def _request(self, payload: dict, expect: str) -> dict:
         """Send one request and return its response, which must be of kind ``expect``."""
-        if self._closed:
+        if self._sock.fileno() < 0:
             raise ConnectionClosed("session is closed")
         line = _encode(payload, self._max_frame)
         try:
             self._sock.sendall(line)
-            raw = _read_frame(self._sock, self._buffer, self._max_frame, self._timeout, self._timeout)
-        except TimeoutError:
-            self.close()  # the late response would answer the next request
+            message = _read_message(self._sock, self._buffer, self._max_frame, self._timeout, self._timeout)
+            if message is None:
+                raise ConnectionClosed("server closed the connection")
+        except ValueError as exc:  # the line was consumed; the next response is read intact
+            raise RemoteError(f"malformed response: {exc}") from None
+        except (TimeoutError, FrameTooLarge, ConnectionClosed):
+            self.close()  # the rest of this response would answer the next request
             raise
         except OSError as exc:
+            self.close()
             raise ConnectionClosed(f"connection lost: {exc}") from None
-        if not raw:
-            raise ConnectionClosed("server closed the connection")
-        if not raw.endswith(b"\n"):
-            if len(raw) > self._max_frame:
-                raise FrameTooLarge(f"response exceeds frame limit {self._max_frame}")
-            raise ConnectionClosed("server closed the connection mid-message")
-        try:
-            message = json.loads(raw.decode("utf-8"), parse_constant=_reject_nonfinite)
-        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
-            raise RemoteError(f"malformed response: {exc}") from None
-        if not isinstance(message, dict):
-            raise RemoteError("malformed response: not an object")
         if message.get("kind") == "error":
             raise RemoteError(message.get("message", "unspecified server error"))
         if message.get("kind") != expect:
@@ -316,12 +309,10 @@ class RemoteSession:
         self._request({"kind": "shutdown"}, "shutdown_ack")
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+        try:
+            self._sock.close()
+        except OSError:
+            pass
 
     def __enter__(self) -> "RemoteSession":
         return self
@@ -342,6 +333,7 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
             acknowledges a frame limit that is invalid or above ``max_frame``,
             or picks a column encoding the client did not offer.
         VersionMismatch: if the protocol versions are incompatible.
+        FrameTooLarge: if the ``hello_ack`` exceeds ``max_frame``.
         TimeoutError: if the server sends no byte of its answer within
             ``timeout``, or does not complete it within ``timeout`` of its
             first byte.
@@ -358,51 +350,45 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
             {"kind": "hello", "version": PROTOCOL_VERSION, "max_frame": max_frame, "encodings": list(ENCODINGS)},
             "hello_ack",
         )
-    except RemoteError as exc:
-        session.close()
-        if "version" in str(exc):
-            raise VersionMismatch(str(exc)) from None
-        raise ConnectFailed(str(exc)) from None
-    if response.get("version") != PROTOCOL_VERSION:
-        session.close()
-        raise VersionMismatch(
-            f"server speaks version {response.get('version')}, client {PROTOCOL_VERSION}"
-        )
-    try:
+        if response.get("version") != PROTOCOL_VERSION:
+            raise VersionMismatch(
+                f"server speaks version {response.get('version')}, client {PROTOCOL_VERSION}"
+            )
         negotiated = _check_frame_limit(response.get("max_frame", max_frame))
         if negotiated > max_frame:
             raise ValueError(f"server raised max_frame to {negotiated}, above the offered {max_frame}")
         encoding = response.get("encoding", JSON)
         if encoding not in ENCODINGS:
             raise ValueError(f"server picked encoding {encoding!r}, which the client did not offer")
-    except ValueError as exc:
+    except BaseException as exc:
         session.close()
-        raise ConnectFailed(str(exc)) from None
+        if isinstance(exc, (RemoteError, ValueError)):  # a refused hello or a bad hello_ack
+            refused_version = isinstance(exc, RemoteError) and "version" in str(exc)
+            raise (VersionMismatch if refused_version else ConnectFailed)(str(exc)) from None
+        raise
     session._max_frame = negotiated
     session._encoding = encoding
     return session
 
 
-def _read_frame(sock: socket.socket, buffer: bytearray, max_frame: int, timeout: float,
-                frame_deadline: float) -> bytes:
-    """The next line from ``sock``, as a buffered ``readline(max_frame + 1)`` returns it.
+def _read_message(sock: socket.socket, buffer: bytearray, max_frame: int, timeout: float,
+                  frame_deadline: float) -> dict | None:
+    """The next message from ``sock``, or None at a clean EOF between messages.
 
-    That is the line with its LF; or ``max_frame + 1`` bytes holding no LF;
-    or, at EOF, what is left (empty if nothing). ``buffer`` keeps the bytes
-    read past the line for the next call. Raises TimeoutError if no byte
-    arrives within ``timeout``, or if a line is not complete within
-    ``frame_deadline`` of its first byte, however steadily it trickles in.
+    ``buffer`` keeps the bytes read past the line for the next call.
+
+    Raises:
+        FrameTooLarge: if ``max_frame + 1`` bytes arrive without an LF.
+        ConnectionClosed: if EOF cuts a line short.
+        ValueError: if the line, now consumed, is not one JSON object.
+        TimeoutError: if no byte arrives within ``timeout``, or if a line is
+            not complete within ``frame_deadline`` of its first byte.
     """
     limit = max_frame + 1
     scanned, deadline = 0, None
-    while True:
-        end = buffer.find(b"\n", scanned, limit)
-        if end >= 0 or len(buffer) >= limit:
-            size = end + 1 if end >= 0 else limit
-            line = bytes(buffer[:size])
-            del buffer[:size]
-            sock.settimeout(timeout)
-            return line
+    while (end := buffer.find(b"\n", scanned, limit)) < 0:
+        if len(buffer) >= limit:
+            raise FrameTooLarge(f"frame exceeds limit of {max_frame} bytes")
         scanned = len(buffer)
         wait = timeout
         if buffer:
@@ -414,10 +400,20 @@ def _read_frame(sock: socket.socket, buffer: bytearray, max_frame: int, timeout:
         sock.settimeout(wait)
         chunk = sock.recv(_RECV_SIZE)
         if not chunk:
-            line = bytes(buffer)
-            buffer.clear()
-            return line
+            if buffer:
+                raise ConnectionClosed("peer closed the connection mid-message")
+            return None
         buffer += chunk
+    line = bytes(buffer[:end])
+    del buffer[:end + 1]
+    sock.settimeout(timeout)
+    try:
+        message = json.loads(line.decode("utf-8"), parse_constant=_reject_nonfinite)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
+    if not isinstance(message, dict):
+        raise ValueError("message is not an object")
+    return message
 
 
 class _SessionHandler(socketserver.BaseRequestHandler):
@@ -443,23 +439,17 @@ class _SessionHandler(socketserver.BaseRequestHandler):
         buffer = bytearray()
         while True:
             try:
-                line = _read_frame(self.request, buffer, self._max_frame, self.timeout, self.frame_deadline)
-            except OSError:  # TimeoutError included
-                return  # idle, trickling or vanished peer; end the session and free its slot
-            if not line:
-                return
-            if not line.endswith(b"\n"):
-                if len(line) > self._max_frame:
-                    self._send({"kind": "error", "message": f"frame exceeds limit of {self._max_frame} bytes"})
-                return  # framing lost or peer vanished; end the session
-            try:
-                message = json.loads(line.decode("utf-8"), parse_constant=_reject_nonfinite)
-                if not isinstance(message, dict):
-                    raise ValueError("message is not an object")
-            except (ValueError, UnicodeDecodeError, RecursionError) as exc:
+                message = _read_message(self.request, buffer, self._max_frame, self.timeout, self.frame_deadline)
+            except ValueError as exc:
                 self._send({"kind": "error", "message": f"malformed message: {exc}"})
                 continue
-
+            except FrameTooLarge as exc:
+                self._send({"kind": "error", "message": str(exc)})
+                return  # framing is lost; end the session
+            except (OSError, ConnectionClosed):  # TimeoutError included
+                return  # idle, trickling or vanished peer; end the session and free its slot
+            if message is None:
+                return
             try:
                 response, stop = self._dispatch(owner, message)
             except (PipelineError, ValueError, KeyError, TypeError) as exc:

@@ -286,6 +286,48 @@ class TestErrorRecords:
         assert (record["error"], record["module"]) == ("TreeTooDeep", "cpslearn.learners")
         assert "max_depth=10000" in record["message"]
 
+    @staticmethod
+    def one_record(capsys) -> dict:
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])["error"]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_deeply_nested_config_is_one_record(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([command, str(path)]) == 1
+        record = self.one_record(capsys)
+        assert (record["error"], record["field"]) == ("ConfigError", "<file>")
+        assert record["message"].startswith("<file>: invalid JSON: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ("[" * 100_000 + "]" * 100_000, "malformed JSON in "),
+            ('{"a": [' + "1" * 5_000 + '], "b": [1.0]}', "malformed JSON in "),  # past int()'s digit limit
+            ('{"a": [9223372036854775808, 2], "b": [1.0, 2.0]}', "column 'a': integer out of the int64 range"),
+        ],
+        ids=["deep", "many_digits", "huge_integer"],
+    )
+    def test_hostile_json_environment_is_one_record(self, tmp_path, capsys, document, message):
+        data = tmp_path / "data.json"
+        data.write_text(document)
+        cfg = {
+            "environment": {"kind": "json", "path": str(data)},
+            "io": {"inputs": ["a"], "outputs": ["b"]},
+            "split_fraction": 0.5,
+            "learner": {"kind": "linear"},
+            "metrics": ["mae"],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        record = self.one_record(capsys)
+        assert (record["error"], record["module"]) == ("ParseError", "cpslearn.dataset")
+        assert message in record["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_remote_model_is_one_record(self, tmp_path, capsys):
         class WeightlessLinear:
             """Fits the reference model, but saves a document without weights."""

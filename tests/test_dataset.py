@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from cpslearn.dataset import (
     TooFewRows,
     UnknownColumn,
 )
+from cpslearn.errors import PipelineError
 
 
 def test_load_csv_two_rows(tmp_path):
@@ -303,6 +305,52 @@ def test_load_json_rejects_strings(tmp_path):
         load_json(path)
 
 
+# Placeholders for literals json.dumps cannot write: nesting past the recursion
+# limit, and an integer past the digit limit of int().
+DEEP, HUGE = "\x00deep", "\x00huge"
+LITERALS = {json.dumps(DEEP): "[" * 100_000 + "]" * 100_000, json.dumps(HUGE): "9" * 5_000}
+json_cells = st.recursive(
+    st.one_of(
+        st.integers(),
+        st.integers(2**63 - 2, 2**64 + 2),
+        st.integers(-(2**64) - 2, -(2**63) + 2),
+        st.just(10**400),
+        st.floats(),  # NaN and the infinities become NaN / Infinity / -Infinity literals
+        st.booleans(),
+        st.none(),
+        st.text(max_size=2),
+        st.sampled_from([DEEP, HUGE]),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def json_documents(draw) -> str:
+    """An object of columns or an array of records, as JSON text."""
+    names = draw(st.lists(st.text(max_size=3), max_size=3, unique=True))
+    rows = draw(st.integers(0, 4))
+    columns = {name: draw(st.lists(json_cells, min_size=rows, max_size=rows)) for name in names}
+    doc = columns if draw(st.booleans()) else [{name: columns[name][i] for name in names} for i in range(rows)]
+    text = json.dumps(doc)
+    for placeholder, literal in LITERALS.items():
+        text = text.replace(placeholder, literal)
+    return text
+
+
+@settings(deadline=None, max_examples=300)
+@given(json_documents(), st.booleans())
+def test_load_json_returns_a_dataset_or_a_pipeline_error(tmp_path_factory, text, allow_nan):
+    path = tmp_path_factory.mktemp("json") / "f.json"
+    path.write_text(text)
+    try:
+        result = load_json(path, allow_nan=allow_nan)
+    except PipelineError:
+        return
+    assert isinstance(result, Dataset)
+
+
 def test_select_order_and_unknown():
     d = Dataset({"a": [1.0], "b": [2.0], "c": [3.0]})
     picked = d.select(["c", "a"])
@@ -373,6 +421,26 @@ def test_construction_errors():
     with pytest.raises(ValueError):
         Dataset({"a": [1.0, 2.0], "b": [1.0]})
     Dataset({"a": [1.0, float("nan")]}, allow_nan=True)  # explicit opt-in
+
+
+@pytest.mark.parametrize(
+    "values, dtype",
+    [
+        ([2**63], "int64"),
+        ([-(2**63) - 1], "int64"),
+        ([np.uint64(2**63)], "int64"),
+        (np.array([2**63], dtype=np.uint64), "int64"),
+        ([1.0, 10**400], "float64"),
+        ([[1.0, 10**400]], "float64"),
+    ],
+)
+def test_integers_out_of_range_are_a_value_error(values, dtype):
+    with pytest.raises(ValueError, match=f"integer out of the {dtype} range"):
+        Dataset({"a": values})
+
+
+def test_uint64_arrays_within_int64_keep_their_values():
+    assert Dataset({"a": np.array([0, 2**63 - 1], dtype=np.uint64)}).column("a").tolist() == [0, 2**63 - 1]
 
 
 def test_columns_are_immutable():

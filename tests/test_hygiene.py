@@ -1,4 +1,5 @@
-"""Static checks of the package source: every import is used, every export exists."""
+"""Static checks of the package source: every import is used, every export exists, and every
+``json.load`` / ``json.loads`` call sits in a try that catches RecursionError."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,36 @@ def test_every_export_resolves():
     missing = [name for name in cpslearn.__all__ if not hasattr(cpslearn, name)]
     assert missing == []
     assert len(set(cpslearn.__all__)) == len(cpslearn.__all__)
+
+
+# Handlers that catch the RecursionError json raises on deeply nested input.
+CATCHES_RECURSION = {"RecursionError", "RuntimeError", "Exception", "BaseException"}
+
+
+def json_reads(node: ast.AST, caught: frozenset = frozenset()):
+    """Each ``json.load`` / ``json.loads`` call under ``node``, with the names the try blocks around it catch."""
+    if isinstance(node, ast.Try):
+        names = {  # a bare except catches what BaseException does
+            name.id
+            for handler in node.handlers
+            for name in ast.walk(handler.type or ast.Name("BaseException"))
+            if isinstance(name, ast.Name)
+        }
+        for child in node.body:
+            yield from json_reads(child, caught | names)
+        for child in [*node.handlers, *node.orelse, *node.finalbody]:
+            yield from json_reads(child, caught)
+        return
+    func = getattr(node, "func", None)
+    if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute) and func.attr in ("load", "loads")
+            and isinstance(func.value, ast.Name) and func.value.id == "json"):
+        yield node, caught
+    for child in ast.iter_child_nodes(node):
+        yield from json_reads(child, caught)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_every_json_read_catches_recursion_error(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unguarded = [call.lineno for call, caught in json_reads(tree) if not caught & CATCHES_RECURSION]
+    assert unguarded == []

@@ -427,6 +427,22 @@ class TestRecursiveLeastSquares:
             with pytest.raises(ValueError, match="dim must be a positive integer"):
                 RecursiveLeastSquares(dim)
 
+    @pytest.mark.parametrize(
+        "forgetting_factor, regularization, message",
+        [
+            (0.0, 1e-8, "forgetting_factor must be in"),
+            (1.5, 1e-8, "forgetting_factor must be in"),
+            (float("nan"), 1e-8, "forgetting_factor must be in"),
+            (1.0, 0.0, "regularization must be positive and finite"),
+            (1.0, -1.0, "regularization must be positive and finite"),
+            (1.0, float("nan"), "regularization must be positive and finite"),
+            (1.0, float("inf"), "regularization must be positive and finite"),
+        ],
+    )
+    def test_incremental_learner_checks_its_parameters_when_built(self, forgetting_factor, regularization, message):
+        with pytest.raises(ValueError, match=message):
+            IncrementalLinearLearner(forgetting_factor, regularization)
+
     def test_never_updated(self):
         with pytest.raises(NeverUpdated):
             IncrementalLinearLearner().finalize()

@@ -47,6 +47,7 @@ BAD_JSON_COLUMNS = [
 BAD_JSON_LITERALS = [b"[1e400]", b"[" + b"9" * 400 + b"]", b"[NaN]", b"[-Infinity]"]
 BAD_ENCODINGS = [b'"json"', b"[1]", b"[]", b'["xml"]', b"null", b'{"json":1}', b'[["json"]]', b"[true]"]
 BAD_FRAME_LIMITS = [b"0", b"-5", b'"12"', b"1.5", b"true", b"255", b"null", b"1e3"]
+DEEP = 50_000  # nesting far past the recursion limit, which Hypothesis itself raises while it runs
 
 
 class ProtocolMachine(RuleBasedStateMachine):
@@ -200,6 +201,30 @@ class ProtocolMachine(RuleBasedStateMachine):
     @rule(kind=st.sampled_from(["predict", "save"]), model=st.sampled_from(["m999", "m0", "", 1, None, ["m1"]]))
     def unknown_model(self, kind, model):
         self.send({"kind": kind, "model": model, "inputs": self.wire(Dataset({"a": [1.0]}))}, self.expect_error)
+
+    @precondition(lambda self: 2 * DEEP + 64 <= self.max_frame and not self.half_closed)
+    @rule(data=st.data(), wrap=st.sampled_from([(b"", b""), (b'{"kind":"fit","inputs":', b"}"), (b"[1,", b"]")]))
+    def deeply_nested(self, data, wrap):
+        """Nesting past the decoder's recursion limit, inside the frame limit, gets one error."""
+        depth = data.draw(st.integers(DEEP, (self.max_frame - 64) // 2))
+        head, tail = wrap
+        self.send(head + b"[" * depth + b"]" * depth + tail, self.expect_malformed)
+
+    @staticmethod
+    def expect_malformed(response) -> None:
+        assert response["kind"] == "error", response
+        assert response["message"].startswith("malformed message: maximum recursion depth exceeded"), response
+
+    @precondition(lambda self: not self.half_closed)
+    @rule()
+    def oversized_frame(self):
+        """One byte past the frame limit, with no LF: one error record, then the server ends the session."""
+        head = b'{"kind":"hello","pad":"'
+        expected = {"kind": "error", "message": f"frame exceeds limit of {self.max_frame} bytes"}
+        self.sock.sendall(head + b"x" * (self.max_frame + 1 - len(head)))
+        self.sock.shutdown(socket.SHUT_WR)  # no later rule sends
+        self.half_closed = True
+        self.pending.append(lambda response: self.assert_equal(response, expected))
 
     # -- reading and closing --------------------------------------------------
 

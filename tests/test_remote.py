@@ -1,4 +1,5 @@
 import base64
+import gc
 import json
 import math
 import socket
@@ -6,6 +7,7 @@ import struct
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -559,6 +561,47 @@ class TestFrameLimits:
             finally:
                 sock.close()
 
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at_limit", "one_byte_over"])
+    def test_server_reads_lines_up_to_the_limit(self, extra, thread_errors):
+        head, tail = b'{"kind":"dance","pad":"', b'"}'
+        line = head + b"x" * (1_000 + extra - len(head) - len(tail)) + tail + b"\n"
+        # An oversized line travels alone, so the server reads every byte before it ends the session.
+        lines = [line] if extra else [line, b'{"kind":"hello","version":1}\n']
+        with LearnerServer(max_frame=1_000) as srv:
+            responses = exchange_to_eof(srv.address, lines)
+        if extra:
+            assert responses == [{"kind": "error", "message": "frame exceeds limit of 1000 bytes"}]
+        else:
+            assert responses == [
+                {"kind": "error", "message": "unknown request kind: 'dance'"},
+                {"kind": "hello_ack", "version": 1, "max_frame": 1_000},
+            ]
+        assert thread_errors == []
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at_limit", "one_byte_over"])
+    def test_client_reads_lines_up_to_the_limit(self, extra):
+        head, tail = b'{"kind":"fit_ack","model":"', b'"}'
+        ack = head + b"m" * (1_000 + extra - len(head) - len(tail)) + tail + b"\n"
+
+        def script(conn, reader):
+            try:
+                for response in [b'{"kind":"hello_ack","version":1,"max_frame":1000}\n', ack]:
+                    reader.readline()
+                    conn.sendall(response)
+                reader.readline()  # EOF once the client closes
+            except OSError:
+                pass
+
+        stub = StubServer(script)
+        with connect(stub.address, timeout=2.0) as session:
+            fit = (Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
+            if extra:
+                with pytest.raises(FrameTooLarge, match="frame exceeds limit of 1000 bytes"):
+                    session.fit(*fit)
+            else:
+                assert session.fit(*fit).remote_id == "m" * (1_000 - len(head) - len(tail))
+        stub._thread.join(timeout=5.0)
+
     def test_negotiation_takes_the_smaller_limit(self):
         with LearnerServer(max_frame=2_000) as srv:
             session = connect(srv.address, timeout=5.0, max_frame=500_000)
@@ -599,6 +642,24 @@ class TestFrameLimits:
         assert json.loads(requests[0])["kind"] == "hello"
         assert thread_errors == []
 
+    def test_oversized_hello_ack_is_typed_and_closes_the_socket(self):
+        def script(conn, reader):
+            try:
+                reader.readline()
+                conn.sendall(b'{"kind":"hello_ack","version":1,"max_frame":256,"pad":"' + b"x" * 400 + b'"}\n')
+                reader.readline()  # EOF once the client gives up
+            except OSError:
+                pass  # the client closed with the rest of the ack unread
+
+        stub = StubServer(script)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FrameTooLarge):
+                connect(stub.address, timeout=2.0, max_frame=256)
+            gc.collect()
+        stub._thread.join(timeout=5.0)
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     def test_local_frame_limits_are_checked(self):
         with pytest.raises(ValueError, match="max_frame"):
             LearnerServer(max_frame=remote.MIN_FRAME - 1)
@@ -620,6 +681,37 @@ class TestFaultInjection:
             with pytest.raises(ConnectionClosed):
                 session.fit(Dataset({"x": [1.0, 2.0]}), Dataset({"y": [1.0, 2.0]}))
             assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("truncated", [False, True], ids=["oversized", "truncated"])
+    def test_lost_framing_closes_the_session(self, truncated):
+        """No request after an oversized or cut-off response gets the answer meant for an earlier one."""
+        cut = [b'{"kind":"fit_ack","mo'] if truncated else [b'{"kind":"fit_ack","model":"' + b"m" * 1_500 + b'"}\n']
+        later = [] if truncated else [b'{"kind":"fit_ack","model":"m2"}\n', b'{"kind":"fit_ack","model":"m3"}\n']
+        requests = []
+
+        def script(conn, reader):
+            try:
+                for response in [b'{"kind":"hello_ack","version":1,"max_frame":1000}\n', *cut, *later]:
+                    request = reader.readline()
+                    if not request:
+                        return
+                    requests.append(request)
+                    conn.sendall(response)
+                conn.shutdown(socket.SHUT_WR)  # EOF, in the middle of the response if truncated
+                requests.extend(iter(reader.readline, b""))
+            except OSError:
+                pass  # the client closed with the rest of a response unread
+
+        stub = StubServer(script)
+        fit = (Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
+        with connect(stub.address, timeout=2.0) as session:
+            with pytest.raises(ConnectionClosed if truncated else FrameTooLarge):
+                session.fit(*fit)
+            for _ in range(2):
+                with pytest.raises(ConnectionClosed):
+                    session.fit(*fit)
+        stub._thread.join(timeout=5.0)
+        assert [json.loads(request)["kind"] for request in requests] == ["hello", "fit"]
 
     def test_unresponsive_server_times_out(self):
         def script(conn, reader):
