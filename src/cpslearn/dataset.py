@@ -59,19 +59,17 @@ class TooFewRows(PipelineError):
 
 
 class ColumnKind(enum.Enum):
-    """Value kind held by a column."""
+    """Value kind held by a column: a float64 per row, or a float64 trace per row."""
 
     FLOAT64 = "float64"
-    INT64 = "int64"
-    BOOL = "bool"
     LIST_FLOAT64 = "list[float64]"
 
 
 class Column:
     """A typed, immutable column of values.
 
-    Scalar kinds store a read-only numpy array; ``LIST_FLOAT64`` stores a
-    tuple of read-only float arrays (one trace per row).
+    ``FLOAT64`` stores a read-only float64 array; ``LIST_FLOAT64`` stores a
+    tuple of read-only float64 arrays (one trace per row).
     """
 
     __slots__ = ("kind", "values")
@@ -94,77 +92,49 @@ class Column:
         return bool(np.array_equal(self.values, other.values))
 
 
-def _lock(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+_NUMBER_TYPES = (int, float, np.integer, np.floating, np.bool_)  # bool is an int
 
 
-def _lock_floats(arr: np.ndarray, allow_nan: bool) -> np.ndarray:
-    """Lock a float64 array, refusing NaN unless ``allow_nan``."""
-    if not allow_nan and np.isnan(arr).any():
-        raise ValueError("NaN values are not permitted (pass allow_nan=True to accept them)")
-    return _lock(arr)
-
-
-def _array(values, dtype) -> np.ndarray:
-    """``np.array(values, dtype=dtype)``, refusing a Python int the dtype cannot hold with ValueError."""
+def _floats(values, allow_nan: bool) -> np.ndarray:
+    """A new read-only one-dimensional float64 array of ``values``; a Python int
+    converts as ``float(int)`` does. Refuses NaN unless ``allow_nan``."""
     try:
-        return np.array(values, dtype=dtype)
+        array = np.array(values, dtype=np.float64)
     except OverflowError:
-        raise ValueError(f"integer out of the {np.dtype(dtype)} range") from None
-
-
-def _list_cell(value, allow_nan: bool) -> np.ndarray:
-    cell = _array(value, np.float64)
-    if cell.ndim != 1:
-        raise ValueError("trace cells must be one-dimensional")
-    return _lock_floats(cell, allow_nan)
+        raise ValueError("integer out of the float64 range") from None
+    if array.ndim != 1:
+        raise ValueError("columns and trace cells must be one-dimensional")
+    if not allow_nan and np.isnan(array).any():
+        raise ValueError("NaN values are not permitted (pass allow_nan=True to accept them)")
+    array.setflags(write=False)
+    return array
 
 
 def _as_column(values, allow_nan: bool = False) -> Column:
-    """Build a Column, inferring its kind from the values.
-
-    Booleans map to BOOL, pure integers to INT64, any mix containing a float
-    to FLOAT64, and nested sequences to LIST_FLOAT64.
-    """
+    """Build a Column: numbers and booleans (as 0.0 and 1.0, never mixed with numbers)
+    become FLOAT64, sequences of numbers LIST_FLOAT64."""
     if isinstance(values, Column):
         return values
-    if isinstance(values, np.ndarray):
-        if values.dtype == object:
-            values = list(values)
-        else:
-            if values.ndim != 1:
-                raise ValueError("columns must be one-dimensional")
-            if values.dtype == np.bool_:
-                return Column(ColumnKind.BOOL, _lock(values.copy()))
-            if np.issubdtype(values.dtype, np.integer):
-                if values.dtype == np.uint64 and values.max(initial=0) > np.iinfo(np.int64).max:
-                    raise ValueError("integer out of the int64 range")
-                return Column(ColumnKind.INT64, _lock(values.astype(np.int64)))
-            if np.issubdtype(values.dtype, np.floating):
-                return Column(ColumnKind.FLOAT64, _lock_floats(values.astype(np.float64), allow_nan))
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        if values.dtype.kind not in "biuf":
             raise ValueError(f"unsupported array dtype: {values.dtype}")
-    if not isinstance(values, (list, tuple)):
+        return Column(ColumnKind.FLOAT64, _floats(values, allow_nan))
+    if not isinstance(values, (list, tuple, np.ndarray)):
         raise ValueError(f"cannot build a column from {type(values).__name__}")
 
     items = list(values)
-    if not items:
-        return Column(ColumnKind.FLOAT64, _lock(np.empty(0, dtype=np.float64)))
     if any(isinstance(v, (list, tuple, np.ndarray)) for v in items):
         if not all(isinstance(v, (list, tuple, np.ndarray)) for v in items):
             raise ValueError("cannot mix scalar and trace values in one column")
-        return Column(ColumnKind.LIST_FLOAT64, tuple(_list_cell(v, allow_nan) for v in items))
-    if all(isinstance(v, (bool, np.bool_)) for v in items):
-        return Column(ColumnKind.BOOL, _lock(np.array(items, dtype=np.bool_)))
-    if all(isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_)) for v in items):
-        return Column(ColumnKind.INT64, _lock(_array(items, np.int64)))
-    if all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, (bool, np.bool_)) for v in items):
-        return Column(ColumnKind.FLOAT64, _lock_floats(_array(items, np.float64), allow_nan))
-    raise ValueError("column values must be numbers, booleans, or numeric traces")
+        return Column(ColumnKind.LIST_FLOAT64, tuple(_floats(v, allow_nan) for v in items))
+    booleans = {isinstance(v, (bool, np.bool_)) for v in items}  # {True, False}: a mix
+    if len(booleans) > 1 or not all(isinstance(v, _NUMBER_TYPES) for v in items):
+        raise ValueError("column values must be numbers, booleans, or numeric traces")
+    return Column(ColumnKind.FLOAT64, _floats(items, allow_nan))
 
 
 class Dataset:
-    """Immutable table of named, typed columns of equal length.
+    """Immutable table of named float64 columns (scalar or trace) of equal length.
 
     Args:
         columns: mapping of name to values, or a sequence of ``(name, values)``
@@ -286,13 +256,12 @@ class Dataset:
                 raise ValueError("cannot concatenate datasets with differing schemas")
         columns = []
         for name in first.column_names:
-            kind = first.column_kind(name)
-            if kind is ColumnKind.LIST_FLOAT64:
-                merged: object = tuple(cell for p in parts for cell in p.column(name))
+            if first.column_kind(name) is ColumnKind.LIST_FLOAT64:
+                cells = tuple(cell for p in parts for cell in p.column(name))
+                columns.append((name, Column(ColumnKind.LIST_FLOAT64, cells)))
             else:
-                merged = _lock(np.concatenate([p.column(name) for p in parts]))
-            columns.append((name, Column(kind, merged)))
-        return cls(columns, row_count=sum(p.row_count for p in parts))
+                columns.append((name, np.concatenate([p.column(name) for p in parts])))
+        return cls(columns, row_count=sum(p.row_count for p in parts), allow_nan=True)
 
     def __len__(self) -> int:
         return self._row_count
@@ -440,28 +409,21 @@ def load_csv(
 def write_csv(dataset: Dataset, path, has_header: bool = True, delimiter: str = ",") -> None:
     """Write a Dataset to CSV.
 
-    Floats are rendered with their shortest round-trippable decimal
-    representation, so ``load_csv(write_csv(d))`` reproduces float columns
-    bit-exactly. Trace columns cannot be written to CSV.
+    Every value is written as ``repr(float(v))``, its shortest round-trippable
+    decimal representation, so ``load_csv(write_csv(d))`` reproduces the
+    columns bit-exactly. Trace columns cannot be written to CSV.
     """
-    formatters = []
     for name, kind in dataset.schema:
         if kind is ColumnKind.LIST_FLOAT64:
             raise ValueError(f"cannot write trace column {name!r} to CSV")
-        if kind is ColumnKind.FLOAT64:
-            formatters.append(lambda v: repr(float(v)))
-        elif kind is ColumnKind.INT64:
-            formatters.append(lambda v: str(int(v)))
-        else:
-            formatters.append(lambda v: "true" if v else "false")
 
-    columns = [dataset.column(n) for n in dataset.column_names]
+    columns = [dataset.column(n).tolist() for n in dataset.column_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         if has_header:
             writer.writerow(dataset.column_names)
         for i in range(dataset.row_count):
-            writer.writerow([fmt(col[i]) for fmt, col in zip(formatters, columns)])
+            writer.writerow([repr(col[i]) for col in columns])
 
 
 def _json_value_error(name: str, value) -> ParseError:
@@ -485,11 +447,12 @@ def load_json(path, allow_nan: bool = False) -> Dataset:
 
     Two shapes are accepted: an array of flat objects with identical key
     sets, or a single object mapping column names to equal-length arrays.
-    Numeric arrays nested inside a column become trace columns.
+    Numbers and booleans (as 0.0 and 1.0) become float64 columns, and numeric
+    arrays nested inside a column become trace columns.
 
     Raises:
         FileNotFoundError: if the file does not exist.
-        ParseError: for malformed JSON or unsupported values.
+        ParseError: for malformed JSON, unsupported values or integers beyond float64.
         InconsistentKeys: when record objects disagree on their keys.
     """
     with open(path, encoding="utf-8") as fh:
@@ -499,17 +462,15 @@ def load_json(path, allow_nan: bool = False) -> Dataset:
             raise ParseError(f"malformed JSON in {path}: {exc}") from None
 
     if isinstance(doc, list):
-        if not doc:
-            return Dataset([], row_count=0)
         if not all(isinstance(rec, dict) for rec in doc):
             raise ParseError("JSON array must contain objects")
-        names = list(doc[0].keys())
+        names = list(doc[0].keys()) if doc else []
         reference = set(names)
         for i, rec in enumerate(doc):
             if set(rec.keys()) != reference:
                 raise InconsistentKeys(f"object {i} keys {sorted(rec)} != {sorted(reference)}")
         columns = [(n, _json_column(n, [rec[n] for rec in doc], allow_nan)) for n in names]
-        return Dataset(columns)
+        return Dataset(columns, row_count=len(doc))
 
     if isinstance(doc, dict):
         for name, values in doc.items():

@@ -176,22 +176,6 @@ class WaterTankSystem:
         if self.area <= 0:
             raise ValueError(f"tank area must be positive, got {self.area}")
 
-    def rate(self, t: float, level: float) -> float:
-        """Time derivative of the fill level at (t, level)."""
-        outflow = self.outflow_coeff * math.sqrt(max(level, 0.0))
-        return (self.inflow_gain * self.inflow(t) - outflow) / self.area
-
-    def step(self, dt: float) -> "WaterTankSystem":
-        """Advance one fixed RK4 step of size ``dt``; returns the new system.
-
-        Raises:
-            NonFiniteState: if the level leaves the finite range.
-        """
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        level, time = _rk4(self, self.inflow, self.level, self.time, self.inflow(self.time), dt, 1)
-        return replace(self, level=level, time=time)
-
 
 def _substeps(period: float, substep: float, name: str) -> tuple[int, float]:
     """The number and size of the RK4 steps that cover one ``period`` in steps of about ``substep``."""
@@ -207,8 +191,8 @@ def _rk4(tank: WaterTankSystem, inflow, y: float, t: float, u: float, h: float, 
     """Run ``steps`` RK4 steps of size ``h`` from level ``y`` at time ``t``; return (y, t).
 
     ``u`` is ``inflow(t)``; ``inflow`` is called once per distinct time point. The float
-    operations and their order are those of an RK4 step over :meth:`WaterTankSystem.rate`;
-    ``0.0 if v < 0.0 else v`` is ``max(v, 0.0)``, for -0.0 and NaN too.
+    operations and their order are those of an RK4 step over the rate given by
+    :class:`WaterTankSystem`; ``0.0 if v < 0.0 else v`` is ``max(v, 0.0)``, for -0.0 and NaN too.
     """
     area, coeff, gain = tank.area, tank.outflow_coeff, tank.inflow_gain
     half, sqrt = h / 2.0, math.sqrt

@@ -545,10 +545,6 @@ class RecursiveLeastSquares:
             raise DimensionMismatch(f"regressor of shape {row.shape}, expected ({self.dim},)")
         return row
 
-    @property
-    def covariance(self) -> np.ndarray:
-        return self._P.copy()
-
 
 class IncrementalLinearLearner:
     """Incremental learner: recursive least squares with an intercept.

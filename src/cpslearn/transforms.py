@@ -121,13 +121,14 @@ class Explode(Transform):
             values = dataset.column(name)
             if name in exploded:
                 flat = np.concatenate(values) if len(values) else np.empty(0, dtype=np.float64)
-                columns.append((name, Column(ColumnKind.FLOAT64, flat)))
+                columns.append((name, flat))
             elif kind is ColumnKind.LIST_FLOAT64:
                 repeated = tuple(cell for cell, k in zip(values, counts) for _ in range(k))
                 columns.append((name, Column(kind, repeated)))
             else:
-                columns.append((name, Column(kind, np.repeat(values, counts))))
-        return Dataset(columns, row_count=int(counts.sum()))
+                columns.append((name, np.repeat(values, counts)))
+        # The arrays are new; Dataset locks them. NaN was checked when the input was built.
+        return Dataset(columns, row_count=int(counts.sum()), allow_nan=True)
 
 
 class Standardize(Transform):

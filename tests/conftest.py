@@ -8,6 +8,8 @@ import pytest
 
 from cpslearn import Dataset, OdeEnvironment, WaterTankSystem
 
+DBL_MAX_INT = 2**1024 - 2**971  # the largest double, as an integer
+
 
 @pytest.fixture(scope="session", autouse=True)
 def checkout_on_child_path():

@@ -19,6 +19,7 @@ from cpslearn.dataset import (
     UnknownColumn,
 )
 from cpslearn.errors import PipelineError
+from conftest import DBL_MAX_INT
 
 
 def test_load_csv_two_rows(tmp_path):
@@ -105,6 +106,26 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert reloaded == d
     for name in d.column_names:
         assert np.array_equal(reloaded.column(name), d.column(name))
+
+
+@st.composite
+def scalar_columns(draw) -> list:
+    """1-3 columns of one length, each all ints, all booleans or all non-NaN floats."""
+    rows = draw(st.integers(0, 5))
+    values = st.sampled_from([st.integers(-(10**300), 10**300), st.booleans(), st.floats(allow_nan=False)])
+    return [draw(st.lists(draw(values), min_size=rows, max_size=rows)) for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(scalar_columns())
+def test_csv_round_trip_of_ints_bools_and_floats(tmp_path_factory, columns):
+    d = Dataset([(f"c{j}", values) for j, values in enumerate(columns)])
+    path = tmp_path_factory.mktemp("csv") / "rt.csv"
+    write_csv(d, path)
+    reloaded = load_csv(path)
+    assert reloaded == d
+    for name in d.column_names:
+        assert reloaded.column(name).tobytes() == d.column(name).tobytes()
 
 
 def reference_load_csv(path, has_header=True, delimiter=",", allow_nan=False) -> Dataset:
@@ -298,6 +319,24 @@ def test_load_json_empty_array(tmp_path):
     assert d.column_names == ()
 
 
+def test_load_json_records_without_keys_keep_their_row_count(tmp_path):
+    path = tmp_path / "keyless.json"
+    path.write_text("[{}, {}, {}]")
+    d = load_json(path)
+    assert d.row_count == 3
+    assert d.column_names == ()
+
+
+def test_load_json_numbers_and_booleans_become_floats(tmp_path):
+    path = tmp_path / "n.json"
+    path.write_text('{"i": [1, -2], "b": [true, false], "big": [9223372036854775808, 1]}')
+    d = load_json(path)
+    assert d.schema == (("i", ColumnKind.FLOAT64), ("b", ColumnKind.FLOAT64), ("big", ColumnKind.FLOAT64))
+    assert d.column("i").tolist() == [1.0, -2.0]
+    assert d.column("b").tolist() == [1.0, 0.0]
+    assert d.column("big").tolist() == [float(2**63), 1.0]
+
+
 def test_load_json_rejects_strings(tmp_path):
     path = tmp_path / "s.json"
     path.write_text('[{"a":"x"}]')
@@ -406,11 +445,34 @@ def test_select_preserves_row_count(toy_series):
 
 
 def test_column_kind_inference():
-    d = Dataset({"i": [1, 2], "f": [1, 2.5], "b": [True, False], "t": [[1.0], [2.0, 3.0]]})
-    assert d.column_kind("i") is ColumnKind.INT64
-    assert d.column_kind("f") is ColumnKind.FLOAT64  # ints promote when mixed with floats
-    assert d.column_kind("b") is ColumnKind.BOOL
+    d = Dataset(
+        {
+            "i": [1, 2],
+            "f": [1, 2.5],
+            "b": [True, False],
+            "nb": [np.bool_(True), np.bool_(False)],
+            "n": [np.int8(-3), np.float32(0.5)],
+            "u": [np.uint64(2**64 - 1), np.int64(7)],
+            "t": [[1.0], [2.0, 3.0]],
+        }
+    )
+    assert set(ColumnKind) == {ColumnKind.FLOAT64, ColumnKind.LIST_FLOAT64}
+    for name in ("i", "f", "b", "nb", "n", "u"):
+        assert d.column_kind(name) is ColumnKind.FLOAT64
+        assert d.column(name).dtype == np.float64
     assert d.column_kind("t") is ColumnKind.LIST_FLOAT64
+    assert d.column("i").tolist() == [1.0, 2.0]
+    assert d.column("b").tolist() == d.column("nb").tolist() == [1.0, 0.0]
+    assert d.column("n").tolist() == [-3.0, 0.5]
+    assert d.column("u").tolist() == [float(2**64 - 1), 7.0]
+    for array in (np.array([True, False]), np.array([1, 0], dtype=np.int16), np.array([1, 0], dtype=np.uint8)):
+        assert Dataset({"a": array}).column("a").tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("values", [[True, 1], [1.0, False], [np.bool_(False), 2]])
+def test_booleans_mixed_with_numbers_are_refused(values):
+    with pytest.raises(ValueError, match="column values must be numbers, booleans, or numeric traces"):
+        Dataset({"a": values})
 
 
 def test_construction_errors():
@@ -426,10 +488,10 @@ def test_construction_errors():
 @pytest.mark.parametrize(
     "values, dtype",
     [
-        ([2**63], "int64"),
-        ([-(2**63) - 1], "int64"),
-        ([np.uint64(2**63)], "int64"),
-        (np.array([2**63], dtype=np.uint64), "int64"),
+        ([2**1024], "float64"),
+        ([-(2**1024)], "float64"),
+        ([DBL_MAX_INT + 2**970], "float64"),  # the first integer that rounds past the largest double
+        ([1, -DBL_MAX_INT - 2**970], "float64"),
         ([1.0, 10**400], "float64"),
         ([[1.0, 10**400]], "float64"),
     ],
@@ -439,8 +501,17 @@ def test_integers_out_of_range_are_a_value_error(values, dtype):
         Dataset({"a": values})
 
 
+@pytest.mark.parametrize("values", [[2**63], [-(2**63) - 1], [2**64 + 1, 3], [DBL_MAX_INT + 2**970 - 1]])
+def test_integers_beyond_int64_convert_as_float_does(values):
+    column = Dataset({"a": values}).column("a")
+    assert column.tobytes() == np.array([float(v) for v in values]).tobytes()
+
+
 def test_uint64_arrays_within_int64_keep_their_values():
-    assert Dataset({"a": np.array([0, 2**63 - 1], dtype=np.uint64)}).column("a").tolist() == [0, 2**63 - 1]
+    values = [0, 2**53, 2**63 - 1, 2**63, 2**64 - 1]
+    column = Dataset({"a": np.array(values, dtype=np.uint64)}).column("a")
+    assert column.dtype == np.float64
+    assert column.tolist() == [float(v) for v in values]
 
 
 def test_columns_are_immutable():

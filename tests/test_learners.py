@@ -346,7 +346,7 @@ def rls_streams(draw):
 
 def assert_same_state(rls: RecursiveLeastSquares, reference: RecursiveLeastSquares) -> None:
     assert rls.weights.tobytes() == reference.weights.tobytes()
-    assert rls.covariance.tobytes() == reference.covariance.tobytes()
+    assert rls._P.tobytes() == reference._P.tobytes()
     assert rls.updates == reference.updates
 
 
@@ -412,7 +412,7 @@ class TestRecursiveLeastSquares:
         rls = RecursiveLeastSquares(4, forgetting_factor=0.99)
         for _ in range(200):
             rls.update(rng.normal(size=4), float(rng.normal()))
-        P = rls.covariance
+        P = rls._P
         assert np.max(np.abs(P - P.T)) < 1e-9
 
     def test_parameter_validation(self):
@@ -466,8 +466,8 @@ class TestRecursiveLeastSquares:
     @pytest.mark.parametrize(
         "inputs, outputs",
         [
-            (Dataset({"a": [1, 2]}), Dataset({"y": [1.0, 2.0]})),  # an int64 input column
-            (Dataset({"a": [1.0, 2.0]}), Dataset({"y": [1, 2]})),  # an int64 target
+            (Dataset({"a": [[1.0], [2.0]]}), Dataset({"y": [1.0, 2.0]})),  # a trace input column
+            (Dataset({"a": [1.0, 2.0]}), Dataset({"y": [[1.0], [2.0]]})),  # a trace target
             (Dataset({"a": [1.0, 2.0]}), Dataset({"y": [1.0]})),  # row counts differ
             (Dataset({"a": [1.0]}), Dataset({"y": [1.0], "z": [2.0]})),  # two targets
         ],

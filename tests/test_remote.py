@@ -27,7 +27,7 @@ from cpslearn.remote import (
     VersionMismatch,
     connect,
 )
-from conftest import StubServer, random_dataset
+from conftest import DBL_MAX_INT, StubServer, random_dataset
 
 
 @pytest.fixture
@@ -108,15 +108,17 @@ def reference_wire_to_dataset(obj) -> Dataset:
     return dataset
 
 
-DBL_MAX_INT = 2**1024 - 2**971  # the largest double, as an integer
-wire_numbers = st.one_of(
-    st.floats(),
-    st.sampled_from([-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308,
-                     1.7976931348623157e308, math.inf, -math.inf]),
+wire_integers = st.one_of(
     st.integers(-(2**64), 2**64),
     st.integers(2**1015, 2**1025).map(lambda v: v * (-1) ** (v % 2)),
     st.sampled_from([2**53 + 1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**1023,
                      DBL_MAX_INT, DBL_MAX_INT + 2**970 - 1, DBL_MAX_INT + 2**970, 10**400]),
+)
+wire_numbers = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, math.inf, -math.inf]),
+    wire_integers,
 )
 wire_values = st.one_of(
     wire_numbers,
@@ -196,6 +198,14 @@ class TestWireDecoderOracle:
         assert result == decoded(reference_wire_to_dataset, obj)
         if result is not None:
             assert all(kind is ColumnKind.FLOAT64 for _, kind in result[0])
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(wire_integers, max_size=4))
+    def test_integer_columns_decode_as_a_dataset_builds_them(self, values):
+        # Both give bit-equal float64 columns, or both raise ValueError.
+        assert decoded(lambda v: Dataset({"a": v}), values) == decoded(
+            lambda v: remote._wire_to_dataset({"a": v}), values
+        )
 
     def test_integer_column_stays_float(self):
         dataset = remote._wire_to_dataset({"a": [1, 2]})
@@ -874,8 +884,8 @@ class TestClientSchema:
             model.predict(Dataset({"wrong": [1.0]}))
 
     def test_non_float_columns_refused(self, session):
-        with pytest.raises(ValueError):
-            session.fit(Dataset({"x": [1, 2]}), Dataset({"y": [1.0, 2.0]}))
+        with pytest.raises(ValueError, match="only float columns travel on the wire; 'x' is list"):
+            session.fit(Dataset({"x": [[1.0], [2.0]]}), Dataset({"y": [1.0, 2.0]}))
 
 
 class TestLifecycle:

@@ -200,3 +200,30 @@ class TestChain:
         assert ab.column_names == ("V_0",)
         with pytest.raises(UnknownColumn):
             TransformChain([Select(["V_0"]), SlidingWindow(2)]).apply(toy_series)
+
+
+def writable_parts(dataset: Dataset) -> list[str]:
+    """Names of the scalar columns and trace cells of ``dataset`` that can be written to."""
+    found = []
+    for name in dataset.column_names:
+        values = dataset.column(name)
+        arrays = values if isinstance(values, tuple) else (values,)
+        found += [name for array in arrays if array.flags.writeable]
+    return found
+
+
+class TestOutputsAreFrozen:
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            Select(["t", "id"]),
+            SlidingWindow(2),
+            Explode(["t"]),
+            Standardize(["id"]),
+            TransformChain([Explode(["t"]), Standardize(["id"]), SlidingWindow(2)]),
+        ],
+        ids=["select", "window", "explode", "standardize", "chain"],
+    )
+    def test_no_output_column_or_trace_cell_is_writable(self, transform):
+        d = Dataset({"id": [1.0, 2.0, 4.0], "t": [[1.0, 2.0], [3.0], [5.0, 6.0]], "w": [[7.0], [8.0], [9.0]]})
+        assert writable_parts(transform.fit(d).apply(d)) == []
