@@ -1,8 +1,9 @@
 """Incremental streams and active interaction, on the same tank system.
 
-The incremental driver replays a dataset batch by batch through a
-recursive-least-squares learner; after one pass its fitted function agrees
-with batch least squares. The active driver lets an epsilon-greedy policy
+The incremental driver replays a dataset batch by batch through an
+incremental least-squares learner, which accumulates each batch into a Gram
+matrix and solves it once at the end; after one pass its fitted function
+agrees with batch least squares. The active driver lets an epsilon-greedy policy
 choose inflow actions, building a one-step surrogate of the level dynamics
 from its own interactions.
 

@@ -110,15 +110,26 @@ def _floats(values, allow_nan: bool) -> np.ndarray:
     return array
 
 
-def _as_column(values, allow_nan: bool = False) -> Column:
-    """Build a Column: numbers and booleans (as 0.0 and 1.0, never mixed with numbers)
-    become FLOAT64, sequences of numbers LIST_FLOAT64."""
-    if isinstance(values, Column):
-        return values
+def _number_floats(values, allow_nan: bool) -> np.ndarray:
+    """The float64 array of one scalar column or trace cell: a numeric numpy
+    array, or a sequence of numbers or of booleans (never mixed)."""
     if isinstance(values, np.ndarray) and values.dtype != object:
         if values.dtype.kind not in "biuf":
             raise ValueError(f"unsupported array dtype: {values.dtype}")
-        return Column(ColumnKind.FLOAT64, _floats(values, allow_nan))
+        return _floats(values, allow_nan)
+    booleans = {isinstance(v, (bool, np.bool_)) for v in values}  # {True, False}: a mix
+    if len(booleans) > 1 or not all(isinstance(v, _NUMBER_TYPES) for v in values):
+        raise ValueError("column values must be numbers, booleans, or numeric traces")
+    return _floats(values, allow_nan)
+
+
+def _as_column(values, allow_nan: bool = False) -> Column:
+    """Build a Column: numbers and booleans (as 0.0 and 1.0, never mixed with numbers)
+    become FLOAT64, sequences of them LIST_FLOAT64, with the same rule for each cell."""
+    if isinstance(values, Column):
+        return values
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return Column(ColumnKind.FLOAT64, _number_floats(values, allow_nan))
     if not isinstance(values, (list, tuple, np.ndarray)):
         raise ValueError(f"cannot build a column from {type(values).__name__}")
 
@@ -126,11 +137,8 @@ def _as_column(values, allow_nan: bool = False) -> Column:
     if any(isinstance(v, (list, tuple, np.ndarray)) for v in items):
         if not all(isinstance(v, (list, tuple, np.ndarray)) for v in items):
             raise ValueError("cannot mix scalar and trace values in one column")
-        return Column(ColumnKind.LIST_FLOAT64, tuple(_floats(v, allow_nan) for v in items))
-    booleans = {isinstance(v, (bool, np.bool_)) for v in items}  # {True, False}: a mix
-    if len(booleans) > 1 or not all(isinstance(v, _NUMBER_TYPES) for v in items):
-        raise ValueError("column values must be numbers, booleans, or numeric traces")
-    return Column(ColumnKind.FLOAT64, _floats(items, allow_nan))
+        return Column(ColumnKind.LIST_FLOAT64, tuple(_number_floats(v, allow_nan) for v in items))
+    return Column(ColumnKind.FLOAT64, _number_floats(items, allow_nan))
 
 
 class Dataset:

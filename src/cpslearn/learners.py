@@ -11,8 +11,12 @@ Native implementations:
   squares via a rank-revealing orthogonal decomposition.
 * :func:`fit_tree` / :class:`RegressionTreeLearner` -- greedy binary
   regression tree minimizing weighted child variance.
-* :class:`RecursiveLeastSquares` / :class:`IncrementalLinearLearner` --
-  online least squares with a forgetting factor.
+* :class:`IncrementalLinearLearner` -- incremental least squares with a
+  forgetting factor, in information form: batches accumulate a weighted
+  Gram matrix and moment vector, and ``finalize`` solves them once by a
+  fixed-order Cholesky factorization (no BLAS call).
+* :class:`RecursiveLeastSquares` -- per-sample recursive least squares,
+  the surrogate of the active learner.
 * :class:`EpsilonGreedyActiveLearner` -- an interactive policy that explores
   an action grid and maintains a linear one-step surrogate of the system.
 """
@@ -49,8 +53,10 @@ class SchemaMismatch(PipelineError):
 class SingularDesign(PipelineError):
     """The least-squares design matrix is rank deficient.
 
-    Raised instead of silently regularizing; add features, drop collinear
-    columns, or use the incremental learner with explicit regularization.
+    :func:`fit_linear` raises it instead of silently regularizing. The
+    incremental learner raises it when its regularized Gram matrix is
+    singular in float64, as when a tiny forgetting factor has forgotten the
+    prior. Add rows, drop collinear columns, or raise the regularization.
     """
 
 
@@ -465,19 +471,19 @@ def _check_rls_parameters(forgetting_factor: float, regularization: float) -> No
 
 
 class RecursiveLeastSquares:
-    """Online least squares over a fixed regressor dimension.
+    """Online least squares over a fixed regressor dimension, one sample at a time.
 
     Maintains the weight vector and the inverse-Gram matrix P through
-    rank-one updates. With ``forgetting_factor`` 1 and small
-    ``regularization`` delta (P starts as I/delta), a full pass over a
-    dataset converges to the batch least-squares solution.
+    rank-one updates (P starts as I/delta, delta being ``regularization``),
+    so that P is at hand after every sample: the active learner's surrogate
+    reads its predictive variance between steps.
 
     Note the regressor is used exactly as given: no intercept column is
-    appended here. :class:`IncrementalLinearLearner` adds the bias term.
+    appended here.
 
     Attributes:
-        weights: current estimate, shape (dim,). Updated in place, so copy
-            it to keep a snapshot.
+        weights: current estimate, shape (dim,). Replaced by a new array on
+            every update.
         updates: number of samples absorbed so far.
     """
 
@@ -492,47 +498,24 @@ class RecursiveLeastSquares:
         self.updates = 0
 
     def update(self, row, target: float) -> None:
-        """Absorb one (regressor, target) sample.
+        """Absorb one (regressor, target) sample by the rank-one update
+
+            Pr = P r;  gain = Pr / (forget + r'Pr);  w += gain (target - r'w)
+            P = ((P - gain Pr') / forget + its transpose) / 2
+
+        The symmetrization keeps P numerically symmetric.
 
         Raises:
             DimensionMismatch: if the regressor length differs from ``dim``.
         """
         row = self._regressor(row)
-        self._absorb(row[np.newaxis, :], [target])
-
-    def _absorb(self, rows: np.ndarray, targets: list) -> None:
-        """Absorb the rows of an (n, dim) float64 matrix in order, one target each.
-
-        Each step is the rank-one update
-
-            Pr = P r;  gain = Pr / (forget + r'Pr);  w += gain (target - r'w)
-            P = ((P - gain Pr') / forget + its transpose) / 2
-
-        run as the same ufuncs and BLAS calls (gemv, dot), in the same order,
-        as the plain array expressions, but into buffers allocated once per
-        call, so the results are bit-identical to them. The symmetrization
-        keeps P numerically symmetric.
-        """
         forget = self.forgetting_factor
-        P, w = self._P, self.weights
-        Pr, gain, step = (np.empty(self.dim) for _ in range(3))
-        outer = np.empty((self.dim, self.dim))
-        gain_col, outer_t = gain[:, np.newaxis], outer.T
-        # 0-d divisors: the same float64 loop as a Python float, without
-        # converting the scalar on every call.
-        forget_0d, two_0d = np.array(forget), np.array(2.0)
-        multiply, divide, add, subtract = np.multiply, np.divide, np.add, np.subtract
-        for row, target in zip(rows, targets):
-            P.dot(row, Pr)
-            divide(Pr, forget + row.dot(Pr), gain)
-            multiply(gain, target - row.dot(w), step)
-            add(w, step, w)
-            multiply(gain_col, Pr, outer)  # np.outer(gain, Pr)
-            subtract(P, outer, outer)
-            divide(outer, forget_0d, outer)
-            add(outer, outer_t, P)
-            divide(P, two_0d, P)
-        self.updates += len(targets)
+        Pr = self._P @ row
+        gain = Pr / (forget + row @ Pr)
+        self.weights = self.weights + gain * (target - row @ self.weights)
+        P = (self._P - np.outer(gain, Pr)) / forget
+        self._P = (P + P.T) / 2.0
+        self.updates += 1
 
     def predictive_variance(self, row) -> float:
         """Quadratic form row' P row: relative uncertainty of a prediction."""
@@ -546,47 +529,131 @@ class RecursiveLeastSquares:
         return row
 
 
+def _solve_positive_definite(gram: list, rhs: list) -> list:
+    """Solve ``gram w = rhs`` by Cholesky factorization on Python floats.
+
+    Reads the lower triangle of ``gram`` (a list of row lists). Every sum
+    runs in ascending index order, so the result depends on the inputs
+    alone, not on a BLAS kernel or the Python version.
+
+    Raises:
+        SingularDesign: if a pivot is not positive and finite, or the solution
+            is not (``rhs`` or the solve overflowed).
+    """
+    d = len(rhs)
+    lower = [[0.0] * d for _ in range(d)]
+    for j in range(d):
+        row_j = lower[j]
+        pivot = gram[j][j]
+        for k in range(j):
+            pivot -= row_j[k] * row_j[k]
+        if not 0.0 < pivot < math.inf:
+            raise SingularDesign(
+                f"Gram matrix pivot {j} is {pivot!r}, not positive and finite: the design "
+                "(inputs plus intercept) is singular in float64; add rows, drop collinear "
+                "inputs, or raise regularization or forgetting_factor"
+            )
+        diagonal = math.sqrt(pivot)
+        row_j[j] = diagonal
+        for i in range(j + 1, d):
+            row_i = lower[i]
+            value = gram[i][j]
+            for k in range(j):
+                value -= row_i[k] * row_j[k]
+            row_i[j] = value / diagonal
+    forward = [0.0] * d  # lower @ forward = rhs
+    for i in range(d):
+        value = rhs[i]
+        for k in range(i):
+            value -= lower[i][k] * forward[k]
+        forward[i] = value / lower[i][i]
+    solution = [0.0] * d  # lower' @ solution = forward
+    for i in reversed(range(d)):
+        value = forward[i]
+        for k in range(i + 1, d):
+            value -= lower[k][i] * solution[k]
+        solution[i] = value / lower[i][i]
+    if not all(map(math.isfinite, solution)):
+        raise SingularDesign(f"the solution {solution!r} is not finite: the sums overflow float64")
+    return solution
+
+
 class IncrementalLinearLearner:
-    """Incremental learner: recursive least squares with an intercept.
+    """Incremental least squares with an intercept, kept in information form.
+
+    The learner keeps the exponentially weighted Gram matrix G and moment
+    vector b of the design (the inputs plus a constant 1 column), starting
+    from ``G = delta I`` and ``b = 0``. A batch of m rows x_i with targets
+    y_i, oldest first, updates them to
+
+        G <- lam^m G + sum_i lam^(m-1-i) x_i x_i'
+        b <- lam^m b + sum_i lam^(m-1-i) x_i y_i
+
+    where lam is ``forgetting_factor`` and delta is ``regularization``.
+    ``finalize`` solves ``G w = b`` once. After n rows, w minimizes
+    ``sum_i lam^(n-1-i) (y_i - x_i w)^2 + delta lam^n |w|^2``: in exact
+    arithmetic this is the estimate of per-row recursive least squares with
+    the same lam and the prior P0 = I/delta, whatever the batch sizes.
+
+    The sums are elementwise ufuncs and ``np.add.reduce`` and the solve is a
+    fixed-order Cholesky factorization on Python floats (no BLAS call), so
+    the fitted weights do not depend on the CPU's BLAS kernel. With a tiny
+    forgetting factor, ``lam^m`` may underflow to 0: the older rows and the
+    prior are then forgotten entirely, and ``finalize`` raises
+    :class:`SingularDesign` if what remains does not determine w (a Cholesky
+    pivot that is not positive and finite) or the sums overflowed.
 
     The schema (input columns and output column) is fixed by the first batch;
     later batches must match it. ``finalize`` snapshots the current estimate
-    into a :class:`LinearModel`.
+    into a :class:`LinearModel` and may be called again after more batches.
     """
 
     def __init__(self, forgetting_factor: float = 1.0, regularization: float = 1e-8):
         _check_rls_parameters(forgetting_factor, regularization)
         self.forgetting_factor = forgetting_factor
         self.regularization = regularization
-        self._rls: RecursiveLeastSquares | None = None
+        self._gram: np.ndarray | None = None
+        self._moment: np.ndarray | None = None
+        self._rows = 0
         self._input_columns: tuple[str, ...] | None = None
         self._output_column: str | None = None
 
     def update(self, inputs: Dataset, outputs: Dataset) -> None:
         """Absorb one batch; a batch refused with an error leaves the learner unchanged."""
         matrix, y = _training_arrays(inputs, outputs)
-        if self._rls is None:
-            self._rls = RecursiveLeastSquares(
-                len(inputs.column_names) + 1, self.forgetting_factor, self.regularization
-            )
+        if self._gram is None:
+            dim = len(inputs.column_names) + 1
+            self._gram = np.eye(dim) * self.regularization
+            self._moment = np.zeros(dim)
             self._input_columns = inputs.column_names
             self._output_column = outputs.column_names[0]
         elif inputs.column_names != self._input_columns:
             raise SchemaMismatch(
                 f"batch columns {list(inputs.column_names)} != {list(self._input_columns)}"
             )
-        design = np.column_stack([matrix, np.ones(len(y))])
-        self._rls._absorb(design, y.tolist())
+        m, forget = len(y), self.forgetting_factor
+        design = np.ones((m, matrix.shape[1] + 1))
+        design[:, :-1] = matrix
+        decays = np.array([forget ** k for k in range(m - 1, -1, -1)])
+        weighted = design * decays[:, np.newaxis]
+        gram = np.add.reduce(weighted[:, :, np.newaxis] * design[:, np.newaxis, :], axis=0)
+        moment = np.add.reduce(weighted * y[:, np.newaxis], axis=0)
+        decay = forget**m
+        self._gram = self._gram * decay + gram
+        self._moment = self._moment * decay + moment
+        self._rows += m
 
     def finalize(self) -> LinearModel:
-        """Snapshot the current weights as an immutable model.
+        """Solve for the current weights and snapshot them as an immutable model.
 
         Raises:
             NeverUpdated: if no sample has been absorbed.
+            SingularDesign: if the accumulated Gram matrix is singular in float64,
+                or its sums overflow.
         """
-        if self._rls is None or self._rls.updates == 0:
+        if self._rows == 0:
             raise NeverUpdated("incremental learner has not seen any data")
-        weights = self._rls.weights
+        weights = _solve_positive_definite(self._gram.tolist(), self._moment.tolist())
         return LinearModel(weights[:-1], weights[-1], self._input_columns, self._output_column)
 
 

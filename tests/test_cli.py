@@ -1,8 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from cpslearn import fit_linear, load_model, remote
@@ -244,6 +246,29 @@ class TestReproducibility:
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
         assert (outs[0] / "model.fcm.json").read_bytes() == (outs[1] / "model.fcm.json").read_bytes()
 
+    def test_incremental_model_is_the_same_under_every_blas_kernel(self, tmp_path):
+        """``OPENBLAS_CORETYPE`` picks the kernel of a DYNAMIC_ARCH OpenBLAS in the child."""
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except (TypeError, KeyError):  # numpy before 1.26 prints its build only as text
+            blas = {}
+        build = f"{blas.get('name', 'unknown')} {blas.get('openblas configuration', '')}".strip()
+        if "openblas" not in build.lower() or "DYNAMIC_ARCH" not in build:
+            pytest.skip(f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS: {build}")
+        models = set()
+        for coretype in ("SkylakeX", "Haswell", "Sandybridge", "Prescott"):
+            out = tmp_path / coretype
+            result = subprocess.run(
+                [sys.executable, "-m", "cpslearn.cli", "watertank", "--learner", "incremental_linear",
+                 "--out", str(out)],
+                env={**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1"},
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            models.add((out / "model.fcm.json").read_bytes())
+        assert len(models) == 1
+
 
 class TestServeLearnerCommand:
     def test_serve_and_shutdown(self):
@@ -303,6 +328,25 @@ class TestErrorRecords:
         record = json.loads(lines[0])["error"]
         assert (record["error"], record["module"]) == ("TreeTooDeep", "cpslearn.learners")
         assert "max_depth=10000" in record["message"]
+
+    def test_singular_incremental_design_is_one_record(self, tmp_path, capsys):
+        """A constant input is collinear with the intercept, and a tiny forgetting factor
+        forgets the prior that would otherwise make the Gram matrix definite."""
+        data = tmp_path / "data.csv"
+        data.write_text("u,y\n" + "".join(f"2,{i}\n" for i in range(40)))
+        cfg = {
+            "environment": {"kind": "csv", "path": str(data)},
+            "io": {"inputs": ["u"], "outputs": ["y"]},
+            "split_fraction": 0.8,
+            "learner": {"kind": "incremental_linear", "forgetting_factor": 1e-200},
+            "metrics": ["mae"],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        record = self.one_record(capsys)
+        assert (record["error"], record["module"]) == ("SingularDesign", "cpslearn.learners")
+        assert "pivot 1 is 0.0" in record["message"]
 
     @staticmethod
     def one_record(capsys) -> dict:

@@ -475,6 +475,20 @@ def test_booleans_mixed_with_numbers_are_refused(values):
         Dataset({"a": values})
 
 
+@pytest.mark.parametrize(
+    "cell", [["1.5", 2.0], [True, 1.5], [1.0, None], np.array([1.5, "x"], dtype=object)],
+    ids=["string", "bool-number-mix", "none", "object-array"],
+)
+def test_trace_cells_follow_the_scalar_rule(cell):
+    with pytest.raises(ValueError, match="column values must be numbers, booleans, or numeric traces"):
+        Dataset({"t": [[1.0], cell]})
+
+
+def test_trace_cells_of_booleans_or_numeric_arrays():
+    d = Dataset({"t": [[True, False], np.array([1, 2], dtype=np.int16), (np.float32(0.5),)]})
+    assert [cell.tolist() for cell in d.column("t")] == [[1.0, 0.0], [1.0, 2.0], [0.5]]
+
+
 def test_construction_errors():
     with pytest.raises(ValueError):
         Dataset({"a": [1.0, float("nan")]})

@@ -1,5 +1,6 @@
-"""Static checks of the package source: every import is used, every export exists, and every
-``json.load`` / ``json.loads`` call sits in a try that catches RecursionError."""
+"""Static checks of the package source: every import is used, every export exists, every
+``json.load`` / ``json.loads`` call sits in a try that catches RecursionError, and the
+incremental learner makes no BLAS call."""
 
 import ast
 from pathlib import Path
@@ -93,3 +94,33 @@ def test_every_json_read_catches_recursion_error(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unguarded = [call.lineno for call, caught in json_reads(tree) if not caught & CATCHES_RECURSION]
     assert unguarded == []
+
+
+# numpy names that call BLAS (or LAPACK), whose result depends on the CPU kernel it picks.
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+# The incremental learner and the solver it calls, which must give the same bits on any kernel.
+BLAS_FREE = {"IncrementalLinearLearner", "_solve_positive_definite"}
+
+
+def blas_uses(node: ast.AST):
+    """(line, what) for each ``@`` and each BLAS name read under ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.MatMult):
+            yield sub.lineno, "@"
+        elif isinstance(sub, ast.Attribute) and sub.attr in BLAS_NAMES:
+            yield sub.lineno, sub.attr
+        elif isinstance(sub, ast.Name) and sub.id in BLAS_NAMES:
+            yield sub.lineno, sub.id
+
+
+def test_incremental_learner_makes_no_blas_call():
+    tree = ast.parse(Path(cpslearn.learners.__file__).read_text(encoding="utf-8"))
+    owners = [node for node in tree.body
+              if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in BLAS_FREE]
+    assert {node.name for node in owners} == BLAS_FREE
+    assert [use for node in owners for use in blas_uses(node)] == []
+
+
+def test_blas_rule_sees_each_form():
+    source = "def f(a, b):\n    a @ b\n    a.dot(b)\n    np.einsum('i,i', a, b)\n    np.linalg.solve(a, b)\n"
+    assert [what for _, what in blas_uses(ast.parse(source))] == ["@", "dot", "einsum", "linalg"]

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -363,22 +364,121 @@ class TestRecursiveLeastSquaresOracle:
                 reference_rls_update(reference, row, target)
         assert_same_state(rls, reference)
 
-    @settings(deadline=None, max_examples=150)
+
+EPS = np.finfo(np.float64).eps
+
+
+def exact_weighted_ridge(rows, targets, forget: float, regularization: float):
+    """Oracle: the Gram matrix G and the exact minimizer w of
+    ``sum_i forget^(n-1-i) (y_i - x_i w)^2 + regularization forget^n |w|^2``,
+    with x_i = (row_i[:-1], 1).
+
+    Every float is an integer over a power of two, so one power of two S scales
+    G and b to integers: with forget = L / 2^a, regularization = D / 2^f and each
+    x, y = X / 2^e, S = 2^(a n + f + 2e) gives S forget^(n-1-i) x x' =
+    L^(n-1-i) 2^(a (i+1) + f) X X' and S regularization forget^n = D L^n 2^(2e).
+    Fraction-free (Bareiss) elimination then solves the integer system exactly.
+
+    Returns G rounded to floats, and the integers N and q with w = N / q.
+    """
+    n, dim = rows.shape
+    values = [*rows[:, :-1].ravel().tolist(), *targets.tolist()]
+    e = max(float(v).as_integer_ratio()[1] for v in values).bit_length() - 1
+    def scaled(v):  # v * 2^e, an integer
+        num, den = float(v).as_integer_ratio()
+        return num << (e - den.bit_length() + 1)
+    design = [[scaled(v) for v in row[:-1]] + [1 << e] for row in rows.tolist()]
+    ys = [scaled(v) for v in targets.tolist()]
+    lam_num, lam_den = forget.as_integer_ratio()
+    a = lam_den.bit_length() - 1
+    reg_num, reg_den = regularization.as_integer_ratio()
+    f = reg_den.bit_length() - 1
+    decays = [lam_num ** (n - 1 - i) << (a * (i + 1) + f) for i in range(n)]
+    system = [[0] * (dim + 1) for _ in range(dim)]  # [S G | S b]
+    for j in range(dim):
+        system[j][dim] = sum(s * x[j] * y for s, x, y in zip(decays, design, ys))
+        for k in range(j + 1):
+            system[j][k] = system[k][j] = sum(s * (x[j] * x[k]) for s, x in zip(decays, design))
+        system[j][j] += reg_num * lam_num**n << (2 * e)
+    scale = 1 << (a * n + f + 2 * e)
+    gram = np.array([[v / scale for v in row[:dim]] for row in system])
+    previous = 1
+    for k in range(dim - 1):  # G is positive definite: every pivot is positive
+        for i in range(k + 1, dim):
+            for j in range(k + 1, dim + 1):
+                system[i][j] = (system[i][j] * system[k][k] - system[i][k] * system[k][j]) // previous
+        previous = system[k][k]
+    determinant = system[dim - 1][dim - 1]
+    numerators = [0] * dim  # determinant * w, the integers of Cramer's rule
+    for i in reversed(range(dim)):
+        value = determinant * system[i][dim] - sum(system[i][k] * numerators[k] for k in range(i + 1, dim))
+        numerators[i] = value // system[i][i]
+    return gram, numerators, determinant
+
+
+class TestInformationFormOracle:
+    @settings(deadline=None, max_examples=60)
     @given(rls_streams())
-    def test_learner_batches_match_reference(self, stream):
+    def test_learner_matches_exact_weighted_ridge(self, stream):
+        """The learner's weights w agree with the exact minimizer w* to within the
+        first-order rounding-error bound of forming G and b by sums and solving G w = b:
+
+            |w - w*| <= 8 cond(G) u (|G_abs| / |G| + |b_abs| / (|G| |w*|)) |w*|
+
+        (2-norms; u = eps / 2; G_abs and b_abs are the sums G and b with every
+        x and y replaced by its absolute value). Where the sums do not cancel, the
+        factor in parentheses is between 1 and 2; where they do, the rounding errors
+        of the sums are relative to G_abs and b_abs, not to G and b. Or the learner
+        raises SingularDesign, and only where cond(G) is too large for G's computed
+        Cholesky factor to be guaranteed: cond(G) u ((2n + 3) |G_abs| / |G| + (d + 1)^2) >= 1.
+        A forgetting factor whose powers underflow forgets the old rows and the prior:
+        that is no error, only a larger cond(G)."""
         dim, forget, regularization, rows, targets, batch = stream
-        inputs = Dataset([(f"c{j}", rows[:, j]) for j in range(dim - 1)], row_count=len(rows))
+        n = len(rows)
+        inputs = Dataset([(f"c{j}", rows[:, j]) for j in range(dim - 1)], row_count=n)
         outputs = Dataset({"y": targets})
         learner = IncrementalLinearLearner(forget, regularization)
-        reference = RecursiveLeastSquares(dim, forget, regularization)
-        with np.errstate(all="ignore"):
-            for start in range(0, len(rows), batch):  # the last batch may be short
-                learner.update(
-                    inputs.slice_rows(start, start + batch), outputs.slice_rows(start, start + batch)
-                )
-            for row, target in zip(rows, targets):
-                reference_rls_update(reference, np.append(row[:-1], 1.0), target)
-        assert_same_state(learner._rls, reference)
+        for start in range(0, n, batch):  # the last batch may be short
+            learner.update(inputs.slice_rows(start, start + batch), outputs.slice_rows(start, start + batch))
+        gram, numerators, denominator = exact_weighted_ridge(rows, targets, forget, regularization)
+        design = np.abs(np.column_stack([rows[:, :-1], np.ones(n)]))
+        with np.errstate(all="ignore"):  # a singular G has cond inf; tiny factors underflow
+            condition, gram_norm = float(np.linalg.cond(gram)), float(np.linalg.norm(gram, 2))
+            weighted = design * forget ** np.arange(n - 1.0, -1.0, -1.0)[:, np.newaxis]
+            prior = regularization * forget**n * np.eye(dim)
+            abs_gram = float(np.linalg.norm(weighted.T @ design + prior, 2))
+            abs_moment = float(np.linalg.norm(weighted.T @ np.abs(targets)))
+        try:
+            model = learner.finalize()
+        except SingularDesign:
+            assert condition * EPS / 2 * ((2 * n + 3) * abs_gram / gram_norm + (dim + 1) ** 2) >= 1
+            return
+        fitted = [*model.weights.tolist(), model.intercept]
+        ratios = [w.as_integer_ratio() for w in fitted]  # each w - N / q, rounded once
+        error = math.hypot(*((p * denominator - num * q) / (q * denominator) for (p, q), num in zip(ratios, numerators)))
+        exact_norm = math.hypot(*(num / denominator for num in numerators))
+        assert error <= 8 * condition * EPS / 2 * (abs_gram / gram_norm * exact_norm + abs_moment / gram_norm)
+
+    def test_tiny_forgetting_factor_keeps_the_newest_target(self):
+        """forget^k underflows to 0 for the older rows: the estimate is the last target.
+        Per-row RLS cancels its P to exactly 0 here and stays at the first target, 3.0."""
+        learner = IncrementalLinearLearner(forgetting_factor=8.1e-49)
+        learner.update(Dataset([], row_count=4), Dataset({"y": [3.0, -2.0, 5.0, 7.0]}))
+        assert learner.finalize().intercept == 7.0
+
+    def test_singular_design_is_typed(self):
+        """A constant input and the intercept are collinear; a tiny factor forgets the prior."""
+        learner = IncrementalLinearLearner(forgetting_factor=1e-200)
+        learner.update(Dataset({"a": [2.0, 2.0, 2.0]}), Dataset({"y": [1.0, 2.0, 3.0]}))
+        with pytest.raises(SingularDesign, match="pivot 1 is 0.0"):
+            learner.finalize()
+
+    def test_overflowing_sums_are_typed(self):
+        learner = IncrementalLinearLearner()
+        with np.errstate(over="ignore"):  # the intercept's moment 1e308 + 1e308
+            learner.update(Dataset({"a": [1.0, 2.0]}), Dataset({"y": [1e308, 1e308]}))
+        with pytest.raises(SingularDesign, match="is not finite"):
+            learner.finalize()
 
 
 class TestRecursiveLeastSquares:
