@@ -24,7 +24,6 @@ from .learners import (
     LinearModel,
     LinearRegressionLearner,
     Model,
-    RecursiveLeastSquares,
     RegressionTreeLearner,
     RegressionTreeModel,
     fit_linear,
@@ -70,7 +69,6 @@ __all__ = [
     "OdeEnvironment",
     "OfflineEnvironment",
     "PipelineError",
-    "RecursiveLeastSquares",
     "RegressionTreeLearner",
     "RegressionTreeModel",
     "Select",

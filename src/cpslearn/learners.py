@@ -15,10 +15,9 @@ Native implementations:
   forgetting factor, in information form: batches accumulate a weighted
   Gram matrix and moment vector, and ``finalize`` solves them once by a
   fixed-order Cholesky factorization (no BLAS call).
-* :class:`RecursiveLeastSquares` -- per-sample recursive least squares,
-  the surrogate of the active learner.
 * :class:`EpsilonGreedyActiveLearner` -- an interactive policy that explores
-  an action grid and maintains a linear one-step surrogate of the system.
+  an action grid and maintains a linear one-step surrogate of the system,
+  an :class:`IncrementalLinearLearner` fed one transition at a time.
 """
 
 from __future__ import annotations
@@ -66,10 +65,6 @@ class TooFewSamples(PipelineError):
 
 class TreeTooDeep(PipelineError):
     """The tree grew deeper than Python's recursion limit allows."""
-
-
-class DimensionMismatch(PipelineError):
-    """An input row does not match the dimension of the online estimator."""
 
 
 class NeverUpdated(PipelineError):
@@ -462,85 +457,17 @@ class RegressionTreeLearner:
         return fit_tree(inputs, outputs, self.max_depth, self.min_samples_leaf)
 
 
-def _check_rls_parameters(forgetting_factor: float, regularization: float) -> None:
-    """Refuse a forgetting factor outside (0, 1] or a regularization that is not positive and finite."""
-    if not 0.0 < forgetting_factor <= 1.0:
-        raise ValueError(f"forgetting_factor must be in (0, 1], got {forgetting_factor}")
-    if not 0.0 < regularization < math.inf:
-        raise ValueError(f"regularization must be positive and finite, got {regularization}")
+def _cholesky(gram: list) -> list:
+    """The lower Cholesky factor of ``gram`` (a list of row lists), on Python floats.
 
-
-class RecursiveLeastSquares:
-    """Online least squares over a fixed regressor dimension, one sample at a time.
-
-    Maintains the weight vector and the inverse-Gram matrix P through
-    rank-one updates (P starts as I/delta, delta being ``regularization``),
-    so that P is at hand after every sample: the active learner's surrogate
-    reads its predictive variance between steps.
-
-    Note the regressor is used exactly as given: no intercept column is
-    appended here.
-
-    Attributes:
-        weights: current estimate, shape (dim,). Replaced by a new array on
-            every update.
-        updates: number of samples absorbed so far.
-    """
-
-    def __init__(self, dim: int, forgetting_factor: float = 1.0, regularization: float = 1e-8):
-        if not _is_int(dim) or dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {dim!r}")
-        _check_rls_parameters(forgetting_factor, regularization)
-        self.dim = dim
-        self.forgetting_factor = forgetting_factor
-        self.weights = np.zeros(dim, dtype=np.float64)
-        self._P = np.eye(dim, dtype=np.float64) / regularization
-        self.updates = 0
-
-    def update(self, row, target: float) -> None:
-        """Absorb one (regressor, target) sample by the rank-one update
-
-            Pr = P r;  gain = Pr / (forget + r'Pr);  w += gain (target - r'w)
-            P = ((P - gain Pr') / forget + its transpose) / 2
-
-        The symmetrization keeps P numerically symmetric.
-
-        Raises:
-            DimensionMismatch: if the regressor length differs from ``dim``.
-        """
-        row = self._regressor(row)
-        forget = self.forgetting_factor
-        Pr = self._P @ row
-        gain = Pr / (forget + row @ Pr)
-        self.weights = self.weights + gain * (target - row @ self.weights)
-        P = (self._P - np.outer(gain, Pr)) / forget
-        self._P = (P + P.T) / 2.0
-        self.updates += 1
-
-    def predictive_variance(self, row) -> float:
-        """Quadratic form row' P row: relative uncertainty of a prediction."""
-        row = self._regressor(row)
-        return float(row @ self._P @ row)
-
-    def _regressor(self, row) -> np.ndarray:
-        row = np.asarray(row, dtype=np.float64)
-        if row.shape != (self.dim,):
-            raise DimensionMismatch(f"regressor of shape {row.shape}, expected ({self.dim},)")
-        return row
-
-
-def _solve_positive_definite(gram: list, rhs: list) -> list:
-    """Solve ``gram w = rhs`` by Cholesky factorization on Python floats.
-
-    Reads the lower triangle of ``gram`` (a list of row lists). Every sum
-    runs in ascending index order, so the result depends on the inputs
-    alone, not on a BLAS kernel or the Python version.
+    Reads the lower triangle of ``gram``. Every sum runs in ascending index
+    order, so the factor depends on the inputs alone, not on a BLAS kernel or
+    the Python version.
 
     Raises:
-        SingularDesign: if a pivot is not positive and finite, or the solution
-            is not (``rhs`` or the solve overflowed).
+        SingularDesign: if a pivot is not positive and finite.
     """
-    d = len(rhs)
+    d = len(gram)
     lower = [[0.0] * d for _ in range(d)]
     for j in range(d):
         row_j = lower[j]
@@ -561,12 +488,31 @@ def _solve_positive_definite(gram: list, rhs: list) -> list:
             for k in range(j):
                 value -= row_i[k] * row_j[k]
             row_i[j] = value / diagonal
-    forward = [0.0] * d  # lower @ forward = rhs
+    return lower
+
+
+def _forward_substitute(lower: list, rhs: list) -> list:
+    """Solve ``lower z = rhs`` for z, summing in ascending index order."""
+    d = len(rhs)
+    forward = [0.0] * d
     for i in range(d):
         value = rhs[i]
         for k in range(i):
             value -= lower[i][k] * forward[k]
         forward[i] = value / lower[i][i]
+    return forward
+
+
+def _solve_positive_definite(gram: list, rhs: list) -> list:
+    """Solve ``gram w = rhs`` by :func:`_cholesky` and two substitutions.
+
+    Raises:
+        SingularDesign: if a pivot is not positive and finite, or the solution
+            is not (``rhs`` or the solve overflowed).
+    """
+    lower = _cholesky(gram)
+    forward = _forward_substitute(lower, rhs)
+    d = len(rhs)
     solution = [0.0] * d  # lower' @ solution = forward
     for i in reversed(range(d)):
         value = forward[i]
@@ -609,7 +555,10 @@ class IncrementalLinearLearner:
     """
 
     def __init__(self, forgetting_factor: float = 1.0, regularization: float = 1e-8):
-        _check_rls_parameters(forgetting_factor, regularization)
+        if not 0.0 < forgetting_factor <= 1.0:
+            raise ValueError(f"forgetting_factor must be in (0, 1], got {forgetting_factor}")
+        if not 0.0 < regularization < math.inf:
+            raise ValueError(f"regularization must be positive and finite, got {regularization}")
         self.forgetting_factor = forgetting_factor
         self.regularization = regularization
         self._gram: np.ndarray | None = None
@@ -666,8 +615,14 @@ class EpsilonGreedyActiveLearner:
     untrained surrogate carries no information, so all actions tie and the
     first grid action is returned.
 
-    The surrogate is a recursive-least-squares model of the next target
-    value from (state features, action, bias).
+    The surrogate is an :class:`IncrementalLinearLearner`, with this
+    learner's ``forgetting_factor`` and ``regularization``, fed one row per
+    transition: the inputs (state features, action) and the next value of
+    the target column. Its intercept is the bias term. The predictive
+    variance of an action is ``x' G^-1 x = |L^-1 x|^2``, where x is the
+    regressor (state, action, 1) and L the Cholesky factor of the
+    surrogate's Gram matrix G: one factorization per proposal and one
+    forward substitution per grid action, on Python floats (no BLAS call).
     """
 
     def __init__(
@@ -685,43 +640,50 @@ class EpsilonGreedyActiveLearner:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
         if action_grid_size < 1:
             raise ValueError(f"action_grid_size must be positive, got {action_grid_size}")
+        if action_space.name in state_columns:
+            raise ValueError(f"the action {action_space.name!r} must not be a state column")
         self.action_space = action_space
         self.state_columns = tuple(state_columns)
         self.target_column = target_column
         self.epsilon = epsilon
         self.action_grid = np.linspace(action_space.low, action_space.high, action_grid_size)
         self._rng = np.random.default_rng(seed)
-        self._surrogate = RecursiveLeastSquares(
-            len(self.state_columns) + 2, forgetting_factor, regularization
-        )
+        self._surrogate = IncrementalLinearLearner(forgetting_factor, regularization)
 
-    def _state_vector(self, observation: Dataset) -> np.ndarray:
+    def _state(self, observation: Dataset) -> list:
         if observation.row_count != 1:
             raise SchemaMismatch(f"expected a single-row observation, got {observation.row_count}")
-        return _float_matrix(observation, self.state_columns)[0]
+        return _float_matrix(observation, self.state_columns)[0].tolist()
 
     def propose_action(self, observation: Dataset) -> float:
-        """Pick the next action for the given single-row observation."""
-        state = self._state_vector(observation)
+        """Pick the next action for the given single-row observation.
+
+        Raises:
+            SingularDesign: if the surrogate's Gram matrix is singular in
+                float64, as when a tiny forgetting factor forgot the prior.
+        """
+        state = self._state(observation)
         if self._rng.random() < self.epsilon:
             return float(self.action_grid[self._rng.integers(len(self.action_grid))])
-        if self._surrogate.updates == 0:
+        if self._surrogate._rows == 0:
             return float(self.action_grid[0])
-        scores = [
-            self._surrogate.predictive_variance(np.concatenate([state, [action, 1.0]]))
-            for action in self.action_grid
-        ]
+        lower = _cholesky(self._surrogate._gram.tolist())
+        scores = []
+        for action in self.action_grid.tolist():
+            variance = 0.0
+            for z in _forward_substitute(lower, [*state, action, 1.0]):
+                variance += z * z
+            scores.append(variance)
         return float(self.action_grid[int(np.argmax(scores))])
 
     def observe_transition(self, observation: Dataset, action: float, next_observation: Dataset) -> None:
         """Absorb one (observation, action, next observation) transition."""
-        state = self._state_vector(observation)
-        target_cell = next_observation.column(self.target_column)
-        if len(target_cell) != 1:
+        values = [*self._state(observation), float(action)]
+        target = next_observation.select([self.target_column])
+        if target.row_count != 1:
             raise SchemaMismatch("next observation must be a single row")
-        target = float(target_cell[0])
-        regressor = np.concatenate([state, [action, 1.0]])
-        self._surrogate.update(regressor, target)
+        names = (*self.state_columns, self.action_space.name)
+        self._surrogate.update(Dataset([(name, [v]) for name, v in zip(names, values)]), target)
 
     def finalize(self) -> LinearModel:
         """Freeze the surrogate into a model predicting the next target value
@@ -729,12 +691,9 @@ class EpsilonGreedyActiveLearner:
 
         Raises:
             NeverUpdated: if no transition has been observed.
+            SingularDesign: as :meth:`IncrementalLinearLearner.finalize`.
         """
-        if self._surrogate.updates == 0:
-            raise NeverUpdated("active learner has not observed any transition")
-        weights = self._surrogate.weights
-        input_columns = (*self.state_columns, self.action_space.name)
-        return LinearModel(weights[:-1], weights[-1], input_columns, self.target_column)
+        return self._surrogate.finalize()
 
 
 # Checks of values read from JSON documents. ``bool`` is a subclass of

@@ -1,11 +1,14 @@
 """Scalar regression and classification metrics.
 
 All reductions accumulate left to right over plain floats, so every metric
-reproduces a straightforward reference loop bit for bit.
+reproduces a straightforward reference loop bit for bit. A regression metric
+whose value is not finite raises :class:`NonFiniteMetric`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 
 from .errors import PipelineError
@@ -25,6 +28,10 @@ class ConstantActuals(PipelineError):
 
 class NonBinaryValue(PipelineError):
     """Classification metrics require values in {0, 1}."""
+
+
+class NonFiniteMetric(PipelineError):
+    """A regression metric is not finite: the errors or their squares overflow float64."""
 
 
 class MetricWarning(UserWarning):
@@ -49,6 +56,27 @@ def _check_binary(predicted, actual) -> tuple[list[float], list[float]]:
     return p, a
 
 
+def _finite(metric):
+    """``metric``, raising NonFiniteMetric where its value is not finite.
+
+    A float ``** 2`` that overflows raises OverflowError instead of giving
+    inf; that too becomes NonFiniteMetric.
+    """
+
+    @functools.wraps(metric)
+    def checked(predicted, actual) -> float:
+        try:
+            value = metric(predicted, actual)
+        except OverflowError:
+            raise NonFiniteMetric(f"{metric.__name__}: a squared error overflows float64") from None
+        if not math.isfinite(value):
+            raise NonFiniteMetric(f"{metric.__name__} is {value!r}: the errors overflow float64")
+        return value
+
+    return checked
+
+
+@_finite
 def mae(predicted, actual) -> float:
     """Mean absolute error."""
     p, a = _check(predicted, actual)
@@ -58,6 +86,7 @@ def mae(predicted, actual) -> float:
     return total / len(p)
 
 
+@_finite
 def mse(predicted, actual) -> float:
     """Mean squared error."""
     p, a = _check(predicted, actual)
@@ -67,6 +96,7 @@ def mse(predicted, actual) -> float:
     return total / len(p)
 
 
+@_finite
 def max_error(predicted, actual) -> float:
     """Largest absolute error."""
     p, a = _check(predicted, actual)
@@ -76,6 +106,7 @@ def max_error(predicted, actual) -> float:
     return worst
 
 
+@_finite
 def r2(predicted, actual) -> float:
     """Coefficient of determination.
 

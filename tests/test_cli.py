@@ -348,6 +348,26 @@ class TestErrorRecords:
         assert (record["error"], record["module"]) == ("SingularDesign", "cpslearn.learners")
         assert "pivot 1 is 0.0" in record["message"]
 
+    def test_overflowing_metric_is_one_record(self, tmp_path, capsys):
+        """The depth-0 tree predicts the training mean 0: the held-out errors of +-1e200
+        are finite, and their squares overflow float64."""
+        data = tmp_path / "data.csv"
+        data.write_text("u,y\n" + "".join(f"{i},{(-1) ** i * 1e200}\n" for i in range(20)))
+        cfg = {
+            "environment": {"kind": "csv", "path": str(data)},
+            "io": {"inputs": ["u"], "outputs": ["y"]},
+            "split_fraction": 0.5,
+            "learner": {"kind": "regression_tree", "max_depth": 0},
+            "metrics": ["mae", "mse"],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        record = self.one_record(capsys)
+        assert (record["error"], record["module"]) == ("NonFiniteMetric", "cpslearn.metrics")
+        assert record["message"] == "mse: a squared error overflows float64"
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def one_record(capsys) -> dict:
         lines = capsys.readouterr().err.splitlines()

@@ -98,8 +98,14 @@ def test_every_json_read_catches_recursion_error(path):
 
 # numpy names that call BLAS (or LAPACK), whose result depends on the CPU kernel it picks.
 BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
-# The incremental learner and the solver it calls, which must give the same bits on any kernel.
-BLAS_FREE = {"IncrementalLinearLearner", "_solve_positive_definite"}
+# The online learners and the Cholesky helpers they call, which must give the same bits on any kernel.
+BLAS_FREE = {
+    "IncrementalLinearLearner",
+    "EpsilonGreedyActiveLearner",
+    "_cholesky",
+    "_forward_substitute",
+    "_solve_positive_definite",
+}
 
 
 def blas_uses(node: ast.AST):

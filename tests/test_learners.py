@@ -14,16 +14,16 @@ from cpslearn import (
     EpsilonGreedyActiveLearner,
     IncrementalLinearLearner,
     LinearModel,
-    RecursiveLeastSquares,
+    WaterTankActiveEnvironment,
     fit_linear,
     fit_tree,
+    learn_active,
     load_model,
     model_from_dict,
     save_model,
 )
 from cpslearn import learners
 from cpslearn.learners import (
-    DimensionMismatch,
     NeverUpdated,
     SchemaMismatch,
     ShapeMismatch,
@@ -318,18 +318,6 @@ class TestRegressionTree:
             assert model.root.right.value == right_value
 
 
-def reference_rls_update(rls: RecursiveLeastSquares, row, target: float) -> None:
-    """Oracle: one rank-one update as plain array expressions, a new array per step."""
-    row = np.asarray(row, dtype=np.float64)
-    forget = rls.forgetting_factor
-    Pr = rls._P @ row
-    gain = Pr / (forget + row @ Pr)
-    rls.weights = rls.weights + gain * (target - row @ rls.weights)
-    rls._P = (rls._P - np.outer(gain, Pr)) / forget
-    rls._P = (rls._P + rls._P.T) / 2.0
-    rls.updates += 1
-
-
 @st.composite
 def rls_streams(draw):
     """(dim, forgetting factor, regularization, rows, targets, batch size)."""
@@ -343,26 +331,6 @@ def rls_streams(draw):
     rows[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
     targets = rng.uniform(-1.0, 1.0, n) * 10.0 ** draw(st.integers(-3, 8))
     return dim, forget, regularization, rows, targets, draw(st.integers(1, 64))
-
-
-def assert_same_state(rls: RecursiveLeastSquares, reference: RecursiveLeastSquares) -> None:
-    assert rls.weights.tobytes() == reference.weights.tobytes()
-    assert rls._P.tobytes() == reference._P.tobytes()
-    assert rls.updates == reference.updates
-
-
-class TestRecursiveLeastSquaresOracle:
-    @settings(deadline=None, max_examples=150)
-    @given(rls_streams())
-    def test_public_update_matches_reference(self, stream):
-        dim, forget, regularization, rows, targets, _ = stream
-        rls = RecursiveLeastSquares(dim, forget, regularization)
-        reference = RecursiveLeastSquares(dim, forget, regularization)
-        with np.errstate(all="ignore"):  # tiny factors overflow P; both sides alike
-            for row, target in zip(rows, targets):
-                rls.update(row, target)
-                reference_rls_update(reference, row, target)
-        assert_same_state(rls, reference)
 
 
 EPS = np.finfo(np.float64).eps
@@ -496,36 +464,16 @@ class TestRecursiveLeastSquares:
             assert abs(online.intercept - batch.intercept) < 1e-6
 
     def test_zero_regressor_is_a_no_op(self):
-        rls = RecursiveLeastSquares(3)
-        rls.update([1.0, 2.0, 3.0], 1.0)
-        before = rls.weights.copy()
-        rls.update([0.0, 0.0, 0.0], 123.0)
-        assert np.array_equal(rls.weights, before)
-
-    def test_dimension_mismatch(self):
-        rls = RecursiveLeastSquares(2)
-        with pytest.raises(DimensionMismatch):
-            rls.update([1.0, 2.0, 3.0], 0.0)
-
-    def test_covariance_stays_symmetric(self):
-        rng = np.random.default_rng(42)
-        rls = RecursiveLeastSquares(4, forgetting_factor=0.99)
-        for _ in range(200):
-            rls.update(rng.normal(size=4), float(rng.normal()))
-        P = rls._P
-        assert np.max(np.abs(P - P.T)) < 1e-9
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            RecursiveLeastSquares(2, forgetting_factor=0.0)
-        with pytest.raises(ValueError):
-            RecursiveLeastSquares(2, forgetting_factor=1.5)
-        for regularization in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="regularization must be positive and finite"):
-                RecursiveLeastSquares(2, regularization=regularization)
-        for dim in (0, -1, 2.0, True):
-            with pytest.raises(ValueError, match="dim must be a positive integer"):
-                RecursiveLeastSquares(dim)
+        """A row x adds x x' to the Gram matrix G and x y to the moment b. A row of
+        zero inputs adds nothing to them: only its intercept 1 moves G and b."""
+        learner = IncrementalLinearLearner()
+        learner.update(Dataset({"a": [1.0, 2.0], "b": [3.0, -1.0]}), Dataset({"y": [1.0, 4.0]}))
+        gram, moment = learner._gram.copy(), learner._moment.copy()
+        learner.update(Dataset({"a": [0.0], "b": [0.0]}), Dataset({"y": [123.0]}))
+        gram[-1, -1] += 1.0
+        moment[-1] += 123.0
+        assert learner._gram.tobytes() == gram.tobytes()
+        assert learner._moment.tobytes() == moment.tobytes()
 
     @pytest.mark.parametrize(
         "forgetting_factor, regularization, message",
@@ -788,3 +736,94 @@ class TestActiveLearner:
         model = policy.finalize()
         assert model.input_columns == ("x", "V")
         assert model.output_column == "x"
+
+    def test_parameter_validation(self):
+        for forgetting_factor in (0.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="forgetting_factor must be in"):
+                self._policy(forgetting_factor=forgetting_factor)
+        for regularization in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="regularization must be positive and finite"):
+                self._policy(regularization=regularization)
+        for epsilon in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="epsilon must be in"):
+                self._policy(epsilon=epsilon)
+        with pytest.raises(ValueError, match="action_grid_size must be positive"):
+            self._policy(action_grid_size=0)
+        with pytest.raises(ValueError, match="the action 'x' must not be a state column"):
+            self._policy(action_space=ActionSpace("x", 0.0, 1.0))
+
+    def test_tiny_forgetting_factor_keeps_the_newest_target(self):
+        """forget^k underflows for the older transitions: the surrogate's estimate is the
+        newest target. Per-sample RLS cancels its P to exactly 0 here and stays at 3.0."""
+        policy = self._policy(state_columns=(), forgetting_factor=8.1e-49)
+        for target in (3.0, -2.0, 5.0, 7.0):
+            policy.observe_transition(Dataset([], row_count=1), 0.0, Dataset({"x": [target]}))
+        assert policy.finalize().intercept == 7.0
+
+    def test_tiny_forgetting_factor_on_the_tank_is_typed(self):
+        """The factor forgets the prior, and the tank's transitions alone do not make the
+        Gram matrix definite in float64 (per-sample RLS returns NaN weights here)."""
+        env = WaterTankActiveEnvironment()
+        policy = self._policy(action_space=env.action_space, forgetting_factor=8.1e-49)
+        with pytest.raises(SingularDesign):
+            learn_active(env, policy, step_budget=50)
+
+    @pytest.mark.parametrize("forget", [1.0, 0.99, 0.9])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    def test_matches_recursive_least_squares_reference(self, epsilon, forget):
+        """In exact arithmetic per-sample RLS keeps P_n = G_n^-1, so both score every action
+        alike: on the tank they choose the same actions and fit the same weights."""
+        for seed in range(6):
+            env = WaterTankActiveEnvironment()
+            policy = self._policy(
+                action_space=env.action_space, epsilon=epsilon, seed=seed, forgetting_factor=forget
+            )
+            reference = ReferenceRlsPolicy(np.linspace(0.0, 1.0, 11), epsilon, seed, forget, 1e-8)
+            for _ in range(500):
+                observation = env.observe()
+                level = float(observation.column("x")[0])
+                action = policy.propose_action(observation)
+                assert action == reference.propose_action(level)
+                env.act(action)
+                env.advance()
+                outcome = env.observe()
+                policy.observe_transition(observation, action, outcome)
+                reference.observe(level, action, float(outcome.column("x")[0]))
+            model = policy.finalize()
+            fitted = np.array([*model.weights, model.intercept])
+            assert np.linalg.norm(fitted - reference.weights) <= 1e-9 * np.linalg.norm(reference.weights)
+
+
+def reference_rls_update(P: np.ndarray, weights: np.ndarray, row: np.ndarray, target: float, forget: float):
+    """Oracle: one rank-one update of per-sample recursive least squares, which keeps the
+    inverse Gram matrix P in place of G. Returns the new (P, weights)."""
+    Pr = P @ row
+    gain = Pr / (forget + row @ Pr)
+    weights = weights + gain * (target - row @ weights)
+    P = (P - np.outer(gain, Pr)) / forget
+    return (P + P.T) / 2.0, weights
+
+
+class ReferenceRlsPolicy:
+    """Oracle: the epsilon-greedy tank policy on one level column, with a per-sample RLS
+    surrogate (P0 = I / regularization) that scores an action by x' P x, x = (level, action, 1)."""
+
+    def __init__(self, grid: np.ndarray, epsilon: float, seed: int, forget: float, regularization: float):
+        self.grid, self.epsilon, self.forget = grid, epsilon, forget
+        self.rng = np.random.default_rng(seed)
+        self.P = np.eye(3) / regularization
+        self.weights = np.zeros(3)
+        self.updates = 0
+
+    def propose_action(self, level: float) -> float:
+        if self.rng.random() < self.epsilon:
+            return float(self.grid[self.rng.integers(len(self.grid))])
+        if self.updates == 0:
+            return float(self.grid[0])
+        rows = [np.array([level, action, 1.0]) for action in self.grid]
+        return float(self.grid[int(np.argmax([row @ self.P @ row for row in rows]))])
+
+    def observe(self, level: float, action: float, next_level: float) -> None:
+        row = np.array([level, action, 1.0])
+        self.P, self.weights = reference_rls_update(self.P, self.weights, row, next_level, self.forget)
+        self.updates += 1

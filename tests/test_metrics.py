@@ -13,6 +13,7 @@ from cpslearn.metrics import (
     LengthMismatch,
     MetricWarning,
     NonBinaryValue,
+    NonFiniteMetric,
     accuracy,
     f_beta,
     get_metric,
@@ -120,6 +121,28 @@ class TestRegressionMetrics:
             mae([1.0], [1.0, 2.0])
         with pytest.raises(EmptyInput):
             mse([], [])
+
+
+class TestNonFiniteMetrics:
+    @pytest.mark.parametrize("metric", [mse, r2])
+    def test_square_that_overflows_is_typed(self, metric):
+        """The errors are finite; their squares overflow, and ``** 2`` raises OverflowError."""
+        with pytest.raises(NonFiniteMetric, match=f"^{metric.__name__}: a squared error overflows"):
+            metric([0.0, 0.0], [1e200, -1e200])
+
+    @pytest.mark.parametrize("metric", [mae, mse, max_error, r2])
+    def test_infinite_error_is_typed(self, metric):
+        with pytest.raises(NonFiniteMetric, match=metric.__name__):
+            metric([-1.7e308, 1.7e308], [1.7e308, -1.7e308])
+
+    @pytest.mark.parametrize("metric", [mae, mse, r2])
+    def test_nan_is_typed(self, metric):
+        with pytest.raises(NonFiniteMetric, match=f"^{metric.__name__} is nan"):
+            metric([float("nan"), 0.0], [0.0, 1.0])
+
+    def test_large_finite_errors_are_values(self):
+        assert mae([0.0, 0.0], [1e200, -1e200]) == 1e200
+        assert max_error([0.0, 0.0], [1e200, -1e200]) == 1e200
 
 
 class TestClassificationMetrics:
