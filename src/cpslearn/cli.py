@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["tree", "linear", "incremental_linear"],
         default="tree",
     )
-    tank.add_argument("--max-depth", type=int, default=5, dest="max_depth")
+    tank.add_argument("--max-depth", type=int, default=None, dest="max_depth")
     tank.add_argument("--out", default=None, help="output directory (default '.')")
     tank.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     tank.set_defaults(func=_cmd_watertank)

@@ -309,18 +309,6 @@ def validate_config(cfg: dict) -> list[str]:
     return diags
 
 
-def build_environment(spec: dict) -> OfflineEnvironment:
-    """Build the environment that a config's ``environment`` entry describes.
-
-    Raises:
-        ConfigError: naming the offending field, if the entry is invalid.
-    """
-    diags: list[str] = []
-    _check_spec(diags, "environment", spec, ENVIRONMENT_KINDS)
-    _raise_first(diags)
-    return _build(spec, ENVIRONMENT_KINDS)
-
-
 class PipelineResult:
     """Everything a pipeline run produced."""
 

@@ -117,9 +117,10 @@ def _number_floats(values, allow_nan: bool) -> np.ndarray:
         if values.dtype.kind not in "biuf":
             raise ValueError(f"unsupported array dtype: {values.dtype}")
         return _floats(values, allow_nan)
-    booleans = {isinstance(v, (bool, np.bool_)) for v in values}  # {True, False}: a mix
-    if len(booleans) > 1 or not all(isinstance(v, _NUMBER_TYPES) for v in values):
-        raise ValueError("column values must be numbers, booleans, or numeric traces")
+    booleans = len(values) > 0 and isinstance(values[0], (bool, np.bool_))  # the first value decides
+    for v in values:
+        if not isinstance(v, _NUMBER_TYPES) or isinstance(v, (bool, np.bool_)) != booleans:
+            raise ValueError(f"column values must be numbers, booleans, or numeric traces, got {v!r}")
     return _floats(values, allow_nan)
 
 
@@ -252,27 +253,6 @@ class Dataset:
             [(n, self._columns[n].row_slice(start, stop)) for n in self._names],
             row_count=stop - start,
         )
-
-    @classmethod
-    def concat(cls, parts: Sequence["Dataset"]) -> "Dataset":
-        """Concatenate datasets row-wise; schemas must match exactly."""
-        if not parts:
-            raise ValueError("need at least one dataset to concatenate")
-        first = parts[0]
-        for other in parts[1:]:
-            if other.schema != first.schema:
-                raise ValueError("cannot concatenate datasets with differing schemas")
-        columns = []
-        for name in first.column_names:
-            if first.column_kind(name) is ColumnKind.LIST_FLOAT64:
-                cells = tuple(cell for p in parts for cell in p.column(name))
-                columns.append((name, Column(ColumnKind.LIST_FLOAT64, cells)))
-            else:
-                columns.append((name, np.concatenate([p.column(name) for p in parts])))
-        return cls(columns, row_count=sum(p.row_count for p in parts), allow_nan=True)
-
-    def __len__(self) -> int:
-        return self._row_count
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -434,16 +414,7 @@ def write_csv(dataset: Dataset, path, has_header: bool = True, delimiter: str = 
             writer.writerow([repr(col[i]) for col in columns])
 
 
-def _json_value_error(name: str, value) -> ParseError:
-    return ParseError(f"unsupported JSON value {value!r} in column {name!r}", column=name)
-
-
 def _json_column(name: str, values: list, allow_nan: bool) -> Column:
-    for v in values:
-        if v is None or isinstance(v, (str, dict)):
-            raise _json_value_error(name, v)
-        if isinstance(v, list) and any(not isinstance(e, (int, float)) or isinstance(e, bool) for e in v):
-            raise _json_value_error(name, v)
     try:
         return _as_column(values, allow_nan=allow_nan)
     except ValueError as exc:
@@ -455,8 +426,9 @@ def load_json(path, allow_nan: bool = False) -> Dataset:
 
     Two shapes are accepted: an array of flat objects with identical key
     sets, or a single object mapping column names to equal-length arrays.
-    Numbers and booleans (as 0.0 and 1.0) become float64 columns, and numeric
-    arrays nested inside a column become trace columns.
+    Numbers and booleans (as 0.0 and 1.0) become float64 columns, and arrays
+    nested inside a column become trace columns, each cell by the same rule:
+    numbers, or booleans, never the two mixed.
 
     Raises:
         FileNotFoundError: if the file does not exist.

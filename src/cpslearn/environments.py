@@ -39,9 +39,9 @@ class OfflineEnvironment:
     are applied, in attachment order, to every observation.
     """
 
-    def __init__(self, loader: Callable[[], Dataset], transforms: Transform | None = None):
+    def __init__(self, loader: Callable[[], Dataset]):
         self._loader = loader
-        self._chain = TransformChain() if transforms is None else transforms
+        self._chain = TransformChain()
         self._raw: Dataset | None = None
 
     @classmethod
@@ -58,7 +58,8 @@ class OfflineEnvironment:
 
     def with_transform(self, transform: Transform) -> "OfflineEnvironment":
         """Return a new environment with one more transform attached."""
-        env = OfflineEnvironment(self._loader, TransformChain([self._chain, transform]))
+        env = OfflineEnvironment(self._loader)
+        env._chain = TransformChain([self._chain, transform])
         env._raw = self._raw
         return env
 
@@ -249,17 +250,17 @@ class OdeEnvironment:
 
 
 class WaterTankActiveEnvironment(ActiveEnvironment):
-    """Interactive water tank: the action is the inflow level for a step.
+    """Interactive water tank: the action is the inflow level for a step, in [0, 1].
 
     The pending action persists across advances (zero-order hold) until a new
     one is submitted; before any action the default inflow 0 is used.
     """
 
     def __init__(self, system: WaterTankSystem | None = None, step_period: float = 0.1,
-                 substep: float = 1e-3, max_inflow: float = 1.0):
+                 substep: float = 1e-3):
         self._substeps, self._h = _substeps(step_period, substep, "step_period")
         self._system = system if system is not None else WaterTankSystem()
-        self._space = ActionSpace("V", 0.0, max_inflow)
+        self._space = ActionSpace("V", 0.0, 1.0)
         self._pending = 0.0
 
     @property

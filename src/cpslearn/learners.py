@@ -188,11 +188,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature is None
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
     def to_dict(self) -> dict:
         if self.is_leaf:
             return {"value": self.value, "samples": self.samples}

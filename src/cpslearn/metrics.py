@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 
 from .errors import PipelineError
@@ -36,6 +37,9 @@ class NonFiniteMetric(PipelineError):
 
 class MetricWarning(UserWarning):
     """Degenerate metric input handled by a documented convention."""
+
+
+_LARGEST_BETA = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
 
 
 def _check(predicted, actual) -> tuple[list[float], list[float]]:
@@ -102,7 +106,9 @@ def max_error(predicted, actual) -> float:
     p, a = _check(predicted, actual)
     worst = 0.0
     for pi, ai in zip(p, a):
-        worst = max(worst, abs(pi - ai))
+        error = abs(pi - ai)
+        if error > worst or error != error:  # a NaN error is kept: no later error compares above it
+            worst = error
     return worst
 
 
@@ -174,9 +180,13 @@ def recall(predicted, actual) -> float:
 
 
 def f_beta(predicted, actual, beta: float = 1.0) -> float:
-    """F-beta score; 0 when precision and recall are both 0."""
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    """F-beta score; 0 when precision and recall are both 0.
+
+    Raises:
+        ValueError: unless ``0 < beta <= sqrt(DBL_MAX)``, so that ``beta**2`` is a finite float.
+    """
+    if not 0.0 < beta <= _LARGEST_BETA:  # False for NaN too
+        raise ValueError(f"beta must be positive with a finite square, got {beta!r}")
     p, a = _check_binary(predicted, actual)
     tp, fp, fn, _ = _confusion(p, a)
     prec = _share(tp, tp + fp, "no predicted positives; precision set to 0")

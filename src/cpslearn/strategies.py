@@ -45,12 +45,6 @@ class EvaluationReport:
         if len(names) != len(set(names)):
             raise ValueError("metric names must be unique")
 
-    def metric(self, name: str) -> float:
-        for entry_name, value in self.entries:
-            if entry_name == name:
-                return value
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {
             "model": self.model_id,

@@ -37,6 +37,12 @@ def random_dataset(rng: np.random.Generator, rows: int, columns: int, prefix: st
     )
 
 
+def concat_rows(parts) -> Dataset:
+    """The rows of ``parts`` in order, as one dataset of their (shared, scalar) columns."""
+    names = parts[0].column_names
+    return Dataset([(name, np.concatenate([part.column(name) for part in parts])) for name in names])
+
+
 class StubServer:
     """Scriptable fake server for client-side fault injection."""
 

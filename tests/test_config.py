@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpslearn import OfflineEnvironment
 from cpslearn.config import (
-    ConfigError,
-    build_environment,
     run_config,
     validate_config,
     watertank_config,
@@ -240,12 +239,6 @@ def test_non_finite_numbers_are_diagnosed(path, value, expected):
     assert validate_config(cfg) == [expected]
 
 
-def test_build_environment_rejects_an_invalid_spec():
-    with pytest.raises(ConfigError) as info:
-        build_environment({"kind": "ode_watertank", "samples": 0})
-    assert info.value.field == "environment.samples"
-
-
 def test_csv_environment_skips_a_utf8_byte_order_mark(tmp_path):
     data = tmp_path / "export.csv"  # as spreadsheet programs write it
     data.write_text("\ufeffu,y\n" + "".join(f"{i},{2 * i + 1}\n" for i in range(40)), encoding="utf-8")
@@ -256,7 +249,7 @@ def test_csv_environment_skips_a_utf8_byte_order_mark(tmp_path):
         "learner": {"kind": "linear"},
         "metrics": ["mae"],
     }
-    assert build_environment(cfg["environment"]).observe().column_names == ("u", "y")
+    assert OfflineEnvironment.from_csv(data).observe().column_names == ("u", "y")
     assert run_config(cfg).report.to_dict()["metrics"]["mae"] < 1e-8
 
 

@@ -19,7 +19,7 @@ from cpslearn.dataset import (
     UnknownColumn,
 )
 from cpslearn.errors import PipelineError
-from conftest import DBL_MAX_INT
+from conftest import DBL_MAX_INT, concat_rows
 
 
 def test_load_csv_two_rows(tmp_path):
@@ -337,6 +337,22 @@ def test_load_json_numbers_and_booleans_become_floats(tmp_path):
     assert d.column("big").tolist() == [float(2**63), 1.0]
 
 
+def test_load_json_trace_cells_of_booleans_become_floats(tmp_path):
+    path = tmp_path / "b.json"
+    path.write_text('{"t": [[true, false], [1, 2]]}')
+    assert [cell.tolist() for cell in load_json(path).column("t")] == [[1.0, 0.0], [1.0, 2.0]]
+
+
+@pytest.mark.parametrize(
+    "text, shown", [('{"a": [1, null]}', "None"), ('{"t": [[1, "x"]]}', "'x'"), ('[{"t": [true, 1]}]', "1")]
+)
+def test_load_json_errors_name_the_first_offending_value(tmp_path, text, shown):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^column '[at]': .* numeric traces, got {shown}$"):
+        load_json(path)
+
+
 def test_load_json_rejects_strings(tmp_path):
     path = tmp_path / "s.json"
     path.write_text('[{"a":"x"}]')
@@ -436,7 +452,7 @@ def test_split_concat_round_trip(values, fraction):
     d = Dataset({"v": values})
     head, tail = d.split(fraction)
     assert head.row_count + tail.row_count == d.row_count
-    assert Dataset.concat([head, tail]) == d
+    assert concat_rows([head, tail]) == d
 
 
 def test_select_preserves_row_count(toy_series):
@@ -536,10 +552,3 @@ def test_columns_are_immutable():
     source = np.array([1.0, 2.0])
     Dataset({"a": source})
     source[0] = 99.0  # mutating the source array must not affect the dataset
-
-
-def test_concat_requires_matching_schema():
-    a = Dataset({"x": [1.0]})
-    b = Dataset({"y": [1.0]})
-    with pytest.raises(ValueError):
-        Dataset.concat([a, b])

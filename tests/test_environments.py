@@ -16,6 +16,7 @@ from cpslearn import (
     WaterTankSystem,
 )
 from cpslearn.environments import ActionOutOfRange, NonFiniteState, clipped_sine_inflow, zero_inflow
+from conftest import concat_rows
 
 
 def rk4_step(f, t: float, y: float, h: float) -> float:
@@ -107,7 +108,7 @@ class TestDatasetStream:
         rng = np.random.default_rng(5)
         d = Dataset({"a": rng.normal(size=23), "b": rng.normal(size=23)})
         batches = list(iter(DatasetStream(d, 7).next_batch, None))
-        assert Dataset.concat(batches) == d
+        assert concat_rows(batches) == d
 
     def test_batch_size_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Static checks of the package source: every import is used, every export exists, every
-``json.load`` / ``json.loads`` call sits in a try that catches RecursionError, and the
-incremental learner makes no BLAS call."""
+``json.load`` / ``json.loads`` call sits in a try that catches RecursionError, the
+incremental learner makes no BLAS call, and every public name has a caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -130,3 +130,71 @@ def test_incremental_learner_makes_no_blas_call():
 def test_blas_rule_sees_each_form():
     source = "def f(a, b):\n    a @ b\n    a.dot(b)\n    np.einsum('i,i', a, b)\n    np.linalg.solve(a, b)\n"
     assert [what for _, what in blas_uses(ast.parse(source))] == ["@", "dot", "einsum", "linalg"]
+
+
+# Library names with no library caller, each with the reason it stays.
+TEST_ONLY = {
+    "OfflineEnvironment.with_transform": "acceptance criterion 7 pins transforms attached to an environment",
+}
+ROOT = Path(__file__).resolve().parents[1]
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def public_definitions(tree: ast.Module, exported):
+    """(qualified name, definition) of each public method of a public class, and of each
+    public module-level function whose name is not in ``exported``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+        elif isinstance(node, FUNCTIONS) and not node.name.startswith("_") and node.name not in exported:
+            yield node.name, node
+
+
+def reads(node: ast.AST, inside: tuple = ()):
+    """(name, read as an attribute, enclosing definitions) for each name or attribute read under ``node``."""
+    if isinstance(node, FUNCTIONS):
+        inside = (*inside, node)
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr, True, inside
+    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id, False, inside
+    for child in ast.iter_child_nodes(node):
+        yield from reads(child, inside)
+
+
+def uncalled(definitions, sources) -> list[str]:
+    """The qualified names in ``definitions`` that no source reads outside their own definition:
+    a method counts only when read as an attribute, a function when read either way."""
+    index: dict[str, list] = {}
+    for tree in sources:
+        for name, attribute, inside in reads(tree):
+            index.setdefault(name, []).append((attribute, inside))
+    return sorted(
+        qualified for qualified, node in definitions
+        if not any((attribute or "." not in qualified) and node not in inside
+                   for attribute, inside in index.get(node.name, ()))
+    )
+
+
+def test_every_public_name_has_a_library_caller():
+    library = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    callers = sorted({*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")}
+                     - {ROOT / "perfbench" / "test_smoke.py"})
+    sources = library + [ast.parse(path.read_text(encoding="utf-8")) for path in callers]
+    definitions = [pair for tree in library for pair in public_definitions(tree, cpslearn.__all__)]
+    assert uncalled(definitions, sources) == sorted(TEST_ONLY)
+
+
+def test_caller_rule_sees_each_form():
+    source = (
+        "class A:\n    def read(self): ...\n    def recursive(self): self.recursive()\n"
+        "    def by_name(self): ...\n\n"
+        "def used(): ...\ndef via_module(): ...\ndef exported(): ...\ndef unused(): ...\n\n"
+        "A().read()\nused()\nmodule.via_module()\nby_name\n"
+    )
+    tree = ast.parse(source)
+    definitions = list(public_definitions(tree, ["exported"]))
+    assert [name for name, _ in definitions] == ["A.read", "A.recursive", "A.by_name", "used", "via_module", "unused"]
+    assert uncalled(definitions, [tree]) == ["A.by_name", "A.recursive", "unused"]

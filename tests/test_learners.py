@@ -104,6 +104,11 @@ def assert_tree_matches_reference(matrix: np.ndarray, y: np.ndarray, max_depth: 
     assert json.dumps(fitted["params"]["root"]) == json.dumps(expected)
 
 
+def tree_depth(node) -> int:
+    """The number of splits on the longest path from ``node`` to a leaf."""
+    return 0 if node.is_leaf else 1 + max(tree_depth(node.left), tree_depth(node.right))
+
+
 @st.composite
 def split_problems(draw):
     """A node's (matrix, y, min_samples_leaf) with ties, constants and offsets."""
@@ -286,7 +291,7 @@ class TestRegressionTree:
             if n < 2 * min_leaf:
                 continue
             model = fit_tree(inputs, Dataset({"y": y_values}), max_depth, min_leaf)
-            assert model.root.depth() <= max_depth
+            assert tree_depth(model.root) <= max_depth
             leaves = []
             stack = [model.root]
             while stack:
@@ -681,7 +686,7 @@ class TestMalformedModelDocuments:
 
     def test_deep_but_loadable_tree_still_loads(self):
         model = model_from_dict(deep_tree_doc(200))
-        assert model.root.depth() == 200
+        assert tree_depth(model.root) == 200
         predicted = model.predict(Dataset({"c0": [-1.0, 1.0], "c1": [0.0, 0.0]})).column("y")
         assert predicted.tolist() == [0.0, 1.0]
 

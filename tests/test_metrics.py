@@ -135,10 +135,14 @@ class TestNonFiniteMetrics:
         with pytest.raises(NonFiniteMetric, match=metric.__name__):
             metric([-1.7e308, 1.7e308], [1.7e308, -1.7e308])
 
-    @pytest.mark.parametrize("metric", [mae, mse, r2])
+    @pytest.mark.parametrize("metric", [mae, mse, max_error, r2])
     def test_nan_is_typed(self, metric):
         with pytest.raises(NonFiniteMetric, match=f"^{metric.__name__} is nan"):
             metric([float("nan"), 0.0], [0.0, 1.0])
+
+    def test_nan_after_a_larger_error_is_typed(self):
+        with pytest.raises(NonFiniteMetric, match="^max_error is nan"):
+            max_error([5.0, float("nan"), 0.0], [0.0, 1.0, 2.0])
 
     def test_large_finite_errors_are_values(self):
         assert mae([0.0, 0.0], [1e200, -1e200]) == 1e200
@@ -175,6 +179,17 @@ class TestClassificationMetrics:
     def test_beta_validation(self):
         with pytest.raises(ValueError):
             f_beta([1.0], [1.0], beta=0.0)
+
+    @pytest.mark.parametrize(
+        "beta", [float("inf"), float("nan"), 1e200, math.nextafter(math.sqrt(sys.float_info.max), math.inf)]
+    )
+    def test_beta_must_have_a_finite_square(self, beta):
+        with pytest.raises(ValueError, match="^beta must be positive with a finite square"):
+            f_beta([1.0], [1.0], beta=beta)
+
+    def test_largest_beta_has_a_value(self):
+        beta = math.sqrt(sys.float_info.max)
+        assert f_beta([1.0, 0.0], [1.0, 1.0], beta=beta) == ref_f_beta([1.0, 0.0], [1.0, 1.0], beta)
 
 
 class TestOracleEquivalence:
