@@ -113,7 +113,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PipelineError, OSError, ValueError) as exc:
+    except (PipelineError, OSError, ValueError, MemoryError) as exc:
         return _emit_error(exc)
 
 

@@ -37,7 +37,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import remote
-from .environments import DatasetStream, OdeEnvironment, OfflineEnvironment, WaterTankSystem
+from .environments import DatasetStream, OdeEnvironment, OfflineEnvironment, WaterTankSystem, _substeps
 from .errors import PipelineError
 from .learners import (
     MODEL_FILE_SUFFIX,
@@ -230,6 +230,20 @@ def _check_spec(diags: list[str], field: str, spec, table: dict) -> None:
             diags.append(f"{field}.{key}: {problem}")
 
 
+def _check_step_count(diags: list[str], spec) -> None:
+    """Append the diagnostic of an ``ode_watertank`` spec whose valid dt and substep
+    give no finite number of RK4 steps per sample, as ``substep=1e-320`` does."""
+    if not isinstance(spec, dict) or spec.get("kind") != "ode_watertank":
+        return
+    params = ENVIRONMENT_KINDS["ode_watertank"][1]
+    dt, substep = (spec.get(key, params[key][1]) for key in ("dt", "substep"))
+    if _positive(dt) is None and _positive(substep) is None:
+        try:
+            _substeps(dt, substep, "dt")
+        except ValueError as exc:
+            diags.append(f"environment.substep: {exc}")
+
+
 def _build(spec: dict, table: dict, *args):
     """Construct a validated spec's kind from ``table``, filling in the defaults."""
     factory, params = table[spec["kind"]]
@@ -280,6 +294,7 @@ def validate_config(cfg: dict) -> list[str]:
 
     if "environment" in cfg:
         _check_spec(diags, "environment", cfg["environment"], ENVIRONMENT_KINDS)
+        _check_step_count(diags, cfg["environment"])
     transforms = cfg.get("transforms", [])
     if not isinstance(transforms, list):
         diags.append("transforms: must be a list")

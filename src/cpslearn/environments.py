@@ -139,9 +139,20 @@ class ActiveEnvironment(abc.ABC):
         """Return the current observation as a single-row dataset."""
 
 
+_TWO_PI = 2.0 * math.pi
+_sin = math.sin
+
+
 def clipped_sine_inflow(t: float) -> float:
-    """Default benchmark inflow: a sine wave of period 10 s, clipped at 0."""
-    return max(0.0, math.sin(2.0 * math.pi * t / 10.0))
+    """Default benchmark inflow: a sine wave of period 10 s, clipped at 0.
+
+    Returns ``max(0.0, sin(2.0 * pi * t / 10.0))``, the same double for every ``t``:
+    ``_TWO_PI`` is the double ``2.0 * math.pi``, the product and quotient are taken
+    left to right as written, and ``s if s > 0.0 else 0.0`` is ``max(0.0, s)``, giving
+    0.0 for -0.0 and NaN too. For ``t`` = +-inf, ``sin`` raises ValueError.
+    """
+    s = _sin(_TWO_PI * t / 10.0)
+    return s if s > 0.0 else 0.0
 
 
 def zero_inflow(t: float) -> float:
@@ -164,6 +175,8 @@ class WaterTankSystem:
         outflow_coeff: scaling of the square-root outflow term.
         inflow_gain: scaling of the inflow term.
         inflow: inflow signal, a pure function of time; called once per distinct time point.
+            The default, :func:`clipped_sine_inflow`, is ``max(0.0, sin(2.0 * pi * t / 10.0))``
+            bit for bit.
     """
 
     level: float = 1.0
@@ -184,6 +197,8 @@ def _substeps(period: float, substep: float, name: str) -> tuple[int, float]:
         raise ValueError(f"{name} must be positive, got {period}")
     if substep <= 0:
         raise ValueError(f"substep must be positive, got {substep}")
+    if not math.isfinite(period / substep):
+        raise ValueError(f"substep {substep!r} is too small: {name} / substep is not finite")
     steps = max(1, round(period / substep))
     return steps, period / steps
 

@@ -1,8 +1,10 @@
 """Scalar regression and classification metrics.
 
-All reductions accumulate left to right over plain floats, so every metric
-reproduces a straightforward reference loop bit for bit. A regression metric
-whose value is not finite raises :class:`NonFiniteMetric`.
+Every metric works on float64 arrays. The regression sums run left to right
+(``np.add.accumulate``) and squares go through C ``pow`` (``np.float_power``),
+so every metric reproduces a straightforward reference loop over Python floats
+bit for bit. A regression metric whose value is not finite raises
+:class:`NonFiniteMetric`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import functools
 import math
 import sys
 import warnings
+
+import numpy as np
 
 from .errors import PipelineError
 
@@ -32,7 +36,7 @@ class NonBinaryValue(PipelineError):
 
 
 class NonFiniteMetric(PipelineError):
-    """A regression metric is not finite: the errors or their squares overflow float64."""
+    """A regression metric is not finite: an input is NaN or infinite, or errors or squares overflow."""
 
 
 class MetricWarning(UserWarning):
@@ -42,112 +46,114 @@ class MetricWarning(UserWarning):
 _LARGEST_BETA = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
 
 
-def _check(predicted, actual) -> tuple[list[float], list[float]]:
-    p = [float(v) for v in predicted]
-    a = [float(v) for v in actual]
+def _floats(values) -> np.ndarray:
+    """``values`` as a 1-D float64 array; anything but such an array converts through ``float()``."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
+        return values
+    return np.array([float(v) for v in values], dtype=np.float64)
+
+
+def _check(predicted, actual) -> tuple[np.ndarray, np.ndarray]:
+    p, a = _floats(predicted), _floats(actual)
     if len(p) != len(a):
         raise LengthMismatch(f"{len(p)} predicted vs {len(a)} actual values")
-    if not p:
+    if not len(p):
         raise EmptyInput("metrics are undefined on empty inputs")
     return p, a
 
 
-def _check_binary(predicted, actual) -> tuple[list[float], list[float]]:
+def _check_binary(predicted, actual) -> tuple[np.ndarray, np.ndarray]:
     p, a = _check(predicted, actual)
-    for v in p + a:
-        if v != 0.0 and v != 1.0:
-            raise NonBinaryValue(f"expected 0 or 1, got {v}")
+    values = np.concatenate((p, a))
+    bad = np.flatnonzero((values != 0.0) & (values != 1.0))
+    if len(bad):
+        raise NonBinaryValue(f"expected 0 or 1, got {float(values[bad[0]])}")
     return p, a
 
 
-def _finite(metric):
-    """``metric``, raising NonFiniteMetric where its value is not finite.
+def _sum(values: np.ndarray) -> float:
+    """The sum of ``values`` added left to right, as a loop over Python floats adds them."""
+    return float(np.add.accumulate(values)[-1])
 
-    A float ``** 2`` that overflows raises OverflowError instead of giving
-    inf; that too becomes NonFiniteMetric.
+
+def _square(values: np.ndarray) -> np.ndarray:
+    """``v ** 2`` of each value by C ``pow``, as a float's ``** 2``. Where that raises
+    OverflowError, on a finite value whose square overflows, this raises FloatingPointError."""
+    with np.errstate(over="raise"):
+        return np.float_power(values, 2.0)
+
+
+def _non_finite_cause(p: np.ndarray, a: np.ndarray) -> str:
+    for check, cause in ((np.isnan, "an input is NaN"), (np.isinf, "an input is infinite")):
+        if check(p).any() or check(a).any():
+            return cause
+    return "the errors overflow float64"
+
+
+def _finite(metric):
+    """``metric`` on the checked float64 arrays, raising NonFiniteMetric where its value
+    is not finite.
+
+    A square that overflows raises FloatingPointError (as a float's ``** 2``
+    raises OverflowError) instead of giving inf; that too becomes NonFiniteMetric.
     """
 
     @functools.wraps(metric)
     def checked(predicted, actual) -> float:
+        p, a = _check(predicted, actual)
         try:
-            value = metric(predicted, actual)
-        except OverflowError:
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are worded below
+                value = metric(p, a)
+        except FloatingPointError:
             raise NonFiniteMetric(f"{metric.__name__}: a squared error overflows float64") from None
         if not math.isfinite(value):
-            raise NonFiniteMetric(f"{metric.__name__} is {value!r}: the errors overflow float64")
+            raise NonFiniteMetric(f"{metric.__name__} is {value!r}: {_non_finite_cause(p, a)}")
         return value
 
     return checked
 
 
 @_finite
-def mae(predicted, actual) -> float:
+def mae(predicted: np.ndarray, actual: np.ndarray) -> float:
     """Mean absolute error."""
-    p, a = _check(predicted, actual)
-    total = 0.0
-    for pi, ai in zip(p, a):
-        total += abs(pi - ai)
-    return total / len(p)
+    return _sum(np.abs(predicted - actual)) / len(predicted)
 
 
 @_finite
-def mse(predicted, actual) -> float:
+def mse(predicted: np.ndarray, actual: np.ndarray) -> float:
     """Mean squared error."""
-    p, a = _check(predicted, actual)
-    total = 0.0
-    for pi, ai in zip(p, a):
-        total += (pi - ai) ** 2
-    return total / len(p)
+    return _sum(_square(predicted - actual)) / len(predicted)
 
 
 @_finite
-def max_error(predicted, actual) -> float:
+def max_error(predicted: np.ndarray, actual: np.ndarray) -> float:
     """Largest absolute error."""
-    p, a = _check(predicted, actual)
-    worst = 0.0
-    for pi, ai in zip(p, a):
-        error = abs(pi - ai)
-        if error > worst or error != error:  # a NaN error is kept: no later error compares above it
-            worst = error
-    return worst
+    return float(np.abs(predicted - actual).max())
 
 
 @_finite
-def r2(predicted, actual) -> float:
+def r2(predicted: np.ndarray, actual: np.ndarray) -> float:
     """Coefficient of determination.
 
     Constant actuals leave R2 undefined: returns 1.0 only when predictions
     match them exactly, otherwise raises ConstantActuals.
     """
-    p, a = _check(predicted, actual)
-    if all(v == a[0] for v in a):
-        if all(pi == ai for pi, ai in zip(p, a)):
+    if (actual == actual[0]).all():
+        if (predicted == actual).all():
             return 1.0
         raise ConstantActuals("actuals are constant; R2 is undefined")
-    total = 0.0
-    for ai in a:
-        total += ai
-    mean = total / len(a)
-    ss_res = 0.0
-    ss_tot = 0.0
-    for pi, ai in zip(p, a):
-        ss_res += (ai - pi) ** 2
-        ss_tot += (ai - mean) ** 2
+    mean = _sum(actual) / len(actual)
+    ss_res = _sum(_square(actual - predicted))
+    ss_tot = _sum(_square(actual - mean))
     return 1.0 - ss_res / ss_tot
 
 
-def _confusion(p: list[float], a: list[float]) -> tuple[int, int, int, int]:
-    tp = fp = fn = tn = 0
-    for pi, ai in zip(p, a):
-        if pi == 1.0 and ai == 1.0:
-            tp += 1
-        elif pi == 1.0:
-            fp += 1
-        elif ai == 1.0:
-            fn += 1
-        else:
-            tn += 1
-    return tp, fp, fn, tn
+def _confusion(p: np.ndarray, a: np.ndarray) -> tuple[int, int, int, int]:
+    positive, actual = p == 1.0, a == 1.0
+    tp = int(np.count_nonzero(positive & actual))
+    fp = int(np.count_nonzero(positive)) - tp
+    fn = int(np.count_nonzero(actual)) - tp
+    return tp, fp, fn, len(p) - tp - fp - fn
 
 
 def _share(hits: int, total: int, degenerate: str) -> float:

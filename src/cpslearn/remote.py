@@ -455,11 +455,12 @@ class _SessionHandler(socketserver.BaseRequestHandler):
             except (PipelineError, ValueError, KeyError, TypeError) as exc:
                 response, stop = {"kind": "error", "message": str(exc)}, False
             self._send(response)
-            if stop:
+            if stop:  # end the serve loop only once the ack is sent: the process may exit then
+                threading.Thread(target=self.server.shutdown, daemon=True).start()
                 return
 
     def _dispatch(self, owner, message):
-        """The response to one request, and whether the session ends after it."""
+        """The response to one request, and whether the server shuts down after it."""
         kind = message.get("kind")
         if kind == "hello":
             version = message.get("version")
@@ -488,7 +489,6 @@ class _SessionHandler(socketserver.BaseRequestHandler):
             model = self._lookup(message)
             return {"kind": "saved", "model": message["model"], "data": model.to_dict()}, False
         if kind == "shutdown":
-            threading.Thread(target=self.server.shutdown, daemon=True).start()
             return {"kind": "shutdown_ack"}, True
         raise ValueError(f"unknown request kind: {kind!r}")
 

@@ -368,6 +368,29 @@ class TestErrorRecords:
         assert record["message"] == "mse: a squared error overflows float64"
         assert not (tmp_path / "out").exists()
 
+    def test_tiny_substep_is_one_record(self, tmp_path, capsys):
+        cfg = watertank_config()
+        cfg["environment"]["substep"] = 1e-320
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        record = self.one_record(capsys)
+        assert (record["error"], record["field"]) == ("ConfigError", "environment.substep")
+        assert "dt / substep is not finite" in record["message"]
+
+    def test_memory_error_is_one_record(self, tmp_path, capsys, monkeypatch):
+        """An oversized ``samples`` makes numpy raise a MemoryError subclass; nothing is allocated here."""
+
+        def exhausted(cfg, seed_override=None):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr("cpslearn.config.run_config", exhausted)
+        assert main(["watertank", "--out", str(tmp_path / "out")]) == 1
+        record = self.one_record(capsys)
+        assert (record["error"], record["module"]) == ("MemoryError", "builtins")
+        assert record["message"] == "Unable to allocate 7.28 TiB for an array"
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def one_record(capsys) -> dict:
         lines = capsys.readouterr().err.splitlines()

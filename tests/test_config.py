@@ -109,6 +109,10 @@ GOLDEN = [
     ("tank-dt-zero", ("environment", "dt"), 0, ["environment.dt: must be a positive number"]),
     ("tank-substep-negative", ("environment", "substep"), -1e-3,
      ["environment.substep: must be a positive number"]),
+    ("tank-substep-tiny", ("environment", "substep"), 1e-320,
+     ["environment.substep: substep 1e-320 is too small: dt / substep is not finite"]),
+    ("tank-dt-huge", ("environment", "dt"), 1e306,
+     ["environment.substep: substep 0.001 is too small: dt / substep is not finite"]),
     ("tank-area-string", ("environment", "area"), "5", ["environment.area: must be a positive number"]),
     ("tank-initial-level-string", ("environment", "initial_level"), "1",
      ["environment.initial_level: must be a number"]),
@@ -262,7 +266,7 @@ config_paths = st.sampled_from(
     [
         ("schema_version",), ("seed",), ("output_dir",), ("environment",), ("transforms",),
         ("io",), ("split_fraction",), ("learner",), ("metrics",), ("environment", "kind"),
-        ("environment", "samples"), ("transforms", 0), ("transforms", 0, "kind"),
+        ("environment", "samples"), ("environment", "dt"), ("environment", "substep"), ("transforms", 0), ("transforms", 0, "kind"),
         ("transforms", 0, "window_size"), ("io", "inputs"), ("io", "outputs"),
         ("learner", "kind"), ("learner", "max_depth"), ("metrics", 0),
     ]

@@ -1,4 +1,6 @@
 import math
+import struct
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -28,10 +30,20 @@ def rk4_step(f, t: float, y: float, h: float) -> float:
     return y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
+def reference_clipped_sine_inflow(t: float) -> float:
+    """The default inflow as ``WaterTankSystem`` documents it, in one expression."""
+    return max(0.0, math.sin(2.0 * math.pi * t / 10.0))
+
+
+def reference_inflow(system: WaterTankSystem):
+    """``system.inflow``, with the default inflow replaced by its reference body."""
+    return reference_clipped_sine_inflow if system.inflow is clipped_sine_inflow else system.inflow
+
+
 def tank_rate(system: WaterTankSystem, t: float, level: float) -> float:
     """Time derivative of the fill level at (t, level), as ``WaterTankSystem`` describes it."""
     outflow = system.outflow_coeff * math.sqrt(max(level, 0.0))
-    return (system.inflow_gain * system.inflow(t) - outflow) / system.area
+    return (system.inflow_gain * reference_inflow(system)(t) - outflow) / system.area
 
 
 def reference_step(system: WaterTankSystem, dt: float) -> WaterTankSystem:
@@ -52,7 +64,7 @@ def reference_sample_trajectory(system: WaterTankSystem, sample_period: float, s
     for i in range(n):
         t_i = t0 + i * sample_period
         system = replace(system, time=t_i)
-        times[i], inflows[i], levels[i] = t_i, system.inflow(t_i), system.level
+        times[i], inflows[i], levels[i] = t_i, reference_inflow(system)(t_i), system.level
         if i + 1 < n:
             for _ in range(substeps):
                 system = reference_step(system, h)
@@ -150,6 +162,39 @@ class TestWaterTankSystem:
             WaterTankSystem(area=0.0)
 
 
+def inflow_outcome(inflow, t: float):
+    """The bits of ``inflow(t)``, or the type and message of the ValueError it raises."""
+    try:
+        return struct.pack("<d", inflow(t))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestClippedSineInflow:
+    """The default inflow returns the reference body's double for every ``t``."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(t=st.floats())
+    def test_same_bits_as_reference(self, t):
+        assert inflow_outcome(clipped_sine_inflow, t) == inflow_outcome(reference_clipped_sine_inflow, t)
+
+    @pytest.mark.parametrize("t", [
+        0.0, -0.0, 5e-324, -5e-324, sys.float_info.min / 2.0, -sys.float_info.min / 3.0,
+        math.nan, -math.nan, 2.5, 5.0, 7.5, 10.0, 1e22, -1e22, 1e300, 1e307, -1e307,
+        sys.float_info.max, -sys.float_info.max,
+    ])
+    def test_edge_values_match_reference(self, t):
+        assert inflow_outcome(clipped_sine_inflow, t) == inflow_outcome(reference_clipped_sine_inflow, t)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
+    def test_infinite_time_raises_like_reference(self, t):
+        with pytest.raises(ValueError) as want:
+            reference_clipped_sine_inflow(t)
+        with pytest.raises(ValueError) as got:
+            clipped_sine_inflow(t)
+        assert str(got.value) == str(want.value)
+
+
 class TestOdeEnvironment:
     def test_trajectory_shape_and_initial_row(self, tank_trajectory):
         assert tank_trajectory.row_count == 250
@@ -203,6 +248,11 @@ class TestOdeEnvironment:
             env.sample_trajectory(0)
         with pytest.raises(ValueError):
             OdeEnvironment(WaterTankSystem(), sample_period=0.0)
+
+    @pytest.mark.parametrize("sample_period, substep", [(0.1, 1e-320), (1e306, 1e-3)])
+    def test_step_count_must_be_finite(self, sample_period, substep):
+        with pytest.raises(ValueError, match="sample_period / substep is not finite"):
+            OdeEnvironment(WaterTankSystem(), sample_period=sample_period, substep=substep)
 
 
 class TestWaterTankActiveEnvironment:
@@ -258,6 +308,11 @@ class TestWaterTankActiveEnvironment:
     def test_substep_must_be_positive(self, substep):
         with pytest.raises(ValueError, match="substep must be positive"):
             WaterTankActiveEnvironment(substep=substep)
+
+    @pytest.mark.parametrize("step_period, substep", [(0.1, 1e-320), (1e306, 1e-3)])
+    def test_step_count_must_be_finite(self, step_period, substep):
+        with pytest.raises(ValueError, match="step_period / substep is not finite"):
+            WaterTankActiveEnvironment(step_period=step_period, substep=substep)
 
 
 PAPER_TANK = {"level": 1.0, "area": 5.0, "outflow_coeff": 0.5, "inflow_gain": 2.0}

@@ -140,6 +140,26 @@ class TestNonFiniteMetrics:
         with pytest.raises(NonFiniteMetric, match=f"^{metric.__name__} is nan"):
             metric([float("nan"), 0.0], [0.0, 1.0])
 
+    @pytest.mark.parametrize("metric", [mae, mse, max_error, r2])
+    @pytest.mark.parametrize("predicted, actual", [
+        ([float("nan"), 0.0], [0.0, 1.0]),
+        ([0.0, 1.0], [2.0, float("nan")]),
+        ([float("inf"), float("nan")], [0.0, 1.0]),
+    ])
+    def test_nan_input_is_worded_as_nan(self, metric, predicted, actual):
+        with pytest.raises(NonFiniteMetric, match=f"^{metric.__name__} is nan: an input is NaN$"):
+            metric(predicted, actual)
+
+    @pytest.mark.parametrize("metric", [mae, mse, max_error])
+    def test_infinite_input_is_worded_as_infinite(self, metric):
+        with pytest.raises(NonFiniteMetric, match=f"^{metric.__name__} is inf: an input is infinite$"):
+            metric([float("inf"), 0.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("metric", [mae, max_error])
+    def test_finite_inputs_that_overflow_are_worded_as_overflow(self, metric):
+        with pytest.raises(NonFiniteMetric, match=f"^{metric.__name__} is inf: the errors overflow float64$"):
+            metric([-1.7e308, 1.7e308], [1.7e308, -1.7e308])
+
     def test_nan_after_a_larger_error_is_typed(self):
         with pytest.raises(NonFiniteMetric, match="^max_error is nan"):
             max_error([5.0, float("nan"), 0.0], [0.0, 1.0, 2.0])
@@ -218,6 +238,19 @@ class TestOracleEquivalence:
                 assert precision(p, a) == ref_precision(p, a)
                 assert recall(p, a) == ref_recall(p, a)
                 assert f_beta(p, a, beta) == ref_f_beta(p, a, beta)
+
+
+class TestArrayInputs:
+    def test_float64_arrays_match_the_loops_bit_for_bit(self):
+        """Columns reach the metrics as float64 arrays, longer than the oracle's lists."""
+        rng = np.random.default_rng(75)
+        for n in (1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 1000, 5000):
+            p, a = rng.uniform(-100.0, 100.0, size=n), rng.uniform(-100.0, 100.0, size=n)
+            pairs = [(mae, ref_mae), (mse, ref_mse), (max_error, ref_max_error)]
+            for metric, ref in pairs + ([(r2, ref_r2)] if n >= 2 else []):
+                value = metric(p, a)
+                assert type(value) is float
+                assert value == ref(p.tolist(), a.tolist()), (metric.__name__, n)
 
 
 class TestProperties:

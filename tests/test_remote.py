@@ -897,6 +897,32 @@ class TestLifecycle:
         with pytest.raises(ConnectFailed):
             connect(server.address, timeout=1.0)
 
+    def test_serve_loop_ends_only_after_the_shutdown_ack_is_sent(self, monkeypatch):
+        """Once its serve loop ends, ``cpslearn serve-learner`` exits and its daemon session
+        threads die with it, so the ack must be sent before the loop is told to end."""
+        events = []
+        send, shutdown = remote._SessionHandler._send, remote._TcpServer.shutdown
+
+        def slow_send(handler, payload):
+            time.sleep(0.2)
+            send(handler, payload)
+            events.append(payload["kind"])
+
+        def recorded_shutdown(tcp):
+            events.append("shutdown")
+            shutdown(tcp)
+
+        monkeypatch.setattr(remote._SessionHandler, "_send", slow_send)
+        monkeypatch.setattr(remote._TcpServer, "shutdown", recorded_shutdown)
+        server = LearnerServer().start()
+        with connect(server.address, timeout=5.0) as session:
+            session.shutdown_server()
+        deadline = time.monotonic() + 5.0
+        while "shutdown" not in events and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert events == ["hello_ack", "shutdown_ack", "shutdown"]
+        server.stop()
+
     def test_stop_without_start_returns_and_closes(self):
         server = LearnerServer()
         stopper = threading.Thread(target=server.stop, daemon=True)
