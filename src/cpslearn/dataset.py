@@ -394,8 +394,9 @@ def load_csv(
     return Dataset(list(zip(names, parsed)), allow_nan=allow_nan)
 
 
-def write_csv(dataset: Dataset, path, has_header: bool = True, delimiter: str = ",") -> None:
-    """Write a Dataset to CSV.
+def write_csv(dataset: Dataset, path) -> None:
+    """Write a Dataset to CSV: a header row of column names, then one
+    comma-separated row per dataset row.
 
     Every value is written as ``repr(float(v))``, its shortest round-trippable
     decimal representation, so ``load_csv(write_csv(d))`` reproduces the
@@ -407,9 +408,8 @@ def write_csv(dataset: Dataset, path, has_header: bool = True, delimiter: str = 
 
     columns = [dataset.column(n).tolist() for n in dataset.column_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        if has_header:
-            writer.writerow(dataset.column_names)
+        writer = csv.writer(fh)
+        writer.writerow(dataset.column_names)
         for i in range(dataset.row_count):
             writer.writerow([repr(col[i]) for col in columns])
 

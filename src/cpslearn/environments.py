@@ -267,14 +267,14 @@ class OdeEnvironment:
 class WaterTankActiveEnvironment(ActiveEnvironment):
     """Interactive water tank: the action is the inflow level for a step, in [0, 1].
 
-    The pending action persists across advances (zero-order hold) until a new
-    one is submitted; before any action the default inflow 0 is used.
+    The tank starts as ``WaterTankSystem()``. The pending action persists
+    across advances (zero-order hold) until a new one is submitted; before any
+    action the default inflow 0 is used.
     """
 
-    def __init__(self, system: WaterTankSystem | None = None, step_period: float = 0.1,
-                 substep: float = 1e-3):
+    def __init__(self, step_period: float = 0.1, substep: float = 1e-3):
         self._substeps, self._h = _substeps(step_period, substep, "step_period")
-        self._system = system if system is not None else WaterTankSystem()
+        self._system = WaterTankSystem()
         self._space = ActionSpace("V", 0.0, 1.0)
         self._pending = 0.0
 

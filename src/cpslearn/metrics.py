@@ -136,7 +136,9 @@ def r2(predicted: np.ndarray, actual: np.ndarray) -> float:
     """Coefficient of determination.
 
     Constant actuals leave R2 undefined: returns 1.0 only when predictions
-    match them exactly, otherwise raises ConstantActuals.
+    match them exactly, otherwise raises ConstantActuals. Actuals that differ
+    but whose squared deviations from their mean all underflow to 0 leave it
+    undefined too, whatever the residuals: that raises NonFiniteMetric.
     """
     if (actual == actual[0]).all():
         if (predicted == actual).all():
@@ -145,6 +147,8 @@ def r2(predicted: np.ndarray, actual: np.ndarray) -> float:
     mean = _sum(actual) / len(actual)
     ss_res = _sum(_square(actual - predicted))
     ss_tot = _sum(_square(actual - mean))
+    if ss_tot == 0.0:
+        raise NonFiniteMetric("r2: the squared deviations of the actuals underflow to 0; R2 is undefined")
     return 1.0 - ss_res / ss_tot
 
 

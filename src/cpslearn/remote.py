@@ -5,8 +5,7 @@ terminated by LF. Every request receives exactly one response, in order.
 
 Requests::
 
-    {"kind": "hello", "version": 1, "max_frame": <bytes, optional>,
-     "encodings": ["json", "f64le-b64"] <optional>}
+    {"kind": "hello", "version": 2, "max_frame": <bytes, optional>}
     {"kind": "fit", "inputs": {col: <column>}, "outputs": {col: <column>}}
     {"kind": "predict", "model": "<id>", "inputs": {col: <column>}}
     {"kind": "save", "model": "<id>"}
@@ -14,35 +13,22 @@ Requests::
 
 Responses::
 
-    {"kind": "hello_ack", "version": 1, "max_frame": <negotiated>,
-     "encoding": "<picked>" <only if the hello offered encodings>}
+    {"kind": "hello_ack", "version": 2, "max_frame": <negotiated>}
     {"kind": "fit_ack", "model": "<id>"}
     {"kind": "prediction", "outputs": {col: <column>}}
     {"kind": "saved", "model": "<id>", "data": {...serialized model...}}
     {"kind": "shutdown_ack"}
     {"kind": "error", "message": "..."}
 
-A ``<column>`` travels in the session's column encoding, which the last
-successful hello sets:
-
-- ``json``, the default and the only one for a peer that offers no
-  ``encodings``: an array of JSON numbers. Floats are serialized with their
-  shortest round-trippable decimal form; values must be JSON numbers
-  (``true`` or ``"1e3"`` are refused), and literals too large for a double
-  are refused.
-- ``f64le-b64``: one string, the canonical base64 (RFC 4648, padded) of the
-  column's little-endian IEEE 754 float64 bytes, as in numpy's ``.npy``
-  format. It is bit-exact by construction. A non-string column, invalid or
-  non-canonical base64 and a byte length that is not a multiple of 8 are
-  refused.
-
-``encodings`` must be an array of strings; the server picks ``f64le-b64``
-when it is offered, else ``json``, and answers an error when it knows
-neither. The client refuses a ``hello_ack`` whose ``encoding`` it did not
-offer. In either encoding NaN and infinities are rejected on both ends, and
-the columns of one object must have equal lengths. The frame limit (default
-64 MiB per line) is negotiated down to the smaller of the two peers' limits
-during hello; it must be a JSON integer of at least ``MIN_FRAME`` bytes.
+A ``<column>`` is one string: the canonical base64 (RFC 4648, padded) of the
+column's little-endian IEEE 754 float64 bytes, as in numpy's ``.npy``
+format. It is bit-exact by construction. A non-string column, invalid or
+non-canonical base64, a byte length that is not a multiple of 8, NaN and
+infinities are refused on both ends, and the columns of one object must have
+equal lengths. A version-1 peer, whose columns are arrays of JSON numbers,
+is refused at hello. The frame limit (default 64 MiB per line) is negotiated
+down to the smaller of the two peers' limits during hello; it must be a JSON
+integer of at least ``MIN_FRAME`` bytes.
 Model identifiers are scoped to one session; sessions never see each other's
 models. The server ends a session whose peer sends nothing for
 ``DEFAULT_TIMEOUT`` seconds (30) while it waits for a request, or takes
@@ -70,16 +56,13 @@ from .dataset import ColumnKind, Dataset
 from .errors import PipelineError
 from .learners import LinearRegressionLearner, Model, _check_input_columns, model_from_dict
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
 # Smallest frame limit a peer may set. Any error record the server sends in
 # place of an oversized response ("message of N bytes exceeds frame limit M")
 # takes at most ~110 bytes, so every request can still be answered.
 MIN_FRAME = 256
 DEFAULT_TIMEOUT = 30.0
-JSON = "json"
-F64LE_B64 = "f64le-b64"
-ENCODINGS = (JSON, F64LE_B64)  # what a client offers in hello
 _RECV_SIZE = 64 * 1024
 
 
@@ -142,33 +125,21 @@ def _encode(payload: dict, max_frame: int) -> bytes:
     return line
 
 
-def _pick_encoding(offered) -> str:
-    """The server's choice among the ``encodings`` a hello offers."""
-    if not isinstance(offered, list) or not all(type(name) is str for name in offered):
-        raise ValueError("encodings must be an array of strings")
-    for encoding in (F64LE_B64, JSON):
-        if encoding in offered:
-            return encoding
-    raise ValueError(f"none of the offered encodings is supported; this server speaks {', '.join(ENCODINGS)}")
-
-
-def _dataset_to_wire(dataset: Dataset, encoding: str = JSON) -> dict:
+def _dataset_to_wire(dataset: Dataset) -> dict:
     for name, kind in dataset.schema:
         if kind is not ColumnKind.FLOAT64:
             raise ValueError(f"only float columns travel on the wire; {name!r} is {kind.value}")
-    if encoding == JSON:
-        return {name: dataset.column(name).tolist() for name in dataset.column_names}
     wire = {}
     for name in dataset.column_names:
         column = dataset.column(name)
-        if not np.isfinite(column).all():  # what json.dumps(allow_nan=False) refuses
+        if not np.isfinite(column).all():
             raise RemoteError(f"cannot serialize message: column {name!r} holds NaN or an infinity")
         wire[name] = base64.b64encode(column.astype("<f8", copy=False).tobytes()).decode("ascii")
     return wire
 
 
 def _f64le_column(name: str, text) -> np.ndarray:
-    """Decode one ``f64le-b64`` column, refusing anything but canonical finite float64 bytes."""
+    """Decode one column, refusing anything but canonical base64 of finite float64 bytes."""
     if not isinstance(text, str):
         raise ValueError(f"column {name!r} must be a base64 string")
     try:
@@ -185,29 +156,10 @@ def _f64le_column(name: str, text) -> np.ndarray:
     return column
 
 
-_WIRE_NUMBER_TYPES = frozenset((float, int))  # bool and str are not JSON numbers
-
-
-def _wire_to_dataset(obj, encoding: str = JSON) -> Dataset:
+def _wire_to_dataset(obj) -> Dataset:
     if not isinstance(obj, dict) or not obj:
         raise ValueError("expected a non-empty object of column arrays")
-    if encoding == F64LE_B64:
-        return Dataset([(name, _f64le_column(name, text)) for name, text in obj.items()])
-    columns = []
-    for name, values in obj.items():
-        if not isinstance(values, list):
-            raise ValueError(f"column {name!r} must be an array")
-        if not set(map(type, values)) <= _WIRE_NUMBER_TYPES:
-            bad = next(v for v in values if type(v) not in _WIRE_NUMBER_TYPES)
-            raise ValueError(f"column {name!r} holds {bad!r}; only JSON numbers are accepted")
-        try:
-            column = np.array(values, dtype=np.float64)  # int -> float64 equals float(int)
-        except OverflowError:
-            raise ValueError(f"column {name!r} holds an integer too large for a double") from None
-        if np.isinf(column).any():  # a literal such as 1e400 parses as inf
-            raise ValueError(f"column {name!r} holds a number too large for a double")
-        columns.append((name, column))
-    return Dataset(columns)
+    return Dataset([(name, _f64le_column(name, text)) for name, text in obj.items()])
 
 
 class RemoteModel:
@@ -233,16 +185,15 @@ class RemoteModel:
         """
         _check_input_columns(inputs, self.input_columns)
         ordered = inputs.select(self.input_columns)
-        encoding = self._session._encoding
         response = self._session._request(
-            {"kind": "predict", "model": self.remote_id, "inputs": _dataset_to_wire(ordered, encoding)},
+            {"kind": "predict", "model": self.remote_id, "inputs": _dataset_to_wire(ordered)},
             "prediction",
         )
         outputs = response.get("outputs")
         if outputs is None:
             raise RemoteError("malformed response: prediction without 'outputs'")
         try:
-            predictions = _wire_to_dataset(outputs, encoding)
+            predictions = _wire_to_dataset(outputs)
         except ValueError as exc:
             raise RemoteError(f"malformed response: {exc}") from None
         if predictions.column_names != (self.output_column,) or predictions.row_count != ordered.row_count:
@@ -266,7 +217,6 @@ class RemoteSession:
         self._buffer = bytearray()
         self._timeout = timeout
         self._max_frame = max_frame
-        self._encoding = JSON
 
     def _request(self, payload: dict, expect: str) -> dict:
         """Send one request and return its response, which must be of kind ``expect``."""
@@ -296,8 +246,8 @@ class RemoteSession:
         """Train on the server; returns a handle to the remote model."""
         response = self._request({
             "kind": "fit",
-            "inputs": _dataset_to_wire(inputs, self._encoding),
-            "outputs": _dataset_to_wire(outputs, self._encoding),
+            "inputs": _dataset_to_wire(inputs),
+            "outputs": _dataset_to_wire(outputs),
         }, "fit_ack")
         model_id = response.get("model")
         if not isinstance(model_id, str):
@@ -324,14 +274,14 @@ class RemoteSession:
 def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_MAX_FRAME) -> RemoteSession:
     """Open a session: TCP connect plus hello/hello_ack negotiation.
 
-    The hello offers every column encoding in ``ENCODINGS``; the session uses
-    the one the server picks, or ``json`` if its ``hello_ack`` names none.
+    The hello names ``PROTOCOL_VERSION`` and offers ``max_frame``; the session
+    uses the frame limit the server acknowledges. Every column of the
+    session travels as base64 of its little-endian float64 bytes.
 
     Raises:
         ValueError: if ``max_frame`` is not an integer of at least ``MIN_FRAME``.
         ConnectFailed: if the server is unreachable, refuses the session,
-            acknowledges a frame limit that is invalid or above ``max_frame``,
-            or picks a column encoding the client did not offer.
+            or acknowledges a frame limit that is invalid or above ``max_frame``.
         VersionMismatch: if the protocol versions are incompatible.
         FrameTooLarge: if the ``hello_ack`` exceeds ``max_frame``.
         TimeoutError: if the server sends no byte of its answer within
@@ -347,8 +297,7 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
     session = RemoteSession(sock, max_frame, timeout)
     try:
         response = session._request(
-            {"kind": "hello", "version": PROTOCOL_VERSION, "max_frame": max_frame, "encodings": list(ENCODINGS)},
-            "hello_ack",
+            {"kind": "hello", "version": PROTOCOL_VERSION, "max_frame": max_frame}, "hello_ack"
         )
         if response.get("version") != PROTOCOL_VERSION:
             raise VersionMismatch(
@@ -357,9 +306,6 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
         negotiated = _check_frame_limit(response.get("max_frame", max_frame))
         if negotiated > max_frame:
             raise ValueError(f"server raised max_frame to {negotiated}, above the offered {max_frame}")
-        encoding = response.get("encoding", JSON)
-        if encoding not in ENCODINGS:
-            raise ValueError(f"server picked encoding {encoding!r}, which the client did not offer")
     except BaseException as exc:
         session.close()
         if isinstance(exc, (RemoteError, ValueError)):  # a refused hello or a bad hello_ack
@@ -367,7 +313,6 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
             raise (VersionMismatch if refused_version else ConnectFailed)(str(exc)) from None
         raise
     session._max_frame = negotiated
-    session._encoding = encoding
     return session
 
 
@@ -435,7 +380,6 @@ class _SessionHandler(socketserver.BaseRequestHandler):
     def _serve_session(self, owner: "LearnerServer") -> None:
         self._models: dict[str, Model] = {}
         self._ids = itertools.count(1)
-        self._encoding = JSON
         buffer = bytearray()
         while True:
             try:
@@ -466,25 +410,20 @@ class _SessionHandler(socketserver.BaseRequestHandler):
             version = message.get("version")
             if version != PROTOCOL_VERSION:
                 raise ValueError(f"unsupported protocol version: {version}")
-            max_frame = min(self._max_frame, _check_frame_limit(message.get("max_frame", self._max_frame)))
-            ack = {"kind": "hello_ack", "version": PROTOCOL_VERSION, "max_frame": max_frame}
-            encoding = JSON
-            if "encodings" in message:
-                encoding = ack["encoding"] = _pick_encoding(message["encodings"])
-            self._max_frame, self._encoding = max_frame, encoding
-            return ack, False
+            self._max_frame = min(self._max_frame, _check_frame_limit(message.get("max_frame", self._max_frame)))
+            return {"kind": "hello_ack", "version": PROTOCOL_VERSION, "max_frame": self._max_frame}, False
         if kind == "fit":
-            inputs = _wire_to_dataset(message.get("inputs"), self._encoding)
-            outputs = _wire_to_dataset(message.get("outputs"), self._encoding)
+            inputs = _wire_to_dataset(message.get("inputs"))
+            outputs = _wire_to_dataset(message.get("outputs"))
             model = owner.learner_factory().fit(inputs, outputs)
             model_id = f"m{next(self._ids)}"
             self._models[model_id] = model
             return {"kind": "fit_ack", "model": model_id}, False
         if kind == "predict":
             model = self._lookup(message)
-            inputs = _wire_to_dataset(message.get("inputs"), self._encoding)
+            inputs = _wire_to_dataset(message.get("inputs"))
             predictions = model.predict(inputs)
-            return {"kind": "prediction", "outputs": _dataset_to_wire(predictions, self._encoding)}, False
+            return {"kind": "prediction", "outputs": _dataset_to_wire(predictions)}, False
         if kind == "save":
             model = self._lookup(message)
             return {"kind": "saved", "model": message["model"], "data": model.to_dict()}, False

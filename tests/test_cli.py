@@ -368,6 +368,38 @@ class TestErrorRecords:
         assert record["message"] == "mse: a squared error overflows float64"
         assert not (tmp_path / "out").exists()
 
+    def test_underflowing_r2_is_one_record(self, tmp_path, capsys):
+        """The depth-0 tree predicts the training mean: the held-out actuals 1e-300 and
+        2e-300 differ, and their squared deviations underflow to 0."""
+        data = tmp_path / "data.csv"
+        data.write_text("u,y\n" + "".join(f"{i},{(1 + i % 2) * 1e-300}\n" for i in range(20)))
+        cfg = {
+            "environment": {"kind": "csv", "path": str(data)},
+            "io": {"inputs": ["u"], "outputs": ["y"]},
+            "split_fraction": 0.5,
+            "learner": {"kind": "regression_tree", "max_depth": 0},
+            "metrics": ["r2"],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        record = self.one_record(capsys)
+        assert (record["error"], record["module"]) == ("NonFiniteMetric", "cpslearn.metrics")
+        assert record["message"] == "r2: the squared deviations of the actuals underflow to 0; R2 is undefined"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("substep", 1e-300), ("samples", 10**12)])
+    def test_too_many_rk4_steps_is_one_record(self, tmp_path, capsys, key, value):
+        cfg = watertank_config()
+        cfg["environment"][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        record = self.one_record(capsys)
+        assert (record["error"], record["field"]) == ("ConfigError", "environment.substep")
+        assert record["message"].endswith("is above the limit of 100000000 RK4 steps")
+        assert not (tmp_path / "out").exists()
+
     def test_tiny_substep_is_one_record(self, tmp_path, capsys):
         cfg = watertank_config()
         cfg["environment"]["substep"] = 1e-320
@@ -463,7 +495,7 @@ class TestErrorRecords:
     def test_malformed_fit_ack_is_one_record(self, tmp_path, capsys):
         def script(conn, reader):
             reader.readline()
-            conn.sendall(b'{"kind":"hello_ack","version":1,"max_frame":100000}\n')
+            conn.sendall(b'{"kind":"hello_ack","version":2,"max_frame":100000}\n')
             reader.readline()
             conn.sendall(b'{"kind":"fit_ack"}\n')
             reader.readline()  # EOF once the client closes

@@ -113,6 +113,8 @@ GOLDEN = [
      ["environment.substep: substep 1e-320 is too small: dt / substep is not finite"]),
     ("tank-dt-huge", ("environment", "dt"), 1e306,
      ["environment.substep: substep 0.001 is too small: dt / substep is not finite"]),
+    ("tank-substep-too-many-steps", ("environment", "substep"), 1e-300,
+     ["environment.substep: (samples - 1) * round(dt / substep) is above the limit of 100000000 RK4 steps"]),
     ("tank-area-string", ("environment", "area"), "5", ["environment.area: must be a positive number"]),
     ("tank-initial-level-string", ("environment", "initial_level"), "1",
      ["environment.initial_level: must be a number"]),
@@ -163,6 +165,12 @@ GOLDEN = [
 @pytest.mark.parametrize("path, value, expected", [c[1:] for c in GOLDEN], ids=[c[0] for c in GOLDEN])
 def test_golden_diagnostics(path, value, expected):
     assert validate_config(mutated(path, value)) == expected
+
+
+@pytest.mark.parametrize("samples, valid", [(1_000_001, True), (1_000_002, False)])
+def test_rk4_step_ceiling_is_inclusive(samples, valid):
+    """The default dt and substep take 100 RK4 steps per sample; 10**8 steps in all still validate."""
+    assert (validate_config(mutated(("environment", "samples"), samples)) == []) is valid
 
 
 def test_benchmark_configs_are_valid():

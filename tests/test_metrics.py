@@ -160,6 +160,13 @@ class TestNonFiniteMetrics:
         with pytest.raises(NonFiniteMetric, match=f"^{metric.__name__} is inf: the errors overflow float64$"):
             metric([-1.7e308, 1.7e308], [1.7e308, -1.7e308])
 
+    @pytest.mark.parametrize("predicted", [[0.0, 0.0], [1e-300, 2e-300], [1.0, -1.0]])
+    def test_underflowing_deviations_are_typed(self, predicted):
+        """The actuals differ, but each squared deviation from their mean underflows to 0,
+        whether the squared residuals sum to 0 or not."""
+        with pytest.raises(NonFiniteMetric, match="^r2: the squared deviations of the actuals underflow to 0"):
+            r2(predicted, [1e-300, 2e-300])
+
     def test_nan_after_a_larger_error_is_typed(self):
         with pytest.raises(NonFiniteMetric, match="^max_error is nan"):
             max_error([5.0, float("nan"), 0.0], [0.0, 1.0, 2.0])

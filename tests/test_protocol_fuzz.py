@@ -1,4 +1,4 @@
-"""Stateful protocol fuzzing of a real LearnerServer session, over both column encodings.
+"""Stateful protocol fuzzing of a real LearnerServer session.
 
 Each run opens one session on a one-slot server and sends a random sequence of
 valid and invalid requests, pipelined: responses are read in batches, so the
@@ -33,19 +33,16 @@ def bits(*patterns: int) -> str:
     return base64.b64encode(b"".join(p.to_bytes(8, "little") for p in patterns)).decode("ascii")
 
 
-# Columns each encoding refuses, beside a good column named "a".
-BAD_BINARY_COLUMNS = [
+# Columns the server refuses, beside a good column named "a".
+BAD_COLUMNS = [
     [1.0], None, "A", "AAAAAAAA8D8", "AAAAAAAA8D9=", "AAAAAAAA 8D8=", "AAAAAAAA-_8=",
     base64.b64encode(bytes(7)).decode(), base64.b64encode(bytes(9)).decode(),
     bits(0x7FF8000000000000), bits(0x7FF0000000000001), bits(0xFFF8000000000000),
     bits(0x7FF0000000000000), bits(0xFFF0000000000000),
     base64.b64encode(struct.pack("<2d", 1.0, 2.0)).decode(),  # two rows beside one
 ]
-BAD_JSON_COLUMNS = [
-    "AAAAAAAA8D8=", [True], ["1"], [None], [[1.0]], {"v": 1.0}, [1.0, 2.0],  # two rows beside one
-]
-BAD_JSON_LITERALS = [b"[1e400]", b"[" + b"9" * 400 + b"]", b"[NaN]", b"[-Infinity]"]
-BAD_ENCODINGS = [b'"json"', b"[1]", b"[]", b'["xml"]', b"null", b'{"json":1}', b'[["json"]]', b"[true]"]
+# JSON literals a double cannot hold, or that JSON forbids, sent where a column goes.
+BAD_LITERALS = [b"1e400", b"9" * 400, b"NaN", b"-Infinity"]
 BAD_FRAME_LIMITS = [b"0", b"-5", b'"12"', b"1.5", b"true", b"255", b"null", b"1e3"]
 DEEP = 50_000  # nesting far past the recursion limit, which Hypothesis itself raises while it runs
 
@@ -58,7 +55,6 @@ class ProtocolMachine(RuleBasedStateMachine):
         super().__init__()
         self.sock = socket.create_connection(self.server.address, timeout=5.0)
         self.reader = self.sock.makefile("rb")
-        self.encoding = remote.JSON
         self.max_frame = SERVER_FRAME
         self.models = []  # the in-process twin of each model the server holds, by id m1, m2, ...
         self.pending = []  # one check per request whose response is not read yet
@@ -72,7 +68,7 @@ class ProtocolMachine(RuleBasedStateMachine):
         self.pending.append(check)
 
     def wire(self, dataset: Dataset) -> dict:
-        return remote._dataset_to_wire(dataset, self.encoding)
+        return remote._dataset_to_wire(dataset)
 
     def read_pending(self) -> None:
         while self.pending:
@@ -86,28 +82,18 @@ class ProtocolMachine(RuleBasedStateMachine):
 
     # -- valid requests -------------------------------------------------------
 
-    @initialize(binary=st.booleans())
-    def first_hello(self, binary):
-        """Half of the sessions start in each encoding; a later hello may switch."""
-        self.hello(["json", "f64le-b64"] if binary else None, None)
+    @initialize()
+    def first_hello(self):
+        self.hello(None)
 
     @precondition(lambda self: not self.half_closed)
-    @rule(
-        offered=st.sampled_from([None, ["json"], ["f64le-b64"], ["json", "f64le-b64"], ["f64le-b64", "json"],
-                                 ["xml", "json"], ["xml", "f64le-b64"]]),
-        max_frame=st.one_of(st.none(), st.integers(4096, 2 * SERVER_FRAME)),
-    )
-    def hello(self, offered, max_frame):
-        message = {"kind": "hello", "version": 1}
+    @rule(max_frame=st.one_of(st.none(), st.integers(4096, 2 * SERVER_FRAME)))
+    def hello(self, max_frame):
+        message = {"kind": "hello", "version": 2}
         if max_frame is not None:
             message["max_frame"] = max_frame
-        if offered is not None:
-            message["encodings"] = offered
         self.max_frame = min(self.max_frame, max_frame or self.max_frame)
-        self.encoding = remote.F64LE_B64 if offered and "f64le-b64" in offered else remote.JSON
-        expected = {"kind": "hello_ack", "version": 1, "max_frame": self.max_frame}
-        if offered is not None:
-            expected["encoding"] = self.encoding
+        expected = {"kind": "hello_ack", "version": 2, "max_frame": self.max_frame}
         self.send(message, lambda response: self.assert_equal(response, expected))
 
     @staticmethod
@@ -138,11 +124,10 @@ class ProtocolMachine(RuleBasedStateMachine):
         column = st.lists(small_floats, min_size=rows, max_size=rows)
         probe = Dataset([(name, data.draw(column)) for name in local.input_columns])
         expected = local.predict(probe).column("y").tobytes()
-        encoding = self.encoding
 
         def check(response):
             assert response["kind"] == "prediction", response
-            predictions = remote._wire_to_dataset(response["outputs"], encoding)
+            predictions = remote._wire_to_dataset(response["outputs"])
             assert predictions.column_names == ("y",)
             assert predictions.column("y").tobytes() == expected
 
@@ -164,35 +149,29 @@ class ProtocolMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.half_closed)
     @rule(data=st.data(), in_fit=st.booleans())
     def bad_column(self, data, in_fit):
-        bad = BAD_BINARY_COLUMNS if self.encoding == remote.F64LE_B64 else BAD_JSON_COLUMNS
-        columns = dict(self.wire(Dataset({"a": [1.5]})), b=data.draw(st.sampled_from(bad)))
+        columns = dict(self.wire(Dataset({"a": [1.5]})), b=data.draw(st.sampled_from(BAD_COLUMNS)))
         if in_fit:
             message = {"kind": "fit", "inputs": columns, "outputs": self.wire(Dataset({"y": [1.0]}))}
         else:
             message = {"kind": "predict", "model": f"m{len(self.models)}", "inputs": columns}
         self.send(message, self.expect_error)
 
-    @precondition(lambda self: self.encoding == remote.JSON and not self.half_closed)
-    @rule(literal=st.sampled_from(BAD_JSON_LITERALS))
-    def bad_json_literal(self, literal):
-        self.send(b'{"kind":"fit","inputs":{"a":' + literal + b'},"outputs":{"y":[1.0]}}', self.expect_error)
+    @precondition(lambda self: not self.half_closed)
+    @rule(literal=st.sampled_from(BAD_LITERALS))
+    def bad_literal(self, literal):
+        outputs = json.dumps(self.wire(Dataset({"y": [1.0]}))).encode()
+        self.send(b'{"kind":"fit","inputs":{"a":' + literal + b'},"outputs":' + outputs + b"}", self.expect_error)
 
     @precondition(lambda self: not self.half_closed)
-    @rule(field=st.sampled_from(["encodings", "max_frame"]), data=st.data())
-    def bad_hello(self, field, data):
-        """A refused hello changes nothing, not even the valid fields beside the bad one."""
-        if field == "encodings":
-            good = b'"max_frame":4096,'
-            value = data.draw(st.sampled_from(BAD_ENCODINGS))
-        else:
-            good = b'"encodings":["f64le-b64"],'
-            value = data.draw(st.sampled_from(BAD_FRAME_LIMITS))
-        line = b'{"kind":"hello","version":1,' + good + b'"' + field.encode() + b'":' + value + b"}"
-        self.send(line, self.expect_error)
+    @rule(value=st.sampled_from(BAD_FRAME_LIMITS))
+    def bad_hello(self, value):
+        """A refused hello changes nothing: later hellos expect the frame limit from before it."""
+        self.send(b'{"kind":"hello","version":2,"max_frame":' + value + b"}", self.expect_error)
 
     @precondition(lambda self: not self.half_closed)
-    @rule(line=st.sampled_from([b'{"kind":"dance"}', b'{"kind":null}', b"{}", b'{"kind":"HELLO","version":1}',
-                                b'{"kind":"hello","version":2}', b"[1]", b'"hello"', b"not json", b"",
+    @rule(line=st.sampled_from([b'{"kind":"dance"}', b'{"kind":null}', b"{}", b'{"kind":"HELLO","version":2}',
+                                b'{"kind":"hello","version":1}', b'{"kind":"hello","version":1,"encodings":["json"]}',
+                                b'{"kind":"hello","version":3}', b"[1]", b'"hello"', b"not json", b"",
                                 b'{"kind":"fit"}', b'{"kind":"predict","model":"m1"}']))
     def bad_request(self, line):
         self.send(line, self.expect_error)
@@ -252,7 +231,7 @@ class ProtocolMachine(RuleBasedStateMachine):
             # slot once more before that session's EOF, so the next run finds it free.
             probe = socket.create_connection(self.server.address, timeout=5.0)
             try:
-                probe.sendall(b'{"kind":"hello","version":1}\n')
+                probe.sendall(b'{"kind":"hello","version":2}\n')
                 probe.shutdown(socket.SHUT_WR)
                 with probe.makefile("rb") as reader:
                     answers = reader.readlines()

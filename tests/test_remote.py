@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpslearn import Dataset, fit_linear
-from cpslearn.dataset import ColumnKind
 from cpslearn.learners import SchemaMismatch
 from cpslearn import remote
 from cpslearn.remote import (
@@ -27,7 +26,7 @@ from cpslearn.remote import (
     VersionMismatch,
     connect,
 )
-from conftest import DBL_MAX_INT, StubServer, random_dataset
+from conftest import StubServer, random_dataset
 
 
 @pytest.fixture
@@ -79,79 +78,7 @@ def thread_errors(monkeypatch):
 
 # Frame limits a peer may not set: not a JSON integer, or below MIN_FRAME.
 BAD_FRAME_LIMITS = [b"0", b"-5", b'"12"', b"1.5", b"true"]
-HELLO_ACK = b'{"kind":"hello_ack","version":1,"max_frame":100000}'
-
-
-def reference_wire_number(name: str, value) -> float:
-    """Convert a non-float column value; only JSON integers are accepted."""
-    if type(value) is not int:  # bool and str are not JSON numbers
-        raise ValueError(f"column {name!r} holds {value!r}; only JSON numbers are accepted")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"column {name!r} holds an integer too large for a double") from None
-
-
-def reference_wire_to_dataset(obj) -> Dataset:
-    """Oracle: the wire decoder as a per-value conversion into Python floats."""
-    if not isinstance(obj, dict) or not obj:
-        raise ValueError("expected a non-empty object of column arrays")
-    columns = []
-    for name, values in obj.items():
-        if not isinstance(values, list):
-            raise ValueError(f"column {name!r} must be an array")
-        columns.append((name, [v if type(v) is float else reference_wire_number(name, v) for v in values]))
-    dataset = Dataset(columns)
-    for name in dataset.column_names:
-        if np.isinf(dataset.column(name)).any():
-            raise ValueError(f"column {name!r} holds a number too large for a double")
-    return dataset
-
-
-wire_integers = st.one_of(
-    st.integers(-(2**64), 2**64),
-    st.integers(2**1015, 2**1025).map(lambda v: v * (-1) ** (v % 2)),
-    st.sampled_from([2**53 + 1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**1023,
-                     DBL_MAX_INT, DBL_MAX_INT + 2**970 - 1, DBL_MAX_INT + 2**970, 10**400]),
-)
-wire_numbers = st.one_of(
-    st.floats(),
-    st.sampled_from([-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308,
-                     1.7976931348623157e308, math.inf, -math.inf]),
-    wire_integers,
-)
-wire_values = st.one_of(
-    wire_numbers,
-    st.booleans(),
-    st.text(max_size=3),
-    st.none(),
-    st.lists(wire_numbers, max_size=2),
-    st.dictionaries(st.text(max_size=2), wire_numbers, max_size=2),
-)
-
-
-@st.composite
-def wire_objects(draw):
-    """1-3 columns, mostly of one shared length so that many objects decode."""
-    rows = draw(st.integers(0, 4))
-    names = draw(st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True))
-    column = st.one_of(
-        st.lists(wire_numbers, min_size=rows, max_size=rows),
-        st.lists(st.one_of(wire_numbers, st.booleans()), min_size=rows, max_size=rows),
-        st.lists(wire_values, min_size=rows, max_size=rows),
-        st.lists(wire_numbers, max_size=5),  # ragged or empty
-        wire_values,  # not an array
-    )
-    return {name: draw(column) for name in names}
-
-
-def decoded(decode, obj):
-    """Schema and column bytes of ``decode(obj)``, or None if it raised ValueError."""
-    try:
-        dataset = decode(obj)
-    except ValueError:
-        return None
-    return dataset.schema, [dataset.column(name).tobytes() for name in dataset.column_names]
+HELLO_ACK = b'{"kind":"hello_ack","version":2,"max_frame":100000}'
 
 
 class TestTransparency:
@@ -189,41 +116,6 @@ class TestTransparency:
         )
 
 
-class TestWireDecoderOracle:
-    @settings(deadline=None, max_examples=400)
-    @given(wire_objects())
-    def test_matches_reference(self, obj):
-        # Any exception other than ValueError escapes and fails the test.
-        result = decoded(remote._wire_to_dataset, obj)
-        assert result == decoded(reference_wire_to_dataset, obj)
-        if result is not None:
-            assert all(kind is ColumnKind.FLOAT64 for _, kind in result[0])
-
-    @settings(deadline=None, max_examples=300)
-    @given(st.lists(wire_integers, max_size=4))
-    def test_integer_columns_decode_as_a_dataset_builds_them(self, values):
-        # Both give bit-equal float64 columns, or both raise ValueError.
-        assert decoded(lambda v: Dataset({"a": v}), values) == decoded(
-            lambda v: remote._wire_to_dataset({"a": v}), values
-        )
-
-    def test_integer_column_stays_float(self):
-        dataset = remote._wire_to_dataset({"a": [1, 2]})
-        assert dataset.schema == (("a", ColumnKind.FLOAT64),)
-        assert dataset.column("a").tolist() == [1.0, 2.0]
-
-    def test_refusals_name_the_column(self):
-        for column, message in [
-            ([1.0, "1e3"], "column 'a' holds '1e3'; only JSON numbers are accepted"),
-            ([True], "column 'a' holds True; only JSON numbers are accepted"),
-            ([1, 10**400], "column 'a' holds an integer too large for a double"),
-            ([1.0, math.inf], "column 'a' holds a number too large for a double"),
-        ]:
-            with pytest.raises(ValueError) as info:
-                remote._wire_to_dataset({"a": column})
-            assert str(info.value) == message
-
-
 finite_floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
@@ -238,6 +130,10 @@ def finite_datasets(draw):
     return Dataset([(name, draw(st.lists(finite_floats, min_size=rows, max_size=rows))) for name in names])
 
 
+def column_bytes(dataset: Dataset):
+    return dataset.schema, [dataset.column(name).tobytes() for name in dataset.column_names]
+
+
 def f64le(*values: float) -> str:
     return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
 
@@ -249,14 +145,12 @@ def f64le_bits(*patterns: int) -> str:
 class TestColumnEncodings:
     @settings(deadline=None, max_examples=200)
     @given(finite_datasets())
-    def test_both_encodings_decode_to_the_same_bytes(self, dataset):
-        expected = decoded(lambda d: d, dataset)
-        for encoding in remote.ENCODINGS:
-            wire = json.loads(json.dumps(remote._dataset_to_wire(dataset, encoding)))
-            assert decoded(lambda obj: remote._wire_to_dataset(obj, encoding), wire) == expected
+    def test_columns_round_trip_bit_exactly(self, dataset):
+        wire = json.loads(json.dumps(remote._dataset_to_wire(dataset)))
+        assert column_bytes(remote._wire_to_dataset(wire)) == column_bytes(dataset)
 
     def test_binary_column_is_base64_of_little_endian_doubles(self):
-        wire = remote._dataset_to_wire(Dataset({"a": [1.0, -0.0]}), remote.F64LE_B64)
+        wire = remote._dataset_to_wire(Dataset({"a": [1.0, -0.0]}))
         assert wire == {"a": "AAAAAAAA8D8AAAAAAAAAgA=="}
 
     @pytest.mark.parametrize(
@@ -285,88 +179,48 @@ class TestColumnEncodings:
     )
     def test_binary_refusals(self, obj, message):
         with pytest.raises(ValueError) as info:
-            remote._wire_to_dataset(obj, remote.F64LE_B64)
+            remote._wire_to_dataset(obj)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_binary_sender_refuses_non_finite_values(self, value):
         dataset = Dataset({"a": [1.0, value]}, allow_nan=True)
         with pytest.raises(RemoteError, match="cannot serialize message: column 'a' holds NaN or an infinity"):
-            remote._dataset_to_wire(dataset, remote.F64LE_B64)
+            remote._dataset_to_wire(dataset)
 
-    def test_json_peer_gets_the_json_frames(self, server):
-        """A peer that offers no encodings gets byte for byte the frames of protocol version 1."""
+    def test_binary_peer_gets_binary_frames(self, server):
+        """The reference server's answers, byte for byte."""
+        fit = {"kind": "fit", "inputs": {"x": f64le(0.1, 0.7, 2.3)}, "outputs": {"y": f64le(1.0, 2.9, 7.1)}}
+        predict = {"kind": "predict", "model": "m1", "inputs": {"x": f64le(0.5, -3.3, 1e-7)}}
         sock = socket.create_connection(server.address, timeout=5.0)
         try:
             reader = sock.makefile("rb")
             answers = []
-            for line in [
-                b'{"kind":"hello","version":1}\n',
-                b'{"kind":"fit","inputs":{"x":[0.1,0.7,2.3]},"outputs":{"y":[1.0,2.9,7.1]}}\n',
-                b'{"kind":"predict","model":"m1","inputs":{"x":[0.5,-3.3,1e-7]}}\n',
-            ]:
-                sock.sendall(line)
+            for message in [{"kind": "hello", "version": 2}, fit, predict]:
+                sock.sendall(json.dumps(message).encode() + b"\n")
                 answers.append(reader.readline())
         finally:
             sock.close()
+        prediction = f64le(2.2041237113402063, -8.21649484536083, 0.8329899649484531)
         assert answers == [
-            b'{"kind":"hello_ack","version":1,"max_frame":67108864}\n',
+            b'{"kind":"hello_ack","version":2,"max_frame":67108864}\n',
             b'{"kind":"fit_ack","model":"m1"}\n',
-            b'{"kind":"prediction","outputs":{"y":[2.2041237113402063,-8.21649484536083,0.8329899649484531]}}\n',
+            b'{"kind":"prediction","outputs":{"y":"' + prediction.encode() + b'"}}\n',
         ]
 
-    def test_binary_peer_gets_binary_frames(self, server):
-        inputs, outputs = Dataset({"x": [0.1, 0.7, 2.3]}), Dataset({"y": [1.0, 2.9, 7.1]})
-        probe = Dataset({"x": [0.5, -3.3, 1e-7]})
-        fit = {"kind": "fit", "inputs": remote._dataset_to_wire(inputs, remote.F64LE_B64),
-               "outputs": remote._dataset_to_wire(outputs, remote.F64LE_B64)}
-        predict = {"kind": "predict", "model": "m1", "inputs": remote._dataset_to_wire(probe, remote.F64LE_B64)}
-        ack, fit_ack, prediction = raw_exchange(server.address, [
-            b'{"kind":"hello","version":1,"encodings":["json","f64le-b64"]}\n',
-            json.dumps(fit).encode() + b"\n",
-            json.dumps(predict).encode() + b"\n",
-        ])
-        assert ack == {"kind": "hello_ack", "version": 1, "max_frame": remote.DEFAULT_MAX_FRAME,
-                       "encoding": "f64le-b64"}
-        assert fit_ack == {"kind": "fit_ack", "model": "m1"}
-        expected = fit_linear(inputs, outputs).predict(probe).column("y")
-        assert prediction == {"kind": "prediction", "outputs": {"y": base64.b64encode(expected.tobytes()).decode()}}
-
-    @pytest.mark.parametrize(
-        "offered, picked",
-        [(["json"], "json"), (["f64le-b64"], "f64le-b64"), (["f64le-b64", "json"], "f64le-b64"),
-         (["xml", "json"], "json")],
-    )
-    def test_server_picks_binary_when_offered(self, server, offered, picked):
-        hello = json.dumps({"kind": "hello", "version": 1, "encodings": offered}).encode() + b"\n"
-        (ack,) = raw_exchange(server.address, [hello])
-        assert ack["encoding"] == picked
-
-    @pytest.mark.parametrize("offered", [b'"json"', b"[1]", b"[]", b'["xml"]', b"null", b'{"json":1}',
-                                         b'[["json"]]'])
-    def test_bad_encodings_get_one_error_and_keep_the_session(self, server, offered, thread_errors):
+    @pytest.mark.parametrize("column", [b'"json"', b"[1]", b"[]", b'["xml"]', b"null", b'{"json":1}',
+                                        b'[["json"]]'])
+    def test_bad_encodings_get_one_error_and_keep_the_session(self, server, column, thread_errors):
+        """A column that is not base64 of float64 bytes, such as an array of JSON numbers, is refused."""
         responses = exchange_to_eof(server.address, [
-            b'{"kind":"hello","version":1,"max_frame":1000,"encodings":' + offered + b"}\n",
-            b'{"kind":"hello","version":1}\n',
+            b'{"kind":"fit","inputs":{"a":' + column + b'},"outputs":{"y":"' + f64le(1.0).encode() + b'"}}\n',
+            b'{"kind":"hello","version":2}\n',
         ])
         assert [r["kind"] for r in responses] == ["error", "hello_ack"]
-        assert "encodings" in responses[0]["message"]
-        assert responses[1]["max_frame"] == remote.DEFAULT_MAX_FRAME  # the failed hello set nothing
+        assert responses[0]["message"].startswith("column 'a' ")
         assert thread_errors == []
 
-    def test_client_negotiates_binary_with_the_reference_server(self, session):
-        assert session._encoding == remote.F64LE_B64
-
-    def test_json_session_against_the_reference_server(self, server, monkeypatch):
-        monkeypatch.setattr(remote, "ENCODINGS", (remote.JSON,))
-        rng = np.random.default_rng(93)
-        inputs, outputs, probe = random_dataset(rng, 30, 2), Dataset({"y": rng.normal(size=30)}), random_dataset(rng, 9, 2)
-        with connect(server.address, timeout=5.0) as json_session:
-            assert json_session._encoding == remote.JSON
-            remote_pred = json_session.fit(inputs, outputs).predict(probe).column("y")
-        assert np.array_equal(remote_pred, fit_linear(inputs, outputs).predict(probe).column("y"))
-
-    def test_client_sends_json_to_a_server_that_names_no_encoding(self):
+    def test_client_sends_base64_columns(self):
         requests = []
 
         def script(conn, reader):
@@ -379,21 +233,8 @@ class TestColumnEncodings:
         with connect(stub.address, timeout=2.0) as session:
             session.fit(Dataset({"x": [0.0, 0.5]}), Dataset({"y": [1.0, -0.0]}))
         hello, fit = requests
-        assert hello["encodings"] == ["json", "f64le-b64"]
-        assert fit == {"kind": "fit", "inputs": {"x": [0.0, 0.5]}, "outputs": {"y": [1.0, -0.0]}}
-
-    @pytest.mark.parametrize("encoding", [b'"xml"', b'"JSON"', b"null", b'["json"]', b"7"])
-    def test_client_refuses_an_encoding_it_did_not_offer(self, encoding, thread_errors):
-        def script(conn, reader):
-            reader.readline()
-            conn.sendall(b'{"kind":"hello_ack","version":1,"max_frame":100000,"encoding":' + encoding + b"}\n")
-            reader.readline()  # EOF: the client gave up
-
-        stub = StubServer(script)
-        with pytest.raises(ConnectFailed, match="which the client did not offer"):
-            connect(stub.address, timeout=2.0)
-        stub._thread.join(timeout=5.0)
-        assert thread_errors == []
+        assert hello == {"kind": "hello", "version": 2, "max_frame": remote.DEFAULT_MAX_FRAME}
+        assert fit == {"kind": "fit", "inputs": {"x": f64le(0.0, 0.5)}, "outputs": {"y": f64le(1.0, -0.0)}}
 
 
 class TestServerBehaviour:
@@ -405,17 +246,17 @@ class TestServerBehaviour:
         responses = raw_exchange(
             server.address,
             [
-                b'{"kind":"hello","version":1}\n',
-                b'{"kind":"predict","model":"m99","inputs":{"x":[1.0]}}\n',
+                b'{"kind":"hello","version":2}\n',
+                b'{"kind":"predict","model":"m99","inputs":{"x":"AAAAAAAA8D8="}}\n',
             ],
         )
         assert responses[0]["kind"] == "hello_ack"
-        assert responses[1]["kind"] == "error"
+        assert responses[1] == {"kind": "error", "message": "unknown model id: 'm99'"}
 
     def test_malformed_line_keeps_connection_usable(self, server):
         responses = raw_exchange(
             server.address,
-            [b"this is not json\n", b'{"kind":"hello","version":1}\n'],
+            [b"this is not json\n", b'{"kind":"hello","version":2}\n'],
         )
         assert responses[0]["kind"] == "error"
         assert responses[1]["kind"] == "hello_ack"
@@ -427,48 +268,29 @@ class TestServerBehaviour:
 
     def test_pipelined_requests_answered_in_order(self, server):
         fit_line = json.dumps(
-            {"kind": "fit", "inputs": {"x": [0.0, 1.0, 2.0]}, "outputs": {"y": [0.0, 2.0, 4.0]}}
+            {"kind": "fit", "inputs": {"x": f64le(0.0, 1.0, 2.0)}, "outputs": {"y": f64le(0.0, 2.0, 4.0)}}
         ).encode() + b"\n"
         predict_line = json.dumps(
-            {"kind": "predict", "model": "m1", "inputs": {"x": [1.0]}}
+            {"kind": "predict", "model": "m1", "inputs": {"x": f64le(1.0)}}
         ).encode() + b"\n"
         responses = raw_exchange(
             server.address,
-            [b'{"kind":"hello","version":1}\n', fit_line, predict_line, predict_line],
+            [b'{"kind":"hello","version":2}\n', fit_line, predict_line, predict_line],
         )
         kinds = [r["kind"] for r in responses]
         assert kinds == ["hello_ack", "fit_ack", "prediction", "prediction"]
 
-    @pytest.mark.parametrize(
-        "column, rows",
-        [
-            (b'["1e3",true,2]', 3),
-            (b"[true]", 1),
-            (b'["1"]', 1),
-            (b"[null]", 1),
-            (b"[1e400]", 1),
-            (b"[" + b"9" * 400 + b"]", 1),
-        ],
-    )
-    def test_fit_accepts_only_json_numbers(self, server, column, rows, thread_errors):
-        outputs = json.dumps({"y": [1.0] * rows}).encode()
-        fit_line = b'{"kind":"fit","inputs":{"a":' + column + b'},"outputs":' + outputs + b"}\n"
-        responses = exchange_to_eof(server.address, [fit_line, b'{"kind":"hello","version":1}\n'])
-        assert [r["kind"] for r in responses] == ["error", "hello_ack"]
-        assert "'a'" in responses[0]["message"]
-        assert thread_errors == []
-
     def test_nan_on_the_wire_is_rejected(self, server):
         (response,) = raw_exchange(
             server.address,
-            [b'{"kind":"fit","inputs":{"x":[NaN]},"outputs":{"y":[1.0]}}\n'],
+            [b'{"kind":"fit","inputs":{"x":NaN},"outputs":{"y":"AAAAAAAA8D8="}}\n'],
         )
         assert response["kind"] == "error"
 
     def test_deeply_nested_request_gets_one_error(self, server, thread_errors):
         depth = sys.getrecursionlimit() * 3
         nested = b'{"kind":"fit","inputs":' + b"[" * depth + b"]" * depth + b"}\n"
-        responses = exchange_to_eof(server.address, [nested, b'{"kind":"hello","version":1}\n'])
+        responses = exchange_to_eof(server.address, [nested, b'{"kind":"hello","version":2}\n'])
         assert [r["kind"] for r in responses] == ["error", "hello_ack"]
         assert responses[0]["message"].startswith("malformed message")
         assert thread_errors == []
@@ -478,23 +300,44 @@ class TestServerBehaviour:
         assert response["kind"] == "error"
         assert "version" in response["message"]
 
-    def test_client_maps_server_version_rejection(self):
+    def test_version_1_hello_is_refused(self, server, thread_errors):
+        fit = {"kind": "fit", "inputs": {"x": f64le(0.0, 1.0, 2.0)}, "outputs": {"y": f64le(0.0, 2.0, 4.0)}}
+        responses = exchange_to_eof(server.address, [
+            b'{"kind":"hello","version":1,"encodings":["json","f64le-b64"]}\n',
+            b'{"kind":"hello","version":2,"max_frame":1000}\n',
+            json.dumps(fit).encode() + b"\n",
+        ])
+        assert responses == [
+            {"kind": "error", "message": "unsupported protocol version: 1"},
+            {"kind": "hello_ack", "version": 2, "max_frame": 1000},
+            {"kind": "fit_ack", "model": "m1"},
+        ]
+        assert thread_errors == []
+
+    def test_client_maps_server_version_rejection(self, thread_errors):
+        """A server that speaks only version 1 refuses the client's hello."""
+        hellos = []
+
         def script(conn, reader):
-            reader.readline()
-            conn.sendall(b'{"kind":"error","message":"unsupported protocol version: 1"}\n')
+            hellos.append(json.loads(reader.readline()))
+            conn.sendall(b'{"kind":"error","message":"unsupported protocol version: 2"}\n')
+            reader.readline()  # EOF: the client gave up
 
         stub = StubServer(script)
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(VersionMismatch, match="^unsupported protocol version: 2$"):
             connect(stub.address, timeout=2.0)
+        stub._thread.join(timeout=5.0)
+        assert hellos == [{"kind": "hello", "version": 2, "max_frame": remote.DEFAULT_MAX_FRAME}]
+        assert thread_errors == []
 
     def test_sessions_are_isolated(self, server):
         with connect(server.address, timeout=5.0) as first:
             first.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
             with connect(server.address, timeout=5.0) as second:
                 # The other session's m1 must be invisible here.
-                with pytest.raises(RemoteError):
+                with pytest.raises(RemoteError, match="unknown model id"):
                     second._request(
-                        {"kind": "predict", "model": "m1", "inputs": {"x": [1.0]}}, "prediction"
+                        {"kind": "predict", "model": "m1", "inputs": {"x": f64le(1.0)}}, "prediction"
                     )
 
     def test_idle_peer_is_dropped_and_frees_its_slot(self, monkeypatch, thread_errors):
@@ -507,7 +350,7 @@ class TestServerBehaviour:
                 assert time.perf_counter() - start < 4.0
             finally:
                 idle.close()
-            (response,) = raw_exchange(srv.address, [b'{"kind":"hello","version":1}\n'])
+            (response,) = raw_exchange(srv.address, [b'{"kind":"hello","version":2}\n'])
             assert response["kind"] == "hello_ack"
         assert thread_errors == []
 
@@ -517,7 +360,7 @@ class TestServerBehaviour:
             trickle = socket.create_connection(srv.address, timeout=5.0)
             try:
                 reader = trickle.makefile("rb")
-                for part in (b'{"kind":"hel', b'lo","version":1}\n'):  # one frame in two reads
+                for part in (b'{"kind":"hel', b'lo","version":2}\n'):  # one frame in two reads
                     trickle.sendall(part)
                     time.sleep(0.05)
                 assert json.loads(reader.readline())["kind"] == "hello_ack"
@@ -535,7 +378,7 @@ class TestServerBehaviour:
                 assert time.perf_counter() - start >= 0.3
             finally:
                 trickle.close()
-            (response,) = raw_exchange(srv.address, [b'{"kind":"hello","version":1}\n'])
+            (response,) = raw_exchange(srv.address, [b'{"kind":"hello","version":2}\n'])
             assert response["kind"] == "hello_ack"
         assert thread_errors == []
 
@@ -576,7 +419,7 @@ class TestFrameLimits:
         head, tail = b'{"kind":"dance","pad":"', b'"}'
         line = head + b"x" * (1_000 + extra - len(head) - len(tail)) + tail + b"\n"
         # An oversized line travels alone, so the server reads every byte before it ends the session.
-        lines = [line] if extra else [line, b'{"kind":"hello","version":1}\n']
+        lines = [line] if extra else [line, b'{"kind":"hello","version":2}\n']
         with LearnerServer(max_frame=1_000) as srv:
             responses = exchange_to_eof(srv.address, lines)
         if extra:
@@ -584,7 +427,7 @@ class TestFrameLimits:
         else:
             assert responses == [
                 {"kind": "error", "message": "unknown request kind: 'dance'"},
-                {"kind": "hello_ack", "version": 1, "max_frame": 1_000},
+                {"kind": "hello_ack", "version": 2, "max_frame": 1_000},
             ]
         assert thread_errors == []
 
@@ -595,7 +438,7 @@ class TestFrameLimits:
 
         def script(conn, reader):
             try:
-                for response in [b'{"kind":"hello_ack","version":1,"max_frame":1000}\n', ack]:
+                for response in [b'{"kind":"hello_ack","version":2,"max_frame":1000}\n', ack]:
                     reader.readline()
                     conn.sendall(response)
                 reader.readline()  # EOF once the client closes
@@ -626,8 +469,8 @@ class TestFrameLimits:
             responses = exchange_to_eof(
                 srv.address,
                 [
-                    b'{"kind":"hello","version":1,"max_frame":' + limit + b"}\n",
-                    b'{"kind":"hello","version":1}\n',
+                    b'{"kind":"hello","version":2,"max_frame":' + limit + b"}\n",
+                    b'{"kind":"hello","version":2}\n',
                 ],
             )
         assert [r["kind"] for r in responses] == ["error", "hello_ack"]
@@ -641,7 +484,7 @@ class TestFrameLimits:
 
         def script(conn, reader):
             requests.append(reader.readline())
-            conn.sendall(b'{"kind":"hello_ack","version":1,"max_frame":' + limit + b"}\n")
+            conn.sendall(b'{"kind":"hello_ack","version":2,"max_frame":' + limit + b"}\n")
             requests.append(reader.readline())  # EOF: the client gave up
 
         stub = StubServer(script)
@@ -656,7 +499,7 @@ class TestFrameLimits:
         def script(conn, reader):
             try:
                 reader.readline()
-                conn.sendall(b'{"kind":"hello_ack","version":1,"max_frame":256,"pad":"' + b"x" * 400 + b'"}\n')
+                conn.sendall(b'{"kind":"hello_ack","version":2,"max_frame":256,"pad":"' + b"x" * 400 + b'"}\n')
                 reader.readline()  # EOF once the client gives up
             except OSError:
                 pass  # the client closed with the rest of the ack unread
@@ -681,7 +524,7 @@ class TestFaultInjection:
     def test_mid_fit_disconnect_is_typed_and_fast(self):
         def script(conn, reader):
             reader.readline()  # hello
-            conn.sendall(b'{"kind":"hello_ack","version":1,"max_frame":1000000}\n')
+            conn.sendall(b'{"kind":"hello_ack","version":2,"max_frame":1000000}\n')
             reader.readline()  # fit request arrives ...
             # ... and the server dies without answering.
 
@@ -701,7 +544,7 @@ class TestFaultInjection:
 
         def script(conn, reader):
             try:
-                for response in [b'{"kind":"hello_ack","version":1,"max_frame":1000}\n', *cut, *later]:
+                for response in [b'{"kind":"hello_ack","version":2,"max_frame":1000}\n', *cut, *later]:
                     request = reader.readline()
                     if not request:
                         return
@@ -726,7 +569,7 @@ class TestFaultInjection:
     def test_unresponsive_server_times_out(self):
         def script(conn, reader):
             reader.readline()
-            conn.sendall(b'{"kind":"hello_ack","version":1,"max_frame":1000000}\n')
+            conn.sendall(b'{"kind":"hello_ack","version":2,"max_frame":1000000}\n')
             reader.readline()
             time.sleep(5.0)  # never answer within the client timeout
 
@@ -812,7 +655,11 @@ class TestFaultInjection:
         ],
     )
     def test_prediction_must_match_the_request(self, outputs, got):
-        stub = self._answering(b'{"kind":"fit_ack","model":"m1"}', b'{"kind":"prediction","outputs":' + outputs + b"}")
+        """``outputs`` names each column's values, which travel as base64."""
+        wire = json.dumps({"kind": "prediction", "outputs": {
+            name: f64le(*values) for name, values in json.loads(outputs).items()
+        }})
+        stub = self._answering(b'{"kind":"fit_ack","model":"m1"}', wire.encode())
         with connect(stub.address, timeout=2.0) as session:
             model = session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
             with pytest.raises(RemoteError) as info:
@@ -820,12 +667,12 @@ class TestFaultInjection:
         assert str(info.value) == f"malformed response: expected column 'y' with 5 rows, got {got}"
 
     def test_undecodable_prediction_is_typed(self):
-        stub = self._answering(b'{"kind":"fit_ack","model":"m1"}', b'{"kind":"prediction","outputs":{"y":[true]}}')
+        stub = self._answering(b'{"kind":"fit_ack","model":"m1"}', b'{"kind":"prediction","outputs":{"y":"A"}}')
         with connect(stub.address, timeout=2.0) as session:
             model = session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
             with pytest.raises(RemoteError) as info:
                 model.predict(Dataset({"x": [1.0]}))
-        assert str(info.value) == "malformed response: column 'y' holds True; only JSON numbers are accepted"
+        assert str(info.value) == "malformed response: column 'y' is not canonical base64"
 
     @pytest.mark.parametrize(
         "saved, message",
@@ -855,7 +702,7 @@ class TestFaultInjection:
     def test_wrong_ack_version_is_version_mismatch(self):
         def script(conn, reader):
             reader.readline()
-            conn.sendall(b'{"kind":"hello_ack","version":2,"max_frame":1000000}\n')
+            conn.sendall(b'{"kind":"hello_ack","version":1,"max_frame":1000000}\n')
 
         stub = StubServer(script)
         with pytest.raises(VersionMismatch):
