@@ -20,7 +20,9 @@ Every environment, transform and learner kind is one entry of
 plus, for each parameter, a check and a default. These tables are the single
 source of truth: validation diagnostics, default filling, construction and
 ``watertank_config()`` all read them. A parameter that its kind's table does
-not name is reported as unknown, for every kind.
+not name is reported as unknown, for every kind. The ``csv`` and ``json``
+kinds take only a ``path``; a CSV file is a header row, then comma-separated
+rows, as ``load_csv`` reads it.
 
 Execution order: observe the environment, fit and apply the transforms,
 split rows chronologically, learn on the leading part, evaluate on the rest.
@@ -37,7 +39,8 @@ from collections import Counter
 from pathlib import Path
 
 from . import remote
-from .environments import DatasetStream, OdeEnvironment, OfflineEnvironment, WaterTankSystem, _substeps
+from .environments import _MAX_RK4_STEPS, _substeps
+from .environments import DatasetStream, OdeEnvironment, OfflineEnvironment, WaterTankSystem
 from .errors import PipelineError
 from .learners import (
     MODEL_FILE_SUFFIX,
@@ -155,13 +158,7 @@ ENVIRONMENT_KINDS = {
         "outflow_coeff": (_number, 0.5),
         "inflow_gain": (_number, 2.0),
     }),
-    "csv": (OfflineEnvironment.from_csv, {
-        "path": (_path, _REQUIRED),
-        "has_header": (_check(lambda v: isinstance(v, bool), "must be a boolean"), True),
-        "delimiter": (
-            _check(lambda v: isinstance(v, str) and len(v) == 1, "must be a single character"), ","
-        ),
-    }),
+    "csv": (OfflineEnvironment.from_csv, {"path": (_path, _REQUIRED)}),
     "json": (OfflineEnvironment.from_json, {"path": (_path, _REQUIRED)}),
 }
 
@@ -228,11 +225,6 @@ def _check_spec(diags: list[str], field: str, spec, table: dict) -> None:
         problem = check(spec.get(key)) if key in spec or default is _REQUIRED else None
         if problem:
             diags.append(f"{field}.{key}: {problem}")
-
-
-# The most RK4 steps one ode_watertank run may take: about two minutes at the
-# ~1.2 us per step measured on a 2-vCPU Xeon. The paper's run takes 24 900.
-_MAX_RK4_STEPS = 10**8
 
 
 def _check_step_count(diags: list[str], spec) -> None:

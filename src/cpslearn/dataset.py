@@ -58,6 +58,14 @@ class TooFewRows(PipelineError):
     """The dataset has too few rows for the requested operation."""
 
 
+class NonFiniteValue(PipelineError, ValueError):
+    """A column or trace cell holds NaN or an infinity."""
+
+    def __init__(self, column: str):
+        super().__init__(f"column {column!r} holds NaN or an infinity")
+        self.column = column
+
+
 class ColumnKind(enum.Enum):
     """Value kind held by a column: a float64 per row, or a float64 trace per row."""
 
@@ -95,42 +103,37 @@ class Column:
 _NUMBER_TYPES = (int, float, np.integer, np.floating, np.bool_)  # bool is an int
 
 
-def _floats(values, allow_nan: bool) -> np.ndarray:
-    """A new read-only one-dimensional float64 array of ``values``; a Python int
-    converts as ``float(int)`` does. Refuses NaN unless ``allow_nan``."""
+def _floats(values, name: str) -> np.ndarray:
+    """A new read-only float64 array of one scalar column or trace cell of column ``name``:
+    a numeric numpy array, or a sequence of numbers or of booleans (never mixed). A Python
+    int converts as ``float(int)`` does. Refuses NaN and the infinities."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        if values.dtype.kind not in "biuf":
+            raise ValueError(f"unsupported array dtype: {values.dtype}")
+    else:
+        booleans = len(values) > 0 and isinstance(values[0], (bool, np.bool_))  # the first value decides
+        for v in values:
+            if not isinstance(v, _NUMBER_TYPES) or isinstance(v, (bool, np.bool_)) != booleans:
+                raise ValueError(f"column values must be numbers, booleans, or numeric traces, got {v!r}")
     try:
         array = np.array(values, dtype=np.float64)
     except OverflowError:
         raise ValueError("integer out of the float64 range") from None
     if array.ndim != 1:
         raise ValueError("columns and trace cells must be one-dimensional")
-    if not allow_nan and np.isnan(array).any():
-        raise ValueError("NaN values are not permitted (pass allow_nan=True to accept them)")
+    if not np.isfinite(array).all():
+        raise NonFiniteValue(name)
     array.setflags(write=False)
     return array
 
 
-def _number_floats(values, allow_nan: bool) -> np.ndarray:
-    """The float64 array of one scalar column or trace cell: a numeric numpy
-    array, or a sequence of numbers or of booleans (never mixed)."""
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        if values.dtype.kind not in "biuf":
-            raise ValueError(f"unsupported array dtype: {values.dtype}")
-        return _floats(values, allow_nan)
-    booleans = len(values) > 0 and isinstance(values[0], (bool, np.bool_))  # the first value decides
-    for v in values:
-        if not isinstance(v, _NUMBER_TYPES) or isinstance(v, (bool, np.bool_)) != booleans:
-            raise ValueError(f"column values must be numbers, booleans, or numeric traces, got {v!r}")
-    return _floats(values, allow_nan)
-
-
-def _as_column(values, allow_nan: bool = False) -> Column:
-    """Build a Column: numbers and booleans (as 0.0 and 1.0, never mixed with numbers)
-    become FLOAT64, sequences of them LIST_FLOAT64, with the same rule for each cell."""
+def _as_column(values, name: str) -> Column:
+    """Build column ``name``: numbers and booleans (as 0.0 and 1.0, never mixed with
+    numbers) become FLOAT64, sequences of them LIST_FLOAT64, with the same rule for each cell."""
     if isinstance(values, Column):
         return values
     if isinstance(values, np.ndarray) and values.dtype != object:
-        return Column(ColumnKind.FLOAT64, _number_floats(values, allow_nan))
+        return Column(ColumnKind.FLOAT64, _floats(values, name))
     if not isinstance(values, (list, tuple, np.ndarray)):
         raise ValueError(f"cannot build a column from {type(values).__name__}")
 
@@ -138,21 +141,24 @@ def _as_column(values, allow_nan: bool = False) -> Column:
     if any(isinstance(v, (list, tuple, np.ndarray)) for v in items):
         if not all(isinstance(v, (list, tuple, np.ndarray)) for v in items):
             raise ValueError("cannot mix scalar and trace values in one column")
-        return Column(ColumnKind.LIST_FLOAT64, tuple(_number_floats(v, allow_nan) for v in items))
-    return Column(ColumnKind.FLOAT64, _number_floats(items, allow_nan))
+        return Column(ColumnKind.LIST_FLOAT64, tuple(_floats(v, name) for v in items))
+    return Column(ColumnKind.FLOAT64, _floats(items, name))
 
 
 class Dataset:
     """Immutable table of named float64 columns (scalar or trace) of equal length.
+
+    Every value is a finite float64: NaN and the infinities are refused when
+    the Dataset is built, so no later stage needs to check for them.
 
     Args:
         columns: mapping of name to values, or a sequence of ``(name, values)``
             pairs. Values may be lists, numpy arrays, or existing
             :class:`Column` instances.
         row_count: required only when ``columns`` is empty.
-        allow_nan: permit NaN entries in float columns.
 
     Raises:
+        NonFiniteValue: if a value is NaN or an infinity (a ``ValueError`` too).
         ValueError: on duplicate names, mismatched column lengths, or values
             that do not form a supported column kind.
     """
@@ -163,37 +169,32 @@ class Dataset:
         self,
         columns: Mapping[str, object] | Sequence[tuple[str, object]] | None = None,
         row_count: int | None = None,
-        allow_nan: bool = False,
     ):
         if columns is None:
             columns = []
         pairs = list(columns.items()) if isinstance(columns, Mapping) else list(columns)
-        names: list[str] = []
         built: dict[str, Column] = {}
         for name, values in pairs:
             if not isinstance(name, str):
                 raise ValueError("column names must be strings")
             if name in built:
                 raise ValueError(f"duplicate column name: {name!r}")
-            column = _as_column(values, allow_nan=allow_nan)
-            names.append(name)
-            built[name] = column
+            built[name] = _as_column(values, name)
 
         lengths = {len(c) for c in built.values()}
         if len(lengths) > 1:
             raise ValueError(f"columns have differing lengths: {sorted(lengths)}")
-        inferred = lengths.pop() if lengths else None
-        if inferred is None:
-            if row_count is None:
-                row_count = 0
-        elif row_count is None:
+        if lengths:
+            inferred = lengths.pop()
+            if row_count is not None and row_count != inferred:
+                raise ValueError(f"row_count={row_count} does not match column length {inferred}")
             row_count = inferred
-        elif row_count != inferred:
-            raise ValueError(f"row_count={row_count} does not match column length {inferred}")
+        elif row_count is None:
+            row_count = 0
         if row_count < 0:
             raise ValueError("row_count must be non-negative")
 
-        self._names = tuple(names)
+        self._names = tuple(built)
         self._columns = built
         self._row_count = row_count
 
@@ -273,125 +274,87 @@ class Dataset:
 _NUMERIC_BYTES = b"0123456789+-.eE\n"
 
 
-def _load_numeric_csv(data: bytes, has_header: bool, delimiter: str):
+def _load_numeric_csv(data: bytes):
     """``(names, values)`` of a plain numeric CSV via numpy's C parser, or None.
 
-    ``values`` is an (n_rows, n_cols) float64 array. None means the file is
-    not plain numeric text or does not parse into a rectangle matching its
-    header; :func:`load_csv` then parses it with ``csv.reader`` + ``float()``,
-    which accepts and refuses exactly what it always has. A quote or
-    carriage-return delimiter is special to ``csv.reader`` and never taken here.
-    A file whose every ``\r`` starts a ``\r\n`` (as :func:`write_csv` ends its
-    rows) is read with ``\n`` ends, which ``csv.reader`` splits the same way.
+    ``values`` is an (n_rows, n_cols) array of finite float64. None means the
+    file is not plain numeric text, does not parse into a rectangle matching
+    its header, or holds a value beyond float64 (``1e400``); :func:`load_csv`
+    then parses it with ``csv.reader`` + ``float()``, which accepts and refuses
+    exactly what it always has. A file whose every ``\r`` starts a ``\r\n``
+    (as :func:`write_csv` ends its rows) is read with ``\n`` ends, which
+    ``csv.reader`` splits the same way.
     """
-    if (
-        not isinstance(delimiter, str)
-        or len(delimiter) != 1
-        or not delimiter.isascii()
-        or delimiter.encode() in _NUMERIC_BYTES + b'\r"'
-    ):
-        return None
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n")
         if b"\r" in data:
             return None
-    head, _, body = data.partition(b"\n") if has_header else (b"", b"", data)
-    if (
-        not body
-        or body.startswith(b"\n")
-        or b"\n\n" in body
-        or body.translate(None, _NUMERIC_BYTES + delimiter.encode())
-    ):
+    head, _, body = data.partition(b"\n")
+    if not body or body.startswith(b"\n") or b"\n\n" in body or body.translate(None, _NUMERIC_BYTES + b","):
         return None
     try:
-        values = np.loadtxt(
-            io.StringIO(body.decode("ascii")),
-            delimiter=delimiter,
-            comments=None,
-            dtype=np.float64,
-            ndmin=2,
-        )
-        if not has_header:
-            return [f"column_{i}" for i in range(values.shape[1])], values
+        # dtype float64, no comment character, fields split at commas
+        values = np.loadtxt(io.StringIO(body.decode("ascii")), np.float64, None, ",", ndmin=2)
         # strict: a quoted field left open at the end of the line (which
         # csv.reader would carry into the next line) raises instead.
-        [names] = csv.reader(
-            io.StringIO(head.decode("utf-8"), newline=""), delimiter=delimiter, strict=True
-        )
+        [names] = csv.reader(io.StringIO(head.decode("utf-8"), newline=""), strict=True)
     except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
         return None
-    return (names, values) if len(names) == values.shape[1] else None
+    if len(names) != values.shape[1] or not np.isfinite(values).all():
+        return None
+    return names, values
 
 
-def load_csv(
-    path,
-    has_header: bool = True,
-    delimiter: str = ",",
-    allow_nan: bool = False,
-) -> Dataset:
+def load_csv(path) -> Dataset:
     """Load a CSV file into a Dataset of float64 columns.
 
-    Every cell must be numeric; the file must be rectangular. When
-    ``has_header`` is false, columns are named ``column_0``, ``column_1``, ...
-    The file is UTF-8 text; a leading byte-order mark is skipped.
+    The file is UTF-8 text (a leading byte-order mark is skipped) in the
+    layout :func:`write_csv` writes: a header row of column names, then
+    comma-separated rows. Every cell must be a finite number; the file must
+    be rectangular.
 
     Cells are read as ``float()`` reads them, after ``csv.reader`` has split
-    the rows. A file whose data rows hold only digits, ``+-.eE``, the
-    delimiter and single ``\n`` or ``\r\n`` line ends (no blank line, lone
-    carriage return or quote) is parsed by numpy's C parser instead, which reads
-    exactly those files to the same columns; the accepted inputs and the errors
-    are the same either way.
+    the rows. A file whose data rows hold only digits, ``+-.eE``, commas and
+    single ``\n`` or ``\r\n`` line ends (no blank line, lone carriage return
+    or quote) is parsed by numpy's C parser instead, which reads exactly those
+    files to the same columns; the accepted inputs and the errors are the
+    same either way.
 
     Raises:
         FileNotFoundError: if the file does not exist.
         EmptyFile: if the file holds no rows at all.
         RaggedRows: if row widths differ.
-        ParseError: for a non-numeric cell (carries ``row`` and ``column``).
+        ParseError: for a cell that is not a finite number: text, NaN or a
+            value beyond float64 such as ``1e400`` (carries ``row`` and ``column``).
     """
     with open(path, "rb") as fh:
         data = fh.read().removeprefix(codecs.BOM_UTF8)
-    numeric = _load_numeric_csv(data, has_header, delimiter)
+    numeric = _load_numeric_csv(data)
     if numeric is not None:
         names, values = numeric
-        return Dataset([(name, values[:, j]) for j, name in enumerate(names)], allow_nan=allow_nan)
+        return Dataset([(name, values[:, j]) for j, name in enumerate(names)])
 
-    rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline=""), delimiter=delimiter))
+    rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
     if not rows:
         raise EmptyFile(f"no rows in {path}")
 
-    width = len(rows[0])
+    names = rows[0]
     for i, row in enumerate(rows):
-        if len(row) != width:
-            raise RaggedRows(f"row {i} has {len(row)} cells, expected {width}")
+        if len(row) != len(names):
+            raise RaggedRows(f"row {i} has {len(row)} cells, expected {len(names)}")
 
-    if has_header:
-        names = rows[0]
-        data_rows = rows[1:]
-        first_data_row = 1
-    else:
-        names = [f"column_{i}" for i in range(width)]
-        data_rows = rows
-        first_data_row = 0
-
-    parsed = [np.empty(len(data_rows), dtype=np.float64) for _ in range(width)]
-    for i, row in enumerate(data_rows):
+    parsed = [np.empty(len(rows) - 1, dtype=np.float64) for _ in names]
+    for i, row in enumerate(rows[1:], start=1):
         for j, cell in enumerate(row):
             try:
                 value = float(cell)
             except ValueError:
-                raise ParseError(
-                    f"non-numeric cell {cell!r} at row {i + first_data_row}, column {names[j]!r}",
-                    row=i + first_data_row,
-                    column=names[j],
-                ) from None
-            if math.isnan(value) and not allow_nan:
-                raise ParseError(
-                    f"NaN at row {i + first_data_row}, column {names[j]!r} (allow_nan=False)",
-                    row=i + first_data_row,
-                    column=names[j],
-                )
-            parsed[j][i] = value
-    return Dataset(list(zip(names, parsed)), allow_nan=allow_nan)
+                value = math.nan
+            if not math.isfinite(value):
+                message = f"cell {cell!r} at row {i}, column {names[j]!r} is not a finite number"
+                raise ParseError(message, row=i, column=names[j])
+            parsed[j][i - 1] = value
+    return Dataset(list(zip(names, parsed)))
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -414,25 +377,28 @@ def write_csv(dataset: Dataset, path) -> None:
             writer.writerow([repr(col[i]) for col in columns])
 
 
-def _json_column(name: str, values: list, allow_nan: bool) -> Column:
+def _json_column(name: str, values: list) -> Column:
     try:
-        return _as_column(values, allow_nan=allow_nan)
+        return _as_column(values, name)
+    except NonFiniteValue:
+        raise
     except ValueError as exc:
         raise ParseError(f"column {name!r}: {exc}", column=name) from None
 
 
-def load_json(path, allow_nan: bool = False) -> Dataset:
+def load_json(path) -> Dataset:
     """Load a JSON file into a Dataset.
 
     Two shapes are accepted: an array of flat objects with identical key
     sets, or a single object mapping column names to equal-length arrays.
     Numbers and booleans (as 0.0 and 1.0) become float64 columns, and arrays
     nested inside a column become trace columns, each cell by the same rule:
-    numbers, or booleans, never the two mixed.
+    numbers, or booleans, never the two mixed. Every number must be finite.
 
     Raises:
         FileNotFoundError: if the file does not exist.
         ParseError: for malformed JSON, unsupported values or integers beyond float64.
+        NonFiniteValue: for ``NaN``, ``Infinity`` or a number beyond float64 (``1e400``).
         InconsistentKeys: when record objects disagree on their keys.
     """
     with open(path, encoding="utf-8") as fh:
@@ -449,7 +415,7 @@ def load_json(path, allow_nan: bool = False) -> Dataset:
         for i, rec in enumerate(doc):
             if set(rec.keys()) != reference:
                 raise InconsistentKeys(f"object {i} keys {sorted(rec)} != {sorted(reference)}")
-        columns = [(n, _json_column(n, [rec[n] for rec in doc], allow_nan)) for n in names]
+        columns = [(n, _json_column(n, [rec[n] for rec in doc])) for n in names]
         return Dataset(columns, row_count=len(doc))
 
     if isinstance(doc, dict):
@@ -459,7 +425,7 @@ def load_json(path, allow_nan: bool = False) -> Dataset:
         lengths = {len(v) for v in doc.values()}
         if len(lengths) > 1:
             raise RaggedRows(f"JSON columns have differing lengths: {sorted(lengths)}")
-        columns = [(n, _json_column(n, values, allow_nan)) for n, values in doc.items()]
+        columns = [(n, _json_column(n, values)) for n, values in doc.items()]
         return Dataset(columns)
 
     raise ParseError("JSON root must be an array of objects or an object of arrays")

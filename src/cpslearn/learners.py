@@ -118,10 +118,13 @@ class Model(abc.ABC):
 
         Raises:
             SchemaMismatch: if input columns differ from the trained schema.
+            NonFiniteValue: if a prediction overflows float64.
         """
         _check_input_columns(inputs, self.input_columns)
         matrix = _float_matrix(inputs, self.input_columns)
-        return Dataset([(self.output_column, self._predict_matrix(matrix))])
+        with np.errstate(over="ignore", invalid="ignore"):  # Dataset refuses inf and NaN, naming the column
+            predictions = self._predict_matrix(matrix)
+        return Dataset([(self.output_column, predictions)])
 
     @abc.abstractmethod
     def _predict_matrix(self, matrix: np.ndarray) -> np.ndarray: ...

@@ -39,6 +39,10 @@ class EmptyDataset(PipelineError):
     """A transform that needs data was fitted on zero rows."""
 
 
+class StatisticsOverflow(PipelineError):
+    """The mean or standard deviation of a finite column overflows float64."""
+
+
 class Transform:
     """Base class: a Dataset -> Dataset mapping with an optional fit step."""
 
@@ -127,8 +131,7 @@ class Explode(Transform):
                 columns.append((name, Column(kind, repeated)))
             else:
                 columns.append((name, np.repeat(values, counts)))
-        # The arrays are new; Dataset locks them. NaN was checked when the input was built.
-        return Dataset(columns, row_count=int(counts.sum()), allow_nan=True)
+        return Dataset(columns, row_count=int(counts.sum()))
 
 
 class Standardize(Transform):
@@ -153,8 +156,11 @@ class Standardize(Transform):
             if dataset.column_kind(name) is not ColumnKind.FLOAT64:
                 raise ValueError(f"column {name!r} is not float64")
             values = dataset.column(name)
-            mean = float(np.mean(values))
-            std = float(np.std(values))
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises StatisticsOverflow below
+                mean = float(np.mean(values))
+                std = float(np.std(values))
+            if not np.isfinite((mean, std)).all():
+                raise StatisticsOverflow(f"column {name!r}: its mean or standard deviation overflows float64")
             stats[name] = (mean, std, std < self.CONSTANT_EPS)
         self._stats = stats
         return self
@@ -181,7 +187,8 @@ class Standardize(Transform):
                 if constant:
                     scaled = np.zeros(len(values), dtype=np.float64)
                 else:
-                    scaled = (values - mean) / std
+                    with np.errstate(over="ignore", invalid="ignore"):  # Dataset refuses inf, naming the column
+                        scaled = (values - mean) / std
                 columns.append((name, scaled))
             else:
                 columns.append((name, Column(kind, values)))

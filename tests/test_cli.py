@@ -388,6 +388,26 @@ class TestErrorRecords:
         assert record["message"] == "r2: the squared deviations of the actuals underflow to 0; R2 is undefined"
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_standardize_is_one_record(self, tmp_path, capsys):
+        """Ten finite values of 1e308 sum past float64, so their mean overflows."""
+        data = tmp_path / "data.csv"
+        data.write_text("u,y\n" + "".join(f"1e308,{i}\n" for i in range(10)))
+        cfg = {
+            "environment": {"kind": "csv", "path": str(data)},
+            "transforms": [{"kind": "standardize", "names": ["u"]}],
+            "io": {"inputs": ["u"], "outputs": ["y"]},
+            "split_fraction": 0.5,
+            "learner": {"kind": "linear"},
+            "metrics": ["mae"],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        record = self.one_record(capsys)
+        assert (record["error"], record["module"]) == ("StatisticsOverflow", "cpslearn.transforms")
+        assert record["message"] == "column 'u': its mean or standard deviation overflows float64"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [("substep", 1e-300), ("samples", 10**12)])
     def test_too_many_rk4_steps_is_one_record(self, tmp_path, capsys, key, value):
         cfg = watertank_config()

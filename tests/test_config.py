@@ -128,11 +128,7 @@ GOLDEN = [
     ("csv-path-number", ("environment",), {"kind": "csv", "path": 3},
      ["environment.path: must be a file path string"]),
     ("csv-header-string", ("environment",), {**CSV, "has_header": "yes"},
-     ["environment.has_header: must be a boolean"]),
-    ("csv-delimiter-long", ("environment",), {**CSV, "delimiter": ";;"},
-     ["environment.delimiter: must be a single character"]),
-    ("csv-delimiter-number", ("environment",), {**CSV, "delimiter": 1},
-     ["environment.delimiter: must be a single character"]),
+     ["environment.has_header: unknown parameter"]),
     ("json-path-missing", ("environment",), {"kind": "json"}, ["environment.path: must be a file path string"]),
     ("learner-not-object", ("learner",), [], ["learner: must be an object"]),
     ("learner-unknown-kind", ("learner",), {"kind": "svm"},

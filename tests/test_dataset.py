@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import math
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpslearn import ColumnKind, Dataset, load_csv, load_json, write_csv
+from cpslearn import ColumnKind, Dataset, LinearModel, load_csv, load_json, write_csv
 from cpslearn import dataset as dataset_module
+from cpslearn import remote
 from cpslearn.dataset import (
     EmptyFile,
     InconsistentKeys,
     InvalidFraction,
+    NonFiniteValue,
     ParseError,
     RaggedRows,
     TooFewRows,
@@ -68,23 +71,6 @@ def test_load_csv_non_numeric_cell(tmp_path):
     assert info.value.column == "b"
 
 
-def test_load_csv_without_header(tmp_path):
-    path = tmp_path / "n.csv"
-    path.write_text("1;2\n3;4\n")
-    d = load_csv(path, has_header=False, delimiter=";")
-    assert d.column_names == ("column_0", "column_1")
-    assert d.row_count == 2
-
-
-def test_load_csv_rejects_nan_unless_allowed(tmp_path):
-    path = tmp_path / "nan.csv"
-    path.write_text("a\nnan\n")
-    with pytest.raises(ParseError):
-        load_csv(path)
-    d = load_csv(path, allow_nan=True)
-    assert np.isnan(d.column("a")[0])
-
-
 def test_load_csv_deterministic(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b\n0.1,2\n3,4.5\n")
@@ -110,9 +96,10 @@ def test_csv_round_trip_is_exact(tmp_path):
 
 @st.composite
 def scalar_columns(draw) -> list:
-    """1-3 columns of one length, each all ints, all booleans or all non-NaN floats."""
+    """1-3 columns of one length, each all ints, all booleans or all finite floats."""
     rows = draw(st.integers(0, 5))
-    values = st.sampled_from([st.integers(-(10**300), 10**300), st.booleans(), st.floats(allow_nan=False)])
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = st.sampled_from([st.integers(-(10**300), 10**300), st.booleans(), finite])
     return [draw(st.lists(draw(values), min_size=rows, max_size=rows)) for _ in range(draw(st.integers(1, 3)))]
 
 
@@ -128,10 +115,10 @@ def test_csv_round_trip_of_ints_bools_and_floats(tmp_path_factory, columns):
         assert reloaded.column(name).tobytes() == d.column(name).tobytes()
 
 
-def reference_load_csv(path, has_header=True, delimiter=",", allow_nan=False) -> Dataset:
+def reference_load_csv(path) -> Dataset:
     """Oracle: the parser every CSV once went through, csv.reader + float() per cell."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
+        rows = list(csv.reader(fh))
     if not rows:
         raise EmptyFile(f"no rows in {path}")
 
@@ -140,40 +127,25 @@ def reference_load_csv(path, has_header=True, delimiter=",", allow_nan=False) ->
         if len(row) != width:
             raise RaggedRows(f"row {i} has {len(row)} cells, expected {width}")
 
-    if has_header:
-        names = rows[0]
-        data_rows = rows[1:]
-        first_data_row = 1
-    else:
-        names = [f"column_{i}" for i in range(width)]
-        data_rows = rows
-        first_data_row = 0
-
-    parsed = [np.empty(len(data_rows), dtype=np.float64) for _ in range(width)]
-    for i, row in enumerate(data_rows):
-        for j, cell in enumerate(row):
+    names = rows[0]
+    parsed = [np.empty(len(rows) - 1, dtype=np.float64) for _ in range(width)]
+    for i in range(1, len(rows)):
+        for j, cell in enumerate(rows[i]):
+            message = f"cell {cell!r} at row {i}, column {names[j]!r} is not a finite number"
             try:
                 value = float(cell)
             except ValueError:
-                raise ParseError(
-                    f"non-numeric cell {cell!r} at row {i + first_data_row}, column {names[j]!r}",
-                    row=i + first_data_row,
-                    column=names[j],
-                ) from None
-            if math.isnan(value) and not allow_nan:
-                raise ParseError(
-                    f"NaN at row {i + first_data_row}, column {names[j]!r} (allow_nan=False)",
-                    row=i + first_data_row,
-                    column=names[j],
-                )
-            parsed[j][i] = value
-    return Dataset(list(zip(names, parsed)), allow_nan=allow_nan)
+                raise ParseError(message, row=i, column=names[j]) from None
+            if not math.isfinite(value):
+                raise ParseError(message, row=i, column=names[j])
+            parsed[j][i - 1] = value
+    return Dataset(list(zip(names, parsed)))
 
 
-def csv_outcome(load, path, **options):
+def csv_outcome(load, path):
     """Names and column bytes, or the exception's type, message, row and column."""
     try:
-        d = load(path, **options)
+        d = load(path)
     except Exception as exc:  # the oracle compares whatever either parser raises
         return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
     return d.column_names, [d.column(name).tobytes() for name in d.column_names]
@@ -186,10 +158,8 @@ ODD_CELLS = ["", "_", "1_000", "nan", "-inf", "1e400", '"1"', '"', " 1", "1 ", "
 
 @st.composite
 def csv_files(draw):
-    """(text, has_header, delimiter): numeric cells, line feeds and a rectangle in about
-    half the files, odd cells, other line ends, blank lines and ragged rows in the rest."""
-    delimiter = draw(st.sampled_from([",", ";", "\t"]))
-    has_header = draw(st.booleans())
+    """A header row, then comma-separated rows: numeric cells, line feeds and a rectangle in
+    about half the files, odd cells, other line ends, blank lines and ragged rows in the rest."""
     width = draw(st.integers(1, 4))
     plain = draw(st.booleans())
     finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
@@ -198,28 +168,26 @@ def csv_files(draw):
         cell = draw(st.sampled_from([finite, st.one_of(finite, numeric)]))
     else:
         cell = st.one_of(st.floats().map(repr), numeric, st.sampled_from(ODD_CELLS))
-    lines = [delimiter.join(draw(st.sampled_from(["t", "V", '"x"', "a b"])) + str(j)
-                            for j in range(width))] if has_header else []
+    # "1" + j: a file written without a header row has its first data row read as names
+    lines = [",".join(draw(st.sampled_from(["t", "V", '"x"', "a b", "1"])) + str(j) for j in range(width))]
     for _ in range(draw(st.integers(0, 6))):
         cells = width if plain else width + draw(st.sampled_from([0, 0, 0, 1, -1]))
-        lines.append(delimiter.join(draw(st.lists(cell, min_size=cells, max_size=cells))))
+        lines.append(",".join(draw(st.lists(cell, min_size=cells, max_size=cells))))
     if lines and not plain and draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), "")  # a blank line
     endings = st.just("\n") if plain else st.sampled_from(["\n", "\r\n", "\r"])
     text = "".join(line + draw(endings) for line in lines)
     if text and draw(st.booleans()):
         text = text.rstrip("\r\n")  # no final newline
-    return text, has_header, delimiter
+    return text
 
 
 @settings(deadline=None, max_examples=400)
-@given(csv_files(), st.booleans())
-def test_load_csv_matches_reference(tmp_path_factory, file, allow_nan):
-    text, has_header, delimiter = file
+@given(csv_files())
+def test_load_csv_matches_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "f.csv"
     path.write_bytes(text.encode("utf-8"))
-    options = dict(has_header=has_header, delimiter=delimiter, allow_nan=allow_nan)
-    assert csv_outcome(load_csv, path, **options) == csv_outcome(reference_load_csv, path, **options)
+    assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv, path)
 
 
 @pytest.mark.parametrize(
@@ -245,7 +213,7 @@ def test_write_csv_files_take_the_fast_path(tmp_path):
     path = tmp_path / "w.csv"
     write_csv(d, path)
     assert b"\r\n" in path.read_bytes()  # csv.writer's default line terminator
-    names, values = dataset_module._load_numeric_csv(path.read_bytes(), True, ",")
+    names, values = dataset_module._load_numeric_csv(path.read_bytes())
     assert tuple(names) == d.column_names
     assert [values[:, j].tobytes() for j in range(3)] == [d.column(n).tobytes() for n in d.column_names]
     assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv, path)
@@ -265,7 +233,7 @@ def test_write_csv_files_take_the_fast_path(tmp_path):
 )
 def test_crlf_line_ends_match_reference(tmp_path, text, fast):
     data = text.encode()
-    assert (dataset_module._load_numeric_csv(data, True, ",") is not None) == fast
+    assert (dataset_module._load_numeric_csv(data) is not None) == fast
     path = tmp_path / "f.csv"
     path.write_bytes(data)
     assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv, path)
@@ -395,12 +363,12 @@ def json_documents(draw) -> str:
 
 
 @settings(deadline=None, max_examples=300)
-@given(json_documents(), st.booleans())
-def test_load_json_returns_a_dataset_or_a_pipeline_error(tmp_path_factory, text, allow_nan):
+@given(json_documents())
+def test_load_json_returns_a_dataset_or_a_pipeline_error(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("json") / "f.json"
     path.write_text(text)
     try:
-        result = load_json(path, allow_nan=allow_nan)
+        result = load_json(path)
     except PipelineError:
         return
     assert isinstance(result, Dataset)
@@ -505,6 +473,52 @@ def test_trace_cells_of_booleans_or_numeric_arrays():
     assert [cell.tolist() for cell in d.column("t")] == [[1.0, 0.0], [1.0, 2.0], [0.5]]
 
 
+def csv_with(tmp_path, value: float) -> Dataset:
+    """1e400 reaches numpy's parser and falls back; nan and -inf go to csv.reader at once."""
+    cell = {math.inf: "1e400", -math.inf: "-inf"}.get(value, "nan")
+    path = tmp_path / "f.csv"
+    path.write_text(f"t,a\n0,1\n1,{cell}\n")
+    return load_csv(path)
+
+
+def json_with(tmp_path, value: float, records: bool) -> Dataset:
+    literal = {math.inf: "Infinity", -math.inf: "-1e400"}.get(value, "NaN")
+    path = tmp_path / "f.json"
+    path.write_text(f'[{{"a": 1}}, {{"a": {literal}}}]' if records else f'{{"a": [1, {literal}]}}')
+    return load_json(path)
+
+
+def prediction_of(value: float) -> Dataset:
+    """A linear model's prediction that overflows to ``value``: 2e308 - 0, 0 - 2e308, or inf - inf."""
+    u, v = {math.inf: (2.0, 0.0), -math.inf: (0.0, 2.0)}.get(value, (2.0, 2.0))
+    return LinearModel([1e308, -1e308], 0.0, ["u", "v"], "a").predict(Dataset({"u": [u], "v": [v]}))
+
+
+WAYS_IN = {
+    "list": lambda tmp_path, value: Dataset({"a": [1.0, value]}),
+    "array": lambda tmp_path, value: Dataset({"a": np.array([1.0, value])}),
+    "trace-cell": lambda tmp_path, value: Dataset({"a": [[1.0], [2.0, value]]}),
+    "csv": csv_with,
+    "json-columns": lambda tmp_path, value: json_with(tmp_path, value, records=False),
+    "json-records": lambda tmp_path, value: json_with(tmp_path, value, records=True),
+    "wire": lambda tmp_path, value: remote._wire_to_dataset(
+        {"a": base64.b64encode(np.array([1.0, value], "<f8").tobytes()).decode()}
+    ),
+    "linear-model": lambda tmp_path, value: prediction_of(value),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("way", WAYS_IN)
+def test_every_way_into_a_dataset_refuses_non_finite_values(tmp_path, way, value):
+    with pytest.raises(ParseError if way == "csv" else NonFiniteValue) as info:
+        WAYS_IN[way](tmp_path, value)
+    assert info.value.column == "a"
+    assert str(info.value).count("'a'") == 1
+    if way == "csv":
+        assert info.value.row == 2
+
+
 def test_construction_errors():
     with pytest.raises(ValueError):
         Dataset({"a": [1.0, float("nan")]})
@@ -512,7 +526,6 @@ def test_construction_errors():
         Dataset([("a", [1.0]), ("a", [2.0])])
     with pytest.raises(ValueError):
         Dataset({"a": [1.0, 2.0], "b": [1.0]})
-    Dataset({"a": [1.0, float("nan")]}, allow_nan=True)  # explicit opt-in
 
 
 @pytest.mark.parametrize(

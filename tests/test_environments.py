@@ -254,6 +254,14 @@ class TestOdeEnvironment:
         with pytest.raises(ValueError, match="sample_period / substep is not finite"):
             OdeEnvironment(WaterTankSystem(), sample_period=sample_period, substep=substep)
 
+    @pytest.mark.parametrize("substep, n", [(1e-300, 2), (1e-3, 1_000_002), (1e-3, 10**12)])
+    def test_rk4_steps_are_bounded_before_any_work(self, substep, n):
+        """(n - 1) * 100 steps at the default period: 1_000_001 samples take exactly 10**8."""
+        env = OdeEnvironment(WaterTankSystem(), substep=substep)
+        with pytest.raises(ValueError, match=r"^\(n - 1\) \* round\(sample_period / substep\) is above the limit "
+                                             r"of 100000000 RK4 steps$"):
+            env.sample_trajectory(n)
+
 
 class TestWaterTankActiveEnvironment:
     def test_initial_observation(self):
@@ -313,6 +321,12 @@ class TestWaterTankActiveEnvironment:
     def test_step_count_must_be_finite(self, step_period, substep):
         with pytest.raises(ValueError, match="step_period / substep is not finite"):
             WaterTankActiveEnvironment(step_period=step_period, substep=substep)
+
+    @pytest.mark.parametrize("step_period, substep", [(0.1, 1e-300), (100_000.001, 1e-3)])
+    def test_step_count_is_bounded(self, step_period, substep):
+        with pytest.raises(ValueError, match="^round\\(step_period / substep\\) is above the limit of 100000000 RK4 steps$"):
+            WaterTankActiveEnvironment(step_period=step_period, substep=substep)
+        WaterTankActiveEnvironment(step_period=100_000.0, substep=1e-3)  # exactly 10**8 steps per advance
 
 
 PAPER_TANK = {"level": 1.0, "area": 5.0, "outflow_coeff": 0.5, "inflow_gain": 2.0}

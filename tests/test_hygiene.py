@@ -1,8 +1,10 @@
 """Static checks of the package source: every import is used, every export exists, every
 ``json.load`` / ``json.loads`` call sits in a try that catches RecursionError, the
-incremental learner makes no BLAS call, and every public name has a caller outside the tests."""
+incremental learner makes no BLAS call, every public name has a caller outside the tests,
+and every defaulted parameter of a public callable is passed outside the tests."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -178,11 +180,16 @@ def uncalled(definitions, sources) -> list[str]:
     )
 
 
-def test_every_public_name_has_a_library_caller():
+def library_and_callers() -> tuple[list, list]:
+    """The parsed library modules, and those together with the demos and perfbench scripts."""
     library = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
     callers = sorted({*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")}
                      - {ROOT / "perfbench" / "test_smoke.py"})
-    sources = library + [ast.parse(path.read_text(encoding="utf-8")) for path in callers]
+    return library, library + [ast.parse(path.read_text(encoding="utf-8")) for path in callers]
+
+
+def test_every_public_name_has_a_library_caller():
+    library, sources = library_and_callers()
     definitions = [pair for tree in library for pair in public_definitions(tree, cpslearn.__all__)]
     assert uncalled(definitions, sources) == sorted(TEST_ONLY)
 
@@ -198,3 +205,110 @@ def test_caller_rule_sees_each_form():
     definitions = list(public_definitions(tree, ["exported"]))
     assert [name for name, _ in definitions] == ["A.read", "A.recursive", "A.by_name", "used", "via_module", "unused"]
     assert uncalled(definitions, [tree]) == ["A.by_name", "A.recursive", "unused"]
+
+
+# Defaulted parameters that no library, demo or perfbench call passes, each with the reason it stays.
+UNPASSED = {
+    "main.argv": "tests drive the CLI in process",
+    "watertank_config.seed": "acceptance criterion 10 runs a config with a seed other than 0",
+    "WaterTankActiveEnvironment.step_period": "no config kind reaches the active strategy (ROADMAP item 4)",
+    "WaterTankActiveEnvironment.substep": "no config kind reaches the active strategy (ROADMAP item 4)",
+    "EpsilonGreedyActiveLearner.action_grid_size": "no config kind reaches the active strategy (ROADMAP item 4)",
+    "EpsilonGreedyActiveLearner.forgetting_factor": "no config kind reaches the active strategy (ROADMAP item 4)",
+    "EpsilonGreedyActiveLearner.regularization": "no config kind reaches the active strategy (ROADMAP item 4)",
+    "f_beta.beta": "no config field carries metric parameters",
+    "connect.max_frame": "tests reach frame limits without 64 MiB frames",
+    "LearnerServer.max_frame": "tests reach frame limits without 64 MiB frames",
+    "LearnerServer.learner_factory": "tests substitute a fake learner",
+}
+
+
+def defaulted_parameters(tree: ast.Module):
+    """(qualified name, callee name, position) of each defaulted parameter of a public function,
+    of a public method of a public class, and of a public class's constructor. ``position`` is the
+    parameter's index among the positional arguments a call passes (after ``self``), or None for a
+    keyword-only parameter."""
+    owners = []  # (qualified name, callee name, definition, leading parameters no call passes)
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS) and not node.name.startswith("_"):
+            owners.append((node.name, node.name, node, 0))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if not isinstance(item, FUNCTIONS) or item.name.startswith("_") and item.name != "__init__":
+                    continue
+                skip = 0 if any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list) else 1
+                if item.name == "__init__":
+                    owners.append((node.name, node.name, item, skip))
+                else:
+                    owners.append((f"{node.name}.{item.name}", item.name, item, skip))
+    for qualified, callee, node, skip in owners:
+        positional = [*node.args.posonlyargs, *node.args.args]
+        for index in range(len(positional) - len(node.args.defaults), len(positional)):
+            yield f"{qualified}.{positional[index].arg}", callee, index - skip
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield f"{qualified}.{arg.arg}", callee, None
+
+
+def callee_name(func: ast.AST):
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def passes(tree: ast.Module):
+    """(callee name, keywords passed or None for all, positional count) for each call in ``tree``:
+    ``**`` passes every keyword, ``*`` every later position. Each name in the factory of a kind
+    table (a dict of ``kind: (factory, {parameter: ...})``) passes the parameters its table lists."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and callee_name(node.func):
+            keywords = None if any(k.arg is None for k in node.keywords) else {k.arg for k in node.keywords}
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            yield callee_name(node.func), keywords, math.inf if starred else len(node.args)
+        elif isinstance(node, ast.Dict) and node.values and all(
+            isinstance(v, ast.Tuple) and len(v.elts) == 2 and isinstance(v.elts[1], ast.Dict) for v in node.values
+        ):
+            for factory, params in (entry.elts for entry in node.values):
+                for sub in ast.walk(factory):
+                    if callee_name(sub):
+                        yield callee_name(sub), {key.value for key in params.keys}, 0
+
+
+def unpassed(parameters, sources) -> list[str]:
+    """The qualified names in ``parameters`` that no call in ``sources`` passes."""
+    index: dict[str, list] = {}
+    for tree in sources:
+        for callee, keywords, count in passes(tree):
+            index.setdefault(callee, []).append((keywords, count))
+    return sorted(
+        qualified for qualified, callee, position in parameters
+        if not any(keywords is None or qualified.rpartition(".")[2] in keywords
+                   or position is not None and position < count
+                   for keywords, count in index.get(callee, ()))
+    )
+
+
+def test_every_defaulted_parameter_is_passed_by_a_library_caller():
+    library, sources = library_and_callers()
+    parameters = [entry for tree in library for entry in defaulted_parameters(tree)]
+    assert unpassed(parameters, sources) == sorted(UNPASSED)
+
+
+def test_parameter_rule_sees_each_form():
+    source = (
+        "class A:\n"
+        "    def __init__(self, a=1, b=2): ...\n"
+        "    def m(self, c=3, *, d=4): ...\n"
+        "    @staticmethod\n    def s(e=5): ...\n"
+        "    def _private(self, f=6): ...\n\n"
+        "def g(h, i=7, j=8, k=9): g(h, i=0)\n"
+        "def kinds(l=10, m=11): ...\n"
+        "def spread(n=12): ...\n"
+        "def _hidden(o=13): ...\n\n"
+        "A(1)\nx.m(d=0)\nA.s(0)\ng(0, *rest)\nspread(**options)\n"
+        "X_KINDS = {'k': (kinds, {'l': (check, 1)})}\n"
+    )
+    tree = ast.parse(source)
+    parameters = list(defaulted_parameters(tree))
+    assert [name for name, *_ in parameters] == [
+        "A.a", "A.b", "A.m.c", "A.m.d", "A.s.e", "g.i", "g.j", "g.k", "kinds.l", "kinds.m", "spread.n"
+    ]
+    assert unpassed(parameters, [tree]) == ["A.b", "A.m.c", "kinds.m"]

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpslearn import Dataset, Explode, Select, SlidingWindow, Standardize, TransformChain
-from cpslearn.dataset import UnknownColumn
+from cpslearn.dataset import NonFiniteValue, UnknownColumn
 from cpslearn.transforms import (
     EmptyDataset,
     NotAListColumn,
     NotFitted,
     RaggedListLengths,
+    StatisticsOverflow,
     WindowLargerThanData,
 )
 from conftest import random_dataset
@@ -172,6 +173,16 @@ class TestStandardize:
         d = Dataset({"a": [1.0, 3.0], "b": [5.0, 7.0]})
         out = Standardize(["a"]).fit(d).apply(d)
         assert out.column("b").tolist() == [5.0, 7.0]
+
+    @pytest.mark.parametrize("values", [[1e308, 1e308, -1e308], [1e308, -1e308]], ids=["mean", "std"])
+    def test_overflowing_statistics_are_refused(self, values):
+        with pytest.raises(StatisticsOverflow, match="^column 'a': its mean or standard deviation overflows float64$"):
+            Standardize(["a"]).fit(Dataset({"a": values}))
+
+    def test_overflowing_output_is_refused(self):
+        t = Standardize(["a"]).fit(Dataset({"a": [0.0, 1.0]}))
+        with pytest.raises(NonFiniteValue, match="^column 'a' holds NaN or an infinity$"):
+            t.apply(Dataset({"a": [1e308]}))
 
 
 class TestChain:
