@@ -6,7 +6,7 @@ separated models, standard metrics, a remote-learner bridge, and a
 declarative CLI runner.
 """
 
-from .dataset import ColumnKind, Dataset, load_csv, load_json, write_csv
+from .dataset import Dataset, load_csv, load_json, write_csv
 from .environments import (
     ActionSpace,
     ActiveEnvironment,
@@ -54,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionSpace",
     "ActiveEnvironment",
-    "ColumnKind",
     "Dataset",
     "DatasetStream",
     "EpsilonGreedyActiveLearner",

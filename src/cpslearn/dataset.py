@@ -1,16 +1,17 @@
 """Immutable column-oriented datasets and file ingestion.
 
 A :class:`Dataset` is the unit of exchange between environments, transforms,
-learners, and metrics: an ordered collection of named, typed columns of equal
-length. Datasets are frozen at construction; every operation returns a new
-Dataset, so instances can be shared freely between threads.
+learners, and metrics: an ordered collection of named columns of equal
+length. A column is its values: a read-only float64 array, or, for a trace
+column, a tuple of such arrays (one trace per row). Datasets are frozen at
+construction; every operation returns a new Dataset, so instances can be
+shared freely between threads.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
-import enum
 import io
 import json
 import math
@@ -66,47 +67,32 @@ class NonFiniteValue(PipelineError, ValueError):
         self.column = column
 
 
-class ColumnKind(enum.Enum):
-    """Value kind held by a column: a float64 per row, or a float64 trace per row."""
+class TraceColumn(PipelineError, ValueError):
+    """A trace column was given where float64 values are needed."""
 
-    FLOAT64 = "float64"
-    LIST_FLOAT64 = "list[float64]"
-
-
-class Column:
-    """A typed, immutable column of values.
-
-    ``FLOAT64`` stores a read-only float64 array; ``LIST_FLOAT64`` stores a
-    tuple of read-only float64 arrays (one trace per row).
-    """
-
-    __slots__ = ("kind", "values")
-
-    def __init__(self, kind: ColumnKind, values):
-        self.kind = kind
-        self.values = values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def row_slice(self, start: int, stop: int) -> "Column":
-        return Column(self.kind, self.values[start:stop])
-
-    def equals(self, other: "Column") -> bool:
-        if self.kind is not other.kind or len(self) != len(other):
-            return False
-        if self.kind is ColumnKind.LIST_FLOAT64:
-            return all(np.array_equal(a, b) for a, b in zip(self.values, other.values))
-        return bool(np.array_equal(self.values, other.values))
+    def __init__(self, column: str):
+        super().__init__(f"column {column!r} holds traces, not float64 values")
+        self.column = column
 
 
 _NUMBER_TYPES = (int, float, np.integer, np.floating, np.bool_)  # bool is an int
 
 
+def _unwritable(values) -> bool:
+    """Whether nothing can write to ``values``: an array read-only down its chain of bases."""
+    while isinstance(values, np.ndarray):
+        if values.flags.writeable:
+            return False
+        values = values.base
+    return values is None or isinstance(values, bytes)
+
+
 def _floats(values, name: str) -> np.ndarray:
-    """A new read-only float64 array of one scalar column or trace cell of column ``name``:
+    """A read-only float64 array of one scalar column or trace cell of column ``name``:
     a numeric numpy array, or a sequence of numbers or of booleans (never mixed). A Python
-    int converts as ``float(int)`` does. Refuses NaN and the infinities."""
+    int converts as ``float(int)`` does. Refuses NaN and the infinities. The values are
+    copied unless nothing can write to them, as to a column taken from a Dataset: sharing
+    those keeps a transform's output from allocating every column anew."""
     if isinstance(values, np.ndarray) and values.dtype != object:
         if values.dtype.kind not in "biuf":
             raise ValueError(f"unsupported array dtype: {values.dtype}")
@@ -116,7 +102,7 @@ def _floats(values, name: str) -> np.ndarray:
             if not isinstance(v, _NUMBER_TYPES) or isinstance(v, (bool, np.bool_)) != booleans:
                 raise ValueError(f"column values must be numbers, booleans, or numeric traces, got {v!r}")
     try:
-        array = np.array(values, dtype=np.float64)
+        array = np.asarray(values, np.float64) if _unwritable(values) else np.array(values, np.float64)
     except OverflowError:
         raise ValueError("integer out of the float64 range") from None
     if array.ndim != 1:
@@ -127,13 +113,12 @@ def _floats(values, name: str) -> np.ndarray:
     return array
 
 
-def _as_column(values, name: str) -> Column:
+def _as_column(values, name: str):
     """Build column ``name``: numbers and booleans (as 0.0 and 1.0, never mixed with
-    numbers) become FLOAT64, sequences of them LIST_FLOAT64, with the same rule for each cell."""
-    if isinstance(values, Column):
-        return values
+    numbers) become a float64 array, sequences of them a tuple of such arrays (a trace
+    column), with the same rule for each cell. An empty column is a float64 array."""
     if isinstance(values, np.ndarray) and values.dtype != object:
-        return Column(ColumnKind.FLOAT64, _floats(values, name))
+        return _floats(values, name)
     if not isinstance(values, (list, tuple, np.ndarray)):
         raise ValueError(f"cannot build a column from {type(values).__name__}")
 
@@ -141,8 +126,15 @@ def _as_column(values, name: str) -> Column:
     if any(isinstance(v, (list, tuple, np.ndarray)) for v in items):
         if not all(isinstance(v, (list, tuple, np.ndarray)) for v in items):
             raise ValueError("cannot mix scalar and trace values in one column")
-        return Column(ColumnKind.LIST_FLOAT64, tuple(_floats(v, name) for v in items))
-    return Column(ColumnKind.FLOAT64, _floats(items, name))
+        return tuple(_floats(v, name) for v in items)
+    return _floats(items, name)
+
+
+def _equal_columns(a, b) -> bool:
+    """Whether two columns hold the same bits; a trace column never equals a float64 column."""
+    if isinstance(a, tuple) != isinstance(b, tuple) or len(a) != len(b):
+        return False
+    return all(map(np.array_equal, a, b)) if isinstance(a, tuple) else np.array_equal(a, b)
 
 
 class Dataset:
@@ -153,8 +145,8 @@ class Dataset:
 
     Args:
         columns: mapping of name to values, or a sequence of ``(name, values)``
-            pairs. Values may be lists, numpy arrays, or existing
-            :class:`Column` instances.
+            pairs. Values may be lists, tuples or numpy arrays; a sequence of
+            sequences or arrays becomes a trace column.
         row_count: required only when ``columns`` is empty.
 
     Raises:
@@ -173,7 +165,7 @@ class Dataset:
         if columns is None:
             columns = []
         pairs = list(columns.items()) if isinstance(columns, Mapping) else list(columns)
-        built: dict[str, Column] = {}
+        built = {}
         for name, values in pairs:
             if not isinstance(name, str):
                 raise ValueError("column names must be strings")
@@ -206,31 +198,40 @@ class Dataset:
     def column_names(self) -> tuple[str, ...]:
         return self._names
 
-    @property
-    def schema(self) -> tuple[tuple[str, ColumnKind], ...]:
-        """Ordered (name, kind) pairs describing the columns."""
-        return tuple((n, self._columns[n].kind) for n in self._names)
-
-    def _column(self, name: str) -> Column:
+    def column(self, name: str):
+        """The values of a column: a read-only float64 array, or a tuple of them for traces."""
         try:
             return self._columns[name]
         except KeyError:
             raise UnknownColumn(name) from None
 
-    def column(self, name: str):
-        """Return the raw values of a column (read-only)."""
-        return self._column(name).values
+    def floats(self, names: Iterable[str]) -> list[np.ndarray]:
+        """The read-only float64 arrays of the named columns, in the given order.
 
-    def column_kind(self, name: str) -> ColumnKind:
-        return self._column(name).kind
+        Raises:
+            UnknownColumn: if any name is absent.
+            TraceColumn: if a named column holds traces.
+        """
+        arrays = []
+        for name in names:
+            values = self.column(name)
+            if isinstance(values, tuple):
+                raise TraceColumn(name)
+            arrays.append(values)
+        return arrays
 
     def select(self, names: Iterable[str]) -> "Dataset":
         """Return a Dataset with exactly the named columns, in the given order.
 
         Raises:
             UnknownColumn: if any name is absent.
+            ValueError: if a name repeats.
         """
-        return Dataset([(n, self._column(n)) for n in names], row_count=self._row_count)
+        names = list(names)
+        columns = {name: self.column(name) for name in names}
+        if len(columns) < len(names):
+            raise ValueError(f"duplicate column name in {names}")
+        return _unchecked_dataset(columns, self._row_count)
 
     def split(self, fraction: float) -> tuple["Dataset", "Dataset"]:
         """Split rows chronologically: the first part holds
@@ -248,25 +249,36 @@ class Dataset:
         return self.slice_rows(0, head), self.slice_rows(head, self._row_count)
 
     def slice_rows(self, start: int, stop: int) -> "Dataset":
+        """Rows ``start`` up to, not including, ``stop``: ``stop`` is clamped to ``row_count``,
+        and ``start`` to ``stop``. A negative bound raises ValueError."""
+        if start < 0 or stop < 0:
+            raise ValueError(f"row bounds must be non-negative, got start={start}, stop={stop}")
         stop = min(stop, self._row_count)
         start = min(start, stop)
-        return Dataset(
-            [(n, self._columns[n].row_slice(start, stop)) for n in self._names],
-            row_count=stop - start,
-        )
+        return _unchecked_dataset({n: v[start:stop] for n, v in self._columns.items()}, stop - start)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
         if self._names != other._names or self._row_count != other._row_count:
             return False
-        return all(self._columns[n].equals(other._columns[n]) for n in self._names)
+        return all(_equal_columns(self._columns[n], other._columns[n]) for n in self._names)
 
     __hash__ = None  # mutable-looking value type; equality is by content
 
     def __repr__(self) -> str:
-        cols = ", ".join(f"{n}: {self._columns[n].kind.value}" for n in self._names)
+        cols = ", ".join(f"{n}: {'list[float64]' if isinstance(v, tuple) else 'float64'}"
+                         for n, v in self._columns.items())
         return f"Dataset({self._row_count} rows; {cols})"
+
+
+def _unchecked_dataset(columns: dict, row_count: int) -> Dataset:
+    """A Dataset of ``columns``, unchecked: each must be a column of ``row_count`` rows from a Dataset."""
+    dataset = object.__new__(Dataset)
+    dataset._names = tuple(columns)
+    dataset._columns = columns
+    dataset._row_count = row_count
+    return dataset
 
 
 # The fast path is a whitelist: np.loadtxt reads some cells float() refuses
@@ -363,13 +375,9 @@ def write_csv(dataset: Dataset, path) -> None:
 
     Every value is written as ``repr(float(v))``, its shortest round-trippable
     decimal representation, so ``load_csv(write_csv(d))`` reproduces the
-    columns bit-exactly. Trace columns cannot be written to CSV.
+    columns bit-exactly. A trace column raises TraceColumn.
     """
-    for name, kind in dataset.schema:
-        if kind is ColumnKind.LIST_FLOAT64:
-            raise ValueError(f"cannot write trace column {name!r} to CSV")
-
-    columns = [dataset.column(n).tolist() for n in dataset.column_names]
+    columns = [values.tolist() for values in dataset.floats(dataset.column_names)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(dataset.column_names)
@@ -377,7 +385,7 @@ def write_csv(dataset: Dataset, path) -> None:
             writer.writerow([repr(col[i]) for col in columns])
 
 
-def _json_column(name: str, values: list) -> Column:
+def _json_column(name: str, values: list):
     try:
         return _as_column(values, name)
     except NonFiniteValue:

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import ColumnKind, Dataset
+from .dataset import Dataset
 from .environments import ActionSpace
 from .errors import PipelineError
 
@@ -63,6 +63,10 @@ class TooFewSamples(PipelineError):
     """Not enough training rows for the requested tree configuration."""
 
 
+class TargetsOverflow(PipelineError):
+    """A sum over the training targets overflows float64."""
+
+
 class TreeTooDeep(PipelineError):
     """The tree grew deeper than Python's recursion limit allows."""
 
@@ -72,13 +76,9 @@ class NeverUpdated(PipelineError):
 
 
 def _float_matrix(dataset: Dataset, columns: Sequence[str]) -> np.ndarray:
-    """Stack float columns into an (n_rows, n_cols) design matrix."""
-    for name in columns:
-        if dataset.column_kind(name) is not ColumnKind.FLOAT64:
-            raise SchemaMismatch(f"column {name!r} is not float64")
-    if not columns:
-        return np.empty((dataset.row_count, 0), dtype=np.float64)
-    return np.column_stack([dataset.column(name) for name in columns])
+    """Stack float columns into an (n_rows, n_cols) design matrix; a trace column raises TraceColumn."""
+    arrays = dataset.floats(columns)
+    return np.column_stack(arrays) if arrays else np.empty((dataset.row_count, 0), dtype=np.float64)
 
 
 def _training_arrays(inputs: Dataset, outputs: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -412,6 +412,8 @@ def fit_tree(
     Raises:
         ShapeMismatch: if row counts differ or outputs are not one column.
         TooFewSamples: if fewer than ``2 * min_samples_leaf`` rows are given.
+        TargetsOverflow: if the targets' sum overflows float64, or, when ``max_depth`` > 0,
+            their sum of squares, which bounds every sum and variance of the split search.
         TreeTooDeep: if the tree grows deeper than Python's recursion limit
             allows; a smaller ``max_depth`` bounds it.
     """
@@ -424,6 +426,11 @@ def fit_tree(
         raise TooFewSamples(
             f"{inputs.row_count} rows < 2 * min_samples_leaf = {2 * min_samples_leaf}"
         )
+    with np.errstate(over="ignore"):  # a single leaf sums the targets; a split search squares them
+        total = np.sum(y * y) if max_depth > 0 else np.sum(y)
+    if not np.isfinite(total):
+        raise TargetsOverflow(f"the targets in column {outputs.column_names[0]!r} are too large: "
+                              "their sums overflow float64")
     rows = np.arange(inputs.row_count)
     try:
         root = _grow_tree(matrix, y, rows, _presort(matrix), 0, max_depth, min_samples_leaf)
@@ -582,12 +589,13 @@ class IncrementalLinearLearner:
         design = np.ones((m, matrix.shape[1] + 1))
         design[:, :-1] = matrix
         decays = np.array([forget ** k for k in range(m - 1, -1, -1)])
-        weighted = design * decays[:, np.newaxis]
-        gram = np.add.reduce(weighted[:, :, np.newaxis] * design[:, np.newaxis, :], axis=0)
-        moment = np.add.reduce(weighted * y[:, np.newaxis], axis=0)
         decay = forget**m
-        self._gram = self._gram * decay + gram
-        self._moment = self._moment * decay + moment
+        with np.errstate(over="ignore", invalid="ignore"):  # finalize raises SingularDesign on an overflow
+            weighted = design * decays[:, np.newaxis]
+            gram = np.add.reduce(weighted[:, :, np.newaxis] * design[:, np.newaxis, :], axis=0)
+            moment = np.add.reduce(weighted * y[:, np.newaxis], axis=0)
+            self._gram = self._gram * decay + gram
+            self._moment = self._moment * decay + moment
         self._rows += m
 
     def finalize(self) -> LinearModel:

@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import ColumnKind, Dataset
+from .dataset import Dataset
 from .errors import PipelineError
 from .learners import LinearRegressionLearner, Model, _check_input_columns, model_from_dict
 
@@ -126,11 +126,10 @@ def _encode(payload: dict, max_frame: int) -> bytes:
 
 
 def _dataset_to_wire(dataset: Dataset) -> dict:
-    for name, kind in dataset.schema:
-        if kind is not ColumnKind.FLOAT64:
-            raise ValueError(f"only float columns travel on the wire; {name!r} is {kind.value}")
-    return {name: base64.b64encode(dataset.column(name).astype("<f8", copy=False).tobytes()).decode("ascii")
-            for name in dataset.column_names}
+    """The base64 float64le text of each column; a trace column raises TraceColumn."""
+    arrays = dataset.floats(dataset.column_names)
+    return {name: base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
+            for name, values in zip(dataset.column_names, arrays)}
 
 
 def _f64le_column(name: str, text) -> np.ndarray:

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import Column, ColumnKind, Dataset, UnknownColumn
+from .dataset import Dataset
 from .errors import PipelineError
 
 
@@ -84,12 +84,8 @@ class SlidingWindow(Transform):
         if n < w:
             raise WindowLargerThanData(f"window of {w} rows does not fit {n} data rows")
         out_rows = n - w + 1
-        columns = []
-        for step in range(w):
-            for name in dataset.column_names:
-                kind = dataset.column_kind(name)
-                values = dataset.column(name)[step : step + out_rows]
-                columns.append((f"{name}_{step}", Column(kind, values)))
+        columns = [(f"{name}_{step}", dataset.column(name)[step : step + out_rows])
+                   for step in range(w) for name in dataset.column_names]
         return Dataset(columns, row_count=out_rows)
 
 
@@ -106,7 +102,7 @@ class Explode(Transform):
 
     def apply(self, dataset: Dataset) -> Dataset:
         for name in self.names:
-            if dataset.column_kind(name) is not ColumnKind.LIST_FLOAT64:
+            if not isinstance(dataset.column(name), tuple):
                 raise NotAListColumn(f"column {name!r} does not hold traces")
         if not self.names:
             return dataset
@@ -121,14 +117,12 @@ class Explode(Transform):
         exploded = set(self.names)
         columns = []
         for name in dataset.column_names:
-            kind = dataset.column_kind(name)
             values = dataset.column(name)
             if name in exploded:
                 flat = np.concatenate(values) if len(values) else np.empty(0, dtype=np.float64)
                 columns.append((name, flat))
-            elif kind is ColumnKind.LIST_FLOAT64:
-                repeated = tuple(cell for cell, k in zip(values, counts) for _ in range(k))
-                columns.append((name, Column(kind, repeated)))
+            elif isinstance(values, tuple):
+                columns.append((name, tuple(cell for cell, k in zip(values, counts) for _ in range(k))))
             else:
                 columns.append((name, np.repeat(values, counts)))
         return Dataset(columns, row_count=int(counts.sum()))
@@ -152,10 +146,7 @@ class Standardize(Transform):
         if dataset.row_count == 0:
             raise EmptyDataset("cannot fit standardization on an empty dataset")
         stats = {}
-        for name in self.names:
-            if dataset.column_kind(name) is not ColumnKind.FLOAT64:
-                raise ValueError(f"column {name!r} is not float64")
-            values = dataset.column(name)
+        for name, values in zip(self.names, dataset.floats(self.names)):
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises StatisticsOverflow below
                 mean = float(np.mean(values))
                 std = float(np.std(values))
@@ -175,23 +166,13 @@ class Standardize(Transform):
     def apply(self, dataset: Dataset) -> Dataset:
         if self._stats is None:
             raise NotFitted("standardize must be fitted before it is applied")
-        for name in self._stats:
-            if name not in dataset.column_names:
-                raise UnknownColumn(name)
-        columns = []
-        for name in dataset.column_names:
-            kind = dataset.column_kind(name)
-            values = dataset.column(name)
-            if name in self._stats:
-                mean, std, constant = self._stats[name]
-                if constant:
-                    scaled = np.zeros(len(values), dtype=np.float64)
-                else:
-                    with np.errstate(over="ignore", invalid="ignore"):  # Dataset refuses inf, naming the column
-                        scaled = (values - mean) / std
-                columns.append((name, scaled))
+        columns = {name: dataset.column(name) for name in dataset.column_names}
+        for (name, (mean, std, constant)), values in zip(self._stats.items(), dataset.floats(self._stats)):
+            if constant:
+                columns[name] = np.zeros(len(values), dtype=np.float64)
             else:
-                columns.append((name, Column(kind, values)))
+                with np.errstate(over="ignore", invalid="ignore"):  # Dataset refuses inf, naming the column
+                    columns[name] = (values - mean) / std
         return Dataset(columns, row_count=dataset.row_count)
 
 

@@ -368,6 +368,26 @@ class TestErrorRecords:
         assert record["message"] == "mse: a squared error overflows float64"
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_tree_targets_are_one_record(self, tmp_path, capsys):
+        """Twenty 1e308 targets are finite, and their sums overflow float64: the fit refuses
+        them before its split search forms an infinity."""
+        data = tmp_path / "data.csv"
+        data.write_text("u,y\n" + "".join(f"{i},1e308\n" for i in range(20)))
+        cfg = {
+            "environment": {"kind": "csv", "path": str(data)},
+            "io": {"inputs": ["u"], "outputs": ["y"]},
+            "split_fraction": 0.5,
+            "learner": {"kind": "regression_tree"},
+            "metrics": ["mae"],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        record = self.one_record(capsys)
+        assert (record["error"], record["module"]) == ("TargetsOverflow", "cpslearn.learners")
+        assert record["message"] == "the targets in column 'y' are too large: their sums overflow float64"
+        assert not (tmp_path / "out").exists()
+
     def test_underflowing_r2_is_one_record(self, tmp_path, capsys):
         """The depth-0 tree predicts the training mean: the held-out actuals 1e-300 and
         2e-300 differ, and their squared deviations underflow to 0."""

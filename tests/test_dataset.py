@@ -8,7 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpslearn import ColumnKind, Dataset, LinearModel, load_csv, load_json, write_csv
+from cpslearn import (
+    Dataset,
+    DatasetStream,
+    Explode,
+    LinearModel,
+    Select,
+    SlidingWindow,
+    Standardize,
+    TransformChain,
+    fit_linear,
+    load_csv,
+    load_json,
+    write_csv,
+)
 from cpslearn import dataset as dataset_module
 from cpslearn import remote
 from cpslearn.dataset import (
@@ -19,6 +32,7 @@ from cpslearn.dataset import (
     ParseError,
     RaggedRows,
     TooFewRows,
+    TraceColumn,
     UnknownColumn,
 )
 from cpslearn.errors import PipelineError
@@ -275,8 +289,10 @@ def test_load_json_trace_columns(tmp_path):
     path = tmp_path / "t.json"
     path.write_text('[{"id":1,"trace":[10,11]},{"id":2,"trace":[20]}]')
     d = load_json(path)
-    assert d.column_kind("trace") is ColumnKind.LIST_FLOAT64
+    assert isinstance(d.column("trace"), tuple)
     assert [cell.tolist() for cell in d.column("trace")] == [[10.0, 11.0], [20.0]]
+    with pytest.raises(TraceColumn, match="^column 'trace' holds traces, not float64 values$"):
+        d.floats(["id", "trace"])
 
 
 def test_load_json_empty_array(tmp_path):
@@ -299,7 +315,7 @@ def test_load_json_numbers_and_booleans_become_floats(tmp_path):
     path = tmp_path / "n.json"
     path.write_text('{"i": [1, -2], "b": [true, false], "big": [9223372036854775808, 1]}')
     d = load_json(path)
-    assert d.schema == (("i", ColumnKind.FLOAT64), ("b", ColumnKind.FLOAT64), ("big", ColumnKind.FLOAT64))
+    assert [values.dtype for values in d.floats(["i", "b", "big"])] == [np.float64] * 3
     assert d.column("i").tolist() == [1.0, -2.0]
     assert d.column("b").tolist() == [1.0, 0.0]
     assert d.column("big").tolist() == [float(2**63), 1.0]
@@ -428,6 +444,128 @@ def test_select_preserves_row_count(toy_series):
     assert toy_series.select(["V"]).column("V").tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
+@pytest.mark.parametrize("start, stop", [(-3, -1), (2, -1), (-5, 3), (0, -10)])
+@pytest.mark.parametrize("columns", [{"v": np.arange(10.0)}, {}], ids=["column", "no-column"])
+def test_slice_rows_refuses_negative_bounds(columns, start, stop):
+    d = Dataset(columns, row_count=10)
+    with pytest.raises(ValueError, match=f"^row bounds must be non-negative, got start={start}, stop={stop}$"):
+        d.slice_rows(start, stop)
+
+
+@pytest.mark.parametrize(
+    "start, stop, rows",
+    [(2, 5, [2.0, 3.0, 4.0]), (8, 20, [8.0, 9.0]), (12, 20, []), (5, 2, []), (0, 0, [])],
+)
+def test_slice_rows_clamps_stop_to_row_count_and_start_to_stop(start, stop, rows):
+    part = Dataset({"v": np.arange(10.0)}).slice_rows(start, stop)
+    assert part.row_count == len(rows)
+    assert part.column("v").tolist() == rows
+
+
+# Values whose bits a copy through arithmetic would change: -0.0, a subnormal, a huge value.
+SOURCE = {
+    "a": np.array([0.5, 5e-324, -0.0, 1e150, -2.5, 3.0]),
+    "s": np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
+    "t": tuple(np.array(cell) for cell in ([1.0], [], [-0.0, 2.0], [3.0], [4.0, 5e-324], [6.0])),
+    "w": tuple(np.array([float(i), -0.0]) for i in range(6)),
+}
+COUNTS = [len(cell) for cell in SOURCE["t"]]
+
+
+def repeated(values, counts):
+    if isinstance(values, tuple):
+        return tuple(cell for cell, k in zip(values, counts) for _ in range(k))
+    return np.repeat(values, counts)
+
+
+def standardized(values):
+    return (values - np.mean(values)) / np.std(values)
+
+
+# Each way a Dataset hands out columns: (output datasets, expected columns of each).
+CONSTRUCTION_PATHS = {
+    "Dataset": lambda d: [(d, SOURCE)],
+    "select": lambda d: [(d.select(["w", "a"]), {"w": SOURCE["w"], "a": SOURCE["a"]})],
+    "slice_rows": lambda d: [(d.slice_rows(1, 4), {n: v[1:4] for n, v in SOURCE.items()})],
+    "split": lambda d: [(part, {n: v[rows] for n, v in SOURCE.items()})
+                        for part, rows in zip(d.split(0.5), [slice(0, 3), slice(3, 6)])],
+    "DatasetStream": lambda d: [(batch, {n: v[start:start + 4] for n, v in SOURCE.items()})
+                                for batch, start in zip(iter(DatasetStream(d, 4).next_batch, None), [0, 4])],
+    "Select": lambda d: [(Select(["t", "s"]).apply(d), {"t": SOURCE["t"], "s": SOURCE["s"]})],
+    "SlidingWindow": lambda d: [(SlidingWindow(2).apply(d), {
+        f"{n}_{step}": v[step:step + 5] for step in (0, 1) for n, v in SOURCE.items()
+    })],
+    "Explode": lambda d: [(Explode(["t"]).apply(d), {
+        "a": repeated(SOURCE["a"], COUNTS), "s": repeated(SOURCE["s"], COUNTS),
+        "t": np.concatenate(SOURCE["t"]), "w": repeated(SOURCE["w"], COUNTS),
+    })],
+    "Standardize": lambda d: [(Standardize(["s"]).fit(d).apply(d), {**SOURCE, "s": standardized(SOURCE["s"])})],
+    "TransformChain": lambda d: [(TransformChain([Select(["w", "a"]), SlidingWindow(6)]).apply(d), {
+        f"{n}_{step}": SOURCE[n][step:step + 1] for step in range(6) for n in ("w", "a")
+    })],
+}
+
+
+def frozen_bits(column, expected) -> bool:
+    """Whether ``column`` is read-only and holds the bits of ``expected``, kind included."""
+    if isinstance(expected, tuple):
+        return (isinstance(column, tuple) and len(column) == len(expected)
+                and all(map(frozen_bits, column, expected)))
+    return (isinstance(column, np.ndarray) and column.dtype == np.float64 and not column.flags.writeable
+            and column.tobytes() == np.asarray(expected, dtype=np.float64).tobytes())
+
+
+@pytest.mark.parametrize("path", CONSTRUCTION_PATHS)
+def test_every_column_handed_out_is_frozen_and_bit_equal_to_its_source(path):
+    outputs = CONSTRUCTION_PATHS[path](Dataset(SOURCE))
+    assert outputs
+    for dataset, expected in outputs:
+        assert set(dataset.column_names) == set(expected)
+        for name in dataset.column_names:
+            assert frozen_bits(dataset.column(name), expected[name]), name
+
+
+def test_only_values_nothing_can_write_are_shared():
+    base = np.array([1.0, 2.0, 3.0])
+    view = base[:]
+    view.setflags(write=False)  # read-only, but its base is not
+    d = Dataset({"a": view, "b": np.frombuffer(np.array([4.0, 5.0, 6.0]).tobytes())})
+    base[0] = 7.0
+    assert d.column("a").tolist() == [1.0, 2.0, 3.0]
+    assert not np.shares_memory(d.column("a"), base)
+    window = SlidingWindow(2).apply(d)  # columns of a Dataset are shared, not copied
+    assert np.shares_memory(window.column("a_1"), d.column("a"))
+    assert np.shares_memory(window.column("b_0"), d.column("b"))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_a_trace_column_never_equals_a_float_column(rows):
+    traces = Dataset({"c": [[float(i)] for i in range(3)]}).slice_rows(0, rows)
+    floats = Dataset({"c": [float(i) for i in range(rows)]})
+    assert traces.row_count == floats.row_count == rows
+    assert traces != floats and floats != traces
+
+
+# Every consumer of float64 columns, each handed a Dataset with a trace column "t".
+TRACE_CONSUMERS = {
+    "learner": lambda d, tmp_path: fit_linear(d.select(["a", "t"]), d.select(["a"])),
+    "target": lambda d, tmp_path: fit_linear(d.select(["a"]), d.select(["t"])),
+    "wire": lambda d, tmp_path: remote._dataset_to_wire(d),
+    "csv": lambda d, tmp_path: write_csv(d, tmp_path / "t.csv"),
+    "standardize-fit": lambda d, tmp_path: Standardize(["a", "t"]).fit(d),
+    "standardize-apply": lambda d, tmp_path: Standardize(["t"]).fit(Dataset({"t": [1.0, 2.0]})).apply(d),
+}
+
+
+@pytest.mark.parametrize("consumer", TRACE_CONSUMERS)
+def test_every_float_consumer_refuses_a_trace_column_alike(tmp_path, consumer):
+    d = Dataset({"a": [1.0, 2.0], "t": [[1.0], [2.0, 3.0]]})
+    with pytest.raises(TraceColumn, match="^column 't' holds traces, not float64 values$") as info:
+        TRACE_CONSUMERS[consumer](d, tmp_path)
+    assert info.value.column == "t"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_column_kind_inference():
     d = Dataset(
         {
@@ -440,11 +578,13 @@ def test_column_kind_inference():
             "t": [[1.0], [2.0, 3.0]],
         }
     )
-    assert set(ColumnKind) == {ColumnKind.FLOAT64, ColumnKind.LIST_FLOAT64}
-    for name in ("i", "f", "b", "nb", "n", "u"):
-        assert d.column_kind(name) is ColumnKind.FLOAT64
-        assert d.column(name).dtype == np.float64
-    assert d.column_kind("t") is ColumnKind.LIST_FLOAT64
+    floats = d.floats(["i", "f", "b", "nb", "n", "u"])
+    assert [values.dtype for values in floats] == [np.float64] * 6
+    assert all(values is d.column(name) for values, name in zip(floats, ["i", "f", "b", "nb", "n", "u"]))
+    assert isinstance(d.column("t"), tuple)
+    assert [cell.dtype for cell in d.column("t")] == [np.float64] * 2
+    with pytest.raises(TraceColumn):
+        d.floats(["t"])
     assert d.column("i").tolist() == [1.0, 2.0]
     assert d.column("b").tolist() == d.column("nb").tolist() == [1.0, 0.0]
     assert d.column("n").tolist() == [-3.0, 0.5]

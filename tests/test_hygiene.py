@@ -1,7 +1,8 @@
 """Static checks of the package source: every import is used, every export exists, every
 ``json.load`` / ``json.loads`` call sits in a try that catches RecursionError, the
 incremental learner makes no BLAS call, every public name has a caller outside the tests,
-and every defaulted parameter of a public callable is passed outside the tests."""
+every defaulted parameter of a public callable is passed outside the tests, and only
+``dataset.py`` builds a Dataset without checking its columns."""
 
 import ast
 import math
@@ -312,3 +313,38 @@ def test_parameter_rule_sees_each_form():
         "A.a", "A.b", "A.m.c", "A.m.d", "A.s.e", "g.i", "g.j", "g.k", "kinds.l", "kinds.m", "spread.n"
     ]
     assert unpassed(parameters, [tree]) == ["A.b", "A.m.c", "kinds.m"]
+
+
+# A Dataset's column store and the constructor that fills it without checks: only dataset.py
+# may name them, so every other module builds Datasets through the checked constructor.
+UNCHECKED = {"_columns", "_unchecked_dataset"}
+
+
+def unchecked_uses(tree: ast.AST):
+    """(line, name) for each name in UNCHECKED that ``tree`` reads, writes or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in UNCHECKED:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Name) and node.id in UNCHECKED:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, alias.name) for alias in node.names if alias.name in UNCHECKED)
+
+
+def test_only_dataset_module_builds_unchecked_datasets():
+    paths = sorted({*MODULES, *ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py"), *ROOT.glob("tests/*.py")}
+                   - {Path(cpslearn.dataset.__file__).resolve()})
+    found = {f"{path.parent.name}/{path.name}": list(unchecked_uses(ast.parse(path.read_text(encoding="utf-8"))))
+             for path in paths}
+    assert {path: uses for path, uses in found.items() if uses} == {}
+
+
+def test_unchecked_rule_sees_each_form():
+    source = (
+        "from cpslearn.dataset import _unchecked_dataset\n"
+        "d._columns\nd._columns = {}\n_unchecked_dataset({}, 0)\ndataset._unchecked_dataset({}, 0)\n"
+        "self._input_columns\n'_columns'\n"
+    )
+    assert list(unchecked_uses(ast.parse(source))) == [
+        (1, "_unchecked_dataset"), (2, "_columns"), (3, "_columns"), (4, "_unchecked_dataset"), (5, "_unchecked_dataset"),
+    ]

@@ -23,11 +23,13 @@ from cpslearn import (
     save_model,
 )
 from cpslearn import learners
+from cpslearn.dataset import TraceColumn
 from cpslearn.learners import (
     NeverUpdated,
     SchemaMismatch,
     ShapeMismatch,
     SingularDesign,
+    TargetsOverflow,
     TooFewSamples,
     TreeTooDeep,
 )
@@ -267,6 +269,18 @@ class TestRegressionTree:
         with pytest.raises(TreeTooDeep, match="max_depth=10000"):
             fit_tree(Dataset({"x": x}), Dataset({"y": y}), max_depth=10_000)
 
+    @pytest.mark.parametrize("max_depth", [0, 1, 5])
+    def test_overflowing_targets_are_typed(self, max_depth):
+        """Twenty 1e308 targets: their sum, and so the sum of their squares, overflows."""
+        with pytest.raises(TargetsOverflow, match="^the targets in column 'y' are too large"):
+            fit_tree(Dataset({"x": np.arange(20.0)}), Dataset({"y": [1e308] * 20}), max_depth)
+
+    def test_only_a_split_search_needs_finite_squares(self):
+        inputs, outputs = Dataset({"x": np.arange(20.0)}), Dataset({"y": [(-1.0) ** i * 1e200 for i in range(20)]})
+        assert fit_tree(inputs, outputs, 0).root.value == 0.0
+        with pytest.raises(TargetsOverflow):
+            fit_tree(inputs, outputs, 1)
+
     def test_constant_features_become_leaf(self):
         model = fit_tree(Dataset({"x": [2.0, 2.0, 2.0, 2.0]}),
                          Dataset({"y": [1.0, 2.0, 3.0, 4.0]}), 4)
@@ -447,9 +461,10 @@ class TestInformationFormOracle:
             learner.finalize()
 
     def test_overflowing_sums_are_typed(self):
+        """Update absorbs an overflow without a warning; finalize is the one signal."""
         learner = IncrementalLinearLearner()
-        with np.errstate(over="ignore"):  # the intercept's moment 1e308 + 1e308
-            learner.update(Dataset({"a": [1.0, 2.0]}), Dataset({"y": [1e308, 1e308]}))
+        learner.update(Dataset({"a": [1.0, 2.0]}), Dataset({"y": [1e308, 1e308]}))  # the intercept's moment
+        learner.update(Dataset({"a": np.arange(20.0)}), Dataset({"y": [1e308] * 20}))
         with pytest.raises(SingularDesign, match="is not finite"):
             learner.finalize()
 
@@ -527,7 +542,7 @@ class TestRecursiveLeastSquares:
     )
     def test_rejected_first_batch_fixes_no_schema(self, inputs, outputs):
         learner = IncrementalLinearLearner()
-        with pytest.raises((SchemaMismatch, learners.ShapeMismatch)):
+        with pytest.raises((TraceColumn, learners.ShapeMismatch)):
             learner.update(inputs, outputs)
         learner.update(Dataset({"b": [1.0, 2.0]}), Dataset({"w": [3.0, 5.0]}))
         model = learner.finalize()

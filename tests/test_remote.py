@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpslearn import Dataset, fit_linear
+from cpslearn.dataset import TraceColumn
 from cpslearn.learners import SchemaMismatch
 from cpslearn import remote
 from cpslearn.remote import (
@@ -131,7 +132,7 @@ def finite_datasets(draw):
 
 
 def column_bytes(dataset: Dataset):
-    return dataset.schema, [dataset.column(name).tobytes() for name in dataset.column_names]
+    return dataset.column_names, [values.tobytes() for values in dataset.floats(dataset.column_names)]
 
 
 def f64le(*values: float) -> str:
@@ -725,7 +726,7 @@ class TestClientSchema:
             model.predict(Dataset({"wrong": [1.0]}))
 
     def test_non_float_columns_refused(self, session):
-        with pytest.raises(ValueError, match="only float columns travel on the wire; 'x' is list"):
+        with pytest.raises(TraceColumn, match="^column 'x' holds traces, not float64 values$"):
             session.fit(Dataset({"x": [[1.0], [2.0]]}), Dataset({"y": [1.0, 2.0]}))
 
 
