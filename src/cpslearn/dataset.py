@@ -116,9 +116,12 @@ def _floats(values, name: str) -> np.ndarray:
 def _as_column(values, name: str):
     """Build column ``name``: numbers and booleans (as 0.0 and 1.0, never mixed with
     numbers) become a float64 array, sequences of them a tuple of such arrays (a trace
-    column), with the same rule for each cell. An empty column is a float64 array."""
+    column), with the same rule for each cell. An empty tuple is a trace column, as a
+    Dataset stores one of zero rows; any other empty column is a float64 array."""
     if isinstance(values, np.ndarray) and values.dtype != object:
         return _floats(values, name)
+    if isinstance(values, tuple) and not values:
+        return ()
     if not isinstance(values, (list, tuple, np.ndarray)):
         raise ValueError(f"cannot build a column from {type(values).__name__}")
 
@@ -146,7 +149,10 @@ class Dataset:
     Args:
         columns: mapping of name to values, or a sequence of ``(name, values)``
             pairs. Values may be lists, tuples or numpy arrays; a sequence of
-            sequences or arrays becomes a trace column.
+            sequences or arrays becomes a trace column. An empty column has no
+            values to tell its kind, so its type does: an empty tuple, which
+            is how :meth:`column` returns a trace column of zero rows, is a
+            trace column, and an empty list or array is a float64 column.
         row_count: required only when ``columns`` is empty.
 
     Raises:

@@ -1,47 +1,61 @@
-"""Networked learner bridge: JSON-over-TCP client and reference server.
+"""Networked learner bridge: a TCP client and reference server.
 
-The wire protocol is language neutral: UTF-8 JSON objects, one per line,
-terminated by LF. Every request receives exactly one response, in order.
+The wire protocol is language neutral. A message is one UTF-8 JSON object on
+one line, terminated by LF, followed by the binary body its ``body`` field
+declares, if any. Every request receives exactly one response, in order.
 
 Requests::
 
-    {"kind": "hello", "version": 2, "max_frame": <bytes, optional>}
-    {"kind": "fit", "inputs": {col: <column>}, "outputs": {col: <column>}}
-    {"kind": "predict", "model": "<id>", "inputs": {col: <column>}}
+    {"kind": "hello", "version": 3, "max_frame": <bytes, optional>}
+    {"kind": "fit", "inputs": [<name>, ...], "outputs": [<name>, ...], "body": <bytes>}
+    {"kind": "predict", "model": "<id>", "inputs": [<name>, ...], "body": <bytes>}
     {"kind": "save", "model": "<id>"}
     {"kind": "shutdown"}
 
 Responses::
 
-    {"kind": "hello_ack", "version": 2, "max_frame": <negotiated>}
+    {"kind": "hello_ack", "version": 3, "max_frame": <negotiated>}
     {"kind": "fit_ack", "model": "<id>"}
-    {"kind": "prediction", "outputs": {col: <column>}}
+    {"kind": "prediction", "outputs": [<name>, ...], "body": <bytes>}
     {"kind": "saved", "model": "<id>", "data": {...serialized model...}}
     {"kind": "shutdown_ack"}
     {"kind": "error", "message": "..."}
 
-A ``<column>`` is one string: the canonical base64 (RFC 4648, padded) of the
-column's little-endian IEEE 754 float64 bytes, as in numpy's ``.npy``
-format. It is bit-exact by construction. A non-string column, invalid or
-non-canonical base64, a byte length that is not a multiple of 8, NaN and
-infinities are refused on both ends, and the columns of one object must have
-equal lengths. A version-1 peer, whose columns are arrays of JSON numbers,
-is refused at hello. The frame limit (default 64 MiB per line) is negotiated
-down to the smaller of the two peers' limits during hello; it must be a JSON
-integer of at least ``MIN_FRAME`` bytes.
+The messages that carry columns (``fit``, ``predict``, ``prediction``) name
+them in their header, as arrays of distinct non-empty strings, and declare
+the length of their body. Exactly that many bytes follow the LF: each
+column's little-endian IEEE 754 float64 values, column after column, inputs
+before outputs. So the frame is bit-exact, and its row count is ``body / (8
+* columns)``. A body that is not a multiple of that many bytes, a missing,
+non-integer or negative ``body``, a ``body`` on any other kind, and NaN and
+infinities are refused on both ends. A version-1 or version-2 peer, whose
+columns travel inside the JSON line, is refused at hello.
+
+Framing:
+
+* A header that is a JSON object with an integer ``body`` of at least 0 has
+  that many bytes read after its LF before any other check, so a refused
+  request still gets exactly one ``error`` and the session goes on. A body
+  is read as its bytes arrive, in chunks of at most 64 KiB; nothing is
+  allocated for it in advance.
+* The frame limit (default 64 MiB) covers the header line and its body. It
+  is negotiated down to the smaller of the two peers' limits during hello,
+  and must be a JSON integer of at least ``MIN_FRAME`` bytes. A header line
+  or a declared body past it ends the session, after one ``error``.
+
 Model identifiers are scoped to one session; sessions never see each other's
 models. The server ends a session whose peer sends nothing for
 ``DEFAULT_TIMEOUT`` seconds (30) while it waits for a request, or takes
-longer than that from a request's first byte to its LF, so idle or trickling
-peers cannot hold every session slot. The client bounds each response the
-same way by its ``timeout``: at most that long for the first byte, and at
-most that long again from the first byte to the LF. It closes its session
-after a timeout and after an oversized or truncated response.
+longer than that from a request's first byte to the last byte of its body,
+so idle or trickling peers cannot hold every session slot. The client bounds
+each response the same way by its ``timeout``: at most that long for the
+first byte, and at most that long again from the first byte to the last. It
+closes its session after a timeout and after an oversized or truncated
+response.
 """
 
 from __future__ import annotations
 
-import base64
 import itertools
 import json
 import socket
@@ -54,9 +68,9 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import PipelineError
-from .learners import LinearRegressionLearner, Model, _check_input_columns, model_from_dict
+from .learners import LinearRegressionLearner, Model, ShapeMismatch, _check_input_columns, model_from_dict
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
 # Smallest frame limit a peer may set. Any error record the server sends in
 # place of an oversized response ("message of N bytes exceeds frame limit M")
@@ -114,43 +128,65 @@ def _check_frame_limit(value) -> int:
     return value
 
 
+# The header fields that name a message's columns, in the order of its body.
+_COLUMN_FIELDS = {"fit": ("inputs", "outputs"), "predict": ("inputs",), "prediction": ("outputs",)}
+
+
 def _encode(payload: dict, max_frame: int) -> bytes:
+    """The frame of ``payload``: its JSON header line, then its body.
+
+    In a message that carries columns, each field of ``_COLUMN_FIELDS`` holds
+    a Dataset. The header names its columns, and the body holds their
+    float64 bytes; a trace column raises TraceColumn.
+    """
+    header, arrays = dict(payload), []
+    fields = _COLUMN_FIELDS.get(payload["kind"], ())
+    for field in fields:
+        dataset = payload[field]
+        header[field] = list(dataset.column_names)
+        arrays += dataset.floats(dataset.column_names)
+    if fields:
+        header["body"] = 8 * sum(len(values) for values in arrays)
     try:
-        text = json.dumps(payload, allow_nan=False, separators=(",", ":"))
+        text = json.dumps(header, allow_nan=False, separators=(",", ":"))
     except ValueError as exc:
         raise RemoteError(f"cannot serialize message: {exc}") from None
     line = text.encode("utf-8") + b"\n"
-    if len(line) > max_frame:
-        raise FrameTooLarge(f"message of {len(line)} bytes exceeds frame limit {max_frame}")
-    return line
+    size = len(line) + header.get("body", 0)
+    if size > max_frame:
+        raise FrameTooLarge(f"message of {size} bytes exceeds frame limit {max_frame}")
+    return b"".join([line, *(np.ascontiguousarray(values, "<f8") for values in arrays)])
 
 
-def _dataset_to_wire(dataset: Dataset) -> dict:
-    """The base64 float64le text of each column; a trace column raises TraceColumn."""
-    arrays = dataset.floats(dataset.column_names)
-    return {name: base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
-            for name, values in zip(dataset.column_names, arrays)}
+def _decode(message: dict, body: bytes | None) -> list[Dataset]:
+    """The Datasets a message of a kind in ``_COLUMN_FIELDS`` carries, cut from its body.
 
-
-def _f64le_column(name: str, text) -> np.ndarray:
-    """Decode one column, refusing anything but canonical base64 of float64 bytes."""
-    if not isinstance(text, str):
-        raise ValueError(f"column {name!r} must be a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError:  # binascii.Error, or text that is not ASCII
-        raw = None
-    if raw is None or base64.b64encode(raw) != text.encode("ascii"):
-        raise ValueError(f"column {name!r} is not canonical base64")
-    if len(raw) % 8:
-        raise ValueError(f"column {name!r} holds {len(raw)} bytes, not a multiple of 8")
-    return np.frombuffer(raw, dtype="<f8")
-
-
-def _wire_to_dataset(obj) -> Dataset:
-    if not isinstance(obj, dict) or not obj:
-        raise ValueError("expected a non-empty object of base64 columns")
-    return Dataset([(name, _f64le_column(name, text)) for name, text in obj.items()])
+    Raises:
+        ValueError: if the header's column names or ``body`` are malformed,
+            or the body does not split into whole rows.
+        NonFiniteValue: if a value is NaN or an infinity (a ValueError too).
+    """
+    kind = message["kind"]
+    groups = []
+    for field in _COLUMN_FIELDS[kind]:
+        if field not in message:
+            raise ValueError(f"{kind} without {field!r}")
+        names = message[field]
+        if not isinstance(names, list) or not names or not all(isinstance(n, str) and n for n in names):
+            raise ValueError(f"{field!r} must be a non-empty array of non-empty column names")
+        if len(set(names)) < len(names):
+            raise ValueError(f"{field!r} repeats a column name: {names}")
+        groups.append(names)
+    if "body" not in message:
+        raise ValueError(f"{kind} without 'body'")
+    if body is None:
+        raise ValueError(f"'body' must be a non-negative integer, got {message['body']!r}")
+    width = sum(map(len, groups))
+    rows, extra = divmod(len(body), 8 * width)
+    if extra:
+        raise ValueError(f"body of {len(body)} bytes does not hold whole rows of {width} float64 columns")
+    columns = iter(np.frombuffer(body, "<f8").reshape(width, rows))
+    return [Dataset([(name, next(columns)) for name in names], row_count=rows) for names in groups]
 
 
 class RemoteModel:
@@ -176,15 +212,11 @@ class RemoteModel:
         """
         _check_input_columns(inputs, self.input_columns)
         ordered = inputs.select(self.input_columns)
-        response = self._session._request(
-            {"kind": "predict", "model": self.remote_id, "inputs": _dataset_to_wire(ordered)},
-            "prediction",
+        response, body = self._session._request(
+            {"kind": "predict", "model": self.remote_id, "inputs": ordered}, "prediction"
         )
-        outputs = response.get("outputs")
-        if outputs is None:
-            raise RemoteError("malformed response: prediction without 'outputs'")
         try:
-            predictions = _wire_to_dataset(outputs)
+            (predictions,) = _decode(response, body)
         except ValueError as exc:
             raise RemoteError(f"malformed response: {exc}") from None
         if predictions.column_names != (self.output_column,) or predictions.row_count != ordered.row_count:
@@ -196,7 +228,7 @@ class RemoteModel:
 
     def fetch(self) -> Model:
         """Download the serialized model and rebuild it locally."""
-        response = self._session._request({"kind": "save", "model": self.remote_id}, "saved")
+        response, _ = self._session._request({"kind": "save", "model": self.remote_id}, "saved")
         return model_from_dict(response.get("data"))
 
 
@@ -209,15 +241,15 @@ class RemoteSession:
         self._timeout = timeout
         self._max_frame = max_frame
 
-    def _request(self, payload: dict, expect: str) -> dict:
-        """Send one request and return its response, which must be of kind ``expect``."""
+    def _request(self, payload: dict, expect: str) -> tuple[dict, bytes | None]:
+        """Send one request; return the header and body of its response, which must be of kind ``expect``."""
         if self._sock.fileno() < 0:
             raise ConnectionClosed("session is closed")
-        line = _encode(payload, self._max_frame)
+        frame = _encode(payload, self._max_frame)
         try:
-            self._sock.sendall(line)
-            message = _read_message(self._sock, self._buffer, self._max_frame, self._timeout, self._timeout)
-            if message is None:
+            self._sock.sendall(frame)
+            received = _read_message(self._sock, self._buffer, self._max_frame, self._timeout, self._timeout)
+            if received is None:
                 raise ConnectionClosed("server closed the connection")
         except ValueError as exc:  # the line was consumed; the next response is read intact
             raise RemoteError(f"malformed response: {exc}") from None
@@ -227,19 +259,24 @@ class RemoteSession:
         except OSError as exc:
             self.close()
             raise ConnectionClosed(f"connection lost: {exc}") from None
+        message = received[0]
         if message.get("kind") == "error":
             raise RemoteError(message.get("message", "unspecified server error"))
         if message.get("kind") != expect:
             raise RemoteError(f"unexpected response kind {message.get('kind')!r}")
-        return message
+        return received
 
     def fit(self, inputs: Dataset, outputs: Dataset) -> RemoteModel:
-        """Train on the server; returns a handle to the remote model."""
-        response = self._request({
-            "kind": "fit",
-            "inputs": _dataset_to_wire(inputs),
-            "outputs": _dataset_to_wire(outputs),
-        }, "fit_ack")
+        """Train on the server; returns a handle to the remote model.
+
+        Raises:
+            ShapeMismatch: if inputs and outputs differ in row count; nothing is sent.
+            TraceColumn: if a column holds traces; nothing is sent.
+            RemoteError / TimeoutError: on transport or server failures.
+        """
+        if inputs.row_count != outputs.row_count:
+            raise ShapeMismatch(f"{inputs.row_count} input rows vs {outputs.row_count} output rows")
+        response, _ = self._request({"kind": "fit", "inputs": inputs, "outputs": outputs}, "fit_ack")
         model_id = response.get("model")
         if not isinstance(model_id, str):
             raise RemoteError(f"malformed response: fit_ack 'model' must be a string, got {model_id!r}")
@@ -267,7 +304,7 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
 
     The hello names ``PROTOCOL_VERSION`` and offers ``max_frame``; the session
     uses the frame limit the server acknowledges. Every column of the
-    session travels as base64 of its little-endian float64 bytes.
+    session travels as its little-endian float64 bytes in a message's body.
 
     Raises:
         ValueError: if ``max_frame`` is not an integer of at least ``MIN_FRAME``.
@@ -287,7 +324,7 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
         raise ConnectFailed(f"cannot connect to {host}:{port}: {exc}") from None
     session = RemoteSession(sock, max_frame, timeout)
     try:
-        response = session._request(
+        response, _ = session._request(
             {"kind": "hello", "version": PROTOCOL_VERSION, "max_frame": max_frame}, "hello_ack"
         )
         if response.get("version") != PROTOCOL_VERSION:
@@ -308,33 +345,43 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_
 
 
 def _read_message(sock: socket.socket, buffer: bytearray, max_frame: int, timeout: float,
-                  frame_deadline: float) -> dict | None:
-    """The next message from ``sock``, or None at a clean EOF between messages.
+                  frame_deadline: float) -> tuple[dict, bytes | None] | None:
+    """The next message from ``sock``: its header and its body, or None at a clean EOF between messages.
 
-    ``buffer`` keeps the bytes read past the line for the next call.
+    The body is None unless the header declares an integer ``body`` of at
+    least 0. ``buffer`` keeps the bytes read past the message for the next call.
 
     Raises:
-        FrameTooLarge: if ``max_frame + 1`` bytes arrive without an LF.
-        ConnectionClosed: if EOF cuts a line short.
+        FrameTooLarge: if ``max_frame + 1`` bytes arrive without an LF, or the
+            header line, without its LF, and its declared body together
+            exceed ``max_frame``.
+        ConnectionClosed: if EOF cuts a message short.
         ValueError: if the line, now consumed, is not one JSON object.
-        TimeoutError: if no byte arrives within ``timeout``, or if a line is
+        TimeoutError: if no byte arrives within ``timeout``, or if a message is
             not complete within ``frame_deadline`` of its first byte.
     """
-    limit = max_frame + 1
-    scanned, deadline = 0, None
-    while (end := buffer.find(b"\n", scanned, limit)) < 0:
-        if len(buffer) >= limit:
-            raise FrameTooLarge(f"frame exceeds limit of {max_frame} bytes")
-        scanned = len(buffer)
+    deadline = None
+
+    def receive(started: bool, most: int = _RECV_SIZE) -> bytes:
+        """The next at most ``most`` bytes from ``sock``; empty at EOF."""
+        nonlocal deadline
         wait = timeout
-        if buffer:
+        if started:
             if deadline is None:
                 deadline = time.monotonic() + frame_deadline
             wait = deadline - time.monotonic()
             if wait <= 0:
                 raise TimeoutError("frame not completed in time")
         sock.settimeout(wait)
-        chunk = sock.recv(_RECV_SIZE)
+        return sock.recv(most)
+
+    limit = max_frame + 1
+    scanned = 0
+    while (end := buffer.find(b"\n", scanned, limit)) < 0:
+        if len(buffer) >= limit:
+            raise FrameTooLarge(f"frame exceeds limit of {max_frame} bytes")
+        scanned = len(buffer)
+        chunk = receive(bool(buffer))
         if not chunk:
             if buffer:
                 raise ConnectionClosed("peer closed the connection mid-message")
@@ -349,12 +396,27 @@ def _read_message(sock: socket.socket, buffer: bytearray, max_frame: int, timeou
         raise ValueError(str(exc)) from None
     if not isinstance(message, dict):
         raise ValueError("message is not an object")
-    return message
+    size = message.get("body")
+    body = None
+    if type(size) is int and size >= 0:  # bool is a subclass of int, not int itself
+        if end + size > max_frame:  # the LF is not counted, as for a line without a body
+            raise FrameTooLarge(f"frame exceeds limit of {max_frame} bytes")
+        parts = [bytes(buffer[:size])]
+        del buffer[:size]
+        missing = size - len(parts[0])
+        while missing:  # read no byte past the body, so nothing is left over for the buffer
+            parts.append(receive(True, min(missing, _RECV_SIZE)))
+            if not parts[-1]:
+                raise ConnectionClosed("peer closed the connection mid-message")
+            missing -= len(parts[-1])
+        body = b"".join(parts)
+        sock.settimeout(timeout)
+    return message, body
 
 
 class _SessionHandler(socketserver.BaseRequestHandler):
     timeout = DEFAULT_TIMEOUT  # limit on the wait for a request, and on each send
-    frame_deadline = DEFAULT_TIMEOUT  # limit from a request's first byte to its LF
+    frame_deadline = DEFAULT_TIMEOUT  # limit from a request's first byte to the last byte of its body
 
     def handle(self):
         owner: LearnerServer = self.server.owner
@@ -374,7 +436,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
         buffer = bytearray()
         while True:
             try:
-                message = _read_message(self.request, buffer, self._max_frame, self.timeout, self.frame_deadline)
+                received = _read_message(self.request, buffer, self._max_frame, self.timeout, self.frame_deadline)
             except ValueError as exc:
                 self._send({"kind": "error", "message": f"malformed message: {exc}"})
                 continue
@@ -383,10 +445,10 @@ class _SessionHandler(socketserver.BaseRequestHandler):
                 return  # framing is lost; end the session
             except (OSError, ConnectionClosed):  # TimeoutError included
                 return  # idle, trickling or vanished peer; end the session and free its slot
-            if message is None:
+            if received is None:
                 return
             try:
-                response, stop = self._dispatch(owner, message)
+                response, stop = self._dispatch(owner, *received)
             except (PipelineError, ValueError, KeyError, TypeError) as exc:
                 response, stop = {"kind": "error", "message": str(exc)}, False
             self._send(response)
@@ -394,9 +456,11 @@ class _SessionHandler(socketserver.BaseRequestHandler):
                 threading.Thread(target=self.server.shutdown, daemon=True).start()
                 return
 
-    def _dispatch(self, owner, message):
+    def _dispatch(self, owner, message: dict, body: bytes | None):
         """The response to one request, and whether the server shuts down after it."""
         kind = message.get("kind")
+        if "body" in message and kind not in ("fit", "predict"):
+            raise ValueError(f"a {kind!r} request carries no columns, so no 'body'")
         if kind == "hello":
             version = message.get("version")
             if version != PROTOCOL_VERSION:
@@ -404,17 +468,15 @@ class _SessionHandler(socketserver.BaseRequestHandler):
             self._max_frame = min(self._max_frame, _check_frame_limit(message.get("max_frame", self._max_frame)))
             return {"kind": "hello_ack", "version": PROTOCOL_VERSION, "max_frame": self._max_frame}, False
         if kind == "fit":
-            inputs = _wire_to_dataset(message.get("inputs"))
-            outputs = _wire_to_dataset(message.get("outputs"))
+            inputs, outputs = _decode(message, body)
             model = owner.learner_factory().fit(inputs, outputs)
             model_id = f"m{next(self._ids)}"
             self._models[model_id] = model
             return {"kind": "fit_ack", "model": model_id}, False
         if kind == "predict":
             model = self._lookup(message)
-            inputs = _wire_to_dataset(message.get("inputs"))
-            predictions = model.predict(inputs)
-            return {"kind": "prediction", "outputs": _dataset_to_wire(predictions)}, False
+            (inputs,) = _decode(message, body)
+            return {"kind": "prediction", "outputs": model.predict(inputs)}, False
         if kind == "save":
             model = self._lookup(message)
             return {"kind": "saved", "model": message["model"], "data": model.to_dict()}, False
@@ -430,11 +492,11 @@ class _SessionHandler(socketserver.BaseRequestHandler):
 
     def _send(self, payload: dict) -> None:
         try:
-            line = _encode(payload, self._max_frame)
+            frame = _encode(payload, self._max_frame)
         except (FrameTooLarge, RemoteError) as exc:
-            line = _encode({"kind": "error", "message": str(exc)}, self._max_frame)
+            frame = _encode({"kind": "error", "message": str(exc)}, self._max_frame)
         try:
-            self.request.sendall(line)
+            self.request.sendall(frame)
         except OSError:
             pass  # peer already gone; session loop will observe EOF
 

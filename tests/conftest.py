@@ -1,3 +1,4 @@
+import json
 import os
 import socket
 import threading
@@ -41,6 +42,15 @@ def concat_rows(parts) -> Dataset:
     """The rows of ``parts`` in order, as one dataset of their (shared, scalar) columns."""
     names = parts[0].column_names
     return Dataset([(name, np.concatenate([part.column(name) for part in parts])) for name in names])
+
+
+def read_frame(reader) -> bytes:
+    """One message of the wire protocol from ``reader``: its header line and the body that
+    line declares, as sent; what is left at EOF (b"" between messages)."""
+    line = reader.readline()
+    if not line.endswith(b"\n"):
+        return line
+    return line + reader.read(json.loads(line).get("body", 0))
 
 
 class StubServer:

@@ -369,7 +369,7 @@ def test_criterion_09_remote_transparency_and_faults():
                 reader = sock.makefile("rb")
                 sock.sendall(b"not json at all\n")
                 assert json.loads(reader.readline())["kind"] == "error"
-                sock.sendall(b'{"kind":"hello","version":2}\n')
+                sock.sendall(b'{"kind":"hello","version":3}\n')
                 assert json.loads(reader.readline())["kind"] == "hello_ack"
             finally:
                 sock.close()
@@ -387,7 +387,7 @@ def test_criterion_09_remote_transparency_and_faults():
             conn, _ = listener.accept()
             reader = conn.makefile("rb")
             reader.readline()
-            conn.sendall(b'{"kind":"hello_ack","version":2,"max_frame":1000000}\n')
+            conn.sendall(b'{"kind":"hello_ack","version":3,"max_frame":1000000}\n')
             reader.readline()  # the fit request; die silently
             conn.close()
             listener.close()

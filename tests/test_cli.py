@@ -535,7 +535,7 @@ class TestErrorRecords:
     def test_malformed_fit_ack_is_one_record(self, tmp_path, capsys):
         def script(conn, reader):
             reader.readline()
-            conn.sendall(b'{"kind":"hello_ack","version":2,"max_frame":100000}\n')
+            conn.sendall(b'{"kind":"hello_ack","version":3,"max_frame":100000}\n')
             reader.readline()
             conn.sendall(b'{"kind":"fit_ack"}\n')
             reader.readline()  # EOF once the client closes

@@ -1,4 +1,3 @@
-import base64
 import csv
 import json
 import math
@@ -538,6 +537,16 @@ def test_only_values_nothing_can_write_are_shared():
     assert np.shares_memory(window.column("b_0"), d.column("b"))
 
 
+def test_an_empty_column_takes_its_kind_from_its_type():
+    """An empty tuple is a trace column, as ``column`` returns one of zero rows; an empty list or array is float64."""
+    traces = Dataset({"t": [[1.0]]}).slice_rows(0, 0)
+    assert traces.column("t") == ()
+    assert Dataset({"t": traces.column("t")}) == traces
+    assert repr(Dataset({"t": ()})) == "Dataset(0 rows; t: list[float64])"
+    for empty in ([], np.empty(0)):
+        assert repr(Dataset({"t": empty})) == "Dataset(0 rows; t: float64)"
+
+
 @pytest.mark.parametrize("rows", [0, 1, 3])
 def test_a_trace_column_never_equals_a_float_column(rows):
     traces = Dataset({"c": [[float(i)] for i in range(3)]}).slice_rows(0, rows)
@@ -550,7 +559,7 @@ def test_a_trace_column_never_equals_a_float_column(rows):
 TRACE_CONSUMERS = {
     "learner": lambda d, tmp_path: fit_linear(d.select(["a", "t"]), d.select(["a"])),
     "target": lambda d, tmp_path: fit_linear(d.select(["a"]), d.select(["t"])),
-    "wire": lambda d, tmp_path: remote._dataset_to_wire(d),
+    "wire": lambda d, tmp_path: remote._encode({"kind": "prediction", "outputs": d}, remote.DEFAULT_MAX_FRAME),
     "csv": lambda d, tmp_path: write_csv(d, tmp_path / "t.csv"),
     "standardize-fit": lambda d, tmp_path: Standardize(["a", "t"]).fit(d),
     "standardize-apply": lambda d, tmp_path: Standardize(["t"]).fit(Dataset({"t": [1.0, 2.0]})).apply(d),
@@ -641,9 +650,9 @@ WAYS_IN = {
     "csv": csv_with,
     "json-columns": lambda tmp_path, value: json_with(tmp_path, value, records=False),
     "json-records": lambda tmp_path, value: json_with(tmp_path, value, records=True),
-    "wire": lambda tmp_path, value: remote._wire_to_dataset(
-        {"a": base64.b64encode(np.array([1.0, value], "<f8").tobytes()).decode()}
-    ),
+    "wire": lambda tmp_path, value: remote._decode(
+        {"kind": "prediction", "outputs": ["a"], "body": 16}, np.array([1.0, value], "<f8").tobytes()
+    )[0],
     "linear-model": lambda tmp_path, value: prediction_of(value),
 }
 

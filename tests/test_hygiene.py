@@ -1,8 +1,9 @@
 """Static checks of the package source: every import is used, every export exists, every
 ``json.load`` / ``json.loads`` call sits in a try that catches RecursionError, the
 incremental learner makes no BLAS call, every public name has a caller outside the tests,
-every defaulted parameter of a public callable is passed outside the tests, and only
-``dataset.py`` builds a Dataset without checking its columns."""
+every defaulted parameter of a public callable is passed outside the tests, only
+``dataset.py`` builds a Dataset without checking its columns, and no module imports
+``base64``, so columns have one encoding on the wire: their float64 bytes."""
 
 import ast
 import math
@@ -97,6 +98,27 @@ def test_every_json_read_catches_recursion_error(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unguarded = [call.lineno for call, caught in json_reads(tree) if not caught & CATCHES_RECURSION]
     assert unguarded == []
+
+
+def imported_modules(tree: ast.AST):
+    """(line, top-level module) of each import statement anywhere under ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_module_imports_base64(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [line for line, module in imported_modules(tree) if module == "base64"] == []
+
+
+def test_base64_rule_sees_each_form():
+    source = "import base64\nimport os, base64 as b\nfrom base64 import b64encode\ndef f():\n    import base64.x\n"
+    assert [line for line, module in imported_modules(ast.parse(source)) if module == "base64"] == [1, 2, 3, 5]
 
 
 # numpy names that call BLAS (or LAPACK), whose result depends on the CPU kernel it picks.

@@ -7,7 +7,6 @@ answer to each request comes from the in-process learner and from the
 protocol's rules.
 """
 
-import base64
 import json
 import socket
 import struct
@@ -23,26 +22,30 @@ from cpslearn import Dataset, fit_linear
 from cpslearn import remote
 from cpslearn.errors import PipelineError
 from cpslearn.remote import LearnerServer
+from conftest import read_frame
 
 SERVER_FRAME = 1_000_000
 small_floats = st.floats(-1e3, 1e3)
 NAMES = ("a", "b", "c")
 
 
-def bits(*patterns: int) -> str:
-    return base64.b64encode(b"".join(p.to_bytes(8, "little") for p in patterns)).decode("ascii")
+def bits(*patterns: int) -> bytes:
+    return b"".join(p.to_bytes(8, "little") for p in patterns)
 
 
-# Columns the server refuses, beside a good column named "a".
-BAD_COLUMNS = [
-    [1.0], None, "A", "AAAAAAAA8D8", "AAAAAAAA8D9=", "AAAAAAAA 8D8=", "AAAAAAAA-_8=",
-    base64.b64encode(bytes(7)).decode(), base64.b64encode(bytes(9)).decode(),
+# Values a second column "b" sends beside one row of a good column "a": bodies short of a
+# whole row or past it by a wrong multiple of 8, and NaN and infinity bit patterns.
+# Their lengths fit no whole number of rows, in a fit of three columns or a predict of two.
+BAD_VALUES = [
+    b"", bytes(3), bytes(7), bytes(9), bytes(16), bytes(48),
     bits(0x7FF8000000000000), bits(0x7FF0000000000001), bits(0xFFF8000000000000),
     bits(0x7FF0000000000000), bits(0xFFF0000000000000),
-    base64.b64encode(struct.pack("<2d", 1.0, 2.0)).decode(),  # two rows beside one
 ]
-# JSON literals a double cannot hold, or that JSON forbids, sent where a column goes.
-BAD_LITERALS = [b"1e400", b"9" * 400, b"NaN", b"-Infinity"]
+# Values of "body" that declare no body: not a non-negative JSON integer, or not JSON at all.
+BAD_BODY_FIELDS = [b"-8", b"1.5", b"8.0", b'"8"', b"true", b"null", b"[8]", b"1e400", b"NaN", b"-Infinity"]
+# Column lists beside a good body: empty, repeated or non-string names, and columns inside
+# the header as protocol version 2 sent them.
+BAD_NAMES = [[], [""], ["a", "a"], ["a", 1], "a", None, {"a": "AAAAAAAA8D8="}]
 BAD_FRAME_LIMITS = [b"0", b"-5", b'"12"', b"1.5", b"true", b"255", b"null", b"1e3"]
 DEEP = 50_000  # nesting far past the recursion limit, which Hypothesis itself raises while it runs
 
@@ -63,22 +66,26 @@ class ProtocolMachine(RuleBasedStateMachine):
     # -- plumbing -------------------------------------------------------------
 
     def send(self, message, check) -> None:
-        line = message if isinstance(message, bytes) else json.dumps(message).encode()
-        self.sock.sendall(line + b"\n")
+        """Send one request: a complete frame, a header line without its LF, or a payload for ``_encode``."""
+        if isinstance(message, dict):
+            message = remote._encode(message, 2 * SERVER_FRAME)
+        elif b"\n" not in message:
+            message += b"\n"
+        self.sock.sendall(message)
         self.pending.append(check)
-
-    def wire(self, dataset: Dataset) -> dict:
-        return remote._dataset_to_wire(dataset)
 
     def read_pending(self) -> None:
         while self.pending:
-            line = self.reader.readline()
-            assert line.endswith(b"\n"), f"session ended with {len(self.pending)} requests unanswered"
-            self.pending.pop(0)(json.loads(line))
+            message = read_frame(self.reader)
+            assert b"\n" in message, f"session ended with {len(self.pending)} requests unanswered"
+            line, _, body = message.partition(b"\n")
+            header = json.loads(line)
+            assert len(body) == header.get("body", 0), "a response cut short"
+            self.pending.pop(0)(header, body)
 
     @staticmethod
-    def expect_error(response) -> None:
-        assert response["kind"] == "error", response
+    def expect_error(response, body) -> None:
+        assert response["kind"] == "error" and body == b"", response
 
     # -- valid requests -------------------------------------------------------
 
@@ -89,12 +96,12 @@ class ProtocolMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.half_closed)
     @rule(max_frame=st.one_of(st.none(), st.integers(4096, 2 * SERVER_FRAME)))
     def hello(self, max_frame):
-        message = {"kind": "hello", "version": 2}
+        message = {"kind": "hello", "version": 3}
         if max_frame is not None:
             message["max_frame"] = max_frame
         self.max_frame = min(self.max_frame, max_frame or self.max_frame)
-        expected = {"kind": "hello_ack", "version": 2, "max_frame": self.max_frame}
-        self.send(message, lambda response: self.assert_equal(response, expected))
+        expected = {"kind": "hello_ack", "version": 3, "max_frame": self.max_frame}
+        self.send(message, lambda response, body: self.assert_equal(response, expected))
 
     @staticmethod
     def assert_equal(response, expected) -> None:
@@ -106,7 +113,7 @@ class ProtocolMachine(RuleBasedStateMachine):
         column = st.lists(small_floats, min_size=rows, max_size=rows, unique=True)  # mostly full rank
         inputs = Dataset([(name, data.draw(column)) for name in NAMES[:width]])
         outputs = Dataset({"y": data.draw(column)})
-        message = {"kind": "fit", "inputs": self.wire(inputs), "outputs": self.wire(outputs)}
+        message = {"kind": "fit", "inputs": inputs, "outputs": outputs}
         try:
             local = fit_linear(inputs, outputs)
         except PipelineError:  # too few rows, or rank deficient: the server refuses them too
@@ -114,7 +121,7 @@ class ProtocolMachine(RuleBasedStateMachine):
             return
         self.models.append(local)
         expected = {"kind": "fit_ack", "model": f"m{len(self.models)}"}
-        self.send(message, lambda response: self.assert_equal(response, expected))
+        self.send(message, lambda response, body: self.assert_equal(response, expected))
 
     @precondition(lambda self: self.models and not self.half_closed)
     @rule(data=st.data(), rows=st.integers(0, 5))
@@ -125,13 +132,11 @@ class ProtocolMachine(RuleBasedStateMachine):
         probe = Dataset([(name, data.draw(column)) for name in local.input_columns])
         expected = local.predict(probe).column("y").tobytes()
 
-        def check(response):
-            assert response["kind"] == "prediction", response
-            predictions = remote._wire_to_dataset(response["outputs"])
-            assert predictions.column_names == ("y",)
-            assert predictions.column("y").tobytes() == expected
+        def check(response, body):
+            assert response == {"kind": "prediction", "outputs": ["y"], "body": len(expected)}
+            assert body == expected
 
-        self.send({"kind": "predict", "model": f"m{index + 1}", "inputs": self.wire(probe)}, check)
+        self.send({"kind": "predict", "model": f"m{index + 1}", "inputs": probe}, check)
 
     @precondition(lambda self: self.models and not self.half_closed)
     @rule(data=st.data())
@@ -139,39 +144,62 @@ class ProtocolMachine(RuleBasedStateMachine):
         index = data.draw(st.integers(0, len(self.models) - 1))
         expected = json.loads(json.dumps(self.models[index].to_dict()))
 
-        def check(response):
+        def check(response, body):
             assert response == {"kind": "saved", "model": f"m{index + 1}", "data": expected}
 
         self.send({"kind": "save", "model": f"m{index + 1}"}, check)
 
     # -- invalid requests -----------------------------------------------------
 
-    @precondition(lambda self: not self.half_closed)
-    @rule(data=st.data(), in_fit=st.booleans())
-    def bad_column(self, data, in_fit):
-        columns = dict(self.wire(Dataset({"a": [1.5]})), b=data.draw(st.sampled_from(BAD_COLUMNS)))
+    def columns_header(self, in_fit: bool, names) -> dict:
+        """A fit, or a predict of the newest model, naming ``names`` as its inputs."""
         if in_fit:
-            message = {"kind": "fit", "inputs": columns, "outputs": self.wire(Dataset({"y": [1.0]}))}
-        else:
-            message = {"kind": "predict", "model": f"m{len(self.models)}", "inputs": columns}
-        self.send(message, self.expect_error)
+            return {"kind": "fit", "inputs": names, "outputs": ["y"]}
+        return {"kind": "predict", "model": f"m{len(self.models)}", "inputs": names}
+
+    def columns_frame(self, in_fit: bool, names, body: bytes) -> bytes:
+        return json.dumps({**self.columns_header(in_fit, names), "body": len(body)}).encode() + b"\n" + body
 
     @precondition(lambda self: not self.half_closed)
-    @rule(literal=st.sampled_from(BAD_LITERALS))
-    def bad_literal(self, literal):
-        outputs = json.dumps(self.wire(Dataset({"y": [1.0]}))).encode()
-        self.send(b'{"kind":"fit","inputs":{"a":' + literal + b'},"outputs":' + outputs + b"}", self.expect_error)
+    @rule(data=st.data(), in_fit=st.booleans())
+    def bad_values(self, data, in_fit):
+        """Column "b" beside one row of "a" (and of "y" in a fit) holds a bad body or value."""
+        body = struct.pack("<d", 1.5) + data.draw(st.sampled_from(BAD_VALUES))
+        if in_fit:
+            body += struct.pack("<d", 1.0)
+        self.send(self.columns_frame(in_fit, ["a", "b"], body), self.expect_error)
+
+    @precondition(lambda self: not self.half_closed)
+    @rule(data=st.data(), in_fit=st.booleans())
+    def bad_names(self, data, in_fit):
+        body = struct.pack("<2d", 1.5, 1.0)
+        self.send(self.columns_frame(in_fit, data.draw(st.sampled_from(BAD_NAMES)), body), self.expect_error)
+
+    @precondition(lambda self: not self.half_closed)
+    @rule(value=st.sampled_from([None, *BAD_BODY_FIELDS]), in_fit=st.booleans())
+    def bad_body_field(self, value, in_fit):
+        """A missing ``body``, or one that declares none: no bytes follow the header."""
+        header = json.dumps(self.columns_header(in_fit, ["a"])).encode()
+        self.send(header if value is None else header[:-1] + b',"body":' + value + b"}", self.expect_error)
+
+    @precondition(lambda self: not self.half_closed)
+    @rule(kind=st.sampled_from([b'"hello","version":3', b'"save","model":"m1"', b'"shutdown"', b'"dance"']),
+          size=st.integers(0, 24))
+    def body_without_columns(self, kind, size):
+        """A body on a kind that carries no columns is read whole, then refused; a shutdown does not happen."""
+        self.send(b'{"kind":' + kind + b',"body":' + str(size).encode() + b"}\n" + bytes(size), self.expect_error)
 
     @precondition(lambda self: not self.half_closed)
     @rule(value=st.sampled_from(BAD_FRAME_LIMITS))
     def bad_hello(self, value):
         """A refused hello changes nothing: later hellos expect the frame limit from before it."""
-        self.send(b'{"kind":"hello","version":2,"max_frame":' + value + b"}", self.expect_error)
+        self.send(b'{"kind":"hello","version":3,"max_frame":' + value + b"}", self.expect_error)
 
     @precondition(lambda self: not self.half_closed)
-    @rule(line=st.sampled_from([b'{"kind":"dance"}', b'{"kind":null}', b"{}", b'{"kind":"HELLO","version":2}',
+    @rule(line=st.sampled_from([b'{"kind":"dance"}', b'{"kind":null}', b"{}", b'{"kind":"HELLO","version":3}',
                                 b'{"kind":"hello","version":1}', b'{"kind":"hello","version":1,"encodings":["json"]}',
-                                b'{"kind":"hello","version":3}', b"[1]", b'"hello"', b"not json", b"",
+                                b'{"kind":"hello","version":2}', b'{"kind":"hello","version":2,"max_frame":4096}',
+                                b'{"kind":"hello","version":4}', b"[1]", b'"hello"', b"not json", b"",
                                 b'{"kind":"fit"}', b'{"kind":"predict","model":"m1"}']))
     def bad_request(self, line):
         self.send(line, self.expect_error)
@@ -179,7 +207,8 @@ class ProtocolMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.half_closed)
     @rule(kind=st.sampled_from(["predict", "save"]), model=st.sampled_from(["m999", "m0", "", 1, None, ["m1"]]))
     def unknown_model(self, kind, model):
-        self.send({"kind": kind, "model": model, "inputs": self.wire(Dataset({"a": [1.0]}))}, self.expect_error)
+        inputs = {"inputs": Dataset({"a": [1.0]})} if kind == "predict" else {}
+        self.send({"kind": kind, "model": model, **inputs}, self.expect_error)
 
     @precondition(lambda self: 2 * DEEP + 64 <= self.max_frame and not self.half_closed)
     @rule(data=st.data(), wrap=st.sampled_from([(b"", b""), (b'{"kind":"fit","inputs":', b"}"), (b"[1,", b"]")]))
@@ -190,20 +219,34 @@ class ProtocolMachine(RuleBasedStateMachine):
         self.send(head + b"[" * depth + b"]" * depth + tail, self.expect_malformed)
 
     @staticmethod
-    def expect_malformed(response) -> None:
+    def expect_malformed(response, body) -> None:
         assert response["kind"] == "error", response
         assert response["message"].startswith("malformed message: maximum recursion depth exceeded"), response
 
     @precondition(lambda self: not self.half_closed)
-    @rule()
-    def oversized_frame(self):
-        """One byte past the frame limit, with no LF: one error record, then the server ends the session."""
-        head = b'{"kind":"hello","pad":"'
+    @rule(declared=st.booleans())
+    def oversized_frame(self, declared):
+        """Past the frame limit, by a line with no LF or by the body a header declares: one
+        error record, then the server ends the session."""
+        if declared:
+            head = b'{"kind":"fit","inputs":["a"],"outputs":["y"],"body":'
+            self.sock.sendall(head + str(self.max_frame - len(head)).encode() + b"}\n")
+        else:
+            head = b'{"kind":"hello","pad":"'
+            self.sock.sendall(head + b"x" * (self.max_frame + 1 - len(head)))
         expected = {"kind": "error", "message": f"frame exceeds limit of {self.max_frame} bytes"}
-        self.sock.sendall(head + b"x" * (self.max_frame + 1 - len(head)))
         self.sock.shutdown(socket.SHUT_WR)  # no later rule sends
         self.half_closed = True
-        self.pending.append(lambda response: self.assert_equal(response, expected))
+        self.pending.append(lambda response, body: self.assert_equal(response, expected))
+
+    @precondition(lambda self: not self.half_closed)
+    @rule(data=st.data())
+    def truncated_body(self, data):
+        """EOF inside a declared body: the cut-off request is no request, and gets no answer."""
+        body = struct.pack("<2d", 1.5, 1.0)
+        self.sock.sendall(self.columns_frame(True, ["a"], body)[:-data.draw(st.integers(1, len(body)))])
+        self.sock.shutdown(socket.SHUT_WR)
+        self.half_closed = True
 
     # -- reading and closing --------------------------------------------------
 
@@ -231,7 +274,7 @@ class ProtocolMachine(RuleBasedStateMachine):
             # slot once more before that session's EOF, so the next run finds it free.
             probe = socket.create_connection(self.server.address, timeout=5.0)
             try:
-                probe.sendall(b'{"kind":"hello","version":2}\n')
+                probe.sendall(b'{"kind":"hello","version":3}\n')
                 probe.shutdown(socket.SHUT_WR)
                 with probe.makefile("rb") as reader:
                     answers = reader.readlines()

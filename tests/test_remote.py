@@ -1,4 +1,3 @@
-import base64
 import gc
 import json
 import math
@@ -7,6 +6,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cpslearn import Dataset, fit_linear
 from cpslearn.dataset import TraceColumn
-from cpslearn.learners import SchemaMismatch
+from cpslearn.learners import SchemaMismatch, ShapeMismatch
 from cpslearn import remote
 from cpslearn.remote import (
     ConnectFailed,
@@ -27,7 +27,7 @@ from cpslearn.remote import (
     VersionMismatch,
     connect,
 )
-from conftest import StubServer, random_dataset
+from conftest import StubServer, random_dataset, read_frame
 
 
 @pytest.fixture
@@ -42,26 +42,56 @@ def session(server):
         yield s
 
 
-def raw_exchange(address, lines, expect=None, timeout=5.0):
-    """Send raw protocol lines over one socket; read ``expect`` responses."""
+def f64le(*values: float) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def bits(*patterns: int) -> bytes:
+    return b"".join(p.to_bytes(8, "little") for p in patterns)
+
+
+def frame(header: dict, body: bytes | None = None) -> bytes:
+    """A raw message: ``header`` as one JSON line; with a ``body``, declaring it and followed by it."""
+    if body is not None:
+        header = {**header, "body": len(body)}
+    return json.dumps(header).encode() + b"\n" + (body or b"")
+
+
+def split_frame(message: bytes) -> tuple[dict, bytes]:
+    line, _, body = message.partition(b"\n")
+    return json.loads(line), body
+
+
+def read_headers(reader, count=None) -> list[dict]:
+    """The headers of the next ``count`` messages from ``reader``, or of all of them up to EOF."""
+    headers = []
+    while count is None or len(headers) < count:
+        message = read_frame(reader)
+        if not message:
+            break
+        headers.append(split_frame(message)[0])
+    return headers
+
+
+def raw_exchange(address, messages, expect=None, timeout=5.0):
+    """Send raw protocol messages over one socket; read the headers of ``expect`` responses."""
     sock = socket.create_connection(address, timeout=timeout)
     try:
-        for line in lines:
-            sock.sendall(line)
-        reader = sock.makefile("rb")
-        return [json.loads(reader.readline()) for _ in range(expect or len(lines))]
+        for message in messages:
+            sock.sendall(message)
+        return read_headers(sock.makefile("rb"), expect or len(messages))
     finally:
         sock.close()
 
 
-def exchange_to_eof(address, lines, timeout=5.0):
-    """Send raw protocol lines, half-close, and read every response until EOF."""
+def exchange_to_eof(address, messages, timeout=5.0):
+    """Send raw protocol messages, half-close, and read the header of every response until EOF."""
     sock = socket.create_connection(address, timeout=timeout)
     try:
-        for line in lines:
-            sock.sendall(line)
+        for message in messages:
+            sock.sendall(message)
         sock.shutdown(socket.SHUT_WR)
-        return [json.loads(line) for line in sock.makefile("rb")]
+        return read_headers(sock.makefile("rb"))
     finally:
         sock.close()
 
@@ -79,7 +109,11 @@ def thread_errors(monkeypatch):
 
 # Frame limits a peer may not set: not a JSON integer, or below MIN_FRAME.
 BAD_FRAME_LIMITS = [b"0", b"-5", b'"12"', b"1.5", b"true"]
-HELLO_ACK = b'{"kind":"hello_ack","version":2,"max_frame":100000}'
+HELLO = b'{"kind":"hello","version":3}\n'
+HELLO_ACK = b'{"kind":"hello_ack","version":3,"max_frame":100000}'
+# A fit of y = 2x on three rows, its model m1, and a prediction from it.
+FIT = frame({"kind": "fit", "inputs": ["x"], "outputs": ["y"]}, f64le(0.0, 1.0, 2.0, 0.0, 2.0, 4.0))
+PREDICT = frame({"kind": "predict", "model": "m1", "inputs": ["x"]}, f64le(1.0))
 
 
 class TestTransparency:
@@ -127,7 +161,7 @@ finite_floats = st.one_of(
 @st.composite
 def finite_datasets(draw):
     rows = draw(st.integers(0, 6))
-    names = draw(st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True))
+    names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=3, unique=True))
     return Dataset([(name, draw(st.lists(finite_floats, min_size=rows, max_size=rows))) for name in names])
 
 
@@ -135,115 +169,184 @@ def column_bytes(dataset: Dataset):
     return dataset.column_names, [values.tobytes() for values in dataset.floats(dataset.column_names)]
 
 
-def f64le(*values: float) -> str:
-    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
-
-
-def f64le_bits(*patterns: int) -> str:
-    return base64.b64encode(b"".join(p.to_bytes(8, "little") for p in patterns)).decode("ascii")
-
-
 class TestColumnEncodings:
     @settings(deadline=None, max_examples=200)
-    @given(finite_datasets())
-    def test_columns_round_trip_bit_exactly(self, dataset):
-        wire = json.loads(json.dumps(remote._dataset_to_wire(dataset)))
-        assert column_bytes(remote._wire_to_dataset(wire)) == column_bytes(dataset)
+    @given(finite_datasets(), finite_datasets())
+    def test_columns_round_trip_bit_exactly(self, inputs, outputs):
+        if inputs.row_count != outputs.row_count:
+            outputs = Dataset({"y": inputs.column(inputs.column_names[0])})
+        encoded = remote._encode({"kind": "fit", "inputs": inputs, "outputs": outputs}, remote.DEFAULT_MAX_FRAME)
+        decoded = remote._decode(*split_frame(encoded))
+        assert [column_bytes(d) for d in decoded] == [column_bytes(inputs), column_bytes(outputs)]
 
-    def test_binary_column_is_base64_of_little_endian_doubles(self):
-        wire = remote._dataset_to_wire(Dataset({"a": [1.0, -0.0]}))
-        assert wire == {"a": "AAAAAAAA8D8AAAAAAAAAgA=="}
+    def test_body_is_little_endian_doubles_column_after_column(self):
+        fit = {"kind": "fit", "inputs": Dataset({"a": [1.0, -0.0], "b": [2.0, 0.5]}),
+               "outputs": Dataset({"y": [3.0, 5e-324]})}
+        assert remote._encode(fit, remote.DEFAULT_MAX_FRAME) == (
+            b'{"kind":"fit","inputs":["a","b"],"outputs":["y"],"body":48}\n'
+            + bits(0x3FF0000000000000, 0x8000000000000000, 0x4000000000000000, 0x3FE0000000000000,
+                   0x4008000000000000, 0x0000000000000001)
+        )
 
-    @pytest.mark.parametrize(
-        "obj, message",
-        [
-            ({"a": [1.0]}, "column 'a' must be a base64 string"),
-            ({"a": None}, "column 'a' must be a base64 string"),
-            ({"a": "A"}, "column 'a' is not canonical base64"),
-            ({"a": "AAAAAAAA8D8"}, "column 'a' is not canonical base64"),  # padding missing
-            ({"a": "AAAAAAAA8D9="}, "column 'a' is not canonical base64"),  # padding bits set
-            ({"a": "AAAAAAAA 8D8="}, "column 'a' is not canonical base64"),
-            ({"a": "AAAAAAAA\n8D8="}, "column 'a' is not canonical base64"),
-            ({"a": "AAAAAAAA8D8=AAAA"}, "column 'a' is not canonical base64"),
-            ({"a": "AAAAAAAA8D8\u00e9"}, "column 'a' is not canonical base64"),
-            ({"a": "AAAAAAAA-_8="}, "column 'a' is not canonical base64"),  # URL-safe alphabet
-            ({"a": base64.b64encode(bytes(7)).decode()}, "column 'a' holds 7 bytes, not a multiple of 8"),
-            ({"a": base64.b64encode(bytes(12)).decode()}, "column 'a' holds 12 bytes, not a multiple of 8"),
-            ({"a": f64le_bits(0x7FF8000000000000)}, "column 'a' holds NaN or an infinity"),
-            ({"a": f64le_bits(0x3FF0000000000000, 0xFFF0000000000001)}, "column 'a' holds NaN or an infinity"),
-            ({"a": f64le(1.0, math.inf)}, "column 'a' holds NaN or an infinity"),
-            ({"a": f64le(-math.inf)}, "column 'a' holds NaN or an infinity"),
-            ({"a": f64le(1.0), "b": f64le(1.0, 2.0)}, "columns have differing lengths: [1, 2]"),
-            ({}, "expected a non-empty object of base64 columns"),
-            ([f64le(1.0)], "expected a non-empty object of base64 columns"),
-        ],
-    )
-    def test_binary_refusals(self, obj, message):
-        with pytest.raises(ValueError) as info:
-            remote._wire_to_dataset(obj)
-        assert str(info.value) == message
+    @pytest.mark.parametrize("rows", [0, 1, 7, 2_500])
+    @pytest.mark.parametrize("columns", [1, 2, 6])
+    def test_a_fit_frame_is_its_header_line_and_8_bytes_per_value(self, rows, columns):
+        rng = np.random.default_rng(rows * 10 + columns)
+        inputs = random_dataset(rng, rows, columns - 1) if columns > 1 else Dataset(row_count=rows)
+        fit = {"kind": "fit", "inputs": inputs, "outputs": Dataset({"y": rng.normal(size=rows)})}
+        encoded = remote._encode(fit, remote.DEFAULT_MAX_FRAME)
+        header = dict(fit, inputs=list(inputs.column_names), outputs=["y"], body=8 * rows * columns)
+        line = json.dumps(header, separators=(",", ":")).encode() + b"\n"
+        assert encoded[:len(line)] == line
+        assert len(encoded) == len(line) + 8 * rows * columns
 
     def test_binary_peer_gets_binary_frames(self, server):
         """The reference server's answers, byte for byte."""
-        fit = {"kind": "fit", "inputs": {"x": f64le(0.1, 0.7, 2.3)}, "outputs": {"y": f64le(1.0, 2.9, 7.1)}}
-        predict = {"kind": "predict", "model": "m1", "inputs": {"x": f64le(0.5, -3.3, 1e-7)}}
+        fit = frame({"kind": "fit", "inputs": ["x"], "outputs": ["y"]}, f64le(0.1, 0.7, 2.3, 1.0, 2.9, 7.1))
+        predict = frame({"kind": "predict", "model": "m1", "inputs": ["x"]}, f64le(0.5, -3.3, 1e-7))
         sock = socket.create_connection(server.address, timeout=5.0)
         try:
             reader = sock.makefile("rb")
             answers = []
-            for message in [{"kind": "hello", "version": 2}, fit, predict]:
-                sock.sendall(json.dumps(message).encode() + b"\n")
-                answers.append(reader.readline())
+            for message in [HELLO, fit, predict]:
+                sock.sendall(message)
+                answers.append(read_frame(reader))
         finally:
             sock.close()
-        prediction = f64le(2.2041237113402063, -8.21649484536083, 0.8329899649484531)
         assert answers == [
-            b'{"kind":"hello_ack","version":2,"max_frame":67108864}\n',
+            b'{"kind":"hello_ack","version":3,"max_frame":67108864}\n',
             b'{"kind":"fit_ack","model":"m1"}\n',
-            b'{"kind":"prediction","outputs":{"y":"' + prediction.encode() + b'"}}\n',
+            b'{"kind":"prediction","outputs":["y"],"body":24}\n'
+            + f64le(2.2041237113402063, -8.21649484536083, 0.8329899649484531),
         ]
 
     @pytest.mark.parametrize("column", [b'"json"', b"[1]", b"[]", b'["xml"]', b"null", b'{"json":1}',
                                         b'[["json"]]'])
     def test_bad_encodings_get_one_error_and_keep_the_session(self, server, column, thread_errors):
-        """A column that is not base64 of float64 bytes, such as an array of JSON numbers, is refused."""
+        """A column inside the header, as earlier versions sent it, is refused, whatever it holds."""
         responses = exchange_to_eof(server.address, [
-            b'{"kind":"fit","inputs":{"a":' + column + b'},"outputs":{"y":"' + f64le(1.0).encode() + b'"}}\n',
-            b'{"kind":"hello","version":2}\n',
+            b'{"kind":"fit","inputs":{"a":' + column + b'},"outputs":{"y":"AAAAAAAA8D8="}}\n',
+            HELLO,
         ])
-        assert [r["kind"] for r in responses] == ["error", "hello_ack"]
-        assert responses[0]["message"].startswith("column 'a' ")
+        assert responses == [
+            {"kind": "error", "message": "'inputs' must be a non-empty array of non-empty column names"},
+            {"kind": "hello_ack", "version": 3, "max_frame": remote.DEFAULT_MAX_FRAME},
+        ]
         assert thread_errors == []
 
-    def test_client_sends_base64_columns(self):
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (({"kind": "fit", "inputs": ["a"], "outputs": ["y"], "body": 8}, f64le(1.0)),
+             "body of 8 bytes does not hold whole rows of 2 float64 columns"),
+            (({"kind": "fit", "inputs": ["a"], "outputs": ["y"], "body": 20}, bytes(20)),
+             "body of 20 bytes does not hold whole rows of 2 float64 columns"),
+            (({"kind": "predict", "inputs": ["a"], "body": 7}, bytes(7)),
+             "body of 7 bytes does not hold whole rows of 1 float64 columns"),
+            (({"kind": "fit", "inputs": ["a"], "outputs": ["y"], "body": 1.5}, None),
+             "'body' must be a non-negative integer, got 1.5"),
+            (({"kind": "fit", "inputs": ["a"], "outputs": ["y"], "body": "16"}, None),
+             "'body' must be a non-negative integer, got '16'"),
+            (({"kind": "fit", "inputs": ["a"], "outputs": ["y"], "body": True}, None),
+             "'body' must be a non-negative integer, got True"),
+            (({"kind": "predict", "inputs": ["a"], "body": -8}, None), "'body' must be a non-negative integer, got -8"),
+            (({"kind": "fit", "inputs": [""], "outputs": ["y"], "body": 16}, bytes(16)),
+             "'inputs' must be a non-empty array of non-empty column names"),
+            (({"kind": "fit", "inputs": ["a"], "outputs": [""], "body": 16}, bytes(16)),
+             "'outputs' must be a non-empty array of non-empty column names"),
+            (({"kind": "fit", "inputs": [], "outputs": ["y"], "body": 8}, bytes(8)),
+             "'inputs' must be a non-empty array of non-empty column names"),
+            (({"kind": "fit", "inputs": ["a", 1], "outputs": ["y"], "body": 24}, bytes(24)),
+             "'inputs' must be a non-empty array of non-empty column names"),
+            (({"kind": "fit", "inputs": ["a", "a"], "outputs": ["y"], "body": 24}, bytes(24)),
+             "'inputs' repeats a column name: ['a', 'a']"),
+            (({"kind": "fit", "inputs": ["a"], "outputs": ["y"], "body": 16}, bits(0x7FF8000000000000, 0)),
+             "column 'a' holds NaN or an infinity"),
+            (({"kind": "predict", "inputs": ["a"], "body": 16}, bits(0x3FF0000000000000, 0xFFF0000000000001)),
+             "column 'a' holds NaN or an infinity"),
+            (({"kind": "predict", "inputs": ["a"], "body": 16}, f64le(1.0, math.inf)),
+             "column 'a' holds NaN or an infinity"),
+            (({"kind": "prediction", "outputs": ["a"], "body": 8}, f64le(-math.inf)),
+             "column 'a' holds NaN or an infinity"),
+            (({"kind": "fit", "inputs": ["a"], "outputs": ["y"], "body": 16}, f64le(1.0) + bits(0xFFF8000000000000)),
+             "column 'y' holds NaN or an infinity"),
+            (({"kind": "fit", "inputs": ["a", "b"], "outputs": ["y"], "body": 24}, f64le(1.0, math.inf, 0.0)),
+             "column 'b' holds NaN or an infinity"),
+            (({"kind": "fit", "inputs": ["a"], "body": 8}, bytes(8)), "fit without 'outputs'"),
+            (({"kind": "prediction", "body": 8}, bytes(8)), "prediction without 'outputs'"),
+            (({"kind": "fit", "inputs": ["a"], "outputs": ["y"]}, None), "fit without 'body'"),
+            (({"kind": "predict", "inputs": "a", "body": 8}, bytes(8)),
+             "'inputs' must be a non-empty array of non-empty column names"),
+            (({"kind": "predict", "inputs": {"a": "AAAAAAAA8D8="}}, None),
+             "'inputs' must be a non-empty array of non-empty column names"),
+        ],
+    )
+    def test_binary_refusals(self, obj, message):
+        """Every refusal of a frame's columns, on either end; ``obj`` is a header and the body it declares."""
+        with pytest.raises(ValueError) as info:
+            remote._decode(*obj)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "request_, message",
+        [
+            (frame({"kind": "fit", "inputs": ["a"], "outputs": ["y"]}, f64le(1.0)),
+             "body of 8 bytes does not hold whole rows of 2 float64 columns"),
+            (frame({"kind": "predict", "model": "m1", "inputs": ["x"]}, bytes(7)),
+             "body of 7 bytes does not hold whole rows of 1 float64 columns"),
+            (frame({"kind": "fit", "inputs": ["a"], "outputs": ["y"], "body": 1.5}), "'body' must be a non-negative integer, got 1.5"),
+            (frame({"kind": "fit", "inputs": ["a"], "outputs": ["y"], "body": True}), "'body' must be a non-negative integer, got True"),
+            (frame({"kind": "predict", "model": "m1", "inputs": ["x"], "body": -8}),
+             "'body' must be a non-negative integer, got -8"),
+            (frame({"kind": "fit", "inputs": [""], "outputs": ["y"]}, f64le(1.0, 2.0)),
+             "'inputs' must be a non-empty array of non-empty column names"),
+            (frame({"kind": "predict", "model": "m1", "inputs": ["x", "x"]}, f64le(1.0, 2.0)),
+             "'inputs' repeats a column name: ['x', 'x']"),
+            (frame({"kind": "fit", "inputs": ["a"], "outputs": ["y"]}), "fit without 'body'"),
+            (frame({"kind": "predict", "model": "m1", "inputs": ["x"]}), "predict without 'body'"),
+            (frame({"kind": "hello", "version": 3}, f64le(1.0)), "a 'hello' request carries no columns, so no 'body'"),
+            (frame({"kind": "save", "model": "m1"}, f64le(1.0)), "a 'save' request carries no columns, so no 'body'"),
+            (frame({"kind": "save", "model": "m1", "body": -1}), "a 'save' request carries no columns, so no 'body'"),
+            (frame({"kind": "shutdown"}, b""), "a 'shutdown' request carries no columns, so no 'body'"),
+            (frame({"kind": "fit", "inputs": ["a"], "outputs": ["y"]}, f64le(1.0, 2.0) + bits(0xFFF0000000000001, 0)),
+             "column 'y' holds NaN or an infinity"),
+            (frame({"kind": "predict", "model": "m1", "inputs": ["x"]}, f64le(1.0, -math.inf)),
+             "column 'x' holds NaN or an infinity"),
+        ],
+        ids=lambda value: value.partition(b"\n")[0].decode() if isinstance(value, bytes) else value,
+    )
+    def test_malformed_frames_get_one_error_and_keep_the_session(self, server, request_, message, thread_errors):
+        """The body a header declares is read first, so the request after a refused one is read intact."""
+        responses = exchange_to_eof(server.address, [FIT, request_, PREDICT])
+        assert responses == [
+            {"kind": "fit_ack", "model": "m1"},
+            {"kind": "error", "message": message},
+            {"kind": "prediction", "outputs": ["y"], "body": 8},
+        ]
+        assert thread_errors == []
+
+    def test_client_sends_binary_columns(self):
         requests = []
 
         def script(conn, reader):
             for response in (HELLO_ACK, b'{"kind":"fit_ack","model":"m1"}'):
-                requests.append(json.loads(reader.readline()))
+                requests.append(read_frame(reader))
                 conn.sendall(response + b"\n")
-            reader.readline()
+            read_frame(reader)
 
         stub = StubServer(script)
         with connect(stub.address, timeout=2.0) as session:
             session.fit(Dataset({"x": [0.0, 0.5]}), Dataset({"y": [1.0, -0.0]}))
         hello, fit = requests
-        assert hello == {"kind": "hello", "version": 2, "max_frame": remote.DEFAULT_MAX_FRAME}
-        assert fit == {"kind": "fit", "inputs": {"x": f64le(0.0, 0.5)}, "outputs": {"y": f64le(1.0, -0.0)}}
+        assert json.loads(hello) == {"kind": "hello", "version": 3, "max_frame": remote.DEFAULT_MAX_FRAME}
+        assert fit == b'{"kind":"fit","inputs":["x"],"outputs":["y"],"body":32}\n' + f64le(0.0, 0.5, 1.0, -0.0)
 
 
 class TestServerBehaviour:
-    def test_mismatched_fit_rows_is_remote_error(self, session):
-        with pytest.raises(RemoteError):
-            session.fit(Dataset({"x": [1.0, 2.0]}), Dataset({"y": [1.0]}))
-
     def test_unknown_model_id(self, server):
         responses = raw_exchange(
             server.address,
-            [
-                b'{"kind":"hello","version":2}\n',
-                b'{"kind":"predict","model":"m99","inputs":{"x":"AAAAAAAA8D8="}}\n',
-            ],
+            [HELLO, frame({"kind": "predict", "model": "m99", "inputs": ["x"]}, f64le(1.0))],
         )
         assert responses[0]["kind"] == "hello_ack"
         assert responses[1] == {"kind": "error", "message": "unknown model id: 'm99'"}
@@ -251,7 +354,7 @@ class TestServerBehaviour:
     def test_malformed_line_keeps_connection_usable(self, server):
         responses = raw_exchange(
             server.address,
-            [b"this is not json\n", b'{"kind":"hello","version":2}\n'],
+            [b"this is not json\n", HELLO],
         )
         assert responses[0]["kind"] == "error"
         assert responses[1]["kind"] == "hello_ack"
@@ -262,30 +365,31 @@ class TestServerBehaviour:
         assert "dance" in response["message"]
 
     def test_pipelined_requests_answered_in_order(self, server):
-        fit_line = json.dumps(
-            {"kind": "fit", "inputs": {"x": f64le(0.0, 1.0, 2.0)}, "outputs": {"y": f64le(0.0, 2.0, 4.0)}}
-        ).encode() + b"\n"
-        predict_line = json.dumps(
-            {"kind": "predict", "model": "m1", "inputs": {"x": f64le(1.0)}}
-        ).encode() + b"\n"
-        responses = raw_exchange(
-            server.address,
-            [b'{"kind":"hello","version":2}\n', fit_line, predict_line, predict_line],
-        )
-        kinds = [r["kind"] for r in responses]
-        assert kinds == ["hello_ack", "fit_ack", "prediction", "prediction"]
+        sock = socket.create_connection(server.address, timeout=5.0)
+        try:
+            sock.sendall(HELLO + FIT + PREDICT + PREDICT)
+            reader = sock.makefile("rb")
+            answers = [read_frame(reader) for _ in range(4)]
+        finally:
+            sock.close()
+        prediction = b'{"kind":"prediction","outputs":["y"],"body":8}\n' + f64le(2.0)
+        assert [split_frame(answer)[0]["kind"] for answer in answers[:2]] == ["hello_ack", "fit_ack"]
+        assert answers[2:] == [prediction, prediction]
 
     def test_nan_on_the_wire_is_rejected(self, server):
-        (response,) = raw_exchange(
-            server.address,
-            [b'{"kind":"fit","inputs":{"x":NaN},"outputs":{"y":"AAAAAAAA8D8="}}\n'],
-        )
-        assert response["kind"] == "error"
+        patterns = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF0000000000000,
+                    0xFFF0000000000000]  # quiet and negative NaN, a signalling NaN, +inf, -inf
+        requests = [frame({"kind": "fit", "inputs": ["x"], "outputs": ["y"]}, f64le(1.0) + bits(p)) for p in patterns]
+        responses = raw_exchange(server.address, [
+            *requests, b'{"kind":"fit","inputs":{"x":NaN},"outputs":{"y":"AAAAAAAA8D8="}}\n', HELLO,
+        ])
+        assert responses[:-2] == [{"kind": "error", "message": "column 'y' holds NaN or an infinity"}] * 5
+        assert [r["kind"] for r in responses[-2:]] == ["error", "hello_ack"]
 
     def test_deeply_nested_request_gets_one_error(self, server, thread_errors):
         depth = sys.getrecursionlimit() * 3
         nested = b'{"kind":"fit","inputs":' + b"[" * depth + b"]" * depth + b"}\n"
-        responses = exchange_to_eof(server.address, [nested, b'{"kind":"hello","version":2}\n'])
+        responses = exchange_to_eof(server.address, [nested, HELLO])
         assert [r["kind"] for r in responses] == ["error", "hello_ack"]
         assert responses[0]["message"].startswith("malformed message")
         assert thread_errors == []
@@ -296,33 +400,48 @@ class TestServerBehaviour:
         assert "version" in response["message"]
 
     def test_version_1_hello_is_refused(self, server, thread_errors):
-        fit = {"kind": "fit", "inputs": {"x": f64le(0.0, 1.0, 2.0)}, "outputs": {"y": f64le(0.0, 2.0, 4.0)}}
         responses = exchange_to_eof(server.address, [
             b'{"kind":"hello","version":1,"encodings":["json","f64le-b64"]}\n',
-            b'{"kind":"hello","version":2,"max_frame":1000}\n',
-            json.dumps(fit).encode() + b"\n",
+            b'{"kind":"hello","version":3,"max_frame":1000}\n',
+            FIT,
         ])
         assert responses == [
             {"kind": "error", "message": "unsupported protocol version: 1"},
-            {"kind": "hello_ack", "version": 2, "max_frame": 1000},
+            {"kind": "hello_ack", "version": 3, "max_frame": 1000},
+            {"kind": "fit_ack", "model": "m1"},
+        ]
+        assert thread_errors == []
+
+    def test_version_2_hello_and_columns_are_refused(self, server, thread_errors):
+        """A version-2 peer sends base64 columns inside the header line; each of its requests gets one error."""
+        responses = exchange_to_eof(server.address, [
+            b'{"kind":"hello","version":2,"max_frame":1000}\n',
+            b'{"kind":"fit","inputs":{"x":"AAAAAAAAAAA="},"outputs":{"y":"AAAAAAAA8D8="}}\n',
+            b'{"kind":"hello","version":3,"max_frame":1000}\n',
+            FIT,
+        ])
+        assert responses == [
+            {"kind": "error", "message": "unsupported protocol version: 2"},
+            {"kind": "error", "message": "'inputs' must be a non-empty array of non-empty column names"},
+            {"kind": "hello_ack", "version": 3, "max_frame": 1000},
             {"kind": "fit_ack", "model": "m1"},
         ]
         assert thread_errors == []
 
     def test_client_maps_server_version_rejection(self, thread_errors):
-        """A server that speaks only version 1 refuses the client's hello."""
+        """A server that speaks only version 2 refuses the client's hello."""
         hellos = []
 
         def script(conn, reader):
             hellos.append(json.loads(reader.readline()))
-            conn.sendall(b'{"kind":"error","message":"unsupported protocol version: 2"}\n')
+            conn.sendall(b'{"kind":"error","message":"unsupported protocol version: 3"}\n')
             reader.readline()  # EOF: the client gave up
 
         stub = StubServer(script)
-        with pytest.raises(VersionMismatch, match="^unsupported protocol version: 2$"):
+        with pytest.raises(VersionMismatch, match="^unsupported protocol version: 3$"):
             connect(stub.address, timeout=2.0)
         stub._thread.join(timeout=5.0)
-        assert hellos == [{"kind": "hello", "version": 2, "max_frame": remote.DEFAULT_MAX_FRAME}]
+        assert hellos == [{"kind": "hello", "version": 3, "max_frame": remote.DEFAULT_MAX_FRAME}]
         assert thread_errors == []
 
     def test_sessions_are_isolated(self, server):
@@ -331,9 +450,7 @@ class TestServerBehaviour:
             with connect(server.address, timeout=5.0) as second:
                 # The other session's m1 must be invisible here.
                 with pytest.raises(RemoteError, match="unknown model id"):
-                    second._request(
-                        {"kind": "predict", "model": "m1", "inputs": {"x": f64le(1.0)}}, "prediction"
-                    )
+                    second._request({"kind": "predict", "model": "m1", "inputs": Dataset({"x": [1.0]})}, "prediction")
 
     def test_idle_peer_is_dropped_and_frees_its_slot(self, monkeypatch, thread_errors):
         monkeypatch.setattr(remote._SessionHandler, "timeout", 0.2)
@@ -345,7 +462,7 @@ class TestServerBehaviour:
                 assert time.perf_counter() - start < 4.0
             finally:
                 idle.close()
-            (response,) = raw_exchange(srv.address, [b'{"kind":"hello","version":2}\n'])
+            (response,) = raw_exchange(srv.address, [HELLO])
             assert response["kind"] == "hello_ack"
         assert thread_errors == []
 
@@ -355,7 +472,7 @@ class TestServerBehaviour:
             trickle = socket.create_connection(srv.address, timeout=5.0)
             try:
                 reader = trickle.makefile("rb")
-                for part in (b'{"kind":"hel', b'lo","version":2}\n'):  # one frame in two reads
+                for part in (b'{"kind":"hel', b'lo","version":3}\n'):  # one frame in two reads
                     trickle.sendall(part)
                     time.sleep(0.05)
                 assert json.loads(reader.readline())["kind"] == "hello_ack"
@@ -373,8 +490,47 @@ class TestServerBehaviour:
                 assert time.perf_counter() - start >= 0.3
             finally:
                 trickle.close()
-            (response,) = raw_exchange(srv.address, [b'{"kind":"hello","version":2}\n'])
+            (response,) = raw_exchange(srv.address, [HELLO])
             assert response["kind"] == "hello_ack"
+        assert thread_errors == []
+
+    def test_trickling_body_is_dropped_and_frees_its_slot(self, monkeypatch, thread_errors):
+        """The frame deadline runs from a request's first byte to the last byte of its body."""
+        monkeypatch.setattr(remote._SessionHandler, "frame_deadline", 0.3)
+        with LearnerServer(max_sessions=1) as srv:
+            trickle = socket.create_connection(srv.address, timeout=5.0)
+            try:
+                trickle.sendall(b'{"kind":"fit","inputs":["x"],"outputs":["y"],"body":64}\n')
+                trickle.settimeout(0.1)
+                start = time.perf_counter()
+                dropped = False
+                while not dropped and time.perf_counter() - start < 4.0:
+                    try:
+                        dropped = trickle.recv(1) == b""
+                    except TimeoutError:
+                        trickle.sendall(b"\0")  # one byte of the body, far inside the 30 s idle limit
+                    except ConnectionResetError:
+                        dropped = True
+                assert dropped
+                assert time.perf_counter() - start >= 0.2
+            finally:
+                trickle.close()
+            (response,) = raw_exchange(srv.address, [HELLO])
+            assert response["kind"] == "hello_ack"
+        assert thread_errors == []
+
+    def test_a_declared_body_holds_only_the_bytes_that_arrived(self, thread_errors):
+        """An idle peer that declares a 60 MiB body costs the server what it sent, not what it declared."""
+        with LearnerServer(max_sessions=1) as srv:
+            peer = socket.create_connection(srv.address, timeout=5.0)
+            tracemalloc.start()
+            try:
+                peer.sendall(b'{"kind":"fit","inputs":["x"],"outputs":["y"],"body":62914560}\n' + bytes(4096))
+                time.sleep(0.3)  # the session thread reads the header and the bytes sent, then waits
+                assert tracemalloc.get_traced_memory()[1] < 1 << 20
+            finally:
+                tracemalloc.stop()
+                peer.close()
         assert thread_errors == []
 
     def test_session_capacity(self):
@@ -414,7 +570,7 @@ class TestFrameLimits:
         head, tail = b'{"kind":"dance","pad":"', b'"}'
         line = head + b"x" * (1_000 + extra - len(head) - len(tail)) + tail + b"\n"
         # An oversized line travels alone, so the server reads every byte before it ends the session.
-        lines = [line] if extra else [line, b'{"kind":"hello","version":2}\n']
+        lines = [line] if extra else [line, HELLO]
         with LearnerServer(max_frame=1_000) as srv:
             responses = exchange_to_eof(srv.address, lines)
         if extra:
@@ -422,8 +578,33 @@ class TestFrameLimits:
         else:
             assert responses == [
                 {"kind": "error", "message": "unknown request kind: 'dance'"},
-                {"kind": "hello_ack", "version": 2, "max_frame": 1_000},
+                {"kind": "hello_ack", "version": 3, "max_frame": 1_000},
             ]
+        assert thread_errors == []
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at_limit", "one_byte_over"])
+    def test_server_reads_bodies_up_to_the_limit(self, extra, thread_errors):
+        """The limit covers a header line, not counting its LF, and its body together."""
+        body = f64le(*range(40))
+        head, tail = b'{"kind":"fit","inputs":["x"],"outputs":["y"],"body":320,"pad":"', b'"}'
+        line = head + b"x" * (1_000 + extra - len(body) - len(head) - len(tail)) + tail + b"\n"
+        # A frame declared past the limit ends the session before its body is read, so none is sent.
+        messages = [line] if extra else [line + body, HELLO]
+        with LearnerServer(max_frame=1_000) as srv:
+            responses = exchange_to_eof(srv.address, messages)
+        if extra:
+            assert responses == [{"kind": "error", "message": "frame exceeds limit of 1000 bytes"}]
+        else:
+            assert responses == [
+                {"kind": "fit_ack", "model": "m1"},
+                {"kind": "hello_ack", "version": 3, "max_frame": 1_000},
+            ]
+        assert thread_errors == []
+
+    def test_a_body_declared_past_any_limit_ends_the_session(self, server, thread_errors):
+        header = b'{"kind":"fit","inputs":["x"],"outputs":["y"],"body":' + b"9" * 400 + b"}\n"
+        responses = exchange_to_eof(server.address, [header])
+        assert responses == [{"kind": "error", "message": f"frame exceeds limit of {remote.DEFAULT_MAX_FRAME} bytes"}]
         assert thread_errors == []
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["at_limit", "one_byte_over"])
@@ -433,10 +614,10 @@ class TestFrameLimits:
 
         def script(conn, reader):
             try:
-                for response in [b'{"kind":"hello_ack","version":2,"max_frame":1000}\n', ack]:
-                    reader.readline()
+                for response in [b'{"kind":"hello_ack","version":3,"max_frame":1000}\n', ack]:
+                    read_frame(reader)
                     conn.sendall(response)
-                reader.readline()  # EOF once the client closes
+                read_frame(reader)  # EOF once the client closes
             except OSError:
                 pass
 
@@ -464,8 +645,8 @@ class TestFrameLimits:
             responses = exchange_to_eof(
                 srv.address,
                 [
-                    b'{"kind":"hello","version":2,"max_frame":' + limit + b"}\n",
-                    b'{"kind":"hello","version":2}\n',
+                    b'{"kind":"hello","version":3,"max_frame":' + limit + b"}\n",
+                    b'{"kind":"hello","version":3}\n',
                 ],
             )
         assert [r["kind"] for r in responses] == ["error", "hello_ack"]
@@ -479,7 +660,7 @@ class TestFrameLimits:
 
         def script(conn, reader):
             requests.append(reader.readline())
-            conn.sendall(b'{"kind":"hello_ack","version":2,"max_frame":' + limit + b"}\n")
+            conn.sendall(b'{"kind":"hello_ack","version":3,"max_frame":' + limit + b"}\n")
             requests.append(reader.readline())  # EOF: the client gave up
 
         stub = StubServer(script)
@@ -494,7 +675,7 @@ class TestFrameLimits:
         def script(conn, reader):
             try:
                 reader.readline()
-                conn.sendall(b'{"kind":"hello_ack","version":2,"max_frame":256,"pad":"' + b"x" * 400 + b'"}\n')
+                conn.sendall(b'{"kind":"hello_ack","version":3,"max_frame":256,"pad":"' + b"x" * 400 + b'"}\n')
                 reader.readline()  # EOF once the client gives up
             except OSError:
                 pass  # the client closed with the rest of the ack unread
@@ -519,7 +700,7 @@ class TestFaultInjection:
     def test_mid_fit_disconnect_is_typed_and_fast(self):
         def script(conn, reader):
             reader.readline()  # hello
-            conn.sendall(b'{"kind":"hello_ack","version":2,"max_frame":1000000}\n')
+            conn.sendall(b'{"kind":"hello_ack","version":3,"max_frame":1000000}\n')
             reader.readline()  # fit request arrives ...
             # ... and the server dies without answering.
 
@@ -530,41 +711,50 @@ class TestFaultInjection:
                 session.fit(Dataset({"x": [1.0, 2.0]}), Dataset({"y": [1.0, 2.0]}))
             assert time.perf_counter() - start < 2.0
 
-    @pytest.mark.parametrize("truncated", [False, True], ids=["oversized", "truncated"])
-    def test_lost_framing_closes_the_session(self, truncated):
+    @pytest.mark.parametrize(
+        "cut, error",
+        [
+            (b'{"kind":"fit_ack","model":"' + b"m" * 1_500 + b'"}\n', FrameTooLarge),
+            (b'{"kind":"fit_ack","mo', ConnectionClosed),
+            (b'{"kind":"fit_ack","model":"m1","body":1000}\n', FrameTooLarge),
+            (b'{"kind":"fit_ack","model":"m1","body":16}\n' + bytes(5), ConnectionClosed),
+        ],
+        ids=["oversized", "truncated", "oversized_body", "truncated_body"],
+    )
+    def test_lost_framing_closes_the_session(self, cut, error):
         """No request after an oversized or cut-off response gets the answer meant for an earlier one."""
-        cut = [b'{"kind":"fit_ack","mo'] if truncated else [b'{"kind":"fit_ack","model":"' + b"m" * 1_500 + b'"}\n']
+        truncated = error is ConnectionClosed
         later = [] if truncated else [b'{"kind":"fit_ack","model":"m2"}\n', b'{"kind":"fit_ack","model":"m3"}\n']
         requests = []
 
         def script(conn, reader):
             try:
-                for response in [b'{"kind":"hello_ack","version":2,"max_frame":1000}\n', *cut, *later]:
-                    request = reader.readline()
+                for response in [b'{"kind":"hello_ack","version":3,"max_frame":1000}\n', cut, *later]:
+                    request = read_frame(reader)
                     if not request:
                         return
                     requests.append(request)
                     conn.sendall(response)
                 conn.shutdown(socket.SHUT_WR)  # EOF, in the middle of the response if truncated
-                requests.extend(iter(reader.readline, b""))
+                requests.extend(iter(lambda: read_frame(reader), b""))
             except OSError:
                 pass  # the client closed with the rest of a response unread
 
         stub = StubServer(script)
         fit = (Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
         with connect(stub.address, timeout=2.0) as session:
-            with pytest.raises(ConnectionClosed if truncated else FrameTooLarge):
+            with pytest.raises(error):
                 session.fit(*fit)
             for _ in range(2):
                 with pytest.raises(ConnectionClosed):
                     session.fit(*fit)
         stub._thread.join(timeout=5.0)
-        assert [json.loads(request)["kind"] for request in requests] == ["hello", "fit"]
+        assert [split_frame(request)[0]["kind"] for request in requests] == ["hello", "fit"]
 
     def test_unresponsive_server_times_out(self):
         def script(conn, reader):
             reader.readline()
-            conn.sendall(b'{"kind":"hello_ack","version":2,"max_frame":1000000}\n')
+            conn.sendall(b'{"kind":"hello_ack","version":3,"max_frame":1000000}\n')
             reader.readline()
             time.sleep(5.0)  # never answer within the client timeout
 
@@ -591,6 +781,31 @@ class TestFaultInjection:
             connect(stub.address, timeout=1.0)
         assert time.perf_counter() - start < 2.0
 
+    def test_trickling_body_is_bounded_by_the_timeout(self):
+        """The second timeout runs from a response's first byte to the last byte of its body."""
+        def script(conn, reader):
+            try:
+                for response in (HELLO_ACK + b"\n", b'{"kind":"fit_ack","model":"m1"}\n'):
+                    read_frame(reader)
+                    conn.sendall(response)
+                read_frame(reader)
+                conn.sendall(b'{"kind":"prediction","outputs":["y"],"body":64}\n')
+                for _ in range(64):  # one byte every 0.15 s: ~10 s in all
+                    conn.sendall(b"\0")
+                    time.sleep(0.15)
+            except OSError:
+                pass  # the client gave up and closed the connection
+
+        stub = StubServer(script)
+        with connect(stub.address, timeout=1.0) as session:
+            model = session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
+            start = time.perf_counter()
+            with pytest.raises(TimeoutError):
+                model.predict(Dataset({"x": [1.0] * 8}))
+            assert time.perf_counter() - start < 2.0
+            with pytest.raises(ConnectionClosed):
+                model.predict(Dataset({"x": [1.0] * 8}))
+
     def test_malformed_server_response_is_typed(self):
         def script(conn, reader):
             reader.readline()
@@ -606,9 +821,9 @@ class TestFaultInjection:
 
         def script(conn, reader):
             for response in (HELLO_ACK, *responses):
-                reader.readline()
-                conn.sendall(response + b"\n")
-            reader.readline()  # EOF once the client closes
+                read_frame(reader)
+                conn.sendall(response if b"\n" in response else response + b"\n")
+            read_frame(reader)  # EOF once the client closes
 
         return StubServer(script)
 
@@ -650,11 +865,11 @@ class TestFaultInjection:
         ],
     )
     def test_prediction_must_match_the_request(self, outputs, got):
-        """``outputs`` names each column's values, which travel as base64."""
-        wire = json.dumps({"kind": "prediction", "outputs": {
-            name: f64le(*values) for name, values in json.loads(outputs).items()
-        }})
-        stub = self._answering(b'{"kind":"fit_ack","model":"m1"}', wire.encode())
+        """``outputs`` names each column's values, which travel in the body."""
+        columns = json.loads(outputs)
+        prediction = frame({"kind": "prediction", "outputs": list(columns)},
+                           b"".join(f64le(*values) for values in columns.values()))
+        stub = self._answering(b'{"kind":"fit_ack","model":"m1"}', prediction)
         with connect(stub.address, timeout=2.0) as session:
             model = session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
             with pytest.raises(RemoteError) as info:
@@ -662,12 +877,38 @@ class TestFaultInjection:
         assert str(info.value) == f"malformed response: expected column 'y' with 5 rows, got {got}"
 
     def test_undecodable_prediction_is_typed(self):
-        stub = self._answering(b'{"kind":"fit_ack","model":"m1"}', b'{"kind":"prediction","outputs":{"y":"A"}}')
+        prediction = frame({"kind": "prediction", "outputs": ["y"]}, bytes(7))
+        stub = self._answering(b'{"kind":"fit_ack","model":"m1"}', prediction)
         with connect(stub.address, timeout=2.0) as session:
             model = session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
             with pytest.raises(RemoteError) as info:
                 model.predict(Dataset({"x": [1.0]}))
-        assert str(info.value) == "malformed response: column 'y' is not canonical base64"
+        assert str(info.value) == "malformed response: body of 7 bytes does not hold whole rows of 1 float64 columns"
+
+    @pytest.mark.parametrize(
+        "prediction, message",
+        [
+            (frame({"kind": "prediction", "outputs": ["y"]}, bits(0x7FF8000000000000)),
+             "column 'y' holds NaN or an infinity"),
+            (frame({"kind": "prediction", "outputs": ["y"]}, f64le(-math.inf)), "column 'y' holds NaN or an infinity"),
+            (frame({"kind": "prediction", "outputs": ["y"]}), "prediction without 'body'"),
+            (frame({"kind": "prediction", "outputs": ["y"], "body": -8}), "'body' must be a non-negative integer, got -8"),
+            (frame({"kind": "prediction", "outputs": {"y": "AAAAAAAA8D8="}}),
+             "'outputs' must be a non-empty array of non-empty column names"),
+            (frame({"kind": "prediction", "outputs": ["y", "y"]}, f64le(1.0, 2.0)), "'outputs' repeats a column name: ['y', 'y']"),
+        ],
+        ids=["nan", "-inf", "no_body", "negative_body", "version_2", "repeated"],
+    )
+    def test_malformed_prediction_is_one_remote_error(self, prediction, message):
+        """The body is read whole first, so the session answers the next request intact."""
+        good = frame({"kind": "prediction", "outputs": ["y"]}, f64le(5.0))
+        stub = self._answering(b'{"kind":"fit_ack","model":"m1"}', prediction, good)
+        with connect(stub.address, timeout=2.0) as session:
+            model = session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
+            with pytest.raises(RemoteError) as info:
+                model.predict(Dataset({"x": [1.0]}))
+            assert str(info.value) == f"malformed response: {message}"
+            assert model.predict(Dataset({"x": [1.0]})).column("y").tolist() == [5.0]
 
     @pytest.mark.parametrize(
         "saved, message",
@@ -724,6 +965,23 @@ class TestClientSchema:
         model = session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
         with pytest.raises(SchemaMismatch):
             model.predict(Dataset({"wrong": [1.0]}))
+
+    def test_mismatched_fit_rows_are_refused_before_sending(self):
+        """A frame has one row count, so the client refuses inputs and outputs that disagree, sending nothing."""
+        requests = []
+
+        def script(conn, reader):
+            requests.append(read_frame(reader))
+            conn.sendall(HELLO_ACK + b"\n")
+            requests.append(read_frame(reader))  # EOF: no fit was sent
+
+        stub = StubServer(script)
+        with connect(stub.address, timeout=2.0) as session:
+            with pytest.raises(ShapeMismatch, match="^2 input rows vs 1 output rows$"):
+                session.fit(Dataset({"x": [1.0, 2.0]}), Dataset({"y": [1.0]}))
+        stub._thread.join(timeout=5.0)
+        assert [json.loads(request)["kind"] for request in requests[:1]] == ["hello"]
+        assert requests[1:] == [b""]
 
     def test_non_float_columns_refused(self, session):
         with pytest.raises(TraceColumn, match="^column 'x' holds traces, not float64 values$"):

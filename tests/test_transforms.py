@@ -117,6 +117,13 @@ class TestExplode:
         assert out.column("id").tolist() == [1, 3, 3]
         assert out.row_count == 3
 
+    def test_a_trace_column_beside_only_empty_traces_stays_a_trace_column(self):
+        d = Dataset({"id": [1.0, 2.0], "t": [[], []], "w": [[1.0], [2.0]]})
+        out = Explode(["t"]).apply(d)
+        assert out.row_count == 0
+        assert out.column("w") == ()
+        assert repr(out) == "Dataset(0 rows; id: float64, t: float64, w: list[float64])"
+
     @settings(deadline=None, max_examples=40)
     @given(lengths=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=10))
     def test_row_count_law(self, lengths):
@@ -158,6 +165,12 @@ class TestStandardize:
     def test_unknown_column(self):
         with pytest.raises(UnknownColumn):
             Standardize(["z"]).fit(Dataset({"a": [1.0]}))
+
+    def test_zero_rows_keep_a_trace_column_a_trace_column(self):
+        e = Dataset({"a": [1.0, 2.0], "t": [[1.0], [2.0, 3.0]]})
+        out = Standardize(["a"]).fit(e).apply(e.slice_rows(0, 0))
+        assert out == e.slice_rows(0, 0)
+        assert repr(out) == "Dataset(0 rows; a: float64, t: list[float64])"
 
     def test_law_on_random_fit_data(self):
         rng = np.random.default_rng(11)
