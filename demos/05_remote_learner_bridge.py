@@ -2,10 +2,11 @@
 
 A reference server wraps the native linear learner behind a TCP protocol
 whose messages are one JSON header line each. On connect, client and server
-agree on the protocol version and the frame limit; float columns follow
-their header as a binary body of raw little-endian float64 bytes. The
-client fits and predicts over the wire, downloads the trained artifact, and
-the results match the in-process learner bit for bit.
+agree on the protocol version; float columns follow their header as a
+binary body of raw little-endian float64 bytes, and no message exceeds the
+fixed 64 MiB frame limit. The client fits and predicts over the wire,
+downloads the trained artifact, and the results match the in-process
+learner bit for bit.
 
 Run with: python demos/05_remote_learner_bridge.py
 """

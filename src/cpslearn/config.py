@@ -107,6 +107,11 @@ def _non_negative(value):
     return _number(value) or (None if value >= 0 else "must be non-negative")
 
 
+def _timeout(value):
+    limit = remote.MAX_TIMEOUT
+    return _positive(value) or (None if value <= limit else f"must be at most {limit!r} seconds")
+
+
 def _names(value, allow_empty: bool = False, unique: bool = False):
     if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
         return "must be a list of column names"
@@ -126,7 +131,9 @@ def _address(value):
         return "must be a 'host:port' string"
     try:
         remote.parse_address(value)
-    except ValueError:
+    except ValueError as exc:
+        if value.rpartition(":")[2].isdigit():  # in host:port form, so say what is wrong with it
+            return f"not a 'host:port' string: {value!r}: {exc}"
         return f"not a 'host:port' string: {value!r}"
     return None
 
@@ -203,7 +210,7 @@ LEARNER_KINDS = {
     }),
     "remote": (_remote, {
         "address": (_address, _REQUIRED),
-        "timeout": (_positive, remote.DEFAULT_TIMEOUT),
+        "timeout": (_timeout, remote.DEFAULT_TIMEOUT),
     }),
 }
 

@@ -271,7 +271,7 @@ def fit_linear(inputs: Dataset, outputs: Dataset) -> LinearModel:
         ShapeMismatch: if row counts differ or outputs are not one column.
         SingularDesign: if the design matrix (inputs plus intercept) is rank
             deficient, including the underdetermined case of fewer rows than
-            coefficients.
+            coefficients, or if the solution overflows float64.
     """
     matrix, y = _training_arrays(inputs, outputs)
     design = np.column_stack([matrix, np.ones(inputs.row_count)])
@@ -279,6 +279,11 @@ def fit_linear(inputs: Dataset, outputs: Dataset) -> LinearModel:
     if rank < design.shape[1]:
         raise SingularDesign(
             f"design matrix has rank {rank} < {design.shape[1]} coefficients"
+        )
+    if not (finite := np.isfinite(solution)).all():
+        raise SingularDesign(
+            f"{np.count_nonzero(~finite)} of {solution.size} coefficients are not finite: "
+            "the solution overflows float64"
         )
     return LinearModel(
         solution[:-1], solution[-1], inputs.column_names, outputs.column_names[0]

@@ -6,7 +6,7 @@ declares, if any. Every request receives exactly one response, in order.
 
 Requests::
 
-    {"kind": "hello", "version": 3, "max_frame": <bytes, optional>}
+    {"kind": "hello", "version": 3}
     {"kind": "fit", "inputs": [<name>, ...], "outputs": [<name>, ...], "body": <bytes>}
     {"kind": "predict", "model": "<id>", "inputs": [<name>, ...], "body": <bytes>}
     {"kind": "save", "model": "<id>"}
@@ -14,7 +14,7 @@ Requests::
 
 Responses::
 
-    {"kind": "hello_ack", "version": 3, "max_frame": <negotiated>}
+    {"kind": "hello_ack", "version": 3}
     {"kind": "fit_ack", "model": "<id>"}
     {"kind": "prediction", "outputs": [<name>, ...], "body": <bytes>}
     {"kind": "saved", "model": "<id>", "data": {...serialized model...}}
@@ -38,10 +38,11 @@ Framing:
   request still gets exactly one ``error`` and the session goes on. A body
   is read as its bytes arrive, in chunks of at most 64 KiB; nothing is
   allocated for it in advance.
-* The frame limit (default 64 MiB) covers the header line and its body. It
-  is negotiated down to the smaller of the two peers' limits during hello,
-  and must be a JSON integer of at least ``MIN_FRAME`` bytes. A header line
-  or a declared body past it ends the session, after one ``error``.
+* The frame limit, ``MAX_FRAME`` (64 MiB), covers the header line and its
+  body, on both ends. A header line or a declared body past it ends the
+  session, after one ``error``. The frame-size field with which earlier
+  version-3 peers negotiated the limit in ``hello`` and ``hello_ack`` is
+  ignored, like any field a reader does not use.
 
 Model identifiers are scoped to one session; sessions never see each other's
 models. The server ends a session whose peer sends nothing for
@@ -71,12 +72,9 @@ from .errors import PipelineError
 from .learners import LinearRegressionLearner, Model, ShapeMismatch, _check_input_columns, model_from_dict
 
 PROTOCOL_VERSION = 3
-DEFAULT_MAX_FRAME = 64 * 1024 * 1024
-# Smallest frame limit a peer may set. Any error record the server sends in
-# place of an oversized response ("message of N bytes exceeds frame limit M")
-# takes at most ~110 bytes, so every request can still be answered.
-MIN_FRAME = 256
+MAX_FRAME = 64 * 1024 * 1024  # read at call time, never bound as a default
 DEFAULT_TIMEOUT = 30.0
+MAX_TIMEOUT = 1e6  # seconds; far below what a socket timeout can hold
 _RECV_SIZE = 64 * 1024
 
 
@@ -97,7 +95,7 @@ class ConnectionClosed(RemoteError):
 
 
 class FrameTooLarge(PipelineError):
-    """A message exceeds the negotiated frame limit."""
+    """A message exceeds the frame limit, ``MAX_FRAME``."""
 
 
 class BindFailed(PipelineError):
@@ -105,34 +103,34 @@ class BindFailed(PipelineError):
 
 
 def parse_address(address) -> tuple[str, int]:
-    """Accept 'host:port' strings or (host, port) tuples."""
+    """Accept 'host:port' strings or (host, port) tuples.
+
+    Raises:
+        ValueError: if a string has no host, or the port is not a number from
+            0 to 65535: ASCII digits in a string, an ``int`` in a tuple.
+    """
     if isinstance(address, str):
         host, sep, port = address.rpartition(":")
         if not sep or not host:
             raise ValueError(f"address must be 'host:port', got {address!r}")
-        return host, int(port)
-    host, port = address
-    return host, int(port)
+        if port.isascii() and port.isdigit():  # int() would also take "+80", " 80" and "8_0"
+            port = int(port)
+    else:
+        host, port = address
+    if type(port) is not int or not 0 <= port <= 65535:  # bool is a subclass of int, not int itself
+        raise ValueError(f"port must be an integer from 0 to 65535, got {port!r}")
+    return host, port
 
 
 def _reject_nonfinite(token: str):
     raise ValueError(f"non-finite number {token!r} is forbidden on the wire")
 
 
-def _check_frame_limit(value) -> int:
-    """Return ``value`` if it is a valid frame limit, else raise ValueError."""
-    if type(value) is not int:  # bool is a subclass of int, not int itself
-        raise ValueError(f"max_frame must be an integer, got {value!r}")
-    if value < MIN_FRAME:
-        raise ValueError(f"max_frame must be at least {MIN_FRAME} bytes, got {value}")
-    return value
-
-
 # The header fields that name a message's columns, in the order of its body.
 _COLUMN_FIELDS = {"fit": ("inputs", "outputs"), "predict": ("inputs",), "prediction": ("outputs",)}
 
 
-def _encode(payload: dict, max_frame: int) -> bytes:
+def _encode(payload: dict) -> bytes:
     """The frame of ``payload``: its JSON header line, then its body.
 
     In a message that carries columns, each field of ``_COLUMN_FIELDS`` holds
@@ -153,8 +151,8 @@ def _encode(payload: dict, max_frame: int) -> bytes:
         raise RemoteError(f"cannot serialize message: {exc}") from None
     line = text.encode("utf-8") + b"\n"
     size = len(line) + header.get("body", 0)
-    if size > max_frame:
-        raise FrameTooLarge(f"message of {size} bytes exceeds frame limit {max_frame}")
+    if size > MAX_FRAME:
+        raise FrameTooLarge(f"message of {size} bytes exceeds frame limit {MAX_FRAME}")
     return b"".join([line, *(np.ascontiguousarray(values, "<f8") for values in arrays)])
 
 
@@ -235,20 +233,19 @@ class RemoteModel:
 class RemoteSession:
     """One client connection; requests are answered strictly in order."""
 
-    def __init__(self, sock: socket.socket, max_frame: int, timeout: float):
+    def __init__(self, sock: socket.socket, timeout: float):
         self._sock = sock
         self._buffer = bytearray()
         self._timeout = timeout
-        self._max_frame = max_frame
 
     def _request(self, payload: dict, expect: str) -> tuple[dict, bytes | None]:
         """Send one request; return the header and body of its response, which must be of kind ``expect``."""
         if self._sock.fileno() < 0:
             raise ConnectionClosed("session is closed")
-        frame = _encode(payload, self._max_frame)
+        frame = _encode(payload)
         try:
             self._sock.sendall(frame)
-            received = _read_message(self._sock, self._buffer, self._max_frame, self._timeout, self._timeout)
+            received = _read_message(self._sock, self._buffer, self._timeout)
             if received is None:
                 raise ConnectionClosed("server closed the connection")
         except ValueError as exc:  # the line was consumed; the next response is read intact
@@ -299,66 +296,59 @@ class RemoteSession:
         self.close()
 
 
-def connect(address, timeout: float = DEFAULT_TIMEOUT, max_frame: int = DEFAULT_MAX_FRAME) -> RemoteSession:
-    """Open a session: TCP connect plus hello/hello_ack negotiation.
+def connect(address, timeout: float = DEFAULT_TIMEOUT) -> RemoteSession:
+    """Open a session: TCP connect plus the hello/hello_ack exchange.
 
-    The hello names ``PROTOCOL_VERSION`` and offers ``max_frame``; the session
-    uses the frame limit the server acknowledges. Every column of the
-    session travels as its little-endian float64 bytes in a message's body.
+    The hello names ``PROTOCOL_VERSION``. Every column of the session travels
+    as its little-endian float64 bytes in a message's body, and no message
+    either way may exceed ``MAX_FRAME``.
 
     Raises:
-        ValueError: if ``max_frame`` is not an integer of at least ``MIN_FRAME``.
-        ConnectFailed: if the server is unreachable, refuses the session,
-            or acknowledges a frame limit that is invalid or above ``max_frame``.
+        ValueError: if ``address`` is malformed (see :func:`parse_address`)
+            or ``timeout`` is not positive or is above ``MAX_TIMEOUT``.
+        ConnectFailed: if the server is unreachable or refuses the session.
         VersionMismatch: if the protocol versions are incompatible.
-        FrameTooLarge: if the ``hello_ack`` exceeds ``max_frame``.
+        FrameTooLarge: if the ``hello_ack`` exceeds ``MAX_FRAME``.
         TimeoutError: if the server sends no byte of its answer within
             ``timeout``, or does not complete it within ``timeout`` of its
             first byte.
     """
-    _check_frame_limit(max_frame)
+    if not 0 < timeout <= MAX_TIMEOUT:
+        raise ValueError(f"timeout must be a positive number of at most {MAX_TIMEOUT!r} seconds, got {timeout!r}")
     host, port = parse_address(address)
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:
         raise ConnectFailed(f"cannot connect to {host}:{port}: {exc}") from None
-    session = RemoteSession(sock, max_frame, timeout)
+    session = RemoteSession(sock, timeout)
     try:
-        response, _ = session._request(
-            {"kind": "hello", "version": PROTOCOL_VERSION, "max_frame": max_frame}, "hello_ack"
-        )
+        response, _ = session._request({"kind": "hello", "version": PROTOCOL_VERSION}, "hello_ack")
         if response.get("version") != PROTOCOL_VERSION:
             raise VersionMismatch(
                 f"server speaks version {response.get('version')}, client {PROTOCOL_VERSION}"
             )
-        negotiated = _check_frame_limit(response.get("max_frame", max_frame))
-        if negotiated > max_frame:
-            raise ValueError(f"server raised max_frame to {negotiated}, above the offered {max_frame}")
     except BaseException as exc:
         session.close()
-        if isinstance(exc, (RemoteError, ValueError)):  # a refused hello or a bad hello_ack
-            refused_version = isinstance(exc, RemoteError) and "version" in str(exc)
-            raise (VersionMismatch if refused_version else ConnectFailed)(str(exc)) from None
+        if isinstance(exc, RemoteError):  # a refused hello
+            raise (VersionMismatch if "version" in str(exc) else ConnectFailed)(str(exc)) from None
         raise
-    session._max_frame = negotiated
     return session
 
 
-def _read_message(sock: socket.socket, buffer: bytearray, max_frame: int, timeout: float,
-                  frame_deadline: float) -> tuple[dict, bytes | None] | None:
+def _read_message(sock: socket.socket, buffer: bytearray, timeout: float) -> tuple[dict, bytes | None] | None:
     """The next message from ``sock``: its header and its body, or None at a clean EOF between messages.
 
     The body is None unless the header declares an integer ``body`` of at
     least 0. ``buffer`` keeps the bytes read past the message for the next call.
 
     Raises:
-        FrameTooLarge: if ``max_frame + 1`` bytes arrive without an LF, or the
+        FrameTooLarge: if ``MAX_FRAME + 1`` bytes arrive without an LF, or the
             header line, without its LF, and its declared body together
-            exceed ``max_frame``.
+            exceed ``MAX_FRAME``.
         ConnectionClosed: if EOF cuts a message short.
         ValueError: if the line, now consumed, is not one JSON object.
         TimeoutError: if no byte arrives within ``timeout``, or if a message is
-            not complete within ``frame_deadline`` of its first byte.
+            not complete within ``timeout`` of its first byte.
     """
     deadline = None
 
@@ -368,18 +358,18 @@ def _read_message(sock: socket.socket, buffer: bytearray, max_frame: int, timeou
         wait = timeout
         if started:
             if deadline is None:
-                deadline = time.monotonic() + frame_deadline
+                deadline = time.monotonic() + timeout
             wait = deadline - time.monotonic()
             if wait <= 0:
                 raise TimeoutError("frame not completed in time")
         sock.settimeout(wait)
         return sock.recv(most)
 
-    limit = max_frame + 1
+    limit = MAX_FRAME + 1
     scanned = 0
     while (end := buffer.find(b"\n", scanned, limit)) < 0:
         if len(buffer) >= limit:
-            raise FrameTooLarge(f"frame exceeds limit of {max_frame} bytes")
+            raise FrameTooLarge(f"frame exceeds limit of {MAX_FRAME} bytes")
         scanned = len(buffer)
         chunk = receive(bool(buffer))
         if not chunk:
@@ -399,8 +389,8 @@ def _read_message(sock: socket.socket, buffer: bytearray, max_frame: int, timeou
     size = message.get("body")
     body = None
     if type(size) is int and size >= 0:  # bool is a subclass of int, not int itself
-        if end + size > max_frame:  # the LF is not counted, as for a line without a body
-            raise FrameTooLarge(f"frame exceeds limit of {max_frame} bytes")
+        if end + size > MAX_FRAME:  # the LF is not counted, as for a line without a body
+            raise FrameTooLarge(f"frame exceeds limit of {MAX_FRAME} bytes")
         parts = [bytes(buffer[:size])]
         del buffer[:size]
         missing = size - len(parts[0])
@@ -415,13 +405,13 @@ def _read_message(sock: socket.socket, buffer: bytearray, max_frame: int, timeou
 
 
 class _SessionHandler(socketserver.BaseRequestHandler):
-    timeout = DEFAULT_TIMEOUT  # limit on the wait for a request, and on each send
-    frame_deadline = DEFAULT_TIMEOUT  # limit from a request's first byte to the last byte of its body
+    # Limit on the wait for a request, on the time from its first byte to the
+    # last byte of its body, and on each send.
+    timeout = DEFAULT_TIMEOUT
 
     def handle(self):
         owner: LearnerServer = self.server.owner
         self.request.settimeout(self.timeout)
-        self._max_frame = owner.max_frame
         if not owner._session_slots.acquire(blocking=False):
             self._send({"kind": "error", "message": "server at capacity"})
             return
@@ -436,7 +426,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
         buffer = bytearray()
         while True:
             try:
-                received = _read_message(self.request, buffer, self._max_frame, self.timeout, self.frame_deadline)
+                received = _read_message(self.request, buffer, self.timeout)
             except ValueError as exc:
                 self._send({"kind": "error", "message": f"malformed message: {exc}"})
                 continue
@@ -465,8 +455,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
             version = message.get("version")
             if version != PROTOCOL_VERSION:
                 raise ValueError(f"unsupported protocol version: {version}")
-            self._max_frame = min(self._max_frame, _check_frame_limit(message.get("max_frame", self._max_frame)))
-            return {"kind": "hello_ack", "version": PROTOCOL_VERSION, "max_frame": self._max_frame}, False
+            return {"kind": "hello_ack", "version": PROTOCOL_VERSION}, False
         if kind == "fit":
             inputs, outputs = _decode(message, body)
             model = owner.learner_factory().fit(inputs, outputs)
@@ -492,9 +481,9 @@ class _SessionHandler(socketserver.BaseRequestHandler):
 
     def _send(self, payload: dict) -> None:
         try:
-            frame = _encode(payload, self._max_frame)
+            frame = _encode(payload)
         except (FrameTooLarge, RemoteError) as exc:
-            frame = _encode({"kind": "error", "message": str(exc)}, self._max_frame)
+            frame = _encode({"kind": "error", "message": str(exc)})
         try:
             self.request.sendall(frame)
         except OSError:
@@ -520,15 +509,13 @@ class LearnerServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_sessions: int = 8,
-        max_frame: int = DEFAULT_MAX_FRAME,
     ):
         if max_sessions < 1:
             raise ValueError(f"max_sessions must be positive, got {max_sessions}")
         self.learner_factory = learner_factory or LinearRegressionLearner
-        self.max_frame = _check_frame_limit(max_frame)
         self._session_slots = threading.Semaphore(max_sessions)
         try:
-            self._tcp = _TcpServer((host, port), _SessionHandler)
+            self._tcp = _TcpServer(parse_address((host, port)), _SessionHandler)
         except OSError as exc:
             raise BindFailed(f"cannot bind {host}:{port}: {exc}") from None
         self._tcp.owner = self

@@ -293,6 +293,20 @@ class TestServeLearnerCommand:
                 process.wait()
             process.stdout.close()
 
+    @pytest.mark.parametrize("port, shown", [("70000", "70000"), ("-1", "'-1'")])
+    def test_port_out_of_range_is_one_record(self, port, shown):
+        result = subprocess.run(
+            [sys.executable, "-m", "cpslearn.cli", "serve-learner", "--listen", f"127.0.0.1:{port}"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        (line,) = result.stderr.splitlines()
+        assert json.loads(line)["error"] == {
+            "error": "ValueError",
+            "module": "builtins",
+            "message": f"port must be an integer from 0 to 65535, got {shown}",
+        }
+
 
 class TestErrorRecords:
     def test_missing_config_file(self, capsys):
@@ -347,6 +361,41 @@ class TestErrorRecords:
         record = self.one_record(capsys)
         assert (record["error"], record["module"]) == ("SingularDesign", "cpslearn.learners")
         assert "pivot 1 is 0.0" in record["message"]
+
+    def test_overflowing_linear_fit_is_one_record(self, tmp_path, capsys):
+        """Finite targets whose least-squares slope is past the largest double: the fit is
+        refused, before any prediction holds an infinity."""
+        data = tmp_path / "data.csv"
+        data.write_text("a,y\n" + "0,-1.7e308\n0.25,-1e308\n0.5,0\n0.75,1e308\n1,1.7e308\n" * 2)
+        cfg = {
+            "environment": {"kind": "csv", "path": str(data)},
+            "io": {"inputs": ["a"], "outputs": ["y"]},
+            "split_fraction": 0.5,
+            "learner": {"kind": "linear"},
+            "metrics": ["mae"],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        record = self.one_record(capsys)
+        assert (record["error"], record["module"]) == ("SingularDesign", "cpslearn.learners")
+        assert record["message"].endswith("coefficients are not finite: the solution overflows float64")
+        assert not (tmp_path / "out").exists()
+
+    def test_remote_timeout_above_the_ceiling_is_one_record(self, tmp_path, capsys):
+        """A socket cannot hold a timeout of 1e10 s; the config check refuses it before any connect."""
+        cfg = watertank_config()
+        cfg["learner"] = {"kind": "remote", "address": "127.0.0.1:9", "timeout": 1e10}
+        path = tmp_path / "remote.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert self.one_record(capsys) == {
+            "error": "ConfigError",
+            "module": "cpslearn.config",
+            "field": "learner.timeout",
+            "message": "learner.timeout: must be at most 1000000.0 seconds",
+        }
+        assert not (tmp_path / "out").exists()
 
     def test_overflowing_metric_is_one_record(self, tmp_path, capsys):
         """The depth-0 tree predicts the training mean 0: the held-out errors of +-1e200

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,12 @@ GOLDEN = [
     ("remote-timeout-zero", ("learner",), {**REMOTE, "timeout": 0}, ["learner.timeout: must be a positive number"]),
     ("remote-timeout-string", ("learner",), {**REMOTE, "timeout": "5"},
      ["learner.timeout: must be a positive number"]),
+    ("remote-address-port-above-65535", ("learner",), {"kind": "remote", "address": "127.0.0.1:70000"},
+     ["learner.address: not a 'host:port' string: '127.0.0.1:70000': port must be an integer from 0 to 65535, got 70000"]),
+    ("remote-address-signed-port", ("learner",), {"kind": "remote", "address": "127.0.0.1:+80"},
+     ["learner.address: not a 'host:port' string: '127.0.0.1:+80'"]),
+    ("remote-timeout-above-ceiling", ("learner",), {**REMOTE, "timeout": 1e10},
+     ["learner.timeout: must be at most 1000000.0 seconds"]),
 ]
 
 
@@ -167,6 +174,11 @@ def test_golden_diagnostics(path, value, expected):
 def test_rk4_step_ceiling_is_inclusive(samples, valid):
     """The default dt and substep take 100 RK4 steps per sample; 10**8 steps in all still validate."""
     assert (validate_config(mutated(("environment", "samples"), samples)) == []) is valid
+
+
+@pytest.mark.parametrize("timeout, valid", [(1e6, True), (math.nextafter(1e6, math.inf), False)])
+def test_remote_timeout_ceiling_is_inclusive(timeout, valid):
+    assert (validate_config(mutated(("learner",), {**REMOTE, "timeout": timeout})) == []) is valid
 
 
 def test_benchmark_configs_are_valid():

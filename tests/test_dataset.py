@@ -559,7 +559,7 @@ def test_a_trace_column_never_equals_a_float_column(rows):
 TRACE_CONSUMERS = {
     "learner": lambda d, tmp_path: fit_linear(d.select(["a", "t"]), d.select(["a"])),
     "target": lambda d, tmp_path: fit_linear(d.select(["a"]), d.select(["t"])),
-    "wire": lambda d, tmp_path: remote._encode({"kind": "prediction", "outputs": d}, remote.DEFAULT_MAX_FRAME),
+    "wire": lambda d, tmp_path: remote._encode({"kind": "prediction", "outputs": d}),
     "csv": lambda d, tmp_path: write_csv(d, tmp_path / "t.csv"),
     "standardize-fit": lambda d, tmp_path: Standardize(["a", "t"]).fit(d),
     "standardize-apply": lambda d, tmp_path: Standardize(["t"]).fit(Dataset({"t": [1.0, 2.0]})).apply(d),

@@ -240,8 +240,6 @@ UNPASSED = {
     "EpsilonGreedyActiveLearner.forgetting_factor": "no config kind reaches the active strategy (ROADMAP item 4)",
     "EpsilonGreedyActiveLearner.regularization": "no config kind reaches the active strategy (ROADMAP item 4)",
     "f_beta.beta": "no config field carries metric parameters",
-    "connect.max_frame": "tests reach frame limits without 64 MiB frames",
-    "LearnerServer.max_frame": "tests reach frame limits without 64 MiB frames",
     "LearnerServer.learner_factory": "tests substitute a fake learner",
 }
 

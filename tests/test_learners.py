@@ -196,6 +196,13 @@ class TestLinear:
         with pytest.raises(SingularDesign):
             fit_linear(Dataset({"a": x, "b": 2 * x}), Dataset({"y": x}))
 
+    def test_overflowing_solution_is_singular(self):
+        """Finite targets whose slope is past the largest double: no model holds an infinite weight."""
+        inputs = Dataset({"a": [0.0, 0.25, 0.5, 0.75, 1.0]})
+        outputs = Dataset({"y": [-1.7e308, -1e308, 0.0, 1e308, 1.7e308]})
+        with pytest.raises(SingularDesign, match=r"^1 of 2 coefficients are not finite: the solution overflows float64$"):
+            fit_linear(inputs, outputs)
+
     def test_row_mismatch(self):
         with pytest.raises(ShapeMismatch):
             fit_linear(Dataset({"x": [1.0, 2.0]}), Dataset({"y": [1.0, 2.0, 3.0]}))

@@ -24,7 +24,7 @@ from cpslearn.errors import PipelineError
 from cpslearn.remote import LearnerServer
 from conftest import read_frame
 
-SERVER_FRAME = 1_000_000
+SERVER_FRAME = 1_000_000  # the frame limit, remote.MAX_FRAME, while this module runs
 small_floats = st.floats(-1e3, 1e3)
 NAMES = ("a", "b", "c")
 
@@ -46,7 +46,6 @@ BAD_BODY_FIELDS = [b"-8", b"1.5", b"8.0", b'"8"', b"true", b"null", b"[8]", b"1e
 # Column lists beside a good body: empty, repeated or non-string names, and columns inside
 # the header as protocol version 2 sent them.
 BAD_NAMES = [[], [""], ["a", "a"], ["a", 1], "a", None, {"a": "AAAAAAAA8D8="}]
-BAD_FRAME_LIMITS = [b"0", b"-5", b'"12"', b"1.5", b"true", b"255", b"null", b"1e3"]
 DEEP = 50_000  # nesting far past the recursion limit, which Hypothesis itself raises while it runs
 
 
@@ -58,7 +57,6 @@ class ProtocolMachine(RuleBasedStateMachine):
         super().__init__()
         self.sock = socket.create_connection(self.server.address, timeout=5.0)
         self.reader = self.sock.makefile("rb")
-        self.max_frame = SERVER_FRAME
         self.models = []  # the in-process twin of each model the server holds, by id m1, m2, ...
         self.pending = []  # one check per request whose response is not read yet
         self.half_closed = False
@@ -68,7 +66,7 @@ class ProtocolMachine(RuleBasedStateMachine):
     def send(self, message, check) -> None:
         """Send one request: a complete frame, a header line without its LF, or a payload for ``_encode``."""
         if isinstance(message, dict):
-            message = remote._encode(message, 2 * SERVER_FRAME)
+            message = remote._encode(message)
         elif b"\n" not in message:
             message += b"\n"
         self.sock.sendall(message)
@@ -94,13 +92,13 @@ class ProtocolMachine(RuleBasedStateMachine):
         self.hello(None)
 
     @precondition(lambda self: not self.half_closed)
-    @rule(max_frame=st.one_of(st.none(), st.integers(4096, 2 * SERVER_FRAME)))
+    @rule(max_frame=st.one_of(st.none(), st.integers(-5, 2 * SERVER_FRAME), st.sampled_from(["12", 1.5, True])))
     def hello(self, max_frame):
+        """Earlier version-3 clients offer a frame limit in their hello; the server ignores it."""
         message = {"kind": "hello", "version": 3}
         if max_frame is not None:
             message["max_frame"] = max_frame
-        self.max_frame = min(self.max_frame, max_frame or self.max_frame)
-        expected = {"kind": "hello_ack", "version": 3, "max_frame": self.max_frame}
+        expected = {"kind": "hello_ack", "version": 3}
         self.send(message, lambda response, body: self.assert_equal(response, expected))
 
     @staticmethod
@@ -190,12 +188,6 @@ class ProtocolMachine(RuleBasedStateMachine):
         self.send(b'{"kind":' + kind + b',"body":' + str(size).encode() + b"}\n" + bytes(size), self.expect_error)
 
     @precondition(lambda self: not self.half_closed)
-    @rule(value=st.sampled_from(BAD_FRAME_LIMITS))
-    def bad_hello(self, value):
-        """A refused hello changes nothing: later hellos expect the frame limit from before it."""
-        self.send(b'{"kind":"hello","version":3,"max_frame":' + value + b"}", self.expect_error)
-
-    @precondition(lambda self: not self.half_closed)
     @rule(line=st.sampled_from([b'{"kind":"dance"}', b'{"kind":null}', b"{}", b'{"kind":"HELLO","version":3}',
                                 b'{"kind":"hello","version":1}', b'{"kind":"hello","version":1,"encodings":["json"]}',
                                 b'{"kind":"hello","version":2}', b'{"kind":"hello","version":2,"max_frame":4096}',
@@ -210,11 +202,11 @@ class ProtocolMachine(RuleBasedStateMachine):
         inputs = {"inputs": Dataset({"a": [1.0]})} if kind == "predict" else {}
         self.send({"kind": kind, "model": model, **inputs}, self.expect_error)
 
-    @precondition(lambda self: 2 * DEEP + 64 <= self.max_frame and not self.half_closed)
+    @precondition(lambda self: not self.half_closed)
     @rule(data=st.data(), wrap=st.sampled_from([(b"", b""), (b'{"kind":"fit","inputs":', b"}"), (b"[1,", b"]")]))
     def deeply_nested(self, data, wrap):
         """Nesting past the decoder's recursion limit, inside the frame limit, gets one error."""
-        depth = data.draw(st.integers(DEEP, (self.max_frame - 64) // 2))
+        depth = data.draw(st.integers(DEEP, (SERVER_FRAME - 64) // 2))
         head, tail = wrap
         self.send(head + b"[" * depth + b"]" * depth + tail, self.expect_malformed)
 
@@ -230,11 +222,11 @@ class ProtocolMachine(RuleBasedStateMachine):
         error record, then the server ends the session."""
         if declared:
             head = b'{"kind":"fit","inputs":["a"],"outputs":["y"],"body":'
-            self.sock.sendall(head + str(self.max_frame - len(head)).encode() + b"}\n")
+            self.sock.sendall(head + str(SERVER_FRAME - len(head)).encode() + b"}\n")
         else:
             head = b'{"kind":"hello","pad":"'
-            self.sock.sendall(head + b"x" * (self.max_frame + 1 - len(head)))
-        expected = {"kind": "error", "message": f"frame exceeds limit of {self.max_frame} bytes"}
+            self.sock.sendall(head + b"x" * (SERVER_FRAME + 1 - len(head)))
+        expected = {"kind": "error", "message": f"frame exceeds limit of {SERVER_FRAME} bytes"}
         self.sock.shutdown(socket.SHUT_WR)  # no later rule sends
         self.half_closed = True
         self.pending.append(lambda response, body: self.assert_equal(response, expected))
@@ -292,7 +284,8 @@ def one_slot_server():
     errors = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(threading, "excepthook", lambda args: errors.append(args.exc_value))
-        with LearnerServer(max_sessions=1, max_frame=SERVER_FRAME) as server:
+        patch.setattr(remote, "MAX_FRAME", SERVER_FRAME)
+        with LearnerServer(max_sessions=1) as server:
             server._tcp.handle_error = lambda request, address: errors.append(sys.exc_info()[1])
             ProtocolMachine.server, ProtocolMachine.errors = server, errors
             yield

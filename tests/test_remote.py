@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import socket
 import struct
 import sys
@@ -8,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -107,10 +109,8 @@ def thread_errors(monkeypatch):
     return errors
 
 
-# Frame limits a peer may not set: not a JSON integer, or below MIN_FRAME.
-BAD_FRAME_LIMITS = [b"0", b"-5", b'"12"', b"1.5", b"true"]
 HELLO = b'{"kind":"hello","version":3}\n'
-HELLO_ACK = b'{"kind":"hello_ack","version":3,"max_frame":100000}'
+HELLO_ACK = b'{"kind":"hello_ack","version":3}'
 # A fit of y = 2x on three rows, its model m1, and a prediction from it.
 FIT = frame({"kind": "fit", "inputs": ["x"], "outputs": ["y"]}, f64le(0.0, 1.0, 2.0, 0.0, 2.0, 4.0))
 PREDICT = frame({"kind": "predict", "model": "m1", "inputs": ["x"]}, f64le(1.0))
@@ -175,14 +175,14 @@ class TestColumnEncodings:
     def test_columns_round_trip_bit_exactly(self, inputs, outputs):
         if inputs.row_count != outputs.row_count:
             outputs = Dataset({"y": inputs.column(inputs.column_names[0])})
-        encoded = remote._encode({"kind": "fit", "inputs": inputs, "outputs": outputs}, remote.DEFAULT_MAX_FRAME)
+        encoded = remote._encode({"kind": "fit", "inputs": inputs, "outputs": outputs})
         decoded = remote._decode(*split_frame(encoded))
         assert [column_bytes(d) for d in decoded] == [column_bytes(inputs), column_bytes(outputs)]
 
     def test_body_is_little_endian_doubles_column_after_column(self):
         fit = {"kind": "fit", "inputs": Dataset({"a": [1.0, -0.0], "b": [2.0, 0.5]}),
                "outputs": Dataset({"y": [3.0, 5e-324]})}
-        assert remote._encode(fit, remote.DEFAULT_MAX_FRAME) == (
+        assert remote._encode(fit) == (
             b'{"kind":"fit","inputs":["a","b"],"outputs":["y"],"body":48}\n'
             + bits(0x3FF0000000000000, 0x8000000000000000, 0x4000000000000000, 0x3FE0000000000000,
                    0x4008000000000000, 0x0000000000000001)
@@ -194,7 +194,7 @@ class TestColumnEncodings:
         rng = np.random.default_rng(rows * 10 + columns)
         inputs = random_dataset(rng, rows, columns - 1) if columns > 1 else Dataset(row_count=rows)
         fit = {"kind": "fit", "inputs": inputs, "outputs": Dataset({"y": rng.normal(size=rows)})}
-        encoded = remote._encode(fit, remote.DEFAULT_MAX_FRAME)
+        encoded = remote._encode(fit)
         header = dict(fit, inputs=list(inputs.column_names), outputs=["y"], body=8 * rows * columns)
         line = json.dumps(header, separators=(",", ":")).encode() + b"\n"
         assert encoded[:len(line)] == line
@@ -214,7 +214,7 @@ class TestColumnEncodings:
         finally:
             sock.close()
         assert answers == [
-            b'{"kind":"hello_ack","version":3,"max_frame":67108864}\n',
+            b'{"kind":"hello_ack","version":3}\n',
             b'{"kind":"fit_ack","model":"m1"}\n',
             b'{"kind":"prediction","outputs":["y"],"body":24}\n'
             + f64le(2.2041237113402063, -8.21649484536083, 0.8329899649484531),
@@ -230,7 +230,7 @@ class TestColumnEncodings:
         ])
         assert responses == [
             {"kind": "error", "message": "'inputs' must be a non-empty array of non-empty column names"},
-            {"kind": "hello_ack", "version": 3, "max_frame": remote.DEFAULT_MAX_FRAME},
+            {"kind": "hello_ack", "version": 3},
         ]
         assert thread_errors == []
 
@@ -338,7 +338,7 @@ class TestColumnEncodings:
         with connect(stub.address, timeout=2.0) as session:
             session.fit(Dataset({"x": [0.0, 0.5]}), Dataset({"y": [1.0, -0.0]}))
         hello, fit = requests
-        assert json.loads(hello) == {"kind": "hello", "version": 3, "max_frame": remote.DEFAULT_MAX_FRAME}
+        assert json.loads(hello) == {"kind": "hello", "version": 3}
         assert fit == b'{"kind":"fit","inputs":["x"],"outputs":["y"],"body":32}\n' + f64le(0.0, 0.5, 1.0, -0.0)
 
 
@@ -407,7 +407,7 @@ class TestServerBehaviour:
         ])
         assert responses == [
             {"kind": "error", "message": "unsupported protocol version: 1"},
-            {"kind": "hello_ack", "version": 3, "max_frame": 1000},
+            {"kind": "hello_ack", "version": 3},
             {"kind": "fit_ack", "model": "m1"},
         ]
         assert thread_errors == []
@@ -423,7 +423,7 @@ class TestServerBehaviour:
         assert responses == [
             {"kind": "error", "message": "unsupported protocol version: 2"},
             {"kind": "error", "message": "'inputs' must be a non-empty array of non-empty column names"},
-            {"kind": "hello_ack", "version": 3, "max_frame": 1000},
+            {"kind": "hello_ack", "version": 3},
             {"kind": "fit_ack", "model": "m1"},
         ]
         assert thread_errors == []
@@ -441,7 +441,7 @@ class TestServerBehaviour:
         with pytest.raises(VersionMismatch, match="^unsupported protocol version: 3$"):
             connect(stub.address, timeout=2.0)
         stub._thread.join(timeout=5.0)
-        assert hellos == [{"kind": "hello", "version": 3, "max_frame": remote.DEFAULT_MAX_FRAME}]
+        assert hellos == [{"kind": "hello", "version": 3}]
         assert thread_errors == []
 
     def test_sessions_are_isolated(self, server):
@@ -467,7 +467,7 @@ class TestServerBehaviour:
         assert thread_errors == []
 
     def test_trickling_peer_is_dropped_and_frees_its_slot(self, monkeypatch, thread_errors):
-        monkeypatch.setattr(remote._SessionHandler, "frame_deadline", 0.3)
+        monkeypatch.setattr(remote._SessionHandler, "timeout", 0.3)
         with LearnerServer(max_sessions=1) as srv:
             trickle = socket.create_connection(srv.address, timeout=5.0)
             try:
@@ -483,7 +483,7 @@ class TestServerBehaviour:
                     try:
                         dropped = trickle.recv(1) == b""
                     except TimeoutError:
-                        trickle.sendall(b" ")  # far inside the 30 s idle limit
+                        trickle.sendall(b" ")  # each byte well inside the 0.3 s wait for the next
                     except ConnectionResetError:
                         dropped = True
                 assert dropped
@@ -495,8 +495,8 @@ class TestServerBehaviour:
         assert thread_errors == []
 
     def test_trickling_body_is_dropped_and_frees_its_slot(self, monkeypatch, thread_errors):
-        """The frame deadline runs from a request's first byte to the last byte of its body."""
-        monkeypatch.setattr(remote._SessionHandler, "frame_deadline", 0.3)
+        """The timeout also runs from a request's first byte to the last byte of its body."""
+        monkeypatch.setattr(remote._SessionHandler, "timeout", 0.3)
         with LearnerServer(max_sessions=1) as srv:
             trickle = socket.create_connection(srv.address, timeout=5.0)
             try:
@@ -508,7 +508,7 @@ class TestServerBehaviour:
                     try:
                         dropped = trickle.recv(1) == b""
                     except TimeoutError:
-                        trickle.sendall(b"\0")  # one byte of the body, far inside the 30 s idle limit
+                        trickle.sendall(b"\0")  # one byte of the body, well inside the 0.3 s wait for it
                     except ConnectionResetError:
                         dropped = True
                 assert dropped
@@ -517,6 +517,56 @@ class TestServerBehaviour:
                 trickle.close()
             (response,) = raw_exchange(srv.address, [HELLO])
             assert response["kind"] == "hello_ack"
+        assert thread_errors == []
+
+    def test_one_timeout_ends_idle_and_trickling_peers_beside_a_working_one(self, monkeypatch, thread_errors):
+        """The timeout bounds both the wait for a request and a request's arrival; a prompt client
+        is served in full while the two slow peers beside it are dropped."""
+        monkeypatch.setattr(remote._SessionHandler, "timeout", 0.3)
+
+        def seconds_to_eof(sock, opened):
+            try:
+                while sock.recv(1):  # the server sends these peers nothing
+                    pass
+            except ConnectionResetError:  # a trickled byte arrived after the server closed
+                pass
+            return time.perf_counter() - opened
+
+        def trickle_fit(sock):
+            try:
+                for byte in FIT:
+                    sock.sendall(bytes([byte]))
+                    time.sleep(0.1)
+            except OSError:
+                pass  # the server dropped the session
+
+        with LearnerServer(max_sessions=3) as srv:
+            opened = time.perf_counter()
+            idle, trickle = (socket.create_connection(srv.address, timeout=5.0) for _ in range(2))
+            with ThreadPoolExecutor(3) as pool:
+                pool.submit(trickle_fit, trickle)
+                ends = [pool.submit(seconds_to_eof, sock, opened) for sock in (idle, trickle)]
+                inputs, outputs = Dataset({"x": [0.0, 1.0, 2.0]}), Dataset({"y": [1.0, 3.0, 4.0]})
+                probe = Dataset({"x": [5.0]})
+                with connect(srv.address, timeout=5.0) as session:
+                    models = [session.fit(inputs, outputs) for _ in range(2)]
+                    predictions = [model.predict(probe).column("y").tobytes() for model in models]
+                    assert session._buffer == bytearray()  # no response beyond the one per request
+                seconds = [end.result() for end in ends]
+            idle.close()
+            trickle.close()
+        assert [model.remote_id for model in models] == ["m1", "m2"]
+        assert predictions == [fit_linear(inputs, outputs).predict(probe).column("y").tobytes()] * 2
+        assert all(0.25 <= s < 1.0 for s in seconds), seconds
+        assert thread_errors == []
+
+    def test_a_fit_whose_solution_overflows_gets_one_error(self, server, thread_errors):
+        overflowing = frame({"kind": "fit", "inputs": ["a"], "outputs": ["y"]},
+                            f64le(0.0, 0.25, 0.5, 0.75, 1.0, -1.7e308, -1e308, 0.0, 1e308, 1.7e308))
+        responses = exchange_to_eof(server.address, [overflowing, FIT, PREDICT])
+        assert responses[0]["kind"] == "error"
+        assert responses[0]["message"] == "1 of 2 coefficients are not finite: the solution overflows float64"
+        assert responses[1:] == [{"kind": "fit_ack", "model": "m1"}, {"kind": "prediction", "outputs": ["y"], "body": 8}]
         assert thread_errors == []
 
     def test_a_declared_body_holds_only_the_bytes_that_arrived(self, thread_errors):
@@ -545,16 +595,20 @@ class TestServerBehaviour:
 
 
 class TestFrameLimits:
-    def test_client_side_oversized_fit(self):
-        with LearnerServer(max_frame=100_000) as srv:
-            with connect(srv.address, timeout=5.0, max_frame=100_000) as session:
+    """Each test lowers ``remote.MAX_FRAME``, which both ends read, so no frame needs 64 MiB."""
+
+    def test_client_side_oversized_fit(self, monkeypatch):
+        monkeypatch.setattr(remote, "MAX_FRAME", 100_000)
+        with LearnerServer() as srv:
+            with connect(srv.address, timeout=5.0) as session:
                 big = Dataset({"x": np.arange(50_000, dtype=np.float64)})
                 target = Dataset({"y": np.arange(50_000, dtype=np.float64)})
                 with pytest.raises(FrameTooLarge):
                     session.fit(big, target)
 
-    def test_server_side_oversized_line(self):
-        with LearnerServer(max_frame=1_000) as srv:
+    def test_server_side_oversized_line(self, monkeypatch):
+        monkeypatch.setattr(remote, "MAX_FRAME", 1_000)
+        with LearnerServer() as srv:
             sock = socket.create_connection(srv.address, timeout=5.0)
             try:
                 sock.sendall(b'{"kind":"hello","padding":"' + b"a" * 5_000 + b'"}\n')
@@ -566,55 +620,58 @@ class TestFrameLimits:
                 sock.close()
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["at_limit", "one_byte_over"])
-    def test_server_reads_lines_up_to_the_limit(self, extra, thread_errors):
+    def test_server_reads_lines_up_to_the_limit(self, extra, monkeypatch, thread_errors):
+        monkeypatch.setattr(remote, "MAX_FRAME", 1_000)
         head, tail = b'{"kind":"dance","pad":"', b'"}'
         line = head + b"x" * (1_000 + extra - len(head) - len(tail)) + tail + b"\n"
         # An oversized line travels alone, so the server reads every byte before it ends the session.
         lines = [line] if extra else [line, HELLO]
-        with LearnerServer(max_frame=1_000) as srv:
+        with LearnerServer() as srv:
             responses = exchange_to_eof(srv.address, lines)
         if extra:
             assert responses == [{"kind": "error", "message": "frame exceeds limit of 1000 bytes"}]
         else:
             assert responses == [
                 {"kind": "error", "message": "unknown request kind: 'dance'"},
-                {"kind": "hello_ack", "version": 3, "max_frame": 1_000},
+                {"kind": "hello_ack", "version": 3},
             ]
         assert thread_errors == []
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["at_limit", "one_byte_over"])
-    def test_server_reads_bodies_up_to_the_limit(self, extra, thread_errors):
+    def test_server_reads_bodies_up_to_the_limit(self, extra, monkeypatch, thread_errors):
         """The limit covers a header line, not counting its LF, and its body together."""
+        monkeypatch.setattr(remote, "MAX_FRAME", 1_000)
         body = f64le(*range(40))
         head, tail = b'{"kind":"fit","inputs":["x"],"outputs":["y"],"body":320,"pad":"', b'"}'
         line = head + b"x" * (1_000 + extra - len(body) - len(head) - len(tail)) + tail + b"\n"
         # A frame declared past the limit ends the session before its body is read, so none is sent.
         messages = [line] if extra else [line + body, HELLO]
-        with LearnerServer(max_frame=1_000) as srv:
+        with LearnerServer() as srv:
             responses = exchange_to_eof(srv.address, messages)
         if extra:
             assert responses == [{"kind": "error", "message": "frame exceeds limit of 1000 bytes"}]
         else:
             assert responses == [
                 {"kind": "fit_ack", "model": "m1"},
-                {"kind": "hello_ack", "version": 3, "max_frame": 1_000},
+                {"kind": "hello_ack", "version": 3},
             ]
         assert thread_errors == []
 
     def test_a_body_declared_past_any_limit_ends_the_session(self, server, thread_errors):
         header = b'{"kind":"fit","inputs":["x"],"outputs":["y"],"body":' + b"9" * 400 + b"}\n"
         responses = exchange_to_eof(server.address, [header])
-        assert responses == [{"kind": "error", "message": f"frame exceeds limit of {remote.DEFAULT_MAX_FRAME} bytes"}]
+        assert responses == [{"kind": "error", "message": f"frame exceeds limit of {remote.MAX_FRAME} bytes"}]
         assert thread_errors == []
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["at_limit", "one_byte_over"])
-    def test_client_reads_lines_up_to_the_limit(self, extra):
+    def test_client_reads_lines_up_to_the_limit(self, extra, monkeypatch):
+        monkeypatch.setattr(remote, "MAX_FRAME", 1_000)
         head, tail = b'{"kind":"fit_ack","model":"', b'"}'
         ack = head + b"m" * (1_000 + extra - len(head) - len(tail)) + tail + b"\n"
 
         def script(conn, reader):
             try:
-                for response in [b'{"kind":"hello_ack","version":3,"max_frame":1000}\n', ack]:
+                for response in [HELLO_ACK + b"\n", ack]:
                     read_frame(reader)
                     conn.sendall(response)
                 read_frame(reader)  # EOF once the client closes
@@ -631,51 +688,36 @@ class TestFrameLimits:
                 assert session.fit(*fit).remote_id == "m" * (1_000 - len(head) - len(tail))
         stub._thread.join(timeout=5.0)
 
-    def test_negotiation_takes_the_smaller_limit(self):
-        with LearnerServer(max_frame=2_000) as srv:
-            session = connect(srv.address, timeout=5.0, max_frame=500_000)
-            try:
-                assert session._max_frame == 2_000
-            finally:
-                session.close()
-
-    @pytest.mark.parametrize("limit", BAD_FRAME_LIMITS)
-    def test_bad_hello_max_frame_gets_one_error(self, limit, thread_errors):
-        with LearnerServer(max_frame=2_000) as srv:
-            responses = exchange_to_eof(
-                srv.address,
-                [
-                    b'{"kind":"hello","version":3,"max_frame":' + limit + b"}\n",
-                    b'{"kind":"hello","version":3}\n',
-                ],
-            )
-        assert [r["kind"] for r in responses] == ["error", "hello_ack"]
-        assert "max_frame" in responses[0]["message"]
-        assert responses[1]["max_frame"] == 2_000  # the session kept its limit
+    @pytest.mark.parametrize("offer", [b"0", b'"12"', b"true", b"1000", b"1e12"])
+    def test_a_max_frame_in_hello_is_ignored(self, server, offer, thread_errors):
+        """Earlier version-3 clients offer a frame limit; the server acks their hello and keeps its own."""
+        fit = frame({"kind": "fit", "inputs": ["x"], "outputs": ["y"]}, f64le(*range(100), *range(0, 200, 2)))
+        hello = b'{"kind":"hello","version":3,"max_frame":' + offer + b"}\n"
+        responses = exchange_to_eof(server.address, [hello, fit])
+        assert responses == [{"kind": "hello_ack", "version": 3}, {"kind": "fit_ack", "model": "m1"}]
         assert thread_errors == []
 
-    @pytest.mark.parametrize("limit", [*BAD_FRAME_LIMITS, b"2000000"])
-    def test_client_rejects_bad_negotiated_max_frame(self, limit, thread_errors):
-        requests = []
-
+    def test_a_max_frame_in_hello_ack_is_ignored(self):
+        """An earlier version-3 server acks a frame limit; the client keeps its own."""
         def script(conn, reader):
-            requests.append(reader.readline())
-            conn.sendall(b'{"kind":"hello_ack","version":3,"max_frame":' + limit + b"}\n")
-            requests.append(reader.readline())  # EOF: the client gave up
+            for response in [b'{"kind":"hello_ack","version":3,"max_frame":256}\n', ack]:
+                read_frame(reader)
+                conn.sendall(response)
+            read_frame(reader)  # EOF once the client closes
 
+        ack = b'{"kind":"fit_ack","model":"' + b"m" * 2_000 + b'"}\n'
         stub = StubServer(script)
-        with pytest.raises(ConnectFailed, match="max_frame"):
-            connect(stub.address, timeout=2.0, max_frame=1_000_000)
+        with connect(stub.address, timeout=2.0) as session:
+            assert session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]})).remote_id == "m" * 2_000
         stub._thread.join(timeout=5.0)
-        assert len(requests) == 2 and requests[1] == b""
-        assert json.loads(requests[0])["kind"] == "hello"
-        assert thread_errors == []
 
-    def test_oversized_hello_ack_is_typed_and_closes_the_socket(self):
+    def test_oversized_hello_ack_is_typed_and_closes_the_socket(self, monkeypatch):
+        monkeypatch.setattr(remote, "MAX_FRAME", 256)
+
         def script(conn, reader):
             try:
                 reader.readline()
-                conn.sendall(b'{"kind":"hello_ack","version":3,"max_frame":256,"pad":"' + b"x" * 400 + b'"}\n')
+                conn.sendall(b'{"kind":"hello_ack","version":3,"pad":"' + b"x" * 400 + b'"}\n')
                 reader.readline()  # EOF once the client gives up
             except OSError:
                 pass  # the client closed with the rest of the ack unread
@@ -684,23 +726,18 @@ class TestFrameLimits:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(FrameTooLarge):
-                connect(stub.address, timeout=2.0, max_frame=256)
+                connect(stub.address, timeout=2.0)
             gc.collect()
         stub._thread.join(timeout=5.0)
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
-    def test_local_frame_limits_are_checked(self):
-        with pytest.raises(ValueError, match="max_frame"):
-            LearnerServer(max_frame=remote.MIN_FRAME - 1)
-        with pytest.raises(ValueError, match="max_frame"):
-            connect(("127.0.0.1", 1), max_frame=True)
 
 
 class TestFaultInjection:
     def test_mid_fit_disconnect_is_typed_and_fast(self):
         def script(conn, reader):
             reader.readline()  # hello
-            conn.sendall(b'{"kind":"hello_ack","version":3,"max_frame":1000000}\n')
+            conn.sendall(HELLO_ACK + b"\n")
             reader.readline()  # fit request arrives ...
             # ... and the server dies without answering.
 
@@ -721,15 +758,16 @@ class TestFaultInjection:
         ],
         ids=["oversized", "truncated", "oversized_body", "truncated_body"],
     )
-    def test_lost_framing_closes_the_session(self, cut, error):
+    def test_lost_framing_closes_the_session(self, cut, error, monkeypatch):
         """No request after an oversized or cut-off response gets the answer meant for an earlier one."""
+        monkeypatch.setattr(remote, "MAX_FRAME", 1_000)
         truncated = error is ConnectionClosed
         later = [] if truncated else [b'{"kind":"fit_ack","model":"m2"}\n', b'{"kind":"fit_ack","model":"m3"}\n']
         requests = []
 
         def script(conn, reader):
             try:
-                for response in [b'{"kind":"hello_ack","version":3,"max_frame":1000}\n', cut, *later]:
+                for response in [HELLO_ACK + b"\n", cut, *later]:
                     request = read_frame(reader)
                     if not request:
                         return
@@ -754,7 +792,7 @@ class TestFaultInjection:
     def test_unresponsive_server_times_out(self):
         def script(conn, reader):
             reader.readline()
-            conn.sendall(b'{"kind":"hello_ack","version":3,"max_frame":1000000}\n')
+            conn.sendall(HELLO_ACK + b"\n")
             reader.readline()
             time.sleep(5.0)  # never answer within the client timeout
 
@@ -938,7 +976,7 @@ class TestFaultInjection:
     def test_wrong_ack_version_is_version_mismatch(self):
         def script(conn, reader):
             reader.readline()
-            conn.sendall(b'{"kind":"hello_ack","version":1,"max_frame":1000000}\n')
+            conn.sendall(b'{"kind":"hello_ack","version":1}\n')
 
         stub = StubServer(script)
         with pytest.raises(VersionMismatch):
@@ -1048,3 +1086,90 @@ class TestLifecycle:
             host, port = srv.address
             with pytest.raises(remote.BindFailed):
                 LearnerServer(host=host, port=port)
+
+
+class TestConnectArguments:
+    @pytest.mark.parametrize("address, expected", [
+        ("127.0.0.1:0", ("127.0.0.1", 0)),
+        ("localhost:65535", ("localhost", 65535)),
+        ("::1:080", ("::1", 80)),
+        (("127.0.0.1", 4464), ("127.0.0.1", 4464)),
+    ], ids=str)
+    def test_ports_from_0_to_65535_are_taken(self, address, expected):
+        assert remote.parse_address(address) == expected
+
+    @pytest.mark.parametrize("address", [
+        "127.0.0.1:70000", "127.0.0.1:65536", "127.0.0.1:-1", "127.0.0.1:8_0", "127.0.0.1: 80",
+        "127.0.0.1:+80", "127.0.0.1:80 ", "127.0.0.1:\N{SUPERSCRIPT TWO}", "127.0.0.1:",
+        ("127.0.0.1", 70000), ("127.0.0.1", -1), ("127.0.0.1", "80"), ("127.0.0.1", True), ("127.0.0.1", 80.0),
+    ], ids=str)
+    def test_other_ports_are_refused(self, address):
+        with pytest.raises(ValueError, match="^port must be an integer from 0 to 65535, got "):
+            remote.parse_address(address)
+
+    def test_connect_refuses_a_port_past_65535_before_connecting(self, monkeypatch):
+        """Such a port once wrapped around: '127.0.0.1:70000' reached a server on port 4464."""
+        monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: pytest.fail("connected"))
+        with pytest.raises(ValueError, match="got 70000$"):
+            connect("127.0.0.1:70000")
+
+    @pytest.mark.parametrize("port", [70000, -1])
+    def test_a_server_refuses_a_port_outside_0_to_65535(self, port):
+        with pytest.raises(ValueError, match=f"got {port}$"):
+            LearnerServer(port=port)
+
+    @pytest.mark.parametrize("timeout", [1e10, 0, -1.0, float("nan")])
+    def test_connect_refuses_a_timeout_outside_its_range(self, monkeypatch, timeout):
+        """Below it, 0 once gave a misleading ConnectFailed and -1.0 a raw socket ValueError."""
+        monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: pytest.fail("connected"))
+        message = f"timeout must be a positive number of at most 1000000.0 seconds, got {timeout!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            connect("127.0.0.1:9", timeout=timeout)
+
+    def test_connect_takes_the_ceiling_itself(self, server):
+        with connect(server.address, timeout=remote.MAX_TIMEOUT) as session:
+            assert session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]})).remote_id == "m1"
+
+
+def docstring_shapes(section: str) -> dict[str, set]:
+    """The key set of each message kind the module docstring lists under ``section``."""
+    block = remote.__doc__.split(f"{section}::\n\n", 1)[1].split("\n\n", 1)[0]
+    # Each placeholder, "<id>" or "{...serialized model...}", becomes a value, and "[<name>, ...]" a list.
+    shapes = [json.loads(re.sub(r"<[^>]*>|\{\.\.\.[^}]*\}", "0", line).replace(", ...", ""))
+              for line in block.splitlines()]
+    return {shape["kind"]: set(shape) for shape in shapes}
+
+
+class TestProtocolDocstring:
+    """The message shapes in the ``remote`` module docstring are the frames the code sends."""
+
+    def test_requests_match_what_the_client_sends(self):
+        fitted = fit_linear(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
+        answers = [HELLO_ACK + b"\n", b'{"kind":"fit_ack","model":"m1"}\n',
+                   frame({"kind": "prediction", "outputs": ["y"]}, f64le(1.0)),
+                   frame({"kind": "saved", "model": "m1", "data": fitted.to_dict()}), b'{"kind":"shutdown_ack"}\n']
+        sent = []
+
+        def script(conn, reader):
+            for answer in answers:
+                sent.append(split_frame(read_frame(reader))[0])
+                conn.sendall(answer)
+            read_frame(reader)  # EOF once the client closes
+
+        stub = StubServer(script)
+        with connect(stub.address, timeout=2.0) as session:
+            model = session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
+            model.predict(Dataset({"x": [1.0]}))
+            model.fetch()
+            session.shutdown_server()
+        stub._thread.join(timeout=5.0)
+        assert {message["kind"]: set(message) for message in sent} == docstring_shapes("Requests")
+
+    def test_responses_match_what_the_server_sends(self):
+        server = LearnerServer().start()
+        try:
+            received = raw_exchange(server.address, [HELLO, FIT, PREDICT, b'{"kind":"save","model":"m1"}\n',
+                                                     b'{"kind":"dance"}\n', b'{"kind":"shutdown"}\n'])
+        finally:
+            server.stop()
+        assert {message["kind"]: set(message) for message in received} == docstring_shapes("Responses")
