@@ -2,8 +2,9 @@
 
 Subcommands: ``run`` executes a config file, ``watertank`` runs the built-in
 benchmark scenario, ``validate`` checks a config without executing it, and
-``serve-learner`` starts the reference remote-learner server. Failures emit
-one machine-readable JSON error record on stderr and a nonzero exit code.
+``serve-learner`` starts the reference remote-learner server. Failures, a
+command line that does not parse included, emit one machine-readable JSON
+error record on stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -15,6 +16,17 @@ import sys
 from . import config as cfgmod
 from . import remote
 from .errors import PipelineError
+
+
+class UsageError(PipelineError):
+    """The command line names an unknown flag or subcommand, misses an argument, or gives a bad value."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ``UsageError`` where argparse prints usage and exits 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _error_record(exc: Exception) -> dict:
@@ -33,8 +45,8 @@ def _emit_error(exc: Exception) -> int:
     return 1
 
 
-def _run_and_write(cfg: dict, out_dir: str | None, seed: int | None) -> int:
-    result = cfgmod.run_config(cfg, seed_override=seed)
+def _run_and_write(cfg: dict, out_dir: str | None) -> int:
+    result = cfgmod.run_config(cfg)
     if out_dir is None:
         out_dir = cfg.get("output_dir", ".")
     report_path, model_path = cfgmod.write_result(result, out_dir)
@@ -47,12 +59,11 @@ def _run_and_write(cfg: dict, out_dir: str | None, seed: int | None) -> int:
 
 def _cmd_run(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    return _run_and_write(cfg, args.out, args.seed)
+    return _run_and_write(cfg, args.out)
 
 
 def _cmd_watertank(args) -> int:
-    cfg = cfgmod.watertank_config(learner=args.learner, max_depth=args.max_depth)
-    return _run_and_write(cfg, args.out, args.seed)
+    return _run_and_write(cfgmod.watertank_config(args.learner), args.out)
 
 
 def _cmd_validate(args) -> int:
@@ -75,27 +86,18 @@ def _cmd_serve_learner(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cpslearn", description="Run declarative model-learning pipelines."
-    )
+    parser = _Parser(prog="cpslearn", description="Run declarative model-learning pipelines.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute a pipeline config file")
     run.add_argument("config", help="path to a JSON pipeline config")
     run.add_argument("--out", default=None,
                      help="output directory (default: the config's output_dir, else '.')")
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.set_defaults(func=_cmd_run)
 
     tank = sub.add_parser("watertank", help="run the built-in water-tank scenario")
-    tank.add_argument(
-        "--learner",
-        choices=["tree", "linear", "incremental_linear"],
-        default="tree",
-    )
-    tank.add_argument("--max-depth", type=int, default=None, dest="max_depth")
+    tank.add_argument("--learner", choices=list(cfgmod.WATERTANK_LEARNERS), default="tree")
     tank.add_argument("--out", default=None, help="output directory (default '.')")
-    tank.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     tank.set_defaults(func=_cmd_watertank)
 
     val = sub.add_parser("validate", help="check a config without executing it")
@@ -110,12 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (PipelineError, OSError, ValueError, MemoryError) as exc:
         return _emit_error(exc)
 
 
 if __name__ == "__main__":
+    from cpslearn.cli import main  # the package's module, so a UsageError record names cpslearn.cli
+
     sys.exit(main())

@@ -27,7 +27,7 @@ rows, as ``load_csv`` reads it.
 Execution order: observe the environment, fit and apply the transforms,
 split rows chronologically, learn on the leading part, evaluate on the rest.
 Adaptive transforms are fitted on the full observed dataset, before the
-split. Reports are written with sorted keys, so a config plus seed maps to
+split. Reports are written with sorted keys, so a config maps to
 byte-identical report files.
 """
 
@@ -345,14 +345,13 @@ class PipelineResult:
         return {"schema_version": REPORT_SCHEMA_VERSION, **self.report.to_dict()}
 
 
-def run_config(cfg: dict, seed_override: int | None = None) -> PipelineResult:
+def run_config(cfg: dict) -> PipelineResult:
     """Execute a validated config: observe, transform, split, learn, evaluate.
 
     Raises:
         ConfigError: naming the offending field, if validation fails.
     """
     _raise_first(validate_config(cfg))
-    seed = seed_override if seed_override is not None else cfg.get("seed", 0)
 
     environment = _build(cfg["environment"], ENVIRONMENT_KINDS)
     chain = TransformChain([_build(spec, TRANSFORM_KINDS) for spec in cfg.get("transforms", [])])
@@ -367,7 +366,7 @@ def run_config(cfg: dict, seed_override: int | None = None) -> PipelineResult:
         report = evaluate(OfflineEnvironment.from_dataset(held_out), model, io, cfg["metrics"])
         if isinstance(model, remote.RemoteModel):
             model = model.fetch()  # persistable local copy of the remote artifact
-    return PipelineResult(report, model, seed)
+    return PipelineResult(report, model, cfg.get("seed", 0))
 
 
 def write_result(result: PipelineResult, out_dir) -> tuple[Path, Path]:
@@ -382,28 +381,28 @@ def write_result(result: PipelineResult, out_dir) -> tuple[Path, Path]:
     return report_path, model_path
 
 
-def watertank_config(learner: str = "tree", max_depth: int | None = None, seed: int = 0) -> dict:
+# The built-in scenario's learner names, each with its ``LEARNER_KINDS`` kind.
+WATERTANK_LEARNERS = {"tree": "regression_tree", "linear": "linear", "incremental_linear": "incremental_linear"}
+
+
+def watertank_config(learner: str = "tree") -> dict:
     """The built-in benchmark scenario as an explicit config.
 
     Simulates the water tank with every ``ode_watertank`` parameter at its
     default, windows three time steps, predicts the newest level from the
     five preceding window columns, trains on the leading 80% of rows, and
     reports MAE and MSE. The learner's parameters are written out at their
-    defaults too; ``max_depth``, if given, replaces the tree's default depth.
+    defaults too, so the tree has depth 5.
     """
-    kinds = {"tree": "regression_tree", "linear": "linear", "incremental_linear": "incremental_linear"}
-    if learner not in kinds:
-        raise ConfigError("learner", f"unknown learner {learner!r} (known: {sorted(kinds)})")
-    learner_spec = _defaults(LEARNER_KINDS, kinds[learner])
-    if learner == "tree" and max_depth is not None:
-        learner_spec["max_depth"] = max_depth
+    if learner not in WATERTANK_LEARNERS:
+        raise ConfigError("learner", f"unknown learner {learner!r} (known: {sorted(WATERTANK_LEARNERS)})")
     return {
         "schema_version": CONFIG_SCHEMA_VERSION,
-        "seed": seed,
+        "seed": 0,
         "environment": _defaults(ENVIRONMENT_KINDS, "ode_watertank"),
         "transforms": [{"kind": "sliding_window", "window_size": 3}],
         "io": {"inputs": ["V_0", "x_0", "V_1", "x_1", "V_2"], "outputs": ["x_2"]},
         "split_fraction": 0.8,
-        "learner": learner_spec,
+        "learner": _defaults(LEARNER_KINDS, WATERTANK_LEARNERS[learner]),
         "metrics": ["mae", "mse"],
     }

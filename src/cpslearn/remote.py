@@ -63,13 +63,13 @@ import socket
 import socketserver
 import threading
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import PipelineError
-from .learners import LinearRegressionLearner, Model, ShapeMismatch, _check_input_columns, model_from_dict
+from .learners import Model, ShapeMismatch, _check_input_columns, fit_linear, model_from_dict
 
 PROTOCOL_VERSION = 3
 MAX_FRAME = 64 * 1024 * 1024  # read at call time, never bound as a default
@@ -410,17 +410,16 @@ class _SessionHandler(socketserver.BaseRequestHandler):
     timeout = DEFAULT_TIMEOUT
 
     def handle(self):
-        owner: LearnerServer = self.server.owner
         self.request.settimeout(self.timeout)
-        if not owner._session_slots.acquire(blocking=False):
+        if not self.server.session_slots.acquire(blocking=False):
             self._send({"kind": "error", "message": "server at capacity"})
             return
         try:
-            self._serve_session(owner)
+            self._serve_session()
         finally:
-            owner._session_slots.release()
+            self.server.session_slots.release()
 
-    def _serve_session(self, owner: "LearnerServer") -> None:
+    def _serve_session(self) -> None:
         self._models: dict[str, Model] = {}
         self._ids = itertools.count(1)
         buffer = bytearray()
@@ -438,7 +437,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
             if received is None:
                 return
             try:
-                response, stop = self._dispatch(owner, *received)
+                response, stop = self._dispatch(*received)
             except (PipelineError, ValueError, KeyError, TypeError) as exc:
                 response, stop = {"kind": "error", "message": str(exc)}, False
             self._send(response)
@@ -446,7 +445,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
                 threading.Thread(target=self.server.shutdown, daemon=True).start()
                 return
 
-    def _dispatch(self, owner, message: dict, body: bytes | None):
+    def _dispatch(self, message: dict, body: bytes | None):
         """The response to one request, and whether the server shuts down after it."""
         kind = message.get("kind")
         if "body" in message and kind not in ("fit", "predict"):
@@ -458,7 +457,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
             return {"kind": "hello_ack", "version": PROTOCOL_VERSION}, False
         if kind == "fit":
             inputs, outputs = _decode(message, body)
-            model = owner.learner_factory().fit(inputs, outputs)
+            model = fit_linear(inputs, outputs)
             model_id = f"m{next(self._ids)}"
             self._models[model_id] = model
             return {"kind": "fit_ack", "model": model_id}, False
@@ -494,31 +493,26 @@ class _TcpServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
+    def __init__(self, address: tuple[str, int], max_sessions: int):
+        super().__init__(address, _SessionHandler)
+        self.session_slots = threading.Semaphore(max_sessions)
+
 
 class LearnerServer:
-    """Reference server exposing an offline learner over the wire protocol.
+    """Reference server serving ``fit_linear`` over the wire protocol.
 
     Each accepted session is handled on its own thread, strictly in request
     order, with a private model registry. At most ``max_sessions`` sessions
     run concurrently; further connects are refused with an error response.
     """
 
-    def __init__(
-        self,
-        learner_factory: Callable[[], object] | None = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_sessions: int = 8,
-    ):
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, max_sessions: int = 8):
         if max_sessions < 1:
             raise ValueError(f"max_sessions must be positive, got {max_sessions}")
-        self.learner_factory = learner_factory or LinearRegressionLearner
-        self._session_slots = threading.Semaphore(max_sessions)
         try:
-            self._tcp = _TcpServer(parse_address((host, port)), _SessionHandler)
+            self._tcp = _TcpServer(parse_address((host, port)), max_sessions)
         except OSError as exc:
             raise BindFailed(f"cannot bind {host}:{port}: {exc}") from None
-        self._tcp.owner = self
         self._serving = False  # whether a serve loop was started, which shutdown() waits for
         self._thread: threading.Thread | None = None
 

@@ -32,6 +32,18 @@ def tank_trajectory() -> Dataset:
     return OdeEnvironment(WaterTankSystem(), sample_period=0.1).sample_trajectory(250)
 
 
+def skip_unless_dynamic_arch_openblas() -> None:
+    """Skip the calling test unless numpy's BLAS is a DYNAMIC_ARCH OpenBLAS, the build in which
+    ``OPENBLAS_CORETYPE`` picks the kernel of a child interpreter."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its build only as text
+        blas = {}
+    build = f"{blas.get('name', 'unknown')} {blas.get('openblas configuration', '')}".strip()
+    if "openblas" not in build.lower() or "DYNAMIC_ARCH" not in build:
+        pytest.skip(f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS: {build}")
+
+
 def random_dataset(rng: np.random.Generator, rows: int, columns: int, prefix: str = "c") -> Dataset:
     return Dataset(
         [(f"{prefix}{i}", rng.uniform(-5.0, 5.0, size=rows)) for i in range(columns)]

@@ -91,7 +91,7 @@ def test_criterion_02_case_study_shape():
 
 def test_criterion_03_case_study_quality():
     with criterion(3, "depth-5 tree on the tank scenario: MAE <= 0.06 and MSE <= 0.005", 10.0):
-        metrics = run_config(watertank_config(learner="tree", max_depth=5)).report.to_dict()["metrics"]
+        metrics = run_config(watertank_config("tree")).report.to_dict()["metrics"]
         value_mae = metrics["mae"]
         value_mse = metrics["mse"]
         print(f"    measured MAE={value_mae:.5f} MSE={value_mse:.6f}")
@@ -401,10 +401,10 @@ def test_criterion_09_remote_transparency_and_faults():
 
 
 def test_criterion_10_reproducible_reports(tmp_path):
-    with criterion(10, "identical config and seed give byte-identical reports across processes", 10.0):
+    with criterion(10, "identical config gives byte-identical reports and models across processes", 10.0):
         config_path = tmp_path / "cfg.json"
-        config_path.write_text(json.dumps(watertank_config(seed=7)))
-        bodies = []
+        config_path.write_text(json.dumps({**watertank_config(), "seed": 7}))
+        outputs = []
         for name in ("first", "second"):
             out = tmp_path / name
             result = subprocess.run(
@@ -413,5 +413,5 @@ def test_criterion_10_reproducible_reports(tmp_path):
                 text=True,
             )
             assert result.returncode == 0, result.stderr
-            bodies.append((out / "report.json").read_bytes())
-        assert bodies[0] == bodies[1]
+            outputs.append(((out / "report.json").read_bytes(), (out / "model.fcm.json").read_bytes()))
+        assert outputs[0] == outputs[1]

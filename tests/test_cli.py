@@ -1,16 +1,18 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cpslearn import fit_linear, load_model, remote
-from cpslearn.cli import main
+from cpslearn.cli import build_parser, main
 from cpslearn.config import validate_config, watertank_config
-from conftest import StubServer
+from conftest import StubServer, skip_unless_dynamic_arch_openblas
 
 
 @pytest.fixture
@@ -233,28 +235,9 @@ class TestValidateCommand:
 
 
 class TestReproducibility:
-    def test_two_processes_byte_identical(self, tmp_path, tank_config):
-        outs = [tmp_path / "r1", tmp_path / "r2"]
-        for out in outs:
-            result = subprocess.run(
-                [sys.executable, "-m", "cpslearn.cli", "run", str(tank_config),
-                 "--out", str(out), "--seed", "7"],
-                capture_output=True,
-                text=True,
-            )
-            assert result.returncode == 0, result.stderr
-        assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
-        assert (outs[0] / "model.fcm.json").read_bytes() == (outs[1] / "model.fcm.json").read_bytes()
-
     def test_incremental_model_is_the_same_under_every_blas_kernel(self, tmp_path):
         """``OPENBLAS_CORETYPE`` picks the kernel of a DYNAMIC_ARCH OpenBLAS in the child."""
-        try:
-            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        except (TypeError, KeyError):  # numpy before 1.26 prints its build only as text
-            blas = {}
-        build = f"{blas.get('name', 'unknown')} {blas.get('openblas configuration', '')}".strip()
-        if "openblas" not in build.lower() or "DYNAMIC_ARCH" not in build:
-            pytest.skip(f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS: {build}")
+        skip_unless_dynamic_arch_openblas()
         models = set()
         for coretype in ("SkylakeX", "Haswell", "Sandybridge", "Prescott"):
             out = tmp_path / coretype
@@ -306,6 +289,67 @@ class TestServeLearnerCommand:
             "module": "builtins",
             "message": f"port must be an integer from 0 to 65535, got {shown}",
         }
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run"], "cpslearn run: the following arguments are required: config"),
+            (["watertank", "--learner", "foo"], "cpslearn watertank: argument --learner: invalid choice: 'foo'"),
+            ([], "cpslearn: the following arguments are required: command"),
+        ],
+        ids=["missing_positional", "bad_choice", "no_subcommand"],
+    )
+    def test_is_one_record(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        record = json.loads(line)["error"]
+        assert (record["error"], record["module"]) == ("UsageError", "cpslearn.cli")
+        assert record["message"].startswith(message)
+
+    def test_unknown_flag_is_one_record_and_exit_1(self, tank_config):
+        result = subprocess.run(
+            [sys.executable, "-m", "cpslearn.cli", "run", str(tank_config), "--seed", "3"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        (line,) = result.stderr.splitlines()
+        assert json.loads(line)["error"] == {
+            "error": "UsageError",
+            "module": "cpslearn.cli",
+            "message": "cpslearn: unrecognized arguments: --seed 3",
+        }
+
+    def test_help_prints_usage_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["watertank", "--help"])
+        assert exited.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: cpslearn watertank")
+        assert captured.err == ""
+
+
+def readme_synopsis() -> dict[str, str]:
+    """The ``cpslearn <command> ...`` lines of the sh block under README's ``## CLI``, by command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return {line.split()[1]: line for line in block.splitlines() if line.startswith("cpslearn ")}
+
+
+def test_readme_synopsis_matches_the_parser():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    synopsis = readme_synopsis()
+    assert sorted(synopsis) == sorted(subparsers.choices)
+    for command, line in synopsis.items():
+        options = [a for a in subparsers.choices[command]._actions if a.option_strings and a.dest != "help"]
+        assert set(re.findall(r"--[\w-]+", line)) == {flag for a in options for flag in a.option_strings}, line
+        for action in options:
+            if action.choices is not None:
+                shown = re.search(re.escape(action.option_strings[0]) + r" ([\w|]+)", line)
+                assert shown and shown[1].split("|") == list(action.choices), line
 
 
 class TestErrorRecords:
@@ -502,7 +546,7 @@ class TestErrorRecords:
     def test_memory_error_is_one_record(self, tmp_path, capsys, monkeypatch):
         """An oversized ``samples`` makes numpy raise a MemoryError subclass; nothing is allocated here."""
 
-        def exhausted(cfg, seed_override=None):
+        def exhausted(cfg):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
         monkeypatch.setattr("cpslearn.config.run_config", exhausted)
@@ -554,18 +598,17 @@ class TestErrorRecords:
         assert message in record["message"]
         assert not (tmp_path / "out").exists()
 
-    def test_malformed_remote_model_is_one_record(self, tmp_path, capsys):
-        class WeightlessLinear:
+    def test_malformed_remote_model_is_one_record(self, tmp_path, capsys, monkeypatch):
+        def weightless_linear(inputs, outputs):
             """Fits the reference model, but saves a document without weights."""
+            model = fit_linear(inputs, outputs)
+            doc = model.to_dict()
+            del doc["params"]["weights"]
+            model.to_dict = lambda: doc
+            return model
 
-            def fit(self, inputs, outputs):
-                model = fit_linear(inputs, outputs)
-                doc = model.to_dict()
-                del doc["params"]["weights"]
-                model.to_dict = lambda: doc
-                return model
-
-        with remote.LearnerServer(learner_factory=WeightlessLinear) as server:
+        monkeypatch.setattr("cpslearn.remote.fit_linear", weightless_linear)
+        with remote.LearnerServer() as server:
             host, port = server.address
             cfg = watertank_config()
             cfg["learner"] = {"kind": "remote", "address": f"{host}:{port}", "timeout": 10}

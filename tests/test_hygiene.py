@@ -233,14 +233,12 @@ def test_caller_rule_sees_each_form():
 # Defaulted parameters that no library, demo or perfbench call passes, each with the reason it stays.
 UNPASSED = {
     "main.argv": "tests drive the CLI in process",
-    "watertank_config.seed": "acceptance criterion 10 runs a config with a seed other than 0",
     "WaterTankActiveEnvironment.step_period": "no config kind reaches the active strategy (ROADMAP item 4)",
     "WaterTankActiveEnvironment.substep": "no config kind reaches the active strategy (ROADMAP item 4)",
     "EpsilonGreedyActiveLearner.action_grid_size": "no config kind reaches the active strategy (ROADMAP item 4)",
     "EpsilonGreedyActiveLearner.forgetting_factor": "no config kind reaches the active strategy (ROADMAP item 4)",
     "EpsilonGreedyActiveLearner.regularization": "no config kind reaches the active strategy (ROADMAP item 4)",
     "f_beta.beta": "no config field carries metric parameters",
-    "LearnerServer.learner_factory": "tests substitute a fake learner",
 }
 
 
