@@ -323,6 +323,51 @@ def _load_numeric_csv(data: bytes):
     return names, values
 
 
+def _csv_dataset(names: list[str], values: np.ndarray) -> Dataset:
+    """The Dataset of an (n_rows, n_cols) float64 array, column ``j`` named ``names[j]``.
+
+    The columns are the rows of one (n_cols, n_rows) block over an immutable
+    ``bytes`` object: a Dataset shares them without a copy, and no array
+    reachable from a column can be made writable.
+    """
+    block = np.frombuffer(values.T.tobytes(), np.float64).reshape(values.shape[::-1])
+    return Dataset(list(zip(names, block)))
+
+
+def _parse_csv(data: bytes, path) -> Dataset:
+    """The Dataset of CSV ``data``, a file's bytes without their byte-order mark,
+    parsed afresh; ``path`` names the file in errors."""
+    numeric = _load_numeric_csv(data)
+    if numeric is not None:
+        return _csv_dataset(*numeric)
+
+    rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+    if not rows:
+        raise EmptyFile(f"no rows in {path}")
+
+    names = rows[0]
+    for i, row in enumerate(rows):
+        if len(row) != len(names):
+            raise RaggedRows(f"row {i} has {len(row)} cells, expected {len(names)}")
+
+    values = np.empty((len(rows) - 1, len(names)))
+    for i, row in enumerate(rows[1:], start=1):
+        for j, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                message = f"cell {cell!r} at row {i}, column {names[j]!r} is not a finite number"
+                raise ParseError(message, row=i, column=names[j])
+            values[i - 1, j] = value
+    return _csv_dataset(names, values)
+
+
+# The bytes and the Dataset of the last CSV load_csv parsed without error.
+_last_csv: tuple[bytes, Dataset] | None = None
+
+
 def load_csv(path) -> Dataset:
     """Load a CSV file into a Dataset of float64 columns.
 
@@ -338,6 +383,15 @@ def load_csv(path) -> Dataset:
     files to the same columns; the accepted inputs and the errors are the
     same either way.
 
+    The file is read on every call. If its bytes, byte-order mark skipped,
+    equal those of the last file this process parsed without error, that
+    parse's Dataset is returned, so two loads may return the same object.
+    Only content is compared, never the path or the modification time, so
+    an edited file is always parsed again. The process keeps that one
+    entry: the last file's bytes and its float64 columns, until a file with
+    other bytes parses. Nothing can write to a column, so a caller cannot
+    change what a later load returns.
+
     Raises:
         FileNotFoundError: if the file does not exist.
         EmptyFile: if the file holds no rows at all.
@@ -345,34 +399,15 @@ def load_csv(path) -> Dataset:
         ParseError: for a cell that is not a finite number: text, NaN or a
             value beyond float64 such as ``1e400`` (carries ``row`` and ``column``).
     """
+    global _last_csv
     with open(path, "rb") as fh:
         data = fh.read().removeprefix(codecs.BOM_UTF8)
-    numeric = _load_numeric_csv(data)
-    if numeric is not None:
-        names, values = numeric
-        return Dataset([(name, values[:, j]) for j, name in enumerate(names)])
-
-    rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
-    if not rows:
-        raise EmptyFile(f"no rows in {path}")
-
-    names = rows[0]
-    for i, row in enumerate(rows):
-        if len(row) != len(names):
-            raise RaggedRows(f"row {i} has {len(row)} cells, expected {len(names)}")
-
-    parsed = [np.empty(len(rows) - 1, dtype=np.float64) for _ in names]
-    for i, row in enumerate(rows[1:], start=1):
-        for j, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                message = f"cell {cell!r} at row {i}, column {names[j]!r} is not a finite number"
-                raise ParseError(message, row=i, column=names[j])
-            parsed[j][i - 1] = value
-    return Dataset(list(zip(names, parsed)))
+    last = _last_csv  # read once: another thread may replace the entry
+    if last is not None and last[0] == data:
+        return last[1]
+    dataset = _parse_csv(data, path)
+    _last_csv = data, dataset
+    return dataset
 
 
 def write_csv(dataset: Dataset, path) -> None:

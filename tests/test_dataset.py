@@ -1,6 +1,10 @@
+import codecs
 import csv
 import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from cpslearn import (
 )
 from cpslearn import dataset as dataset_module
 from cpslearn import remote
+from cpslearn.config import run_config
 from cpslearn.dataset import (
     EmptyFile,
     InconsistentKeys,
@@ -84,10 +89,17 @@ def test_load_csv_non_numeric_cell(tmp_path):
     assert info.value.column == "b"
 
 
+def parsed_csv(path) -> Dataset:
+    """``load_csv`` without its memo: the file's bytes, parsed afresh."""
+    return dataset_module._parse_csv(path.read_bytes().removeprefix(codecs.BOM_UTF8), path)
+
+
 def test_load_csv_deterministic(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b\n0.1,2\n3,4.5\n")
-    assert load_csv(path) == load_csv(path)
+    first, second = parsed_csv(path), parsed_csv(path)
+    assert first is not second
+    assert first == second
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -200,7 +212,7 @@ def csv_files(draw):
 def test_load_csv_matches_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "f.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv, path)
+    assert csv_outcome(parsed_csv, path) == csv_outcome(reference_load_csv, path)
 
 
 @pytest.mark.parametrize(
@@ -217,7 +229,7 @@ def test_load_csv_matches_reference(tmp_path_factory, text):
 def test_load_csv_edge_cases_match_reference(tmp_path, text):
     path = tmp_path / "f.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv, path)
+    assert csv_outcome(parsed_csv, path) == csv_outcome(reference_load_csv, path)
 
 
 def test_write_csv_files_take_the_fast_path(tmp_path):
@@ -229,7 +241,7 @@ def test_write_csv_files_take_the_fast_path(tmp_path):
     names, values = dataset_module._load_numeric_csv(path.read_bytes())
     assert tuple(names) == d.column_names
     assert [values[:, j].tobytes() for j in range(3)] == [d.column(n).tobytes() for n in d.column_names]
-    assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv, path)
+    assert csv_outcome(parsed_csv, path) == csv_outcome(reference_load_csv, path)
 
 
 @pytest.mark.parametrize(
@@ -249,7 +261,7 @@ def test_crlf_line_ends_match_reference(tmp_path, text, fast):
     assert (dataset_module._load_numeric_csv(data) is not None) == fast
     path = tmp_path / "f.csv"
     path.write_bytes(data)
-    assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv, path)
+    assert csv_outcome(parsed_csv, path) == csv_outcome(reference_load_csv, path)
 
 
 @pytest.mark.parametrize("body", ["0,1\n2,3\n", '"0",1\r\n2,3\r\n'])
@@ -259,6 +271,134 @@ def test_load_csv_skips_utf8_byte_order_mark(tmp_path, body):
     d = load_csv(path)
     assert d.column_names == ("t", "x")
     assert d.column("x").tolist() == [1.0, 3.0]
+
+
+def rewrite_keeping_size_and_mtime(path, text: str) -> None:
+    """Replace the file's bytes with ``text`` of the same length, and restore its times."""
+    before = os.stat(path)
+    assert len(text.encode()) == before.st_size
+    path.write_text(text)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(path).st_mtime_ns == before.st_mtime_ns
+
+
+def test_load_csv_sees_a_rewrite_of_the_same_size_and_time(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("t,x\n1,2\n3,4\n")
+    assert load_csv(path).column("x").tolist() == [2.0, 4.0]
+    rewrite_keeping_size_and_mtime(path, "t,x\n1,7\n3,9\n")
+    assert load_csv(path).column("x").tolist() == [7.0, 9.0]
+
+
+@pytest.mark.parametrize("body", ["0.5,1\n2,3e2\n", '"0.5",1\r\n2,3e2\r\n'], ids=["fast", "fallback"])
+def test_identical_bytes_give_one_dataset_under_any_path(tmp_path, body):
+    data = f"t,x\n{body}".encode()
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "bom.csv"]
+    paths[0].write_bytes(data)
+    paths[1].write_bytes(data)
+    paths[2].write_bytes(codecs.BOM_UTF8 + data)
+    first = load_csv(paths[0])
+    assert all(load_csv(path) is first for path in paths)
+    assert first == reference_load_csv(paths[0])
+
+
+@pytest.mark.parametrize(
+    "text, error", [("t,x\n1,oops\n", ParseError), ("", EmptyFile), ("t,x\n1,2\n3\n", RaggedRows)]
+)
+def test_a_failed_load_is_not_kept(tmp_path, text, error):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("t,x\n1,2\n5,6\n")
+    bad.write_text(text)
+    kept = load_csv(good)
+    for _ in range(2):
+        with pytest.raises(error):
+            load_csv(bad)
+    assert load_csv(good) is kept
+
+
+def test_a_missing_file_raises_while_a_dataset_is_kept(tmp_path):
+    good = tmp_path / "good.csv"
+    good.write_text("t,x\n1,2\n5,6\n")
+    kept = load_csv(good)
+    with pytest.raises(FileNotFoundError):
+        load_csv(tmp_path / "missing.csv")
+    assert load_csv(good) is kept
+
+
+def test_run_config_reads_a_csv_rewritten_between_runs(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    cfg = {
+        "environment": {"kind": "csv", "path": str(path)},
+        "io": {"inputs": ["u"], "outputs": ["y"]},
+        "split_fraction": 0.8,
+        "learner": {"kind": "linear"},
+        "metrics": ["mae", "max_error"],
+    }
+    # two-digit cells, so both files have one size
+    texts = ["u,y\n" + "".join(f"{i},{10 + (slope * i + i % 3) % 90}\n" for i in range(10, 50)) for slope in (2, 3)]
+    path.write_text(texts[0])
+    reports = [run_config(cfg).report.to_dict()]
+    rewrite_keeping_size_and_mtime(path, texts[1])
+    reports.append(run_config(cfg).report.to_dict())
+
+    fresh = []
+    for text in texts:
+        monkeypatch.setattr(dataset_module, "_last_csv", None)
+        path.write_text(text)
+        fresh.append(run_config(cfg).report.to_dict())
+    assert reports == fresh
+    assert fresh[0] != fresh[1]
+
+
+def test_threads_loading_different_files_each_get_their_own(tmp_path):
+    paths = []
+    for k in range(3):
+        paths.append(tmp_path / f"{k}.csv")
+        paths[-1].write_text(f"t,x\n0,{k}\n1,{k}\n")
+    wrong = []
+
+    def load(path, k):
+        for _ in range(300):
+            if load_csv(path).column("x").tolist() != [float(k)] * 2:
+                wrong.append(k)
+
+    threads = [threading.Thread(target=load, args=(paths[i % 3], i % 3)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def column_chain(column):
+    """The column, then each object down its chain of bases."""
+    chain = [column]
+    while isinstance(chain[-1], np.ndarray):
+        chain.append(chain[-1].base)
+    return chain
+
+
+@pytest.mark.parametrize(
+    "text, fast", [("t,x\r\n1,2.5\r\n3,-0.0\r\n", True), ('t,x\n1,"2.5"\n3,-0.0\n', False)], ids=["fast", "fallback"]
+)
+def test_no_array_behind_a_loaded_column_can_be_made_writable(tmp_path, text, fast):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    assert (dataset_module._load_numeric_csv(path.read_bytes()) is not None) == fast
+    d = load_csv(path)
+    for name in d.column_names:
+        *arrays, end = column_chain(d.column(name))
+        assert isinstance(end, bytes)
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+    assert d.column("x").tobytes() == np.array([2.5, -0.0]).tobytes()
 
 
 def test_load_json_array_of_objects(tmp_path):

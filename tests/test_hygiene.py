@@ -2,8 +2,9 @@
 ``json.load`` / ``json.loads`` call sits in a try that catches RecursionError, the
 incremental learner makes no BLAS call, every public name has a caller outside the tests,
 every defaulted parameter of a public callable is passed outside the tests, only
-``dataset.py`` builds a Dataset without checking its columns, and no module imports
-``base64``, so columns have one encoding on the wire: their float64 bytes."""
+``dataset.py`` builds a Dataset without checking its columns, no module imports
+``base64``, so columns have one encoding on the wire: their float64 bytes, and only
+``load_csv`` has a ``global`` statement, so its memo is the one process-wide mutable state."""
 
 import ast
 import math
@@ -366,3 +367,31 @@ def test_unchecked_rule_sees_each_form():
     assert list(unchecked_uses(ast.parse(source))) == [
         (1, "_unchecked_dataset"), (2, "_columns"), (3, "_columns"), (4, "_unchecked_dataset"), (5, "_unchecked_dataset"),
     ]
+
+
+def global_statements(node: ast.AST, inside: str | None = None):
+    """The qualified name of the definition around each ``global`` statement under ``node``,
+    None at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Global):
+            yield inside
+        elif isinstance(child, (*FUNCTIONS, ast.ClassDef)):
+            yield from global_statements(child, f"{inside}.{child.name}" if inside else child.name)
+        else:
+            yield from global_statements(child, inside)
+
+
+def test_only_load_csv_has_a_global_statement():
+    found = [f"{path.name}:{where}" for path in MODULES
+             for where in global_statements(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == ["dataset.py:load_csv"]
+
+
+def test_global_rule_sees_each_form():
+    source = (
+        "global a\n"
+        "def f():\n    global b\n    def g():\n        global c\n"
+        "class C:\n    def m(self):\n        if x:\n            global d\n"
+        "    async def n(self):\n        global e\n"
+    )
+    assert list(global_statements(ast.parse(source))) == [None, "f", "f.g", "C.m", "C.n"]
