@@ -12,9 +12,11 @@ Native implementations:
 * :func:`fit_tree` / :class:`RegressionTreeLearner` -- greedy binary
   regression tree minimizing weighted child variance.
 * :class:`IncrementalLinearLearner` -- incremental least squares with a
-  forgetting factor, in information form: batches accumulate a weighted
-  Gram matrix and moment vector, and ``finalize`` solves them once by a
-  fixed-order Cholesky factorization (no BLAS call).
+  forgetting factor, in information form: ``update`` checks a batch and
+  queues it, and queued batches are accumulated blockwise, in per-batch
+  order and to the same bytes as one batch at a time, into a weighted Gram
+  matrix and moment vector. ``finalize`` solves them once by a fixed-order
+  Cholesky factorization (no BLAS call); it alone reports an overflow.
 * :class:`EpsilonGreedyActiveLearner` -- an interactive policy that explores
   an action grid and maintains a linear one-step surrogate of the system,
   an :class:`IncrementalLinearLearner` fed one transition at a time.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import abc
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -39,6 +42,11 @@ MODEL_FORMAT_VERSION = 1
 MODEL_FILE_SUFFIX = ".fcm.json"
 
 _SPLIT_TIE_EPS = 1e-12
+
+# The float64 bytes of outer products that one pass over the incremental learner's queue may
+# allocate: a design of width d queues at most _QUEUE_BYTES // (8 d^2) rows (an empty batch
+# counts as one), or one larger batch.
+_QUEUE_BYTES = 1 << 20
 
 
 class ShapeMismatch(PipelineError):
@@ -81,13 +89,19 @@ def _float_matrix(dataset: Dataset, columns: Sequence[str]) -> np.ndarray:
     return np.column_stack(arrays) if arrays else np.empty((dataset.row_count, 0), dtype=np.float64)
 
 
-def _training_arrays(inputs: Dataset, outputs: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The float design matrix and target vector of one training pair, checked to match."""
+def _training_columns(inputs: Dataset, outputs: Dataset) -> tuple[list[np.ndarray], np.ndarray]:
+    """The read-only float input columns and target vector of one training pair, checked to match."""
     if len(outputs.column_names) != 1:
         raise ShapeMismatch(f"expected a single output column, got {len(outputs.column_names)}")
-    y = _float_matrix(outputs, outputs.column_names)[:, 0]
+    (y,) = outputs.floats(outputs.column_names)
     if inputs.row_count != outputs.row_count:
         raise ShapeMismatch(f"{inputs.row_count} input rows vs {outputs.row_count} output rows")
+    return inputs.floats(inputs.column_names), y
+
+
+def _training_arrays(inputs: Dataset, outputs: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The float design matrix and target vector of one training pair, checked to match."""
+    _, y = _training_columns(inputs, outputs)
     return _float_matrix(inputs, inputs.column_names), y
 
 
@@ -551,13 +565,24 @@ class IncrementalLinearLearner:
     arithmetic this is the estimate of per-row recursive least squares with
     the same lam and the prior P0 = I/delta, whatever the batch sizes.
 
+    ``update`` checks a batch and queues its read-only columns; it does no
+    arithmetic. The queue is accumulated when ``finalize`` is called, when
+    the active learner reads G, and before its rows' outer products would
+    pass ``_QUEUE_BYTES`` (1 MiB). Consecutive queued batches of one size
+    are stacked and their sums formed in one pass: each batch's sums are
+    ``np.add.reduce`` over its own rows, in the order numpy takes for that
+    batch alone, and the two updates above are then applied batch by batch
+    in stream order. So G and b hold the same bytes as when each batch is
+    accumulated as it arrives.
+
     The sums are elementwise ufuncs and ``np.add.reduce`` and the solve is a
     fixed-order Cholesky factorization on Python floats (no BLAS call), so
     the fitted weights do not depend on the CPU's BLAS kernel. With a tiny
     forgetting factor, ``lam^m`` may underflow to 0: the older rows and the
     prior are then forgotten entirely, and ``finalize`` raises
     :class:`SingularDesign` if what remains does not determine w (a Cholesky
-    pivot that is not positive and finite) or the sums overflowed.
+    pivot that is not positive and finite) or the sums overflowed. An
+    overflow is never reported by ``update``.
 
     The schema (input columns and output column) is fixed by the first batch;
     later batches must match it. ``finalize`` snapshots the current estimate
@@ -574,14 +599,16 @@ class IncrementalLinearLearner:
         self._gram: np.ndarray | None = None
         self._moment: np.ndarray | None = None
         self._rows = 0
+        self._queue: list[tuple[list[np.ndarray], np.ndarray]] = []  # (input columns, targets), oldest first
+        self._queued_rows = 0
         self._input_columns: tuple[str, ...] | None = None
         self._output_column: str | None = None
 
     def update(self, inputs: Dataset, outputs: Dataset) -> None:
-        """Absorb one batch; a batch refused with an error leaves the learner unchanged."""
-        matrix, y = _training_arrays(inputs, outputs)
+        """Check one batch and queue it; a batch refused with an error leaves the learner unchanged."""
+        columns, y = _training_columns(inputs, outputs)
         if self._gram is None:
-            dim = len(inputs.column_names) + 1
+            dim = len(columns) + 1
             self._gram = np.eye(dim) * self.regularization
             self._moment = np.zeros(dim)
             self._input_columns = inputs.column_names
@@ -590,18 +617,39 @@ class IncrementalLinearLearner:
             raise SchemaMismatch(
                 f"batch columns {list(inputs.column_names)} != {list(self._input_columns)}"
             )
-        m, forget = len(y), self.forgetting_factor
-        design = np.ones((m, matrix.shape[1] + 1))
-        design[:, :-1] = matrix
-        decays = np.array([forget ** k for k in range(m - 1, -1, -1)])
-        decay = forget**m
-        with np.errstate(over="ignore", invalid="ignore"):  # finalize raises SingularDesign on an overflow
-            weighted = design * decays[:, np.newaxis]
-            gram = np.add.reduce(weighted[:, :, np.newaxis] * design[:, np.newaxis, :], axis=0)
-            moment = np.add.reduce(weighted * y[:, np.newaxis], axis=0)
-            self._gram = self._gram * decay + gram
-            self._moment = self._moment * decay + moment
-        self._rows += m
+        entry = max(len(y), 1)  # an empty batch still takes a place in the queue
+        if self._queued_rows + entry > _QUEUE_BYTES // (8 * len(self._moment) ** 2):
+            self._accumulate()
+        self._queue.append((columns, y))
+        self._queued_rows += entry
+        self._rows += len(y)
+
+    def _accumulate(self) -> None:
+        """Fold the queued batches into G and b, oldest first, and empty the queue."""
+        queue, self._queue, self._queued_rows = self._queue, [], 0
+        forget, dim = self.forgetting_factor, len(self._moment)
+        for m, group in itertools.groupby(queue, key=lambda batch: len(batch[1])):
+            group = list(group)
+            design = np.ones((len(group), m, dim))  # batch, row, design column
+            for j in range(dim - 1):
+                design[:, :, j] = np.concatenate([columns[j] for columns, _ in group]).reshape(len(group), m)
+            y = np.concatenate([targets for _, targets in group]).reshape(len(group), m)
+            decays = np.array([forget ** k for k in range(m - 1, -1, -1)])
+            decay = forget**m
+            with np.errstate(over="ignore", invalid="ignore"):  # finalize raises SingularDesign on an overflow
+                weighted = design * decays[:, np.newaxis]
+                grams = np.add.reduce(weighted[:, :, :, np.newaxis] * design[:, :, np.newaxis, :], axis=1)
+                moments = np.add.reduce(weighted * y[:, :, np.newaxis], axis=1)
+                for gram, moment in zip(grams, moments):
+                    self._gram = self._gram * decay + gram
+                    self._moment = self._moment * decay + moment
+
+    def _sums(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """G and b with every queued batch accumulated, or None before the first row."""
+        if self._rows == 0:
+            return None
+        self._accumulate()
+        return self._gram, self._moment
 
     def finalize(self) -> LinearModel:
         """Solve for the current weights and snapshot them as an immutable model.
@@ -611,9 +659,10 @@ class IncrementalLinearLearner:
             SingularDesign: if the accumulated Gram matrix is singular in float64,
                 or its sums overflow.
         """
-        if self._rows == 0:
+        sums = self._sums()
+        if sums is None:
             raise NeverUpdated("incremental learner has not seen any data")
-        weights = _solve_positive_definite(self._gram.tolist(), self._moment.tolist())
+        weights = _solve_positive_definite(sums[0].tolist(), sums[1].tolist())
         return LinearModel(weights[:-1], weights[-1], self._input_columns, self._output_column)
 
 
@@ -676,9 +725,10 @@ class EpsilonGreedyActiveLearner:
         state = self._state(observation)
         if self._rng.random() < self.epsilon:
             return float(self.action_grid[self._rng.integers(len(self.action_grid))])
-        if self._surrogate._rows == 0:
+        sums = self._surrogate._sums()
+        if sums is None:
             return float(self.action_grid[0])
-        lower = _cholesky(self._surrogate._gram.tolist())
+        lower = _cholesky(sums[0].tolist())
         scores = []
         for action in self.action_grid.tolist():
             variance = 0.0

@@ -3,8 +3,10 @@
 incremental learner makes no BLAS call, every public name has a caller outside the tests,
 every defaulted parameter of a public callable is passed outside the tests, only
 ``dataset.py`` builds a Dataset without checking its columns, no module imports
-``base64``, so columns have one encoding on the wire: their float64 bytes, and only
-``load_csv`` has a ``global`` statement, so its memo is the one process-wide mutable state."""
+``base64``, so columns have one encoding on the wire: their float64 bytes, only
+``load_csv`` has a ``global`` statement, so its memo is the one process-wide mutable state,
+and only ``IncrementalLinearLearner`` names its accumulation state, so no reader sees G
+and b with batches still queued."""
 
 import ast
 import math
@@ -395,3 +397,38 @@ def test_global_rule_sees_each_form():
         "    async def n(self):\n        global e\n"
     )
     assert list(global_statements(ast.parse(source))) == [None, "f", "f.g", "C.m", "C.n"]
+
+
+# The incremental learner's accumulated sums, row count and queue of unaccumulated batches:
+# only the class itself may name them, so every other reader goes through ``_sums``, which
+# accumulates the queue first.
+ACCUMULATION_STATE = {"_gram", "_moment", "_rows", "_queue", "_queued_rows"}
+
+
+def state_uses(node: ast.AST, owner: str | None = None):
+    """(enclosing class or None, name) for each name in ACCUMULATION_STATE read or written under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and child.attr in ACCUMULATION_STATE:
+            yield owner, child.attr
+        elif isinstance(child, ast.Name) and child.id in ACCUMULATION_STATE:
+            yield owner, child.id
+        yield from state_uses(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+
+def test_only_the_incremental_learner_names_its_accumulation_state():
+    found = [f"{path.name}:{owner}.{name}" for path in MODULES
+             for owner, name in state_uses(ast.parse(path.read_text(encoding="utf-8")))
+             if (path.name, owner) != ("learners.py", "IncrementalLinearLearner")]
+    assert found == []
+
+
+def test_state_rule_sees_each_form():
+    source = (
+        "class IncrementalLinearLearner:\n    def f(self):\n        self._gram = self._queue\n"
+        "class Other:\n    def g(self, s):\n        s._surrogate._rows\n        s._moment += 1\n"
+        "def h(learner):\n    _queued_rows = learner._gram\n    '_moment'\n"
+    )
+    assert list(state_uses(ast.parse(source))) == [
+        ("IncrementalLinearLearner", "_gram"), ("IncrementalLinearLearner", "_queue"),
+        ("Other", "_rows"), ("Other", "_moment"), (None, "_queued_rows"), (None, "_gram"),
+    ]

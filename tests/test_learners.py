@@ -2,6 +2,8 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,12 +14,15 @@ from cpslearn import (
     ActionSpace,
     Dataset,
     EpsilonGreedyActiveLearner,
+    IncrementalEnvironment,
     IncrementalLinearLearner,
+    IoSpec,
     LinearModel,
     WaterTankActiveEnvironment,
     fit_linear,
     fit_tree,
     learn_active,
+    learn_incremental,
     load_model,
     model_from_dict,
     save_model,
@@ -476,6 +481,148 @@ class TestInformationFormOracle:
             learner.finalize()
 
 
+class PerBatchSums:
+    """Oracle: G and b accumulated as each batch arrives, by the information form's
+    per-batch arithmetic (the learner's own arithmetic before batches were queued)."""
+
+    def __init__(self, forget: float, regularization: float, dim: int):
+        self.forget = forget
+        self.gram = np.eye(dim) * regularization
+        self.moment = np.zeros(dim)
+
+    def update(self, matrix: np.ndarray, y: np.ndarray) -> None:
+        m, forget = len(y), self.forget
+        design = np.ones((m, matrix.shape[1] + 1))
+        design[:, :-1] = matrix
+        decays = np.array([forget ** k for k in range(m - 1, -1, -1)])
+        decay = forget**m
+        with np.errstate(over="ignore", invalid="ignore"):
+            weighted = design * decays[:, np.newaxis]
+            gram = np.add.reduce(weighted[:, :, np.newaxis] * design[:, np.newaxis, :], axis=0)
+            moment = np.add.reduce(weighted * y[:, np.newaxis], axis=0)
+            self.gram = self.gram * decay + gram
+            self.moment = self.moment * decay + moment
+
+
+def model_json(model: LinearModel) -> str:
+    """The document :func:`save_model` writes for ``model``."""
+    return json.dumps(model.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+
+
+def outcome(solve):
+    """The model JSON ``solve()`` gives, or the SingularDesign message it raises."""
+    try:
+        return model_json(solve())
+    except SingularDesign as error:
+        return f"SingularDesign: {error}"
+
+
+@st.composite
+def queued_streams(draw):
+    """(dim, forgetting factor, queue budget in bytes, rows, targets, batch sizes, batch
+    indices after which to finalize). Runs of equal batch sizes (0 to 70 rows) end in
+    one more batch of any size; the budget holds 1 to 150 rows of outer products."""
+    dim = draw(st.integers(1, 6))
+    forget = draw(st.sampled_from([1.0, 0.9, 8.1e-49]))
+    unit = 8 * dim * dim
+    budget = draw(st.integers(unit, 150 * unit))
+    runs = draw(st.lists(st.tuples(st.integers(0, 70), st.integers(1, 8)), min_size=1, max_size=4))
+    sizes = [size for size, repeat in runs for _ in range(repeat)] + [draw(st.integers(0, 70))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    rows = rng.uniform(-1.0, 1.0, (n, dim - 1)) * 10.0 ** draw(st.integers(-3, 8))
+    rows[rng.random((n, dim - 1)) < 0.1] = -0.0
+    targets = rng.uniform(-1.0, 1.0, n) * 10.0 ** draw(st.integers(-3, 8))
+    checkpoints = draw(st.sets(st.integers(0, len(sizes) - 1), max_size=3)) | {len(sizes) - 1}
+    return dim, forget, budget, rows, targets, sizes, checkpoints
+
+
+class TestBlockwiseAccumulation:
+    """The learner queues batches and accumulates them blockwise; G, b and the model
+    hold the same bytes as when each batch is accumulated as it arrives."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(queued_streams())
+    def test_same_bytes_as_per_batch_accumulation(self, stream):
+        dim, forget, budget, rows, targets, sizes, checkpoints = stream
+        learner = IncrementalLinearLearner(forget)
+        reference = PerBatchSums(forget, learner.regularization, dim)
+        start = 0
+        with mock.patch.object(learners, "_QUEUE_BYTES", budget):
+            for index, size in enumerate(sizes):
+                stop = start + size
+                inputs = Dataset([(f"c{j}", rows[start:stop, j]) for j in range(dim - 1)], row_count=size)
+                learner.update(inputs, Dataset({"y": targets[start:stop]}))
+                reference.update(rows[start:stop], targets[start:stop])
+                start = stop
+                if index not in checkpoints:
+                    continue
+                if start == 0:
+                    with pytest.raises(NeverUpdated):
+                        learner.finalize()
+                    continue
+                fitted = outcome(learner.finalize)
+                gram, moment = learner._sums()
+                assert gram.tobytes() == reference.gram.tobytes()
+                assert moment.tobytes() == reference.moment.tobytes()
+
+                def solve():
+                    weights = learners._solve_positive_definite(reference.gram.tolist(), reference.moment.tolist())
+                    return LinearModel(weights[:-1], weights[-1], inputs.column_names, "y")
+
+                assert fitted == outcome(solve)
+
+    def test_same_bytes_across_the_real_budget(self):
+        """12 000 rows of 5 inputs in batches of 32 cross the budget of 3 640 rows
+        three times."""
+        rng = np.random.default_rng(23)
+        rows, targets = rng.normal(size=(12_000, 5)) * 100.0, rng.normal(size=12_000)
+        learner, reference = IncrementalLinearLearner(0.9999), PerBatchSums(0.9999, 1e-8, 6)
+        for start in range(0, 12_000, 32):
+            stop = start + 32
+            learner.update(Dataset([(f"c{j}", rows[start:stop, j]) for j in range(5)]),
+                           Dataset({"y": targets[start:stop]}))
+            reference.update(rows[start:stop], targets[start:stop])
+        gram, moment = learner._sums()
+        assert learners._QUEUE_BYTES // (8 * 6 * 6) == 3_640
+        assert gram.tobytes() == reference.gram.tobytes()
+        assert moment.tobytes() == reference.moment.tobytes()
+
+    def test_empty_batches_do_not_pile_up(self):
+        """An empty batch counts as one row toward the queue's budget."""
+        learner = IncrementalLinearLearner()
+        with mock.patch.object(learners, "_QUEUE_BYTES", 8 * 2 * 2 * 10):  # 10 rows of width 2
+            for _ in range(100):
+                learner.update(Dataset({"a": np.empty(0)}), Dataset({"y": np.empty(0)}))
+                assert len(learner._queue) <= 10
+
+    def test_queue_memory_stays_bounded(self):
+        """200 000 rows in batches of 32, each batch in new arrays: the traced peak stays
+        near the 1 MiB budget of outer products instead of growing with the stream."""
+
+        class FreshBatches(IncrementalEnvironment):
+            def __init__(self):
+                self.rng, self.left = np.random.default_rng(5), 200_000
+
+            def next_batch(self):
+                if self.left == 0:
+                    return None
+                size = min(32, self.left)
+                self.left -= size
+                block = self.rng.normal(size=(6, size))
+                block.setflags(write=False)  # the Dataset shares it instead of copying
+                return Dataset([(f"c{j}", block[j]) for j in range(5)] + [("y", block[5])])
+
+        io = IoSpec([f"c{j}" for j in range(5)], ["y"])
+        tracemalloc.start()
+        try:
+            learn_incremental(FreshBatches(), None, io, IncrementalLinearLearner())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
+
 class TestRecursiveLeastSquares:
     def test_matches_batch_ols_via_incremental_learner(self):
         rng = np.random.default_rng(41)
@@ -495,12 +642,12 @@ class TestRecursiveLeastSquares:
         zero inputs adds nothing to them: only its intercept 1 moves G and b."""
         learner = IncrementalLinearLearner()
         learner.update(Dataset({"a": [1.0, 2.0], "b": [3.0, -1.0]}), Dataset({"y": [1.0, 4.0]}))
-        gram, moment = learner._gram.copy(), learner._moment.copy()
+        gram, moment = (sums.copy() for sums in learner._sums())
         learner.update(Dataset({"a": [0.0], "b": [0.0]}), Dataset({"y": [123.0]}))
         gram[-1, -1] += 1.0
         moment[-1] += 123.0
-        assert learner._gram.tobytes() == gram.tobytes()
-        assert learner._moment.tobytes() == moment.tobytes()
+        assert learner._sums()[0].tobytes() == gram.tobytes()
+        assert learner._sums()[1].tobytes() == moment.tobytes()
 
     @pytest.mark.parametrize(
         "forgetting_factor, regularization, message",
