@@ -6,7 +6,8 @@ agree on the protocol version; float columns follow their header as a
 binary body of raw little-endian float64 bytes, and no message exceeds the
 fixed 64 MiB frame limit. The client fits and predicts over the wire,
 downloads the trained artifact, and the results match the in-process
-learner bit for bit.
+learner bit for bit. The server names each model by its content id, so the
+id it reports is the id of the model downloaded.
 
 Run with: python demos/05_remote_learner_bridge.py
 """
@@ -38,6 +39,7 @@ def main():
             # The trained artifact can leave the server and live on as a file.
             local_copy = remote_model.fetch()
             print(f"downloaded model {local_copy.model_id} with weights {local_copy.weights.tolist()}")
+            print(f"same id: {local_copy.model_id == remote_model.model_id}")
 
 
 if __name__ == "__main__":

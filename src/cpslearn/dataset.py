@@ -323,13 +323,24 @@ def _load_numeric_csv(data: bytes):
     return names, values
 
 
+def _refuse_repeated(names) -> None:
+    """Raise ParseError naming the first of ``names`` that occurs twice."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ParseError(f"repeated column name {name!r}", column=name)
+        seen.add(name)
+
+
 def _csv_dataset(names: list[str], values: np.ndarray) -> Dataset:
     """The Dataset of an (n_rows, n_cols) float64 array, column ``j`` named ``names[j]``.
 
-    The columns are the rows of one (n_cols, n_rows) block over an immutable
-    ``bytes`` object: a Dataset shares them without a copy, and no array
-    reachable from a column can be made writable.
+    A repeated name raises ParseError. The columns are the rows of one
+    (n_cols, n_rows) block over an immutable ``bytes`` object: a Dataset
+    shares them without a copy, and no array reachable from a column can be
+    made writable.
     """
+    _refuse_repeated(names)
     block = np.frombuffer(values.T.tobytes(), np.float64).reshape(values.shape[::-1])
     return Dataset(list(zip(names, block)))
 
@@ -397,7 +408,8 @@ def load_csv(path) -> Dataset:
         EmptyFile: if the file holds no rows at all.
         RaggedRows: if row widths differ.
         ParseError: for a cell that is not a finite number: text, NaN or a
-            value beyond float64 such as ``1e400`` (carries ``row`` and ``column``).
+            value beyond float64 such as ``1e400`` (carries ``row`` and ``column``),
+            or for a column name the header repeats (carries ``column``).
     """
     global _last_csv
     with open(path, "rb") as fh:
@@ -435,6 +447,14 @@ def _json_column(name: str, values: list):
         raise ParseError(f"column {name!r}: {exc}", column=name) from None
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key, of which ``json`` would keep the last, raises ParseError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        _refuse_repeated(key for key, _ in pairs)
+    return obj
+
+
 def load_json(path) -> Dataset:
     """Load a JSON file into a Dataset.
 
@@ -446,13 +466,14 @@ def load_json(path) -> Dataset:
 
     Raises:
         FileNotFoundError: if the file does not exist.
-        ParseError: for malformed JSON, unsupported values or integers beyond float64.
+        ParseError: for malformed JSON, unsupported values, integers beyond
+            float64 or a key an object repeats.
         NonFiniteValue: for ``NaN``, ``Infinity`` or a number beyond float64 (``1e400``).
         InconsistentKeys: when record objects disagree on their keys.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_json_object)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, bad UTF-8, too many digits, too deep
             raise ParseError(f"malformed JSON in {path}: {exc}") from None
 

@@ -44,20 +44,23 @@ Framing:
   version-3 peers negotiated the limit in ``hello`` and ``hello_ack`` is
   ignored, like any field a reader does not use.
 
-Model identifiers are scoped to one session; sessions never see each other's
-models. The server ends a session whose peer sends nothing for
-``DEFAULT_TIMEOUT`` seconds (30) while it waits for a request, or takes
-longer than that from a request's first byte to the last byte of its body,
-so idle or trickling peers cannot hold every session slot. The client bounds
-each response the same way by its ``timeout``: at most that long for the
-first byte, and at most that long again from the first byte to the last. It
-closes its session after a timeout and after an oversized or truncated
-response.
+The reference server names each model it fits by ``Model.model_id``: its
+kind and 12 hex digits of the sha256 of its canonical JSON, so a remote run
+reports the id of the model it saves, and equal fits get equal ids in any
+session. A client treats ids as opaque strings. Registries are per session: a
+session can predict with or save only the models it fitted itself.
+
+The server ends a session whose peer sends nothing for ``DEFAULT_TIMEOUT``
+seconds (30) while it waits for a request, or takes longer than that from a
+request's first byte to the last byte of its body, so idle or trickling peers
+cannot hold every session slot. The client bounds each response the same
+way by its ``timeout``: at most that long for the first byte, and at most
+that long again from the first byte to the last. It closes its session after
+a timeout and after an oversized or truncated response.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import socket
 import socketserver
@@ -193,13 +196,9 @@ class RemoteModel:
     def __init__(self, session: "RemoteSession", model_id: str,
                  input_columns: Sequence[str], output_column: str):
         self._session = session
-        self.remote_id = model_id
+        self.model_id = model_id
         self.input_columns = tuple(input_columns)
         self.output_column = output_column
-
-    @property
-    def model_id(self) -> str:
-        return f"remote-{self.remote_id}"
 
     def predict(self, inputs: Dataset) -> Dataset:
         """Predict through the remote session; row-aligned with the inputs.
@@ -211,7 +210,7 @@ class RemoteModel:
         _check_input_columns(inputs, self.input_columns)
         ordered = inputs.select(self.input_columns)
         response, body = self._session._request(
-            {"kind": "predict", "model": self.remote_id, "inputs": ordered}, "prediction"
+            {"kind": "predict", "model": self.model_id, "inputs": ordered}, "prediction"
         )
         try:
             (predictions,) = _decode(response, body)
@@ -226,7 +225,7 @@ class RemoteModel:
 
     def fetch(self) -> Model:
         """Download the serialized model and rebuild it locally."""
-        response, _ = self._session._request({"kind": "save", "model": self.remote_id}, "saved")
+        response, _ = self._session._request({"kind": "save", "model": self.model_id}, "saved")
         return model_from_dict(response.get("data"))
 
 
@@ -421,7 +420,6 @@ class _SessionHandler(socketserver.BaseRequestHandler):
 
     def _serve_session(self) -> None:
         self._models: dict[str, Model] = {}
-        self._ids = itertools.count(1)
         buffer = bytearray()
         while True:
             try:
@@ -458,7 +456,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
         if kind == "fit":
             inputs, outputs = _decode(message, body)
             model = fit_linear(inputs, outputs)
-            model_id = f"m{next(self._ids)}"
+            model_id = model.model_id
             self._models[model_id] = model
             return {"kind": "fit_ack", "model": model_id}, False
         if kind == "predict":
@@ -507,8 +505,8 @@ class LearnerServer:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, max_sessions: int = 8):
-        if max_sessions < 1:
-            raise ValueError(f"max_sessions must be positive, got {max_sessions}")
+        if type(max_sessions) is not int or max_sessions < 1:  # a Semaphore(1.5) never reaches 0
+            raise ValueError(f"max_sessions must be a positive integer, got {max_sessions!r}")
         try:
             self._tcp = _TcpServer(parse_address((host, port)), max_sessions)
         except OSError as exc:

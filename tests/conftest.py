@@ -44,6 +44,21 @@ def skip_unless_dynamic_arch_openblas() -> None:
         pytest.skip(f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS: {build}")
 
 
+def sweep_config(csv_path: Path, learner: dict) -> dict:
+    """A windowed and standardized run on ``csv_path``, like the benchmark's offline sweep."""
+    return {
+        "environment": {"kind": "csv", "path": str(csv_path)},
+        "transforms": [
+            {"kind": "sliding_window", "window_size": 3},
+            {"kind": "standardize", "names": ["V_0", "V_1", "V_2"]},
+        ],
+        "io": {"inputs": ["V_0", "x_0", "V_1", "x_1", "V_2"], "outputs": ["x_2"]},
+        "split_fraction": 0.8,
+        "learner": learner,
+        "metrics": ["mae", "mse", "max_error", "r2"],
+    }
+
+
 def random_dataset(rng: np.random.Generator, rows: int, columns: int, prefix: str = "c") -> Dataset:
     return Dataset(
         [(f"{prefix}{i}", rng.uniform(-5.0, 5.0, size=rows)) for i in range(columns)]

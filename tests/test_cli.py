@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from cpslearn import fit_linear, load_model, remote
+from cpslearn import fit_linear, load_model, remote, write_csv
 from cpslearn.cli import build_parser, main
 from cpslearn.config import validate_config, watertank_config
-from conftest import StubServer, skip_unless_dynamic_arch_openblas
+from conftest import StubServer, skip_unless_dynamic_arch_openblas, sweep_config
 
 
 @pytest.fixture
@@ -180,19 +180,25 @@ class TestRunCommand:
         assert main(["run", str(path), "--out", str(out)]) == 0
         assert read_report(out)["rows"] == 30  # 60 exploded rows, split in half
 
-    def test_remote_learner_config(self, tmp_path):
+    @pytest.mark.parametrize("scenario", ["watertank", "sweep"])
+    def test_remote_learner_config(self, tmp_path, tank_trajectory, scenario):
+        """The server names each model by its content id, so a remote run writes the bytes of a
+        linear run: its report names the model it saves."""
+        if scenario == "watertank":
+            cfg = watertank_config("linear")
+        else:
+            write_csv(tank_trajectory, tmp_path / "tank.csv")
+            cfg = sweep_config(tmp_path / "tank.csv", {"kind": "linear"})
         with remote.LearnerServer() as server:
             host, port = server.address
-            cfg = watertank_config()
-            cfg["learner"] = {"kind": "remote", "address": f"{host}:{port}", "timeout": 10}
-            path = tmp_path / "remote.json"
-            path.write_text(json.dumps(cfg))
-            out = tmp_path / "out"
-            assert main(["run", str(path), "--out", str(out)]) == 0
-            report = read_report(out)
-            assert report["model"].startswith("remote-")
-            fetched = load_model(out / "model.fcm.json")
-            assert fetched.kind == "linear"
+            for name, learner in [("linear", cfg["learner"]),
+                                  ("remote", {"kind": "remote", "address": f"{host}:{port}", "timeout": 10})]:
+                path = tmp_path / f"{name}.json"
+                path.write_text(json.dumps({**cfg, "learner": learner}))
+                assert main(["run", str(path), "--out", str(tmp_path / name)]) == 0
+        for file in ("report.json", "model.fcm.json"):
+            assert (tmp_path / "remote" / file).read_bytes() == (tmp_path / "linear" / file).read_bytes()
+        assert read_report(tmp_path / "remote")["model"] == load_model(tmp_path / "remote" / "model.fcm.json").model_id
 
 
 class TestValidateCommand:
@@ -596,6 +602,26 @@ class TestErrorRecords:
         record = self.one_record(capsys)
         assert (record["error"], record["module"]) == ("ParseError", "cpslearn.dataset")
         assert message in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, text", [("data.csv", "a,b,a\n1,2,3\n4,5,6\n"),
+                                            ("data.json", '{"a": [1, 4], "b": [2, 5], "a": [3, 6]}')])
+    def test_repeated_column_name_is_one_record(self, tmp_path, capsys, name, text):
+        data = tmp_path / name
+        data.write_text(text)
+        cfg = {
+            "environment": {"kind": data.suffix[1:], "path": str(data)},
+            "io": {"inputs": ["a"], "outputs": ["b"]},
+            "split_fraction": 0.5,
+            "learner": {"kind": "linear"},
+            "metrics": ["mae"],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert self.one_record(capsys) == {
+            "error": "ParseError", "module": "cpslearn.dataset", "message": "repeated column name 'a'",
+        }
         assert not (tmp_path / "out").exists()
 
     def test_malformed_remote_model_is_one_record(self, tmp_path, capsys, monkeypatch):

@@ -303,7 +303,8 @@ def test_identical_bytes_give_one_dataset_under_any_path(tmp_path, body):
 
 
 @pytest.mark.parametrize(
-    "text, error", [("t,x\n1,oops\n", ParseError), ("", EmptyFile), ("t,x\n1,2\n3\n", RaggedRows)]
+    "text, error",
+    [("t,x\n1,oops\n", ParseError), ("t,t\n1,2\n", ParseError), ("", EmptyFile), ("t,x\n1,2\n3\n", RaggedRows)],
 )
 def test_a_failed_load_is_not_kept(tmp_path, text, error):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
@@ -314,6 +315,17 @@ def test_a_failed_load_is_not_kept(tmp_path, text, error):
         with pytest.raises(error):
             load_csv(bad)
     assert load_csv(good) is kept
+
+
+@pytest.mark.parametrize("text", ["a,b,a\n1,2,3\n", '"a","b","a"\n1,2,3\n', 'a,b,a\n"1",2,3\n'],
+                         ids=["fast", "quoted_header", "fallback"])
+def test_load_csv_refuses_a_repeated_column_name(tmp_path, text):
+    """Both parse paths; a Dataset would refuse the name with a ValueError the CLI cannot type."""
+    path = tmp_path / "repeated.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="^repeated column name 'a'$") as info:
+        load_csv(path)
+    assert info.value.column == "a"
 
 
 def test_a_missing_file_raises_while_a_dataset_is_kept(tmp_path):
@@ -474,6 +486,16 @@ def test_load_json_errors_name_the_first_offending_value(tmp_path, text, shown):
     path.write_text(text)
     with pytest.raises(ParseError, match=f"^column '[at]': .* numeric traces, got {shown}$"):
         load_json(path)
+
+
+@pytest.mark.parametrize("text", ['{"a": [1, 2], "a": [3, 4]}', '{"a": [1], "b": [2], "a": [3]}', '[{"a": 1, "a": 2}]'])
+def test_load_json_refuses_a_repeated_key(tmp_path, text):
+    """``json`` would keep the last value of a repeated key and drop a column without a word."""
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="^repeated column name 'a'$") as info:
+        load_json(path)
+    assert info.value.column == "a"
 
 
 def test_load_json_rejects_strings(tmp_path):

@@ -28,25 +28,10 @@ import numpy as np
 from cpslearn import OdeEnvironment, WaterTankSystem, write_csv
 from cpslearn.config import WATERTANK_LEARNERS, run_config, watertank_config, write_result
 from cpslearn.remote import LearnerServer
-from conftest import skip_unless_dynamic_arch_openblas
+from conftest import skip_unless_dynamic_arch_openblas, sweep_config
 
 GOLDEN = Path(__file__).with_name("golden.json")
 KERNEL = {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"}
-
-
-def sweep_config(csv_path: Path, learner: dict) -> dict:
-    """A windowed and standardized run on ``csv_path``, like the benchmark's offline sweep."""
-    return {
-        "environment": {"kind": "csv", "path": str(csv_path)},
-        "transforms": [
-            {"kind": "sliding_window", "window_size": 3},
-            {"kind": "standardize", "names": ["V_0", "V_1", "V_2"]},
-        ],
-        "io": {"inputs": ["V_0", "x_0", "V_1", "x_1", "V_2"], "outputs": ["x_2"]},
-        "split_fraction": 0.8,
-        "learner": learner,
-        "metrics": ["mae", "mse", "max_error", "r2"],
-    }
 
 
 def digests(cfg: dict, out: Path) -> dict:
@@ -82,6 +67,12 @@ def test_reference_bytes_match_the_golden_manifest():
         f"golden.json was made with Python {golden['python']} and numpy {golden['numpy']}; "
         f"this run used Python {fresh['python']} and numpy {fresh['numpy']}. Its manifest:\n{result.stdout}"
     )
+
+
+def test_a_remote_run_writes_the_bytes_of_a_linear_run():
+    """The server names each model by its content id, so the remote run's report names the model it writes."""
+    sha256 = json.loads(GOLDEN.read_text(encoding="utf-8"))["sha256"]
+    assert sha256["sweep remote"] == sha256["sweep linear"]
 
 
 if __name__ == "__main__":

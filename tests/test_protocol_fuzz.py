@@ -4,7 +4,9 @@ Each run opens one session on a one-slot server and sends a random sequence of
 valid and invalid requests, pipelined: responses are read in batches, so the
 server must answer every request exactly once and in order. The expected
 answer to each request comes from the in-process learner and from the
-protocol's rules.
+protocol's rules: a fitted model's id is the content id of the same fit done
+locally. The same session also runs on a three-slot server beside an idle
+peer and a peer that trickles a frame, both of which the server drops.
 """
 
 import json
@@ -12,11 +14,14 @@ import socket
 import struct
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, invariant, precondition, rule, run_state_machine_as_test,
+)
 
 from cpslearn import Dataset, fit_linear
 from cpslearn import remote
@@ -47,6 +52,7 @@ BAD_BODY_FIELDS = [b"-8", b"1.5", b"8.0", b'"8"', b"true", b"null", b"[8]", b"1e
 # the header as protocol version 2 sent them.
 BAD_NAMES = [[], [""], ["a", "a"], ["a", 1], "a", None, {"a": "AAAAAAAA8D8="}]
 DEEP = 50_000  # nesting far past the recursion limit, which Hypothesis itself raises while it runs
+UNFITTED = "linear-000000000000"  # shaped like a content id, of no model a run fits
 
 
 class ProtocolMachine(RuleBasedStateMachine):
@@ -57,7 +63,7 @@ class ProtocolMachine(RuleBasedStateMachine):
         super().__init__()
         self.sock = socket.create_connection(self.server.address, timeout=5.0)
         self.reader = self.sock.makefile("rb")
-        self.models = []  # the in-process twin of each model the server holds, by id m1, m2, ...
+        self.models = []  # the in-process twin of each model the server holds, fitted in order
         self.pending = []  # one check per request whose response is not read yet
         self.half_closed = False
 
@@ -118,7 +124,7 @@ class ProtocolMachine(RuleBasedStateMachine):
             self.send(message, self.expect_error)
             return
         self.models.append(local)
-        expected = {"kind": "fit_ack", "model": f"m{len(self.models)}"}
+        expected = {"kind": "fit_ack", "model": local.model_id}
         self.send(message, lambda response, body: self.assert_equal(response, expected))
 
     @precondition(lambda self: self.models and not self.half_closed)
@@ -134,26 +140,30 @@ class ProtocolMachine(RuleBasedStateMachine):
             assert response == {"kind": "prediction", "outputs": ["y"], "body": len(expected)}
             assert body == expected
 
-        self.send({"kind": "predict", "model": f"m{index + 1}", "inputs": probe}, check)
+        self.send({"kind": "predict", "model": local.model_id, "inputs": probe}, check)
 
     @precondition(lambda self: self.models and not self.half_closed)
     @rule(data=st.data())
     def save(self, data):
-        index = data.draw(st.integers(0, len(self.models) - 1))
-        expected = json.loads(json.dumps(self.models[index].to_dict()))
+        local = self.models[data.draw(st.integers(0, len(self.models) - 1))]
+        expected = json.loads(json.dumps(local.to_dict()))
 
         def check(response, body):
-            assert response == {"kind": "saved", "model": f"m{index + 1}", "data": expected}
+            assert response == {"kind": "saved", "model": local.model_id, "data": expected}
 
-        self.send({"kind": "save", "model": f"m{index + 1}"}, check)
+        self.send({"kind": "save", "model": local.model_id}, check)
 
     # -- invalid requests -----------------------------------------------------
+
+    def newest_id(self) -> str:
+        """The id of the newest model, or of none the server holds."""
+        return self.models[-1].model_id if self.models else UNFITTED
 
     def columns_header(self, in_fit: bool, names) -> dict:
         """A fit, or a predict of the newest model, naming ``names`` as its inputs."""
         if in_fit:
             return {"kind": "fit", "inputs": names, "outputs": ["y"]}
-        return {"kind": "predict", "model": f"m{len(self.models)}", "inputs": names}
+        return {"kind": "predict", "model": self.newest_id(), "inputs": names}
 
     def columns_frame(self, in_fit: bool, names, body: bytes) -> bytes:
         return json.dumps({**self.columns_header(in_fit, names), "body": len(body)}).encode() + b"\n" + body
@@ -181,10 +191,11 @@ class ProtocolMachine(RuleBasedStateMachine):
         self.send(header if value is None else header[:-1] + b',"body":' + value + b"}", self.expect_error)
 
     @precondition(lambda self: not self.half_closed)
-    @rule(kind=st.sampled_from([b'"hello","version":3', b'"save","model":"m1"', b'"shutdown"', b'"dance"']),
+    @rule(kind=st.sampled_from([b'"hello","version":3', b'"save","model":NEWEST', b'"shutdown"', b'"dance"']),
           size=st.integers(0, 24))
     def body_without_columns(self, kind, size):
         """A body on a kind that carries no columns is read whole, then refused; a shutdown does not happen."""
+        kind = kind.replace(b"NEWEST", json.dumps(self.newest_id()).encode())
         self.send(b'{"kind":' + kind + b',"body":' + str(size).encode() + b"}\n" + bytes(size), self.expect_error)
 
     @precondition(lambda self: not self.half_closed)
@@ -192,12 +203,12 @@ class ProtocolMachine(RuleBasedStateMachine):
                                 b'{"kind":"hello","version":1}', b'{"kind":"hello","version":1,"encodings":["json"]}',
                                 b'{"kind":"hello","version":2}', b'{"kind":"hello","version":2,"max_frame":4096}',
                                 b'{"kind":"hello","version":4}', b"[1]", b'"hello"', b"not json", b"",
-                                b'{"kind":"fit"}', b'{"kind":"predict","model":"m1"}']))
+                                b'{"kind":"fit"}', b'{"kind":"predict","model":NEWEST}']))
     def bad_request(self, line):
-        self.send(line, self.expect_error)
+        self.send(line.replace(b"NEWEST", json.dumps(self.newest_id()).encode()), self.expect_error)
 
     @precondition(lambda self: not self.half_closed)
-    @rule(kind=st.sampled_from(["predict", "save"]), model=st.sampled_from(["m999", "m0", "", 1, None, ["m1"]]))
+    @rule(kind=st.sampled_from(["predict", "save"]), model=st.sampled_from([UNFITTED, "m1", "", 1, None, [UNFITTED]]))
     def unknown_model(self, kind, model):
         inputs = {"inputs": Dataset({"a": [1.0]})} if kind == "predict" else {}
         self.send({"kind": kind, "model": model, **inputs}, self.expect_error)
@@ -293,3 +304,56 @@ def one_slot_server():
 
 TestProtocolMachine = ProtocolMachine.TestCase
 TestProtocolMachine.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)
+
+
+SLOW_PEER_TIMEOUT = 0.3  # seconds: the server's read timeout beside the slow peers
+
+
+def trickle(sock: socket.socket, stop: threading.Event) -> None:
+    """Send a fit frame one byte per 0.1 s until the frame is sent, the server drops the peer or ``stop`` is set."""
+    fit = remote._encode({"kind": "fit", "inputs": Dataset({"a": [0.0, 1.0]}), "outputs": Dataset({"y": [0.0, 1.0]})})
+    for byte in fit:
+        if stop.wait(0.1):
+            return
+        try:
+            sock.sendall(bytes([byte]))
+        except OSError:
+            return  # the server dropped the peer
+
+
+def seconds_to_eof(sock: socket.socket, opened: float) -> tuple[bytes, float]:
+    """What ``sock`` receives until EOF, and how long after ``opened`` EOF came."""
+    received = b""
+    try:
+        while chunk := sock.recv(64):
+            received += chunk
+    except ConnectionResetError:  # a trickled byte arrived after the server closed
+        pass
+    return received, time.monotonic() - opened
+
+
+def test_a_session_beside_idle_and_trickling_peers_is_answered_in_order(monkeypatch):
+    """The session above on a three-slot server, beside an idle peer and a peer that trickles a fit
+    frame: each of its requests is answered exactly once and in order, while the server drops the
+    two slow peers after its timeout without sending them a byte."""
+    monkeypatch.setattr(remote._SessionHandler, "timeout", SLOW_PEER_TIMEOUT)
+    errors = ProtocolMachine.errors
+    stop = threading.Event()
+    with LearnerServer(max_sessions=3) as server:
+        server._tcp.handle_error = lambda request, address: errors.append(sys.exc_info()[1])
+        opened = time.monotonic()
+        peers = [socket.create_connection(server.address, timeout=5.0) for _ in range(2)]
+        trickler = threading.Thread(target=trickle, args=(peers[1], stop), daemon=True)
+        trickler.start()
+        try:
+            machine = type("BesideSlowPeersMachine", (ProtocolMachine,), {"server": server})
+            run_state_machine_as_test(machine, settings=settings(max_examples=50, stateful_step_count=30, deadline=None))
+            ends = [seconds_to_eof(peer, opened) for peer in peers]
+        finally:
+            stop.set()
+            trickler.join(timeout=5.0)
+            for peer in peers:
+                peer.close()
+    assert [received for received, _ in ends] == [b"", b""]
+    assert all(seconds >= SLOW_PEER_TIMEOUT for _, seconds in ends), ends
+    assert errors == []

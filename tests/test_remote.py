@@ -111,9 +111,10 @@ def thread_errors(monkeypatch):
 
 HELLO = b'{"kind":"hello","version":3}\n'
 HELLO_ACK = b'{"kind":"hello_ack","version":3}'
-# A fit of y = 2x on three rows, its model m1, and a prediction from it.
+# A fit of y = 2x on three rows, the content id of its model, and a prediction from it.
 FIT = frame({"kind": "fit", "inputs": ["x"], "outputs": ["y"]}, f64le(0.0, 1.0, 2.0, 0.0, 2.0, 4.0))
-PREDICT = frame({"kind": "predict", "model": "m1", "inputs": ["x"]}, f64le(1.0))
+FIT_ID = fit_linear(Dataset({"x": [0.0, 1.0, 2.0]}), Dataset({"y": [0.0, 2.0, 4.0]})).model_id
+PREDICT = frame({"kind": "predict", "model": FIT_ID, "inputs": ["x"]}, f64le(1.0))
 
 
 class TestTransparency:
@@ -149,6 +150,31 @@ class TestTransparency:
         assert np.array_equal(
             remote_model.predict(probe).column("y"), local_copy.predict(probe).column("y")
         )
+        assert remote_model.model_id == local_copy.model_id == fit_linear(inputs, outputs).model_id
+
+    def test_a_server_that_numbers_its_models_keeps_working(self):
+        """Ids are opaque to the client: it names a model by, and sends back, whatever id the server gave."""
+        fit = Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]})
+        answers = [HELLO_ACK + b"\n", b'{"kind":"fit_ack","model":"m1"}\n',
+                   frame({"kind": "prediction", "outputs": ["y"]}, f64le(1.0)),
+                   frame({"kind": "saved", "model": "m1", "data": fit_linear(*fit).to_dict()})]
+        sent = []
+
+        def script(conn, reader):
+            for answer in answers:
+                sent.append(split_frame(read_frame(reader))[0])
+                conn.sendall(answer)
+            read_frame(reader)  # EOF once the client closes
+
+        stub = StubServer(script)
+        with connect(stub.address, timeout=2.0) as session:
+            model = session.fit(*fit)
+            model.predict(Dataset({"x": [1.0]}))
+            fetched = model.fetch()
+        stub._thread.join(timeout=5.0)
+        assert model.model_id == "m1"
+        assert fetched.model_id == fit_linear(*fit).model_id
+        assert [message.get("model") for message in sent] == [None, None, "m1", "m1"]
 
 
 finite_floats = st.one_of(
@@ -203,7 +229,8 @@ class TestColumnEncodings:
     def test_binary_peer_gets_binary_frames(self, server):
         """The reference server's answers, byte for byte."""
         fit = frame({"kind": "fit", "inputs": ["x"], "outputs": ["y"]}, f64le(0.1, 0.7, 2.3, 1.0, 2.9, 7.1))
-        predict = frame({"kind": "predict", "model": "m1", "inputs": ["x"]}, f64le(0.5, -3.3, 1e-7))
+        model_id = fit_linear(Dataset({"x": [0.1, 0.7, 2.3]}), Dataset({"y": [1.0, 2.9, 7.1]})).model_id
+        predict = frame({"kind": "predict", "model": model_id, "inputs": ["x"]}, f64le(0.5, -3.3, 1e-7))
         sock = socket.create_connection(server.address, timeout=5.0)
         try:
             reader = sock.makefile("rb")
@@ -215,7 +242,7 @@ class TestColumnEncodings:
             sock.close()
         assert answers == [
             b'{"kind":"hello_ack","version":3}\n',
-            b'{"kind":"fit_ack","model":"m1"}\n',
+            b'{"kind":"fit_ack","model":"' + model_id.encode() + b'"}\n',
             b'{"kind":"prediction","outputs":["y"],"body":24}\n'
             + f64le(2.2041237113402063, -8.21649484536083, 0.8329899649484531),
         ]
@@ -292,25 +319,25 @@ class TestColumnEncodings:
         [
             (frame({"kind": "fit", "inputs": ["a"], "outputs": ["y"]}, f64le(1.0)),
              "body of 8 bytes does not hold whole rows of 2 float64 columns"),
-            (frame({"kind": "predict", "model": "m1", "inputs": ["x"]}, bytes(7)),
+            (frame({"kind": "predict", "model": FIT_ID, "inputs": ["x"]}, bytes(7)),
              "body of 7 bytes does not hold whole rows of 1 float64 columns"),
             (frame({"kind": "fit", "inputs": ["a"], "outputs": ["y"], "body": 1.5}), "'body' must be a non-negative integer, got 1.5"),
             (frame({"kind": "fit", "inputs": ["a"], "outputs": ["y"], "body": True}), "'body' must be a non-negative integer, got True"),
-            (frame({"kind": "predict", "model": "m1", "inputs": ["x"], "body": -8}),
+            (frame({"kind": "predict", "model": FIT_ID, "inputs": ["x"], "body": -8}),
              "'body' must be a non-negative integer, got -8"),
             (frame({"kind": "fit", "inputs": [""], "outputs": ["y"]}, f64le(1.0, 2.0)),
              "'inputs' must be a non-empty array of non-empty column names"),
-            (frame({"kind": "predict", "model": "m1", "inputs": ["x", "x"]}, f64le(1.0, 2.0)),
+            (frame({"kind": "predict", "model": FIT_ID, "inputs": ["x", "x"]}, f64le(1.0, 2.0)),
              "'inputs' repeats a column name: ['x', 'x']"),
             (frame({"kind": "fit", "inputs": ["a"], "outputs": ["y"]}), "fit without 'body'"),
-            (frame({"kind": "predict", "model": "m1", "inputs": ["x"]}), "predict without 'body'"),
+            (frame({"kind": "predict", "model": FIT_ID, "inputs": ["x"]}), "predict without 'body'"),
             (frame({"kind": "hello", "version": 3}, f64le(1.0)), "a 'hello' request carries no columns, so no 'body'"),
-            (frame({"kind": "save", "model": "m1"}, f64le(1.0)), "a 'save' request carries no columns, so no 'body'"),
-            (frame({"kind": "save", "model": "m1", "body": -1}), "a 'save' request carries no columns, so no 'body'"),
+            (frame({"kind": "save", "model": FIT_ID}, f64le(1.0)), "a 'save' request carries no columns, so no 'body'"),
+            (frame({"kind": "save", "model": FIT_ID, "body": -1}), "a 'save' request carries no columns, so no 'body'"),
             (frame({"kind": "shutdown"}, b""), "a 'shutdown' request carries no columns, so no 'body'"),
             (frame({"kind": "fit", "inputs": ["a"], "outputs": ["y"]}, f64le(1.0, 2.0) + bits(0xFFF0000000000001, 0)),
              "column 'y' holds NaN or an infinity"),
-            (frame({"kind": "predict", "model": "m1", "inputs": ["x"]}, f64le(1.0, -math.inf)),
+            (frame({"kind": "predict", "model": FIT_ID, "inputs": ["x"]}, f64le(1.0, -math.inf)),
              "column 'x' holds NaN or an infinity"),
         ],
         ids=lambda value: value.partition(b"\n")[0].decode() if isinstance(value, bytes) else value,
@@ -319,7 +346,7 @@ class TestColumnEncodings:
         """The body a header declares is read first, so the request after a refused one is read intact."""
         responses = exchange_to_eof(server.address, [FIT, request_, PREDICT])
         assert responses == [
-            {"kind": "fit_ack", "model": "m1"},
+            {"kind": "fit_ack", "model": FIT_ID},
             {"kind": "error", "message": message},
             {"kind": "prediction", "outputs": ["y"], "body": 8},
         ]
@@ -408,7 +435,7 @@ class TestServerBehaviour:
         assert responses == [
             {"kind": "error", "message": "unsupported protocol version: 1"},
             {"kind": "hello_ack", "version": 3},
-            {"kind": "fit_ack", "model": "m1"},
+            {"kind": "fit_ack", "model": FIT_ID},
         ]
         assert thread_errors == []
 
@@ -424,7 +451,7 @@ class TestServerBehaviour:
             {"kind": "error", "message": "unsupported protocol version: 2"},
             {"kind": "error", "message": "'inputs' must be a non-empty array of non-empty column names"},
             {"kind": "hello_ack", "version": 3},
-            {"kind": "fit_ack", "model": "m1"},
+            {"kind": "fit_ack", "model": FIT_ID},
         ]
         assert thread_errors == []
 
@@ -445,12 +472,23 @@ class TestServerBehaviour:
         assert thread_errors == []
 
     def test_sessions_are_isolated(self, server):
-        with connect(server.address, timeout=5.0) as first:
-            first.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]}))
-            with connect(server.address, timeout=5.0) as second:
-                # The other session's m1 must be invisible here.
-                with pytest.raises(RemoteError, match="unknown model id"):
-                    second._request({"kind": "predict", "model": "m1", "inputs": Dataset({"x": [1.0]})}, "prediction")
+        """Equal fits get equal content ids in any session, but a session reaches only the models it fitted."""
+        def rows(slope):
+            return Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, slope]})
+
+        with connect(server.address, timeout=5.0) as first, connect(server.address, timeout=5.0) as second:
+            sessions = (first, second)
+            assert first.fit(*rows(1.0)).model_id == second.fit(*rows(1.0)).model_id == fit_linear(*rows(1.0)).model_id
+            own = [session.fit(*rows(slope)).model_id for session, slope in zip(sessions, (2.0, 3.0))]
+            assert own == [fit_linear(*rows(2.0)).model_id, fit_linear(*rows(3.0)).model_id]
+            for index, session in enumerate(sessions):
+                other = own[1 - index]
+                for request, expect in [({"kind": "predict", "model": other, "inputs": Dataset({"x": [1.0]})}, "prediction"),
+                                        ({"kind": "save", "model": other}, "saved")]:
+                    with pytest.raises(RemoteError, match=f"^unknown model id: '{other}'$"):
+                        session._request(request, expect)
+                response, _ = session._request({"kind": "save", "model": own[index]}, "saved")
+                assert response["model"] == own[index]
 
     def test_idle_peer_is_dropped_and_frees_its_slot(self, monkeypatch, thread_errors):
         monkeypatch.setattr(remote._SessionHandler, "timeout", 0.2)
@@ -555,7 +593,7 @@ class TestServerBehaviour:
                 seconds = [end.result() for end in ends]
             idle.close()
             trickle.close()
-        assert [model.remote_id for model in models] == ["m1", "m2"]
+        assert [model.model_id for model in models] == [fit_linear(inputs, outputs).model_id] * 2
         assert predictions == [fit_linear(inputs, outputs).predict(probe).column("y").tobytes()] * 2
         assert all(0.25 <= s < 1.0 for s in seconds), seconds
         assert thread_errors == []
@@ -566,7 +604,7 @@ class TestServerBehaviour:
         responses = exchange_to_eof(server.address, [overflowing, FIT, PREDICT])
         assert responses[0]["kind"] == "error"
         assert responses[0]["message"] == "1 of 2 coefficients are not finite: the solution overflows float64"
-        assert responses[1:] == [{"kind": "fit_ack", "model": "m1"}, {"kind": "prediction", "outputs": ["y"], "body": 8}]
+        assert responses[1:] == [{"kind": "fit_ack", "model": FIT_ID}, {"kind": "prediction", "outputs": ["y"], "body": 8}]
         assert thread_errors == []
 
     def test_a_declared_body_holds_only_the_bytes_that_arrived(self, thread_errors):
@@ -651,8 +689,9 @@ class TestFrameLimits:
         if extra:
             assert responses == [{"kind": "error", "message": "frame exceeds limit of 1000 bytes"}]
         else:
+            model_id = fit_linear(Dataset({"x": [*range(20)]}), Dataset({"y": [*range(20, 40)]})).model_id
             assert responses == [
-                {"kind": "fit_ack", "model": "m1"},
+                {"kind": "fit_ack", "model": model_id},
                 {"kind": "hello_ack", "version": 3},
             ]
         assert thread_errors == []
@@ -685,7 +724,7 @@ class TestFrameLimits:
                 with pytest.raises(FrameTooLarge, match="frame exceeds limit of 1000 bytes"):
                     session.fit(*fit)
             else:
-                assert session.fit(*fit).remote_id == "m" * (1_000 - len(head) - len(tail))
+                assert session.fit(*fit).model_id == "m" * (1_000 - len(head) - len(tail))
         stub._thread.join(timeout=5.0)
 
     @pytest.mark.parametrize("offer", [b"0", b'"12"', b"true", b"1000", b"1e12"])
@@ -694,7 +733,8 @@ class TestFrameLimits:
         fit = frame({"kind": "fit", "inputs": ["x"], "outputs": ["y"]}, f64le(*range(100), *range(0, 200, 2)))
         hello = b'{"kind":"hello","version":3,"max_frame":' + offer + b"}\n"
         responses = exchange_to_eof(server.address, [hello, fit])
-        assert responses == [{"kind": "hello_ack", "version": 3}, {"kind": "fit_ack", "model": "m1"}]
+        model_id = fit_linear(Dataset({"x": [*range(100)]}), Dataset({"y": [*range(0, 200, 2)]})).model_id
+        assert responses == [{"kind": "hello_ack", "version": 3}, {"kind": "fit_ack", "model": model_id}]
         assert thread_errors == []
 
     def test_a_max_frame_in_hello_ack_is_ignored(self):
@@ -708,7 +748,7 @@ class TestFrameLimits:
         ack = b'{"kind":"fit_ack","model":"' + b"m" * 2_000 + b'"}\n'
         stub = StubServer(script)
         with connect(stub.address, timeout=2.0) as session:
-            assert session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]})).remote_id == "m" * 2_000
+            assert session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]})).model_id == "m" * 2_000
         stub._thread.join(timeout=5.0)
 
     def test_oversized_hello_ack_is_typed_and_closes_the_socket(self, monkeypatch):
@@ -1118,6 +1158,13 @@ class TestConnectArguments:
         with pytest.raises(ValueError, match=f"got {port}$"):
             LearnerServer(port=port)
 
+    @pytest.mark.parametrize("max_sessions", [1.5, True, 0])
+    def test_a_server_refuses_a_session_limit_that_is_not_a_positive_int(self, max_sessions):
+        """A Semaphore(1.5) steps 1.5, 0.5, -0.5 and never reaches 0, so it would limit nothing."""
+        message = f"max_sessions must be a positive integer, got {max_sessions!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LearnerServer(max_sessions=max_sessions)
+
     @pytest.mark.parametrize("timeout", [1e10, 0, -1.0, float("nan")])
     def test_connect_refuses_a_timeout_outside_its_range(self, monkeypatch, timeout):
         """Below it, 0 once gave a misleading ConnectFailed and -1.0 a raw socket ValueError."""
@@ -1128,7 +1175,8 @@ class TestConnectArguments:
 
     def test_connect_takes_the_ceiling_itself(self, server):
         with connect(server.address, timeout=remote.MAX_TIMEOUT) as session:
-            assert session.fit(Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]})).remote_id == "m1"
+            fit = Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]})
+            assert session.fit(*fit).model_id == fit_linear(*fit).model_id
 
 
 def docstring_shapes(section: str) -> dict[str, set]:
@@ -1168,7 +1216,7 @@ class TestProtocolDocstring:
     def test_responses_match_what_the_server_sends(self):
         server = LearnerServer().start()
         try:
-            received = raw_exchange(server.address, [HELLO, FIT, PREDICT, b'{"kind":"save","model":"m1"}\n',
+            received = raw_exchange(server.address, [HELLO, FIT, PREDICT, frame({"kind": "save", "model": FIT_ID}),
                                                      b'{"kind":"dance"}\n', b'{"kind":"shutdown"}\n'])
         finally:
             server.stop()
