@@ -29,6 +29,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,6 +43,9 @@ MODEL_FORMAT_VERSION = 1
 MODEL_FILE_SUFFIX = ".fcm.json"
 
 _SPLIT_TIE_EPS = 1e-12
+# The candidate cuts one pass of the split search scores: a node of n rows scores
+# max(1, _BLOCK // n) features at once.
+_BLOCK = 1 << 14
 
 # The float64 bytes of outer products that one pass over the incremental learner's queue may
 # allocate: a design of width d queues at most _QUEUE_BYTES // (8 d^2) rows (an empty batch
@@ -304,80 +308,187 @@ def fit_linear(inputs: Dataset, outputs: Dataset) -> LinearModel:
     )
 
 
-def _best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int, orders: list):
-    """Exhaustive greedy split search.
+def _best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int, orders: np.ndarray):
+    """Exhaustive greedy split search: (score, feature, threshold), or None.
 
-    ``orders`` holds, per feature, the node's row indices into ``matrix`` and
-    ``y`` in stable ascending order of that feature (:func:`_presort` gives
-    them for every row). Candidates are midpoints between consecutive distinct
-    sorted feature values; the score is the weighted child variance.
-    Features are scanned in index order and each feature's candidates in
-    ascending threshold order. A candidate replaces the incumbent only when
-    its score is below the incumbent's by more than 1e-12 (the first
-    candidate seen is always taken), so ties resolve to the lowest feature
-    index, then the lowest threshold.
+    ``orders`` is a (features, rows) array: row f holds the node's row
+    indices into ``matrix`` and ``y`` in stable ascending order of feature f
+    (:func:`_presort` gives it for every row). Candidates are midpoints
+    between consecutive distinct sorted feature values; the score is the
+    weighted child variance. Features are scanned in index order and each
+    feature's candidates in ascending threshold order. A candidate replaces
+    the incumbent only when its score is below the incumbent's by more than
+    1e-12 (the first candidate seen is always taken), so ties resolve to the
+    lowest feature index, then the lowest threshold. None means that no
+    feature has two distinct values in the node.
 
-    Every candidate score of a feature is computed in one numpy pass. The
-    elementwise operations are the ones of the scalar expression
-    ``(n_l * max(0, s2_l/n_l - (s_l/n_l)**2) + n_r * max(0, ...)) / n`` in
-    the same order, so each score is bit-identical to evaluating it one
-    candidate at a time. Two details keep it so: squares use
+    **Exact scores.** :func:`_scores` runs the elementwise operations of
+    the scalar expression ``(n_l * max(0, s2_l/n_l - (s_l/n_l)**2) + n_r *
+    max(0, ...)) / n`` in the same order, so each score is bit-identical to
+    evaluating it one candidate at a time. Exact squares use
     ``np.float_power``, which calls the C library ``pow`` as a float64
     scalar's ``** 2`` does (an array's ``** 2`` is a multiply, and the two
-    differ by one ulp for about one value in a thousand); negative variances
-    are clamped with ``np.where(v > 0.0, v, 0.0)``, which like Python's
-    ``max(0.0, v)`` maps -0.0 and NaN to 0.0 where ``np.maximum`` would keep
-    them.
+    differ by one ulp for about one value in a thousand). No score is NaN:
+    the clamp maps NaN to 0.0, and each score is a sum of non-negative terms.
 
-    Only candidates that are a strict running minimum of their feature's
-    scores go through the sequential rule; this filtering is exact. If a
-    candidate replaces the incumbent, its score is below every earlier
-    score: a candidate that replaced became the incumbent, and incumbents
-    only decrease; one that did not was at least the incumbent of its time
-    minus 1e-12, itself at least the current incumbent minus 1e-12. So a
-    score at or above an earlier (non-NaN) score of its feature never
-    replaces, and the incumbent changes only at the candidates kept. The
-    rule runs on Python floats (``tolist``), whose subtraction and ``<`` are
-    the same IEEE double operations as on numpy float64 scalars, and the
-    threshold is formed once, for the winning cut of each feature.
+    **Screen.** ``pow`` is paid only where it can matter. Every candidate is
+    first screened: scored by :func:`_scores` with ``np.square``, a
+    multiply, for each square. Let u = 2**-53, n < 2**30 the node's rows,
+    and T a feature's sum of squared targets, assumed finite. Take one side
+    of k rows, with a = s2/k and m = s/k as computed, and assume ``pow``
+    within 1 ulp. The two squares differ by at most 3u m^2, and the two
+    subtractions from a add at most u (a + m^2) each. The clamp does not
+    widen the gap and leaves a value in [0, a]; the product by k adds
+    2u k a. So the side's terms differ by at most 5u k m^2 + 4u k a, where
+    k a <= (1 + u) s2 and k m^2 = s^2/k <= 1.1 s2 + T/100 (Cauchy-Schwarz,
+    with the rounding of the cumulative sums, for n < 2**30). Over both
+    sides that is at most 9.7u T, and the sum adds 2.1u T. After the
+    division by n, which adds 2.1u T / n, the screened and exact scores
+    differ by less than B = 16u T / n = 2**-49 T / n, plus at most
+    2**-1070 from gradual underflow.
+
+    A candidate survives the screen when its screened score is at most the
+    least screened score before it in the scan plus the margin
+    M = 2**-44 T / n + 2**-1000, with T the largest of the features scored
+    together (the features' T agree to a relative 2n u). A candidate whose
+    exact score is below every earlier exact score is, screened, below
+    every earlier screened score plus 2 B, so it survives; M = 32 B is a
+    slack of 16. If T overflows, M is infinite and every candidate survives.
+
+    **Running minima.** Only a candidate whose exact score is below every
+    earlier one can replace the incumbent. A candidate that replaced became
+    the incumbent, and incumbents only decrease; one that did not was at
+    least the incumbent of its time minus 1e-12, itself at least the current
+    incumbent minus 1e-12. So a score at or above any earlier score, of any
+    feature, never replaces. The survivors hold every strict running
+    minimum of the scan, so the strict running minima of a block's
+    survivors hold every candidate of the block that can replace. Those of
+    them not below an earlier block's score lead these minima and, as just
+    shown, sit at or above the incumbent minus 1e-12.
+
+    **Tie rule.** These minima strictly decrease, so the ones below the
+    incumbent minus 1e-12 are a suffix, found in one comparison. From its
+    first, each minimum below the previous one minus 1e-12 replaces it; this
+    run is found in one comparison too. Only the minima after the first step
+    that does not replace go through the rule one at a time, as Python
+    floats (``tolist``), whose subtraction and ``<`` are the same IEEE
+    double operations as numpy's.
+
+    **Blocks.** A node of n rows scores ``max(1, _BLOCK // n)`` features
+    per pass: a small node in one pass, a large one feature by feature, so
+    that the working set stays near ``_BLOCK`` cuts. The incumbent and the
+    least screened score carry from block to block, and the threshold is
+    formed once, for the winning cut.
     """
-    best, best_score = None, None  # (score, feature, threshold), score
-    for feature, order in enumerate(orders):
-        n = len(order)
-        cuts = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
-        xs = matrix[order, feature]
-        ys = y[order]
-        sums = np.concatenate([[0.0], np.cumsum(ys)])
-        squares = np.concatenate([[0.0], np.cumsum(ys * ys)])
-        total, total_sq = sums[n], squares[n]
-        i = cuts[xs[cuts - 1] != xs[cuts]]
-        if not i.size:
+    p, n = orders.shape
+    lo, hi = min_samples_leaf, n - min_samples_leaf + 1  # the cuts are lo, ..., hi - 1
+    n_left = np.arange(lo, hi, dtype=np.float64)
+    step = max(1, _BLOCK // n)
+    best_score, winner = None, None  # a float, (feature, cut)
+    screen_low = math.inf  # the least screened score so far
+    for first in range(0, p, step):
+        block = orders[first:first + step]
+        b, c = len(block), hi - lo
+        xs = matrix[block, np.arange(first, first + b)[:, np.newaxis]]
+        valid = (xs[:, lo - 1:hi - 1] != xs[:, lo:hi]).ravel()
+        del xs
+        ys = y[block]
+        sums = np.cumsum(ys, axis=1)  # sums[:, i - 1] is the sum of the first i sorted targets
+        squares = np.cumsum(np.multiply(ys, ys, out=ys), axis=1)
+        del ys
+
+        # The screen, in one buffer led by the least screened score of earlier blocks.
+        screened = np.empty(b * c + 1)
+        screened[0] = screen_low
+        _scores(sums[:, lo - 1:hi - 1], squares[:, lo - 1:hi - 1], sums[:, -1:], squares[:, -1:],
+                n_left, n, np.square, screened[1:].reshape(b, c))
+        np.copyto(screened[1:], np.inf, where=~valid)
+        bound = np.minimum.accumulate(screened[:-1])  # the least screened score before each cut
+        screen_low = min(float(bound[-1]), float(screened[-1]))
+        bound += _screen_margin(float(squares[:, -1].max()), n)
+        kept = np.flatnonzero(valid & (screened[1:] <= bound))
+        del screened, bound, valid
+        if not kept.size:
             continue
-        n_left, n_right = i, n - i
-        var_left = squares[i] / n_left - np.float_power(sums[i] / n_left, 2.0)
-        var_right = (total_sq - squares[i]) / n_right - np.float_power(
-            (total - sums[i]) / n_right, 2.0
-        )
-        var_left = np.where(var_left > 0.0, var_left, 0.0)
-        var_right = np.where(var_right > 0.0, var_right, 0.0)
-        scores = (n_left * var_left + n_right * var_right) / n
-        # Drop every score at or above an earlier non-NaN score (fmin skips NaN).
-        keep = np.ones(scores.size, dtype=bool)
-        keep[1:] = ~(scores[1:] >= np.fmin.accumulate(scores)[:-1])
-        kept = np.flatnonzero(keep)
-        winner = None
-        for j, score in zip(kept.tolist(), scores[kept].tolist()):
-            if best_score is None or score < best_score - _SPLIT_TIE_EPS:
-                best_score, winner = score, j
-        if winner is not None:
-            cut = i[winner]
-            best = (best_score, feature, (xs[cut - 1] + xs[cut]) / 2.0)
-    return best
+
+        # Exact scores of the survivors, and their strict running minima.
+        feature, cut = np.divmod(kept, c)
+        cut += lo
+        scores = _scores(sums[feature, cut - 1], squares[feature, cut - 1], sums[feature, -1],
+                         squares[feature, -1], cut, n, _pow_square, np.empty(kept.size))
+        del feature, cut, sums, squares
+        strict = np.empty(scores.size, dtype=bool)
+        strict[0] = True
+        np.less(scores[1:], np.minimum.accumulate(scores)[:-1], out=strict[1:])
+        minima, at = scores[strict], kept[strict]
+
+        # The tie rule on the strictly decreasing minima.
+        if best_score is None:
+            start = 0
+        else:
+            beats = np.flatnonzero(minima < best_score - _SPLIT_TIE_EPS)
+            if not beats.size:
+                continue
+            start = int(beats[0])
+        stops = np.flatnonzero(minima[start + 1:] >= minima[start:-1] - _SPLIT_TIE_EPS)
+        last = start + int(stops[0]) if stops.size else minima.size - 1
+        best_score = float(minima[last])
+        for k, value in enumerate(minima[last + 1:].tolist(), last + 1):
+            if value < best_score - _SPLIT_TIE_EPS:
+                best_score, last = value, k
+        f, j = divmod(int(at[last]), c)
+        winner = (first + f, lo + j)
+    if winner is None:
+        return None
+    feature, cut = winner
+    low_row, high_row = orders[feature, cut - 1], orders[feature, cut]
+    return best_score, feature, (matrix[low_row, feature] + matrix[high_row, feature]) / 2.0
 
 
-def _presort(matrix: np.ndarray) -> list:
-    """Each column's stable argsort: row indices in ascending order of that feature."""
-    return [np.argsort(column, kind="stable") for column in matrix.T]
+def _scores(s, s2, total, total_sq, n_left, n, square, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the weighted child variance of each cut and return it.
+
+    ``s`` and ``s2`` are the sums of the left child's targets and of their
+    squares, ``total`` and ``total_sq`` the node's, and ``n_left`` the left
+    child's rows, all broadcast against ``out``. The operations are those of
+    ``(n_l * max(0, s2/n_l - square(s/n_l)) + n_r * max(0, ...)) / n`` in
+    its order. ``np.fmax`` clamps as ``max(0.0, v)`` does: it maps NaN to
+    0.0, and a variance is never -0.0 (``s2`` and the squares are +0.0 or
+    more, and a difference of equal floats is +0.0).
+    """
+    n_right = n - n_left
+    mean = np.divide(s, n_left)
+    np.divide(s2, n_left, out=out)
+    out -= square(mean, out=mean)
+    np.fmax(out, 0.0, out=out)
+    out *= n_left
+    np.subtract(total, s, out=mean)
+    mean /= n_right
+    right = np.subtract(total_sq, s2)
+    right /= n_right
+    right -= square(mean, out=mean)
+    np.fmax(right, 0.0, out=right)
+    right *= n_right
+    out += right
+    out /= n
+    return out
+
+
+def _pow_square(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Squares by the C library ``pow``, as a float64 scalar's ``** 2`` takes them."""
+    return np.float_power(values, 2.0, out=out)
+
+
+def _screen_margin(total_sq: float, n: int) -> float:
+    """The margin M of :func:`_best_split`'s screen, for a node of ``n`` rows whose
+    squared targets sum to ``total_sq``."""
+    return 2.0**-44 * total_sq / n + 2.0**-1000
+
+
+def _presort(matrix: np.ndarray) -> np.ndarray:
+    """Each feature's stable argsort, as a (features, rows) array: row f lists the rows in
+    ascending order of feature f."""
+    return np.argsort(matrix.T, axis=1, kind="stable")
 
 
 def _grow_tree(matrix, y, rows, orders, depth, max_depth, min_samples_leaf) -> TreeNode:
@@ -394,17 +505,28 @@ def _grow_tree(matrix, y, rows, orders, depth, max_depth, min_samples_leaf) -> T
     split = _best_split(matrix, y, min_samples_leaf, orders)
     if split is None:  # all features constant within this node
         return TreeNode(value=float(np.mean(node_y)), samples=len(rows))
+    del node_y
     _, feature, threshold = split
-    left = matrix[:, feature] <= threshold
-    right = ~left
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=_grow_tree(matrix, y, rows[left[rows]], [order[left[order]] for order in orders],
-                        depth + 1, max_depth, min_samples_leaf),
-        right=_grow_tree(matrix, y, rows[right[rows]], [order[right[order]] for order in orders],
-                         depth + 1, max_depth, min_samples_leaf),
-    )
+    p = len(orders)
+    mask = np.zeros(len(y), dtype=bool)
+    mask[rows] = matrix[rows, feature] <= threshold
+    left = _grow_tree(matrix, y, rows[mask[rows]], orders[mask[orders]].reshape(p, -1),
+                      depth + 1, max_depth, min_samples_leaf)
+    np.logical_not(mask, out=mask)
+    right = _grow_tree(matrix, y, rows[mask[rows]], orders[mask[orders]].reshape(p, -1),
+                       depth + 1, max_depth, min_samples_leaf)
+    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+
+
+def _tree_setting(name: str, value, least: int) -> int:
+    """``value`` as a Python ``int``; ValueError if it is a bool, not an integer, or below ``least``."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return number
 
 
 def fit_tree(
@@ -428,7 +550,17 @@ def fit_tree(
     node's targets ``y[rows]`` stay in row order, so its variance and leaf
     mean are those of the rows it holds, summed in the same order.
 
+    A node scores every candidate cut with a multiply for each square, and
+    computes the exact score, with the C library ``pow``, only for the
+    candidates that could still be a running minimum; the tie rule runs on
+    those minima. :func:`_best_split` bounds the gap between the two scores
+    and shows why this returns the same split, and so the same model bytes,
+    as scoring every candidate exactly. No step calls BLAS, so the bytes do
+    not depend on the CPU's kernel either.
+
     Raises:
+        ValueError: if ``max_depth`` or ``min_samples_leaf`` is a bool, not an
+            integer, or below 0 and 1 respectively.
         ShapeMismatch: if row counts differ or outputs are not one column.
         TooFewSamples: if fewer than ``2 * min_samples_leaf`` rows are given.
         TargetsOverflow: if the targets' sum overflows float64, or, when ``max_depth`` > 0,
@@ -436,10 +568,8 @@ def fit_tree(
         TreeTooDeep: if the tree grows deeper than Python's recursion limit
             allows; a smaller ``max_depth`` bounds it.
     """
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    if min_samples_leaf < 1:
-        raise ValueError(f"min_samples_leaf must be positive, got {min_samples_leaf}")
+    max_depth = _tree_setting("max_depth", max_depth, 0)
+    min_samples_leaf = _tree_setting("min_samples_leaf", min_samples_leaf, 1)
     matrix, y = _training_arrays(inputs, outputs)
     if inputs.row_count < 2 * min_samples_leaf:
         raise TooFewSamples(
@@ -474,8 +604,8 @@ class RegressionTreeLearner:
     """Offline learner wrapping :func:`fit_tree`."""
 
     def __init__(self, max_depth: int = 5, min_samples_leaf: int = 1):
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
+        self.max_depth = _tree_setting("max_depth", max_depth, 0)
+        self.min_samples_leaf = _tree_setting("min_samples_leaf", min_samples_leaf, 1)
 
     def fit(self, inputs: Dataset, outputs: Dataset) -> RegressionTreeModel:
         return fit_tree(inputs, outputs, self.max_depth, self.min_samples_leaf)

@@ -62,6 +62,7 @@ a timeout and after an oversized or truncated response.
 from __future__ import annotations
 
 import json
+import numbers
 import socket
 import socketserver
 import threading
@@ -304,7 +305,8 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT) -> RemoteSession:
 
     Raises:
         ValueError: if ``address`` is malformed (see :func:`parse_address`)
-            or ``timeout`` is not positive or is above ``MAX_TIMEOUT``.
+            or ``timeout`` is not a positive real number (a bool is not one)
+            or is above ``MAX_TIMEOUT``.
         ConnectFailed: if the server is unreachable or refuses the session.
         VersionMismatch: if the protocol versions are incompatible.
         FrameTooLarge: if the ``hello_ack`` exceeds ``MAX_FRAME``.
@@ -312,7 +314,7 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT) -> RemoteSession:
             ``timeout``, or does not complete it within ``timeout`` of its
             first byte.
     """
-    if not 0 < timeout <= MAX_TIMEOUT:
+    if isinstance(timeout, bool) or not isinstance(timeout, numbers.Real) or not 0 < timeout <= MAX_TIMEOUT:
         raise ValueError(f"timeout must be a positive number of at most {MAX_TIMEOUT!r} seconds, got {timeout!r}")
     host, port = parse_address(address)
     try:

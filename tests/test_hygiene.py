@@ -126,13 +126,20 @@ def test_base64_rule_sees_each_form():
 
 # numpy names that call BLAS (or LAPACK), whose result depends on the CPU kernel it picks.
 BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
-# The online learners and the Cholesky helpers they call, which must give the same bits on any kernel.
+# The online learners, the Cholesky helpers they call and the tree fit, which must give the same
+# bits on any kernel.
 BLAS_FREE = {
     "IncrementalLinearLearner",
     "EpsilonGreedyActiveLearner",
     "_cholesky",
     "_forward_substitute",
     "_solve_positive_definite",
+    "_best_split",
+    "_scores",
+    "_pow_square",
+    "_presort",
+    "_grow_tree",
+    "fit_tree",
 }
 
 
@@ -147,7 +154,7 @@ def blas_uses(node: ast.AST):
             yield sub.lineno, sub.id
 
 
-def test_incremental_learner_makes_no_blas_call():
+def test_online_learners_and_tree_fit_make_no_blas_call():
     tree = ast.parse(Path(cpslearn.learners.__file__).read_text(encoding="utf-8"))
     owners = [node for node in tree.body
               if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in BLAS_FREE]

@@ -18,6 +18,7 @@ from cpslearn import (
     IncrementalLinearLearner,
     IoSpec,
     LinearModel,
+    RegressionTreeLearner,
     WaterTankActiveEnvironment,
     fit_linear,
     fit_tree,
@@ -59,8 +60,9 @@ def brute_force_stump(matrix: np.ndarray, y: np.ndarray, min_leaf: int = 1):
     return best
 
 
-def reference_best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int):
-    """Oracle: the split search as a scalar loop over every candidate cut."""
+def reference_best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int, square=lambda m: m**2):
+    """Oracle: the split search as a scalar loop over every candidate cut; ``square``
+    squares each child's mean (a float64 scalar's ``** 2`` calls the C library ``pow``)."""
     n = len(y)
     best = None  # (score, feature, threshold)
     for feature in range(matrix.shape[1]):
@@ -74,14 +76,31 @@ def reference_best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: in
             if xs[i - 1] == xs[i]:
                 continue
             n_left, n_right = i, n - i
-            var_left = max(0.0, squares[i] / n_left - (sums[i] / n_left) ** 2)
+            var_left = max(0.0, squares[i] / n_left - square(sums[i] / n_left))
             var_right = max(
-                0.0, (total_sq - squares[i]) / n_right - ((total - sums[i]) / n_right) ** 2
+                0.0, (total_sq - squares[i]) / n_right - square((total - sums[i]) / n_right)
             )
             score = (n_left * var_left + n_right * var_right) / n
             if best is None or score < best[0] - 1e-12:
                 best = (score, feature, (xs[i - 1] + xs[i]) / 2.0)
     return best
+
+
+def candidate_scores(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int, square):
+    """Per feature, the scores of all its candidate cuts, with ``square`` for each child's
+    squared mean, and the feature's sum of squared targets."""
+    n = len(y)
+    for feature in range(matrix.shape[1]):
+        order = np.argsort(matrix[:, feature], kind="stable")
+        xs, ys = matrix[order, feature], y[order]
+        sums, squares = np.cumsum(ys), np.cumsum(ys * ys)
+        i = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
+        i = i[xs[i - 1] != xs[i]]
+        s, s2 = sums[i - 1], squares[i - 1]
+        var_left = s2 / i - square(s / i)
+        var_right = (squares[-1] - s2) / (n - i) - square((sums[-1] - s) / (n - i))
+        scores = (i * np.where(var_left > 0.0, var_left, 0.0) + (n - i) * np.where(var_right > 0.0, var_right, 0.0)) / n
+        yield scores, squares[-1]
 
 
 def reference_tree(matrix: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_samples_leaf: int) -> dict:
@@ -154,6 +173,58 @@ class TestSplitSearchOracle:
         assert learners._best_split(matrix, y, min_samples_leaf, orders) == reference_best_split(
             matrix, y, min_samples_leaf
         )
+
+    @pytest.mark.parametrize("block", [1, 40])
+    @settings(deadline=None, max_examples=150)
+    @given(split_problems())
+    def test_matches_scalar_loop_across_blocks(self, block, problem):
+        """Features scored in blocks of ``block`` cuts: the incumbent and the running minima
+        cross block boundaries."""
+        matrix, y, min_samples_leaf = problem
+        with mock.patch.object(learners, "_BLOCK", block):
+            found = learners._best_split(matrix, y, min_samples_leaf, learners._presort(matrix))
+        assert found == reference_best_split(matrix, y, min_samples_leaf)
+
+    @settings(deadline=None, max_examples=200)
+    @given(split_problems())
+    def test_screened_scores_are_within_an_eighth_of_the_margin(self, problem):
+        """Squaring by a multiply moves no candidate's score by more than an eighth of the
+        screen's margin: 4 times the bound B that ``_best_split`` derives (the margin is 32 B)."""
+        matrix, y, min_samples_leaf = problem
+        exact = candidate_scores(matrix, y, min_samples_leaf, lambda m: np.float_power(m, 2.0))
+        screened = candidate_scores(matrix, y, min_samples_leaf, lambda m: m * m)
+        for (scores, total_sq), (screened_scores, _) in zip(exact, screened):
+            margin = learners._screen_margin(total_sq, len(y))
+            assert np.all(np.abs(screened_scores - scores) <= margin / 8)
+
+    def test_pow_decides_where_a_multiply_would_not(self):
+        """At an offset of 1e8 the scores' rounding outweighs the targets' variance: squaring
+        by a multiply changes scores and the split a search would take (0.175 becomes 1.075),
+        and the search still takes the scalar loop's. A multiply on either side of the exact
+        scores, or a screen without its margin, takes another split or score here."""
+        matrix = np.array([[0.58], [-0.52], [-0.23], [1.57]])
+        y = np.array([99999998.0, 99999998.0, 100000000.0, 100000000.0])
+        exact = [scores for scores, _ in candidate_scores(matrix, y, 1, lambda m: np.float_power(m, 2.0))]
+        multiplied = [scores for scores, _ in candidate_scores(matrix, y, 1, lambda m: m * m)]
+        assert any((a != b).any() for a, b in zip(exact, multiplied))
+        expected = reference_best_split(matrix, y, 1)
+        assert reference_best_split(matrix, y, 1, square=lambda m: m * m)[1:] != expected[1:]
+        assert learners._best_split(matrix, y, 1, learners._presort(matrix)) == expected
+
+    def test_fit_memory_stays_below_the_per_feature_search(self):
+        """19 998 x 5 rows whose first feature's scores fall smoothly, so the survivors of the
+        screen are many: the per-feature search peaked at 6.0 MB here and this one at 4.98 MB.
+        A transposed copy of the matrix (0.8 MB) would pass 5.4 MB."""
+        rng = np.random.default_rng(19_998)
+        inputs = random_dataset(rng, 19_998, 5)
+        outputs = Dataset({"y": inputs.column("c0") ** 2 + rng.normal(size=19_998)})
+        tracemalloc.start()
+        try:
+            fit_tree(inputs, outputs, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.4e6
 
     def test_all_constant_features_have_no_split(self):
         matrix = np.full((6, 2), 3.0)
@@ -273,6 +344,27 @@ class TestRegressionTree:
         with pytest.raises(TooFewSamples):
             fit_tree(Dataset({"x": [1.0, 2.0, 3.0]}), Dataset({"y": [1.0, 2.0, 3.0]}), 3,
                      min_samples_leaf=2)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_depth": 2.5}, {"max_depth": True}, {"max_depth": "3"}, {"max_depth": -1},
+        {"min_samples_leaf": 1.5}, {"min_samples_leaf": False}, {"min_samples_leaf": np.True_},
+        {"min_samples_leaf": 0},
+    ], ids=str)
+    def test_settings_that_are_not_integers_in_range_are_refused(self, kwargs):
+        """2.5 and True once wrote models that model_from_dict refused, and 1.5 raised an IndexError."""
+        fit = Dataset({"x": [1.0, 2.0, 3.0, 4.0]}), Dataset({"y": [0.0, 1.0, 0.0, 1.0]})
+        ((name, _),) = kwargs.items()
+        message = f"^{name} must be an integer >= {1 if name == 'min_samples_leaf' else 0}, got "
+        with pytest.raises(ValueError, match=message):
+            fit_tree(*fit, **{"max_depth": 2, **kwargs})
+        with pytest.raises(ValueError, match=message):
+            RegressionTreeLearner(**kwargs)
+
+    def test_any_integer_setting_is_stored_as_an_int(self):
+        fit = Dataset({"x": [1.0, 2.0, 3.0, 4.0]}), Dataset({"y": [0.0, 1.0, 0.0, 1.0]})
+        model = RegressionTreeLearner(np.int64(2), np.int32(1)).fit(*fit)
+        assert (type(model.max_depth), type(model.min_samples_leaf)) == (int, int)
+        assert model_from_dict(json.loads(json.dumps(model.to_dict()))).to_dict() == fit_tree(*fit, 2).to_dict()
 
     def test_tree_past_the_recursion_limit_is_typed(self):
         # Exponential targets peel one row off per split: a chain 1 499 nodes deep.

@@ -1173,6 +1173,14 @@ class TestConnectArguments:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             connect("127.0.0.1:9", timeout=timeout)
 
+    @pytest.mark.parametrize("timeout", [True, "5", None], ids=repr)
+    def test_connect_refuses_a_timeout_that_is_not_a_real_number(self, monkeypatch, timeout):
+        """True once opened a session with a 1 s timeout, and "5" raised a raw TypeError."""
+        monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: pytest.fail("connected"))
+        message = f"timeout must be a positive number of at most 1000000.0 seconds, got {timeout!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            connect("127.0.0.1:9", timeout=timeout)
+
     def test_connect_takes_the_ceiling_itself(self, server):
         with connect(server.address, timeout=remote.MAX_TIMEOUT) as session:
             fit = Dataset({"x": [0.0, 1.0]}), Dataset({"y": [0.0, 1.0]})
