@@ -19,10 +19,11 @@ Every environment, transform and learner kind is one entry of
 ``ENVIRONMENT_KINDS``, ``TRANSFORM_KINDS`` or ``LEARNER_KINDS``: a factory
 plus, for each parameter, a check and a default. These tables are the single
 source of truth: validation diagnostics, default filling, construction and
-``watertank_config()`` all read them. A parameter that its kind's table does
-not name is reported as unknown, for every kind. The ``csv`` and ``json``
-kinds take only a ``path``; a CSV file is a header row, then comma-separated
-rows, as ``load_csv`` reads it.
+``watertank_config()`` all read them; the local learner kinds are read from
+``learners.LOCAL_KINDS``, whose checks the learners apply too. A parameter that
+its kind's table does not name is reported as unknown, for every kind. The
+``csv`` and ``json`` kinds take only a ``path``; a CSV file is a header row,
+then comma-separated rows, as ``load_csv`` reads it.
 
 Execution order: observe the environment, fit and apply the transforms,
 split rows chronologically, learn on the leading part, evaluate on the rest.
@@ -39,22 +40,13 @@ from collections import Counter
 from pathlib import Path
 
 from . import remote
-from .environments import _MAX_RK4_STEPS, _substeps
-from .environments import DatasetStream, OdeEnvironment, OfflineEnvironment, WaterTankSystem
+from .environments import _MAX_RK4_STEPS, OdeEnvironment, OfflineEnvironment, WaterTankSystem, _substeps
 from .errors import PipelineError
-from .learners import (
-    MODEL_FILE_SUFFIX,
-    IncrementalLinearLearner,
-    LinearRegressionLearner,
-    Model,
-    RegressionTreeLearner,
-    _is_int,
-    _is_number,
-    save_model,
-)
+from .learners import LOCAL_KINDS, MODEL_FILE_SUFFIX, Model, save_model
 from .metrics import REGISTRY
-from .strategies import EvaluationReport, IoSpec, evaluate, learn_incremental, learn_offline
+from .strategies import EvaluationReport, IoSpec, evaluate, learn_offline
 from .transforms import Explode, Select, SlidingWindow, Standardize, TransformChain
+from .transforms import _check, _is_int, _is_number, _number, _positive, _positive_int
 
 CONFIG_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
@@ -87,29 +79,8 @@ def load_config(path) -> dict:
     return cfg
 
 
-# Parameter checks: each takes a value and returns None if it is valid, else
-# the diagnostic's message. Integers and numbers are JSON ones, as
-# ``learners._is_int`` / ``learners._is_number`` define them.
-
-
-def _check(ok, message: str):
-    return lambda value: None if ok(value) else message
-
-
-_positive_int = _check(lambda v: _is_int(v) and v >= 1, "must be a positive integer")
-_non_negative_int = _check(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
-_positive = _check(lambda v: _is_number(v) and v > 0, "must be a positive number")
-_number = _check(_is_number, "must be a number")
+# Checks only configs use, of the form ``transforms._check`` gives: None if valid, else the message.
 _path = _check(lambda v: isinstance(v, str), "must be a file path string")
-
-
-def _non_negative(value):
-    return _number(value) or (None if value >= 0 else "must be non-negative")
-
-
-def _timeout(value):
-    limit = remote.MAX_TIMEOUT
-    return _positive(value) or (None if value <= limit else f"must be at most {limit!r} seconds")
 
 
 def _names(value, allow_empty: bool = False, unique: bool = False):
@@ -160,7 +131,7 @@ ENVIRONMENT_KINDS = {
         "samples": (_positive_int, 250),
         "dt": (_positive, 0.1),
         "substep": (_positive, 1e-3),
-        "initial_level": (_non_negative, 1.0),
+        "initial_level": (lambda v: _number(v) or (None if v >= 0 else "must be non-negative"), 1.0),
         "area": (_positive, 5.0),
         "outflow_coeff": (_number, 0.5),
         "inflow_gain": (_number, 2.0),
@@ -177,17 +148,9 @@ TRANSFORM_KINDS = {
 }
 
 
-def _offline(learner_class):
-    def fit(train, io, resources, **params):
-        environment = OfflineEnvironment.from_dataset(train)
-        return learn_offline(environment, None, io, learner_class(**params))
-
-    return fit
-
-
-def _incremental(train, io, resources, batch_size, **params):
-    stream = DatasetStream(train, batch_size)
-    return learn_incremental(stream, None, io, IncrementalLinearLearner(**params))
+def _local(learner_class, drive):
+    """The factory of a local learner kind, from its ``learners.LOCAL_KINDS`` entry."""
+    return lambda train, io, resources, **settings: drive(learner_class, train, io, **settings)
 
 
 def _remote(train, io, resources, address, timeout):
@@ -196,21 +159,10 @@ def _remote(train, io, resources, address, timeout):
 
 
 LEARNER_KINDS = {
-    "regression_tree": (_offline(RegressionTreeLearner), {
-        "max_depth": (_non_negative_int, 5),
-        "min_samples_leaf": (_positive_int, 1),
-    }),
-    "linear": (_offline(LinearRegressionLearner), {}),
-    "incremental_linear": (_incremental, {
-        "forgetting_factor": (
-            _check(lambda v: _is_number(v) and 0 < v <= 1, "must be in (0, 1]"), 1.0
-        ),
-        "regularization": (_check(lambda v: _is_number(v) and v > 0, "must be positive"), 1e-8),
-        "batch_size": (_positive_int, 32),
-    }),
+    **{kind: (_local(cls, drive), settings) for kind, (cls, drive, settings) in LOCAL_KINDS.items()},
     "remote": (_remote, {
         "address": (_address, _REQUIRED),
-        "timeout": (_timeout, remote.DEFAULT_TIMEOUT),
+        "timeout": (remote._timeout, remote.DEFAULT_TIMEOUT),
     }),
 }
 

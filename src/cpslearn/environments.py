@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset, load_csv, load_json
 from .errors import PipelineError
-from .transforms import Transform, TransformChain
+from .transforms import Transform, TransformChain, _positive_int, _setting
 
 
 class ActionOutOfRange(PipelineError):
@@ -86,13 +86,14 @@ class DatasetStream(IncrementalEnvironment):
 
     Every batch holds at most ``batch_size`` rows; the final batch may be
     shorter. Concatenating all batches reproduces the source dataset.
+
+    Raises:
+        ValueError: ``batch_size must be a positive integer, got ...``.
     """
 
     def __init__(self, dataset: Dataset, batch_size: int):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
+        self._batch_size = _setting("batch_size", batch_size, _positive_int)
         self._dataset = dataset
-        self._batch_size = batch_size
         self._cursor = 0
 
     def next_batch(self) -> Dataset | None:

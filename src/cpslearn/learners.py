@@ -12,32 +12,31 @@ Native implementations:
 * :func:`fit_tree` / :class:`RegressionTreeLearner` -- greedy binary
   regression tree minimizing weighted child variance.
 * :class:`IncrementalLinearLearner` -- incremental least squares with a
-  forgetting factor, in information form: ``update`` checks a batch and
-  queues it, and queued batches are accumulated blockwise, in per-batch
-  order and to the same bytes as one batch at a time, into a weighted Gram
-  matrix and moment vector. ``finalize`` solves them once by a fixed-order
-  Cholesky factorization (no BLAS call); it alone reports an overflow.
-* :class:`EpsilonGreedyActiveLearner` -- an interactive policy that explores
-  an action grid and maintains a linear one-step surrogate of the system,
-  an :class:`IncrementalLinearLearner` fed one transition at a time.
+  forgetting factor, in information form, solved by a BLAS-free Cholesky.
+* :class:`EpsilonGreedyActiveLearner` -- an interactive policy over an action
+  grid, with an :class:`IncrementalLinearLearner` as its one-step surrogate.
+* ``LOCAL_KINDS`` -- the learner kinds a config builds: class, drive, and each
+  setting's check (the one the learner applies) and default.
 """
 
 from __future__ import annotations
 
 import abc
 import hashlib
+import inspect
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import strategies
 from .dataset import Dataset
-from .environments import ActionSpace
+from .environments import ActionSpace, DatasetStream, OfflineEnvironment
 from .errors import PipelineError
+from .transforms import _check, _is_int, _is_number, _non_negative_int, _positive_int, _setting
 
 MODEL_FORMAT_VERSION = 1
 MODEL_FILE_SUFFIX = ".fcm.json"
@@ -518,17 +517,6 @@ def _grow_tree(matrix, y, rows, orders, depth, max_depth, min_samples_leaf) -> T
     return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
 
-def _tree_setting(name: str, value, least: int) -> int:
-    """``value`` as a Python ``int``; ValueError if it is a bool, not an integer, or below ``least``."""
-    try:
-        number = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or number < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return number
-
-
 def fit_tree(
     inputs: Dataset,
     outputs: Dataset,
@@ -559,8 +547,8 @@ def fit_tree(
     not depend on the CPU's kernel either.
 
     Raises:
-        ValueError: if ``max_depth`` or ``min_samples_leaf`` is a bool, not an
-            integer, or below 0 and 1 respectively.
+        ValueError: ``max_depth must be a non-negative integer, got ...`` or
+            ``min_samples_leaf must be a positive integer, got ...``.
         ShapeMismatch: if row counts differ or outputs are not one column.
         TooFewSamples: if fewer than ``2 * min_samples_leaf`` rows are given.
         TargetsOverflow: if the targets' sum overflows float64, or, when ``max_depth`` > 0,
@@ -568,8 +556,8 @@ def fit_tree(
         TreeTooDeep: if the tree grows deeper than Python's recursion limit
             allows; a smaller ``max_depth`` bounds it.
     """
-    max_depth = _tree_setting("max_depth", max_depth, 0)
-    min_samples_leaf = _tree_setting("min_samples_leaf", min_samples_leaf, 1)
+    max_depth = _setting("max_depth", max_depth, _non_negative_int)
+    min_samples_leaf = _setting("min_samples_leaf", min_samples_leaf, _positive_int)
     matrix, y = _training_arrays(inputs, outputs)
     if inputs.row_count < 2 * min_samples_leaf:
         raise TooFewSamples(
@@ -601,11 +589,15 @@ class LinearRegressionLearner:
 
 
 class RegressionTreeLearner:
-    """Offline learner wrapping :func:`fit_tree`."""
+    """Offline learner wrapping :func:`fit_tree`.
+
+    Raises:
+        ValueError: when built, as :func:`fit_tree` for its settings.
+    """
 
     def __init__(self, max_depth: int = 5, min_samples_leaf: int = 1):
-        self.max_depth = _tree_setting("max_depth", max_depth, 0)
-        self.min_samples_leaf = _tree_setting("min_samples_leaf", min_samples_leaf, 1)
+        self.max_depth = _setting("max_depth", max_depth, _non_negative_int)
+        self.min_samples_leaf = _setting("min_samples_leaf", min_samples_leaf, _positive_int)
 
     def fit(self, inputs: Dataset, outputs: Dataset) -> RegressionTreeModel:
         return fit_tree(inputs, outputs, self.max_depth, self.min_samples_leaf)
@@ -678,6 +670,11 @@ def _solve_positive_definite(gram: list, rhs: list) -> list:
     return solution
 
 
+_forgetting_factor = _check(lambda v: _is_number(v) and 0 < v <= 1, "must be in (0, 1]")
+_regularization = _check(lambda v: _is_number(v) and v > 0, "must be positive")
+_epsilon = _check(lambda v: _is_number(v) and 0 <= v <= 1, "must be in [0, 1]")
+
+
 class IncrementalLinearLearner:
     """Incremental least squares with an intercept, kept in information form.
 
@@ -717,15 +714,15 @@ class IncrementalLinearLearner:
     The schema (input columns and output column) is fixed by the first batch;
     later batches must match it. ``finalize`` snapshots the current estimate
     into a :class:`LinearModel` and may be called again after more batches.
+
+    Raises:
+        ValueError: when built, ``forgetting_factor must be in (0, 1], got ...``
+            or ``regularization must be positive, got ...``.
     """
 
     def __init__(self, forgetting_factor: float = 1.0, regularization: float = 1e-8):
-        if not 0.0 < forgetting_factor <= 1.0:
-            raise ValueError(f"forgetting_factor must be in (0, 1], got {forgetting_factor}")
-        if not 0.0 < regularization < math.inf:
-            raise ValueError(f"regularization must be positive and finite, got {regularization}")
-        self.forgetting_factor = forgetting_factor
-        self.regularization = regularization
+        self.forgetting_factor = _setting("forgetting_factor", forgetting_factor, _forgetting_factor)
+        self.regularization = _setting("regularization", regularization, _regularization)
         self._gram: np.ndarray | None = None
         self._moment: np.ndarray | None = None
         self._rows = 0
@@ -813,6 +810,11 @@ class EpsilonGreedyActiveLearner:
     regressor (state, action, 1) and L the Cholesky factor of the
     surrogate's Gram matrix G: one factorization per proposal and one
     forward substitution per grid action, on Python floats (no BLAS call).
+
+    Raises:
+        ValueError: when built: ``epsilon must be in [0, 1], got ...``, ``action_grid_size
+            must be a positive integer, got ...``, ``seed must be a non-negative integer,
+            got ...``, as the surrogate for its settings, or if the action is a state column.
     """
 
     def __init__(
@@ -826,18 +828,15 @@ class EpsilonGreedyActiveLearner:
         forgetting_factor: float = 1.0,
         regularization: float = 1e-8,
     ):
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-        if action_grid_size < 1:
-            raise ValueError(f"action_grid_size must be positive, got {action_grid_size}")
         if action_space.name in state_columns:
             raise ValueError(f"the action {action_space.name!r} must not be a state column")
         self.action_space = action_space
         self.state_columns = tuple(state_columns)
         self.target_column = target_column
-        self.epsilon = epsilon
-        self.action_grid = np.linspace(action_space.low, action_space.high, action_grid_size)
-        self._rng = np.random.default_rng(seed)
+        self.epsilon = _setting("epsilon", epsilon, _epsilon)
+        grid_size = _setting("action_grid_size", action_grid_size, _positive_int)
+        self.action_grid = np.linspace(action_space.low, action_space.high, grid_size)
+        self._rng = np.random.default_rng(_setting("seed", seed, _non_negative_int))
         self._surrogate = IncrementalLinearLearner(forgetting_factor, regularization)
 
     def _state(self, observation: Dataset) -> list:
@@ -887,27 +886,34 @@ class EpsilonGreedyActiveLearner:
         return self._surrogate.finalize()
 
 
-# Checks of values read from JSON documents. ``bool`` is a subclass of
-# ``int`` in Python, so JSON ``true``/``false`` is excluded from integers and
-# numbers explicitly; ``json`` also parses ``Infinity`` and ``NaN``, which no
-# document written by this package holds.
+def _fit_whole(learner_class, train: Dataset, io, **settings) -> Model:
+    return strategies.learn_offline(OfflineEnvironment.from_dataset(train), None, io, learner_class(**settings))
 
 
+def _fit_streamed(learner_class, train: Dataset, io, batch_size: int = 32, **settings) -> Model:
+    return strategies.learn_incremental(DatasetStream(train, batch_size), None, io, learner_class(**settings))
+
+
+def _kind(learner_class, drive, **checks) -> tuple:
+    parameters = {**inspect.signature(drive).parameters, **inspect.signature(learner_class).parameters}
+    return learner_class, drive, {name: (check, parameters[name].default) for name, check in checks.items()}
+
+
+# kind -> (learner class, drive, {setting -> (check, default from the signature that takes it)}).
+# ``drive(learner_class, train, io, **settings)`` builds the learner and learns the training rows,
+# with its strategy looked up in ``strategies`` at call time, so a strategy rebound there is called.
+LOCAL_KINDS = {
+    "regression_tree": _kind(RegressionTreeLearner, _fit_whole, max_depth=_non_negative_int,
+                             min_samples_leaf=_positive_int),
+    "linear": _kind(LinearRegressionLearner, _fit_whole),
+    "incremental_linear": _kind(IncrementalLinearLearner, _fit_streamed, forgetting_factor=_forgetting_factor,
+                                regularization=_regularization, batch_size=_positive_int),
+}
+
+
+# Checks of values read from model documents, beside ``transforms._is_int`` and ``_is_number``.
 def _is_object(value) -> bool:
     return isinstance(value, dict)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def _is_names(value) -> bool:

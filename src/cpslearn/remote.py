@@ -62,7 +62,6 @@ a timeout and after an oversized or truncated response.
 from __future__ import annotations
 
 import json
-import numbers
 import socket
 import socketserver
 import threading
@@ -74,6 +73,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import PipelineError
 from .learners import Model, ShapeMismatch, _check_input_columns, fit_linear, model_from_dict
+from .transforms import _positive, _positive_int, _setting
 
 PROTOCOL_VERSION = 3
 MAX_FRAME = 64 * 1024 * 1024  # read at call time, never bound as a default
@@ -296,6 +296,11 @@ class RemoteSession:
         self.close()
 
 
+def _timeout(value):
+    """The ``remote`` kind's timeout check, which :func:`connect` applies: None, or why ``value`` is refused."""
+    return _positive(value) or (None if value <= MAX_TIMEOUT else f"must be at most {MAX_TIMEOUT!r} seconds")
+
+
 def connect(address, timeout: float = DEFAULT_TIMEOUT) -> RemoteSession:
     """Open a session: TCP connect plus the hello/hello_ack exchange.
 
@@ -314,7 +319,7 @@ def connect(address, timeout: float = DEFAULT_TIMEOUT) -> RemoteSession:
             ``timeout``, or does not complete it within ``timeout`` of its
             first byte.
     """
-    if isinstance(timeout, bool) or not isinstance(timeout, numbers.Real) or not 0 < timeout <= MAX_TIMEOUT:
+    if _timeout(timeout):
         raise ValueError(f"timeout must be a positive number of at most {MAX_TIMEOUT!r} seconds, got {timeout!r}")
     host, port = parse_address(address)
     try:
@@ -507,8 +512,7 @@ class LearnerServer:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, max_sessions: int = 8):
-        if type(max_sessions) is not int or max_sessions < 1:  # a Semaphore(1.5) never reaches 0
-            raise ValueError(f"max_sessions must be a positive integer, got {max_sessions!r}")
+        max_sessions = _setting("max_sessions", max_sessions, _positive_int)  # a Semaphore(1.5) never reaches 0
         try:
             self._tcp = _TcpServer(parse_address((host, port)), max_sessions)
         except OSError as exc:

@@ -13,7 +13,7 @@ from typing import Sequence
 from .dataset import Dataset
 from .environments import ActiveEnvironment, IncrementalEnvironment, OfflineEnvironment
 from .metrics import get_metric
-from .transforms import Transform
+from .transforms import Transform, _positive_int, _setting
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,11 @@ def learn_active(environment: ActiveEnvironment, learner, step_budget: int):
     One step is: observe, request an action, act, advance, observe the
     outcome, learn from the transition. The budget exhausting is the loop's
     continue-predicate, after which the learner is finalized into a model.
+
+    Raises:
+        ValueError: ``step_budget must be a positive integer, got ...``.
     """
-    if step_budget < 1:
-        raise ValueError(f"step_budget must be positive, got {step_budget}")
-    for _ in range(step_budget):
+    for _ in range(_setting("step_budget", step_budget, _positive_int)):
         observation = environment.observe()
         action = learner.propose_action(observation)
         environment.act(action)

@@ -7,6 +7,9 @@ always yields the same output. Adaptive transforms (currently only
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,6 +46,39 @@ class StatisticsOverflow(PipelineError):
     """The mean or standard deviation of a finite column overflows float64."""
 
 
+# Checks of settings and of JSON values, kept in the lowest module that checks a setting (SlidingWindow):
+# each returns None for a valid value, else the message that refuses it. A bool is neither an integer
+# nor a number; numpy integer and float scalars are both; ``Infinity`` and ``NaN`` are not numbers.
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _check(ok, message: str):
+    return lambda value: None if ok(value) else message
+
+
+_positive_int = _check(lambda v: _is_int(v) and v >= 1, "must be a positive integer")
+_non_negative_int = _check(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
+_positive = _check(lambda v: _is_number(v) and v > 0, "must be a positive number")
+_number = _check(_is_number, "must be a number")
+
+
+def _setting(name: str, value, check):
+    """``value``, an ``int`` if integral; ``ValueError(f"{name} {message}, got {value!r}")`` if refused."""
+    if (message := check(value)) is not None:
+        raise ValueError(f"{name} {message}, got {value!r}")
+    return operator.index(value) if _is_int(value) else value
+
+
 class Transform:
     """Base class: a Dataset -> Dataset mapping with an optional fit step."""
 
@@ -74,9 +110,7 @@ class SlidingWindow(Transform):
     """
 
     def __init__(self, window_size: int):
-        if not isinstance(window_size, int) or window_size < 1:
-            raise ValueError(f"window_size must be a positive integer, got {window_size}")
-        self.window_size = window_size
+        self.window_size = _setting("window_size", window_size, _positive_int)
 
     def apply(self, dataset: Dataset) -> Dataset:
         w = self.window_size

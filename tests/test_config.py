@@ -2,16 +2,18 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpslearn import OfflineEnvironment
+from cpslearn import Dataset, DatasetStream, OfflineEnvironment
 from cpslearn.config import (
     run_config,
     validate_config,
     watertank_config,
 )
+from cpslearn.learners import LOCAL_KINDS
 
 DELETE = object()
 CSV = {"kind": "csv", "path": "data.csv"}
@@ -208,6 +210,32 @@ def test_booleans_are_not_integers(path, message, flag):
 def test_boolean_batch_size_is_not_an_integer(flag):
     cfg = mutated(("learner",), {**RLS, "batch_size": flag})
     assert validate_config(cfg) == ["learner.batch_size: must be a positive integer"]
+
+
+# Every setting of every local learner kind, and values at the edges of its check.
+LOCAL_SETTINGS = [(kind, name) for kind, (_, _, settings) in LOCAL_KINDS.items() for name in settings]
+EDGE_VALUES = [True, np.True_, None, "3", 2.0, 2.5, -1, 0, 1, np.int64(2), math.nan, math.inf, 1e-320, 10**400]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=lambda v: "10**400" if type(v) is int and v > 2**64 else repr(v))
+@pytest.mark.parametrize("kind, name", LOCAL_SETTINGS, ids=[f"{kind}.{name}" for kind, name in LOCAL_SETTINGS])
+def test_config_refuses_a_setting_exactly_when_the_library_does(kind, name, value):
+    """validate_config and the object a setting builds apply one check: the learner for its own
+    settings, the DatasetStream for ``batch_size``."""
+    learner_class = LOCAL_KINDS[kind][0]
+    diagnostics = validate_config(mutated(("learner",), {"kind": kind, name: value}))
+    reported = any(diagnostic.startswith(f"learner.{name}: ") for diagnostic in diagnostics)
+    try:
+        if name == "batch_size":
+            DatasetStream(Dataset({"x": [1.0, 2.0, 3.0]}), value)
+        else:
+            learner_class(**{name: value})
+    except ValueError as exc:
+        assert str(exc).startswith(f"{name} must be ")
+        refused = True
+    else:
+        refused = False
+    assert reported == refused
 
 
 @pytest.mark.parametrize(

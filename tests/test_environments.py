@@ -126,6 +126,15 @@ class TestDatasetStream:
         with pytest.raises(ValueError):
             DatasetStream(Dataset({"v": [1.0]}), 0)
 
+    @pytest.mark.parametrize("batch_size", [1.5, 2.0, True, "2", None])
+    def test_batch_size_that_is_not_an_integer_is_refused_when_built(self, batch_size):
+        with pytest.raises(ValueError, match=r"^batch_size must be a positive integer, got "):
+            DatasetStream(Dataset({"v": [1.0]}), batch_size)
+
+    def test_numpy_integer_batch_size_is_accepted(self):
+        d = Dataset({"v": np.arange(5, dtype=np.float64)})
+        assert [b.row_count for b in iter(DatasetStream(d, np.int64(2)).next_batch, None)] == [2, 2, 1]
+
 
 def one_step(system: WaterTankSystem, dt: float) -> tuple[float, float]:
     """(level, time) after one RK4 step of size ``dt``, sampled through ``OdeEnvironment``."""

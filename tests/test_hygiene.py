@@ -5,8 +5,10 @@ every defaulted parameter of a public callable is passed outside the tests, only
 ``dataset.py`` builds a Dataset without checking its columns, no module imports
 ``base64``, so columns have one encoding on the wire: their float64 bytes, only
 ``load_csv`` has a ``global`` statement, so its memo is the one process-wide mutable state,
-and only ``IncrementalLinearLearner`` names its accumulation state, so no reader sees G
-and b with batches still queued."""
+only ``IncrementalLinearLearner`` names its accumulation state, so no reader sees G
+and b with batches still queued, and ``config.py`` names no local learner class,
+``DatasetStream`` or ``learn_incremental``, so ``learners.LOCAL_KINDS`` stays the one owner of
+the local learner kinds."""
 
 import ast
 import math
@@ -286,12 +288,18 @@ def callee_name(func: ast.AST):
 def passes(tree: ast.Module):
     """(callee name, keywords passed or None for all, positional count) for each call in ``tree``:
     ``**`` passes every keyword, ``*`` every later position. Each name in the factory of a kind
-    table (a dict of ``kind: (factory, {parameter: ...})``) passes the parameters its table lists."""
+    table (a dict of ``kind: (factory, {parameter: ...})``) passes the parameters its table lists,
+    and so does each name among the factories of a ``_kind(factory, ..., parameter=check, ...)``
+    entry of the local learner kinds."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and callee_name(node.func):
             keywords = None if any(k.arg is None for k in node.keywords) else {k.arg for k in node.keywords}
             starred = any(isinstance(a, ast.Starred) for a in node.args)
             yield callee_name(node.func), keywords, math.inf if starred else len(node.args)
+            if callee_name(node.func) == "_kind":
+                for sub in (sub for factory in node.args for sub in ast.walk(factory)):
+                    if callee_name(sub):
+                        yield callee_name(sub), keywords, 0
         elif isinstance(node, ast.Dict) and node.values and all(
             isinstance(v, ast.Tuple) and len(v.elts) == 2 and isinstance(v.elts[1], ast.Dict) for v in node.values
         ):
@@ -331,16 +339,19 @@ def test_parameter_rule_sees_each_form():
         "def g(h, i=7, j=8, k=9): g(h, i=0)\n"
         "def kinds(l=10, m=11): ...\n"
         "def spread(n=12): ...\n"
-        "def _hidden(o=13): ...\n\n"
+        "def _hidden(o=13): ...\n"
+        "def tabled(p=14, q=15): ...\n\n"
         "A(1)\nx.m(d=0)\nA.s(0)\ng(0, *rest)\nspread(**options)\n"
         "X_KINDS = {'k': (kinds, {'l': (check, 1)})}\n"
+        "Y_KINDS = {'k': _kind(tabled, _drive, p=check)}\n"
     )
     tree = ast.parse(source)
     parameters = list(defaulted_parameters(tree))
     assert [name for name, *_ in parameters] == [
-        "A.a", "A.b", "A.m.c", "A.m.d", "A.s.e", "g.i", "g.j", "g.k", "kinds.l", "kinds.m", "spread.n"
+        "A.a", "A.b", "A.m.c", "A.m.d", "A.s.e", "g.i", "g.j", "g.k", "kinds.l", "kinds.m", "spread.n",
+        "tabled.p", "tabled.q",
     ]
-    assert unpassed(parameters, [tree]) == ["A.b", "A.m.c", "kinds.m"]
+    assert unpassed(parameters, [tree]) == ["A.b", "A.m.c", "kinds.m", "tabled.q"]
 
 
 # A Dataset's column store and the constructor that fills it without checks: only dataset.py
@@ -348,21 +359,21 @@ def test_parameter_rule_sees_each_form():
 UNCHECKED = {"_columns", "_unchecked_dataset"}
 
 
-def unchecked_uses(tree: ast.AST):
-    """(line, name) for each name in UNCHECKED that ``tree`` reads, writes or imports."""
+def name_uses(tree: ast.AST, names: set[str]):
+    """(line, name) for each of ``names`` that ``tree`` reads, writes or imports."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in UNCHECKED:
+        if isinstance(node, ast.Attribute) and node.attr in names:
             yield node.lineno, node.attr
-        elif isinstance(node, ast.Name) and node.id in UNCHECKED:
+        elif isinstance(node, ast.Name) and node.id in names:
             yield node.lineno, node.id
         elif isinstance(node, ast.ImportFrom):
-            yield from ((node.lineno, alias.name) for alias in node.names if alias.name in UNCHECKED)
+            yield from ((node.lineno, alias.name) for alias in node.names if alias.name in names)
 
 
 def test_only_dataset_module_builds_unchecked_datasets():
     paths = sorted({*MODULES, *ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py"), *ROOT.glob("tests/*.py")}
                    - {Path(cpslearn.dataset.__file__).resolve()})
-    found = {f"{path.parent.name}/{path.name}": list(unchecked_uses(ast.parse(path.read_text(encoding="utf-8"))))
+    found = {f"{path.parent.name}/{path.name}": list(name_uses(ast.parse(path.read_text(encoding="utf-8")), UNCHECKED))
              for path in paths}
     assert {path: uses for path, uses in found.items() if uses} == {}
 
@@ -373,8 +384,38 @@ def test_unchecked_rule_sees_each_form():
         "d._columns\nd._columns = {}\n_unchecked_dataset({}, 0)\ndataset._unchecked_dataset({}, 0)\n"
         "self._input_columns\n'_columns'\n"
     )
-    assert list(unchecked_uses(ast.parse(source))) == [
+    assert list(name_uses(ast.parse(source), UNCHECKED)) == [
         (1, "_unchecked_dataset"), (2, "_columns"), (3, "_columns"), (4, "_unchecked_dataset"), (5, "_unchecked_dataset"),
+    ]
+
+
+# What the local learner kinds' table owns: their learner classes, and the stream and strategy
+# of the kind driven batch by batch. config.py reads the kinds from ``learners.LOCAL_KINDS`` and
+# names none of these, so a kind, a setting's check or its default is written in one place.
+TABLE_OWNED = {
+    "RegressionTreeLearner", "LinearRegressionLearner", "IncrementalLinearLearner", "DatasetStream",
+    "learn_incremental",
+}
+
+
+def test_config_module_names_nothing_the_learner_kinds_table_owns():
+    tree = ast.parse((Path(cpslearn.__file__).resolve().parent / "config.py").read_text(encoding="utf-8"))
+    assert list(name_uses(tree, TABLE_OWNED)) == []
+
+
+def test_table_rule_sees_each_form():
+    source = (
+        "from .learners import RegressionTreeLearner as Tree\n"
+        "from . import environments, strategies\n"
+        "environments.DatasetStream(rows, 3)\n"
+        "learn = strategies.learn_incremental\n"
+        "IncrementalLinearLearner = None\n"
+        "LinearRegressionLearner()\n"
+        "'DatasetStream'\n"
+    )
+    assert sorted(name_uses(ast.parse(source), TABLE_OWNED)) == [
+        (1, "RegressionTreeLearner"), (3, "DatasetStream"), (4, "learn_incremental"),
+        (5, "IncrementalLinearLearner"), (6, "LinearRegressionLearner"),
     ]
 
 

@@ -354,7 +354,7 @@ class TestRegressionTree:
         """2.5 and True once wrote models that model_from_dict refused, and 1.5 raised an IndexError."""
         fit = Dataset({"x": [1.0, 2.0, 3.0, 4.0]}), Dataset({"y": [0.0, 1.0, 0.0, 1.0]})
         ((name, _),) = kwargs.items()
-        message = f"^{name} must be an integer >= {1 if name == 'min_samples_leaf' else 0}, got "
+        message = f"^{name} must be a {'positive' if name == 'min_samples_leaf' else 'non-negative'} integer, got "
         with pytest.raises(ValueError, match=message):
             fit_tree(*fit, **{"max_depth": 2, **kwargs})
         with pytest.raises(ValueError, match=message):
@@ -747,10 +747,14 @@ class TestRecursiveLeastSquares:
             (0.0, 1e-8, "forgetting_factor must be in"),
             (1.5, 1e-8, "forgetting_factor must be in"),
             (float("nan"), 1e-8, "forgetting_factor must be in"),
-            (1.0, 0.0, "regularization must be positive and finite"),
-            (1.0, -1.0, "regularization must be positive and finite"),
-            (1.0, float("nan"), "regularization must be positive and finite"),
-            (1.0, float("inf"), "regularization must be positive and finite"),
+            (1.0, 0.0, "regularization must be positive, got"),
+            (1.0, -1.0, "regularization must be positive, got"),
+            (1.0, float("nan"), "regularization must be positive, got"),
+            (1.0, float("inf"), "regularization must be positive, got"),
+            ("0.5", 1e-8, "^forgetting_factor must be in \\(0, 1\\], got '0.5'$"),
+            (True, True, "^forgetting_factor must be in \\(0, 1\\], got True$"),
+            (1.0, True, "^regularization must be positive, got True$"),
+            pytest.param(1.0, 10**400, "^regularization must be positive, got 10{400}$", id="1.0-10**400"),
         ],
     )
     def test_incremental_learner_checks_its_parameters_when_built(self, forgetting_factor, regularization, message):
@@ -1008,15 +1012,32 @@ class TestActiveLearner:
             with pytest.raises(ValueError, match="forgetting_factor must be in"):
                 self._policy(forgetting_factor=forgetting_factor)
         for regularization in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="regularization must be positive and finite"):
+            with pytest.raises(ValueError, match="regularization must be positive, got"):
                 self._policy(regularization=regularization)
         for epsilon in (-0.1, 1.5):
             with pytest.raises(ValueError, match="epsilon must be in"):
                 self._policy(epsilon=epsilon)
-        with pytest.raises(ValueError, match="action_grid_size must be positive"):
+        with pytest.raises(ValueError, match="action_grid_size must be a positive integer, got"):
             self._policy(action_grid_size=0)
         with pytest.raises(ValueError, match="the action 'x' must not be a state column"):
             self._policy(action_space=ActionSpace("x", 0.0, 1.0))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"action_grid_size": 2.5}, "action_grid_size must be a positive integer, got 2.5"),
+        ({"action_grid_size": True}, "action_grid_size must be a positive integer, got True"),
+        ({"epsilon": "0.1"}, "epsilon must be in [0, 1], got '0.1'"),
+        ({"epsilon": True}, "epsilon must be in [0, 1], got True"),
+        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        ({"forgetting_factor": True}, "forgetting_factor must be in (0, 1], got True"),
+    ], ids=str)
+    def test_settings_of_the_wrong_type_are_refused_by_name(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            self._policy(**kwargs)
+        assert str(info.value) == message
+
+    def test_numpy_scalar_settings_are_accepted(self):
+        policy = self._policy(epsilon=np.float32(0.0), action_grid_size=np.int64(3), seed=np.uint8(7))
+        assert policy.action_grid.tolist() == [0.0, 0.5, 1.0]
 
     def test_tiny_forgetting_factor_keeps_the_newest_target(self):
         """forget^k underflows for the older transitions: the surrogate's estimate is the

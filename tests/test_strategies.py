@@ -194,6 +194,18 @@ class TestLearnActive:
         with pytest.raises(ValueError):
             learn_active(env, self._policy(env), step_budget=0)
 
+    @pytest.mark.parametrize("budget", [2.5, "3", True, None])
+    def test_budget_that_is_not_an_integer_is_refused_before_any_step(self, budget):
+        env = CountingActiveTank()
+        with pytest.raises(ValueError, match=r"^step_budget must be a positive integer, got "):
+            learn_active(env, self._policy(env), step_budget=budget)
+        assert env.acts == 0
+
+    def test_numpy_integer_budget_is_accepted(self):
+        env = CountingActiveTank()
+        learn_active(env, self._policy(env), step_budget=np.int64(3))
+        assert env.acts == 3
+
     def test_learning_beats_untrained_surrogate(self):
         env = WaterTankActiveEnvironment()
         model = learn_active(env, self._policy(env), step_budget=500)

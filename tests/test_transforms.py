@@ -42,6 +42,17 @@ class TestSlidingWindow:
         with pytest.raises(ValueError):
             SlidingWindow(0)
 
+    @pytest.mark.parametrize("window_size", [True, 2.0, "3", None])
+    def test_a_window_size_that_is_not_an_integer_is_refused_when_built(self, window_size):
+        """True was once taken as a window of one row, which a config refuses."""
+        with pytest.raises(ValueError, match=r"^window_size must be a positive integer, got "):
+            SlidingWindow(window_size)
+
+    def test_numpy_integer_window_size_is_stored_as_an_int(self, toy_series):
+        window = SlidingWindow(np.int64(2))
+        assert type(window.window_size) is int
+        assert window.apply(toy_series) == SlidingWindow(2).apply(toy_series)
+
     def test_250_rows_window_3_gives_248(self, tank_trajectory):
         assert SlidingWindow(3).apply(tank_trajectory).row_count == 248
 
