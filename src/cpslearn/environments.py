@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .dataset import Dataset, load_csv, load_json
 from .errors import PipelineError
-from .transforms import Transform, TransformChain, _positive_int, _setting
+from .transforms import Transform, TransformChain, _positive_int, _positive_real, _setting
 
 
 class ActionOutOfRange(PipelineError):
@@ -172,12 +172,16 @@ class WaterTankSystem:
     Attributes:
         level: current fill level (dimensionless length units).
         time: current simulation time in seconds.
-        area: tank cross-section, must be positive.
+        area: tank cross-section, a positive finite number.
         outflow_coeff: scaling of the square-root outflow term.
         inflow_gain: scaling of the inflow term.
         inflow: inflow signal, a pure function of time; called once per distinct time point.
             The default, :func:`clipped_sine_inflow`, is ``max(0.0, sin(2.0 * pi * t / 10.0))``
             bit for bit.
+
+    Raises:
+        ValueError: ``tank area must be positive, got ...`` for an area that is not a
+            positive finite number (NaN, an infinity, a bool or a string included).
     """
 
     level: float = 1.0
@@ -188,8 +192,7 @@ class WaterTankSystem:
     inflow: Callable[[float], float] = clipped_sine_inflow
 
     def __post_init__(self):
-        if self.area <= 0:
-            raise ValueError(f"tank area must be positive, got {self.area}")
+        _setting("tank area", self.area, _positive_real)
 
 
 # The most RK4 steps one sample_trajectory or advance call may take: about two
@@ -199,10 +202,8 @@ _MAX_RK4_STEPS = 10**8
 
 def _substeps(period: float, substep: float, name: str) -> tuple[int, float]:
     """The number and size of the RK4 steps that cover one ``period`` in steps of about ``substep``."""
-    if period <= 0:
-        raise ValueError(f"{name} must be positive, got {period}")
-    if substep <= 0:
-        raise ValueError(f"substep must be positive, got {substep}")
+    _setting(name, period, _positive_real)
+    _setting("substep", substep, _positive_real)
     if not math.isfinite(period / substep):
         raise ValueError(f"substep {substep!r} is too small: {name} / substep is not finite")
     steps = max(1, round(period / substep))
@@ -242,6 +243,11 @@ class OdeEnvironment:
     substep (default 1 ms) so the sampling period does not limit accuracy.
     Sample ``i`` is taken at ``t0 + i * sample_period``, starting at the
     system's initial time.
+
+    Raises:
+        ValueError: ``sample_period must be positive, got ...`` or ``substep must be
+            positive, got ...`` for a value that is not a positive finite number, or
+            if ``sample_period / substep`` is not finite.
     """
 
     def __init__(self, system: WaterTankSystem, sample_period: float = 0.1, substep: float = 1e-3):
@@ -279,6 +285,11 @@ class WaterTankActiveEnvironment(ActiveEnvironment):
     The tank starts as ``WaterTankSystem()``. The pending action persists
     across advances (zero-order hold) until a new one is submitted; before any
     action the default inflow 0 is used.
+
+    Raises:
+        ValueError: ``step_period must be positive, got ...`` or ``substep must be
+            positive, got ...`` for a value that is not a positive finite number, or
+            if a step needs no finite or too many RK4 steps.
     """
 
     def __init__(self, step_period: float = 0.1, substep: float = 1e-3):
@@ -286,6 +297,7 @@ class WaterTankActiveEnvironment(ActiveEnvironment):
         if self._substeps > _MAX_RK4_STEPS:
             raise ValueError(f"round(step_period / substep) is above the limit of {_MAX_RK4_STEPS} RK4 steps")
         self._system = WaterTankSystem()
+        self._level, self._time = self._system.level, self._system.time  # what advance steps; _system keeps the constants
         self._space = ActionSpace("V", 0.0, 1.0)
         self._pending = 0.0
 
@@ -295,7 +307,7 @@ class WaterTankActiveEnvironment(ActiveEnvironment):
 
     @property
     def time(self) -> float:
-        return self._system.time
+        return self._time
 
     def act(self, action: float) -> None:
         space = self._space
@@ -304,9 +316,9 @@ class WaterTankActiveEnvironment(ActiveEnvironment):
         self._pending = float(action)
 
     def advance(self) -> None:
-        held, tank, h = self._pending, self._system, self._h
-        level, time = _rk4(tank, lambda t: held, tank.level, tank.time, held, h, self._substeps)
-        self._system = replace(tank, level=level, time=time)
+        held = self._pending
+        self._level, self._time = _rk4(self._system, lambda t: held, self._level, self._time, held, self._h,
+                                       self._substeps)
 
     def observe(self) -> Dataset:
-        return Dataset([("t", [self._system.time]), ("x", [self._system.level])])
+        return Dataset([("t", [self._time]), ("x", [self._level])])

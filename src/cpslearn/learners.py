@@ -36,7 +36,7 @@ from . import strategies
 from .dataset import Dataset
 from .environments import ActionSpace, DatasetStream, OfflineEnvironment
 from .errors import PipelineError
-from .transforms import _check, _is_int, _is_number, _non_negative_int, _positive_int, _setting
+from .transforms import _check, _is_int, _is_number, _non_negative_int, _positive_int, _positive_real, _setting
 
 MODEL_FORMAT_VERSION = 1
 MODEL_FILE_SUFFIX = ".fcm.json"
@@ -46,9 +46,9 @@ _SPLIT_TIE_EPS = 1e-12
 # max(1, _BLOCK // n) features at once.
 _BLOCK = 1 << 14
 
-# The float64 bytes of outer products that one pass over the incremental learner's queue may
+# The float64 bytes of Gram outer products that one pass over the incremental learner's queue may
 # allocate: a design of width d queues at most _QUEUE_BYTES // (8 d^2) rows (an empty batch
-# counts as one), or one larger batch.
+# counts as one), or one larger batch. With the moments, the pass holds (d + 1) / d times that.
 _QUEUE_BYTES = 1 << 20
 
 
@@ -534,7 +534,7 @@ def fit_tree(
     searches its split in its share of these orders. This is exact: a child
     keeps its rows in their original relative order, so filtering the
     parent's order by the child's mask gives the child's own stable argsort,
-    ties included (in row order; ``-0.0`` ties ``0.0``, NaN sorts last). A
+    ties included (in row order; ``-0.0`` ties ``0.0``). A
     node's targets ``y[rows]`` stay in row order, so its variance and leaf
     mean are those of the rows it holds, summed in the same order.
 
@@ -671,7 +671,6 @@ def _solve_positive_definite(gram: list, rhs: list) -> list:
 
 
 _forgetting_factor = _check(lambda v: _is_number(v) and 0 < v <= 1, "must be in (0, 1]")
-_regularization = _check(lambda v: _is_number(v) and v > 0, "must be positive")
 _epsilon = _check(lambda v: _is_number(v) and 0 <= v <= 1, "must be in [0, 1]")
 
 
@@ -695,18 +694,24 @@ class IncrementalLinearLearner:
     ``update`` checks a batch and queues its read-only columns; it does no
     arithmetic. The queue is accumulated when ``finalize`` is called, when
     the active learner reads G, and before its rows' outer products would
-    pass ``_QUEUE_BYTES`` (1 MiB). Consecutive queued batches of one size
-    are stacked and their sums formed in one pass: each batch's sums are
-    ``np.add.reduce`` over its own rows, in the order numpy takes for that
-    batch alone, and the two updates above are then applied batch by batch
-    in stream order. So G and b hold the same bytes as when each batch is
-    accumulated as it arrives.
+    pass ``_QUEUE_BYTES`` (1 MiB). Consecutive queued batches of one size m
+    are stacked into one array indexed by row, design column (the target
+    last) and batch, and every row's products ``lam^(m-1-i) x_i [x_i' y_i]``
+    are formed in one broadcast. Each batch's sums then add its rows
+    strictly in order, ``((p_0 + p_1) + p_2) + ...``, for all batches at
+    once; and ``[G | b]`` is updated in place, batch by batch in stream
+    order: first scaled by ``lam^m``, then the batch's sums added. So G and
+    b hold the same bytes as when each batch is accumulated as it arrives,
+    its rows added in order. The code never calls ``np.add.reduce`` (nor
+    ``sum`` or ``mean``): numpy picks recursive or pairwise summation from
+    the memory layout, so the bytes of a reduction would depend on how the
+    queue happened to be stacked.
 
-    The sums are elementwise ufuncs and ``np.add.reduce`` and the solve is a
-    fixed-order Cholesky factorization on Python floats (no BLAS call), so
-    the fitted weights do not depend on the CPU's BLAS kernel. With a tiny
-    forgetting factor, ``lam^m`` may underflow to 0: the older rows and the
-    prior are then forgotten entirely, and ``finalize`` raises
+    The sums are elementwise ufuncs and the solve is a fixed-order Cholesky
+    factorization on Python floats (no BLAS call), so the fitted weights do
+    not depend on the CPU's BLAS kernel. With a tiny forgetting factor,
+    ``lam^m`` may underflow to 0: the older rows and the prior are then
+    forgotten entirely, and ``finalize`` raises
     :class:`SingularDesign` if what remains does not determine w (a Cholesky
     pivot that is not positive and finite) or the sums overflowed. An
     overflow is never reported by ``update``.
@@ -722,7 +727,7 @@ class IncrementalLinearLearner:
 
     def __init__(self, forgetting_factor: float = 1.0, regularization: float = 1e-8):
         self.forgetting_factor = _setting("forgetting_factor", forgetting_factor, _forgetting_factor)
-        self.regularization = _setting("regularization", regularization, _regularization)
+        self.regularization = _setting("regularization", regularization, _positive_real)
         self._gram: np.ndarray | None = None
         self._moment: np.ndarray | None = None
         self._rows = 0
@@ -755,21 +760,26 @@ class IncrementalLinearLearner:
         """Fold the queued batches into G and b, oldest first, and empty the queue."""
         queue, self._queue, self._queued_rows = self._queue, [], 0
         forget, dim = self.forgetting_factor, len(self._moment)
+        folded = np.concatenate([self._gram, self._moment[:, np.newaxis]], axis=1)  # [G | b]
         for m, group in itertools.groupby(queue, key=lambda batch: len(batch[1])):
             group = list(group)
-            design = np.ones((len(group), m, dim))  # batch, row, design column
+            count = len(group)
+            rows = np.ones((m, dim + 1, count))  # row, design column (target last), batch
             for j in range(dim - 1):
-                design[:, :, j] = np.concatenate([columns[j] for columns, _ in group]).reshape(len(group), m)
-            y = np.concatenate([targets for _, targets in group]).reshape(len(group), m)
+                rows[:, j] = np.concatenate([columns[j] for columns, _ in group]).reshape(count, m).T
+            rows[:, dim] = np.concatenate([targets for _, targets in group]).reshape(count, m).T
             decays = np.array([forget ** k for k in range(m - 1, -1, -1)])
             decay = forget**m
             with np.errstate(over="ignore", invalid="ignore"):  # finalize raises SingularDesign on an overflow
-                weighted = design * decays[:, np.newaxis]
-                grams = np.add.reduce(weighted[:, :, :, np.newaxis] * design[:, :, np.newaxis, :], axis=1)
-                moments = np.add.reduce(weighted * y[:, :, np.newaxis], axis=1)
-                for gram, moment in zip(grams, moments):
-                    self._gram = self._gram * decay + gram
-                    self._moment = self._moment * decay + moment
+                weighted = rows[:, :dim] * decays[:, np.newaxis, np.newaxis]
+                products = weighted[:, :, np.newaxis] * rows[:, np.newaxis]  # row, [G | b] entry, batch
+                sums = products[0].copy() if m else np.zeros((dim, dim + 1, count))
+                for k in range(1, m):
+                    sums += products[k]
+                for batch in sums.transpose(2, 0, 1).copy():
+                    folded *= decay
+                    folded += batch
+        self._gram, self._moment = folded[:, :dim], folded[:, dim]
 
     def _sums(self) -> tuple[np.ndarray, np.ndarray] | None:
         """G and b with every queued batch accumulated, or None before the first row."""
@@ -891,7 +901,8 @@ def _fit_whole(learner_class, train: Dataset, io, **settings) -> Model:
 
 
 def _fit_streamed(learner_class, train: Dataset, io, batch_size: int = 32, **settings) -> Model:
-    return strategies.learn_incremental(DatasetStream(train, batch_size), None, io, learner_class(**settings))
+    stream = DatasetStream(train.select([*io.inputs, *io.outputs]), batch_size)
+    return strategies.learn_incremental(stream, None, io, learner_class(**settings))
 
 
 def _kind(learner_class, drive, **checks) -> tuple:
@@ -907,7 +918,7 @@ LOCAL_KINDS = {
                              min_samples_leaf=_positive_int),
     "linear": _kind(LinearRegressionLearner, _fit_whole),
     "incremental_linear": _kind(IncrementalLinearLearner, _fit_streamed, forgetting_factor=_forgetting_factor,
-                                regularization=_regularization, batch_size=_positive_int),
+                                regularization=_positive_real, batch_size=_positive_int),
 }
 
 
@@ -943,8 +954,8 @@ def _rebuild_tree(params: dict, inputs: list, output: str) -> RegressionTreeMode
         TreeNode.from_dict(_entry(params, "root", "params", _is_object, "an object"), len(inputs)),
         inputs,
         output,
-        _entry(params, "max_depth", "params", _is_int, "an integer"),
-        _entry(params, "min_samples_leaf", "params", _is_int, "an integer"),
+        _entry(params, "max_depth", "params", lambda v: _non_negative_int(v) is None, "a non-negative integer"),
+        _entry(params, "min_samples_leaf", "params", lambda v: _positive_int(v) is None, "a positive integer"),
     )
 
 

@@ -69,6 +69,9 @@ def _check(ok, message: str):
 _positive_int = _check(lambda v: _is_int(v) and v >= 1, "must be a positive integer")
 _non_negative_int = _check(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
 _positive = _check(lambda v: _is_number(v) and v > 0, "must be a positive number")
+# The same values as ``_positive``, worded as the library's ValueError words them: the tank's area,
+# its step sizes and the incremental learner's regularization.
+_positive_real = _check(lambda v: _is_number(v) and v > 0, "must be positive")
 _number = _check(_is_number, "must be a number")
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpslearn import Dataset, DatasetStream, OfflineEnvironment
+from cpslearn import Dataset, DatasetStream, OdeEnvironment, OfflineEnvironment, WaterTankSystem
 from cpslearn.config import (
     run_config,
     validate_config,
@@ -232,6 +232,29 @@ def test_config_refuses_a_setting_exactly_when_the_library_does(kind, name, valu
             learner_class(**{name: value})
     except ValueError as exc:
         assert str(exc).startswith(f"{name} must be ")
+        refused = True
+    else:
+        refused = False
+    assert reported == refused
+
+
+# The water tank's settings and the library objects that check them.
+TANK_SETTINGS = {
+    "area": lambda value: WaterTankSystem(area=value),
+    "dt": lambda value: OdeEnvironment(WaterTankSystem(), sample_period=value),
+    "substep": lambda value: OdeEnvironment(WaterTankSystem(), substep=value),
+}
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=lambda v: "10**400" if type(v) is int and v > 2**64 else repr(v))
+@pytest.mark.parametrize("name", list(TANK_SETTINGS))
+def test_config_refuses_a_tank_setting_exactly_when_the_library_does(name, value):
+    """validate_config and the water-tank objects refuse the same values, each with a ValueError."""
+    diagnostics = validate_config(mutated(("environment",), {"kind": "ode_watertank", name: value}))
+    reported = any(diagnostic.startswith(f"environment.{name}: ") for diagnostic in diagnostics)
+    try:
+        TANK_SETTINGS[name](value)
+    except ValueError:
         refused = True
     else:
         refused = False

@@ -142,6 +142,15 @@ def one_step(system: WaterTankSystem, dt: float) -> tuple[float, float]:
     return trajectory.column("x")[1], trajectory.column("t")[1]
 
 
+# Values a positive setting of the simulator refuses: zero, negatives, NaN, infinities,
+# bools and values that are not numbers.
+NOT_POSITIVE_NUMBERS = [0.0, -1, math.nan, math.inf, -math.inf, True, np.True_, "5", None, 10**400]
+
+
+def value_id(value) -> str:
+    return "10**400" if type(value) is int and value > 2**64 else repr(value)
+
+
 class TestWaterTankSystem:
     def test_rate_at_initial_state(self):
         tank = WaterTankSystem()
@@ -169,6 +178,14 @@ class TestWaterTankSystem:
     def test_area_must_be_positive(self):
         with pytest.raises(ValueError):
             WaterTankSystem(area=0.0)
+
+    @pytest.mark.parametrize("area", NOT_POSITIVE_NUMBERS, ids=value_id)
+    def test_area_that_is_not_a_positive_number_is_refused(self, area):
+        with pytest.raises(ValueError, match=r"^tank area must be positive, got "):
+            WaterTankSystem(area=area)
+
+    def test_numpy_area_is_accepted(self):
+        assert WaterTankSystem(area=np.float64(5.0)).area == 5.0
 
 
 def inflow_outcome(inflow, t: float):
@@ -258,6 +275,12 @@ class TestOdeEnvironment:
         with pytest.raises(ValueError):
             OdeEnvironment(WaterTankSystem(), sample_period=0.0)
 
+    @pytest.mark.parametrize("value", NOT_POSITIVE_NUMBERS, ids=value_id)
+    @pytest.mark.parametrize("name", ["sample_period", "substep"])
+    def test_step_that_is_not_a_positive_number_is_refused(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be positive, got "):
+            OdeEnvironment(WaterTankSystem(), **{name: value})
+
     @pytest.mark.parametrize("sample_period, substep", [(0.1, 1e-320), (1e306, 1e-3)])
     def test_step_count_must_be_finite(self, sample_period, substep):
         with pytest.raises(ValueError, match="sample_period / substep is not finite"):
@@ -325,6 +348,12 @@ class TestWaterTankActiveEnvironment:
     def test_substep_must_be_positive(self, substep):
         with pytest.raises(ValueError, match="substep must be positive"):
             WaterTankActiveEnvironment(substep=substep)
+
+    @pytest.mark.parametrize("value", NOT_POSITIVE_NUMBERS, ids=value_id)
+    @pytest.mark.parametrize("name", ["step_period", "substep"])
+    def test_step_that_is_not_a_positive_number_is_refused(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be positive, got "):
+            WaterTankActiveEnvironment(**{name: value})
 
     @pytest.mark.parametrize("step_period, substep", [(0.1, 1e-320), (1e306, 1e-3)])
     def test_step_count_must_be_finite(self, step_period, substep):

@@ -1,6 +1,7 @@
 """Static checks of the package source: every import is used, every export exists, every
 ``json.load`` / ``json.loads`` call sits in a try that catches RecursionError, the
-incremental learner makes no BLAS call, every public name has a caller outside the tests,
+incremental learner makes no BLAS call and sums only in the order its code writes (no
+``np.add.reduce``, ``sum`` or ``mean``), every public name has a caller outside the tests,
 every defaulted parameter of a public callable is passed outside the tests, only
 ``dataset.py`` builds a Dataset without checking its columns, no module imports
 ``base64``, so columns have one encoding on the wire: their float64 bytes, only
@@ -167,6 +168,35 @@ def test_online_learners_and_tree_fit_make_no_blas_call():
 def test_blas_rule_sees_each_form():
     source = "def f(a, b):\n    a @ b\n    a.dot(b)\n    np.einsum('i,i', a, b)\n    np.linalg.solve(a, b)\n"
     assert [what for _, what in blas_uses(ast.parse(source))] == ["@", "dot", "einsum", "linalg"]
+
+
+def numpy_ordered_sums(node: ast.AST):
+    """(line, what) for each ``np.add.reduce`` and each ``sum`` or ``mean`` function or method read
+    under ``node``: reductions that sum recursively or pairwise as numpy picks from the memory layout."""
+    for sub in ast.walk(node):
+        if not isinstance(sub, ast.Attribute):
+            continue
+        if sub.attr == "reduce" and isinstance(sub.value, ast.Attribute) and sub.value.attr == "add":
+            yield sub.lineno, "add.reduce"
+        elif sub.attr in {"sum", "mean"}:
+            yield sub.lineno, sub.attr
+
+
+def test_incremental_learner_sums_in_the_order_its_code_writes():
+    tree = ast.parse(Path(cpslearn.learners.__file__).read_text(encoding="utf-8"))
+    (owner,) = [node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "IncrementalLinearLearner"]
+    assert list(numpy_ordered_sums(owner)) == []
+
+
+def test_ordered_sum_rule_sees_each_form():
+    source = (
+        "def f(a):\n    np.add.reduce(a, axis=0)\n    np.sum(a)\n    a.sum(axis=1)\n    np.mean(a)\n"
+        "    a.mean()\n    total = np.add.reduce\n    a += a[0]\n    sum(a)\n"
+    )
+    assert sorted(numpy_ordered_sums(ast.parse(source))) == [
+        (2, "add.reduce"), (3, "sum"), (4, "sum"), (5, "mean"), (6, "mean"), (7, "add.reduce"),
+    ]
 
 
 # Library names with no library caller, each with the reason it stays.

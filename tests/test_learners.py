@@ -573,12 +573,26 @@ class TestInformationFormOracle:
             learner.finalize()
 
 
+def in_order(products: np.ndarray) -> np.ndarray:
+    """The sum over the first axis, added strictly in order: ``P[0] + P[1] + ...``."""
+    total = products[0].copy() if len(products) else np.zeros(products.shape[1:])
+    for product in products[1:]:
+        total += product
+    return total
+
+
+def numpy_reduce(products: np.ndarray) -> np.ndarray:
+    """The sum over the first axis in the order numpy picks for the layout: in order for
+    rows of at least two elements, pairwise for rows of one (a design of the intercept alone)."""
+    return np.add.reduce(products, axis=0)
+
+
 class PerBatchSums:
     """Oracle: G and b accumulated as each batch arrives, by the information form's
-    per-batch arithmetic (the learner's own arithmetic before batches were queued)."""
+    per-batch arithmetic, with each batch's rows summed by ``row_sums``."""
 
-    def __init__(self, forget: float, regularization: float, dim: int):
-        self.forget = forget
+    def __init__(self, forget: float, regularization: float, dim: int, row_sums=in_order):
+        self.forget, self.row_sums = forget, row_sums
         self.gram = np.eye(dim) * regularization
         self.moment = np.zeros(dim)
 
@@ -590,8 +604,8 @@ class PerBatchSums:
         decay = forget**m
         with np.errstate(over="ignore", invalid="ignore"):
             weighted = design * decays[:, np.newaxis]
-            gram = np.add.reduce(weighted[:, :, np.newaxis] * design[:, np.newaxis, :], axis=0)
-            moment = np.add.reduce(weighted * y[:, np.newaxis], axis=0)
+            gram = self.row_sums(weighted[:, :, np.newaxis] * design[:, np.newaxis, :])
+            moment = self.row_sums(weighted * y[:, np.newaxis])
             self.gram = self.gram * decay + gram
             self.moment = self.moment * decay + moment
 
@@ -629,6 +643,30 @@ def queued_streams(draw):
     return dim, forget, budget, rows, targets, sizes, checkpoints
 
 
+def oracles(forget: float, dim: int) -> list[PerBatchSums]:
+    """The per-batch oracles a stream of this width must match byte for byte: rows summed in
+    order, and, with at least two design columns, numpy's own per-batch ``np.add.reduce``."""
+    sums = [in_order] + ([numpy_reduce] if dim >= 2 else [])
+    return [PerBatchSums(forget, 1e-8, dim, row_sums) for row_sums in sums]
+
+
+def feed(learner: IncrementalLinearLearner, references: list[PerBatchSums], rows, targets, size: int) -> None:
+    """Stream ``rows`` and ``targets`` to the learner and to each oracle in batches of ``size`` rows."""
+    for start in range(0, len(targets), size):
+        stop = start + size
+        learner.update(Dataset([(f"c{j}", rows[start:stop, j]) for j in range(rows.shape[1])]),
+                       Dataset({"y": targets[start:stop]}))
+        for reference in references:
+            reference.update(rows[start:stop], targets[start:stop])
+
+
+def assert_same_sums(learner: IncrementalLinearLearner, references: list[PerBatchSums]) -> None:
+    gram, moment = learner._sums()
+    for reference in references:
+        assert gram.tobytes() == reference.gram.tobytes()
+        assert moment.tobytes() == reference.moment.tobytes()
+
+
 class TestBlockwiseAccumulation:
     """The learner queues batches and accumulates them blockwise; G, b and the model
     hold the same bytes as when each batch is accumulated as it arrives."""
@@ -638,14 +676,15 @@ class TestBlockwiseAccumulation:
     def test_same_bytes_as_per_batch_accumulation(self, stream):
         dim, forget, budget, rows, targets, sizes, checkpoints = stream
         learner = IncrementalLinearLearner(forget)
-        reference = PerBatchSums(forget, learner.regularization, dim)
+        references = oracles(forget, dim)
         start = 0
         with mock.patch.object(learners, "_QUEUE_BYTES", budget):
             for index, size in enumerate(sizes):
                 stop = start + size
                 inputs = Dataset([(f"c{j}", rows[start:stop, j]) for j in range(dim - 1)], row_count=size)
                 learner.update(inputs, Dataset({"y": targets[start:stop]}))
-                reference.update(rows[start:stop], targets[start:stop])
+                for reference in references:
+                    reference.update(rows[start:stop], targets[start:stop])
                 start = stop
                 if index not in checkpoints:
                     continue
@@ -654,12 +693,11 @@ class TestBlockwiseAccumulation:
                         learner.finalize()
                     continue
                 fitted = outcome(learner.finalize)
-                gram, moment = learner._sums()
-                assert gram.tobytes() == reference.gram.tobytes()
-                assert moment.tobytes() == reference.moment.tobytes()
+                assert_same_sums(learner, references)
+                gram, moment = references[0].gram.tolist(), references[0].moment.tolist()
 
                 def solve():
-                    weights = learners._solve_positive_definite(reference.gram.tolist(), reference.moment.tolist())
+                    weights = learners._solve_positive_definite(gram, moment)
                     return LinearModel(weights[:-1], weights[-1], inputs.column_names, "y")
 
                 assert fitted == outcome(solve)
@@ -669,16 +707,24 @@ class TestBlockwiseAccumulation:
         three times."""
         rng = np.random.default_rng(23)
         rows, targets = rng.normal(size=(12_000, 5)) * 100.0, rng.normal(size=12_000)
-        learner, reference = IncrementalLinearLearner(0.9999), PerBatchSums(0.9999, 1e-8, 6)
-        for start in range(0, 12_000, 32):
-            stop = start + 32
-            learner.update(Dataset([(f"c{j}", rows[start:stop, j]) for j in range(5)]),
-                           Dataset({"y": targets[start:stop]}))
-            reference.update(rows[start:stop], targets[start:stop])
-        gram, moment = learner._sums()
+        learner, references = IncrementalLinearLearner(0.9999), oracles(0.9999, 6)
+        feed(learner, references, rows, targets, 32)
         assert learners._QUEUE_BYTES // (8 * 6 * 6) == 3_640
-        assert gram.tobytes() == reference.gram.tobytes()
-        assert moment.tobytes() == reference.moment.tobytes()
+        assert_same_sums(learner, references)
+
+    @pytest.mark.parametrize("forget", [1.0, 0.9, 8.1e-49])
+    @pytest.mark.parametrize("dim", [2, 6])
+    @pytest.mark.parametrize("size, count", [(32, 113), (32, 700), (1, 300), (5_000, 1)],
+                             ids=["113x32", "700x32", "300x1", "1x5000"])
+    def test_same_bytes_for_the_shapes_the_layout_changes(self, size, count, dim, forget):
+        """Groups of 113 and 700 batches of 32 (at six design columns the budget holds 113, so
+        700 split into groups), 300 one-row batches as the active learner queues them, and one
+        batch larger than the budget."""
+        rng = np.random.default_rng(size * count + dim)
+        rows, targets = rng.normal(size=(size * count, dim - 1)) * 100.0, rng.normal(size=size * count)
+        learner, references = IncrementalLinearLearner(forget), oracles(forget, dim)
+        feed(learner, references, rows, targets, size)
+        assert_same_sums(learner, references)
 
     def test_empty_batches_do_not_pile_up(self):
         """An empty batch counts as one row toward the queue's budget."""
@@ -919,7 +965,7 @@ MALFORMED = [
     (tree_doc, ("params", "root"), DELETE, "params.root is missing"),
     (tree_doc, ("params", "root"), [], "params.root must be an object"),
     (tree_doc, ("params", "max_depth"), DELETE, "params.max_depth is missing"),
-    (tree_doc, ("params", "min_samples_leaf"), "1", "params.min_samples_leaf must be an integer"),
+    (tree_doc, ("params", "min_samples_leaf"), "1", "params.min_samples_leaf must be a positive integer"),
     (tree_doc, ("params", "root", "left"), DELETE, "params.root.left is missing"),
     (tree_doc, ("params", "root", "right"), 3, "params.root.right must be an object"),
     (tree_doc, ("params", "root", "feature"), 2, "params.root.feature must be a column index below 2"),
@@ -929,6 +975,10 @@ MALFORMED = [
     (tree_doc, ("params", "root", "left", "left"), {"value": "x", "samples": 1},
      "params.root.left.left.value must be a number"),
     (tree_doc, ("params", "root", "left", "left"), {"value": 1.0}, "params.root.left.left.samples is missing"),
+    *[(tree_doc, ("params", "max_depth"), value, "params.max_depth must be a non-negative integer")
+      for value in (-3, True, 2.5)],
+    *[(tree_doc, ("params", "min_samples_leaf"), value, "params.min_samples_leaf must be a positive integer")
+      for value in (-3, 0, True, 2.5)],
 ]
 
 
@@ -939,6 +989,10 @@ class TestMalformedModelDocuments:
             model_from_dict(edited(make(), path, value))
         assert type(info.value) is ValueError
         assert str(info.value) == f"malformed model document: {message}"
+
+    def test_a_stump_depth_loads(self):
+        """``max_depth`` 0 is a setting the fit takes, so a document may hold it."""
+        assert model_from_dict(edited(tree_doc(), ("params", "max_depth"), 0)).max_depth == 0
 
     @pytest.mark.parametrize("doc", [None, [], "model"])
     def test_document_must_be_an_object(self, doc):
