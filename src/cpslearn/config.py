@@ -19,8 +19,10 @@ Every environment, transform and learner kind is one entry of
 ``ENVIRONMENT_KINDS``, ``TRANSFORM_KINDS`` or ``LEARNER_KINDS``: a factory
 plus, for each parameter, a check and a default. These tables are the single
 source of truth: validation diagnostics, default filling, construction and
-``watertank_config()`` all read them; the local learner kinds are read from
-``learners.LOCAL_KINDS``, whose checks the learners apply too. A parameter that
+``watertank_config()`` all read them. The ``ode_watertank`` kind is read from
+``environments.WATERTANK_KIND`` and the local learner kinds from
+``learners.LOCAL_KINDS``: the tank, its sampler and the learners apply the same
+checks, and the tank's step limit is ``environments._step_limit``. A parameter that
 its kind's table does not name is reported as unknown, for every kind. The
 ``csv`` and ``json`` kinds take only a ``path``; a CSV file is a header row,
 then comma-separated rows, as ``load_csv`` reads it.
@@ -40,13 +42,13 @@ from collections import Counter
 from pathlib import Path
 
 from . import remote
-from .environments import _MAX_RK4_STEPS, OdeEnvironment, OfflineEnvironment, WaterTankSystem, _substeps
+from .dataset import _is_int, _is_number
+from .environments import WATERTANK_KIND, OfflineEnvironment, _step_limit
 from .errors import PipelineError
 from .learners import LOCAL_KINDS, MODEL_FILE_SUFFIX, Model, save_model
 from .metrics import REGISTRY
 from .strategies import EvaluationReport, IoSpec, evaluate, learn_offline
-from .transforms import Explode, Select, SlidingWindow, Standardize, TransformChain
-from .transforms import _check, _is_int, _is_number, _number, _positive, _positive_int
+from .transforms import Explode, Select, SlidingWindow, Standardize, TransformChain, _check, _positive_int
 
 CONFIG_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
@@ -118,24 +120,8 @@ def _address(value):
 _REQUIRED = object()
 
 
-def _watertank(samples, dt, substep, initial_level, area, outflow_coeff, inflow_gain):
-    system = WaterTankSystem(
-        level=initial_level, area=area, outflow_coeff=outflow_coeff, inflow_gain=inflow_gain
-    )
-    ode = OdeEnvironment(system, sample_period=dt, substep=substep)
-    return OfflineEnvironment.from_dataset(ode.sample_trajectory(samples))
-
-
 ENVIRONMENT_KINDS = {
-    "ode_watertank": (_watertank, {
-        "samples": (_positive_int, 250),
-        "dt": (_positive, 0.1),
-        "substep": (_positive, 1e-3),
-        "initial_level": (lambda v: _number(v) or (None if v >= 0 else "must be non-negative"), 1.0),
-        "area": (_positive, 5.0),
-        "outflow_coeff": (_number, 0.5),
-        "inflow_gain": (_number, 2.0),
-    }),
+    "ode_watertank": WATERTANK_KIND,
     "csv": (OfflineEnvironment.from_csv, {"path": (_path, _REQUIRED)}),
     "json": (OfflineEnvironment.from_json, {"path": (_path, _REQUIRED)}),
 }
@@ -187,22 +173,13 @@ def _check_spec(diags: list[str], field: str, spec, table: dict) -> None:
 
 
 def _check_step_count(diags: list[str], spec) -> None:
-    """Append the diagnostic of an ``ode_watertank`` spec whose valid dt and substep
-    give no finite number of RK4 steps per sample, as ``substep=1e-320`` does, or
-    whose valid samples need more than ``_MAX_RK4_STEPS`` steps in all."""
-    if not isinstance(spec, dict) or spec.get("kind") != "ode_watertank":
-        return
-    params = ENVIRONMENT_KINDS["ode_watertank"][1]
-    samples, dt, substep = (spec.get(key, params[key][1]) for key in ("samples", "dt", "substep"))
-    if _positive(dt) is None and _positive(substep) is None:
-        try:
-            steps, _ = _substeps(dt, substep, "dt")
-        except ValueError as exc:
-            diags.append(f"environment.substep: {exc}")
-            return
-        if _positive_int(samples) is None and (samples - 1) * steps > _MAX_RK4_STEPS:
-            diags.append(f"environment.substep: (samples - 1) * round(dt / substep) is above the limit "
-                         f"of {_MAX_RK4_STEPS} RK4 steps")
+    """Append the diagnostic of an ``ode_watertank`` spec whose trajectory takes no finite
+    number of RK4 steps, as ``substep=1e-320`` does, or too many: ``environments._step_limit``
+    refuses it as sampling the trajectory would."""
+    if isinstance(spec, dict) and spec.get("kind") == "ode_watertank":
+        problem = _step_limit(**{key: spec.get(key, default) for key, (_, default) in WATERTANK_KIND[1].items()})
+        if problem:
+            diags.append(f"environment.substep: {problem}")
 
 
 def _build(spec: dict, table: dict, *args):

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -73,6 +74,19 @@ class TraceColumn(PipelineError, ValueError):
     def __init__(self, column: str):
         super().__init__(f"column {column!r} holds traces, not float64 values")
         self.column = column
+
+
+# A bool is neither an integer nor a number; numpy integer and float scalars are both; ``Infinity``
+# and ``NaN`` are not numbers. ``transforms`` builds the setting checks on these two.
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 _NUMBER_TYPES = (int, float, np.integer, np.floating, np.bool_)  # bool is an int
@@ -244,10 +258,10 @@ class Dataset:
         ``floor(fraction * row_count)`` leading rows, the second the rest.
 
         Raises:
-            InvalidFraction: if fraction is outside (0, 1).
+            InvalidFraction: if fraction is not a number in (0, 1).
             TooFewRows: if the dataset has fewer than two rows.
         """
-        if not (0.0 < fraction < 1.0):
+        if not (_is_number(fraction) and 0.0 < fraction < 1.0):
             raise InvalidFraction(f"split fraction must be in (0, 1), got {fraction}")
         if self._row_count < 2:
             raise TooFewRows(f"need at least 2 rows to split, have {self._row_count}")
@@ -256,9 +270,9 @@ class Dataset:
 
     def slice_rows(self, start: int, stop: int) -> "Dataset":
         """Rows ``start`` up to, not including, ``stop``: ``stop`` is clamped to ``row_count``,
-        and ``start`` to ``stop``. A negative bound raises ValueError."""
-        if start < 0 or stop < 0:
-            raise ValueError(f"row bounds must be non-negative, got start={start}, stop={stop}")
+        and ``start`` to ``stop``. A bound that is negative, a bool or not an integer raises ValueError."""
+        if not (_is_int(start) and _is_int(stop) and start >= 0 and stop >= 0):
+            raise ValueError(f"row bounds must be non-negative integers, got start={start!r}, stop={stop!r}")
         stop = min(stop, self._row_count)
         start = min(start, stop)
         return _unchecked_dataset({n: v[start:stop] for n, v in self._columns.items()}, stop - start)

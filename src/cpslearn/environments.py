@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset, load_csv, load_json
 from .errors import PipelineError
-from .transforms import Transform, TransformChain, _positive_int, _positive_real, _setting
+from .transforms import Transform, TransformChain, _number, _positive, _positive_int, _setting
 
 
 class ActionOutOfRange(PipelineError):
@@ -160,6 +160,11 @@ def zero_inflow(t: float) -> float:
     return 0.0
 
 
+# The check of the tank's level, beside the shared checks in ``transforms``.
+def _non_negative(value):
+    return _number(value) or (None if value >= 0 else "must be non-negative")
+
+
 @dataclass(frozen=True)
 class WaterTankSystem:
     """A tank with level-proportional-root outflow and a gated inflow.
@@ -180,8 +185,10 @@ class WaterTankSystem:
             bit for bit.
 
     Raises:
-        ValueError: ``tank area must be positive, got ...`` for an area that is not a
-            positive finite number (NaN, an infinity, a bool or a string included).
+        ValueError: ``<field> must be ..., got ...`` for a ``level`` that is not a
+            non-negative number, an ``area`` that is not a positive number, or a ``time``,
+            ``outflow_coeff`` or ``inflow_gain`` that is not a number. NaN, infinities,
+            bools and strings are not numbers.
     """
 
     level: float = 1.0
@@ -192,7 +199,11 @@ class WaterTankSystem:
     inflow: Callable[[float], float] = clipped_sine_inflow
 
     def __post_init__(self):
-        _setting("tank area", self.area, _positive_real)
+        _setting("level", self.level, _non_negative)
+        _setting("time", self.time, _number)
+        _setting("area", self.area, _positive)
+        _setting("outflow_coeff", self.outflow_coeff, _number)
+        _setting("inflow_gain", self.inflow_gain, _number)
 
 
 # The most RK4 steps one sample_trajectory or advance call may take: about two
@@ -200,13 +211,25 @@ class WaterTankSystem:
 _MAX_RK4_STEPS = 10**8
 
 
-def _substeps(period: float, substep: float, name: str) -> tuple[int, float]:
-    """The number and size of the RK4 steps that cover one ``period`` in steps of about ``substep``."""
-    _setting(name, period, _positive_real)
-    _setting("substep", substep, _positive_real)
+def _rk4_steps(period: float, substep: float, name: str, samples: int = 2) -> tuple[int, float]:
+    """The number and size of the RK4 steps that cover one ``period`` in steps of about ``substep``.
+
+    A trajectory of ``samples`` samples, ``period`` apart, covers ``samples - 1`` periods;
+    one advance of an active environment covers one (two samples).
+
+    Raises:
+        ValueError: ``<name> must be a positive number, got ...`` or ``substep must be a
+            positive number, got ...``; ``substep ... is too small`` if ``period / substep``
+            is not finite; or ``<samples - 1> * round(<name> / substep) is above the limit
+            of ... RK4 steps`` if the trajectory takes more than ``_MAX_RK4_STEPS`` steps.
+    """
+    _setting(name, period, _positive)
+    _setting("substep", substep, _positive)
     if not math.isfinite(period / substep):
         raise ValueError(f"substep {substep!r} is too small: {name} / substep is not finite")
     steps = max(1, round(period / substep))
+    if (samples - 1) * steps > _MAX_RK4_STEPS:
+        raise ValueError(f"{samples - 1} * round({name} / substep) is above the limit of {_MAX_RK4_STEPS} RK4 steps")
     return steps, period / steps
 
 
@@ -245,13 +268,12 @@ class OdeEnvironment:
     system's initial time.
 
     Raises:
-        ValueError: ``sample_period must be positive, got ...`` or ``substep must be
-            positive, got ...`` for a value that is not a positive finite number, or
-            if ``sample_period / substep`` is not finite.
+        ValueError: ``sample_period must be a positive number, got ...`` or ``substep must
+            be a positive number, got ...``, or if ``sample_period / substep`` is not finite.
     """
 
     def __init__(self, system: WaterTankSystem, sample_period: float = 0.1, substep: float = 1e-3):
-        self._substeps, self._h = _substeps(sample_period, substep, "sample_period")
+        _rk4_steps(sample_period, substep, "sample_period", samples=1)  # sample_trajectory checks the step limit
         self._initial = system
         self.sample_period = sample_period
         self.substep = substep
@@ -261,13 +283,14 @@ class OdeEnvironment:
 
         Columns: sample time ``t``, inflow value ``V`` at that time, and the
         fill level ``x``. Consecutive rows are ``sample_period`` apart.
+
+        Raises:
+            ValueError: ``n must be a positive integer, got ...``, or if the trajectory
+                takes more than ``_MAX_RK4_STEPS`` RK4 steps.
         """
-        if n < 1:
-            raise ValueError(f"need at least one sample, got {n}")
-        if (n - 1) * self._substeps > _MAX_RK4_STEPS:
-            raise ValueError(f"(n - 1) * round(sample_period / substep) is above the limit of "
-                             f"{_MAX_RK4_STEPS} RK4 steps")
-        tank, substeps, h = self._initial, self._substeps, self._h
+        n = _setting("n", n, _positive_int)
+        substeps, h = _rk4_steps(self.sample_period, self.substep, "sample_period", n)
+        tank = self._initial
         times, inflows, levels = np.empty((3, n), dtype=np.float64)
         level, t0 = tank.level, tank.time
         for i in range(n):
@@ -287,15 +310,12 @@ class WaterTankActiveEnvironment(ActiveEnvironment):
     action the default inflow 0 is used.
 
     Raises:
-        ValueError: ``step_period must be positive, got ...`` or ``substep must be
-            positive, got ...`` for a value that is not a positive finite number, or
-            if a step needs no finite or too many RK4 steps.
+        ValueError: ``step_period must be a positive number, got ...`` or ``substep must
+            be a positive number, got ...``, or if a step needs no finite or too many RK4 steps.
     """
 
     def __init__(self, step_period: float = 0.1, substep: float = 1e-3):
-        self._substeps, self._h = _substeps(step_period, substep, "step_period")
-        if self._substeps > _MAX_RK4_STEPS:
-            raise ValueError(f"round(step_period / substep) is above the limit of {_MAX_RK4_STEPS} RK4 steps")
+        self._substeps, self._h = _rk4_steps(step_period, substep, "step_period")
         self._system = WaterTankSystem()
         self._level, self._time = self._system.level, self._system.time  # what advance steps; _system keeps the constants
         self._space = ActionSpace("V", 0.0, 1.0)
@@ -310,6 +330,13 @@ class WaterTankActiveEnvironment(ActiveEnvironment):
         return self._time
 
     def act(self, action: float) -> None:
+        """Hold ``action`` from the next advance on.
+
+        Raises:
+            ValueError: ``action must be a number, got ...``.
+            ActionOutOfRange: for a number outside the action space.
+        """
+        action = _setting("action", action, _number)
         space = self._space
         if not space.contains(action):
             raise ActionOutOfRange(f"action {action} outside [{space.low}, {space.high}]")
@@ -322,3 +349,34 @@ class WaterTankActiveEnvironment(ActiveEnvironment):
 
     def observe(self) -> Dataset:
         return Dataset([("t", [self._time]), ("x", [self._level])])
+
+
+def _watertank(samples, dt, substep, initial_level, area, outflow_coeff, inflow_gain) -> OfflineEnvironment:
+    system = WaterTankSystem(level=initial_level, area=area, outflow_coeff=outflow_coeff, inflow_gain=inflow_gain)
+    return OfflineEnvironment.from_dataset(OdeEnvironment(system, dt, substep).sample_trajectory(samples))
+
+
+def _step_limit(samples, dt, substep, **_) -> str | None:
+    """Why sampling the trajectory of these ``ode_watertank`` settings would be refused for its RK4
+    steps, or None. A ``dt`` or ``substep`` that its own check refuses is left to that check, and a
+    ``samples`` that its check refuses counts as one sample."""
+    if _positive(dt) is None and _positive(substep) is None:
+        try:
+            _rk4_steps(dt, substep, "dt", samples if _positive_int(samples) is None else 1)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+# The ``ode_watertank`` kind a config builds: (factory, {setting -> (check, default)}), each check the
+# one that the object taking the setting applies: ``samples`` is sample_trajectory's ``n``, ``dt``
+# OdeEnvironment's ``sample_period`` and ``initial_level`` the tank's ``level``.
+WATERTANK_KIND = (_watertank, {
+    "samples": (_positive_int, 250),
+    "dt": (_positive, 0.1),
+    "substep": (_positive, 1e-3),
+    "initial_level": (_non_negative, 1.0),
+    "area": (_positive, 5.0),
+    "outflow_coeff": (_number, 0.5),
+    "inflow_gain": (_number, 2.0),
+})

@@ -33,10 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from . import strategies
-from .dataset import Dataset
+from .dataset import Dataset, _is_int, _is_number
 from .environments import ActionSpace, DatasetStream, OfflineEnvironment
 from .errors import PipelineError
-from .transforms import _check, _is_int, _is_number, _non_negative_int, _positive_int, _positive_real, _setting
+from .transforms import _check, _non_negative_int, _positive, _positive_int, _setting
 
 MODEL_FORMAT_VERSION = 1
 MODEL_FILE_SUFFIX = ".fcm.json"
@@ -722,12 +722,12 @@ class IncrementalLinearLearner:
 
     Raises:
         ValueError: when built, ``forgetting_factor must be in (0, 1], got ...``
-            or ``regularization must be positive, got ...``.
+            or ``regularization must be a positive number, got ...``.
     """
 
     def __init__(self, forgetting_factor: float = 1.0, regularization: float = 1e-8):
         self.forgetting_factor = _setting("forgetting_factor", forgetting_factor, _forgetting_factor)
-        self.regularization = _setting("regularization", regularization, _positive_real)
+        self.regularization = _setting("regularization", regularization, _positive)
         self._gram: np.ndarray | None = None
         self._moment: np.ndarray | None = None
         self._rows = 0
@@ -918,11 +918,11 @@ LOCAL_KINDS = {
                              min_samples_leaf=_positive_int),
     "linear": _kind(LinearRegressionLearner, _fit_whole),
     "incremental_linear": _kind(IncrementalLinearLearner, _fit_streamed, forgetting_factor=_forgetting_factor,
-                                regularization=_positive_real, batch_size=_positive_int),
+                                regularization=_positive, batch_size=_positive_int),
 }
 
 
-# Checks of values read from model documents, beside ``transforms._is_int`` and ``_is_number``.
+# Checks of values read from model documents, beside ``dataset._is_int`` and ``_is_number``.
 def _is_object(value) -> bool:
     return isinstance(value, dict)
 

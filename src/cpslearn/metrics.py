@@ -16,6 +16,7 @@ import warnings
 
 import numpy as np
 
+from .dataset import _is_number
 from .errors import PipelineError
 
 
@@ -193,9 +194,10 @@ def f_beta(predicted, actual, beta: float = 1.0) -> float:
     """F-beta score; 0 when precision and recall are both 0.
 
     Raises:
-        ValueError: unless ``0 < beta <= sqrt(DBL_MAX)``, so that ``beta**2`` is a finite float.
+        ValueError: unless ``beta`` is a number (not a bool) with ``0 < beta <= sqrt(DBL_MAX)``,
+            so that ``beta**2`` is a finite float.
     """
-    if not 0.0 < beta <= _LARGEST_BETA:  # False for NaN too
+    if not (_is_number(beta) and 0.0 < beta <= _LARGEST_BETA):
         raise ValueError(f"beta must be positive with a finite square, got {beta!r}")
     p, a = _check_binary(predicted, actual)
     tp, fp, fn, _ = _confusion(p, a)

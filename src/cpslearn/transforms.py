@@ -7,14 +7,12 @@ always yields the same output. Adaptive transforms (currently only
 
 from __future__ import annotations
 
-import math
-import numbers
 import operator
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _is_int, _is_number
 from .errors import PipelineError
 
 
@@ -46,20 +44,9 @@ class StatisticsOverflow(PipelineError):
     """The mean or standard deviation of a finite column overflows float64."""
 
 
-# Checks of settings and of JSON values, kept in the lowest module that checks a setting (SlidingWindow):
-# each returns None for a valid value, else the message that refuses it. A bool is neither an integer
-# nor a number; numpy integer and float scalars are both; ``Infinity`` and ``NaN`` are not numbers.
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    try:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
+# Checks of settings and of JSON values: each returns None for a valid value, else the message that
+# refuses it. They are built on ``dataset._is_int`` and ``_is_number``, which say which values are
+# integers and numbers and live in ``dataset``, the lowest module that checks a value.
 
 
 def _check(ok, message: str):
@@ -69,9 +56,6 @@ def _check(ok, message: str):
 _positive_int = _check(lambda v: _is_int(v) and v >= 1, "must be a positive integer")
 _non_negative_int = _check(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
 _positive = _check(lambda v: _is_number(v) and v > 0, "must be a positive number")
-# The same values as ``_positive``, worded as the library's ValueError words them: the tank's area,
-# its step sizes and the incremental learner's regularization.
-_positive_real = _check(lambda v: _is_number(v) and v > 0, "must be positive")
 _number = _check(_is_number, "must be a number")
 
 

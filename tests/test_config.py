@@ -117,7 +117,7 @@ GOLDEN = [
     ("tank-dt-huge", ("environment", "dt"), 1e306,
      ["environment.substep: substep 0.001 is too small: dt / substep is not finite"]),
     ("tank-substep-too-many-steps", ("environment", "substep"), 1e-300,
-     ["environment.substep: (samples - 1) * round(dt / substep) is above the limit of 100000000 RK4 steps"]),
+     ["environment.substep: 249 * round(dt / substep) is above the limit of 100000000 RK4 steps"]),
     ("tank-area-string", ("environment", "area"), "5", ["environment.area: must be a positive number"]),
     ("tank-initial-level-string", ("environment", "initial_level"), "1",
      ["environment.initial_level: must be a number"]),
@@ -144,9 +144,9 @@ GOLDEN = [
     ("rls-forgetting-above-one", ("learner",), {**RLS, "forgetting_factor": 1.5},
      ["learner.forgetting_factor: must be in (0, 1]"]),
     ("rls-regularization-zero", ("learner",), {**RLS, "regularization": 0},
-     ["learner.regularization: must be positive"]),
+     ["learner.regularization: must be a positive number"]),
     ("rls-regularization-string", ("learner",), {**RLS, "regularization": "1e-8"},
-     ["learner.regularization: must be positive"]),
+     ["learner.regularization: must be a positive number"]),
     ("rls-batch-zero", ("learner",), {**RLS, "batch_size": 0}, ["learner.batch_size: must be a positive integer"]),
     ("remote-address-missing", ("learner",), {"kind": "remote"}, ["learner.address: must be a 'host:port' string"]),
     ("remote-address-number", ("learner",), {"kind": "remote", "address": 8080},
@@ -240,18 +240,27 @@ def test_config_refuses_a_setting_exactly_when_the_library_does(kind, name, valu
 
 # The water tank's settings and the library objects that check them.
 TANK_SETTINGS = {
-    "area": lambda value: WaterTankSystem(area=value),
+    "samples": lambda value: OdeEnvironment(WaterTankSystem()).sample_trajectory(value),
     "dt": lambda value: OdeEnvironment(WaterTankSystem(), sample_period=value),
     "substep": lambda value: OdeEnvironment(WaterTankSystem(), substep=value),
+    "initial_level": lambda value: WaterTankSystem(level=value),
+    "area": lambda value: WaterTankSystem(area=value),
+    "outflow_coeff": lambda value: WaterTankSystem(outflow_coeff=value),
+    "inflow_gain": lambda value: WaterTankSystem(inflow_gain=value),
 }
 
 
 @pytest.mark.parametrize("value", EDGE_VALUES, ids=lambda v: "10**400" if type(v) is int and v > 2**64 else repr(v))
 @pytest.mark.parametrize("name", list(TANK_SETTINGS))
 def test_config_refuses_a_tank_setting_exactly_when_the_library_does(name, value):
-    """validate_config and the water-tank objects refuse the same values, each with a ValueError."""
+    """validate_config and the water-tank objects refuse the same values, each with a ValueError.
+    A ``samples`` whose trajectory takes too many RK4 steps is reported on ``environment.substep``."""
     diagnostics = validate_config(mutated(("environment",), {"kind": "ode_watertank", name: value}))
-    reported = any(diagnostic.startswith(f"environment.{name}: ") for diagnostic in diagnostics)
+    reported = any(
+        diagnostic.startswith(f"environment.{name}: ")
+        or name == "samples" and diagnostic.startswith("environment.substep: ") and "RK4 steps" in diagnostic
+        for diagnostic in diagnostics
+    )
     try:
         TANK_SETTINGS[name](value)
     except ValueError:
@@ -259,6 +268,34 @@ def test_config_refuses_a_tank_setting_exactly_when_the_library_does(name, value
     else:
         refused = False
     assert reported == refused
+
+
+class Started(Exception):
+    """Raised by the inflow at the first sample: every check of the trajectory has passed."""
+
+
+def starting_inflow(t: float) -> float:
+    raise Started
+
+
+# (samples, dt, substep) on each side of 10**8 RK4 steps as each of the three moves, and a single
+# sample, which takes no step whatever its period.
+STEP_LIMIT_CASES = [
+    (1_001, 0.1, 1e-6, False), (1_002, 0.1, 1e-6, True),
+    (2, 100_000.0, 1e-3, False), (2, 100_000.001, 1e-3, True),
+    (2, 0.1, 1e-9, False), (2, 0.1, 9.9e-10, True),
+    (1, 1e6, 1e-3, False), (2, 1e6, 1e-3, True),
+]
+
+
+@pytest.mark.parametrize("samples, dt, substep, refused", STEP_LIMIT_CASES)
+def test_config_and_sampler_share_one_step_limit(samples, dt, substep, refused):
+    """Both sides refuse a trajectory above 10**8 RK4 steps, or neither does; the sampler refuses
+    before its first inflow call, so an accepted trajectory is never run."""
+    spec = {"kind": "ode_watertank", "samples": samples, "dt": dt, "substep": substep}
+    assert (validate_config(mutated(("environment",), spec)) != []) is refused
+    with pytest.raises(ValueError if refused else Started):
+        OdeEnvironment(WaterTankSystem(inflow=starting_inflow), sample_period=dt, substep=substep).sample_trajectory(samples)
 
 
 @pytest.mark.parametrize(
@@ -301,7 +338,7 @@ def test_null_fields_are_diagnosed(field, expected):
         (("environment", "initial_level"), float("inf"), "environment.initial_level: must be a number"),
         (("environment", "inflow_gain"), float("-inf"), "environment.inflow_gain: must be a number"),
         (("learner",), {**REMOTE, "timeout": float("inf")}, "learner.timeout: must be a positive number"),
-        (("learner",), {**RLS, "regularization": float("nan")}, "learner.regularization: must be positive"),
+        (("learner",), {**RLS, "regularization": float("nan")}, "learner.regularization: must be a positive number"),
         (("environment", "area"), 10**400, "environment.area: must be a positive number"),
     ],
 )

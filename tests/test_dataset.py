@@ -588,6 +588,12 @@ def test_split_validation():
         Dataset({"v": [1.0]}).split(0.5)
 
 
+@pytest.mark.parametrize("fraction", ["0.5", None, [0.5], math.nan])
+def test_split_refuses_a_fraction_that_is_not_a_number(fraction):
+    with pytest.raises(InvalidFraction, match="^split fraction must be in"):
+        Dataset({"v": [1.0, 2.0, 3.0]}).split(fraction)
+
+
 @settings(deadline=None, max_examples=50)
 @given(
     values=st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=2, max_size=60),
@@ -609,8 +615,18 @@ def test_select_preserves_row_count(toy_series):
 @pytest.mark.parametrize("columns", [{"v": np.arange(10.0)}, {}], ids=["column", "no-column"])
 def test_slice_rows_refuses_negative_bounds(columns, start, stop):
     d = Dataset(columns, row_count=10)
-    with pytest.raises(ValueError, match=f"^row bounds must be non-negative, got start={start}, stop={stop}$"):
+    with pytest.raises(ValueError, match=f"^row bounds must be non-negative integers, got start={start}, stop={stop}$"):
         d.slice_rows(start, stop)
+
+
+@pytest.mark.parametrize("start, stop", [(True, 3), (0, True), (np.True_, 3), (1.5, 3), (0, 2.0), ("1", 3), (0, None)])
+def test_slice_rows_refuses_bounds_that_are_not_integers(start, stop):
+    with pytest.raises(ValueError, match=f"^row bounds must be non-negative integers, got start={start!r}, "):
+        Dataset({"v": np.arange(10.0)}).slice_rows(start, stop)
+
+
+def test_slice_rows_takes_numpy_integers():
+    assert Dataset({"v": np.arange(10.0)}).slice_rows(np.int64(1), np.int32(3)).column("v").tolist() == [1.0, 2.0]
 
 
 @pytest.mark.parametrize(

@@ -181,8 +181,23 @@ class TestWaterTankSystem:
 
     @pytest.mark.parametrize("area", NOT_POSITIVE_NUMBERS, ids=value_id)
     def test_area_that_is_not_a_positive_number_is_refused(self, area):
-        with pytest.raises(ValueError, match=r"^tank area must be positive, got "):
+        with pytest.raises(ValueError, match=r"^area must be a positive number, got "):
             WaterTankSystem(area=area)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, np.True_, "0.5", None, 10**400],
+                             ids=value_id)
+    @pytest.mark.parametrize("name", ["level", "time", "outflow_coeff", "inflow_gain"])
+    def test_field_that_is_not_a_number_is_refused(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be a number, got "):
+            WaterTankSystem(**{name: value})
+
+    def test_negative_level_is_refused(self):
+        with pytest.raises(ValueError, match=r"^level must be non-negative, got -1.0$"):
+            WaterTankSystem(level=-1.0)
+
+    @pytest.mark.parametrize("name", ["time", "outflow_coeff", "inflow_gain"])
+    def test_negative_time_and_coefficients_are_accepted(self, name):
+        assert getattr(WaterTankSystem(**{name: -1.0}), name) == -1.0
 
     def test_numpy_area_is_accepted(self):
         assert WaterTankSystem(area=np.float64(5.0)).area == 5.0
@@ -268,6 +283,15 @@ class TestOdeEnvironment:
             if b > 1e-13:  # above the roundoff floor the order shows cleanly
                 assert a / b > 8.0
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 2.0, True, np.True_, "3", None], ids=value_id)
+    def test_sample_count_that_is_not_a_positive_integer_is_refused(self, n):
+        with pytest.raises(ValueError, match=r"^n must be a positive integer, got "):
+            OdeEnvironment(WaterTankSystem()).sample_trajectory(n)
+
+    def test_numpy_sample_count_is_accepted(self):
+        env = OdeEnvironment(WaterTankSystem())
+        assert env.sample_trajectory(np.int64(3)) == env.sample_trajectory(3)
+
     def test_validation(self):
         env = OdeEnvironment(WaterTankSystem())
         with pytest.raises(ValueError):
@@ -278,7 +302,7 @@ class TestOdeEnvironment:
     @pytest.mark.parametrize("value", NOT_POSITIVE_NUMBERS, ids=value_id)
     @pytest.mark.parametrize("name", ["sample_period", "substep"])
     def test_step_that_is_not_a_positive_number_is_refused(self, name, value):
-        with pytest.raises(ValueError, match=rf"^{name} must be positive, got "):
+        with pytest.raises(ValueError, match=rf"^{name} must be a positive number, got "):
             OdeEnvironment(WaterTankSystem(), **{name: value})
 
     @pytest.mark.parametrize("sample_period, substep", [(0.1, 1e-320), (1e306, 1e-3)])
@@ -290,7 +314,7 @@ class TestOdeEnvironment:
     def test_rk4_steps_are_bounded_before_any_work(self, substep, n):
         """(n - 1) * 100 steps at the default period: 1_000_001 samples take exactly 10**8."""
         env = OdeEnvironment(WaterTankSystem(), substep=substep)
-        with pytest.raises(ValueError, match=r"^\(n - 1\) \* round\(sample_period / substep\) is above the limit "
+        with pytest.raises(ValueError, match=rf"^{n - 1} \* round\(sample_period / substep\) is above the limit "
                                              r"of 100000000 RK4 steps$"):
             env.sample_trajectory(n)
 
@@ -322,6 +346,21 @@ class TestWaterTankActiveEnvironment:
         with pytest.raises(ActionOutOfRange):
             env.act(-0.1)
 
+    @pytest.mark.parametrize("action", ["0.5", True, np.True_, None, math.nan, math.inf], ids=value_id)
+    def test_action_that_is_not_a_number_is_refused(self, action):
+        env = WaterTankActiveEnvironment()
+        with pytest.raises(ValueError, match=r"^action must be a number, got "):
+            env.act(action)
+
+    def test_integer_and_numpy_actions_are_taken(self):
+        observations = []
+        for action in (1, np.float64(1.0), 1.0):
+            env = WaterTankActiveEnvironment()
+            env.act(action)
+            env.advance()
+            observations.append(env.observe())
+        assert observations[0] == observations[1] == observations[2]
+
     def test_pending_action_persists_until_replaced(self):
         env = WaterTankActiveEnvironment()
         env.act(1.0)
@@ -341,18 +380,18 @@ class TestWaterTankActiveEnvironment:
 
     @pytest.mark.parametrize("step_period", [0.0, -0.1])
     def test_step_period_must_be_positive(self, step_period):
-        with pytest.raises(ValueError, match="step_period must be positive"):
+        with pytest.raises(ValueError, match="step_period must be a positive number"):
             WaterTankActiveEnvironment(step_period=step_period)
 
     @pytest.mark.parametrize("substep", [0.0, -1e-3])
     def test_substep_must_be_positive(self, substep):
-        with pytest.raises(ValueError, match="substep must be positive"):
+        with pytest.raises(ValueError, match="substep must be a positive number"):
             WaterTankActiveEnvironment(substep=substep)
 
     @pytest.mark.parametrize("value", NOT_POSITIVE_NUMBERS, ids=value_id)
     @pytest.mark.parametrize("name", ["step_period", "substep"])
     def test_step_that_is_not_a_positive_number_is_refused(self, name, value):
-        with pytest.raises(ValueError, match=rf"^{name} must be positive, got "):
+        with pytest.raises(ValueError, match=rf"^{name} must be a positive number, got "):
             WaterTankActiveEnvironment(**{name: value})
 
     @pytest.mark.parametrize("step_period, substep", [(0.1, 1e-320), (1e306, 1e-3)])
@@ -362,7 +401,7 @@ class TestWaterTankActiveEnvironment:
 
     @pytest.mark.parametrize("step_period, substep", [(0.1, 1e-300), (100_000.001, 1e-3)])
     def test_step_count_is_bounded(self, step_period, substep):
-        with pytest.raises(ValueError, match="^round\\(step_period / substep\\) is above the limit of 100000000 RK4 steps$"):
+        with pytest.raises(ValueError, match="^1 \\* round\\(step_period / substep\\) is above the limit of 100000000 RK4 steps$"):
             WaterTankActiveEnvironment(step_period=step_period, substep=substep)
         WaterTankActiveEnvironment(step_period=100_000.0, substep=1e-3)  # exactly 10**8 steps per advance
 

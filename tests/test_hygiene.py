@@ -8,8 +8,8 @@ every defaulted parameter of a public callable is passed outside the tests, only
 ``load_csv`` has a ``global`` statement, so its memo is the one process-wide mutable state,
 only ``IncrementalLinearLearner`` names its accumulation state, so no reader sees G
 and b with batches still queued, and ``config.py`` names no local learner class,
-``DatasetStream`` or ``learn_incremental``, so ``learners.LOCAL_KINDS`` stays the one owner of
-the local learner kinds."""
+``DatasetStream`` or ``learn_incremental``, nor the water tank, its sampler or its RK4 step limit,
+so ``learners.LOCAL_KINDS`` and ``environments.WATERTANK_KIND`` stay the one owners of their kinds."""
 
 import ast
 import math
@@ -419,12 +419,13 @@ def test_unchecked_rule_sees_each_form():
     ]
 
 
-# What the local learner kinds' table owns: their learner classes, and the stream and strategy
-# of the kind driven batch by batch. config.py reads the kinds from ``learners.LOCAL_KINDS`` and
+# What the kind tables of the library own. ``learners.LOCAL_KINDS``: the learner classes, and the
+# stream and strategy of the kind driven batch by batch. ``environments.WATERTANK_KIND``: the tank,
+# its sampler, and the step count and its limit. config.py reads the kinds from those tables and
 # names none of these, so a kind, a setting's check or its default is written in one place.
 TABLE_OWNED = {
     "RegressionTreeLearner", "LinearRegressionLearner", "IncrementalLinearLearner", "DatasetStream",
-    "learn_incremental",
+    "learn_incremental", "WaterTankSystem", "OdeEnvironment", "_substeps", "_MAX_RK4_STEPS",
 }
 
 
@@ -442,10 +443,15 @@ def test_table_rule_sees_each_form():
         "IncrementalLinearLearner = None\n"
         "LinearRegressionLearner()\n"
         "'DatasetStream'\n"
+        "from .environments import _MAX_RK4_STEPS, OdeEnvironment as Ode\n"
+        "environments.WaterTankSystem(level=1.0)\n"
+        "steps = ode._substeps\n"
+        "_substeps = 3\n"
     )
     assert sorted(name_uses(ast.parse(source), TABLE_OWNED)) == [
         (1, "RegressionTreeLearner"), (3, "DatasetStream"), (4, "learn_incremental"),
-        (5, "IncrementalLinearLearner"), (6, "LinearRegressionLearner"),
+        (5, "IncrementalLinearLearner"), (6, "LinearRegressionLearner"), (8, "OdeEnvironment"),
+        (8, "_MAX_RK4_STEPS"), (9, "WaterTankSystem"), (10, "_substeps"), (11, "_substeps"),
     ]
 
 

@@ -793,14 +793,14 @@ class TestRecursiveLeastSquares:
             (0.0, 1e-8, "forgetting_factor must be in"),
             (1.5, 1e-8, "forgetting_factor must be in"),
             (float("nan"), 1e-8, "forgetting_factor must be in"),
-            (1.0, 0.0, "regularization must be positive, got"),
-            (1.0, -1.0, "regularization must be positive, got"),
-            (1.0, float("nan"), "regularization must be positive, got"),
-            (1.0, float("inf"), "regularization must be positive, got"),
+            (1.0, 0.0, "regularization must be a positive number, got"),
+            (1.0, -1.0, "regularization must be a positive number, got"),
+            (1.0, float("nan"), "regularization must be a positive number, got"),
+            (1.0, float("inf"), "regularization must be a positive number, got"),
             ("0.5", 1e-8, "^forgetting_factor must be in \\(0, 1\\], got '0.5'$"),
             (True, True, "^forgetting_factor must be in \\(0, 1\\], got True$"),
-            (1.0, True, "^regularization must be positive, got True$"),
-            pytest.param(1.0, 10**400, "^regularization must be positive, got 10{400}$", id="1.0-10**400"),
+            (1.0, True, "^regularization must be a positive number, got True$"),
+            pytest.param(1.0, 10**400, "^regularization must be a positive number, got 10{400}$", id="1.0-10**400"),
         ],
     )
     def test_incremental_learner_checks_its_parameters_when_built(self, forgetting_factor, regularization, message):
@@ -1066,7 +1066,7 @@ class TestActiveLearner:
             with pytest.raises(ValueError, match="forgetting_factor must be in"):
                 self._policy(forgetting_factor=forgetting_factor)
         for regularization in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="regularization must be positive, got"):
+            with pytest.raises(ValueError, match="regularization must be a positive number, got"):
                 self._policy(regularization=regularization)
         for epsilon in (-0.1, 1.5):
             with pytest.raises(ValueError, match="epsilon must be in"):

@@ -214,6 +214,11 @@ class TestClassificationMetrics:
         with pytest.raises(ValueError, match="^beta must be positive with a finite square"):
             f_beta([1.0], [1.0], beta=beta)
 
+    @pytest.mark.parametrize("beta", ["1", True, np.True_, None, [1.0]])
+    def test_beta_must_be_a_number(self, beta):
+        with pytest.raises(ValueError, match="^beta must be positive with a finite square"):
+            f_beta([1.0], [1.0], beta=beta)
+
     def test_largest_beta_has_a_value(self):
         beta = math.sqrt(sys.float_info.max)
         assert f_beta([1.0, 0.0], [1.0, 1.0], beta=beta) == ref_f_beta([1.0, 0.0], [1.0, 1.0], beta)
