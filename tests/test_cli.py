@@ -539,6 +539,20 @@ class TestErrorRecords:
         assert record["message"].endswith("is above the limit of 100000000 RK4 steps")
         assert not (tmp_path / "out").exists()
 
+    def test_inflow_argument_overflow_is_one_record(self, tmp_path, capsys):
+        """``validate`` accepts these settings; ``run`` stops where ``2 * pi * t / 10`` overflows."""
+        cfg = watertank_config()
+        cfg["environment"].update(samples=5, dt=1e307, substep=1e307, inflow_gain=0.0, outflow_coeff=0.0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"diagnostics": []}
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        record = self.one_record(capsys)
+        assert (record["error"], record["module"]) == ("InflowUndefined", "cpslearn.environments")
+        assert record["message"] == "inflow is undefined at t=3e+307: math domain error"
+        assert not (tmp_path / "out").exists()
+
     def test_tiny_substep_is_one_record(self, tmp_path, capsys):
         cfg = watertank_config()
         cfg["environment"]["substep"] = 1e-320

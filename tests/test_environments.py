@@ -1,7 +1,9 @@
 import math
 import struct
 import sys
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,15 @@ from cpslearn import (
     WaterTankActiveEnvironment,
     WaterTankSystem,
 )
-from cpslearn.environments import ActionOutOfRange, NonFiniteState, clipped_sine_inflow, zero_inflow
+from cpslearn import environments
+from cpslearn.environments import (
+    _BLOCK_STEPS,
+    ActionOutOfRange,
+    InflowUndefined,
+    NonFiniteState,
+    clipped_sine_inflow,
+    zero_inflow,
+)
 from conftest import concat_rows
 
 
@@ -489,8 +499,143 @@ class TestSimulatorOracle:
             OdeEnvironment(tank).sample_trajectory(2)
 
     def test_inflow_is_called_once_per_time_point(self):
-        calls = []
-        tank = WaterTankSystem(inflow=lambda t: calls.append(t) or clipped_sine_inflow(t))
-        OdeEnvironment(tank, sample_period=0.1, substep=0.01).sample_trajectory(5)
-        # One call per sample row, two per RK4 step (midpoint and end point).
-        assert len(calls) == 5 + 2 * 4 * 10
+        # The 5 sample times, and the midpoint and end point of each RK4 step as the reference reaches them.
+        h = 0.1 / 10
+        want = [i * 0.1 for i in range(5)]
+        for i in range(4):
+            t = i * 0.1
+            for _ in range(10):
+                want += [t + h / 2.0, t + h]
+                t = t + h
+        assert sorted(recorded_time_points(0.1, 0.01, 5).tolist()) == sorted(want)
+
+
+def recorded_time_points(sample_period: float, substep: float, n: int) -> np.ndarray:
+    """Every time point at which ``sample_trajectory`` evaluates the default inflow."""
+    calls = []
+    tank = WaterTankSystem(inflow=lambda t: calls.append(np.ravel(t)) or clipped_sine_inflow(t))
+    OdeEnvironment(tank, sample_period, substep).sample_trajectory(n)
+    return np.concatenate(calls)
+
+
+class TestClippedSineInflowOnArrays:
+    """On an array, the default inflow gives each element's scalar reference double."""
+
+    def test_array_has_the_bits_of_the_scalar_reference(self):
+        edges = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min / 2.0, -sys.float_info.min / 3.0, math.nan,
+                 -math.nan, 2.5, 5.0, 7.5, 10.0, 1e22, -1e22, 1e300, 1e307, -1e307]
+        rng = np.random.default_rng(29)
+        bits = rng.integers(0, 2**64, 40_000, dtype=np.uint64, endpoint=False).view(np.float64)
+        times = np.concatenate([
+            edges,
+            rng.uniform(-40.0, 40.0, 40_000),
+            rng.uniform(-1e6, 1e6, 40_000),
+            bits[np.isnan(bits) | (np.abs(bits) < 1e307)],
+            recorded_time_points(0.1, 1e-3, 250),  # the paper grid's sample and step times
+        ])
+        assert times.size >= 10**5
+        want = np.array([reference_clipped_sine_inflow(t) for t in times.tolist()])
+        assert clipped_sine_inflow(times).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, sys.float_info.max, -3e307])
+    def test_array_with_an_infinite_argument_raises_like_reference(self, t):
+        with pytest.raises(ValueError) as want:
+            reference_clipped_sine_inflow(t)
+        with pytest.raises(ValueError) as got:
+            clipped_sine_inflow(np.array([1.0, t, 2.0]))
+        assert str(got.value) == str(want.value) == "math domain error"
+
+
+class TestBlocks:
+    """The sampler takes its RK4 steps in blocks of at most ``_BLOCK_STEPS``; no block edge shows."""
+
+    @staticmethod
+    def assert_matches_reference(system, sample_period, substep, n):
+        got = OdeEnvironment(system, sample_period, substep).sample_trajectory(n)
+        want = reference_sample_trajectory(system, sample_period, substep, n)
+        for name in ("t", "V", "x"):
+            assert got.column(name).tobytes() == want.column(name).tobytes(), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=tank_params, grid=grids, n=st.integers(1, 30), block=st.sampled_from([1, 2, 3, 7, 64]))
+    def test_any_block_size_matches_reference(self, params, grid, n, block):
+        with mock.patch.object(environments, "_BLOCK_STEPS", block):
+            self.assert_matches_reference(WaterTankSystem(**params), *grid, n)
+
+    def test_advance_in_small_blocks_matches_one_block(self):
+        envs = [WaterTankActiveEnvironment(step_period=0.1, substep=1e-3) for _ in range(2)]
+        with mock.patch.object(environments, "_BLOCK_STEPS", 7):
+            for action in [1.0, 0.25, 0.0, 0.7]:
+                for env in envs:
+                    env.act(action)
+                envs[0].advance()
+                with mock.patch.object(environments, "_BLOCK_STEPS", _BLOCK_STEPS):
+                    envs[1].advance()
+                assert (envs[0].time, envs[0].observe().column("x")[0]) == (envs[1].time, envs[1].observe().column("x")[0])
+
+    def test_interval_spanning_several_blocks(self):
+        steps = 2 * _BLOCK_STEPS + 123  # two whole blocks and a part of one
+        self.assert_matches_reference(WaterTankSystem(), 1.0, 1.0 / steps, 3)
+
+    def test_short_intervals_straddling_a_block_edge(self):
+        rows = _BLOCK_STEPS // 7  # runs of 7 steps in the first block
+        self.assert_matches_reference(WaterTankSystem(level=0.3), 0.7, 0.1, rows + 3)
+
+    def test_non_finite_level_in_a_later_block(self):
+        """The inflow jumps to inf in the third block of one long interval."""
+        steps = 2 * _BLOCK_STEPS + 123
+        cut = (2 * _BLOCK_STEPS + 60) / steps
+        tank = WaterTankSystem(inflow=lambda t: np.where(t < cut, 0.5, math.inf))
+        with pytest.raises(NonFiniteState) as got:
+            OdeEnvironment(tank, 1.0, 1.0 / steps).sample_trajectory(2)
+        scalar = replace(tank, inflow=lambda t: 0.5 if t < cut else math.inf)
+        with pytest.raises(NonFiniteState) as want:
+            reference_sample_trajectory(scalar, 1.0, 1.0 / steps, 2)
+        assert str(got.value) == str(want.value)
+        assert float(str(got.value).rpartition("t=")[2]) > 2 * _BLOCK_STEPS / steps
+
+    def test_memory_does_not_grow_with_the_interval(self):
+        """A million steps in one interval allocate one block's arrays: about 1 MB, under 4 MB, where
+        one float64 array over the interval would take 8 MB.
+
+        The level becomes non-finite at the first step, which keeps the test fast under
+        tracemalloc; every array of the first block is allocated before that step.
+        """
+        tank = WaterTankSystem(inflow=lambda t: np.full(np.shape(t), math.inf))
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonFiniteState, match=r"^level became non-finite at t=1e-06$"):
+                OdeEnvironment(tank, 1.0, 1e-6).sample_trajectory(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestInflowUndefined:
+    """An inflow that raises ValueError at a time point is a typed error that names the time."""
+
+    def test_sine_argument_overflow_names_the_time(self):
+        tank = WaterTankSystem(inflow_gain=0.0, outflow_coeff=0.0)
+        with pytest.raises(InflowUndefined, match=r"^inflow is undefined at t=3e\+307: math domain error$"):
+            OdeEnvironment(tank, 1e307, 1e307).sample_trajectory(5)
+
+    def test_earlier_non_finite_level_wins(self):
+        with pytest.raises(NonFiniteState, match=r"^level became non-finite at t=2e\+307$"):
+            OdeEnvironment(WaterTankSystem(), 1e307, 1e307).sample_trajectory(5)
+
+    @pytest.mark.parametrize("cut, error, message", [
+        (0.25, NonFiniteState, "level became non-finite at t=0.25"),  # the level is inf first
+        (0.59, InflowUndefined, "inflow is undefined at t=0.6000000000000001: too late"),  # the inflow raises first
+    ])
+    def test_errors_come_in_time_order(self, cut, error, message):
+        """The inflow is inf from ``cut`` on and raises from 0.6 on; one block holds every step."""
+
+        def inflow(t):
+            if np.any(t >= 0.6):
+                raise ValueError("too late")
+            return np.where(t < cut, 0.0, math.inf)
+
+        with pytest.raises(error) as got:
+            OdeEnvironment(WaterTankSystem(inflow=inflow), 0.1, 0.05).sample_trajectory(10)
+        assert str(got.value) == message
