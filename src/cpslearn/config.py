@@ -20,9 +20,10 @@ Every environment, transform and learner kind is one entry of
 plus, for each parameter, a check and a default. These tables are the single
 source of truth: validation diagnostics, default filling, construction and
 ``watertank_config()`` all read them. The ``ode_watertank`` kind is read from
-``environments.WATERTANK_KIND`` and the local learner kinds from
-``learners.LOCAL_KINDS``: the tank, its sampler and the learners apply the same
-checks, and the tank's step limit is ``environments._step_limit``. A parameter that
+``environments.WATERTANK_KIND`` and the local learner kinds from ``learners.LOCAL_KINDS``.
+All checks but ``path``, ``address`` and the top-level ones are those of the objects taking
+the values: the tank's step limit, ``io``, ``split_fraction`` and ``metrics`` are checked as
+``sample_trajectory``, ``IoSpec``, ``Dataset.split`` and ``evaluate`` check them. A parameter that
 its kind's table does not name is reported as unknown, for every kind. The
 ``csv`` and ``json`` kinds take only a ``path``; a CSV file is a header row,
 then comma-separated rows, as ``load_csv`` reads it.
@@ -38,17 +39,17 @@ from __future__ import annotations
 
 import contextlib
 import json
-from collections import Counter
 from pathlib import Path
 
 from . import remote
-from .dataset import _is_int, _is_number
+from .dataset import _fraction, _is_int, _names
 from .environments import WATERTANK_KIND, OfflineEnvironment, _step_limit
 from .errors import PipelineError
 from .learners import LOCAL_KINDS, MODEL_FILE_SUFFIX, Model, save_model
-from .metrics import REGISTRY
-from .strategies import EvaluationReport, IoSpec, evaluate, learn_offline
-from .transforms import Explode, Select, SlidingWindow, Standardize, TransformChain, _check, _positive_int
+from .metrics import _metric_problems
+from .strategies import EvaluationReport, IoSpec, _io_problems, evaluate, learn_offline
+from .transforms import (Explode, Select, SlidingWindow, Standardize, TransformChain, _check, _distinct_names,
+                         _positive_int)
 
 CONFIG_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
@@ -81,22 +82,8 @@ def load_config(path) -> dict:
     return cfg
 
 
-# Checks only configs use, of the form ``transforms._check`` gives: None if valid, else the message.
+# Checks only configs use, of the form ``dataset._check`` gives: None if valid, else the message.
 _path = _check(lambda v: isinstance(v, str), "must be a file path string")
-
-
-def _names(value, allow_empty: bool = False, unique: bool = False):
-    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
-        return "must be a list of column names"
-    if not value and not allow_empty:
-        return "must not be empty"
-    return _repeats(value) if unique else None
-
-
-def _repeats(names: list):
-    """The diagnostic for a list of strings that names one twice, else None."""
-    repeated = sorted(name for name, count in Counter(names).items() if count > 1)
-    return f"repeated names: {repeated}" if repeated else None
 
 
 def _address(value):
@@ -128,7 +115,7 @@ ENVIRONMENT_KINDS = {
 
 TRANSFORM_KINDS = {
     "sliding_window": (SlidingWindow, {"window_size": (_positive_int, _REQUIRED)}),
-    "select": (Select, {"names": (lambda v: _names(v, allow_empty=True, unique=True), _REQUIRED)}),
+    "select": (Select, {"names": (_distinct_names, _REQUIRED)}),
     "explode": (Explode, {"names": (_names, _REQUIRED)}),
     "standardize": (Standardize, {"names": (_names, _REQUIRED)}),
 }
@@ -199,21 +186,6 @@ def _raise_first(diagnostics: list[str]) -> None:
         raise ConfigError(field, message or diagnostics[0])
 
 
-def _check_io(diags: list[str], io) -> None:
-    if not isinstance(io, dict):
-        diags.append("io: must be an object")
-        return
-    diags.extend(f"io.{key}: unknown parameter" for key in io if key not in ("inputs", "outputs"))
-    problems = {"inputs": _names(io.get("inputs"), unique=True), "outputs": _names(io.get("outputs"))}
-    diags.extend(f"io.{key}: {problem}" for key, problem in problems.items() if problem)
-    if isinstance(io.get("outputs"), list) and len(io["outputs"]) != 1:
-        diags.append("io.outputs: exactly one output column is supported")
-    if not any(problems.values()):  # names are strings, so the sets below can be built
-        overlap = set(io["inputs"]) & set(io["outputs"])
-        if overlap:
-            diags.append(f"io: inputs and outputs overlap: {sorted(overlap)}")
-
-
 def validate_config(cfg: dict) -> list[str]:
     """Schema plus cross-field validation, without executing anything.
 
@@ -240,25 +212,22 @@ def validate_config(cfg: dict) -> list[str]:
         for index, spec in enumerate(transforms):
             _check_spec(diags, f"transforms[{index}]", spec, TRANSFORM_KINDS)
 
-    if "io" in cfg:
-        _check_io(diags, cfg["io"])
+    io = cfg.get("io", {})
+    if not isinstance(io, dict):
+        diags.append("io: must be an object")
+    elif "io" in cfg:
+        diags.extend(f"io.{key}: unknown parameter" for key in io if key not in ("inputs", "outputs"))
+        problems = _io_problems(io.get("inputs"), io.get("outputs"))
+        diags.extend(f"io.{key}: {problem}" if key else f"io: {problem}" for key, problem in problems)
 
-    fraction = cfg.get("split_fraction")
-    if "split_fraction" in cfg and not (_is_number(fraction) and 0 < fraction < 1):
-        diags.append("split_fraction: must be a number in (0, 1)")
+    if "split_fraction" in cfg and (problem := _fraction(cfg["split_fraction"])):
+        diags.append(f"split_fraction: {problem}")
 
     if "learner" in cfg:
         _check_spec(diags, "learner", cfg["learner"], LEARNER_KINDS)
 
-    names = cfg.get("metrics")
-    if "metrics" in cfg and (not isinstance(names, list) or not names):
-        diags.append("metrics: must be a non-empty list of metric names")
-    elif names:
-        unknown = [name for name in names if not isinstance(name, str) or name not in REGISTRY]
-        diags.extend(f"metrics: unknown metric {name!r} (known: {sorted(REGISTRY)})" for name in unknown)
-        repeats = None if unknown else _repeats(names)
-        if repeats:
-            diags.append(f"metrics: {repeats}")
+    if "metrics" in cfg:
+        diags.extend(f"metrics: {problem}" for problem in _metric_problems(cfg["metrics"]))
     return diags
 
 

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import numbers
+from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -87,6 +88,25 @@ def _is_number(value) -> bool:
         return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+# Checks: each returns None for a valid value, else the message that refuses it; ``_check`` builds one
+# from a predicate. The object that takes a value and ``validate_config`` apply the same check.
+def _check(ok, message: str):
+    return lambda value: None if ok(value) else message
+
+
+_fraction = _check(lambda v: _is_number(v) and 0.0 < v < 1.0, "must be a number in (0, 1)")
+
+
+def _names(value, allow_empty: bool = False, unique: bool = False) -> str | None:
+    """A list or tuple of strings (not a bare string), non-empty unless ``allow_empty``, none twice if ``unique``."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(n, str) for n in value):
+        return "must be a list of column names"
+    if not value and not allow_empty:
+        return "must not be empty"
+    repeated = sorted(name for name, count in Counter(value).items() if count > 1) if unique else None
+    return f"repeated names: {repeated}" if repeated else None
 
 
 _NUMBER_TYPES = (int, float, np.integer, np.floating, np.bool_)  # bool is an int
@@ -258,11 +278,11 @@ class Dataset:
         ``floor(fraction * row_count)`` leading rows, the second the rest.
 
         Raises:
-            InvalidFraction: if fraction is not a number in (0, 1).
+            InvalidFraction: unless fraction is a number in (0, 1), the check of ``split_fraction``.
             TooFewRows: if the dataset has fewer than two rows.
         """
-        if not (_is_number(fraction) and 0.0 < fraction < 1.0):
-            raise InvalidFraction(f"split fraction must be in (0, 1), got {fraction}")
+        if (problem := _fraction(fraction)) is not None:
+            raise InvalidFraction(f"split fraction {problem}, got {fraction}")
         if self._row_count < 2:
             raise TooFewRows(f"need at least 2 rows to split, have {self._row_count}")
         head = math.floor(fraction * self._row_count)

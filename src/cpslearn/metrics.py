@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .dataset import _is_number
+from .dataset import _is_number, _names
 from .errors import PipelineError
 
 
@@ -218,6 +218,17 @@ REGISTRY = {
     "recall": recall,
     "f_beta": f_beta,
 }
+
+
+def _metric_problems(names) -> list[str]:
+    """The problems of a metric list, which is a non-empty list or tuple of ``REGISTRY`` names, none twice."""
+    if not isinstance(names, (list, tuple)) or not names:
+        return ["must be a non-empty list of metric names"]
+    unknown = [name for name in names if not isinstance(name, str) or name not in REGISTRY]
+    if unknown:
+        return [f"unknown metric {name!r} (known: {sorted(REGISTRY)})" for name in unknown]
+    repeats = _names(names, unique=True)  # a list of strings, so only a repeat is refused
+    return [repeats] if repeats else []
 
 
 def get_metric(name: str):

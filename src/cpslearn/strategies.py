@@ -10,26 +10,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataset import Dataset
+from .dataset import Dataset, _names
 from .environments import ActiveEnvironment, IncrementalEnvironment, OfflineEnvironment
-from .metrics import get_metric
+from .metrics import _metric_problems, get_metric
 from .transforms import Transform, _positive_int, _setting
+
+
+def _io_problems(inputs, outputs) -> list[tuple[str | None, str]]:
+    """(``"inputs"``, ``"outputs"`` or None for both, message) for each problem of io column names, in order."""
+    problems = [(key, p) for key, p in (("inputs", _names(inputs, unique=True)), ("outputs", _names(outputs))) if p]
+    overlap = set() if problems else set(inputs) & set(outputs)  # both are lists of strings if neither is refused
+    if isinstance(outputs, (list, tuple)) and len(outputs) != 1:
+        problems.append(("outputs", "exactly one output column is supported"))
+    if overlap:
+        problems.append((None, f"inputs and outputs overlap: {sorted(overlap)}"))
+    return problems
 
 
 @dataclass(frozen=True)
 class IoSpec:
-    """Names of the model's input and output columns."""
+    """Names of the model's input columns and its one output column. ``ValueError`` says the first
+    problem that ``_io_problems``, the check of a config's ``io``, finds: ``inputs: <message>`` and so on."""
 
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
 
     def __init__(self, inputs: Sequence[str], outputs: Sequence[str]):
+        if problems := _io_problems(inputs, outputs):
+            key, problem = problems[0]
+            raise ValueError(f"{key}: {problem}" if key else problem)
         object.__setattr__(self, "inputs", tuple(inputs))
         object.__setattr__(self, "outputs", tuple(outputs))
-        if not self.inputs or not self.outputs:
-            raise ValueError("inputs and outputs must both be non-empty")
-        if set(self.inputs) & set(self.outputs):
-            raise ValueError("inputs and outputs must be disjoint")
 
 
 @dataclass(frozen=True)
@@ -39,11 +50,6 @@ class EvaluationReport:
     model_id: str
     row_count: int
     entries: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
-        names = [name for name, _ in self.entries]
-        if len(names) != len(set(names)):
-            raise ValueError("metric names must be unique")
 
     def to_dict(self) -> dict:
         return {
@@ -120,13 +126,11 @@ def evaluate(
     Predictions are compared row-aligned against the actual output column.
 
     Raises:
-        ValueError: if no metrics are requested or io names more than one
-            output column.
+        ValueError: ``metric_names: <message>``, before any metric is computed, for the first
+            problem ``metrics._metric_problems``, the check of a config's ``metrics``, finds.
     """
-    if not metric_names:
-        raise ValueError("at least one metric is required")
-    if len(io.outputs) != 1:
-        raise ValueError("evaluation supports exactly one output column")
+    if problems := _metric_problems(metric_names):
+        raise ValueError(f"metric_names: {problems[0]}")
     data = environment.observe()
     inputs, outputs = _split_io(data, io)
     predictions = model.predict(inputs)

@@ -2,7 +2,8 @@
 
 Transforms are pure: applying the same (fitted) transform to the same input
 always yields the same output. Adaptive transforms (currently only
-:class:`Standardize`) must be fitted before they can be applied.
+:class:`Standardize`) must be fitted before they can be applied. ``Select`` takes a list or tuple
+of distinct column names, ``Explode`` and ``Standardize`` a non-empty one, each by its config kind's check.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, _is_int, _is_number
+from .dataset import Dataset, _check, _is_int, _is_number, _names
 from .errors import PipelineError
 
 
@@ -44,19 +45,14 @@ class StatisticsOverflow(PipelineError):
     """The mean or standard deviation of a finite column overflows float64."""
 
 
-# Checks of settings and of JSON values: each returns None for a valid value, else the message that
-# refuses it. They are built on ``dataset._is_int`` and ``_is_number``, which say which values are
-# integers and numbers and live in ``dataset``, the lowest module that checks a value.
-
-
-def _check(ok, message: str):
-    return lambda value: None if ok(value) else message
-
-
+# Checks of settings and of JSON values, built by ``dataset._check`` on ``dataset._is_int`` and
+# ``_is_number``, which say which values are integers and numbers and live in ``dataset``, the lowest
+# module that checks a value.
 _positive_int = _check(lambda v: _is_int(v) and v >= 1, "must be a positive integer")
 _non_negative_int = _check(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
 _positive = _check(lambda v: _is_number(v) and v > 0, "must be a positive number")
 _number = _check(_is_number, "must be a number")
+_distinct_names = lambda value: _names(value, allow_empty=True, unique=True)  # Select's names
 
 
 def _setting(name: str, value, check):
@@ -81,7 +77,7 @@ class Select(Transform):
     """Keep exactly the named columns, in the requested order."""
 
     def __init__(self, names: Sequence[str]):
-        self.names = list(names)
+        self.names = list(_setting("names", names, _distinct_names))
 
     def apply(self, dataset: Dataset) -> Dataset:
         return dataset.select(self.names)
@@ -119,15 +115,12 @@ class Explode(Transform):
     """
 
     def __init__(self, names: Sequence[str]):
-        self.names = list(names)
+        self.names = list(_setting("names", names, _names))
 
     def apply(self, dataset: Dataset) -> Dataset:
         for name in self.names:
             if not isinstance(dataset.column(name), tuple):
                 raise NotAListColumn(f"column {name!r} does not hold traces")
-        if not self.names:
-            return dataset
-
         reference = dataset.column(self.names[0])
         counts = np.array([len(cell) for cell in reference], dtype=np.int64)
         for name in self.names[1:]:
@@ -160,7 +153,7 @@ class Standardize(Transform):
     CONSTANT_EPS = 1e-12
 
     def __init__(self, names: Sequence[str]):
-        self.names = list(names)
+        self.names = list(_setting("names", names, _names))
         self._stats: dict[str, tuple[float, float, bool]] | None = None
 
     def fit(self, dataset: Dataset) -> "Standardize":

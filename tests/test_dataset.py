@@ -590,7 +590,7 @@ def test_split_validation():
 
 @pytest.mark.parametrize("fraction", ["0.5", None, [0.5], math.nan])
 def test_split_refuses_a_fraction_that_is_not_a_number(fraction):
-    with pytest.raises(InvalidFraction, match="^split fraction must be in"):
+    with pytest.raises(InvalidFraction, match="^split fraction must be a number in"):
         Dataset({"v": [1.0, 2.0, 3.0]}).split(fraction)
 
 

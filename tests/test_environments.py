@@ -1,3 +1,5 @@
+import inspect
+import json
 import math
 import struct
 import sys
@@ -639,3 +641,17 @@ class TestInflowUndefined:
         with pytest.raises(error) as got:
             OdeEnvironment(WaterTankSystem(inflow=inflow), 0.1, 0.05).sample_trajectory(10)
         assert str(got.value) == message
+
+
+def test_watertank_kind_defaults_are_the_defaults_of_the_objects_taking_them():
+    """``WATERTANK_KIND`` writes each default once more; this pins it, type included, to the signature
+    of the object that takes the setting. ``samples`` has no other home."""
+    tank = inspect.signature(WaterTankSystem).parameters
+    sampler = inspect.signature(OdeEnvironment).parameters
+    expected = {
+        "samples": 250, "dt": sampler["sample_period"].default, "substep": sampler["substep"].default,
+        "initial_level": tank["level"].default, "area": tank["area"].default,
+        "outflow_coeff": tank["outflow_coeff"].default, "inflow_gain": tank["inflow_gain"].default,
+    }
+    defaults = {key: default for key, (_, default) in environments.WATERTANK_KIND[1].items()}
+    assert json.dumps(defaults) == json.dumps(expected)

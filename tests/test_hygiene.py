@@ -421,11 +421,16 @@ def test_unchecked_rule_sees_each_form():
 
 # What the kind tables of the library own. ``learners.LOCAL_KINDS``: the learner classes, and the
 # stream and strategy of the kind driven batch by batch. ``environments.WATERTANK_KIND``: the tank,
-# its sampler, and the step count and its limit. config.py reads the kinds from those tables and
-# names none of these, so a kind, a setting's check or its default is written in one place.
+# its sampler, and the step count (``_rk4_steps``) and its limit. config.py reads the kinds from those
+# tables and names none of these, so a kind, a setting's check or its default is written in one place.
+# The same holds for what the io, metric-list, name-list and split-fraction checks are built from:
+# the metric registry, the repeat count and the number test. config.py calls those checks
+# (``strategies._io_problems``, ``metrics._metric_problems``, ``dataset._names``, ``dataset._fraction``)
+# and cannot restate one.
 TABLE_OWNED = {
     "RegressionTreeLearner", "LinearRegressionLearner", "IncrementalLinearLearner", "DatasetStream",
-    "learn_incremental", "WaterTankSystem", "OdeEnvironment", "_substeps", "_MAX_RK4_STEPS",
+    "learn_incremental", "WaterTankSystem", "OdeEnvironment", "_rk4_steps", "_MAX_RK4_STEPS",
+    "REGISTRY", "Counter", "_is_number",
 }
 
 
@@ -445,13 +450,17 @@ def test_table_rule_sees_each_form():
         "'DatasetStream'\n"
         "from .environments import _MAX_RK4_STEPS, OdeEnvironment as Ode\n"
         "environments.WaterTankSystem(level=1.0)\n"
-        "steps = ode._substeps\n"
-        "_substeps = 3\n"
+        "steps = environments._rk4_steps(0.1, 1e-3, 'dt')\n"
+        "_rk4_steps = None\n"
+        "from .metrics import REGISTRY\n"
+        "from collections import Counter\n"
+        "ok = _is_number(fraction) and metrics.REGISTRY\n"
     )
     assert sorted(name_uses(ast.parse(source), TABLE_OWNED)) == [
         (1, "RegressionTreeLearner"), (3, "DatasetStream"), (4, "learn_incremental"),
         (5, "IncrementalLinearLearner"), (6, "LinearRegressionLearner"), (8, "OdeEnvironment"),
-        (8, "_MAX_RK4_STEPS"), (9, "WaterTankSystem"), (10, "_substeps"), (11, "_substeps"),
+        (8, "_MAX_RK4_STEPS"), (9, "WaterTankSystem"), (10, "_rk4_steps"), (11, "_rk4_steps"),
+        (12, "REGISTRY"), (13, "Counter"), (14, "REGISTRY"), (14, "_is_number"),
     ]
 
 

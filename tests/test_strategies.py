@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,10 @@ from cpslearn import (
     learn_incremental,
     learn_offline,
 )
+from cpslearn import strategies
 from cpslearn.dataset import UnknownColumn
 from cpslearn.learners import NeverUpdated
-from cpslearn.metrics import mae
+from cpslearn.metrics import REGISTRY, get_metric, mae
 from conftest import concat_rows, random_dataset
 
 
@@ -230,11 +233,19 @@ class TestEvaluate:
         assert report.to_dict()["metrics"] == {"mae": 0.0, "mse": 0.0, "r2": 1.0}
         assert report.row_count == 3
 
-    def test_empty_metric_list(self):
-        d = Dataset({"x": [1.0], "y": [1.0]})
-        env = OfflineEnvironment.from_dataset(d)
-        with pytest.raises(ValueError):
-            evaluate(env, CopyModel("x", "y"), IoSpec(["x"], ["y"]), [])
+    @pytest.mark.parametrize("metric_names, problem", [
+        ([], "must be a non-empty list of metric names"),
+        ("mae", "must be a non-empty list of metric names"),
+        (["mae", "nope"], f"unknown metric 'nope' (known: {sorted(REGISTRY)})"),
+        (["mae", "mse", "mae"], "repeated names: ['mae']"),
+    ])
+    def test_a_refused_metric_list_computes_no_metric(self, monkeypatch, metric_names, problem):
+        looked_up = []
+        monkeypatch.setattr(strategies, "get_metric", lambda name: looked_up.append(name) or get_metric(name))
+        env = CountingOffline(Dataset({"x": [1.0, 2.0], "y": [1.0, 2.0]}))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'metric_names: {problem}')}$"):
+            evaluate(env, CopyModel("x", "y"), IoSpec(["x"], ["y"]), metric_names)
+        assert (looked_up, env.observations) == ([], 0)
 
     def test_does_not_mutate_model(self):
         rng = np.random.default_rng(82)
@@ -263,13 +274,22 @@ class TestEvaluate:
 
 
 class TestIoSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IoSpec([], ["y"])
-        with pytest.raises(ValueError):
-            IoSpec(["x"], [])
-        with pytest.raises(ValueError):
-            IoSpec(["x"], ["x"])
+    @pytest.mark.parametrize("inputs, outputs, message", [
+        ([], ["y"], "inputs: must not be empty"),
+        (["x"], [], "outputs: must not be empty"),
+        (["x"], ["x"], "inputs and outputs overlap: ['x']"),
+        ("abc", "d", "inputs: must be a list of column names"),
+        (["a", "a"], ["b"], "inputs: repeated names: ['a']"),
+        ([1], ["b"], "inputs: must be a list of column names"),
+        (["a"], ["b", "c"], "outputs: exactly one output column is supported"),
+        (["a"], "b", "outputs: must be a list of column names"),
+    ])
+    def test_validation(self, inputs, outputs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            IoSpec(inputs, outputs)
+
+    def test_tuples_and_lists_give_equal_specs(self):
+        assert IoSpec(("a", "b"), ("c",)) == IoSpec(["a", "b"], ["c"])
 
 
 class TestPipelineEquivalence:

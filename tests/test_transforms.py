@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,26 @@ class TestSlidingWindow:
     def test_apply_is_pure(self, toy_series):
         t = SlidingWindow(2)
         assert t.apply(toy_series) == t.apply(toy_series)
+
+
+# Each refused as the config kind's ``names`` check refuses it: a bare string is not a list of names.
+@pytest.mark.parametrize("transform, names, problem", [
+    (Select, "Vx", "must be a list of column names"),
+    (Select, ["V", "x", "V"], "repeated names: ['V']"),
+    (Standardize, "x_0", "must be a list of column names"),
+    (Standardize, [], "must not be empty"),
+    (Explode, "ab", "must be a list of column names"),
+    (Explode, [], "must not be empty"),
+    (Explode, ["V", 1], "must be a list of column names"),
+])
+def test_names_are_refused_when_built(transform, names, problem):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'names {problem}, got {names!r}')}$"):
+        transform(names)
+
+
+@pytest.mark.parametrize("transform", [Select, Explode, Standardize])
+def test_names_may_be_a_tuple(transform):
+    assert transform(("V", "x")).names == ["V", "x"]
 
 
 class TestSelect:
