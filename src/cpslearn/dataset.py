@@ -100,13 +100,23 @@ _fraction = _check(lambda v: _is_number(v) and 0.0 < v < 1.0, "must be a number 
 
 
 def _names(value, allow_empty: bool = False, unique: bool = False) -> str | None:
-    """A list or tuple of strings (not a bare string), non-empty unless ``allow_empty``, none twice if ``unique``."""
+    """The one rule for column names, from file to wire. A column name is a non-empty ``str``; a name
+    list is a list or tuple of them (never a bare string), non-empty unless ``allow_empty``, none twice
+    if ``unique``. Its cost grows with the list, never with the rows: ``Dataset`` calls it on every build."""
     if not isinstance(value, (list, tuple)) or not all(isinstance(n, str) for n in value):
         return "must be a list of column names"
     if not value and not allow_empty:
         return "must not be empty"
-    repeated = sorted(name for name, count in Counter(value).items() if count > 1) if unique else None
-    return f"repeated names: {repeated}" if repeated else None
+    if "" in value:
+        return "must not hold an empty name"
+    if unique and len(set(value)) < len(value):
+        return f"repeated names: {_repeated(value)}"
+    return None
+
+
+def _repeated(names) -> list[str]:
+    """The names that occur more than once in ``names``, sorted."""
+    return sorted(name for name, count in Counter(names).items() if count > 1)
 
 
 _NUMBER_TYPES = (int, float, np.integer, np.floating, np.bool_)  # bool is an int
@@ -191,8 +201,10 @@ class Dataset:
 
     Raises:
         NonFiniteValue: if a value is NaN or an infinity (a ``ValueError`` too).
-        ValueError: on duplicate names, mismatched column lengths, or values
-            that do not form a supported column kind.
+        ValueError: ``column names: <message>`` unless the names are column
+            names (non-empty strings), none twice, the rule :func:`_names`
+            states; on mismatched column lengths; or on values that do not
+            form a supported column kind.
     """
 
     __slots__ = ("_names", "_columns", "_row_count")
@@ -205,13 +217,9 @@ class Dataset:
         if columns is None:
             columns = []
         pairs = list(columns.items()) if isinstance(columns, Mapping) else list(columns)
-        built = {}
-        for name, values in pairs:
-            if not isinstance(name, str):
-                raise ValueError("column names must be strings")
-            if name in built:
-                raise ValueError(f"duplicate column name: {name!r}")
-            built[name] = _as_column(values, name)
+        if (problem := _names([name for name, _ in pairs], allow_empty=True, unique=True)) is not None:
+            raise ValueError(f"column names: {problem}")
+        built = {name: _as_column(values, name) for name, values in pairs}
 
         lengths = {len(c) for c in built.values()}
         if len(lengths) > 1:
@@ -260,18 +268,17 @@ class Dataset:
             arrays.append(values)
         return arrays
 
-    def select(self, names: Iterable[str]) -> "Dataset":
+    def select(self, names: Sequence[str]) -> "Dataset":
         """Return a Dataset with exactly the named columns, in the given order.
 
         Raises:
+            ValueError: ``column names: <message>`` unless ``names`` is a list
+                or tuple of column names, none twice (:func:`_names`).
             UnknownColumn: if any name is absent.
-            ValueError: if a name repeats.
         """
-        names = list(names)
-        columns = {name: self.column(name) for name in names}
-        if len(columns) < len(names):
-            raise ValueError(f"duplicate column name in {names}")
-        return _unchecked_dataset(columns, self._row_count)
+        if (problem := _names(names, allow_empty=True, unique=True)) is not None:
+            raise ValueError(f"column names: {problem}")
+        return _unchecked_dataset({name: self.column(name) for name in names}, self._row_count)
 
     def split(self, fraction: float) -> tuple["Dataset", "Dataset"]:
         """Split rows chronologically: the first part holds
@@ -357,24 +364,22 @@ def _load_numeric_csv(data: bytes):
     return names, values
 
 
-def _refuse_repeated(names) -> None:
-    """Raise ParseError naming the first of ``names`` that occurs twice."""
-    seen = set()
-    for name in names:
-        if name in seen:
-            raise ParseError(f"repeated column name {name!r}", column=name)
-        seen.add(name)
+def _file_names(names: list[str]) -> None:
+    """Raise ParseError, carrying ``column``, unless a file's column ``names`` (strings, as a file's
+    names always are) keep the :func:`_names` rule: the empty name first, else the first repeated name."""
+    if (problem := _names(names, allow_empty=True, unique=True)) is not None:
+        raise ParseError(f"column names: {problem}", column="" if "" in names else _repeated(names)[0])
 
 
 def _csv_dataset(names: list[str], values: np.ndarray) -> Dataset:
     """The Dataset of an (n_rows, n_cols) float64 array, column ``j`` named ``names[j]``.
 
-    A repeated name raises ParseError. The columns are the rows of one
+    An empty or repeated name raises ParseError. The columns are the rows of one
     (n_cols, n_rows) block over an immutable ``bytes`` object: a Dataset
     shares them without a copy, and no array reachable from a column can be
     made writable.
     """
-    _refuse_repeated(names)
+    _file_names(names)
     block = np.frombuffer(values.T.tobytes(), np.float64).reshape(values.shape[::-1])
     return Dataset(list(zip(names, block)))
 
@@ -443,7 +448,9 @@ def load_csv(path) -> Dataset:
         RaggedRows: if row widths differ.
         ParseError: for a cell that is not a finite number: text, NaN or a
             value beyond float64 such as ``1e400`` (carries ``row`` and ``column``),
-            or for a column name the header repeats (carries ``column``).
+            or ``column names: <message>`` for a header that breaks the column-name
+            rule of :class:`Dataset`: an empty name or one named twice (carries
+            ``column``).
     """
     global _last_csv
     with open(path, "rb") as fh:
@@ -485,7 +492,7 @@ def _json_object(pairs: list) -> dict:
     """A JSON object as a dict; a repeated key, of which ``json`` would keep the last, raises ParseError."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        _refuse_repeated(key for key, _ in pairs)
+        _file_names([key for key, _ in pairs])
     return obj
 
 
@@ -500,8 +507,10 @@ def load_json(path) -> Dataset:
 
     Raises:
         FileNotFoundError: if the file does not exist.
-        ParseError: for malformed JSON, unsupported values, integers beyond
-            float64 or a key an object repeats.
+        ParseError: for malformed JSON, unsupported values or integers beyond
+            float64; ``column names: <message>`` for keys that break the
+            column-name rule of :class:`Dataset`: an empty key or one an object
+            repeats (carries ``column``).
         NonFiniteValue: for ``NaN``, ``Infinity`` or a number beyond float64 (``1e400``).
         InconsistentKeys: when record objects disagree on their keys.
     """
@@ -515,6 +524,7 @@ def load_json(path) -> Dataset:
         if not all(isinstance(rec, dict) for rec in doc):
             raise ParseError("JSON array must contain objects")
         names = list(doc[0].keys()) if doc else []
+        _file_names(names)
         reference = set(names)
         for i, rec in enumerate(doc):
             if set(rec.keys()) != reference:
@@ -523,6 +533,7 @@ def load_json(path) -> Dataset:
         return Dataset(columns, row_count=len(doc))
 
     if isinstance(doc, dict):
+        _file_names(list(doc))
         for name, values in doc.items():
             if not isinstance(values, list):
                 raise ParseError(f"column {name!r} must be an array")

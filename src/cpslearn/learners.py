@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import strategies
-from .dataset import Dataset, _is_int, _is_number
+from .dataset import Dataset, _is_int, _is_number, _names
 from .environments import ActionSpace, DatasetStream, OfflineEnvironment
 from .errors import PipelineError
 from .transforms import _check, _non_negative_int, _positive, _positive_int, _setting
@@ -922,13 +922,9 @@ LOCAL_KINDS = {
 }
 
 
-# Checks of values read from model documents, beside ``dataset._is_int`` and ``_is_number``.
+# Checks of values read from model documents, beside ``dataset._is_int``, ``_is_number`` and ``_names``.
 def _is_object(value) -> bool:
     return isinstance(value, dict)
-
-
-def _is_names(value) -> bool:
-    return isinstance(value, list) and all(isinstance(name, str) for name in value)
 
 
 def _entry(obj: dict, key: str, where: str, check, what: str):
@@ -977,8 +973,9 @@ def model_from_dict(doc: dict) -> Model:
     kind = doc.get("kind")
     if kind not in _MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind}")
-    inputs = _entry(doc, "input_schema", "model", _is_names, "a list of column names")
-    outputs = _entry(doc, "output_schema", "model", lambda v: _is_names(v) and len(v) == 1,
+    inputs = _entry(doc, "input_schema", "model", lambda v: _names(v, allow_empty=True, unique=True) is None,
+                    "a list of distinct column names")
+    outputs = _entry(doc, "output_schema", "model", lambda v: _names(v) is None and len(v) == 1,
                      "a list of one column name")
     params = _entry(doc, "params", "model", _is_object, "an object")
     try:

@@ -22,7 +22,8 @@ Responses::
     {"kind": "error", "message": "..."}
 
 The messages that carry columns (``fit``, ``predict``, ``prediction``) name
-them in their header, as arrays of distinct non-empty strings, and declare
+them in their header, each field a non-empty array of column names, none
+twice (a column name is a non-empty string, as in every Dataset), and declare
 the length of their body. Exactly that many bytes follow the LF: each
 column's little-endian IEEE 754 float64 values, column after column, inputs
 before outputs. So the frame is bit-exact, and its row count is ``body / (8
@@ -70,7 +71,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _names
 from .errors import PipelineError
 from .learners import Model, ShapeMismatch, _check_input_columns, fit_linear, model_from_dict
 from .transforms import _positive, _positive_int, _setting
@@ -164,8 +165,9 @@ def _decode(message: dict, body: bytes | None) -> list[Dataset]:
     """The Datasets a message of a kind in ``_COLUMN_FIELDS`` carries, cut from its body.
 
     Raises:
-        ValueError: if the header's column names or ``body`` are malformed,
-            or the body does not split into whole rows.
+        ValueError: ``<field>: <message>`` if a field's names break the column-name
+            rule of ``dataset._names`` (a non-empty list of column names, none
+            twice); if ``body`` is malformed, or the body does not split into whole rows.
         NonFiniteValue: if a value is NaN or an infinity (a ValueError too).
     """
     kind = message["kind"]
@@ -174,10 +176,8 @@ def _decode(message: dict, body: bytes | None) -> list[Dataset]:
         if field not in message:
             raise ValueError(f"{kind} without {field!r}")
         names = message[field]
-        if not isinstance(names, list) or not names or not all(isinstance(n, str) and n for n in names):
-            raise ValueError(f"{field!r} must be a non-empty array of non-empty column names")
-        if len(set(names)) < len(names):
-            raise ValueError(f"{field!r} repeats a column name: {names}")
+        if (problem := _names(names, unique=True)) is not None:
+            raise ValueError(f"{field}: {problem}")
         groups.append(names)
     if "body" not in message:
         raise ValueError(f"{kind} without 'body'")

@@ -232,6 +232,24 @@ class TestValidateCommand:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("learner", [{"kind": "linear"}, {"kind": "remote", "address": "127.0.0.1:9"}])
+    def test_an_empty_column_name_is_an_io_diagnostic(self, tmp_path, capsys, learner):
+        """A column name is a non-empty string for every learner kind: the wire's rule, which
+        ``validate`` and ``run`` apply before a file is read or a server is reached."""
+        cfg = {**watertank_config(), "learner": learner}
+        cfg["io"]["inputs"] = ["V_0", ""]
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out) == {"diagnostics": ["io.inputs: must not hold an empty name"]}
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == {
+            "error": "ConfigError", "module": "cpslearn.config", "field": "io.inputs",
+            "message": "io.inputs: must not hold an empty name",
+        }
+        assert not (tmp_path / "out").exists()
+
     def test_validation_collects_many(self):
         diags = validate_config({"environment": {"kind": "teapot"}, "split_fraction": 2})
         fields = " ".join(diags)
@@ -618,9 +636,16 @@ class TestErrorRecords:
         assert message in record["message"]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("name, text", [("data.csv", "a,b,a\n1,2,3\n4,5,6\n"),
-                                            ("data.json", '{"a": [1, 4], "b": [2, 5], "a": [3, 6]}')])
-    def test_repeated_column_name_is_one_record(self, tmp_path, capsys, name, text):
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [("data.csv", "a,b,a\n1,2,3\n4,5,6\n", "column names: repeated names: ['a']"),
+         ("data.json", '{"a": [1, 4], "b": [2, 5], "a": [3, 6]}', "column names: repeated names: ['a']"),
+         ("data.csv", "a,,b\n1,2,3\n4,5,6\n", "column names: must not hold an empty name"),
+         ("data.csv", 'a,,b\n"1",2,3\n4,5,6\n', "column names: must not hold an empty name"),
+         ("data.json", '{"a": [1, 4], "": [2, 5], "b": [3, 6]}', "column names: must not hold an empty name")],
+        ids=["csv", "json", "empty_csv_fast", "empty_csv_fallback", "empty_json"],
+    )
+    def test_repeated_column_name_is_one_record(self, tmp_path, capsys, name, text, message):
         data = tmp_path / name
         data.write_text(text)
         cfg = {
@@ -633,9 +658,7 @@ class TestErrorRecords:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert self.one_record(capsys) == {
-            "error": "ParseError", "module": "cpslearn.dataset", "message": "repeated column name 'a'",
-        }
+        assert self.one_record(capsys) == {"error": "ParseError", "module": "cpslearn.dataset", "message": message}
         assert not (tmp_path / "out").exists()
 
     def test_malformed_remote_model_is_one_record(self, tmp_path, capsys, monkeypatch):

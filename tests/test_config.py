@@ -59,6 +59,8 @@ GOLDEN = [
     ("io-inputs-string", ("io", "inputs"), "V_0", ["io.inputs: must be a list of column names"]),
     ("io-inputs-empty", ("io", "inputs"), [], ["io.inputs: must not be empty"]),
     ("io-inputs-number", ("io", "inputs"), ["V_0", 3], ["io.inputs: must be a list of column names"]),
+    ("io-inputs-empty-name", ("io", "inputs"), ["V_0", ""], ["io.inputs: must not hold an empty name"]),
+    ("io-outputs-empty-name", ("io", "outputs"), [""], ["io.outputs: must not hold an empty name"]),
     ("io-outputs-missing", ("io", "outputs"), DELETE, ["io.outputs: must be a list of column names"]),
     ("io-outputs-empty", ("io", "outputs"), [],
      ["io.outputs: must not be empty", "io.outputs: exactly one output column is supported"]),
@@ -88,6 +90,8 @@ GOLDEN = [
     ("select-string", ("transforms",), [{"kind": "select", "names": "a"}],
      ["transforms[0].names: must be a list of column names"]),
     ("select-empty-ok", ("transforms",), [{"kind": "select", "names": []}], []),
+    ("select-empty-name", ("transforms",), [{"kind": "select", "names": ["V", ""]}],
+     ["transforms[0].names: must not hold an empty name"]),
     ("select-repeated", ("transforms",), [{"kind": "select", "names": ["V", "x", "V"]}],
      ["transforms[0].names: repeated names: ['V']"]),
     ("standardize-repeated-ok", ("transforms",), [{"kind": "standardize", "names": ["V", "V"]}], []),

@@ -950,8 +950,8 @@ MALFORMED = [
     (linear_doc, ("params",), DELETE, "model.params is missing"),
     (linear_doc, ("params",), [1.0], "model.params must be an object"),
     (linear_doc, ("input_schema",), DELETE, "model.input_schema is missing"),
-    (linear_doc, ("input_schema",), "a", "model.input_schema must be a list of column names"),
-    (linear_doc, ("input_schema",), [1, 2], "model.input_schema must be a list of column names"),
+    (linear_doc, ("input_schema",), "a", "model.input_schema must be a list of distinct column names"),
+    (linear_doc, ("input_schema",), [1, 2], "model.input_schema must be a list of distinct column names"),
     (linear_doc, ("output_schema",), [], "model.output_schema must be a list of one column name"),
     (linear_doc, ("output_schema",), None, "model.output_schema must be a list of one column name"),
     (linear_doc, ("params", "weights"), DELETE, "params.weights is missing"),
@@ -979,6 +979,9 @@ MALFORMED = [
       for value in (-3, True, 2.5)],
     *[(tree_doc, ("params", "min_samples_leaf"), value, "params.min_samples_leaf must be a positive integer")
       for value in (-3, 0, True, 2.5)],
+    *[(linear_doc, ("input_schema",), value, "model.input_schema must be a list of distinct column names")
+      for value in (["a", "a"], ["", "b"])],
+    (linear_doc, ("output_schema",), [""], "model.output_schema must be a list of one column name"),
 ]
 
 

@@ -256,7 +256,7 @@ class TestColumnEncodings:
             HELLO,
         ])
         assert responses == [
-            {"kind": "error", "message": "'inputs' must be a non-empty array of non-empty column names"},
+            {"kind": "error", "message": "inputs: must be a list of column names"},
             {"kind": "hello_ack", "version": 3},
         ]
         assert thread_errors == []
@@ -278,15 +278,15 @@ class TestColumnEncodings:
              "'body' must be a non-negative integer, got True"),
             (({"kind": "predict", "inputs": ["a"], "body": -8}, None), "'body' must be a non-negative integer, got -8"),
             (({"kind": "fit", "inputs": [""], "outputs": ["y"], "body": 16}, bytes(16)),
-             "'inputs' must be a non-empty array of non-empty column names"),
+             "inputs: must not hold an empty name"),
             (({"kind": "fit", "inputs": ["a"], "outputs": [""], "body": 16}, bytes(16)),
-             "'outputs' must be a non-empty array of non-empty column names"),
+             "outputs: must not hold an empty name"),
             (({"kind": "fit", "inputs": [], "outputs": ["y"], "body": 8}, bytes(8)),
-             "'inputs' must be a non-empty array of non-empty column names"),
+             "inputs: must not be empty"),
             (({"kind": "fit", "inputs": ["a", 1], "outputs": ["y"], "body": 24}, bytes(24)),
-             "'inputs' must be a non-empty array of non-empty column names"),
+             "inputs: must be a list of column names"),
             (({"kind": "fit", "inputs": ["a", "a"], "outputs": ["y"], "body": 24}, bytes(24)),
-             "'inputs' repeats a column name: ['a', 'a']"),
+             "inputs: repeated names: ['a']"),
             (({"kind": "fit", "inputs": ["a"], "outputs": ["y"], "body": 16}, bits(0x7FF8000000000000, 0)),
              "column 'a' holds NaN or an infinity"),
             (({"kind": "predict", "inputs": ["a"], "body": 16}, bits(0x3FF0000000000000, 0xFFF0000000000001)),
@@ -303,9 +303,9 @@ class TestColumnEncodings:
             (({"kind": "prediction", "body": 8}, bytes(8)), "prediction without 'outputs'"),
             (({"kind": "fit", "inputs": ["a"], "outputs": ["y"]}, None), "fit without 'body'"),
             (({"kind": "predict", "inputs": "a", "body": 8}, bytes(8)),
-             "'inputs' must be a non-empty array of non-empty column names"),
+             "inputs: must be a list of column names"),
             (({"kind": "predict", "inputs": {"a": "AAAAAAAA8D8="}}, None),
-             "'inputs' must be a non-empty array of non-empty column names"),
+             "inputs: must be a list of column names"),
         ],
     )
     def test_binary_refusals(self, obj, message):
@@ -326,9 +326,9 @@ class TestColumnEncodings:
             (frame({"kind": "predict", "model": FIT_ID, "inputs": ["x"], "body": -8}),
              "'body' must be a non-negative integer, got -8"),
             (frame({"kind": "fit", "inputs": [""], "outputs": ["y"]}, f64le(1.0, 2.0)),
-             "'inputs' must be a non-empty array of non-empty column names"),
+             "inputs: must not hold an empty name"),
             (frame({"kind": "predict", "model": FIT_ID, "inputs": ["x", "x"]}, f64le(1.0, 2.0)),
-             "'inputs' repeats a column name: ['x', 'x']"),
+             "inputs: repeated names: ['x']"),
             (frame({"kind": "fit", "inputs": ["a"], "outputs": ["y"]}), "fit without 'body'"),
             (frame({"kind": "predict", "model": FIT_ID, "inputs": ["x"]}), "predict without 'body'"),
             (frame({"kind": "hello", "version": 3}, f64le(1.0)), "a 'hello' request carries no columns, so no 'body'"),
@@ -449,7 +449,7 @@ class TestServerBehaviour:
         ])
         assert responses == [
             {"kind": "error", "message": "unsupported protocol version: 2"},
-            {"kind": "error", "message": "'inputs' must be a non-empty array of non-empty column names"},
+            {"kind": "error", "message": "inputs: must be a list of column names"},
             {"kind": "hello_ack", "version": 3},
             {"kind": "fit_ack", "model": FIT_ID},
         ]
@@ -972,8 +972,8 @@ class TestFaultInjection:
             (frame({"kind": "prediction", "outputs": ["y"]}), "prediction without 'body'"),
             (frame({"kind": "prediction", "outputs": ["y"], "body": -8}), "'body' must be a non-negative integer, got -8"),
             (frame({"kind": "prediction", "outputs": {"y": "AAAAAAAA8D8="}}),
-             "'outputs' must be a non-empty array of non-empty column names"),
-            (frame({"kind": "prediction", "outputs": ["y", "y"]}, f64le(1.0, 2.0)), "'outputs' repeats a column name: ['y', 'y']"),
+             "outputs: must be a list of column names"),
+            (frame({"kind": "prediction", "outputs": ["y", "y"]}, f64le(1.0, 2.0)), "outputs: repeated names: ['y']"),
         ],
         ids=["nan", "-inf", "no_body", "negative_body", "version_2", "repeated"],
     )

@@ -283,6 +283,7 @@ class TestIoSpec:
         ([1], ["b"], "inputs: must be a list of column names"),
         (["a"], ["b", "c"], "outputs: exactly one output column is supported"),
         (["a"], "b", "outputs: must be a list of column names"),
+        (["a", ""], ["b"], "inputs: must not hold an empty name"),
     ])
     def test_validation(self, inputs, outputs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

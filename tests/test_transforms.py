@@ -93,6 +93,7 @@ class TestSlidingWindow:
     (Explode, "ab", "must be a list of column names"),
     (Explode, [], "must not be empty"),
     (Explode, ["V", 1], "must be a list of column names"),
+    (Select, ["V", ""], "must not hold an empty name"),
 ])
 def test_names_are_refused_when_built(transform, names, problem):
     with pytest.raises(ValueError, match=f"^{re.escape(f'names {problem}, got {names!r}')}$"):
