@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset, load_csv, load_json
 from .errors import PipelineError
-from .transforms import Transform, TransformChain, _number, _positive, _positive_int, _setting
+from .transforms import Transform, TransformChain, _column_name, _number, _positive, _positive_int, _setting
 
 
 class ActionOutOfRange(PipelineError):
@@ -110,11 +110,23 @@ class DatasetStream(IncrementalEnvironment):
 
 @dataclass(frozen=True)
 class ActionSpace:
-    """A single continuous action dimension with inclusive bounds."""
+    """A single continuous action dimension with inclusive bounds.
+
+    Raises:
+        ValueError: ``name must be a column name, got ...``, ``low must be a number, got ...``
+            (or ``high``), or ``high must be at least low ..., got ...``.
+    """
 
     name: str
     low: float
     high: float
+
+    def __post_init__(self):
+        _setting("name", self.name, _column_name)
+        _setting("low", self.low, _number)
+        _setting("high", self.high, _number)
+        if self.high < self.low:
+            raise ValueError(f"high must be at least low {self.low!r}, got {self.high!r}")
 
     def contains(self, value: float) -> bool:
         return self.low <= value <= self.high

@@ -36,7 +36,8 @@ from . import strategies
 from .dataset import Dataset, _is_int, _is_number, _names
 from .environments import ActionSpace, DatasetStream, OfflineEnvironment
 from .errors import PipelineError
-from .transforms import _check, _non_negative_int, _positive, _positive_int, _setting
+from .transforms import (_check, _column_name, _distinct_names, _non_negative_int, _number, _positive,
+                         _positive_int, _setting)
 
 MODEL_FORMAT_VERSION = 1
 MODEL_FILE_SUFFIX = ".fcm.json"
@@ -121,14 +122,20 @@ class Model(abc.ABC):
 
     Predictions are deterministic and side-effect free; concurrent predict
     calls are safe. ``input_columns`` and ``output_column`` form the schema
-    contract checked on every call.
+    contract checked on every call. A model that can be built saves, and its
+    document loads back.
+
+    Raises:
+        ValueError: when built, ``input_columns <message>, got ...`` for a name list that
+            ``dataset._names`` refuses (it may be empty, and holds no name twice), or
+            ``output_column must be a column name, got ...``.
     """
 
     kind: str
 
     def __init__(self, input_columns: Sequence[str], output_column: str):
-        self.input_columns = tuple(input_columns)
-        self.output_column = output_column
+        self.input_columns = tuple(_setting("input_columns", input_columns, _distinct_names))
+        self.output_column = _setting("output_column", output_column, _column_name)
 
     def predict(self, inputs: Dataset) -> Dataset:
         """Predict one value per input row, as a single-column Dataset.
@@ -166,7 +173,13 @@ class Model(abc.ABC):
 
 
 class LinearModel(Model):
-    """Affine prediction: dot(weights, inputs) + intercept."""
+    """Affine prediction: dot(weights, inputs) + intercept.
+
+    Raises:
+        ValueError: when built, as :class:`Model`, ``weights must be finite numbers, got ...``
+            or ``intercept must be a number, got ...``.
+        ShapeMismatch: if there is not one weight per input column.
+    """
 
     kind = "linear"
 
@@ -178,9 +191,11 @@ class LinearModel(Model):
                 f"{weights.shape[0] if weights.ndim else 0} weights for "
                 f"{len(self.input_columns)} input columns"
             )
+        if not np.isfinite(weights).all():
+            raise ValueError(f"weights must be finite numbers, got {weights.tolist()!r}")
         weights.setflags(write=False)
         self.weights = weights
-        self.intercept = float(intercept)
+        self.intercept = float(_setting("intercept", intercept, _number))
 
     def _predict_matrix(self, matrix: np.ndarray) -> np.ndarray:
         return matrix @ self.weights + self.intercept
@@ -239,7 +254,11 @@ class TreeNode:
 
 
 class RegressionTreeModel(Model):
-    """A fitted binary regression tree."""
+    """A fitted binary regression tree.
+
+    Raises:
+        ValueError: when built, as :class:`Model`, or as :func:`fit_tree` for its settings.
+    """
 
     kind = "regression_tree"
 
@@ -253,8 +272,8 @@ class RegressionTreeModel(Model):
     ):
         super().__init__(input_columns, output_column)
         self.root = root
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
+        self.max_depth = _setting("max_depth", max_depth, _non_negative_int)
+        self.min_samples_leaf = _setting("min_samples_leaf", min_samples_leaf, _positive_int)
 
     def _predict_matrix(self, matrix: np.ndarray) -> np.ndarray:
         out = np.empty(matrix.shape[0], dtype=np.float64)
@@ -321,49 +340,22 @@ def _best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int, orders
     lowest feature index, then the lowest threshold. None means that no
     feature has two distinct values in the node.
 
-    **Exact scores.** :func:`_scores` runs the elementwise operations of
-    the scalar expression ``(n_l * max(0, s2_l/n_l - (s_l/n_l)**2) + n_r *
-    max(0, ...)) / n`` in the same order, so each score is bit-identical to
-    evaluating it one candidate at a time. Exact squares use
-    ``np.float_power``, which calls the C library ``pow`` as a float64
-    scalar's ``** 2`` does (an array's ``** 2`` is a multiply, and the two
-    differ by one ulp for about one value in a thousand). No score is NaN:
+    **Scores.** :func:`_scores` runs the elementwise operations of the
+    scalar expression ``(n_l * max(0, s2_l/n_l - m_l*m_l) + n_r * max(0,
+    ...)) / n``, with ``m_l = s_l/n_l``, in the same order, so each score is
+    bit-identical to evaluating it one candidate at a time. No score is NaN:
     the clamp maps NaN to 0.0, and each score is a sum of non-negative terms.
 
-    **Screen.** ``pow`` is paid only where it can matter. Every candidate is
-    first screened: scored by :func:`_scores` with ``np.square``, a
-    multiply, for each square. Let u = 2**-53, n < 2**30 the node's rows,
-    and T a feature's sum of squared targets, assumed finite. Take one side
-    of k rows, with a = s2/k and m = s/k as computed, and assume ``pow``
-    within 1 ulp. The two squares differ by at most 3u m^2, and the two
-    subtractions from a add at most u (a + m^2) each. The clamp does not
-    widen the gap and leaves a value in [0, a]; the product by k adds
-    2u k a. So the side's terms differ by at most 5u k m^2 + 4u k a, where
-    k a <= (1 + u) s2 and k m^2 = s^2/k <= 1.1 s2 + T/100 (Cauchy-Schwarz,
-    with the rounding of the cumulative sums, for n < 2**30). Over both
-    sides that is at most 9.7u T, and the sum adds 2.1u T. After the
-    division by n, which adds 2.1u T / n, the screened and exact scores
-    differ by less than B = 16u T / n = 2**-49 T / n, plus at most
-    2**-1070 from gradual underflow.
-
-    A candidate survives the screen when its screened score is at most the
-    least screened score before it in the scan plus the margin
-    M = 2**-44 T / n + 2**-1000, with T the largest of the features scored
-    together (the features' T agree to a relative 2n u). A candidate whose
-    exact score is below every earlier exact score is, screened, below
-    every earlier screened score plus 2 B, so it survives; M = 32 B is a
-    slack of 16. If T overflows, M is infinite and every candidate survives.
-
-    **Running minima.** Only a candidate whose exact score is below every
-    earlier one can replace the incumbent. A candidate that replaced became
-    the incumbent, and incumbents only decrease; one that did not was at
-    least the incumbent of its time minus 1e-12, itself at least the current
+    **Running minima.** Only a candidate whose score is below every earlier
+    one can replace the incumbent. A candidate that replaced became the
+    incumbent, and incumbents only decrease; one that did not was at least
+    the incumbent of its time minus 1e-12, itself at least the current
     incumbent minus 1e-12. So a score at or above any earlier score, of any
-    feature, never replaces. The survivors hold every strict running
-    minimum of the scan, so the strict running minima of a block's
-    survivors hold every candidate of the block that can replace. Those of
-    them not below an earlier block's score lead these minima and, as just
-    shown, sit at or above the incumbent minus 1e-12.
+    feature, never replaces. A block's scores go into one buffer led by the
+    least score of the earlier blocks, a cut between equal values scoring
+    +inf; a cut below the running minimum of the buffer before it is a strict
+    running minimum of the whole scan, and these hold every cut that can
+    replace.
 
     **Tie rule.** These minima strictly decrease, so the ones below the
     incumbent minus 1e-12 are a suffix, found in one comparison. From its
@@ -376,50 +368,41 @@ def _best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int, orders
     **Blocks.** A node of n rows scores ``max(1, _BLOCK // n)`` features
     per pass: a small node in one pass, a large one feature by feature, so
     that the working set stays near ``_BLOCK`` cuts. The incumbent and the
-    least screened score carry from block to block, and the threshold is
-    formed once, for the winning cut.
+    least score carry from block to block, and the threshold is formed once,
+    for the winning cut.
     """
     p, n = orders.shape
     lo, hi = min_samples_leaf, n - min_samples_leaf + 1  # the cuts are lo, ..., hi - 1
     n_left = np.arange(lo, hi, dtype=np.float64)
     step = max(1, _BLOCK // n)
     best_score, winner = None, None  # a float, (feature, cut)
-    screen_low = math.inf  # the least screened score so far
+    low = math.inf  # the least score so far
     for first in range(0, p, step):
         block = orders[first:first + step]
         b, c = len(block), hi - lo
         xs = matrix[block, np.arange(first, first + b)[:, np.newaxis]]
-        valid = (xs[:, lo - 1:hi - 1] != xs[:, lo:hi]).ravel()
+        tied = xs[:, lo - 1:hi - 1] == xs[:, lo:hi]
         del xs
         ys = y[block]
         sums = np.cumsum(ys, axis=1)  # sums[:, i - 1] is the sum of the first i sorted targets
         squares = np.cumsum(np.multiply(ys, ys, out=ys), axis=1)
         del ys
 
-        # The screen, in one buffer led by the least screened score of earlier blocks.
-        screened = np.empty(b * c + 1)
-        screened[0] = screen_low
+        # The block's scores, in one buffer led by the least score of earlier blocks.
+        scores = np.empty(b * c + 1)
+        scores[0] = low
         _scores(sums[:, lo - 1:hi - 1], squares[:, lo - 1:hi - 1], sums[:, -1:], squares[:, -1:],
-                n_left, n, np.square, screened[1:].reshape(b, c))
-        np.copyto(screened[1:], np.inf, where=~valid)
-        bound = np.minimum.accumulate(screened[:-1])  # the least screened score before each cut
-        screen_low = min(float(bound[-1]), float(screened[-1]))
-        bound += _screen_margin(float(squares[:, -1].max()), n)
-        kept = np.flatnonzero(valid & (screened[1:] <= bound))
-        del screened, bound, valid
-        if not kept.size:
+                n_left, n, scores[1:].reshape(b, c))
+        del sums, squares
+        np.copyto(scores[1:].reshape(b, c), np.inf, where=tied)
+        del tied
+        bound = np.minimum.accumulate(scores[:-1])  # the least score before each cut
+        low = min(float(bound[-1]), float(scores[-1]))
+        at = np.flatnonzero(scores[1:] < bound)  # the strict running minima of the scan
+        minima = scores[1:][at]
+        del scores, bound
+        if not at.size:
             continue
-
-        # Exact scores of the survivors, and their strict running minima.
-        feature, cut = np.divmod(kept, c)
-        cut += lo
-        scores = _scores(sums[feature, cut - 1], squares[feature, cut - 1], sums[feature, -1],
-                         squares[feature, -1], cut, n, _pow_square, np.empty(kept.size))
-        del feature, cut, sums, squares
-        strict = np.empty(scores.size, dtype=bool)
-        strict[0] = True
-        np.less(scores[1:], np.minimum.accumulate(scores)[:-1], out=strict[1:])
-        minima, at = scores[strict], kept[strict]
 
         # The tie rule on the strictly decreasing minima.
         if best_score is None:
@@ -444,44 +427,34 @@ def _best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int, orders
     return best_score, feature, (matrix[low_row, feature] + matrix[high_row, feature]) / 2.0
 
 
-def _scores(s, s2, total, total_sq, n_left, n, square, out: np.ndarray) -> np.ndarray:
+def _scores(s, s2, total, total_sq, n_left, n, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` with the weighted child variance of each cut and return it.
 
     ``s`` and ``s2`` are the sums of the left child's targets and of their
     squares, ``total`` and ``total_sq`` the node's, and ``n_left`` the left
     child's rows, all broadcast against ``out``. The operations are those of
-    ``(n_l * max(0, s2/n_l - square(s/n_l)) + n_r * max(0, ...)) / n`` in
-    its order. ``np.fmax`` clamps as ``max(0.0, v)`` does: it maps NaN to
-    0.0, and a variance is never -0.0 (``s2`` and the squares are +0.0 or
-    more, and a difference of equal floats is +0.0).
+    ``(n_l * max(0, s2/n_l - m*m) + n_r * max(0, ...)) / n``, with ``m =
+    s/n_l``, in its order; ``np.square`` is that multiply. ``np.fmax`` clamps
+    as ``max(0.0, v)`` does: it maps NaN to 0.0, and a variance is never
+    -0.0 (``s2`` and the squares are +0.0 or more, and a difference of equal
+    floats is +0.0).
     """
     n_right = n - n_left
     mean = np.divide(s, n_left)
     np.divide(s2, n_left, out=out)
-    out -= square(mean, out=mean)
+    out -= np.square(mean, out=mean)
     np.fmax(out, 0.0, out=out)
     out *= n_left
     np.subtract(total, s, out=mean)
     mean /= n_right
     right = np.subtract(total_sq, s2)
     right /= n_right
-    right -= square(mean, out=mean)
+    right -= np.square(mean, out=mean)
     np.fmax(right, 0.0, out=right)
     right *= n_right
     out += right
     out /= n
     return out
-
-
-def _pow_square(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Squares by the C library ``pow``, as a float64 scalar's ``** 2`` takes them."""
-    return np.float_power(values, 2.0, out=out)
-
-
-def _screen_margin(total_sq: float, n: int) -> float:
-    """The margin M of :func:`_best_split`'s screen, for a node of ``n`` rows whose
-    squared targets sum to ``total_sq``."""
-    return 2.0**-44 * total_sq / n + 2.0**-1000
 
 
 def _presort(matrix: np.ndarray) -> np.ndarray:
@@ -538,13 +511,11 @@ def fit_tree(
     node's targets ``y[rows]`` stay in row order, so its variance and leaf
     mean are those of the rows it holds, summed in the same order.
 
-    A node scores every candidate cut with a multiply for each square, and
-    computes the exact score, with the C library ``pow``, only for the
-    candidates that could still be a running minimum; the tie rule runs on
-    those minima. :func:`_best_split` bounds the gap between the two scores
-    and shows why this returns the same split, and so the same model bytes,
-    as scoring every candidate exactly. No step calls BLAS, so the bytes do
-    not depend on the CPU's kernel either.
+    A node scores every candidate cut once, squaring each child's mean by a
+    multiply, and runs the tie rule only on the cuts that are a running
+    minimum of the scan; :func:`_best_split` shows why this takes the split
+    of scoring the candidates one at a time. No step calls BLAS, so the
+    model bytes do not depend on the CPU's kernel.
 
     Raises:
         ValueError: ``max_depth must be a non-negative integer, got ...`` or
@@ -824,7 +795,10 @@ class EpsilonGreedyActiveLearner:
     Raises:
         ValueError: when built: ``epsilon must be in [0, 1], got ...``, ``action_grid_size
             must be a positive integer, got ...``, ``seed must be a non-negative integer,
-            got ...``, as the surrogate for its settings, or if the action is a state column.
+            got ...``, as the surrogate for its settings, ``state_columns <message>, got ...``
+            for a name list that ``dataset._names`` refuses (it may be empty, and holds no name
+            twice), ``target_column must be a column name, got ...``, or if the action is a
+            state column.
     """
 
     def __init__(
@@ -838,11 +812,11 @@ class EpsilonGreedyActiveLearner:
         forgetting_factor: float = 1.0,
         regularization: float = 1e-8,
     ):
-        if action_space.name in state_columns:
+        self.state_columns = tuple(_setting("state_columns", state_columns, _distinct_names))
+        self.target_column = _setting("target_column", target_column, _column_name)
+        if action_space.name in self.state_columns:
             raise ValueError(f"the action {action_space.name!r} must not be a state column")
         self.action_space = action_space
-        self.state_columns = tuple(state_columns)
-        self.target_column = target_column
         self.epsilon = _setting("epsilon", epsilon, _epsilon)
         grid_size = _setting("action_grid_size", action_grid_size, _positive_int)
         self.action_grid = np.linspace(action_space.low, action_space.high, grid_size)

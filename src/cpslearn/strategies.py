@@ -127,10 +127,14 @@ def evaluate(
 
     Raises:
         ValueError: ``metric_names: <message>``, before any metric is computed, for the first
-            problem ``metrics._metric_problems``, the check of a config's ``metrics``, finds.
+            problem ``metrics._metric_problems``, the check of a config's ``metrics``, finds; or,
+            before the environment is observed, ``io: the model predicts ..., not the output
+            column ...`` if the model's output column is not ``io``'s.
     """
     if problems := _metric_problems(metric_names):
         raise ValueError(f"metric_names: {problems[0]}")
+    if model.output_column != io.outputs[0]:
+        raise ValueError(f"io: the model predicts {model.output_column!r}, not the output column {io.outputs[0]!r}")
     data = environment.observe()
     inputs, outputs = _split_io(data, io)
     predictions = model.predict(inputs)

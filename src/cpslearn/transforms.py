@@ -53,6 +53,7 @@ _non_negative_int = _check(lambda v: _is_int(v) and v >= 0, "must be a non-negat
 _positive = _check(lambda v: _is_number(v) and v > 0, "must be a positive number")
 _number = _check(_is_number, "must be a number")
 _distinct_names = lambda value: _names(value, allow_empty=True, unique=True)  # Select's names
+_column_name = _check(lambda v: _names([v]) is None, "must be a column name")
 
 
 def _setting(name: str, value, check):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cpslearn import Dataset, Explode, IoSpec, OfflineEnvironment, Select, Standardize, evaluate, remote
 from cpslearn.config import validate_config, watertank_config
 from cpslearn.dataset import InvalidFraction, _names
-from cpslearn.learners import MODEL_FORMAT_VERSION, model_from_dict
+from cpslearn.learners import MODEL_FORMAT_VERSION, LinearModel, model_from_dict
 
 NAMED = {"select": Select, "explode": Explode, "standardize": Standardize}
 ODD = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.floats(), st.just(math.nan), st.just(10**400))
@@ -89,10 +89,13 @@ NAME_LISTS = st.one_of(
 )
 
 
+def name_count(names) -> int:
+    return len(names) if isinstance(names, (list, tuple)) else 0
+
+
 def linear_document(input_schema) -> dict:
-    width = len(input_schema) if isinstance(input_schema, (list, tuple)) else 0
     return {"format_version": MODEL_FORMAT_VERSION, "kind": "linear", "input_schema": input_schema,
-            "output_schema": ["y"], "params": {"weights": [0.0] * width, "intercept": 0.0}}
+            "output_schema": ["y"], "params": {"weights": [0.0] * name_count(input_schema), "intercept": 0.0}}
 
 
 def wire_message(names) -> tuple[dict, bytes]:
@@ -114,6 +117,7 @@ def test_every_site_applies_the_one_name_rule(names):
         ("Select", lambda: Select(names), (True, True)),
         ("Standardize", lambda: Standardize(names), (False, False)),
         ("model_from_dict", lambda: model_from_dict(linear_document(names)), (True, True)),
+        ("LinearModel", lambda: LinearModel([0.0] * name_count(names), 0.0, names, "y"), (True, True)),
         ("remote._decode", lambda: remote._decode(*wire_message(names)), (False, True)),
     ]
     if isinstance(names, (list, tuple)):

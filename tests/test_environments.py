@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpslearn import (
+    ActionSpace,
     Dataset,
     DatasetStream,
     OdeEnvironment,
@@ -161,6 +162,24 @@ NOT_POSITIVE_NUMBERS = [0.0, -1, math.nan, math.inf, -math.inf, True, np.True_, 
 
 def value_id(value) -> str:
     return "10**400" if type(value) is int and value > 2**64 else repr(value)
+
+
+class TestActionSpace:
+    @pytest.mark.parametrize("args, message", [
+        (("", 0.0, 1.0), "name must be a column name, got ''"),
+        ((["V"], 0.0, 1.0), "name must be a column name, got ['V']"),
+        (("V", math.nan, 1.0), "low must be a number, got nan"),
+        (("V", 0.0, math.inf), "high must be a number, got inf"),
+        (("V", True, 1.0), "low must be a number, got True"),
+        (("V", 1.0, 0.0), "high must be at least low 1.0, got 0.0"),
+    ], ids=str)
+    def test_refused_when_built(self, args, message):
+        with pytest.raises(ValueError) as info:
+            ActionSpace(*args)
+        assert str(info.value) == message
+
+    def test_a_single_point_is_a_space(self):
+        assert ActionSpace("V", 0.5, 0.5).contains(0.5)
 
 
 class TestWaterTankSystem:

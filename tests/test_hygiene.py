@@ -139,7 +139,6 @@ BLAS_FREE = {
     "_solve_positive_definite",
     "_best_split",
     "_scores",
-    "_pow_square",
     "_presort",
     "_grow_tree",
     "fit_tree",

@@ -19,6 +19,7 @@ from cpslearn import (
     IoSpec,
     LinearModel,
     RegressionTreeLearner,
+    RegressionTreeModel,
     WaterTankActiveEnvironment,
     fit_linear,
     fit_tree,
@@ -37,6 +38,7 @@ from cpslearn.learners import (
     SingularDesign,
     TargetsOverflow,
     TooFewSamples,
+    TreeNode,
     TreeTooDeep,
 )
 from conftest import random_dataset
@@ -60,9 +62,9 @@ def brute_force_stump(matrix: np.ndarray, y: np.ndarray, min_leaf: int = 1):
     return best
 
 
-def reference_best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int, square=lambda m: m**2):
+def reference_best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int, square=lambda m: m * m):
     """Oracle: the split search as a scalar loop over every candidate cut; ``square``
-    squares each child's mean (a float64 scalar's ``** 2`` calls the C library ``pow``)."""
+    squares each child's mean, by a multiply unless told otherwise."""
     n = len(y)
     best = None  # (score, feature, threshold)
     for feature in range(matrix.shape[1]):
@@ -84,23 +86,6 @@ def reference_best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: in
             if best is None or score < best[0] - 1e-12:
                 best = (score, feature, (xs[i - 1] + xs[i]) / 2.0)
     return best
-
-
-def candidate_scores(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int, square):
-    """Per feature, the scores of all its candidate cuts, with ``square`` for each child's
-    squared mean, and the feature's sum of squared targets."""
-    n = len(y)
-    for feature in range(matrix.shape[1]):
-        order = np.argsort(matrix[:, feature], kind="stable")
-        xs, ys = matrix[order, feature], y[order]
-        sums, squares = np.cumsum(ys), np.cumsum(ys * ys)
-        i = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
-        i = i[xs[i - 1] != xs[i]]
-        s, s2 = sums[i - 1], squares[i - 1]
-        var_left = s2 / i - square(s / i)
-        var_right = (squares[-1] - s2) / (n - i) - square((sums[-1] - s) / (n - i))
-        scores = (i * np.where(var_left > 0.0, var_left, 0.0) + (n - i) * np.where(var_right > 0.0, var_right, 0.0)) / n
-        yield scores, squares[-1]
 
 
 def reference_tree(matrix: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_samples_leaf: int) -> dict:
@@ -185,35 +170,25 @@ class TestSplitSearchOracle:
             found = learners._best_split(matrix, y, min_samples_leaf, learners._presort(matrix))
         assert found == reference_best_split(matrix, y, min_samples_leaf)
 
-    @settings(deadline=None, max_examples=200)
-    @given(split_problems())
-    def test_screened_scores_are_within_an_eighth_of_the_margin(self, problem):
-        """Squaring by a multiply moves no candidate's score by more than an eighth of the
-        screen's margin: 4 times the bound B that ``_best_split`` derives (the margin is 32 B)."""
-        matrix, y, min_samples_leaf = problem
-        exact = candidate_scores(matrix, y, min_samples_leaf, lambda m: np.float_power(m, 2.0))
-        screened = candidate_scores(matrix, y, min_samples_leaf, lambda m: m * m)
-        for (scores, total_sq), (screened_scores, _) in zip(exact, screened):
-            margin = learners._screen_margin(total_sq, len(y))
-            assert np.all(np.abs(screened_scores - scores) <= margin / 8)
-
-    def test_pow_decides_where_a_multiply_would_not(self):
-        """At an offset of 1e8 the scores' rounding outweighs the targets' variance: squaring
-        by a multiply changes scores and the split a search would take (0.175 becomes 1.075),
-        and the search still takes the scalar loop's. A multiply on either side of the exact
-        scores, or a screen without its margin, takes another split or score here."""
-        matrix = np.array([[0.58], [-0.52], [-0.23], [1.57]])
+    @pytest.mark.parametrize("block", [1, learners._BLOCK])
+    def test_squares_are_a_multiply(self, block):
+        """At an offset of 1e8 the scores' rounding outweighs the targets' variance, and
+        squaring by the C library ``pow`` (a float64 scalar's ``** 2``) takes another split
+        than squaring by a multiply (0.175, not 1.075). The search takes the multiply's, the
+        second, equal feature's scores included: at ``_BLOCK`` 1 each feature is a block of
+        its own, so the least score carries from the first block to the second."""
+        column = np.array([0.58, -0.52, -0.23, 1.57])
+        matrix = np.column_stack([column, column])
         y = np.array([99999998.0, 99999998.0, 100000000.0, 100000000.0])
-        exact = [scores for scores, _ in candidate_scores(matrix, y, 1, lambda m: np.float_power(m, 2.0))]
-        multiplied = [scores for scores, _ in candidate_scores(matrix, y, 1, lambda m: m * m)]
-        assert any((a != b).any() for a, b in zip(exact, multiplied))
         expected = reference_best_split(matrix, y, 1)
-        assert reference_best_split(matrix, y, 1, square=lambda m: m * m)[1:] != expected[1:]
-        assert learners._best_split(matrix, y, 1, learners._presort(matrix)) == expected
+        assert expected[1:] == (0, 1.075)
+        assert reference_best_split(matrix, y, 1, square=lambda m: m**2)[1:] == (0, 0.175)
+        with mock.patch.object(learners, "_BLOCK", block):
+            assert learners._best_split(matrix, y, 1, learners._presort(matrix)) == expected
 
     def test_fit_memory_stays_below_the_per_feature_search(self):
-        """19 998 x 5 rows whose first feature's scores fall smoothly, so the survivors of the
-        screen are many: the per-feature search peaked at 6.0 MB here and this one at 4.98 MB.
+        """19 998 x 5 rows whose first feature's scores fall smoothly, so its running minima
+        are many: the per-feature search peaked at 6.0 MB here and this one at 4.93 MB.
         A transposed copy of the matrix (0.8 MB) would pass 5.4 MB."""
         rng = np.random.default_rng(19_998)
         inputs = random_dataset(rng, 19_998, 5)
@@ -1023,6 +998,35 @@ class TestMalformedModelDocuments:
             load_model(path)
 
 
+LEAF = TreeNode(value=1.0, samples=2)
+
+
+class TestModelConstruction:
+    """A model that can be built saves, and its document loads back: each constructor applies
+    ``model_from_dict``'s rules."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: LinearModel([1.0], math.inf, ["a"], "y"), "intercept must be a number, got inf"),
+        (lambda: LinearModel([math.nan], 0.0, ["a"], "y"), "weights must be finite numbers, got [nan]"),
+        (lambda: LinearModel([1.0, 1.0], 0.0, ["a", "a"], "y"), "input_columns repeated names: ['a'], got ['a', 'a']"),
+        (lambda: LinearModel([1.0, 2.0], 0.0, "ab", "y"), "input_columns must be a list of column names, got 'ab'"),
+        (lambda: LinearModel([1.0], 0.0, ["a"], ""), "output_column must be a column name, got ''"),
+        (lambda: RegressionTreeModel(LEAF, ["a"], "y", -1, 1), "max_depth must be a non-negative integer, got -1"),
+        (lambda: RegressionTreeModel(LEAF, ["a"], "y", 1, 0), "min_samples_leaf must be a positive integer, got 0"),
+    ])
+    def test_a_model_that_would_not_load_back_is_refused(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_a_built_model_loads_back(self, tmp_path):
+        for model in (LinearModel([1.5], -2.0, ("a",), "y"), LinearModel([], 0.5, [], "y"),
+                      RegressionTreeModel(LEAF, ["a", "b"], "y", 0, 1)):
+            path = tmp_path / f"{model.kind}.fcm.json"
+            save_model(model, path)
+            assert load_model(path).to_dict() == model.to_dict()
+
+
 class TestActiveLearner:
     def _policy(self, **kw):
         defaults = dict(
@@ -1078,6 +1082,22 @@ class TestActiveLearner:
             self._policy(action_grid_size=0)
         with pytest.raises(ValueError, match="the action 'x' must not be a state column"):
             self._policy(action_space=ActionSpace("x", 0.0, 1.0))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"state_columns": "level"}, "state_columns must be a list of column names, got 'level'"),
+        ({"state_columns": ["x", "x"]}, "state_columns repeated names: ['x'], got ['x', 'x']"),
+        ({"state_columns": ["x", ""]}, "state_columns must not hold an empty name, got ['x', '']"),
+        ({"target_column": 5}, "target_column must be a column name, got 5"),
+        ({"target_column": ["x"]}, "target_column must be a column name, got ['x']"),
+    ], ids=str)
+    def test_column_names_are_checked_when_built(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            self._policy(**kwargs)
+        assert str(info.value) == message
+
+    def test_no_state_column_is_accepted(self):
+        """The state may be empty: the surrogate then learns from the action alone."""
+        assert self._policy(state_columns=[]).state_columns == ()
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"action_grid_size": 2.5}, "action_grid_size must be a positive integer, got 2.5"),

@@ -20,6 +20,7 @@ from cpslearn import (
     WaterTankActiveEnvironment,
     WaterTankSystem,
     evaluate,
+    fit_linear,
     learn_active,
     learn_incremental,
     learn_offline,
@@ -28,6 +29,7 @@ from cpslearn import strategies
 from cpslearn.dataset import UnknownColumn
 from cpslearn.learners import NeverUpdated
 from cpslearn.metrics import REGISTRY, get_metric, mae
+from cpslearn.remote import RemoteModel
 from conftest import concat_rows, random_dataset
 
 
@@ -246,6 +248,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"^{re.escape(f'metric_names: {problem}')}$"):
             evaluate(env, CopyModel("x", "y"), IoSpec(["x"], ["y"]), metric_names)
         assert (looked_up, env.observations) == ([], 0)
+
+    def test_a_model_of_another_output_is_refused_before_observing(self):
+        """Local and remote models alike: predictions of ``y`` are never scored against ``z``."""
+        d = Dataset({"a": [1.0, 2.0, 3.0], "y": [1.0, 3.0, 5.0], "z": [9.0, 0.0, 4.0]})
+        for model in (fit_linear(d.select(["a"]), d.select(["y"])), RemoteModel(None, "m", ["a"], "y")):
+            env = CountingOffline(d)
+            with pytest.raises(ValueError) as info:
+                evaluate(env, model, IoSpec(["a"], ["z"]), ["mae"])
+            assert str(info.value) == "io: the model predicts 'y', not the output column 'z'"
+            assert env.observations == 0
 
     def test_does_not_mutate_model(self):
         rng = np.random.default_rng(82)
