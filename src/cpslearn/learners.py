@@ -8,7 +8,7 @@ process that never imports the training code.
 Native implementations:
 
 * :func:`fit_linear` / :class:`LinearRegressionLearner` -- ordinary least
-  squares via a rank-revealing orthogonal decomposition.
+  squares by Householder QR, with a stated rank rule on the diagonal of R.
 * :func:`fit_tree` / :class:`RegressionTreeLearner` -- greedy binary
   regression tree minimizing weighted child variance.
 * :class:`IncrementalLinearLearner` -- incremental least squares with a
@@ -117,6 +117,145 @@ def _check_input_columns(inputs: Dataset, input_columns: tuple[str, ...]) -> Non
         )
 
 
+# The exact kernels. Each adds in the order its code states, by elementwise ufuncs or on Python
+# floats, and never calls BLAS or ``np.add.reduce`` (whose order numpy picks from the memory layout),
+# so its bits depend on its inputs alone: not on the BLAS kernel, the CPU's features or the layout.
+
+def _fold_sum(terms: np.ndarray) -> np.ndarray:
+    """The sums of ``terms`` over its last axis, of length 1 or more, which it overwrites.
+
+    While m > 1 terms are left, term ``i + ceil(m/2)`` is added onto term i for each
+    ``i < floor(m/2)`` and the first ``ceil(m/2)`` terms are kept: a pairwise order fixed by the
+    length alone, with a rounding error of at most ``ceil(log2 m) eps`` times the sum of magnitudes.
+    """
+    m = terms.shape[-1]
+    while m > 1:
+        half = m - m // 2
+        terms[..., :m // 2] += terms[..., half:m]
+        m = half
+    return terms[..., 0]
+
+
+def _row_product(matrix: np.ndarray, weights: list, intercept: float) -> np.ndarray:
+    """Each row's ``0.0 + x_0 w_0 + x_1 w_1 + ... + intercept``, added left to right."""
+    out = np.zeros(len(matrix))
+    for column, weight in zip(matrix.T, weights):
+        out += column * weight
+    out += intercept
+    return out
+
+
+def _householder_solve(rows: np.ndarray) -> list:
+    """The least-squares solution w of ``A w = y``, by Householder QR and a back substitution on
+    Python floats.
+
+    ``rows`` holds A's p columns and then y as contiguous rows of n >= p values, each of magnitude
+    below 1; it is overwritten. Step k reflects column k's entries k, ..., n-1 onto ``R[k, k]``
+    with ``v = x - R[k, k] e_0`` and ``R[k, k] = -copysign(|x|, x_0)``, and applies the reflection
+    to the later rows through ``v . a = x . a - R[k, k] a_0``: one :func:`_fold_sum` gives ``x . x``
+    and every ``x . a``. Column k of R has the norm of column k of A (Q is orthogonal), and the
+    step refuses A when ``|R[k, k]| <= max(n, p) eps |R[:, k]|``: column k is then within that
+    share of its norm of the span of the columns before it.
+
+    Raises:
+        SingularDesign: naming the first column the rank rule refuses.
+    """
+    p, n = len(rows) - 1, rows.shape[1]
+    tolerance = max(n, p) * np.finfo(np.float64).eps
+    for k in range(p):
+        block = rows[k:, k:]  # row k's entries from k on, then the later columns' and y's
+        dots = _fold_sum(block * block[0]).tolist()
+        x0 = float(block[0, 0])
+        norm = math.sqrt(dots[0])
+        squares = dots[0]
+        for above in rows[k, :k].tolist():  # R[:k, k], left by the earlier steps
+            squares += above * above
+        if not norm > tolerance * math.sqrt(squares):
+            raise SingularDesign(
+                f"design matrix is rank deficient: design column {k} (the inputs, then the intercept) "
+                f"is within {tolerance:.3g} of its norm of the span of the columns before it"
+            )
+        diagonal = -math.copysign(norm, x0)
+        scale = norm * (norm + abs(x0))  # v . v / 2
+        factors = [(xa - diagonal * a0) / scale for xa, a0 in zip(dots[1:], block[1:, 0].tolist())]
+        block[0, 0] = x0 - diagonal
+        block[1:] -= np.multiply.outer(factors, block[0])
+        block[0, 0] = diagonal
+    # Row j holds R[k, j] at k < j, and R[k, k] at k = j; row p holds Q'y.
+    return _back_substitute(rows[:p, :p].tolist(), rows[p, :p].tolist())
+
+
+def _cholesky(gram: list) -> list:
+    """The lower Cholesky factor of ``gram`` (a list of row lists), on Python floats.
+
+    Reads the lower triangle of ``gram``. Every sum runs in ascending index order.
+
+    Raises:
+        SingularDesign: if a pivot is not positive and finite.
+    """
+    d = len(gram)
+    lower = [[0.0] * d for _ in range(d)]
+    for j in range(d):
+        row_j = lower[j]
+        pivot = gram[j][j]
+        for k in range(j):
+            pivot -= row_j[k] * row_j[k]
+        if not 0.0 < pivot < math.inf:
+            raise SingularDesign(
+                f"Gram matrix pivot {j} is {pivot!r}, not positive and finite: the design "
+                "(inputs plus intercept) is singular in float64; add rows, drop collinear "
+                "inputs, or raise regularization or forgetting_factor"
+            )
+        diagonal = math.sqrt(pivot)
+        row_j[j] = diagonal
+        for i in range(j + 1, d):
+            row_i = lower[i]
+            value = gram[i][j]
+            for k in range(j):
+                value -= row_i[k] * row_j[k]
+            row_i[j] = value / diagonal
+    return lower
+
+
+def _forward_substitute(lower: list, rhs: list) -> list:
+    """Solve ``lower z = rhs`` for z, summing in ascending index order."""
+    d = len(rhs)
+    forward = [0.0] * d
+    for i in range(d):
+        value = rhs[i]
+        for k in range(i):
+            value -= lower[i][k] * forward[k]
+        forward[i] = value / lower[i][i]
+    return forward
+
+
+def _back_substitute(lower: list, rhs: list) -> list:
+    """Solve ``lower' w = rhs`` for w, reading the lower triangle of ``lower``; each sum runs in
+    ascending index order."""
+    d = len(rhs)
+    solution = [0.0] * d
+    for i in reversed(range(d)):
+        value = rhs[i]
+        for k in range(i + 1, d):
+            value -= lower[k][i] * solution[k]
+        solution[i] = value / lower[i][i]
+    return solution
+
+
+def _solve_positive_definite(gram: list, rhs: list) -> list:
+    """Solve ``gram w = rhs`` by :func:`_cholesky` and two substitutions.
+
+    Raises:
+        SingularDesign: if a pivot is not positive and finite, or the solution
+            is not (``rhs`` or the solve overflowed).
+    """
+    lower = _cholesky(gram)
+    solution = _back_substitute(lower, _forward_substitute(lower, rhs))
+    if not all(map(math.isfinite, solution)):
+        raise SingularDesign(f"the solution {solution!r} is not finite: the sums overflow float64")
+    return solution
+
+
 class Model(abc.ABC):
     """A trained, immutable prediction artifact.
 
@@ -173,10 +312,12 @@ class Model(abc.ABC):
 
 
 class LinearModel(Model):
-    """Affine prediction: dot(weights, inputs) + intercept.
+    """Affine prediction: each row's ``0.0 + x_0 w_0 + x_1 w_1 + ... + intercept``, added left to
+    right (:func:`_row_product`).
 
     Raises:
         ValueError: when built, as :class:`Model`, ``weights must be finite numbers, got ...``
+            unless ``weights`` is a list, tuple or array of finite numbers (never strings or bools),
             or ``intercept must be a number, got ...``.
         ShapeMismatch: if there is not one weight per input column.
     """
@@ -185,20 +326,17 @@ class LinearModel(Model):
 
     def __init__(self, weights, intercept: float, input_columns: Sequence[str], output_column: str):
         super().__init__(input_columns, output_column)
-        weights = np.array(weights, dtype=np.float64)  # a copy: callers may mutate theirs
-        if weights.shape != (len(self.input_columns),):
-            raise ShapeMismatch(
-                f"{weights.shape[0] if weights.ndim else 0} weights for "
-                f"{len(self.input_columns)} input columns"
-            )
-        if not np.isfinite(weights).all():
-            raise ValueError(f"weights must be finite numbers, got {weights.tolist()!r}")
-        weights.setflags(write=False)
-        self.weights = weights
+        values = weights.tolist() if isinstance(weights, np.ndarray) else weights
+        if not isinstance(values, (list, tuple)) or not all(map(_is_number, values)):
+            raise ValueError(f"weights must be finite numbers, got {values!r}")
+        if len(values) != len(self.input_columns):
+            raise ShapeMismatch(f"{len(values)} weights for {len(self.input_columns)} input columns")
+        self.weights = np.array(values, dtype=np.float64)  # a copy: callers may mutate theirs
+        self.weights.setflags(write=False)
         self.intercept = float(_setting("intercept", intercept, _number))
 
     def _predict_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        return matrix @ self.weights + self.intercept
+        return _row_product(matrix, self.weights.tolist(), self.intercept)
 
     def _params(self) -> dict:
         return {"weights": self.weights.tolist(), "intercept": self.intercept}
@@ -234,30 +372,32 @@ class TreeNode:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, n_features: int, where: str = "params.root") -> "TreeNode":
-        """Rebuild a subtree; a malformed node raises ValueError naming its path."""
+    def from_dict(cls, d: dict, where: str = "params.root") -> "TreeNode":
+        """Rebuild a subtree of the document's shape; a missing entry, or a child that is not an
+        object, raises ValueError naming its path. :class:`RegressionTreeModel` checks the values."""
         if "value" in d:
-            value = _entry(d, "value", where, _is_number, "a number")
-            samples = _entry(d, "samples", where, _is_int, "an integer")
-            return cls(value=float(value), samples=samples)
-        feature = _entry(d, "feature", where, lambda v: _is_int(v) and 0 <= v < n_features,
-                         f"a column index below {n_features}")
-        threshold = _entry(d, "threshold", where, _is_number, "a number")
-        left = _entry(d, "left", where, _is_object, "an object")
-        right = _entry(d, "right", where, _is_object, "an object")
+            return cls(value=_entry(d, "value", where), samples=_entry(d, "samples", where))
         return cls(
-            feature=feature,
-            threshold=float(threshold),
-            left=cls.from_dict(left, n_features, f"{where}.left"),
-            right=cls.from_dict(right, n_features, f"{where}.right"),
+            feature=_entry(d, "feature", where),
+            threshold=_entry(d, "threshold", where),
+            left=cls.from_dict(_entry(d, "left", where, _is_object, "an object"), f"{where}.left"),
+            right=cls.from_dict(_entry(d, "right", where, _is_object, "an object"), f"{where}.right"),
         )
+
+
+_integer = _check(_is_int, "must be an integer")
 
 
 class RegressionTreeModel(Model):
     """A fitted binary regression tree.
 
     Raises:
-        ValueError: when built, as :class:`Model`, or as :func:`fit_tree` for its settings.
+        ValueError: when built, as :class:`Model`, as :func:`fit_tree` for its settings, or naming
+            the first node of ``root`` (depth first, left before right) that is not a
+            :class:`TreeNode` (``root.left must be a tree node, got ...``), or whose entry breaks
+            the document's rule: a leaf's ``value`` a finite number and ``samples`` an integer,
+            a split's ``feature`` a column index below the input count and ``threshold`` a finite
+            number (``root.right.threshold must be a number, got nan``).
     """
 
     kind = "regression_tree"
@@ -271,6 +411,20 @@ class RegressionTreeModel(Model):
         min_samples_leaf: int,
     ):
         super().__init__(input_columns, output_column)
+        n = len(self.input_columns)
+        feature = _check(lambda v: _is_int(v) and 0 <= v < n, f"must be a column index below {n}")
+        nodes = [("root", root)]
+        while nodes:
+            where, node = nodes.pop()
+            if not isinstance(node, TreeNode):
+                raise ValueError(f"{where} must be a tree node, got {node!r}")
+            if node.is_leaf:
+                _setting(f"{where}.value", node.value, _number)
+                _setting(f"{where}.samples", node.samples, _integer)
+            else:
+                _setting(f"{where}.feature", node.feature, feature)
+                _setting(f"{where}.threshold", node.threshold, _number)
+                nodes += [(f"{where}.right", node.right), (f"{where}.left", node.left)]
         self.root = root
         self.max_depth = _setting("max_depth", max_depth, _non_negative_int)
         self.min_samples_leaf = _setting("min_samples_leaf", min_samples_leaf, _positive_int)
@@ -297,25 +451,34 @@ class RegressionTreeModel(Model):
 
 
 def fit_linear(inputs: Dataset, outputs: Dataset) -> LinearModel:
-    """Fit ordinary least squares with an intercept.
+    """Fit ordinary least squares with an intercept, by Householder QR.
 
-    The solution minimizes squared error and is computed with a
-    rank-revealing orthogonal decomposition; no silent regularization is
-    applied.
+    The design is the input columns, then a column of ones. Each design column and the target
+    are scaled by a power of two, which is exact, so that their largest magnitude is in
+    [0.5, 1); :func:`_householder_solve` factors the scaled design, its rank rule refusing design
+    column k when ``|R[k, k]| <= max(n, p) eps |R[:, k]|`` for n rows and p coefficients, and
+    back-substitutes on Python floats. Every sum runs in a stated order and no step calls BLAS,
+    so the weights do not depend on the CPU's kernel. No silent regularization is applied.
 
     Raises:
         ShapeMismatch: if row counts differ or outputs are not one column.
         SingularDesign: if the design matrix (inputs plus intercept) is rank
-            deficient, including the underdetermined case of fewer rows than
+            deficient by the rule above, including the underdetermined case of fewer rows than
             coefficients, or if the solution overflows float64.
     """
-    matrix, y = _training_arrays(inputs, outputs)
-    design = np.column_stack([matrix, np.ones(inputs.row_count)])
-    solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
-        raise SingularDesign(
-            f"design matrix has rank {rank} < {design.shape[1]} coefficients"
-        )
+    columns, y = _training_columns(inputs, outputs)
+    n, p = inputs.row_count, len(columns) + 1
+    if n < p:
+        raise SingularDesign(f"design matrix has {n} rows < {p} coefficients")
+    rows = np.ones((p + 1, n))  # the input columns, the intercept's ones, then y
+    for row, column in zip(rows, columns):
+        row[:] = column
+    rows[p] = y
+    _, exponents = np.frexp(np.max(np.abs(rows), axis=1))
+    np.ldexp(rows, -exponents[:, np.newaxis], out=rows)
+    solution = _householder_solve(rows)
+    with np.errstate(over="ignore"):  # an overflowing coefficient is refused below
+        solution = np.ldexp(solution, exponents[p] - exponents[:p])
     if not (finite := np.isfinite(solution)).all():
         raise SingularDesign(
             f"{np.count_nonzero(~finite)} of {solution.size} coefficients are not finite: "
@@ -574,73 +737,6 @@ class RegressionTreeLearner:
         return fit_tree(inputs, outputs, self.max_depth, self.min_samples_leaf)
 
 
-def _cholesky(gram: list) -> list:
-    """The lower Cholesky factor of ``gram`` (a list of row lists), on Python floats.
-
-    Reads the lower triangle of ``gram``. Every sum runs in ascending index
-    order, so the factor depends on the inputs alone, not on a BLAS kernel or
-    the Python version.
-
-    Raises:
-        SingularDesign: if a pivot is not positive and finite.
-    """
-    d = len(gram)
-    lower = [[0.0] * d for _ in range(d)]
-    for j in range(d):
-        row_j = lower[j]
-        pivot = gram[j][j]
-        for k in range(j):
-            pivot -= row_j[k] * row_j[k]
-        if not 0.0 < pivot < math.inf:
-            raise SingularDesign(
-                f"Gram matrix pivot {j} is {pivot!r}, not positive and finite: the design "
-                "(inputs plus intercept) is singular in float64; add rows, drop collinear "
-                "inputs, or raise regularization or forgetting_factor"
-            )
-        diagonal = math.sqrt(pivot)
-        row_j[j] = diagonal
-        for i in range(j + 1, d):
-            row_i = lower[i]
-            value = gram[i][j]
-            for k in range(j):
-                value -= row_i[k] * row_j[k]
-            row_i[j] = value / diagonal
-    return lower
-
-
-def _forward_substitute(lower: list, rhs: list) -> list:
-    """Solve ``lower z = rhs`` for z, summing in ascending index order."""
-    d = len(rhs)
-    forward = [0.0] * d
-    for i in range(d):
-        value = rhs[i]
-        for k in range(i):
-            value -= lower[i][k] * forward[k]
-        forward[i] = value / lower[i][i]
-    return forward
-
-
-def _solve_positive_definite(gram: list, rhs: list) -> list:
-    """Solve ``gram w = rhs`` by :func:`_cholesky` and two substitutions.
-
-    Raises:
-        SingularDesign: if a pivot is not positive and finite, or the solution
-            is not (``rhs`` or the solve overflowed).
-    """
-    lower = _cholesky(gram)
-    forward = _forward_substitute(lower, rhs)
-    d = len(rhs)
-    solution = [0.0] * d  # lower' @ solution = forward
-    for i in reversed(range(d)):
-        value = forward[i]
-        for k in range(i + 1, d):
-            value -= lower[k][i] * solution[k]
-        solution[i] = value / lower[i][i]
-    if not all(map(math.isfinite, solution)):
-        raise SingularDesign(f"the solution {solution!r} is not finite: the sums overflow float64")
-    return solution
-
-
 _forgetting_factor = _check(lambda v: _is_number(v) and 0 < v <= 1, "must be in (0, 1]")
 _epsilon = _check(lambda v: _is_number(v) and 0 <= v <= 1, "must be in [0, 1]")
 
@@ -716,9 +812,10 @@ class IncrementalLinearLearner:
             self._moment = np.zeros(dim)
             self._input_columns = inputs.column_names
             self._output_column = outputs.column_names[0]
-        elif inputs.column_names != self._input_columns:
+        elif (inputs.column_names, outputs.column_names[0]) != (self._input_columns, self._output_column):
             raise SchemaMismatch(
-                f"batch columns {list(inputs.column_names)} != {list(self._input_columns)}"
+                f"batch columns {list(inputs.column_names)} -> {outputs.column_names[0]!r} != "
+                f"{list(self._input_columns)} -> {self._output_column!r}"
             )
         entry = max(len(y), 1)  # an empty batch still takes a place in the queue
         if self._queued_rows + entry > _QUEUE_BYTES // (8 * len(self._moment) ** 2):
@@ -896,40 +993,39 @@ LOCAL_KINDS = {
 }
 
 
-# Checks of values read from model documents, beside ``dataset._is_int``, ``_is_number`` and ``_names``.
 def _is_object(value) -> bool:
     return isinstance(value, dict)
 
 
-def _entry(obj: dict, key: str, where: str, check, what: str):
+def _entry(obj: dict, key: str, where: str, check=None, what: str = ""):
     """``obj[key]``, or a ValueError naming ``where.key`` if it is missing or fails ``check``."""
     if key not in obj:
         raise ValueError(f"malformed model document: {where}.{key} is missing")
-    if not check(obj[key]):
+    if check is not None and not check(obj[key]):
         raise ValueError(f"malformed model document: {where}.{key} must be {what}")
     return obj[key]
 
 
-def _rebuild_linear(params: dict, inputs: list, output: str) -> LinearModel:
-    n = len(inputs)
-    weights = _entry(params, "weights", "params",
-                     lambda v: isinstance(v, list) and len(v) == n and all(map(_is_number, v)),
-                     f"a list of {n} numbers")
-    intercept = _entry(params, "intercept", "params", _is_number, "a number")
-    return LinearModel(weights, intercept, inputs, output)
+# Each model document's params, read for the constructor of its kind: the readers check only the
+# document's shape, and the constructor checks the values, naming the params entry it refuses.
+def _linear_params(params: dict, n: int) -> dict:
+    return {
+        "weights": _entry(params, "weights", "params", lambda v: isinstance(v, list) and len(v) == n,
+                          f"a list of {n} numbers"),
+        "intercept": _entry(params, "intercept", "params"),
+    }
 
 
-def _rebuild_tree(params: dict, inputs: list, output: str) -> RegressionTreeModel:
-    return RegressionTreeModel(
-        TreeNode.from_dict(_entry(params, "root", "params", _is_object, "an object"), len(inputs)),
-        inputs,
-        output,
-        _entry(params, "max_depth", "params", lambda v: _non_negative_int(v) is None, "a non-negative integer"),
-        _entry(params, "min_samples_leaf", "params", lambda v: _positive_int(v) is None, "a positive integer"),
-    )
+def _tree_params(params: dict, n: int) -> dict:
+    return {
+        "root": TreeNode.from_dict(_entry(params, "root", "params", _is_object, "an object")),
+        "max_depth": _entry(params, "max_depth", "params"),
+        "min_samples_leaf": _entry(params, "min_samples_leaf", "params"),
+    }
 
 
-_MODEL_KINDS = {LinearModel.kind: _rebuild_linear, RegressionTreeModel.kind: _rebuild_tree}
+_MODEL_KINDS = {LinearModel.kind: (LinearModel, _linear_params),
+                RegressionTreeModel.kind: (RegressionTreeModel, _tree_params)}
 
 
 def model_from_dict(doc: dict) -> Model:
@@ -952,10 +1048,15 @@ def model_from_dict(doc: dict) -> Model:
     outputs = _entry(doc, "output_schema", "model", lambda v: _names(v) is None and len(v) == 1,
                      "a list of one column name")
     params = _entry(doc, "params", "model", _is_object, "an object")
+    model_class, read = _MODEL_KINDS[kind]
     try:
-        return _MODEL_KINDS[kind](params, inputs, outputs[0])
+        settings = read(params, len(inputs))
     except RecursionError:
         raise ValueError("malformed model document: tree nested too deeply") from None
+    try:
+        return model_class(**settings, input_columns=inputs, output_column=outputs[0])
+    except ValueError as error:
+        raise ValueError(f"malformed model document: params.{error}") from None
 
 
 def save_model(model: Model, path) -> None:

@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cpslearn import fit_linear, load_model, remote, write_csv
@@ -259,22 +260,31 @@ class TestValidateCommand:
 
 
 class TestReproducibility:
-    def test_incremental_model_is_the_same_under_every_blas_kernel(self, tmp_path):
-        """``OPENBLAS_CORETYPE`` picks the kernel of a DYNAMIC_ARCH OpenBLAS in the child."""
+    @pytest.mark.parametrize("learner", ["tree", "linear", "incremental_linear"])
+    def test_each_learner_writes_one_set_of_bytes_under_every_blas_kernel(self, tmp_path, learner):
+        """``OPENBLAS_CORETYPE`` picks the kernel of a DYNAMIC_ARCH OpenBLAS in the child, and
+        ``NPY_DISABLE_CPU_FEATURES`` masks numpy's FMA3, AVX2 and AVX-512 targets, as this numpy
+        names its dispatch targets; the two runs of each kernel run side by side."""
         skip_unless_dynamic_arch_openblas()
-        models = set()
+        found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+        mask = " ".join(name for name in found
+                        if name.startswith(("FMA3", "AVX2", "AVX512", "X86_V3", "X86_V4")))
+        plain = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+        written = set()
         for coretype in ("SkylakeX", "Haswell", "Sandybridge", "Prescott"):
-            out = tmp_path / coretype
-            result = subprocess.run(
-                [sys.executable, "-m", "cpslearn.cli", "watertank", "--learner", "incremental_linear",
-                 "--out", str(out)],
-                env={**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1"},
-                capture_output=True,
-                text=True,
-            )
-            assert result.returncode == 0, result.stderr
-            models.add((out / "model.fcm.json").read_bytes())
-        assert len(models) == 1
+            children = []
+            for features in ({}, {"NPY_DISABLE_CPU_FEATURES": mask}):
+                out = tmp_path / f"{coretype}-{len(children)}"
+                env = {**plain, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1", **features}
+                command = [sys.executable, "-m", "cpslearn.cli", "watertank", "--learner", learner,
+                           "--out", str(out)]
+                children.append((out, subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
+                                                       stderr=subprocess.PIPE, text=True)))
+            for out, child in children:
+                _, stderr = child.communicate(timeout=120)
+                assert (child.returncode, stderr) == (0, "")
+                written.add(((out / "report.json").read_bytes(), (out / "model.fcm.json").read_bytes()))
+        assert len(written) == 1
 
 
 class TestServeLearnerCommand:

@@ -3,23 +3,19 @@ pinned in ``golden.json``.
 
 The runs are the built-in scenario with each learner; the three learners on a 2500-row tank
 CSV, windowed and standardized; and the same CSV learned by an in-process ``LearnerServer``.
-One child interpreter computes every digest with the Prescott OpenBLAS kernel, which any x86-64
-CPU runs, because the ``linear`` bytes depend on the BLAS kernel.
+No result depends on the CPU's BLAS kernel or its features, so the test computes the digests in
+its own process, on any host.
 
 A change that alters reference bytes on purpose regenerates the manifest with::
 
-    OPENBLAS_CORETYPE=Prescott OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \\
-        python tests/test_golden.py > tests/golden.json
+    PYTHONPATH=src python tests/test_golden.py > tests/golden.json
 
 and the manifest's diff shows which bytes changed.
 """
 
 import hashlib
 import json
-import os
 import platform
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -28,10 +24,9 @@ import numpy as np
 from cpslearn import OdeEnvironment, WaterTankSystem, write_csv
 from cpslearn.config import WATERTANK_LEARNERS, run_config, watertank_config, write_result
 from cpslearn.remote import LearnerServer
-from conftest import skip_unless_dynamic_arch_openblas, sweep_config
+from conftest import sweep_config
 
 GOLDEN = Path(__file__).with_name("golden.json")
-KERNEL = {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"}
 
 
 def digests(cfg: dict, out: Path) -> dict:
@@ -56,16 +51,12 @@ def manifest() -> dict:
 
 
 def test_reference_bytes_match_the_golden_manifest():
-    skip_unless_dynamic_arch_openblas()
-    result = subprocess.run(
-        [sys.executable, __file__], env={**os.environ, **KERNEL}, capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
-    fresh = json.loads(result.stdout)
+    fresh = manifest()
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert fresh["sha256"] == golden["sha256"], (
         f"golden.json was made with Python {golden['python']} and numpy {golden['numpy']}; "
-        f"this run used Python {fresh['python']} and numpy {fresh['numpy']}. Its manifest:\n{result.stdout}"
+        f"this run used Python {fresh['python']} and numpy {fresh['numpy']}. Its manifest:\n"
+        f"{json.dumps(fresh, indent=2, sort_keys=True)}"
     )
 
 

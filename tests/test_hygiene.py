@@ -1,11 +1,12 @@
 """Static checks of the package source: every import is used, every export exists, every
-``json.load`` / ``json.loads`` call sits in a try that catches RecursionError, the
-incremental learner makes no BLAS call and sums only in the order its code writes (no
-``np.add.reduce``, ``sum`` or ``mean``), every public name has a caller outside the tests,
-every defaulted parameter of a public callable is passed outside the tests, only
-``dataset.py`` builds a Dataset without checking its columns, no module imports
-``base64``, so columns have one encoding on the wire: their float64 bytes, only
-``load_csv`` has a ``global`` statement, so its memo is the one process-wide mutable state,
+``json.load`` / ``json.loads`` call sits in a try that catches RecursionError, no module
+calls BLAS (no ``@``, ``dot``, ``matmul``, ``einsum`` or ``linalg``), the exact kernels sum
+only in the order their code writes (no ``np.add.reduce``, ``sum`` or ``mean``), every
+public name has a caller outside the tests, every defaulted parameter of a public callable
+is passed outside the tests, only ``dataset.py`` builds a Dataset without checking its
+columns, no module imports ``base64``, so columns have one encoding on the wire: their
+float64 bytes, only ``load_csv`` has a ``global`` statement, so its memo is the one
+process-wide mutable state,
 only ``IncrementalLinearLearner`` names its accumulation state, so no reader sees G
 and b with batches still queued, and ``config.py`` names no local learner class,
 ``DatasetStream`` or ``learn_incremental``, nor the water tank, its sampler or its RK4 step limit,
@@ -129,20 +130,6 @@ def test_base64_rule_sees_each_form():
 
 # numpy names that call BLAS (or LAPACK), whose result depends on the CPU kernel it picks.
 BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
-# The online learners, the Cholesky helpers they call and the tree fit, which must give the same
-# bits on any kernel.
-BLAS_FREE = {
-    "IncrementalLinearLearner",
-    "EpsilonGreedyActiveLearner",
-    "_cholesky",
-    "_forward_substitute",
-    "_solve_positive_definite",
-    "_best_split",
-    "_scores",
-    "_presort",
-    "_grow_tree",
-    "fit_tree",
-}
 
 
 def blas_uses(node: ast.AST):
@@ -156,12 +143,11 @@ def blas_uses(node: ast.AST):
             yield sub.lineno, sub.id
 
 
-def test_online_learners_and_tree_fit_make_no_blas_call():
-    tree = ast.parse(Path(cpslearn.learners.__file__).read_text(encoding="utf-8"))
-    owners = [node for node in tree.body
-              if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in BLAS_FREE]
-    assert {node.name for node in owners} == BLAS_FREE
-    assert [use for node in owners for use in blas_uses(node)] == []
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_module_calls_blas(path):
+    """The library computes with elementwise ufuncs and its exact kernels, so no byte it writes
+    depends on the CPU's BLAS kernel."""
+    assert list(blas_uses(ast.parse(path.read_text(encoding="utf-8")))) == []
 
 
 def test_blas_rule_sees_each_form():
@@ -181,11 +167,28 @@ def numpy_ordered_sums(node: ast.AST):
             yield sub.lineno, sub.attr
 
 
-def test_incremental_learner_sums_in_the_order_its_code_writes():
+# The exact kernels and the fits and predictions built on them: each sums in a stated order.
+EXACT_KERNELS = {
+    "_fold_sum",
+    "_row_product",
+    "_householder_solve",
+    "_cholesky",
+    "_forward_substitute",
+    "_back_substitute",
+    "_solve_positive_definite",
+    "LinearModel",
+    "fit_linear",
+    "IncrementalLinearLearner",
+    "EpsilonGreedyActiveLearner",
+}
+
+
+def test_exact_kernels_sum_in_the_order_their_code_writes():
     tree = ast.parse(Path(cpslearn.learners.__file__).read_text(encoding="utf-8"))
-    (owner,) = [node for node in tree.body
-                if isinstance(node, ast.ClassDef) and node.name == "IncrementalLinearLearner"]
-    assert list(numpy_ordered_sums(owner)) == []
+    owners = [node for node in tree.body
+              if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in EXACT_KERNELS]
+    assert {node.name for node in owners} == EXACT_KERNELS
+    assert [use for node in owners for use in numpy_ordered_sums(node)] == []
 
 
 def test_ordered_sum_rule_sees_each_form():

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 import subprocess
 import sys
 import tracemalloc
@@ -30,7 +31,7 @@ from cpslearn import (
     save_model,
 )
 from cpslearn import learners
-from cpslearn.dataset import TraceColumn
+from cpslearn.dataset import NonFiniteValue, TraceColumn
 from cpslearn.learners import (
     NeverUpdated,
     SchemaMismatch,
@@ -226,6 +227,44 @@ class TestSplitSearchOracle:
         assert_tree_matches_reference(matrix, y, max_depth, min_samples_leaf)
 
 
+def exact_least_squares(columns: list, targets: list) -> list | None:
+    """The exact least-squares solution, as Fractions: the normal equations ``A'A w = A'y``,
+    formed and solved in rationals by Gaussian elimination (every float is a rational); None
+    if the columns are exactly collinear."""
+    a = [[Fraction(v) for v in column] for column in columns]
+    y = [Fraction(v) for v in targets]
+    p = len(a)
+    system = [[sum(u * v for u, v in zip(a[i], a[j])) for j in range(p)] + [sum(u * v for u, v in zip(a[i], y))]
+              for i in range(p)]
+    for k in range(p):
+        pivot = next((i for i in range(k, p) if system[i][k] != 0), None)
+        if pivot is None:
+            return None
+        system[k], system[pivot] = system[pivot], system[k]
+        for i in range(k + 1, p):
+            factor = system[i][k] / system[k][k]
+            system[i] = [u - factor * v for u, v in zip(system[i], system[k])]
+    solution = [Fraction(0)] * p
+    for i in reversed(range(p)):
+        solution[i] = (system[i][p] - sum(system[i][j] * solution[j] for j in range(i + 1, p))) / system[i][i]
+    return solution
+
+
+@st.composite
+def least_squares_problems(draw):
+    """(inputs as an (n, d) array, targets): column scales from 1e-3 to 1e8; column 1 may be
+    3 times column 0 plus a small share of noise, so the design is near collinear."""
+    d = draw(st.integers(0, 4))
+    n = draw(st.integers(d + 1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inputs = rng.uniform(-1.0, 1.0, (n, d)) * 10.0 ** rng.integers(-3, 9, size=d)
+    if d >= 2 and draw(st.booleans()):
+        noise = 10.0 ** draw(st.integers(-16, -4)) * np.max(np.abs(inputs[:, 0]))
+        inputs[:, 1] = 3.0 * inputs[:, 0] + rng.uniform(-1.0, 1.0, n) * noise
+    targets = inputs @ rng.normal(size=d) + rng.normal(size=n) * 10.0 ** draw(st.integers(-8, 2))
+    return inputs, targets
+
+
 class TestLinear:
     def test_exact_line(self):
         model = fit_linear(Dataset({"x": [0.0, 1.0, 2.0]}), Dataset({"y": [1.0, 3.0, 5.0]}))
@@ -282,6 +321,104 @@ class TestLinear:
             residual = y_values - (matrix @ model.weights + model.intercept)
             design = np.column_stack([matrix, np.ones(n)])
             assert np.max(np.abs(design.T @ residual)) < 1e-8
+
+    @pytest.mark.parametrize("scale", [2.0**-44, 2.0**-52], ids=["2^-44", "2^-52"])
+    def test_rank_rule_reads_the_diagonal_of_r(self, scale):
+        """Design column 1 is column 0 plus ``scale`` times a column orthogonal to it and to the
+        intercept (three columns of a 16 x 16 Hadamard matrix, so every value is exact): its
+        distance from column 0's span is ``scale`` times its norm, to rounding. The rank rule
+        refuses a column within ``max(n, p) eps = 16 eps = 2^-48`` of its norm of the span of the
+        columns before it: 2^-44 is 16 times above that, and 2^-52 16 times below."""
+        rows = np.arange(16)
+        a = np.where(rows & 1, -1.0, 1.0)
+        e = np.where(rows & 2, -1.0, 1.0)
+        inputs = Dataset({"a": a, "b": a + scale * e})
+        outputs = Dataset({"y": 3.0 + a + 2.0 * (a + scale * e)})
+        if scale > 2.0**-48:
+            model = fit_linear(inputs, outputs)
+            assert model.weights.tolist() == pytest.approx([1.0, 2.0], rel=1e-2)
+        else:
+            with pytest.raises(SingularDesign, match=r"^design matrix is rank deficient: design column 1 "):
+                fit_linear(inputs, outputs)
+
+    @settings(deadline=None, max_examples=80)
+    @given(least_squares_problems())
+    def test_weights_are_within_the_first_order_bound_of_the_exact_solution(self, problem):
+        """The weights w of ``fit_linear`` against the exact least-squares solution w*, in
+        rationals. Householder QR is backward stable column by column (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 2nd ed., thm. 20.3): w is the exact solution for
+        ``A + dA`` and ``y + dy`` with ``|dA_j| <= g |A_j|`` for each column A_j and
+        ``|dy| <= g |y|``; take g = n p eps. With the columns scaled to unit norm, S = A D^-1
+        and z* = D w*, first-order perturbation theory gives
+
+            |w_j - w*_j| |A_j| <= |z - z*| <= 2 (g |y| + g sqrt(p) |z*|) / s + 2 g sqrt(p) |r| / s^2
+
+        (2-norms; s the least singular value of S; r the exact residual; the factor 2 covers the
+        second-order terms where ``g sqrt(p) / s <= 1/2``). Or the fit raises SingularDesign, and
+        only where the rank rule can see a column within ``max(n, p) eps`` of its norm of the span
+        of the columns before it, plus the backward error: ``s <= max(n, p) eps + g``."""
+        inputs, targets = problem
+        n, d = inputs.shape
+        p = d + 1
+        columns = [*inputs.T.tolist(), [1.0] * n]
+        exact = exact_least_squares(columns, targets.tolist())
+        design = np.column_stack([inputs, np.ones(n)])
+        norms = np.linalg.norm(design, axis=0)
+        s = float(np.linalg.svd(design / norms, compute_uv=False)[-1])
+        g = n * p * EPS
+        try:
+            model = fit_linear(Dataset([(f"c{j}", inputs[:, j]) for j in range(d)], row_count=n),
+                               Dataset({"y": targets}))
+        except SingularDesign:
+            assert s <= max(n, p) * EPS + g
+            return
+        assert exact is not None
+        if g * math.sqrt(p) / s > 0.5:
+            return
+        residual = math.hypot(*(float(Fraction(y) - sum(Fraction(x[i]) * w for x, w in zip(columns, exact)))
+                                for i, y in enumerate(targets.tolist())))
+        z_norm = math.hypot(*(float(w) * norm for w, norm in zip(exact, norms.tolist())))
+        y_norm = math.hypot(*targets.tolist())
+        bound = 2 * (g * y_norm + g * math.sqrt(p) * z_norm) / s + 2 * g * math.sqrt(p) * residual / s**2
+        for fitted, w, norm in zip([*model.weights.tolist(), model.intercept], exact, norms.tolist()):
+            assert abs(float(Fraction(fitted) - w)) * norm <= bound
+
+    @pytest.mark.parametrize("source", ["weights", "linear", "incremental_linear"])
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_predict_adds_its_terms_in_the_stated_order(self, source, data):
+        """Each prediction is ``0.0 + x_0 w_0 + x_1 w_1 + ... + intercept``, added left to right
+        as Python floats, bit for bit, over the whole double range: a prediction that overflows
+        raises NonFiniteValue. The weights are drawn, or fitted by either linear learner."""
+        d = data.draw(st.integers(0, 4))
+        wide = st.floats(allow_nan=False, allow_infinity=False)
+        names = [f"c{j}" for j in range(d)]
+        if source == "weights":
+            model = LinearModel(data.draw(st.lists(wide, min_size=d, max_size=d)), data.draw(wide), names, "y")
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            train = Dataset([(name, rng.normal(size=12) * 10.0 ** rng.integers(-5, 6)) for name in names],
+                            row_count=12)
+            targets = Dataset({"y": rng.normal(size=12)})
+            if source == "linear":
+                model = fit_linear(train, targets)
+            else:
+                learner = IncrementalLinearLearner()
+                learner.update(train, targets)
+                model = learner.finalize()
+        rows = data.draw(st.lists(st.lists(wide, min_size=d, max_size=d), min_size=1, max_size=5))
+        expected = []
+        for row in rows:
+            value = 0.0
+            for x, w in zip(row, model.weights.tolist()):
+                value += x * w
+            expected.append(value + model.intercept)
+        inputs = Dataset([(name, [row[j] for row in rows]) for j, name in enumerate(names)], row_count=len(rows))
+        if all(map(math.isfinite, expected)):
+            assert model.predict(inputs).column("y").tobytes() == np.array(expected).tobytes()
+        else:
+            with pytest.raises(NonFiniteValue):
+                model.predict(inputs)
 
     def test_predict(self):
         model = LinearModel([2.0], 1.0, ["x"], "y")
@@ -798,9 +935,12 @@ class TestRecursiveLeastSquares:
 
     def test_schema_fixed_by_first_batch(self):
         learner = IncrementalLinearLearner()
-        learner.update(Dataset({"a": [1.0]}), Dataset({"y": [1.0]}))
+        learner.update(Dataset({"a": [1.0, 2.0]}), Dataset({"y": [1.0, 3.0]}))
         with pytest.raises(SchemaMismatch):
             learner.update(Dataset({"b": [1.0]}), Dataset({"y": [1.0]}))
+        with pytest.raises(SchemaMismatch, match=r"^batch columns \['a'\] -> 'z' != \['a'\] -> 'y'$"):
+            learner.update(Dataset({"a": [1.0]}), Dataset({"z": [1.0]}))
+        assert learner.finalize().output_column == "y"
 
     @pytest.mark.parametrize(
         "inputs, outputs",
@@ -932,27 +1072,29 @@ MALFORMED = [
     (linear_doc, ("params", "weights"), DELETE, "params.weights is missing"),
     (linear_doc, ("params", "weights"), "1,2", "params.weights must be a list of 2 numbers"),
     (linear_doc, ("params", "weights"), [1.0], "params.weights must be a list of 2 numbers"),
-    (linear_doc, ("params", "weights"), [1.0, "2"], "params.weights must be a list of 2 numbers"),
-    (linear_doc, ("params", "weights"), [1.0, 10**400], "params.weights must be a list of 2 numbers"),
+    (linear_doc, ("params", "weights"), [1.0, "2"], "params.weights must be finite numbers, got [1.0, '2']"),
+    (linear_doc, ("params", "weights"), [1.0, 10**400],
+     f"params.weights must be finite numbers, got [1.0, {10**400}]"),
     (linear_doc, ("params", "intercept"), DELETE, "params.intercept is missing"),
-    (linear_doc, ("params", "intercept"), None, "params.intercept must be a number"),
-    (linear_doc, ("params", "intercept"), float("nan"), "params.intercept must be a number"),
+    (linear_doc, ("params", "intercept"), None, "params.intercept must be a number, got None"),
+    (linear_doc, ("params", "intercept"), float("nan"), "params.intercept must be a number, got nan"),
     (tree_doc, ("params", "root"), DELETE, "params.root is missing"),
     (tree_doc, ("params", "root"), [], "params.root must be an object"),
     (tree_doc, ("params", "max_depth"), DELETE, "params.max_depth is missing"),
-    (tree_doc, ("params", "min_samples_leaf"), "1", "params.min_samples_leaf must be a positive integer"),
+    (tree_doc, ("params", "min_samples_leaf"), "1", "params.min_samples_leaf must be a positive integer, got '1'"),
     (tree_doc, ("params", "root", "left"), DELETE, "params.root.left is missing"),
     (tree_doc, ("params", "root", "right"), 3, "params.root.right must be an object"),
-    (tree_doc, ("params", "root", "feature"), 2, "params.root.feature must be a column index below 2"),
-    (tree_doc, ("params", "root", "feature"), -1, "params.root.feature must be a column index below 2"),
-    (tree_doc, ("params", "root", "feature"), True, "params.root.feature must be a column index below 2"),
-    (tree_doc, ("params", "root", "threshold"), "0.5", "params.root.threshold must be a number"),
+    (tree_doc, ("params", "root", "feature"), 2, "params.root.feature must be a column index below 2, got 2"),
+    (tree_doc, ("params", "root", "feature"), -1, "params.root.feature must be a column index below 2, got -1"),
+    (tree_doc, ("params", "root", "feature"), True, "params.root.feature must be a column index below 2, got True"),
+    (tree_doc, ("params", "root", "threshold"), "0.5", "params.root.threshold must be a number, got '0.5'"),
     (tree_doc, ("params", "root", "left", "left"), {"value": "x", "samples": 1},
-     "params.root.left.left.value must be a number"),
+     "params.root.left.left.value must be a number, got 'x'"),
     (tree_doc, ("params", "root", "left", "left"), {"value": 1.0}, "params.root.left.left.samples is missing"),
-    *[(tree_doc, ("params", "max_depth"), value, "params.max_depth must be a non-negative integer")
+    *[(tree_doc, ("params", "max_depth"), value, f"params.max_depth must be a non-negative integer, got {value!r}")
       for value in (-3, True, 2.5)],
-    *[(tree_doc, ("params", "min_samples_leaf"), value, "params.min_samples_leaf must be a positive integer")
+    *[(tree_doc, ("params", "min_samples_leaf"), value,
+       f"params.min_samples_leaf must be a positive integer, got {value!r}")
       for value in (-3, 0, True, 2.5)],
     *[(linear_doc, ("input_schema",), value, "model.input_schema must be a list of distinct column names")
       for value in (["a", "a"], ["", "b"])],
@@ -1013,6 +1155,19 @@ class TestModelConstruction:
         (lambda: LinearModel([1.0], 0.0, ["a"], ""), "output_column must be a column name, got ''"),
         (lambda: RegressionTreeModel(LEAF, ["a"], "y", -1, 1), "max_depth must be a non-negative integer, got -1"),
         (lambda: RegressionTreeModel(LEAF, ["a"], "y", 1, 0), "min_samples_leaf must be a positive integer, got 0"),
+        (lambda: LinearModel(["1.5"], 0.0, ["a"], "y"), "weights must be finite numbers, got ['1.5']"),
+        (lambda: LinearModel([True], 0.0, ["a"], "y"), "weights must be finite numbers, got [True]"),
+        (lambda: LinearModel(np.array([1.0, 2.0]) > 1.0, 0.0, ["a", "b"], "y"),
+         "weights must be finite numbers, got [False, True]"),
+        (lambda: RegressionTreeModel(TreeNode(feature=3, threshold=0.5, left=LEAF, right=LEAF), ["a"], "y", 1, 1),
+         "root.feature must be a column index below 1, got 3"),
+        (lambda: RegressionTreeModel(TreeNode(feature=0, threshold=math.nan, left=LEAF, right=LEAF), ["a"], "y", 1, 1),
+         "root.threshold must be a number, got nan"),
+        (lambda: RegressionTreeModel(TreeNode(feature=0, threshold=0.5, left=LEAF, right=TreeNode(value=math.inf)),
+                                     ["a"], "y", 1, 1),
+         "root.right.value must be a number, got inf"),
+        (lambda: RegressionTreeModel(TreeNode(feature=0, threshold=0.5, left=None, right=LEAF), ["a"], "y", 1, 1),
+         "root.left must be a tree node, got None"),
     ])
     def test_a_model_that_would_not_load_back_is_refused(self, build, message):
         with pytest.raises(ValueError) as info:

@@ -111,9 +111,10 @@ def thread_errors(monkeypatch):
 
 HELLO = b'{"kind":"hello","version":3}\n'
 HELLO_ACK = b'{"kind":"hello_ack","version":3}'
-# A fit of y = 2x on three rows, the content id of its model, and a prediction from it.
+# A fit of y = 2x on three rows, the content id of its model, and a prediction from it at x = 1.
 FIT = frame({"kind": "fit", "inputs": ["x"], "outputs": ["y"]}, f64le(0.0, 1.0, 2.0, 0.0, 2.0, 4.0))
-FIT_ID = fit_linear(Dataset({"x": [0.0, 1.0, 2.0]}), Dataset({"y": [0.0, 2.0, 4.0]})).model_id
+FIT_MODEL = fit_linear(Dataset({"x": [0.0, 1.0, 2.0]}), Dataset({"y": [0.0, 2.0, 4.0]}))
+FIT_ID = FIT_MODEL.model_id
 PREDICT = frame({"kind": "predict", "model": FIT_ID, "inputs": ["x"]}, f64le(1.0))
 
 
@@ -244,7 +245,7 @@ class TestColumnEncodings:
             b'{"kind":"hello_ack","version":3}\n',
             b'{"kind":"fit_ack","model":"' + model_id.encode() + b'"}\n',
             b'{"kind":"prediction","outputs":["y"],"body":24}\n'
-            + f64le(2.2041237113402063, -8.21649484536083, 0.8329899649484531),
+            + f64le(2.204123711340207, -8.216494845360826, 0.8329899649484539),
         ]
 
     @pytest.mark.parametrize("column", [b'"json"', b"[1]", b"[]", b'["xml"]', b"null", b'{"json":1}',
@@ -399,7 +400,9 @@ class TestServerBehaviour:
             answers = [read_frame(reader) for _ in range(4)]
         finally:
             sock.close()
-        prediction = b'{"kind":"prediction","outputs":["y"],"body":8}\n' + f64le(2.0)
+        (predicted,) = FIT_MODEL.predict(Dataset({"x": [1.0]})).column("y").tolist()
+        assert predicted == pytest.approx(2.0, rel=1e-15)
+        prediction = b'{"kind":"prediction","outputs":["y"],"body":8}\n' + f64le(predicted)
         assert [split_frame(answer)[0]["kind"] for answer in answers[:2]] == ["hello_ack", "fit_ack"]
         assert answers[2:] == [prediction, prediction]
 
