@@ -16,6 +16,7 @@ import io
 import json
 import math
 import numbers
+import operator
 from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
@@ -97,6 +98,14 @@ def _check(ok, message: str):
 
 
 _fraction = _check(lambda v: _is_number(v) and 0.0 < v < 1.0, "must be a number in (0, 1)")
+_non_negative_int = _check(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
+
+
+def _setting(name: str, value, check):
+    """``value``, an ``int`` if integral; ``ValueError(f"{name} {message}, got {value!r}")`` if refused."""
+    if (message := check(value)) is not None:
+        raise ValueError(f"{name} {message}, got {value!r}")
+    return operator.index(value) if _is_int(value) else value
 
 
 def _names(value, allow_empty: bool = False, unique: bool = False) -> str | None:
@@ -197,14 +206,16 @@ class Dataset:
             values to tell its kind, so its type does: an empty tuple, which
             is how :meth:`column` returns a trace column of zero rows, is a
             trace column, and an empty list or array is a float64 column.
-        row_count: required only when ``columns`` is empty.
+        row_count: required only when ``columns`` is empty. It is stored as
+            a Python ``int``, so a numpy integer serializes as one.
 
     Raises:
         NonFiniteValue: if a value is NaN or an infinity (a ``ValueError`` too).
         ValueError: ``column names: <message>`` unless the names are column
             names (non-empty strings), none twice, the rule :func:`_names`
-            states; on mismatched column lengths; or on values that do not
-            form a supported column kind.
+            states; ``row_count must be a non-negative integer, got ...`` for
+            a negative ``row_count``, a bool or a non-integer; on mismatched
+            column lengths; or on values that do not form a supported column kind.
     """
 
     __slots__ = ("_names", "_columns", "_row_count")
@@ -216,6 +227,8 @@ class Dataset:
     ):
         if columns is None:
             columns = []
+        if row_count is not None:
+            row_count = _setting("row_count", row_count, _non_negative_int)
         pairs = list(columns.items()) if isinstance(columns, Mapping) else list(columns)
         if (problem := _names([name for name, _ in pairs], allow_empty=True, unique=True)) is not None:
             raise ValueError(f"column names: {problem}")
@@ -231,8 +244,6 @@ class Dataset:
             row_count = inferred
         elif row_count is None:
             row_count = 0
-        if row_count < 0:
-            raise ValueError("row_count must be non-negative")
 
         self._names = tuple(built)
         self._columns = built
@@ -297,11 +308,12 @@ class Dataset:
 
     def slice_rows(self, start: int, stop: int) -> "Dataset":
         """Rows ``start`` up to, not including, ``stop``: ``stop`` is clamped to ``row_count``,
-        and ``start`` to ``stop``. A bound that is negative, a bool or not an integer raises ValueError."""
+        and ``start`` to ``stop``. A bound that is negative, a bool or not an integer raises ValueError;
+        a numpy integer is taken as the Python ``int`` it equals."""
         if not (_is_int(start) and _is_int(stop) and start >= 0 and stop >= 0):
             raise ValueError(f"row bounds must be non-negative integers, got start={start!r}, stop={stop!r}")
-        stop = min(stop, self._row_count)
-        start = min(start, stop)
+        stop = min(operator.index(stop), self._row_count)
+        start = min(operator.index(start), stop)
         return _unchecked_dataset({n: v[start:stop] for n, v in self._columns.items()}, stop - start)
 
     def __eq__(self, other) -> bool:
@@ -320,7 +332,26 @@ class Dataset:
 
 
 def _unchecked_dataset(columns: dict, row_count: int) -> Dataset:
-    """A Dataset of ``columns``, unchecked: each must be a column of ``row_count`` rows from a Dataset."""
+    """A Dataset of ``columns``, a dict of name to column, with no check at all.
+
+    **Contract.** The caller guarantees what :class:`Dataset` would check:
+    every name is a non-empty ``str`` (distinct, as dict keys are), every
+    column holds ``row_count`` rows, ``row_count`` is a Python ``int``, and
+    every column is a column of a Dataset, an equal row range of one (a
+    slice of a read-only array is read-only, and a slice of a trace tuple is
+    a trace tuple), or a fresh one-dimensional float64 array the caller has
+    checked finite and made read-only. Checking such a column again costs
+    its rows and finds nothing.
+
+    **Callers**, each after its own checks (``tests/test_hygiene.py`` holds
+    every other module to this list): :meth:`Dataset.select` and
+    :meth:`Dataset.slice_rows`; ``DatasetStream.next_batch``, which slices
+    its own cursor range; ``strategies._split_io``, which picks the names
+    an ``IoSpec`` checked when it was built; ``SlidingWindow.apply``, whose
+    names ``f"{name}_{step}"`` cannot repeat (the step, after the last
+    ``_``, has no ``_``); and ``Standardize.apply``, which checks the
+    columns it computes.
+    """
     dataset = object.__new__(Dataset)
     dataset._names = tuple(columns)
     dataset._columns = columns

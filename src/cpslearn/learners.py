@@ -33,11 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from . import strategies
-from .dataset import Dataset, _is_int, _is_number, _names
+from .dataset import Dataset, _is_int, _is_number, _names, _non_negative_int
 from .environments import ActionSpace, DatasetStream, OfflineEnvironment
 from .errors import PipelineError
-from .transforms import (_check, _column_name, _distinct_names, _non_negative_int, _number, _positive,
-                         _positive_int, _setting)
+from .transforms import _check, _column_name, _distinct_names, _number, _positive, _positive_int, _setting
 
 MODEL_FORMAT_VERSION = 1
 MODEL_FILE_SUFFIX = ".fcm.json"
@@ -630,9 +629,13 @@ def _grow_tree(matrix, y, rows, orders, depth, max_depth, min_samples_leaf) -> T
     """The subtree over ``rows``, ascending indices into ``matrix`` and ``y``.
 
     ``orders`` holds the same rows once per feature, in stable ascending order
-    of that feature. A child filters its parent's rows and orders by the split
-    mask; this keeps each child's rows in their original relative order, so
-    the filtered order is exactly the child's own stable argsort.
+    of that feature, or is None at ``max_depth``, where a node is a leaf and
+    searches nothing. A child filters its parent's rows and orders by the
+    split; this keeps each child's rows in their original relative order, so
+    the filtered order is exactly the child's own stable argsort. The side of
+    each entry of ``orders`` is gathered once per split, and kept as bits
+    while the left subtree grows, so the path from the root holds one bit,
+    not one byte, per entry of each ancestor's orders.
     """
     node_y = y[rows]
     if depth >= max_depth or len(rows) < 2 * min_samples_leaf or np.var(node_y) == 0.0:
@@ -642,15 +645,29 @@ def _grow_tree(matrix, y, rows, orders, depth, max_depth, min_samples_leaf) -> T
         return TreeNode(value=float(np.mean(node_y)), samples=len(rows))
     del node_y
     _, feature, threshold = split
-    p = len(orders)
-    mask = np.zeros(len(y), dtype=bool)
-    mask[rows] = matrix[rows, feature] <= threshold
-    left = _grow_tree(matrix, y, rows[mask[rows]], orders[mask[orders]].reshape(p, -1),
-                      depth + 1, max_depth, min_samples_leaf)
-    np.logical_not(mask, out=mask)
-    right = _grow_tree(matrix, y, rows[mask[rows]], orders[mask[orders]].reshape(p, -1),
-                       depth + 1, max_depth, min_samples_leaf)
+    goes_left = matrix[rows, feature] <= threshold
+    left_orders = right_orders = sides = None
+    if depth + 1 < max_depth:
+        mask = np.zeros(len(y), dtype=bool)
+        mask[rows] = goes_left
+        goes = mask[orders].ravel()  # the split's one gather
+        left_orders = _entries(orders, goes)
+        sides = np.packbits(goes)
+        del mask, goes
+    left = _grow_tree(matrix, y, rows[goes_left], left_orders, depth + 1, max_depth, min_samples_leaf)
+    del left_orders
+    np.logical_not(goes_left, out=goes_left)
+    if sides is not None:
+        goes = np.unpackbits(sides, count=orders.size).view(bool)
+        right_orders = _entries(orders, np.logical_not(goes, out=goes))
+        del goes
+    right = _grow_tree(matrix, y, rows[goes_left], right_orders, depth + 1, max_depth, min_samples_leaf)
     return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+
+
+def _entries(orders: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The entries of the C-ordered ``orders`` where the flat boolean ``keep`` holds, one row per feature."""
+    return orders.ravel()[keep].reshape(len(orders), -1)
 
 
 def fit_tree(
@@ -670,7 +687,9 @@ def fit_tree(
     searches its split in its share of these orders. This is exact: a child
     keeps its rows in their original relative order, so filtering the
     parent's order by the child's mask gives the child's own stable argsort,
-    ties included (in row order; ``-0.0`` ties ``0.0``). A
+    ties included (in row order; ``-0.0`` ties ``0.0``). A split gathers
+    the side of its orders once; children at ``max_depth`` are leaves, which
+    search nothing, so they carry no orders. A
     node's targets ``y[rows]`` stay in row order, so its variance and leaf
     mean are those of the rows it holds, summed in the same order.
 
@@ -800,6 +819,7 @@ class IncrementalLinearLearner:
         self._rows = 0
         self._queue: list[tuple[list[np.ndarray], np.ndarray]] = []  # (input columns, targets), oldest first
         self._queued_rows = 0
+        self._queue_limit = 0  # the rows the queue may hold, set by the first batch's width
         self._input_columns: tuple[str, ...] | None = None
         self._output_column: str | None = None
 
@@ -810,6 +830,7 @@ class IncrementalLinearLearner:
             dim = len(columns) + 1
             self._gram = np.eye(dim) * self.regularization
             self._moment = np.zeros(dim)
+            self._queue_limit = _QUEUE_BYTES // (8 * dim**2)
             self._input_columns = inputs.column_names
             self._output_column = outputs.column_names[0]
         elif (inputs.column_names, outputs.column_names[0]) != (self._input_columns, self._output_column):
@@ -818,7 +839,7 @@ class IncrementalLinearLearner:
                 f"{list(self._input_columns)} -> {self._output_column!r}"
             )
         entry = max(len(y), 1)  # an empty batch still takes a place in the queue
-        if self._queued_rows + entry > _QUEUE_BYTES // (8 * len(self._moment) ** 2):
+        if self._queued_rows + entry > self._queue_limit:
             self._accumulate()
         self._queue.append((columns, y))
         self._queued_rows += entry

@@ -8,12 +8,11 @@ of distinct column names, ``Explode`` and ``Standardize`` a non-empty one, each 
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, _check, _is_int, _is_number, _names
+from .dataset import Dataset, NonFiniteValue, _check, _is_int, _is_number, _names, _setting, _unchecked_dataset
 from .errors import PipelineError
 
 
@@ -47,20 +46,13 @@ class StatisticsOverflow(PipelineError):
 
 # Checks of settings and of JSON values, built by ``dataset._check`` on ``dataset._is_int`` and
 # ``_is_number``, which say which values are integers and numbers and live in ``dataset``, the lowest
-# module that checks a value.
+# module that checks a value. ``_setting`` and ``_non_negative_int`` live there too: a Dataset's
+# ``row_count`` is a setting.
 _positive_int = _check(lambda v: _is_int(v) and v >= 1, "must be a positive integer")
-_non_negative_int = _check(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
 _positive = _check(lambda v: _is_number(v) and v > 0, "must be a positive number")
 _number = _check(_is_number, "must be a number")
 _distinct_names = lambda value: _names(value, allow_empty=True, unique=True)  # Select's names
 _column_name = _check(lambda v: _names([v]) is None, "must be a column name")
-
-
-def _setting(name: str, value, check):
-    """``value``, an ``int`` if integral; ``ValueError(f"{name} {message}, got {value!r}")`` if refused."""
-    if (message := check(value)) is not None:
-        raise ValueError(f"{name} {message}, got {value!r}")
-    return operator.index(value) if _is_int(value) else value
 
 
 class Transform:
@@ -91,6 +83,8 @@ class SlidingWindow(Transform):
     For every input column ``c`` the output carries columns ``c_0`` ...
     ``c_{w-1}``, ordered step-major: all columns of step 0, then step 1, and
     so on. Output row ``i`` concatenates input rows ``i`` .. ``i + w - 1``.
+    Each output column is a row range of a checked input column, and no two
+    ``(name, step)`` give one name, so the output is built unchecked.
     """
 
     def __init__(self, window_size: int):
@@ -102,9 +96,9 @@ class SlidingWindow(Transform):
         if n < w:
             raise WindowLargerThanData(f"window of {w} rows does not fit {n} data rows")
         out_rows = n - w + 1
-        columns = [(f"{name}_{step}", dataset.column(name)[step : step + out_rows])
-                   for step in range(w) for name in dataset.column_names]
-        return Dataset(columns, row_count=out_rows)
+        columns = {f"{name}_{step}": dataset.column(name)[step : step + out_rows]
+                   for step in range(w) for name in dataset.column_names}
+        return _unchecked_dataset(columns, out_rows)
 
 
 class Explode(Transform):
@@ -148,7 +142,9 @@ class Standardize(Transform):
 
     The statistics (population standard deviation, divisor N) are computed by
     :meth:`fit`; columns whose standard deviation falls below 1e-12 are
-    flagged constant and map to zero on apply.
+    flagged constant and map to zero on apply. ``apply`` checks only the
+    columns it computes: a value that overflows raises ``NonFiniteValue``
+    naming the first such column in the dataset's column order.
     """
 
     CONSTANT_EPS = 1e-12
@@ -186,9 +182,13 @@ class Standardize(Transform):
             if constant:
                 columns[name] = np.zeros(len(values), dtype=np.float64)
             else:
-                with np.errstate(over="ignore", invalid="ignore"):  # Dataset refuses inf, naming the column
+                with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the column
                     columns[name] = (values - mean) / std
-        return Dataset(columns, row_count=dataset.row_count)
+            columns[name].setflags(write=False)
+        for name, values in columns.items():  # in column order, as the Dataset constructor checks
+            if name in self._stats and not np.isfinite(values).all():
+                raise NonFiniteValue(name)
+        return _unchecked_dataset(columns, dataset.row_count)
 
 
 class TransformChain(Transform):

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import threading
 
@@ -642,6 +643,26 @@ def test_slice_rows_refuses_bounds_that_are_not_integers(start, stop):
 
 def test_slice_rows_takes_numpy_integers():
     assert Dataset({"v": np.arange(10.0)}).slice_rows(np.int64(1), np.int32(3)).column("v").tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("columns", [{"v": np.arange(10.0)}, {}], ids=["column", "no-column"])
+def test_slice_rows_by_numpy_integers_counts_its_rows_in_an_int(columns):
+    part = Dataset(columns, row_count=10).slice_rows(np.int64(2), np.int64(6))
+    assert type(part.row_count) is int and part.row_count == 4
+    assert json.dumps({"rows": part.row_count}) == '{"rows": 4}'
+
+
+@pytest.mark.parametrize("row_count", [np.int64(3), np.uint8(3), 3])
+def test_row_count_is_stored_as_an_int(row_count):
+    assert type(Dataset({}, row_count=row_count).row_count) is int
+    assert type(Dataset({"v": [1.0, 2.0, 3.0]}, row_count=row_count).row_count) is int
+
+
+@pytest.mark.parametrize("row_count", [2.5, 2.0, True, False, np.True_, "2", -1, np.int64(-1)])
+@pytest.mark.parametrize("columns", [{}, {"v": [1.0, 2.0]}], ids=["no-column", "column"])
+def test_row_count_that_is_not_a_non_negative_integer_is_refused(columns, row_count):
+    with pytest.raises(ValueError, match=f"^row_count must be a non-negative integer, got {re.escape(repr(row_count))}$"):
+        Dataset(columns, row_count=row_count)
 
 
 @pytest.mark.parametrize(

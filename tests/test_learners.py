@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpslearn import (
@@ -553,19 +553,34 @@ class TestRegressionTree:
             assert model.root.right.value == right_value
 
 
+# The exact oracle's integers carry a bits per row for a forgetting factor L / 2^a, so its cost
+# grows with n a. Near the bound (8 columns, 100 rows, a = 51 to 65) it took 0.13-0.20 s per
+# example on a 2 GHz Xeon; at 5e-324 (a = 1074) and 100 rows, 36 s.
+ORACLE_ROW_BITS = 5_400
+
+
 @st.composite
 def rls_streams(draw):
-    """(dim, forgetting factor, regularization, rows, targets, batch size)."""
+    """(dim, forgetting factor, regularization, rows, targets, batch size). The rows n and the
+    factor's exponent bits a are drawn jointly: n a <= ORACLE_ROW_BITS, with n up to 100 for
+    every factor of at most 54 bits (all factors from 0.25 up, and 1.0)."""
     dim = draw(st.integers(1, 8))
     forget = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
     regularization = draw(st.sampled_from([1e-8, 1e-2, 1.0, 1e3]))
-    n = draw(st.integers(1, 100))
+    exponent_bits = forget.as_integer_ratio()[1].bit_length() - 1
+    n = draw(st.integers(1, min(100, ORACLE_ROW_BITS // max(exponent_bits, 1))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-3, 8))
     rows = rng.uniform(-1.0, 1.0, (n, dim)) * scale
     rows[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
     targets = rng.uniform(-1.0, 1.0, n) * 10.0 ** draw(st.integers(-3, 8))
     return dim, forget, regularization, rows, targets, draw(st.integers(1, 64))
+
+
+def tiny_factor_stream(forget: float, dim: int) -> tuple:
+    """An rls_streams value of 4 rows for a factor too fine to draw with many rows."""
+    rng = np.random.default_rng(dim)
+    return dim, forget, 1e-2, rng.uniform(-1.0, 1.0, (4, dim)) * 10.0, rng.uniform(-1.0, 1.0, 4), 3
 
 
 EPS = np.finfo(np.float64).eps
@@ -622,6 +637,10 @@ def exact_weighted_ridge(rows, targets, forget: float, regularization: float):
 class TestInformationFormOracle:
     @settings(deadline=None, max_examples=60)
     @given(rls_streams())
+    @example(tiny_factor_stream(1e-300, 1))
+    @example(tiny_factor_stream(1e-300, 3))
+    @example(tiny_factor_stream(5e-324, 1))
+    @example(tiny_factor_stream(5e-324, 3))
     def test_learner_matches_exact_weighted_ridge(self, stream):
         """The learner's weights w agree with the exact minimizer w* to within the
         first-order rounding-error bound of forming G and b by sums and solving G w = b:

@@ -1,7 +1,10 @@
+import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpslearn import (
     ActionSpace,
@@ -26,8 +29,9 @@ from cpslearn import (
     learn_offline,
 )
 from cpslearn import strategies
+from cpslearn.config import PipelineResult, write_result
 from cpslearn.dataset import UnknownColumn
-from cpslearn.learners import NeverUpdated
+from cpslearn.learners import NeverUpdated, SingularDesign
 from cpslearn.metrics import REGISTRY, get_metric, mae
 from cpslearn.remote import RemoteModel
 from conftest import concat_rows, random_dataset
@@ -169,6 +173,62 @@ class TestLearnIncremental:
         assert calls == [6]
 
 
+def model_bytes(fit) -> str:
+    """The JSON document of the model ``fit()`` returns, or the type and message of what it raises."""
+    try:
+        return json.dumps(fit().to_dict(), sort_keys=True)
+    except (NeverUpdated, SingularDesign) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def streamed_rows(draw):
+    """0-100 rows of inputs ``a``, ``b`` and target ``y``, a batch size of 1 to rows + 2, and an io
+    whose inputs and output may name the absent columns ``p``, ``q`` and ``r``."""
+    rows = draw(st.integers(0, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = Dataset({"a": rng.normal(size=rows), "b": rng.normal(size=rows) * 1e3, "y": rng.normal(size=rows)})
+    names, outputs = (["a", "b", "p", "q"], ["y", "r"]) if draw(st.booleans()) else (["a", "b"], ["y"])
+    inputs = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True))
+    output = draw(st.sampled_from(outputs))
+    return data, draw(st.integers(1, rows + 2)), IoSpec(inputs, [output])
+
+
+class TestStreamAndIoPicks:
+    """Stream batches and io picks are built from a checked Dataset's own columns, unchecked;
+    they equal what the checked ``slice_rows`` and ``select`` return."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(streamed_rows())
+    def test_batches_picks_and_model_equal_the_checked_operations(self, drawn):
+        data, size, io = drawn
+        stream = DatasetStream(data, size)
+        for start in range(0, data.row_count, size):
+            batch = stream.next_batch()
+            assert batch == data.slice_rows(start, start + size)
+            assert type(batch.row_count) is int
+        assert [stream.next_batch(), stream.next_batch()] == [None, None]
+
+        absent = [name for name in (*io.inputs, *io.outputs) if name not in data.column_names]
+        if absent:
+            if data.row_count:  # a stream of no rows picks nothing
+                with pytest.raises(UnknownColumn) as info:
+                    learn_incremental(DatasetStream(data, size), None, io, IncrementalLinearLearner())
+                assert (info.value.name, str(info.value)) == (absent[0], f"unknown column: {absent[0]!r}")
+            return
+
+        def by_hand():
+            learner = IncrementalLinearLearner()
+            for start in range(0, data.row_count, size):
+                part = data.slice_rows(start, start + size)
+                learner.update(part.select(io.inputs), part.select(io.outputs))
+            return learner.finalize()
+
+        streamed = model_bytes(lambda: learn_incremental(DatasetStream(data, size), None, io,
+                                                         IncrementalLinearLearner()))
+        assert streamed == model_bytes(by_hand)
+
+
 class TestLearnActive:
     def _policy(self, env, **kw):
         defaults = dict(
@@ -274,6 +334,14 @@ class TestEvaluate:
         evaluate(OfflineEnvironment.from_dataset(full), model, io, ["mae", "mse"])
         after = model.predict(probe).column("y")
         assert np.array_equal(before, after)
+
+    def test_a_report_on_rows_sliced_by_numpy_integers_is_written(self, tmp_path):
+        data = Dataset({"x": np.arange(10.0), "y": 2.0 * np.arange(10.0)}).slice_rows(np.int64(2), np.int64(6))
+        model = fit_linear(data.select(["x"]), data.select(["y"]))
+        report = evaluate(OfflineEnvironment.from_dataset(data), model, IoSpec(["x"], ["y"]), ["mae"])
+        assert type(report.row_count) is int
+        report_path, _ = write_result(PipelineResult(report, model, 0), tmp_path)
+        assert json.loads(report_path.read_text(encoding="utf-8"))["rows"] == 4
 
     def test_report_serialization_shape(self):
         d = Dataset({"x": [1.0, 2.0], "y": [1.0, 2.0]})

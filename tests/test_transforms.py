@@ -284,3 +284,76 @@ class TestOutputsAreFrozen:
     def test_no_output_column_or_trace_cell_is_writable(self, transform):
         d = Dataset({"id": [1.0, 2.0, 4.0], "t": [[1.0, 2.0], [3.0], [5.0, 6.0]], "w": [[7.0], [8.0], [9.0]]})
         assert writable_parts(transform.fit(d).apply(d)) == []
+
+
+def checked_copy(dataset: Dataset) -> Dataset:
+    """``dataset`` rebuilt through the checked constructor from its own columns."""
+    return Dataset([(name, dataset.column(name)) for name in dataset.column_names], row_count=dataset.row_count)
+
+
+def column_bits(dataset: Dataset) -> list:
+    """Each column's name and bytes, a trace column's cell by cell: -0.0 and 0.0 differ here."""
+    return [(name, [cell.tobytes() for cell in values] if isinstance(values, tuple) else values.tobytes())
+            for name, values in ((name, dataset.column(name)) for name in dataset.column_names)]
+
+
+@st.composite
+def series(draw):
+    """1-3 float columns of 1-30 rows, the first holding -0.0, a subnormal and a huge value
+    among its draws, and sometimes a trace column."""
+    rows = draw(st.integers(1, 30))
+    values = st.sampled_from([0.5, -0.0, 5e-324, 1e150, -3.25, 7.0])
+    columns = [(f"c{j}", draw(st.lists(values if j == 0 else st.floats(-1e3, 1e3), min_size=rows, max_size=rows)))
+               for j in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        columns.append(("t", [[float(i), float(-i)][: i % 3] for i in range(rows)]))
+    return Dataset(columns)
+
+
+class TestOutputsEqualACheckedDataset:
+    """A window or a standardization is built from already-checked columns, without the
+    checks of the Dataset constructor; it equals the Dataset that constructor builds from
+    the same columns, bit for bit, and no column can be written to."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=series(), window=st.integers(1, 30))
+    def test_sliding_window(self, data, window):
+        window = min(window, data.row_count)
+        out = SlidingWindow(window).apply(data)
+        rows = data.row_count - window + 1
+        expected = Dataset([(f"{name}_{step}", data.column(name)[step:step + rows])
+                            for step in range(window) for name in data.column_names], row_count=rows)
+        assert column_bits(out) == column_bits(expected) == column_bits(checked_copy(out))
+        assert out == checked_copy(out) and type(out.row_count) is int
+        assert writable_parts(out) == []
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=series(), names=st.sets(st.sampled_from(["c0", "c1", "c2"]), min_size=1))
+    def test_standardize(self, data, names):
+        names = [name for name in sorted(names) if name in data.column_names]
+        if not names:
+            names = ["c0"]
+        t = Standardize(names).fit(data)
+        out = t.apply(data)
+        stats = t.fitted_stats
+
+        def standardized(name):
+            if name not in stats:
+                return data.column(name)
+            mean, std, constant = stats[name]
+            return np.zeros(data.row_count) if constant else (data.column(name) - mean) / std
+
+        expected = Dataset([(name, standardized(name)) for name in data.column_names])
+        assert column_bits(out) == column_bits(expected) == column_bits(checked_copy(out))
+        assert out == checked_copy(out)
+        assert writable_parts(out) == []
+
+    @pytest.mark.parametrize("names", [["a", "b"], ["b", "a"]])
+    def test_the_first_overflowing_column_in_column_order_is_named(self, names):
+        """Both columns overflow; the error names ``b``, the first in the dataset's column order,
+        whatever order the transform lists them in."""
+        t = Standardize(names).fit(Dataset({"b": [0.0, 1.0], "a": [0.0, 1.0], "c": [0.0, 1.0]}))
+        with pytest.raises(NonFiniteValue, match="^column 'b' holds NaN or an infinity$"):
+            t.apply(Dataset({"c": [1e308], "b": [1e308], "a": [-1e308]}))
+        with pytest.raises(NonFiniteValue, match="^column 'a' holds NaN or an infinity$"):
+            t.apply(Dataset({"c": [1e308], "b": [1.0], "a": [-1e308]}))
