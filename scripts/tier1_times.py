@@ -1,15 +1,15 @@
 """Run the tier-1 suite several times in sequence and report each test's slowest time.
 
-    python3 scripts/tier1_times.py [--runs 3] [--over 2.0] [--top N] [pytest args ...]
+    python3 scripts/tier1_times.py [--runs 3] [pytest args ...]
 
 Each run is ``python -m pytest -q --continue-on-collection-errors --durations=0
 --durations-min=0`` from the repository root with ``src`` on ``PYTHONPATH``, started
 after the previous one has ended. A test's time in one run is the sum of its setup,
 call and teardown; the report gives its maximum over the runs, slowest first, then
-the tests whose maximum is over ``--over`` seconds. Hypothesis draws differ from run
-to run, so the maximum of several runs shows what one unlucky draw costs. Extra
-arguments go to pytest (a test file, ``-k``, ``-p no:randomly`` ...). The script uses
-the standard library only and is not itself part of tier-1.
+the tests whose maximum is over 2 s. Hypothesis draws differ from run to run, so the
+maximum of several runs shows what one unlucky draw costs. Extra arguments go to
+pytest (a test file, ``-k``, ``-p no:randomly`` ...). The script uses the standard
+library only and is not itself part of tier-1.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (setup|call|teardown)\s+(\S.*)$")
+OVER_S = 2.0  # the report lists the tests slower than this in some run
 SUMMARY = re.compile(r"^=* ?(.*\b(?:passed|failed|error|errors|skipped)\b.*?) ?=*$")
 
 
@@ -50,8 +51,6 @@ def run_once(pytest_args: list[str]) -> tuple[dict[str, float], str, float]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=3, help="tier-1 runs, one after another (default 3)")
-    parser.add_argument("--over", type=float, default=2.0, help="list tests slower than this, in s (default 2)")
-    parser.add_argument("--top", type=int, default=0, help="print only the N slowest tests (default all)")
     args, pytest_args = parser.parse_known_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
@@ -65,10 +64,10 @@ def main(argv: list[str] | None = None) -> int:
 
     ranked = sorted(slowest.items(), key=lambda item: (-item[1], item[0]))
     print(f"\neach test's maximum over {args.runs} run(s), slowest first:")
-    for test, seconds in ranked[: args.top or None]:
+    for test, seconds in ranked:
         print(f"{seconds:8.2f} s  {test}")
-    over = [(test, seconds) for test, seconds in ranked if seconds > args.over]
-    print(f"\n{len(over)} test(s) over {args.over:g} s:")
+    over = [(test, seconds) for test, seconds in ranked if seconds > OVER_S]
+    print(f"\n{len(over)} test(s) over {OVER_S:g} s:")
     for test, seconds in over:
         print(f"{seconds:8.2f} s  {test}")
     return 0

@@ -289,6 +289,11 @@ class Dataset:
         """
         if (problem := _names(names, allow_empty=True, unique=True)) is not None:
             raise ValueError(f"column names: {problem}")
+        return self._pick(names)
+
+    def _pick(self, names: Sequence[str]) -> "Dataset":
+        """:meth:`select` without its name rule, for names already checked as distinct column names
+        (an ``IoSpec``'s). An absent name still raises UnknownColumn, the first one in ``names``."""
         return _unchecked_dataset({name: self.column(name) for name in names}, self._row_count)
 
     def split(self, fraction: float) -> tuple["Dataset", "Dataset"]:
@@ -312,8 +317,13 @@ class Dataset:
         a numpy integer is taken as the Python ``int`` it equals."""
         if not (_is_int(start) and _is_int(stop) and start >= 0 and stop >= 0):
             raise ValueError(f"row bounds must be non-negative integers, got start={start!r}, stop={stop!r}")
-        stop = min(operator.index(stop), self._row_count)
-        start = min(operator.index(start), stop)
+        return self._row_range(operator.index(start), operator.index(stop))
+
+    def _row_range(self, start: int, stop: int) -> "Dataset":
+        """:meth:`slice_rows` without its bound checks, for bounds that are non-negative Python ints
+        (a ``DatasetStream``'s cursor range). The bounds are clamped as in :meth:`slice_rows`."""
+        stop = min(stop, self._row_count)
+        start = min(start, stop)
         return _unchecked_dataset({n: v[start:stop] for n, v in self._columns.items()}, stop - start)
 
     def __eq__(self, other) -> bool:
@@ -343,14 +353,16 @@ def _unchecked_dataset(columns: dict, row_count: int) -> Dataset:
     checked finite and made read-only. Checking such a column again costs
     its rows and finds nothing.
 
-    **Callers**, each after its own checks (``tests/test_hygiene.py`` holds
-    every other module to this list): :meth:`Dataset.select` and
-    :meth:`Dataset.slice_rows`; ``DatasetStream.next_batch``, which slices
-    its own cursor range; ``strategies._split_io``, which picks the names
-    an ``IoSpec`` checked when it was built; ``SlidingWindow.apply``, whose
-    names ``f"{name}_{step}"`` cannot repeat (the step, after the last
-    ``_``, has no ``_``); and ``Standardize.apply``, which checks the
-    columns it computes.
+    **Callers** (``tests/test_hygiene.py`` lets no module but this one and
+    ``transforms.py`` name this function): :meth:`Dataset._pick`, which
+    :meth:`Dataset.select` calls after its name rule and
+    ``strategies._split_io`` calls on the names an ``IoSpec`` checked when
+    it was built; :meth:`Dataset._row_range`, which :meth:`Dataset.slice_rows`
+    calls after its bound checks and ``DatasetStream.next_batch`` calls on
+    its own cursor range; ``SlidingWindow.apply``, whose names
+    ``f"{name}_{step}"`` cannot repeat (the step, after the last ``_``, has
+    no ``_``); and ``Standardize.apply``, which checks the columns it
+    computes.
     """
     dataset = object.__new__(Dataset)
     dataset._names = tuple(columns)

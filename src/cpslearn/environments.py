@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Dataset, _unchecked_dataset, load_csv, load_json
+from .dataset import Dataset, load_csv, load_json
 from .errors import PipelineError
 from .transforms import Transform, TransformChain, _column_name, _number, _positive, _positive_int, _setting
 
@@ -91,8 +91,8 @@ class DatasetStream(IncrementalEnvironment):
     Every batch holds at most ``batch_size`` rows; the final batch may be
     shorter. Concatenating all batches reproduces the source dataset: each
     batch equals ``dataset.slice_rows(start, start + batch_size)``. The
-    cursor range is in bounds by construction, so a batch is built from the
-    source's checked columns without ``slice_rows``' checks.
+    cursor bounds are non-negative ints by construction, so a batch is taken
+    by ``Dataset._row_range``, without ``slice_rows``' bound checks.
 
     Raises:
         ValueError: ``batch_size must be a positive integer, got ...``.
@@ -100,16 +100,15 @@ class DatasetStream(IncrementalEnvironment):
 
     def __init__(self, dataset: Dataset, batch_size: int):
         self._batch_size = _setting("batch_size", batch_size, _positive_int)
-        self._source = [(name, dataset.column(name)) for name in dataset.column_names]
-        self._end = dataset.row_count
+        self._dataset = dataset
         self._cursor = 0
 
     def next_batch(self) -> Dataset | None:
-        start = self._cursor
-        if start >= self._end:
+        if self._cursor >= self._dataset.row_count:
             return None
-        stop = self._cursor = min(start + self._batch_size, self._end)
-        return _unchecked_dataset({name: values[start:stop] for name, values in self._source}, stop - start)
+        batch = self._dataset._row_range(self._cursor, self._cursor + self._batch_size)
+        self._cursor += batch.row_count
+        return batch
 
 
 @dataclass(frozen=True)

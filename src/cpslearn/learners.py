@@ -631,11 +631,8 @@ def _grow_tree(matrix, y, rows, orders, depth, max_depth, min_samples_leaf) -> T
     ``orders`` holds the same rows once per feature, in stable ascending order
     of that feature, or is None at ``max_depth``, where a node is a leaf and
     searches nothing. A child filters its parent's rows and orders by the
-    split; this keeps each child's rows in their original relative order, so
-    the filtered order is exactly the child's own stable argsort. The side of
-    each entry of ``orders`` is gathered once per split, and kept as bits
-    while the left subtree grows, so the path from the root holds one bit,
-    not one byte, per entry of each ancestor's orders.
+    split mask; this keeps each child's rows in their original relative order,
+    so the filtered order is exactly the child's own stable argsort.
     """
     node_y = y[rows]
     if depth >= max_depth or len(rows) < 2 * min_samples_leaf or np.var(node_y) == 0.0:
@@ -645,29 +642,16 @@ def _grow_tree(matrix, y, rows, orders, depth, max_depth, min_samples_leaf) -> T
         return TreeNode(value=float(np.mean(node_y)), samples=len(rows))
     del node_y
     _, feature, threshold = split
-    goes_left = matrix[rows, feature] <= threshold
-    left_orders = right_orders = sides = None
-    if depth + 1 < max_depth:
-        mask = np.zeros(len(y), dtype=bool)
-        mask[rows] = goes_left
-        goes = mask[orders].ravel()  # the split's one gather
-        left_orders = _entries(orders, goes)
-        sides = np.packbits(goes)
-        del mask, goes
-    left = _grow_tree(matrix, y, rows[goes_left], left_orders, depth + 1, max_depth, min_samples_leaf)
-    del left_orders
-    np.logical_not(goes_left, out=goes_left)
-    if sides is not None:
-        goes = np.unpackbits(sides, count=orders.size).view(bool)
-        right_orders = _entries(orders, np.logical_not(goes, out=goes))
-        del goes
-    right = _grow_tree(matrix, y, rows[goes_left], right_orders, depth + 1, max_depth, min_samples_leaf)
+    p = len(orders)
+    leaves = depth + 1 >= max_depth  # children at max_depth search nothing, so they get no orders
+    mask = np.zeros(len(y), dtype=bool)
+    mask[rows] = matrix[rows, feature] <= threshold
+    left = _grow_tree(matrix, y, rows[mask[rows]], None if leaves else orders[mask[orders]].reshape(p, -1),
+                      depth + 1, max_depth, min_samples_leaf)
+    np.logical_not(mask, out=mask)
+    right = _grow_tree(matrix, y, rows[mask[rows]], None if leaves else orders[mask[orders]].reshape(p, -1),
+                       depth + 1, max_depth, min_samples_leaf)
     return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
-
-
-def _entries(orders: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The entries of the C-ordered ``orders`` where the flat boolean ``keep`` holds, one row per feature."""
-    return orders.ravel()[keep].reshape(len(orders), -1)
 
 
 def fit_tree(
@@ -687,9 +671,8 @@ def fit_tree(
     searches its split in its share of these orders. This is exact: a child
     keeps its rows in their original relative order, so filtering the
     parent's order by the child's mask gives the child's own stable argsort,
-    ties included (in row order; ``-0.0`` ties ``0.0``). A split gathers
-    the side of its orders once; children at ``max_depth`` are leaves, which
-    search nothing, so they carry no orders. A
+    ties included (in row order; ``-0.0`` ties ``0.0``). Children at
+    ``max_depth`` are leaves, which search nothing, so they carry no orders. A
     node's targets ``y[rows]`` stay in row order, so its variance and leaf
     mean are those of the rows it holds, summed in the same order.
 

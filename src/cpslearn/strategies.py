@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataset import Dataset, _names, _unchecked_dataset
+from .dataset import Dataset, _names
 from .environments import ActiveEnvironment, IncrementalEnvironment, OfflineEnvironment
 from .metrics import _metric_problems, get_metric
 from .transforms import Transform, _positive_int, _setting
@@ -63,9 +63,7 @@ def _split_io(dataset: Dataset, io: IoSpec) -> tuple[Dataset, Dataset]:
     """``(dataset.select(io.inputs), dataset.select(io.outputs))``. ``IoSpec`` checked its names when it
     was built, so they are picked without ``select``'s name rule; ``UnknownColumn`` names the first absent
     name, inputs before outputs."""
-    inputs = {name: dataset.column(name) for name in io.inputs}
-    outputs = {name: dataset.column(name) for name in io.outputs}
-    return _unchecked_dataset(inputs, dataset.row_count), _unchecked_dataset(outputs, dataset.row_count)
+    return dataset._pick(io.inputs), dataset._pick(io.outputs)
 
 
 def learn_offline(environment: OfflineEnvironment, transforms: Transform | None, io: IoSpec, learner):

@@ -3,11 +3,10 @@
 calls BLAS (no ``@``, ``dot``, ``matmul``, ``einsum`` or ``linalg``), the exact kernels sum
 only in the order their code writes (no ``np.add.reduce``, ``sum`` or ``mean``), every
 public name has a caller outside the tests, every defaulted parameter of a public callable
-is passed outside the tests, only ``dataset.py`` and the callers the contract of
-``dataset._unchecked_dataset`` names build a Dataset without checking its columns, no
-module imports ``base64``, so columns have one encoding on the wire: their float64
-bytes, only ``load_csv`` has a ``global`` statement, so its memo is the one
-process-wide mutable state,
+is passed outside the tests, only ``dataset.py`` and ``transforms.py`` build a Dataset
+without checking its columns, no module imports ``base64``, so columns have one encoding
+on the wire: their float64 bytes, only ``load_csv`` has a ``global`` statement, so its
+memo is the one process-wide mutable state,
 only ``IncrementalLinearLearner`` names its accumulation state, so no reader sees G
 and b with batches still queued, and ``config.py`` names no local learner class,
 ``DatasetStream`` or ``learn_incremental``, nor the water tank, its sampler or its RK4 step limit,
@@ -388,44 +387,33 @@ def test_parameter_rule_sees_each_form():
 
 
 # A Dataset's column store, which only dataset.py may name, and the constructor that fills it
-# without checks, which only dataset.py and the callers its contract names may call: each builds
-# from the columns of a checked Dataset, and ``dataset._unchecked_dataset`` says why that is safe.
+# without checks, which only dataset.py and transforms.py may name: ``SlidingWindow`` and
+# ``Standardize`` build their outputs from checked columns, as ``dataset._unchecked_dataset``
+# states. Every other module builds Datasets through the checked constructor or a Dataset's methods.
 UNCHECKED = {"_columns", "_unchecked_dataset"}
-UNCHECKED_CALLERS = {
-    "cpslearn/environments.py": {"DatasetStream.next_batch"},
-    "cpslearn/strategies.py": {"_split_io"},
-    "cpslearn/transforms.py": {"SlidingWindow.apply", "Standardize.apply"},
-}
+UNCHECKED_BUILDERS = {"cpslearn/transforms.py"}
 
 
-def name_uses(node: ast.AST, names: set[str], where: str = ""):
-    """(line, name, where) for each of ``names`` that ``node`` reads, writes or imports: ``where`` is
-    ``"import"`` for an import, else the dotted name of the innermost enclosing definition ("" at module level)."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Attribute) and child.attr in names:
-            yield child.lineno, child.attr, where
-        elif isinstance(child, ast.Name) and child.id in names:
-            yield child.lineno, child.id, where
-        elif isinstance(child, ast.ImportFrom):
-            yield from ((child.lineno, alias.name, "import") for alias in child.names if alias.name in names)
-        named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-        yield from name_uses(child, names, f"{where}.{child.name}".lstrip(".") if named else where)
+def name_uses(tree: ast.AST, names: set[str]):
+    """(line, name) for each of ``names`` that ``tree`` reads, writes or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Name) and node.id in names:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, alias.name) for alias in node.names if alias.name in names)
 
 
-def test_only_the_named_callers_build_unchecked_datasets():
+def test_only_dataset_and_transforms_build_unchecked_datasets():
     paths = sorted({*MODULES, *ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py"), *ROOT.glob("tests/*.py")}
                    - {Path(cpslearn.dataset.__file__).resolve()})
-    found, callers = {}, {}
+    found = {}
     for path in paths:
         key = f"{path.parent.name}/{path.name}"
-        allowed = UNCHECKED_CALLERS.get(key, set())
-        permitted = allowed | {"import"} if allowed else set()  # a named caller's module may import it
-        uses = list(name_uses(ast.parse(path.read_text(encoding="utf-8")), UNCHECKED))
-        found[key] = [(line, name, where) for line, name, where in uses
-                      if name == "_columns" or where not in permitted]
-        callers[key] = {where for _, _, where in uses if where in allowed}
+        names = UNCHECKED - {"_unchecked_dataset"} if key in UNCHECKED_BUILDERS else UNCHECKED
+        found[key] = list(name_uses(ast.parse(path.read_text(encoding="utf-8")), names))
     assert {path: uses for path, uses in found.items() if uses} == {}
-    assert {path: callers[path] for path in UNCHECKED_CALLERS} == UNCHECKED_CALLERS
 
 
 def test_unchecked_rule_sees_each_form():
@@ -433,12 +421,9 @@ def test_unchecked_rule_sees_each_form():
         "from cpslearn.dataset import _unchecked_dataset\n"
         "d._columns\nd._columns = {}\n_unchecked_dataset({}, 0)\ndataset._unchecked_dataset({}, 0)\n"
         "self._input_columns\n'_columns'\n"
-        "class A:\n    def f(self):\n        return _unchecked_dataset({}, 0)\n"
-        "def g():\n    def h():\n        from cpslearn.dataset import _unchecked_dataset\n"
     )
     assert list(name_uses(ast.parse(source), UNCHECKED)) == [
-        (1, "_unchecked_dataset", "import"), (2, "_columns", ""), (3, "_columns", ""), (4, "_unchecked_dataset", ""),
-        (5, "_unchecked_dataset", ""), (10, "_unchecked_dataset", "A.f"), (13, "_unchecked_dataset", "import"),
+        (1, "_unchecked_dataset"), (2, "_columns"), (3, "_columns"), (4, "_unchecked_dataset"), (5, "_unchecked_dataset"),
     ]
 
 
@@ -479,7 +464,7 @@ def test_table_rule_sees_each_form():
         "from collections import Counter\n"
         "ok = _is_number(fraction) and metrics.REGISTRY\n"
     )
-    assert sorted((line, name) for line, name, _ in name_uses(ast.parse(source), TABLE_OWNED)) == [
+    assert sorted(name_uses(ast.parse(source), TABLE_OWNED)) == [
         (1, "RegressionTreeLearner"), (3, "DatasetStream"), (4, "learn_incremental"),
         (5, "IncrementalLinearLearner"), (6, "LinearRegressionLearner"), (8, "OdeEnvironment"),
         (8, "_MAX_RK4_STEPS"), (9, "WaterTankSystem"), (10, "_rk4_steps"), (11, "_rk4_steps"),
