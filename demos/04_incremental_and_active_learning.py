@@ -1,12 +1,12 @@
 """Incremental streams and active interaction, on the same tank system.
 
 The incremental driver replays a dataset batch by batch through an
-incremental least-squares learner, which accumulates each batch into a Gram
-matrix and solves it once at the end; after one pass its fitted function
-agrees with batch least squares. The active driver lets an epsilon-greedy policy
-choose inflow actions, building a one-step surrogate of the level dynamics
-from its own interactions: the same incremental learner, fed one transition
-at a time, whose Gram matrix also scores how unexplored each action is.
+incremental least-squares learner, which folds the rows into the triangular
+factor R of a QR factorization and solves it once at the end; after one pass
+its fitted function agrees with batch least squares. The active driver lets an
+epsilon-greedy policy choose inflow actions, building a one-step surrogate of
+the level dynamics from its own interactions: the same incremental learner, fed
+one transition at a time, whose factor R also scores how unexplored each action is.
 
 Run with: python demos/04_incremental_and_active_learning.py
 """

@@ -12,7 +12,8 @@ Native implementations:
 * :func:`fit_tree` / :class:`RegressionTreeLearner` -- greedy binary
   regression tree minimizing weighted child variance.
 * :class:`IncrementalLinearLearner` -- incremental least squares with a
-  forgetting factor, in information form, solved by a BLAS-free Cholesky.
+  forgetting factor, in square-root information form: it folds its rows into
+  the R of the same Householder QR every fixed number of rows.
 * :class:`EpsilonGreedyActiveLearner` -- an interactive policy over an action
   grid, with an :class:`IncrementalLinearLearner` as its one-step surrogate.
 * ``LOCAL_KINDS`` -- the learner kinds a config builds: class, drive, and each
@@ -24,7 +25,6 @@ from __future__ import annotations
 import abc
 import hashlib
 import inspect
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -46,10 +46,9 @@ _SPLIT_TIE_EPS = 1e-12
 # max(1, _BLOCK // n) features at once.
 _BLOCK = 1 << 14
 
-# The float64 bytes of Gram outer products that one pass over the incremental learner's queue may
-# allocate: a design of width d queues at most _QUEUE_BYTES // (8 d^2) rows (an empty batch
-# counts as one), or one larger batch. With the moments, the pass holds (d + 1) / d times that.
-_QUEUE_BYTES = 1 << 20
+# The rows the incremental learner buffers before it folds them into its R: its bytes depend on
+# the rows of the stream and on this count, never on the batch sizes.
+_FOLD_ROWS = 1 << 12
 
 
 class ShapeMismatch(PipelineError):
@@ -63,10 +62,11 @@ class SchemaMismatch(PipelineError):
 class SingularDesign(PipelineError):
     """The least-squares design matrix is rank deficient.
 
-    :func:`fit_linear` raises it instead of silently regularizing. The
-    incremental learner raises it when its regularized Gram matrix is
-    singular in float64, as when a tiny forgetting factor has forgotten the
-    prior. Add rows, drop collinear columns, or raise the regularization.
+    :func:`fit_linear` raises it instead of silently regularizing, and the
+    incremental learner when the rank rule refuses its R, as when a tiny
+    forgetting factor has forgotten the prior, or when R or its solution
+    overflows float64. Add rows, drop collinear columns, or raise the
+    regularization or the forgetting factor.
     """
 
 
@@ -144,76 +144,52 @@ def _row_product(matrix: np.ndarray, weights: list, intercept: float) -> np.ndar
     return out
 
 
-def _householder_solve(rows: np.ndarray) -> list:
-    """The least-squares solution w of ``A w = y``, by Householder QR and a back substitution on
-    Python floats.
+def _triangularize(rows: np.ndarray) -> None:
+    """Householder QR of a least-squares problem, in place.
 
-    ``rows`` holds A's p columns and then y as contiguous rows of n >= p values, each of magnitude
-    below 1; it is overwritten. Step k reflects column k's entries k, ..., n-1 onto ``R[k, k]``
-    with ``v = x - R[k, k] e_0`` and ``R[k, k] = -copysign(|x|, x_0)``, and applies the reflection
-    to the later rows through ``v . a = x . a - R[k, k] a_0``: one :func:`_fold_sum` gives ``x . x``
-    and every ``x . a``. Column k of R has the norm of column k of A (Q is orthogonal), and the
-    step refuses A when ``|R[k, k]| <= max(n, p) eps |R[:, k]|``: column k is then within that
-    share of its norm of the span of the columns before it.
-
-    Raises:
-        SingularDesign: naming the first column the rank rule refuses.
+    ``rows`` holds A's p columns and then y as rows of n >= p values; afterwards row j holds
+    R[k, j] at k < j and R[k, k] at k = j, and row p holds Q'y in its first p entries (the other
+    entries are left over from the reflections). Step k reflects column k's entries k, ..., n-1
+    onto ``R[k, k]`` with ``v = x - R[k, k] e_0`` and ``R[k, k] = -copysign(|x|, x_0)``, and
+    applies the reflection to the later rows through ``v . a = x . a - R[k, k] a_0``: one
+    :func:`_fold_sum` gives ``x . x`` and every ``x . a``. A step whose ``x . x`` is 0 reflects
+    nothing. Column k of R has the norm of column k of A (Q is orthogonal).
     """
-    p, n = len(rows) - 1, rows.shape[1]
-    tolerance = max(n, p) * np.finfo(np.float64).eps
-    for k in range(p):
+    for k in range(len(rows) - 1):
         block = rows[k:, k:]  # row k's entries from k on, then the later columns' and y's
         dots = _fold_sum(block * block[0]).tolist()
+        if dots[0] == 0.0:
+            continue
         x0 = float(block[0, 0])
         norm = math.sqrt(dots[0])
-        squares = dots[0]
-        for above in rows[k, :k].tolist():  # R[:k, k], left by the earlier steps
-            squares += above * above
-        if not norm > tolerance * math.sqrt(squares):
-            raise SingularDesign(
-                f"design matrix is rank deficient: design column {k} (the inputs, then the intercept) "
-                f"is within {tolerance:.3g} of its norm of the span of the columns before it"
-            )
         diagonal = -math.copysign(norm, x0)
         scale = norm * (norm + abs(x0))  # v . v / 2
         factors = [(xa - diagonal * a0) / scale for xa, a0 in zip(dots[1:], block[1:, 0].tolist())]
         block[0, 0] = x0 - diagonal
         block[1:] -= np.multiply.outer(factors, block[0])
         block[0, 0] = diagonal
-    # Row j holds R[k, j] at k < j, and R[k, k] at k = j; row p holds Q'y.
-    return _back_substitute(rows[:p, :p].tolist(), rows[p, :p].tolist())
 
 
-def _cholesky(gram: list) -> list:
-    """The lower Cholesky factor of ``gram`` (a list of row lists), on Python floats.
-
-    Reads the lower triangle of ``gram``. Every sum runs in ascending index order.
+def _rank_rule(rows: np.ndarray, n: int) -> None:
+    """Refuse the R that :func:`_triangularize` left in ``rows`` for n rows when some
+    ``|R[k, k]| <= max(n, p) eps |R[:, k]|``: design column k is then within that share of its
+    norm of the span of the columns before it.
 
     Raises:
-        SingularDesign: if a pivot is not positive and finite.
+        SingularDesign: naming the first column the rule refuses.
     """
-    d = len(gram)
-    lower = [[0.0] * d for _ in range(d)]
-    for j in range(d):
-        row_j = lower[j]
-        pivot = gram[j][j]
-        for k in range(j):
-            pivot -= row_j[k] * row_j[k]
-        if not 0.0 < pivot < math.inf:
+    p = len(rows) - 1
+    tolerance = max(n, p) * np.finfo(np.float64).eps
+    for k in range(p):
+        column = rows[k, :k + 1].tolist()  # R[:k+1, k]
+        squares = 0.0
+        for value in column:
+            squares += value * value
+        if not abs(column[k]) > tolerance * math.sqrt(squares):
             raise SingularDesign(
-                f"Gram matrix pivot {j} is {pivot!r}, not positive and finite: the design "
-                "(inputs plus intercept) is singular in float64; add rows, drop collinear "
-                "inputs, or raise regularization or forgetting_factor"
+                f"design matrix is rank deficient: design column {k} (the inputs, then the intercept) "
+                f"is within {tolerance:.3g} of its norm of the span of the columns before it"
             )
-        diagonal = math.sqrt(pivot)
-        row_j[j] = diagonal
-        for i in range(j + 1, d):
-            row_i = lower[i]
-            value = gram[i][j]
-            for k in range(j):
-                value -= row_i[k] * row_j[k]
-            row_i[j] = value / diagonal
-    return lower
 
 
 def _forward_substitute(lower: list, rhs: list) -> list:
@@ -238,20 +214,6 @@ def _back_substitute(lower: list, rhs: list) -> list:
         for k in range(i + 1, d):
             value -= lower[k][i] * solution[k]
         solution[i] = value / lower[i][i]
-    return solution
-
-
-def _solve_positive_definite(gram: list, rhs: list) -> list:
-    """Solve ``gram w = rhs`` by :func:`_cholesky` and two substitutions.
-
-    Raises:
-        SingularDesign: if a pivot is not positive and finite, or the solution
-            is not (``rhs`` or the solve overflowed).
-    """
-    lower = _cholesky(gram)
-    solution = _back_substitute(lower, _forward_substitute(lower, rhs))
-    if not all(map(math.isfinite, solution)):
-        raise SingularDesign(f"the solution {solution!r} is not finite: the sums overflow float64")
     return solution
 
 
@@ -454,10 +416,11 @@ def fit_linear(inputs: Dataset, outputs: Dataset) -> LinearModel:
 
     The design is the input columns, then a column of ones. Each design column and the target
     are scaled by a power of two, which is exact, so that their largest magnitude is in
-    [0.5, 1); :func:`_householder_solve` factors the scaled design, its rank rule refusing design
-    column k when ``|R[k, k]| <= max(n, p) eps |R[:, k]|`` for n rows and p coefficients, and
-    back-substitutes on Python floats. Every sum runs in a stated order and no step calls BLAS,
-    so the weights do not depend on the CPU's kernel. No silent regularization is applied.
+    [0.5, 1), so no dot product overflows; :func:`_triangularize` factors the scaled design,
+    :func:`_rank_rule` refuses design column k when ``|R[k, k]| <= max(n, p) eps |R[:, k]|`` for
+    n rows and p coefficients, and :func:`_back_substitute` solves on Python floats. Every sum
+    runs in a stated order and no step calls BLAS, so the weights do not depend on the CPU's
+    kernel. No silent regularization is applied.
 
     Raises:
         ShapeMismatch: if row counts differ or outputs are not one column.
@@ -475,7 +438,9 @@ def fit_linear(inputs: Dataset, outputs: Dataset) -> LinearModel:
     rows[p] = y
     _, exponents = np.frexp(np.max(np.abs(rows), axis=1))
     np.ldexp(rows, -exponents[:, np.newaxis], out=rows)
-    solution = _householder_solve(rows)
+    _triangularize(rows)
+    _rank_rule(rows, n)
+    solution = _back_substitute(rows[:p, :p].tolist(), rows[p, :p].tolist())
     with np.errstate(over="ignore"):  # an overflowing coefficient is refused below
         solution = np.ldexp(solution, exponents[p] - exponents[:p])
     if not (finite := np.isfinite(solution)).all():
@@ -744,46 +709,31 @@ _epsilon = _check(lambda v: _is_number(v) and 0 <= v <= 1, "must be in [0, 1]")
 
 
 class IncrementalLinearLearner:
-    """Incremental least squares with an intercept, kept in information form.
+    """Incremental least squares with an intercept, in square-root information form.
 
-    The learner keeps the exponentially weighted Gram matrix G and moment
-    vector b of the design (the inputs plus a constant 1 column), starting
-    from ``G = delta I`` and ``b = 0``. A batch of m rows x_i with targets
-    y_i, oldest first, updates them to
+    The learner keeps the upper triangular R and the vector Q'y of a QR factorization of the
+    exponentially weighted design (the inputs plus a constant 1 column), starting from
+    ``R = sqrt(delta) I`` and ``Q'y = 0``. After n rows x_i with targets y_i, oldest first, they
+    factor the least-squares problem whose rows are ``sqrt(lam)^(n-1-i) [x_i | y_i]`` under the
+    prior rows ``sqrt(lam)^n sqrt(delta) [I | 0]``, where lam is ``forgetting_factor`` and delta
+    is ``regularization``. So ``R w = Q'y`` gives the w that minimizes
+    ``sum_i lam^(n-1-i) (y_i - x_i w)^2 + delta lam^n |w|^2``: in exact arithmetic the estimate
+    of per-row recursive least squares with the same lam and the prior P0 = I/delta.
 
-        G <- lam^m G + sum_i lam^(m-1-i) x_i x_i'
-        b <- lam^m b + sum_i lam^(m-1-i) x_i y_i
+    ``update`` checks a batch and copies its rows into a buffer. Every ``_FOLD_ROWS`` rows of the
+    stream, wherever the batches begin and end, the buffer is folded into R: of the K rows folded,
+    the newest is scaled by 1, each older one by ``sqrt(lam)`` more per step of age, and R and
+    Q'y by ``sqrt(lam)^K``; then :func:`_triangularize` factors R stacked over the rows, as it
+    factors :func:`fit_linear`'s design. ``sqrt(lam)^j`` is the product of j factors
+    ``sqrt(lam)``, multiplied left to right. ``finalize`` folds the buffered rows into a copy, checks its R by
+    :func:`_rank_rule` (for the rows seen plus the p prior rows) and back-substitutes. So the
+    model depends on the rows, in order, and on nothing else: not on the batch sizes, nor on
+    when it is read, nor on the CPU's BLAS kernel (no step calls BLAS).
 
-    where lam is ``forgetting_factor`` and delta is ``regularization``.
-    ``finalize`` solves ``G w = b`` once. After n rows, w minimizes
-    ``sum_i lam^(n-1-i) (y_i - x_i w)^2 + delta lam^n |w|^2``: in exact
-    arithmetic this is the estimate of per-row recursive least squares with
-    the same lam and the prior P0 = I/delta, whatever the batch sizes.
-
-    ``update`` checks a batch and queues its read-only columns; it does no
-    arithmetic. The queue is accumulated when ``finalize`` is called, when
-    the active learner reads G, and before its rows' outer products would
-    pass ``_QUEUE_BYTES`` (1 MiB). Consecutive queued batches of one size m
-    are stacked into one array indexed by row, design column (the target
-    last) and batch, and every row's products ``lam^(m-1-i) x_i [x_i' y_i]``
-    are formed in one broadcast. Each batch's sums then add its rows
-    strictly in order, ``((p_0 + p_1) + p_2) + ...``, for all batches at
-    once; and ``[G | b]`` is updated in place, batch by batch in stream
-    order: first scaled by ``lam^m``, then the batch's sums added. So G and
-    b hold the same bytes as when each batch is accumulated as it arrives,
-    its rows added in order. The code never calls ``np.add.reduce`` (nor
-    ``sum`` or ``mean``): numpy picks recursive or pairwise summation from
-    the memory layout, so the bytes of a reduction would depend on how the
-    queue happened to be stacked.
-
-    The sums are elementwise ufuncs and the solve is a fixed-order Cholesky
-    factorization on Python floats (no BLAS call), so the fitted weights do
-    not depend on the CPU's BLAS kernel. With a tiny forgetting factor,
-    ``lam^m`` may underflow to 0: the older rows and the prior are then
-    forgotten entirely, and ``finalize`` raises
-    :class:`SingularDesign` if what remains does not determine w (a Cholesky
-    pivot that is not positive and finite) or the sums overflowed. An
-    overflow is never reported by ``update``.
+    With a tiny forgetting factor the powers may underflow to 0: the older rows and the prior
+    are then forgotten entirely, and ``finalize`` raises :class:`SingularDesign` if what remains
+    does not determine w, or if R or the solution overflows float64. ``update`` reports no
+    overflow.
 
     The schema (input columns and output column) is fixed by the first batch;
     later batches must match it. ``finalize`` snapshots the current estimate
@@ -797,23 +747,25 @@ class IncrementalLinearLearner:
     def __init__(self, forgetting_factor: float = 1.0, regularization: float = 1e-8):
         self.forgetting_factor = _setting("forgetting_factor", forgetting_factor, _forgetting_factor)
         self.regularization = _setting("regularization", regularization, _positive)
-        self._gram: np.ndarray | None = None
-        self._moment: np.ndarray | None = None
+        # Rows 0..p-1 hold the design columns and row p the targets: first R' over Q'y, then the
+        # rows buffered since the last fold.
+        self._block: np.ndarray | None = None
+        self._powers: np.ndarray | None = None  # sqrt(lam)^j for j = 0, ..., _FOLD_ROWS
+        self._buffered = 0
         self._rows = 0
-        self._queue: list[tuple[list[np.ndarray], np.ndarray]] = []  # (input columns, targets), oldest first
-        self._queued_rows = 0
-        self._queue_limit = 0  # the rows the queue may hold, set by the first batch's width
         self._input_columns: tuple[str, ...] | None = None
         self._output_column: str | None = None
 
     def update(self, inputs: Dataset, outputs: Dataset) -> None:
-        """Check one batch and queue it; a batch refused with an error leaves the learner unchanged."""
+        """Check one batch and buffer its rows; a batch refused with an error leaves the learner unchanged."""
         columns, y = _training_columns(inputs, outputs)
-        if self._gram is None:
-            dim = len(columns) + 1
-            self._gram = np.eye(dim) * self.regularization
-            self._moment = np.zeros(dim)
-            self._queue_limit = _QUEUE_BYTES // (8 * dim**2)
+        if self._block is None:
+            p = len(columns) + 1
+            self._block = np.zeros((p + 1, p + _FOLD_ROWS))
+            self._block[:p, :p] = np.eye(p) * math.sqrt(self.regularization)
+            self._block[p - 1, p:] = 1.0  # the buffered rows' intercept column
+            self._powers = np.ones(_FOLD_ROWS + 1)
+            np.multiply.accumulate(np.full(_FOLD_ROWS, math.sqrt(self.forgetting_factor)), out=self._powers[1:])
             self._input_columns = inputs.column_names
             self._output_column = outputs.column_names[0]
         elif (inputs.column_names, outputs.column_names[0]) != (self._input_columns, self._output_column):
@@ -821,57 +773,67 @@ class IncrementalLinearLearner:
                 f"batch columns {list(inputs.column_names)} -> {outputs.column_names[0]!r} != "
                 f"{list(self._input_columns)} -> {self._output_column!r}"
             )
-        entry = max(len(y), 1)  # an empty batch still takes a place in the queue
-        if self._queued_rows + entry > self._queue_limit:
-            self._accumulate()
-        self._queue.append((columns, y))
-        self._queued_rows += entry
+        block = self._block
+        p, width = len(block) - 1, block.shape[1]
+        done = 0
+        while done < len(y):
+            at = p + self._buffered
+            take = min(len(y) - done, width - at)
+            rows = slice(done, done + take)
+            if columns:
+                block[:p - 1, at:at + take] = [column[rows] for column in columns]
+            block[p, at:at + take] = y[rows]
+            done += take
+            self._buffered += take
+            if at + take == width:
+                self._fold(block, self._buffered)
+                self._buffered = 0
+                block[p - 1, p:] = 1.0  # the buffered rows' intercept column
         self._rows += len(y)
 
-    def _accumulate(self) -> None:
-        """Fold the queued batches into G and b, oldest first, and empty the queue."""
-        queue, self._queue, self._queued_rows = self._queue, [], 0
-        forget, dim = self.forgetting_factor, len(self._moment)
-        folded = np.concatenate([self._gram, self._moment[:, np.newaxis]], axis=1)  # [G | b]
-        for m, group in itertools.groupby(queue, key=lambda batch: len(batch[1])):
-            group = list(group)
-            count = len(group)
-            rows = np.ones((m, dim + 1, count))  # row, design column (target last), batch
-            for j in range(dim - 1):
-                rows[:, j] = np.concatenate([columns[j] for columns, _ in group]).reshape(count, m).T
-            rows[:, dim] = np.concatenate([targets for _, targets in group]).reshape(count, m).T
-            decays = np.array([forget ** k for k in range(m - 1, -1, -1)])
-            decay = forget**m
-            with np.errstate(over="ignore", invalid="ignore"):  # finalize raises SingularDesign on an overflow
-                weighted = rows[:, :dim] * decays[:, np.newaxis, np.newaxis]
-                products = weighted[:, :, np.newaxis] * rows[:, np.newaxis]  # row, [G | b] entry, batch
-                sums = products[0].copy() if m else np.zeros((dim, dim + 1, count))
-                for k in range(1, m):
-                    sums += products[k]
-                for batch in sums.transpose(2, 0, 1).copy():
-                    folded *= decay
-                    folded += batch
-        self._gram, self._moment = folded[:, :dim], folded[:, dim]
+    def _fold(self, block: np.ndarray, m: int) -> None:
+        """Fold the first m rows buffered in ``block`` into its R and Q'y, in place.
 
-    def _sums(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """G and b with every queued batch accumulated, or None before the first row."""
+        Each row of R' keeps its zeros right of the diagonal: every reflection's v is 0 there."""
+        if m == 0:
+            return
+        p = len(block) - 1
+        with np.errstate(over="ignore", invalid="ignore"):  # finalize raises SingularDesign on an overflow
+            block[:, :p] *= self._powers[m]
+            block[:, p:p + m] *= self._powers[m - 1::-1]
+            _triangularize(block[:, :p + m])
+
+    def _factor(self) -> np.ndarray | None:
+        """``[R' | Q'y]``, stacked as in ``_block``, with the buffered rows folded into a copy, or
+        None before the first row.
+
+        Raises:
+            SingularDesign: if R is not finite, or :func:`_rank_rule` refuses it.
+        """
         if self._rows == 0:
             return None
-        self._accumulate()
-        return self._gram, self._moment
+        p = len(self._block) - 1
+        block = self._block[:, :p + self._buffered].copy()
+        self._fold(block, self._buffered)
+        factor = block[:, :p]
+        if not np.isfinite(factor[:p]).all():
+            raise SingularDesign("the triangular factor R is not finite: the sums overflow float64")
+        _rank_rule(factor, self._rows + p)
+        return factor
 
     def finalize(self) -> LinearModel:
         """Solve for the current weights and snapshot them as an immutable model.
 
         Raises:
             NeverUpdated: if no sample has been absorbed.
-            SingularDesign: if the accumulated Gram matrix is singular in float64,
-                or its sums overflow.
+            SingularDesign: as :meth:`_factor`, or if the solution is not finite.
         """
-        sums = self._sums()
-        if sums is None:
+        factor = self._factor()
+        if factor is None:
             raise NeverUpdated("incremental learner has not seen any data")
-        weights = _solve_positive_definite(sums[0].tolist(), sums[1].tolist())
+        weights = _back_substitute(factor[:-1].tolist(), factor[-1].tolist())
+        if not all(map(math.isfinite, weights)):
+            raise SingularDesign(f"the solution {weights!r} is not finite: the sums overflow float64")
         return LinearModel(weights[:-1], weights[-1], self._input_columns, self._output_column)
 
 
@@ -888,10 +850,10 @@ class EpsilonGreedyActiveLearner:
     learner's ``forgetting_factor`` and ``regularization``, fed one row per
     transition: the inputs (state features, action) and the next value of
     the target column. Its intercept is the bias term. The predictive
-    variance of an action is ``x' G^-1 x = |L^-1 x|^2``, where x is the
-    regressor (state, action, 1) and L the Cholesky factor of the
-    surrogate's Gram matrix G: one factorization per proposal and one
-    forward substitution per grid action, on Python floats (no BLAS call).
+    variance of an action is ``x' (R'R)^-1 x = |R'^-1 x|^2``, where x is the
+    regressor (state, action, 1) and R the surrogate's triangular factor,
+    with its buffered rows folded into a copy: one forward substitution per
+    grid action, on Python floats (no BLAS call).
 
     Raises:
         ValueError: when built: ``epsilon must be in [0, 1], got ...``, ``action_grid_size
@@ -933,20 +895,20 @@ class EpsilonGreedyActiveLearner:
         """Pick the next action for the given single-row observation.
 
         Raises:
-            SingularDesign: if the surrogate's Gram matrix is singular in
-                float64, as when a tiny forgetting factor forgot the prior.
+            SingularDesign: if the rank rule refuses the surrogate's R, as
+                when a tiny forgetting factor forgot the prior.
         """
         state = self._state(observation)
         if self._rng.random() < self.epsilon:
             return float(self.action_grid[self._rng.integers(len(self.action_grid))])
-        sums = self._surrogate._sums()
-        if sums is None:
+        factor = self._surrogate._factor()
+        if factor is None:
             return float(self.action_grid[0])
-        lower = _cholesky(sums[0].tolist())
+        transposed = factor[:-1].tolist()  # R', lower triangular
         scores = []
         for action in self.action_grid.tolist():
             variance = 0.0
-            for z in _forward_substitute(lower, [*state, action, 1.0]):
+            for z in _forward_substitute(transposed, [*state, action, 1.0]):
                 variance += z * z
             scores.append(variance)
         return float(self.action_grid[int(np.argmax(scores))])

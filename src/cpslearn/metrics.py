@@ -1,10 +1,10 @@
 """Scalar regression and classification metrics.
 
 Every metric works on float64 arrays. The regression sums run left to right
-(``np.add.accumulate``) and squares go through C ``pow`` (``np.float_power``),
-so every metric reproduces a straightforward reference loop over Python floats
-bit for bit. A regression metric whose value is not finite raises
-:class:`NonFiniteMetric`.
+(``np.add.accumulate``) and every square is a multiply, ``v * v``, which IEEE 754
+rounds correctly on every host; so every metric reproduces a straightforward
+reference loop over Python floats bit for bit. A regression metric whose value is
+not finite raises :class:`NonFiniteMetric`.
 """
 
 from __future__ import annotations
@@ -77,13 +77,6 @@ def _sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1])
 
 
-def _square(values: np.ndarray) -> np.ndarray:
-    """``v ** 2`` of each value by C ``pow``, as a float's ``** 2``. Where that raises
-    OverflowError, on a finite value whose square overflows, this raises FloatingPointError."""
-    with np.errstate(over="raise"):
-        return np.float_power(values, 2.0)
-
-
 def _non_finite_cause(p: np.ndarray, a: np.ndarray) -> str:
     for check, cause in ((np.isnan, "an input is NaN"), (np.isinf, "an input is infinite")):
         if check(p).any() or check(a).any():
@@ -93,25 +86,31 @@ def _non_finite_cause(p: np.ndarray, a: np.ndarray) -> str:
 
 def _finite(metric):
     """``metric`` on the checked float64 arrays, raising NonFiniteMetric where its value
-    is not finite.
-
-    A square that overflows raises FloatingPointError (as a float's ``** 2``
-    raises OverflowError) instead of giving inf; that too becomes NonFiniteMetric.
-    """
+    is not finite."""
 
     @functools.wraps(metric)
     def checked(predicted, actual) -> float:
         p, a = _check(predicted, actual)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are worded below
-                value = metric(p, a)
-        except FloatingPointError:
-            raise NonFiniteMetric(f"{metric.__name__}: a squared error overflows float64") from None
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are worded below
+            value = metric(p, a)
         if not math.isfinite(value):
             raise NonFiniteMetric(f"{metric.__name__} is {value!r}: {_non_finite_cause(p, a)}")
         return value
 
     return checked
+
+
+def _sum_of_squares(name: str, errors: np.ndarray) -> float:
+    """The sum of ``v * v`` over ``errors``, added left to right.
+
+    Raises:
+        NonFiniteMetric: ``<name>: a squared error overflows float64`` where the square of a
+            finite error is inf.
+    """
+    squares = errors * errors
+    if (np.isinf(squares) & np.isfinite(errors)).any():
+        raise NonFiniteMetric(f"{name}: a squared error overflows float64")
+    return _sum(squares)
 
 
 @_finite
@@ -123,7 +122,7 @@ def mae(predicted: np.ndarray, actual: np.ndarray) -> float:
 @_finite
 def mse(predicted: np.ndarray, actual: np.ndarray) -> float:
     """Mean squared error."""
-    return _sum(_square(predicted - actual)) / len(predicted)
+    return _sum_of_squares("mse", predicted - actual) / len(predicted)
 
 
 @_finite
@@ -146,8 +145,8 @@ def r2(predicted: np.ndarray, actual: np.ndarray) -> float:
             return 1.0
         raise ConstantActuals("actuals are constant; R2 is undefined")
     mean = _sum(actual) / len(actual)
-    ss_res = _sum(_square(actual - predicted))
-    ss_tot = _sum(_square(actual - mean))
+    ss_res = _sum_of_squares("r2", actual - predicted)
+    ss_tot = _sum_of_squares("r2", actual - mean)
     if ss_tot == 0.0:
         raise NonFiniteMetric("r2: the squared deviations of the actuals underflow to 0; R2 is undefined")
     return 1.0 - ss_res / ss_tot
@@ -195,7 +194,7 @@ def f_beta(predicted, actual, beta: float = 1.0) -> float:
 
     Raises:
         ValueError: unless ``beta`` is a number (not a bool) with ``0 < beta <= sqrt(DBL_MAX)``,
-            so that ``beta**2`` is a finite float.
+            so that ``beta * beta`` is a finite float.
     """
     if not (_is_number(beta) and 0.0 < beta <= _LARGEST_BETA):
         raise ValueError(f"beta must be positive with a finite square, got {beta!r}")
@@ -205,7 +204,7 @@ def f_beta(predicted, actual, beta: float = 1.0) -> float:
     rec = _share(tp, tp + fn, "no actual positives; recall set to 0")
     if prec == 0.0 and rec == 0.0:
         return 0.0
-    return (1.0 + beta**2) * prec * rec / (beta**2 * prec + rec)
+    return (1.0 + beta * beta) * prec * rec / (beta * beta * prec + rec)
 
 
 REGISTRY = {

@@ -121,7 +121,8 @@ def _reference_loops():
     def ref_mse(p, a):
         s = 0.0
         for pi, ai in zip(p, a):
-            s += (pi - ai) ** 2
+            error = pi - ai
+            s += error * error
         return s / len(p)
 
     def ref_max_error(p, a):
@@ -137,8 +138,9 @@ def _reference_loops():
         mean = s / len(a)
         num = den = 0.0
         for pi, ai in zip(p, a):
-            num += (ai - pi) ** 2
-            den += (ai - mean) ** 2
+            residual, deviation = ai - pi, ai - mean
+            num += residual * residual
+            den += deviation * deviation
         return 1.0 - num / den
 
     def counts(p, a):

@@ -1,14 +1,16 @@
 """Static checks of the package source: every import is used, every export exists, every
 ``json.load`` / ``json.loads`` call sits in a try that catches RecursionError, no module
 calls BLAS (no ``@``, ``dot``, ``matmul``, ``einsum`` or ``linalg``), the exact kernels sum
-only in the order their code writes (no ``np.add.reduce``, ``sum`` or ``mean``), every
+only in the order their code writes (no ``np.add.reduce``, ``sum`` or ``mean``), the exact
+kernels and the metrics square by a multiply (no ``**``, ``float_power``, ``np.power`` or
+``math.pow``), every
 public name has a caller outside the tests, every defaulted parameter of a public callable
 is passed outside the tests, only ``dataset.py`` and ``transforms.py`` build a Dataset
 without checking its columns, no module imports ``base64``, so columns have one encoding
 on the wire: their float64 bytes, only ``load_csv`` has a ``global`` statement, so its
 memo is the one process-wide mutable state,
-only ``IncrementalLinearLearner`` names its accumulation state, so no reader sees G
-and b with batches still queued, and ``config.py`` names no local learner class,
+only ``IncrementalLinearLearner`` names its fold state, so no reader sees R and Q'y
+without the rows still buffered, and ``config.py`` names no local learner class,
 ``DatasetStream`` or ``learn_incremental``, nor the water tank, its sampler or its RK4 step limit,
 so ``learners.LOCAL_KINDS`` and ``environments.WATERTANK_KIND`` stay the one owners of their kinds."""
 
@@ -171,11 +173,10 @@ def numpy_ordered_sums(node: ast.AST):
 EXACT_KERNELS = {
     "_fold_sum",
     "_row_product",
-    "_householder_solve",
-    "_cholesky",
+    "_triangularize",
+    "_rank_rule",
     "_forward_substitute",
     "_back_substitute",
-    "_solve_positive_definite",
     "LinearModel",
     "fit_linear",
     "IncrementalLinearLearner",
@@ -183,12 +184,17 @@ EXACT_KERNELS = {
 }
 
 
-def test_exact_kernels_sum_in_the_order_their_code_writes():
+def exact_kernels() -> list:
+    """The definitions in ``learners.py`` named in EXACT_KERNELS, each of them found."""
     tree = ast.parse(Path(cpslearn.learners.__file__).read_text(encoding="utf-8"))
     owners = [node for node in tree.body
               if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in EXACT_KERNELS]
     assert {node.name for node in owners} == EXACT_KERNELS
-    assert [use for node in owners for use in numpy_ordered_sums(node)] == []
+    return owners
+
+
+def test_exact_kernels_sum_in_the_order_their_code_writes():
+    assert [use for node in exact_kernels() for use in numpy_ordered_sums(node)] == []
 
 
 def test_ordered_sum_rule_sees_each_form():
@@ -198,6 +204,35 @@ def test_ordered_sum_rule_sees_each_form():
     )
     assert sorted(numpy_ordered_sums(ast.parse(source))) == [
         (2, "add.reduce"), (3, "sum"), (4, "sum"), (5, "mean"), (6, "mean"), (7, "add.reduce"),
+    ]
+
+
+# Names that raise to a power through the C library's ``pow``, which IEEE 754 does not require
+# to round correctly; a multiply it rounds correctly on every host.
+POWER_NAMES = {"float_power", "power", "pow"}
+
+
+def power_uses(node: ast.AST):
+    """(line, what) for each ``**`` and each power function read under ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.Pow):
+            yield sub.lineno, "**"
+        elif isinstance(sub, ast.Attribute) and sub.attr in POWER_NAMES:
+            yield sub.lineno, sub.attr
+        elif isinstance(sub, ast.Name) and sub.id in POWER_NAMES:
+            yield sub.lineno, sub.id
+
+
+def test_exact_kernels_and_metrics_square_by_a_multiply():
+    metrics = ast.parse(Path(cpslearn.metrics.__file__).read_text(encoding="utf-8"))
+    assert [use for node in [*exact_kernels(), metrics] for use in power_uses(node)] == []
+
+
+def test_power_rule_sees_each_form():
+    source = ("def f(a, b):\n    a ** 2\n    a **= b\n    np.float_power(a, 2.0)\n    np.power(a, 2)\n"
+              "    math.pow(a, 2)\n    pow(a, 2)\n")
+    assert sorted(power_uses(ast.parse(source))) == [
+        (2, "**"), (3, "**"), (4, "float_power"), (5, "power"), (6, "pow"), (7, "pow"),
     ]
 
 
@@ -500,10 +535,10 @@ def test_global_rule_sees_each_form():
     assert list(global_statements(ast.parse(source))) == [None, "f", "f.g", "C.m", "C.n"]
 
 
-# The incremental learner's accumulated sums, row count and queue of unaccumulated batches:
-# only the class itself may name them, so every other reader goes through ``_sums``, which
-# accumulates the queue first.
-ACCUMULATION_STATE = {"_gram", "_moment", "_rows", "_queue", "_queued_rows"}
+# The incremental learner's R and Q'y with its buffer of rows not yet folded, the powers it
+# scales them by, and its row counts: only the class itself may name them, so every other
+# reader goes through ``_factor``, which folds the buffered rows into a copy first.
+ACCUMULATION_STATE = {"_block", "_powers", "_buffered", "_rows"}
 
 
 def state_uses(node: ast.AST, owner: str | None = None):
@@ -525,11 +560,11 @@ def test_only_the_incremental_learner_names_its_accumulation_state():
 
 def test_state_rule_sees_each_form():
     source = (
-        "class IncrementalLinearLearner:\n    def f(self):\n        self._gram = self._queue\n"
-        "class Other:\n    def g(self, s):\n        s._surrogate._rows\n        s._moment += 1\n"
-        "def h(learner):\n    _queued_rows = learner._gram\n    '_moment'\n"
+        "class IncrementalLinearLearner:\n    def f(self):\n        self._block = self._powers\n"
+        "class Other:\n    def g(self, s):\n        s._surrogate._rows\n        s._buffered += 1\n"
+        "def h(learner):\n    _buffered = learner._block\n    '_powers'\n"
     )
     assert list(state_uses(ast.parse(source))) == [
-        ("IncrementalLinearLearner", "_gram"), ("IncrementalLinearLearner", "_queue"),
-        ("Other", "_rows"), ("Other", "_moment"), (None, "_queued_rows"), (None, "_gram"),
+        ("IncrementalLinearLearner", "_block"), ("IncrementalLinearLearner", "_powers"),
+        ("Other", "_rows"), ("Other", "_buffered"), (None, "_buffered"), (None, "_block"),
     ]

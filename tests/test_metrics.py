@@ -39,7 +39,8 @@ def ref_mae(p, a):
 def ref_mse(p, a):
     s = 0.0
     for pi, ai in zip(p, a):
-        s += (pi - ai) ** 2
+        error = pi - ai
+        s += error * error
     return s / len(p)
 
 
@@ -58,8 +59,9 @@ def ref_r2(p, a):
     num = 0.0
     den = 0.0
     for pi, ai in zip(p, a):
-        num += (ai - pi) ** 2
-        den += (ai - mean) ** 2
+        residual, deviation = ai - pi, ai - mean
+        num += residual * residual
+        den += deviation * deviation
     return 1.0 - num / den
 
 
@@ -97,7 +99,7 @@ def ref_f_beta(p, a, beta):
     rec = ref_recall(p, a)
     if prec == 0.0 and rec == 0.0:
         return 0.0
-    return (1.0 + beta**2) * prec * rec / (beta**2 * prec + rec)
+    return (1.0 + beta * beta) * prec * rec / (beta * beta * prec + rec)
 
 
 class TestRegressionMetrics:
@@ -126,7 +128,7 @@ class TestRegressionMetrics:
 class TestNonFiniteMetrics:
     @pytest.mark.parametrize("metric", [mse, r2])
     def test_square_that_overflows_is_typed(self, metric):
-        """The errors are finite; their squares overflow, and ``** 2`` raises OverflowError."""
+        """The errors are finite, and their squares overflow to inf."""
         with pytest.raises(NonFiniteMetric, match=f"^{metric.__name__}: a squared error overflows"):
             metric([0.0, 0.0], [1e200, -1e200])
 
