@@ -855,6 +855,57 @@ class TestOneStreamOneModel:
                     assert outcome(getattr(learner, read)) == outcome(getattr(one_batch(stop), read))
             assert outcome(learner.finalize) == outcome(one_batch(n).finalize)
 
+    @staticmethod
+    def state(learner: IncrementalLinearLearner) -> tuple:
+        """The rows seen, the rows buffered, and the bytes of R' over Q'y and the buffered rows."""
+        p = len(learner._block) - 1
+        return learner._rows, learner._buffered, learner._block[:, :p + learner._buffered].tobytes()
+
+    def assert_same_bytes(self, forget: float, rows, targets, size: int) -> None:
+        """Batches of ``size`` rows leave the state and the model of one batch of the rows and
+        of batches of 7 rows, which start and end nowhere near a fold."""
+        learners_by_size = {size: IncrementalLinearLearner(forget), 7: IncrementalLinearLearner(forget)}
+        for batch, learner in learners_by_size.items():
+            feed(learner, rows, targets, batch)
+        whole = IncrementalLinearLearner(forget)
+        whole.update(*batch_of(rows, targets))
+        for learner in learners_by_size.values():
+            assert self.state(learner) == self.state(whole)
+            assert outcome(learner.finalize) == outcome(whole.finalize)
+
+    def test_same_bytes_across_the_real_fold(self):
+        """12 000 rows of 5 inputs in batches of 32 cross the fold of 4 096 rows twice, and
+        leave 3 808 rows buffered."""
+        rng = np.random.default_rng(23)
+        rows, targets = rng.normal(size=(12_000, 6)) * 100.0, rng.normal(size=12_000)
+        assert learners._FOLD_ROWS == 4_096
+        self.assert_same_bytes(0.9999, rows, targets, 32)
+        learner = IncrementalLinearLearner(0.9999)
+        feed(learner, rows, targets, 32)
+        assert self.state(learner)[:2] == (12_000, 12_000 - 2 * 4_096)
+
+    @pytest.mark.parametrize("forget", [1.0, 0.9, 8.1e-49])
+    @pytest.mark.parametrize("dim", [2, 6])
+    @pytest.mark.parametrize("size, count", [(32, 113), (32, 700), (1, 300), (5_000, 1)],
+                             ids=["113x32", "700x32", "300x1", "1x5000"])
+    def test_same_bytes_for_the_shapes_the_layout_changes(self, size, count, dim, forget):
+        """With the real fold of 4 096 rows: 113 batches of 32 (no fold, only the read's fold
+        into a copy), 700 batches of 32 (five folds, then 1 920 rows buffered), 300 one-row
+        batches as the active learner feeds them, and one batch larger than the buffer, split
+        inside one update. Over a full fold the powers of sqrt(8.1e-49) underflow to 0."""
+        rng = np.random.default_rng(size * count + dim)
+        rows, targets = rng.normal(size=(size * count, dim)) * 100.0, rng.normal(size=size * count)
+        self.assert_same_bytes(forget, rows, targets, size)
+
+    def test_empty_batches_do_not_pile_up(self):
+        """An empty batch buffers no row and leaves the learner never updated."""
+        learner = IncrementalLinearLearner()
+        for _ in range(100):
+            learner.update(Dataset({"a": np.empty(0)}), Dataset({"y": np.empty(0)}))
+            assert (learner._rows, learner._buffered) == (0, 0)
+        with pytest.raises(NeverUpdated):
+            learner.finalize()
+
     def test_queue_memory_stays_bounded(self):
         """200 000 rows in batches of 32, each batch in new arrays: the traced peak stays
         near the fold buffer of 4 096 rows and its fold's temporaries (under 1 MiB at six
