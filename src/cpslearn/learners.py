@@ -41,7 +41,6 @@ from .transforms import _check, _column_name, _distinct_names, _number, _positiv
 MODEL_FORMAT_VERSION = 1
 MODEL_FILE_SUFFIX = ".fcm.json"
 
-_SPLIT_TIE_EPS = 1e-12
 # The candidate cuts one pass of the split search scores: a node of n rows scores
 # max(1, _BLOCK // n) features at once.
 _BLOCK = 1 << 14
@@ -461,49 +460,31 @@ def _best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int, orders
     (:func:`_presort` gives it for every row). Candidates are midpoints
     between consecutive distinct sorted feature values; the score is the
     weighted child variance. Features are scanned in index order and each
-    feature's candidates in ascending threshold order. A candidate replaces
-    the incumbent only when its score is below the incumbent's by more than
-    1e-12 (the first candidate seen is always taken), so ties resolve to the
-    lowest feature index, then the lowest threshold. None means that no
-    feature has two distinct values in the node.
+    feature's candidates in ascending threshold order, and the first least
+    score wins: a tie resolves to the lowest feature index, then the lowest
+    threshold. No tolerance enters the comparison, so the split does not
+    depend on the target's unit: targets scaled by a power of two scale every
+    score by its square, exactly. None means that no feature has two
+    distinct values in the node.
 
     **Scores.** :func:`_scores` runs the elementwise operations of the
     scalar expression ``(n_l * max(0, s2_l/n_l - m_l*m_l) + n_r * max(0,
     ...)) / n``, with ``m_l = s_l/n_l``, in the same order, so each score is
     bit-identical to evaluating it one candidate at a time. No score is NaN:
     the clamp maps NaN to 0.0, and each score is a sum of non-negative terms.
-
-    **Running minima.** Only a candidate whose score is below every earlier
-    one can replace the incumbent. A candidate that replaced became the
-    incumbent, and incumbents only decrease; one that did not was at least
-    the incumbent of its time minus 1e-12, itself at least the current
-    incumbent minus 1e-12. So a score at or above any earlier score, of any
-    feature, never replaces. A block's scores go into one buffer led by the
-    least score of the earlier blocks, a cut between equal values scoring
-    +inf; a cut below the running minimum of the buffer before it is a strict
-    running minimum of the whole scan, and these hold every cut that can
-    replace.
-
-    **Tie rule.** These minima strictly decrease, so the ones below the
-    incumbent minus 1e-12 are a suffix, found in one comparison. From its
-    first, each minimum below the previous one minus 1e-12 replaces it; this
-    run is found in one comparison too. Only the minima after the first step
-    that does not replace go through the rule one at a time, as Python
-    floats (``tolist``), whose subtraction and ``<`` are the same IEEE
-    double operations as numpy's.
+    A cut between equal feature values scores +inf and never wins.
 
     **Blocks.** A node of n rows scores ``max(1, _BLOCK // n)`` features
     per pass: a small node in one pass, a large one feature by feature, so
-    that the working set stays near ``_BLOCK`` cuts. The incumbent and the
-    least score carry from block to block, and the threshold is formed once,
-    for the winning cut.
+    that the working set stays near ``_BLOCK`` cuts. ``np.argmin`` gives a
+    block's first least score, which replaces the incumbent only if it is
+    strictly lower, and the threshold is formed once, for the winning cut.
     """
     p, n = orders.shape
     lo, hi = min_samples_leaf, n - min_samples_leaf + 1  # the cuts are lo, ..., hi - 1
     n_left = np.arange(lo, hi, dtype=np.float64)
     step = max(1, _BLOCK // n)
-    best_score, winner = None, None  # a float, (feature, cut)
-    low = math.inf  # the least score so far
+    best_score, winner = math.inf, None  # a float, (feature, cut)
     for first in range(0, p, step):
         block = orders[first:first + step]
         b, c = len(block), hi - lo
@@ -514,39 +495,16 @@ def _best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: int, orders
         sums = np.cumsum(ys, axis=1)  # sums[:, i - 1] is the sum of the first i sorted targets
         squares = np.cumsum(np.multiply(ys, ys, out=ys), axis=1)
         del ys
-
-        # The block's scores, in one buffer led by the least score of earlier blocks.
-        scores = np.empty(b * c + 1)
-        scores[0] = low
-        _scores(sums[:, lo - 1:hi - 1], squares[:, lo - 1:hi - 1], sums[:, -1:], squares[:, -1:],
-                n_left, n, scores[1:].reshape(b, c))
+        scores = _scores(sums[:, lo - 1:hi - 1], squares[:, lo - 1:hi - 1], sums[:, -1:], squares[:, -1:],
+                         n_left, n, np.empty((b, c)))
         del sums, squares
-        np.copyto(scores[1:].reshape(b, c), np.inf, where=tied)
+        np.copyto(scores, np.inf, where=tied)
         del tied
-        bound = np.minimum.accumulate(scores[:-1])  # the least score before each cut
-        low = min(float(bound[-1]), float(scores[-1]))
-        at = np.flatnonzero(scores[1:] < bound)  # the strict running minima of the scan
-        minima = scores[1:][at]
-        del scores, bound
-        if not at.size:
-            continue
-
-        # The tie rule on the strictly decreasing minima.
-        if best_score is None:
-            start = 0
-        else:
-            beats = np.flatnonzero(minima < best_score - _SPLIT_TIE_EPS)
-            if not beats.size:
-                continue
-            start = int(beats[0])
-        stops = np.flatnonzero(minima[start + 1:] >= minima[start:-1] - _SPLIT_TIE_EPS)
-        last = start + int(stops[0]) if stops.size else minima.size - 1
-        best_score = float(minima[last])
-        for k, value in enumerate(minima[last + 1:].tolist(), last + 1):
-            if value < best_score - _SPLIT_TIE_EPS:
-                best_score, last = value, k
-        f, j = divmod(int(at[last]), c)
-        winner = (first + f, lo + j)
+        at = int(np.argmin(scores))
+        if scores.flat[at] < best_score:
+            best_score = float(scores.flat[at])
+            f, j = divmod(at, c)
+            winner = (first + f, lo + j)
     if winner is None:
         return None
     feature, cut = winner
@@ -642,9 +600,12 @@ def fit_tree(
     mean are those of the rows it holds, summed in the same order.
 
     A node scores every candidate cut once, squaring each child's mean by a
-    multiply, and runs the tie rule only on the cuts that are a running
-    minimum of the scan; :func:`_best_split` shows why this takes the split
-    of scoring the candidates one at a time. No step calls BLAS, so the
+    multiply, and takes the first least score in scan order, with no
+    tolerance; :func:`_best_split` shows why this takes the split of scoring
+    the candidates one at a time. So targets scaled by a power of two give
+    the same splits with every leaf value scaled by it, and an input column
+    scaled by one gives the same splits with its thresholds scaled by it,
+    bit for bit while the values stay normal. No step calls BLAS, so the
     model bytes do not depend on the CPU's kernel.
 
     Raises:

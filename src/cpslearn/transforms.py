@@ -141,13 +141,16 @@ class Standardize(Transform):
     """Rescale float columns to zero mean and unit standard deviation.
 
     The statistics (population standard deviation, divisor N) are computed by
-    :meth:`fit`; columns whose standard deviation falls below 1e-12 are
-    flagged constant and map to zero on apply. ``apply`` checks only the
-    columns it computes: a value that overflows raises ``NonFiniteValue``
-    naming the first such column in the dataset's column order.
+    :meth:`fit`. A column whose minimum equals its maximum is constant, with
+    statistics ``(value, 0.0, True)`` and no standard deviation computed; so
+    is one whose deviations all underflow when squared, with statistics
+    ``(mean, 0.0, True)``. A constant column maps to zero on apply. No threshold
+    enters the test, so a column scaled by a power of two standardizes to
+    the same values, bit for bit, while the squares of its deviations stay
+    normal. ``apply`` checks only the columns it computes: a value that
+    overflows raises ``NonFiniteValue`` naming the first such column in the
+    dataset's column order.
     """
-
-    CONSTANT_EPS = 1e-12
 
     def __init__(self, names: Sequence[str]):
         self.names = list(_setting("names", names, _names))
@@ -158,12 +161,15 @@ class Standardize(Transform):
             raise EmptyDataset("cannot fit standardization on an empty dataset")
         stats = {}
         for name, values in zip(self.names, dataset.floats(self.names)):
+            if values.min() == values.max():
+                stats[name] = (float(values[0]), 0.0, True)
+                continue
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises StatisticsOverflow below
                 mean = float(np.mean(values))
                 std = float(np.std(values))
             if not np.isfinite((mean, std)).all():
                 raise StatisticsOverflow(f"column {name!r}: its mean or standard deviation overflows float64")
-            stats[name] = (mean, std, std < self.CONSTANT_EPS)
+            stats[name] = (mean, std, std == 0.0)
         self._stats = stats
         return self
 

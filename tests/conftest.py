@@ -1,6 +1,8 @@
+import contextlib
 import json
 import os
 import socket
+import sys
 import threading
 from pathlib import Path
 
@@ -42,6 +44,21 @@ def skip_unless_dynamic_arch_openblas() -> None:
     build = f"{blas.get('name', 'unknown')} {blas.get('openblas configuration', '')}".strip()
     if "openblas" not in build.lower() or "DYNAMIC_ARCH" not in build:
         pytest.skip(f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS: {build}")
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames: int):
+    """Set Python's recursion limit to ``frames`` above the current stack depth, and restore
+    the old limit on exit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def sweep_config(csv_path: Path, learner: dict) -> dict:

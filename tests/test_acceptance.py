@@ -199,9 +199,10 @@ def test_criterion_05_metric_oracles():
                 assert M.f_beta(bp, ba, 1.0) == ref_f1(bp, ba)
 
 
-def _brute_force_stump(matrix, y, min_leaf=1):
+def _stump_candidates(matrix, y, min_leaf=1):
+    """Every feature/midpoint stump as (score, feature, threshold, left mean, right mean)."""
     n = len(y)
-    best = None
+    candidates = []
     for feature in range(matrix.shape[1]):
         values = np.unique(matrix[:, feature])
         for low, high in zip(values[:-1], values[1:]):
@@ -211,27 +212,31 @@ def _brute_force_stump(matrix, y, min_leaf=1):
             if n_left < min_leaf or n - n_left < min_leaf:
                 continue
             score = (n_left * np.var(y[mask]) + (n - n_left) * np.var(y[~mask])) / n
-            if best is None or score < best[0] - 1e-12:
-                best = (score, feature, threshold, float(np.mean(y[mask])), float(np.mean(y[~mask])))
-    return best
+            candidates.append((score, feature, threshold, float(np.mean(y[mask])), float(np.mean(y[~mask]))))
+    return candidates
 
 
 def test_criterion_06_learner_oracles():
     with criterion(6, "stump vs brute force (200x), OLS recovery 1e-8, RLS vs OLS 1e-6", 30.0):
         rng = np.random.default_rng(4321)
 
-        for _ in range(200):  # (a) depth-1 tree equals exhaustive best-stump search
+        for _ in range(200):  # (a) depth-1 tree equals an exhaustive best-stump search
             n = int(rng.integers(4, 51))
             p = int(rng.integers(1, 5))
             inputs = random_dataset(rng, n, p)
             y = rng.uniform(0.0, 10.0, size=n)
             model = fit_tree(inputs, Dataset({"y": y}), max_depth=1)
             matrix = np.column_stack([inputs.column(c) for c in inputs.column_names])
-            score, feature, threshold, left, right = _brute_force_stump(matrix, y)
-            assert model.root.feature == feature
-            assert model.root.threshold == threshold
-            assert model.root.left.value == left
-            assert model.root.right.value == right
+            candidates = _stump_candidates(matrix, y)
+            # The tree sums the targets in each feature's sorted order and np.var in row order,
+            # so two features that cut the same rows can score apart in the last bits: the fit
+            # may take any stump within a relative 1e-12 of the least score, with its leaves.
+            least = min(score for score, *_ in candidates)
+            near = {(f, t): (left, right) for score, f, t, left, right in candidates
+                    if score - least <= 1e-12 * least}
+            stump = (model.root.feature, model.root.threshold)
+            assert stump in near
+            assert (model.root.left.value, model.root.right.value) == near[stump]
 
         worst_ols = 0.0
         for _ in range(50):  # (b) OLS recovers noiseless generators

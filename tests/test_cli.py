@@ -13,7 +13,7 @@ import pytest
 from cpslearn import fit_linear, load_model, remote, write_csv
 from cpslearn.cli import build_parser, main
 from cpslearn.config import validate_config, watertank_config
-from conftest import StubServer, skip_unless_dynamic_arch_openblas, sweep_config
+from conftest import StubServer, recursion_headroom, skip_unless_dynamic_arch_openblas, sweep_config
 
 
 @pytest.fixture
@@ -404,7 +404,7 @@ class TestErrorRecords:
 
     def test_tree_past_the_recursion_limit_is_one_record(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
-        data.write_text("u,y\n" + "".join(f"{i},{1.2 ** (i - 1499)!r}\n" for i in range(1500)))
+        data.write_text("u,y\n" + "".join(f"{i},{4.0 ** (i - 99)!r}\n" for i in range(100)))
         cfg = {
             "environment": {"kind": "csv", "path": str(data)},
             "io": {"inputs": ["u"], "outputs": ["y"]},
@@ -414,7 +414,8 @@ class TestErrorRecords:
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        with recursion_headroom(60):  # the 90 training rows chain 89 splits deep
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         record = json.loads(lines[0])["error"]
@@ -536,9 +537,10 @@ class TestErrorRecords:
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_standardize_is_one_record(self, tmp_path, capsys):
-        """Ten finite values of 1e308 sum past float64, so their mean overflows."""
+        """Ten finite values of 1e308 and 9e307 sum past float64, so their mean overflows (a
+        constant column computes no mean)."""
         data = tmp_path / "data.csv"
-        data.write_text("u,y\n" + "".join(f"1e308,{i}\n" for i in range(10)))
+        data.write_text("u,y\n" + "".join(f"{9e307 if i % 2 else 1e308!r},{i}\n" for i in range(10)))
         cfg = {
             "environment": {"kind": "csv", "path": str(data)},
             "transforms": [{"kind": "standardize", "names": ["u"]}],

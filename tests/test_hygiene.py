@@ -9,6 +9,8 @@ is passed outside the tests, only ``dataset.py`` and ``transforms.py`` build a D
 without checking its columns, no module imports ``base64``, so columns have one encoding
 on the wire: their float64 bytes, only ``load_csv`` has a ``global`` statement, so its
 memo is the one process-wide mutable state,
+no module writes a float literal in (0, 1e-9] except as a parameter default, so no absolute
+tolerance ties a result to the unit of the data,
 only ``IncrementalLinearLearner`` names its fold state, so no reader sees R and Q'y
 without the rows still buffered, and ``config.py`` names no local learner class,
 ``DatasetStream`` or ``learn_incremental``, nor the water tank, its sampler or its RK4 step limit,
@@ -234,6 +236,35 @@ def test_power_rule_sees_each_form():
     assert sorted(power_uses(ast.parse(source))) == [
         (2, "**"), (3, "**"), (4, "float_power"), (5, "power"), (6, "pow"), (7, "pow"),
     ]
+
+
+# An absolute tolerance compared with a value that has a unit makes the result depend on that
+# unit: a tree split and a constant-column test once did. A caller-set default may still be one.
+TINY = 1e-9
+
+
+def tiny_literals(tree: ast.AST):
+    """(line, value) for each float literal in (0, TINY] under ``tree`` outside a parameter default;
+    a negative literal is a minus applied to a positive one."""
+    defaults = {id(sub) for node in ast.walk(tree) if isinstance(node, ast.arguments)
+                for default in [*node.defaults, *node.kw_defaults] if default is not None
+                for sub in ast.walk(default)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and type(node.value) is float and 0.0 < node.value <= TINY
+                and id(node) not in defaults):
+            yield node.lineno, node.value
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_writes_a_tiny_float_literal(path):
+    assert list(tiny_literals(ast.parse(path.read_text(encoding="utf-8")))) == []
+
+
+def test_tiny_literal_rule_sees_each_form():
+    source = ("EPS = 1e-12\n"
+              "def f(a=1e-12, *, b=-5e-324, c=1e-3):\n"
+              "    return a < 1e-9 or a > 2e-9 or b == -1e-300 or a == 0.0 or a == 1\n")
+    assert sorted(tiny_literals(ast.parse(source))) == [(1, 1e-12), (3, 1e-300), (3, 1e-9)]
 
 
 # Library names with no library caller, each with the reason it stays.

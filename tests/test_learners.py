@@ -21,6 +21,7 @@ from cpslearn import (
     LinearModel,
     RegressionTreeLearner,
     RegressionTreeModel,
+    SlidingWindow,
     WaterTankActiveEnvironment,
     fit_linear,
     fit_tree,
@@ -31,7 +32,9 @@ from cpslearn import (
     save_model,
 )
 from cpslearn import learners
+from cpslearn.config import watertank_config
 from cpslearn.dataset import NonFiniteValue, TraceColumn
+from cpslearn.environments import WATERTANK_KIND
 from cpslearn.learners import (
     NeverUpdated,
     SchemaMismatch,
@@ -42,7 +45,7 @@ from cpslearn.learners import (
     TreeNode,
     TreeTooDeep,
 )
-from conftest import random_dataset
+from conftest import random_dataset, recursion_headroom
 
 
 def brute_force_stump(matrix: np.ndarray, y: np.ndarray, min_leaf: int = 1):
@@ -58,7 +61,7 @@ def brute_force_stump(matrix: np.ndarray, y: np.ndarray, min_leaf: int = 1):
             if n_left < min_leaf or n - n_left < min_leaf:
                 continue
             score = (n_left * np.var(y[mask]) + (n - n_left) * np.var(y[~mask])) / n
-            if best is None or score < best[0] - 1e-12:
+            if best is None or score < best[0]:
                 best = (score, feature, threshold, float(np.mean(y[mask])), float(np.mean(y[~mask])))
     return best
 
@@ -84,7 +87,7 @@ def reference_best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: in
                 0.0, (total_sq - squares[i]) / n_right - square((total - sums[i]) / n_right)
             )
             score = (n_left * var_left + n_right * var_right) / n
-            if best is None or score < best[0] - 1e-12:
+            if best is None or score < best[0]:
                 best = (score, feature, (xs[i - 1] + xs[i]) / 2.0)
     return best
 
@@ -479,11 +482,13 @@ class TestRegressionTree:
         assert model_from_dict(json.loads(json.dumps(model.to_dict()))).to_dict() == fit_tree(*fit, 2).to_dict()
 
     def test_tree_past_the_recursion_limit_is_typed(self):
-        # Exponential targets peel one row off per split: a chain 1 499 nodes deep.
-        x = np.arange(1500.0)
-        y = 1.2 ** x / 1.2 ** x[-1]
-        with pytest.raises(TreeTooDeep, match="max_depth=10000"):
+        # Targets 4^(i - 99): the best split peels the largest row off, so the tree is a
+        # chain 99 splits deep, past a limit 60 frames above the caller.
+        x = np.arange(100.0)
+        y = 4.0 ** (x - 99)
+        with recursion_headroom(60), pytest.raises(TreeTooDeep, match="max_depth=10000"):
             fit_tree(Dataset({"x": x}), Dataset({"y": y}), max_depth=10_000)
+        assert tree_depth(fit_tree(Dataset({"x": x}), Dataset({"y": y}), max_depth=10_000).root) == 99
 
     @pytest.mark.parametrize("max_depth", [0, 1, 5])
     def test_overflowing_targets_are_typed(self, max_depth):
@@ -551,6 +556,90 @@ class TestRegressionTree:
             assert model.root.threshold == threshold
             assert model.root.left.value == left_value
             assert model.root.right.value == right_value
+
+
+def scaled_column(data: Dataset, name: str, k: int) -> Dataset:
+    """``data`` with column ``name`` multiplied by 2^k, which is exact in the normal range."""
+    return Dataset([(c, np.ldexp(data.column(c), k) if c == name else data.column(c)) for c in data.column_names])
+
+
+def fit_kind(kind: str, train: Dataset, io: IoSpec):
+    """The model a config of learner ``kind`` at its default settings learns from ``train``."""
+    learner_class, drive, _ = learners.LOCAL_KINDS[kind]
+    return drive(learner_class, train, io)
+
+
+def predicted(model, rows: Dataset) -> np.ndarray:
+    return model.predict(rows.select(model.input_columns)).column(model.output_column)
+
+
+@st.composite
+def unit_problems(draw):
+    """A learner kind, a training set of 2-60 rows and 1-3 uniform inputs, and k in [-100, 100].
+    The targets are continuous, rounded to 0.5 so that scores tie, or constant, with magnitudes
+    up to 10: scaled by 2^k they and their squares stay normal."""
+    kind = draw(st.sampled_from(sorted(learners.LOCAL_KINDS)))
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(p + 2 if kind != "regression_tree" else 2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.normal(size=n) * 3.0
+    y_kind = draw(st.sampled_from(["continuous", "rounded", "constant"]))
+    if y_kind == "rounded":
+        y = np.round(y * 2.0) / 2.0
+    elif y_kind == "constant":
+        y = np.full(n, y[0])
+    train = Dataset([*((f"x{j}", rng.uniform(-5.0, 5.0, size=n)) for j in range(p)), ("y", y)])
+    return kind, train, IoSpec([f"x{j}" for j in range(p)], ["y"]), draw(st.integers(-100, 100))
+
+
+class TestUnitInvariance:
+    """Metamorphic relations (Chen et al., "Metamorphic Testing: A Review of Challenges and
+    Opportunities", ACM Computing Surveys 51(1), 2018): a learner's model does not depend on the
+    unit its data is measured in. Scaling by 2^k is exact, so each relation holds bit for bit.
+    Each drawn example fits two models of at most 60 rows: under 10 ms."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(unit_problems())
+    def test_targets_times_a_power_of_two_scale_every_prediction(self, problem):
+        kind, train, io, k = problem
+        expected = np.ldexp(predicted(fit_kind(kind, train, io), train), k)
+        assert predicted(fit_kind(kind, scaled_column(train, "y", k), io), train).tobytes() == expected.tobytes()
+
+    @settings(deadline=None, max_examples=100)
+    @given(unit_problems(), st.data())
+    def test_an_input_times_a_power_of_two_keeps_every_prediction(self, problem, data):
+        kind, train, io, k = problem
+        if kind == "incremental_linear":
+            kind = "linear"  # its ridge prior is absolute, so it depends on the input units
+        name = data.draw(st.sampled_from(io.inputs))
+        expected = predicted(fit_kind(kind, train, io), train)
+        scaled = scaled_column(train, name, k)
+        assert predicted(fit_kind(kind, scaled, io), scaled).tobytes() == expected.tobytes()
+
+    @pytest.fixture(scope="class")
+    def paper(self):
+        """The training rows and io of ``watertank_config``'s scenario."""
+        cfg = watertank_config()
+        sample, _ = WATERTANK_KIND
+        raw = sample(**{key: value for key, value in cfg["environment"].items() if key != "kind"}).observe()
+        train, _ = SlidingWindow(3).apply(raw).split(cfg["split_fraction"])
+        return train, IoSpec(cfg["io"]["inputs"], cfg["io"]["outputs"])
+
+    @pytest.mark.parametrize("kind", sorted(learners.LOCAL_KINDS))
+    @pytest.mark.parametrize("k", [-40, -20, -10, 10])
+    def test_paper_targets_times_a_power_of_two(self, paper, kind, k):
+        train, io = paper
+        expected = np.ldexp(predicted(fit_kind(kind, train, io), train), k)
+        assert predicted(fit_kind(kind, scaled_column(train, "x_2", k), io), train).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["linear", "regression_tree"])
+    @pytest.mark.parametrize("k", [-30, -3, 5, 30])
+    def test_paper_input_times_a_power_of_two(self, paper, kind, k):
+        train, io = paper
+        expected = predicted(fit_kind(kind, train, io), train)
+        for name in io.inputs:
+            scaled = scaled_column(train, name, k)
+            assert predicted(fit_kind(kind, scaled, io), scaled).tobytes() == expected.tobytes(), name
 
 
 # The exact oracle's integers carry a bits per row for a forgetting factor L / 2^a, so its cost

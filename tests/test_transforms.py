@@ -181,11 +181,24 @@ class TestStandardize:
         assert abs(np.mean(out)) < 1e-10
         assert abs(np.std(out) - 1.0) < 1e-10
 
-    def test_constant_column_maps_to_zero(self):
-        d = Dataset({"a": [5.0, 5.0]})
+    @pytest.mark.parametrize("values", [[5.0, 5.0], [123456.789] * 10, [1e300] * 10, [0.0, 5e-324]],
+                             ids=["small", "std-rounds-to-1.46e-11", "std-overflows", "deviations-underflow"])
+    def test_constant_column_maps_to_zero(self, values):
+        """np.std reads 1.46e-11 for the second column and overflows for the third, so neither
+        is computed; the last column's deviations underflow when squared, and its mean is 0.0."""
+        d = Dataset({"a": values})
         t = Standardize(["a"]).fit(d)
-        assert t.fitted_stats["a"][2] is True
-        assert t.apply(d).column("a").tolist() == [0.0, 0.0]
+        assert t.fitted_stats["a"] == (values[0], 0.0, True)
+        assert t.apply(d).column("a").tolist() == [0.0] * len(values)
+
+    @pytest.mark.parametrize("k", [-45, -300, 300])
+    def test_a_column_scaled_by_a_power_of_two_standardizes_alike(self, k):
+        d = Dataset({"a": [1.0, 2.0, 3.0]})
+        scaled = Dataset({"a": np.ldexp([1.0, 2.0, 3.0], k)})
+        t = Standardize(["a"]).fit(scaled)
+        mean, std, constant = Standardize(["a"]).fit(d).fitted_stats["a"]
+        assert t.fitted_stats["a"] == (math.ldexp(mean, k), math.ldexp(std, k), constant)
+        assert t.apply(scaled).column("a").tobytes() == Standardize(["a"]).fit(d).apply(d).column("a").tobytes()
 
     def test_apply_before_fit(self):
         with pytest.raises(NotFitted):
