@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import config as cfgmod
@@ -50,11 +51,23 @@ def _run_and_write(cfg: dict, out_dir: str | None) -> int:
     if out_dir is None:
         out_dir = cfg.get("output_dir", ".")
     report_path, model_path = cfgmod.write_result(result, out_dir)
-    print(f"report: {report_path}")
-    print(f"model:  {model_path}")
-    for name, value in result.report.entries:
-        print(f"  {name}: {value}")
+    try:
+        print(f"report: {report_path}")
+        print(f"model:  {model_path}")
+        for name, value in result.report.entries:
+            print(f"  {name}: {value}")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the outputs are written; only the summary lost its reader
+        _quiet_stdout()
     return 0
+
+
+def _quiet_stdout() -> None:
+    """Point stdout's file descriptor at ``os.devnull``, so that the flush at exit does not raise
+    BrokenPipeError again (the ``signal`` module docs' note on SIGPIPE)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _cmd_run(args) -> int:

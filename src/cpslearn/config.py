@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 from pathlib import Path
 
 from . import remote
@@ -268,14 +269,27 @@ def run_config(cfg: dict) -> PipelineResult:
 
 
 def write_result(result: PipelineResult, out_dir) -> tuple[Path, Path]:
-    """Write report.json and model.fcm.json into ``out_dir``; returns the paths."""
+    """Write report.json and model.fcm.json into ``out_dir``; returns the paths.
+
+    Each file is written under a temporary name in ``out_dir`` and renamed into place, the model
+    first and the report second, so a new report never stands without the model it names; on
+    failure the temporary files are removed. This gives consistency, not durability: nothing is
+    synced to disk.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
     model_path = out / f"model{MODEL_FILE_SUFFIX}"
     body = json.dumps(result.report_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    report_path.write_text(body, encoding="utf-8")
-    save_model(result.model, model_path)
+    staged = {path: out / f".{path.name}.{os.urandom(8).hex()}.tmp" for path in (model_path, report_path)}
+    try:
+        save_model(result.model, staged[model_path])
+        staged[report_path].write_text(body, encoding="utf-8")
+        for path, temporary in staged.items():
+            os.replace(temporary, path)
+    finally:
+        for temporary in staged.values():
+            temporary.unlink(missing_ok=True)
     return report_path, model_path
 
 

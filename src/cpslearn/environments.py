@@ -235,7 +235,7 @@ class WaterTankSystem:
 # The most RK4 steps one sample_trajectory or advance call may take: about 36 s at the
 # ~360 ns per step of one 10^6-step interval, measured on a 2-vCPU Xeon with Python 3.11
 # and numpy 2.4. The paper's run takes 24 900.
-_MAX_RK4_STEPS = 10**8
+_MAX_RK4_STEPS = 100_000_000
 
 
 def _rk4_steps(period: float, substep: float, name: str, samples: int = 2) -> tuple[int, float]:
@@ -263,7 +263,7 @@ def _rk4_steps(period: float, substep: float, name: str, samples: int = 2) -> tu
 # The most RK4 steps in one block, whose time points, two per step, go to the inflow in one call. A
 # block's arrays and lists peak at about 1 MB; blocks of 2^12 to 2^15 steps took 9.0 to 9.4 ms for the
 # paper's trajectory (2-vCPU Xeon), 2^13 the least.
-_BLOCK_STEPS = 2**13
+_BLOCK_STEPS = 1 << 13
 
 
 def _inflow(inflow, points: np.ndarray):

@@ -36,6 +36,7 @@ from . import strategies
 from .dataset import Dataset, _is_int, _is_number, _names, _non_negative_int
 from .environments import ActionSpace, DatasetStream, OfflineEnvironment
 from .errors import PipelineError
+from .metrics import _fold_sum
 from .transforms import _check, _column_name, _distinct_names, _number, _positive, _positive_int, _setting
 
 MODEL_FORMAT_VERSION = 1
@@ -115,25 +116,6 @@ def _check_input_columns(inputs: Dataset, input_columns: tuple[str, ...]) -> Non
         )
 
 
-# The exact kernels. Each adds in the order its code states, by elementwise ufuncs or on Python
-# floats, and never calls BLAS or ``np.add.reduce`` (whose order numpy picks from the memory layout),
-# so its bits depend on its inputs alone: not on the BLAS kernel, the CPU's features or the layout.
-
-def _fold_sum(terms: np.ndarray) -> np.ndarray:
-    """The sums of ``terms`` over its last axis, of length 1 or more, which it overwrites.
-
-    While m > 1 terms are left, term ``i + ceil(m/2)`` is added onto term i for each
-    ``i < floor(m/2)`` and the first ``ceil(m/2)`` terms are kept: a pairwise order fixed by the
-    length alone, with a rounding error of at most ``ceil(log2 m) eps`` times the sum of magnitudes.
-    """
-    m = terms.shape[-1]
-    while m > 1:
-        half = m - m // 2
-        terms[..., :m // 2] += terms[..., half:m]
-        m = half
-    return terms[..., 0]
-
-
 def _row_product(matrix: np.ndarray, weights: list, intercept: float) -> np.ndarray:
     """Each row's ``0.0 + x_0 w_0 + x_1 w_1 + ... + intercept``, added left to right."""
     out = np.zeros(len(matrix))
@@ -180,11 +162,8 @@ def _rank_rule(rows: np.ndarray, n: int) -> None:
     p = len(rows) - 1
     tolerance = max(n, p) * np.finfo(np.float64).eps
     for k in range(p):
-        column = rows[k, :k + 1].tolist()  # R[:k+1, k]
-        squares = 0.0
-        for value in column:
-            squares += value * value
-        if not abs(column[k]) > tolerance * math.sqrt(squares):
+        column = rows[k, :k + 1]  # R[:k+1, k]
+        if not abs(column[k]) > tolerance * math.sqrt(_fold_sum(column * column)):
             raise SingularDesign(
                 f"design matrix is rank deficient: design column {k} (the inputs, then the intercept) "
                 f"is within {tolerance:.3g} of its norm of the span of the columns before it"
@@ -553,16 +532,18 @@ def _grow_tree(matrix, y, rows, orders, depth, max_depth, min_samples_leaf) -> T
 
     ``orders`` holds the same rows once per feature, in stable ascending order
     of that feature, or is None at ``max_depth``, where a node is a leaf and
-    searches nothing. A child filters its parent's rows and orders by the
-    split mask; this keeps each child's rows in their original relative order,
-    so the filtered order is exactly the child's own stable argsort.
+    searches nothing. A node whose targets are all equal is a leaf too, and a
+    leaf's value is the ``_fold_sum`` of its targets, in row order, over their
+    count. A child filters its parent's rows and orders by the split mask;
+    this keeps each child's rows in their original relative order, so the
+    filtered order is exactly the child's own stable argsort.
     """
     node_y = y[rows]
-    if depth >= max_depth or len(rows) < 2 * min_samples_leaf or np.var(node_y) == 0.0:
-        return TreeNode(value=float(np.mean(node_y)), samples=len(rows))
-    split = _best_split(matrix, y, min_samples_leaf, orders)
-    if split is None:  # all features constant within this node
-        return TreeNode(value=float(np.mean(node_y)), samples=len(rows))
+    split = None
+    if depth < max_depth and len(rows) >= 2 * min_samples_leaf and node_y.min() != node_y.max():
+        split = _best_split(matrix, y, min_samples_leaf, orders)
+    if split is None:  # a leaf, or all features constant within this node
+        return TreeNode(value=float(_fold_sum(node_y)) / len(rows), samples=len(rows))
     del node_y
     _, feature, threshold = split
     p = len(orders)
@@ -587,8 +568,8 @@ def fit_tree(
 
     At each node the (feature, threshold) pair minimizing the weighted child
     variance is chosen; recursion stops at ``max_depth`` (0 yields a single
-    leaf), on pure nodes, or when a child would fall below
-    ``min_samples_leaf`` rows.
+    leaf), on pure nodes (whose least target equals their greatest), or when
+    a child would fall below ``min_samples_leaf`` rows.
 
     Each feature is argsorted once per fit (``kind="stable"``), and every node
     searches its split in its share of these orders. This is exact: a child
@@ -596,8 +577,9 @@ def fit_tree(
     parent's order by the child's mask gives the child's own stable argsort,
     ties included (in row order; ``-0.0`` ties ``0.0``). Children at
     ``max_depth`` are leaves, which search nothing, so they carry no orders. A
-    node's targets ``y[rows]`` stay in row order, so its variance and leaf
-    mean are those of the rows it holds, summed in the same order.
+    leaf's value is the :func:`~cpslearn.metrics._fold_sum` of its targets
+    ``y[rows]``, in row order, over their count; the overflow guard below adds
+    by the same rule.
 
     A node scores every candidate cut once, squaring each child's mean by a
     multiply, and takes the first least score in scan order, with no
@@ -613,8 +595,8 @@ def fit_tree(
             ``min_samples_leaf must be a positive integer, got ...``.
         ShapeMismatch: if row counts differ or outputs are not one column.
         TooFewSamples: if fewer than ``2 * min_samples_leaf`` rows are given.
-        TargetsOverflow: if the targets' sum overflows float64, or, when ``max_depth`` > 0,
-            their sum of squares, which bounds every sum and variance of the split search.
+        TargetsOverflow: if the targets' ``_fold_sum`` overflows float64, or, when ``max_depth`` > 0,
+            that of their squares, which bounds every sum and variance of the split search.
         TreeTooDeep: if the tree grows deeper than Python's recursion limit
             allows; a smaller ``max_depth`` bounds it.
     """
@@ -626,7 +608,7 @@ def fit_tree(
             f"{inputs.row_count} rows < 2 * min_samples_leaf = {2 * min_samples_leaf}"
         )
     with np.errstate(over="ignore"):  # a single leaf sums the targets; a split search squares them
-        total = np.sum(y * y) if max_depth > 0 else np.sum(y)
+        total = _fold_sum(y * y) if max_depth > 0 else _fold_sum(y.copy())
     if not np.isfinite(total):
         raise TargetsOverflow(f"the targets in column {outputs.column_names[0]!r} are too large: "
                               "their sums overflow float64")

@@ -8,12 +8,14 @@ of distinct column names, ``Explode`` and ``Standardize`` a non-empty one, each 
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dataset import Dataset, NonFiniteValue, _check, _is_int, _is_number, _names, _setting, _unchecked_dataset
 from .errors import PipelineError
+from .metrics import _fold_sum
 
 
 class NotAListColumn(PipelineError):
@@ -134,14 +136,17 @@ class Explode(Transform):
                 columns.append((name, tuple(cell for cell, k in zip(values, counts) for _ in range(k))))
             else:
                 columns.append((name, np.repeat(values, counts)))
-        return Dataset(columns, row_count=int(counts.sum()))
+        return Dataset(columns)
 
 
 class Standardize(Transform):
     """Rescale float columns to zero mean and unit standard deviation.
 
-    The statistics (population standard deviation, divisor N) are computed by
-    :meth:`fit`. A column whose minimum equals its maximum is constant, with
+    The statistics are computed by :meth:`fit`: the mean is the column's
+    ``_fold_sum`` (the library's one sum rule) over N, and the population
+    standard deviation the square root of the ``_fold_sum`` of the squared
+    deviations from that mean over N, as ``np.std`` computes it but in a stated
+    order. A column whose minimum equals its maximum is constant, with
     statistics ``(value, 0.0, True)`` and no standard deviation computed; so
     is one whose deviations all underflow when squared, with statistics
     ``(mean, 0.0, True)``. A constant column maps to zero on apply. No threshold
@@ -165,8 +170,9 @@ class Standardize(Transform):
                 stats[name] = (float(values[0]), 0.0, True)
                 continue
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises StatisticsOverflow below
-                mean = float(np.mean(values))
-                std = float(np.std(values))
+                mean = float(_fold_sum(values.copy())) / len(values)
+                deviations = values - mean
+                std = math.sqrt(float(_fold_sum(deviations * deviations)) / len(values))
             if not np.isfinite((mean, std)).all():
                 raise StatisticsOverflow(f"column {name!r}: its mean or standard deviation overflows float64")
             stats[name] = (mean, std, std == 0.0)

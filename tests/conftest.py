@@ -76,6 +76,24 @@ def sweep_config(csv_path: Path, learner: dict) -> dict:
     }
 
 
+def pairwise_sum(values) -> float:
+    """The library's sum rule as a loop over Python floats: while m > 1 terms are left, term
+    ``i + ceil(m/2)`` is added onto term i for each ``i < floor(m/2)``. An oracle adds by this,
+    never by the builtin ``sum``, which compensates its float sums since Python 3.12."""
+    terms = [float(v) for v in values]
+    m = len(terms)
+    while m > 1:
+        half = m - m // 2
+        for i in range(m // 2):
+            terms[i] += terms[half + i]
+        m = half
+    return terms[0]
+
+
+def pairwise_mean(values) -> float:
+    return pairwise_sum(values) / len(values)
+
+
 def random_dataset(rng: np.random.Generator, rows: int, columns: int, prefix: str = "c") -> Dataset:
     return Dataset(
         [(f"{prefix}{i}", rng.uniform(-5.0, 5.0, size=rows)) for i in range(columns)]

@@ -40,7 +40,7 @@ from cpslearn import metrics as M
 from cpslearn.config import run_config, watertank_config
 from cpslearn.environments import zero_inflow
 from cpslearn.remote import ConnectionClosed, LearnerServer, connect
-from conftest import concat_rows, random_dataset
+from conftest import concat_rows, pairwise_mean, pairwise_sum, random_dataset
 
 
 @contextmanager
@@ -113,17 +113,10 @@ def test_criterion_04_ode_matches_closed_form():
 
 def _reference_loops():
     def ref_mae(p, a):
-        s = 0.0
-        for pi, ai in zip(p, a):
-            s += abs(pi - ai)
-        return s / len(p)
+        return pairwise_sum(abs(pi - ai) for pi, ai in zip(p, a)) / len(p)
 
     def ref_mse(p, a):
-        s = 0.0
-        for pi, ai in zip(p, a):
-            error = pi - ai
-            s += error * error
-        return s / len(p)
+        return pairwise_sum((pi - ai) * (pi - ai) for pi, ai in zip(p, a)) / len(p)
 
     def ref_max_error(p, a):
         m = 0.0
@@ -132,15 +125,9 @@ def _reference_loops():
         return m
 
     def ref_r2(p, a):
-        s = 0.0
-        for ai in a:
-            s += ai
-        mean = s / len(a)
-        num = den = 0.0
-        for pi, ai in zip(p, a):
-            residual, deviation = ai - pi, ai - mean
-            num += residual * residual
-            den += deviation * deviation
+        mean = pairwise_mean(a)
+        num = pairwise_sum((ai - pi) * (ai - pi) for pi, ai in zip(p, a))
+        den = pairwise_sum((ai - mean) * (ai - mean) for ai in a)
         return 1.0 - num / den
 
     def counts(p, a):
@@ -178,7 +165,7 @@ def _reference_loops():
 
 
 def test_criterion_05_metric_oracles():
-    with criterion(5, "all 8 metrics equal naive reference loops bit-for-bit on 1000 inputs", 5.0):
+    with criterion(5, "all 8 metrics equal pairwise reference loops bit-for-bit on 1000 inputs", 5.0):
         ref_mae, ref_mse, ref_max, ref_r2, ref_acc, ref_prec, ref_rec, ref_f1 = _reference_loops()
         rng = np.random.default_rng(1234)
         with warnings.catch_warnings():
@@ -211,8 +198,10 @@ def _stump_candidates(matrix, y, min_leaf=1):
             n_left = int(mask.sum())
             if n_left < min_leaf or n - n_left < min_leaf:
                 continue
-            score = (n_left * np.var(y[mask]) + (n - n_left) * np.var(y[~mask])) / n
-            candidates.append((score, feature, threshold, float(np.mean(y[mask])), float(np.mean(y[~mask]))))
+            left, right = pairwise_mean(y[mask]), pairwise_mean(y[~mask])
+            score = (pairwise_sum((v - left) * (v - left) for v in y[mask])
+                     + pairwise_sum((v - right) * (v - right) for v in y[~mask])) / n
+            candidates.append((score, feature, threshold, left, right))
     return candidates
 
 
@@ -228,8 +217,8 @@ def test_criterion_06_learner_oracles():
             model = fit_tree(inputs, Dataset({"y": y}), max_depth=1)
             matrix = np.column_stack([inputs.column(c) for c in inputs.column_names])
             candidates = _stump_candidates(matrix, y)
-            # The tree sums the targets in each feature's sorted order and np.var in row order,
-            # so two features that cut the same rows can score apart in the last bits: the fit
+            # The tree sums the targets in each feature's sorted order and this oracle in row
+            # order, so two features that cut the same rows can score apart in the last bits: the fit
             # may take any stump within a relative 1e-12 of the least score, with its leaves.
             least = min(score for score, *_ in candidates)
             near = {(f, t): (left, right) for score, f, t, left, right in candidates

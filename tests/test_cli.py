@@ -1,4 +1,6 @@
 import argparse
+import errno
+import io
 import json
 import os
 import re
@@ -722,3 +724,66 @@ class TestErrorRecords:
             "message": "malformed response: fit_ack 'model' must be a string, got None",
         }
         assert not (tmp_path / "out").exists()
+
+
+class ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError. Its file descriptor is
+    ``fd``, so that the CLI can point it elsewhere."""
+
+    def __init__(self, fd: int):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self._fd
+
+
+class TestOutputFiles:
+    def test_report_names_the_model_beside_it(self, tmp_path):
+        assert main(["watertank", "--learner", "linear", "--out", str(tmp_path)]) == 0
+        assert read_report(tmp_path)["model"] == load_model(tmp_path / "model.fcm.json").model_id
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["model.fcm.json", "report.json"]
+
+    @pytest.mark.parametrize("old_report", [None, b"an earlier report\n"], ids=["none", "earlier"])
+    def test_a_model_that_cannot_be_written_leaves_no_new_report(self, tmp_path, capsys, old_report):
+        """The model is renamed into place first, so a failure there leaves the report as it was."""
+        (tmp_path / "model.fcm.json").mkdir()
+        if old_report is not None:
+            (tmp_path / "report.json").write_bytes(old_report)
+        assert main(["watertank", "--learner", "linear", "--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["error"] == "IsADirectoryError"
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names == (["model.fcm.json"] if old_report is None else ["model.fcm.json", "report.json"])
+        if old_report is not None:
+            assert (tmp_path / "report.json").read_bytes() == old_report
+
+    def test_a_closed_stdout_after_the_outputs_are_written_exits_0(self, tmp_path, capsys, monkeypatch):
+        """The summary lines have no reader: the run exits 0 with no record, and stdout's file
+        descriptor is pointed at os.devnull so that the flush at exit does not raise."""
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedStdout(fd))
+            assert main(["watertank", "--learner", "linear", "--out", str(tmp_path / "out")]) == 0
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == ""
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == ["model.fcm.json", "report.json"]
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_a_pipe_with_no_reader_exits_0(self, tmp_path, unbuffered):
+        """A real pipe whose read end is closed before the run starts, as ``| head -c 0`` leaves it;
+        with a buffered stdout the error comes from the flush, not from ``print``."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run([sys.executable, "-m", "cpslearn.cli", "watertank", "--learner", "linear",
+                                  "--out", str(tmp_path)], stdout=write_end, stderr=subprocess.PIPE,
+                                 env={**os.environ, "PYTHONUNBUFFERED": unbuffered}, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["model.fcm.json", "report.json"]

@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 
 from cpslearn import Dataset, DatasetStream, OdeEnvironment, OfflineEnvironment, WaterTankSystem
 from cpslearn.config import (
+    _TOP_LEVEL_KEYS,
+    ENVIRONMENT_KINDS,
+    LEARNER_KINDS,
+    TRANSFORM_KINDS,
     run_config,
     validate_config,
     watertank_config,
@@ -25,9 +29,9 @@ ENVIRONMENT_NAMES = "['ode_watertank', 'csv', 'json']"
 LEARNER_NAMES = "['regression_tree', 'linear', 'incremental_linear', 'remote']"
 
 
-def mutated(path, value):
-    """The benchmark config with the field at ``path`` set to ``value`` (or deleted)."""
-    cfg = copy.deepcopy(watertank_config())
+def mutated(path, value, base=None):
+    """``base``, by default the benchmark config, with the field at ``path`` set to ``value`` (or deleted)."""
+    cfg = copy.deepcopy(watertank_config() if base is None else base)
     *parents, last = path
     target = cfg
     for key in parents:
@@ -387,3 +391,99 @@ def test_validation_never_raises_on_json(path, value):
     cfg = json.loads(json.dumps(mutated(path, value)))
     diags = validate_config(cfg)
     assert isinstance(diags, list) and all(isinstance(d, str) for d in diags)
+
+
+def small_tank(learner: str = "tree", transforms=None) -> dict:
+    """The benchmark config on 30 samples at a 1e-2 substep: 290 RK4 steps, under 1 ms to sample."""
+    cfg = watertank_config(learner)
+    cfg["environment"].update(samples=30, substep=1e-2)
+    if transforms is not None:
+        cfg["transforms"] = transforms
+    return cfg
+
+
+def file_config(kind: str, path: str, transforms=()) -> dict:
+    """A linear fit of ``y`` on ``u`` read from the file at ``path``."""
+    return {"environment": {"kind": kind, "path": path}, "transforms": list(transforms),
+            "io": {"inputs": ["u"], "outputs": ["y"]}, "split_fraction": 0.5, "learner": {"kind": "linear"},
+            "metrics": ["mae"]}
+
+
+# Trace columns ``a`` and ``b`` whose lengths differ row by row, so exploding one or the other
+# repeats the scalar columns ``u`` and ``y`` a different number of times.
+TRACES = [{"a": [1.0, 2.0, 3.0], "b": [1.0], "u": float(i), "y": float(i * i)} if i % 2 else
+          {"a": [1.0], "b": [1.0, 2.0, 3.0], "u": float(i), "y": float(i * i)} for i in range(8)]
+
+WINDOW = {"kind": "sliding_window", "window_size": 3}
+
+# setting -> (config, path of the setting in it, two valid values). Paths to files are
+# relative to the test's directory.
+VARIATIONS = {
+    **{f"ode_watertank.{key}": (small_tank(), ("environment", key), a, b) for key, a, b in [
+        ("samples", 30, 40), ("dt", 0.1, 0.2), ("substep", 1e-2, 2e-2), ("initial_level", 1.0, 2.0),
+        ("area", 5.0, 4.0), ("outflow_coeff", 0.5, 0.4), ("inflow_gain", 2.0, 1.0)]},
+    "csv.path": (file_config("csv", "one.csv"), ("environment", "path"), "one.csv", "two.csv"),
+    "json.path": (file_config("json", "one.json"), ("environment", "path"), "one.json", "two.json"),
+    "sliding_window.window_size": (small_tank(), ("transforms", 0, "window_size"), 3, 4),
+    "select.names": (small_tank(transforms=[{"kind": "select", "names": ["V", "x"]}, WINDOW]),
+                     ("transforms", 0, "names"), ["V", "x"], ["t", "V", "x"]),
+    "explode.names": (file_config("json", "traces.json", [{"kind": "explode", "names": ["a"]}]),
+                      ("transforms", 0, "names"), ["a"], ["b"]),
+    "standardize.names": (small_tank(transforms=[WINDOW, {"kind": "standardize", "names": ["V_0"]}]),
+                          ("transforms", 1, "names"), ["V_0"], ["x_0"]),
+    "regression_tree.max_depth": (small_tank(), ("learner", "max_depth"), 1, 2),
+    "regression_tree.min_samples_leaf": (small_tank(), ("learner", "min_samples_leaf"), 1, 5),
+    "incremental_linear.forgetting_factor": (small_tank("incremental_linear"), ("learner", "forgetting_factor"),
+                                             1.0, 0.9),
+    "incremental_linear.regularization": (small_tank("incremental_linear"), ("learner", "regularization"),
+                                          1e-8, 1.0),
+    "incremental_linear.batch_size": (small_tank("incremental_linear"), ("learner", "batch_size"), 32, 5),
+    "split_fraction": (small_tank(), ("split_fraction",), 0.8, 0.5),
+    "seed": (small_tank(), ("seed",), 0, 1),
+    "io": (small_tank(), ("io", "inputs"), ["V_0", "x_0", "V_1", "x_1", "V_2"], ["x_0", "x_1"]),
+    "metrics": (small_tank(), ("metrics",), ["mae"], ["mse"]),
+}
+
+# The settings that no two valid values tell apart in the report or model bytes, each with why.
+# A setting listed here with a variation above is checked to change no byte, so that the list
+# stays true: one that starts to matter must leave it.
+UNVARIED = {
+    "output_dir": "operational: where the files are written, not what they hold",
+    "schema_version": "operational: it has one valid value",
+    "remote.address": "operational: which server learns; the reference server writes the linear run's bytes",
+    "remote.timeout": "operational: how long the client waits, not what is learned",
+    "seed": "no step draws random numbers, so the seed changes no byte (ROADMAP item 4)",
+    "incremental_linear.batch_size": "a stream's model does not depend on its batch sizes (ROADMAP item 21)",
+    "select.names": "a run reads only io's columns, and one whose Select drops such a column fails, "
+                    "so what Select keeps changes no byte of a run that succeeds",
+}
+
+
+def every_setting() -> set[str]:
+    """Each kind's parameters as ``kind.parameter``, and the top-level fields that are not kinds."""
+    kinds = {f"{kind}.{key}" for table in (ENVIRONMENT_KINDS, TRANSFORM_KINDS, LEARNER_KINDS)
+             for kind, (_, params) in table.items() for key in params}
+    return kinds | (_TOP_LEVEL_KEYS - {"environment", "transforms", "learner"})
+
+
+def written_bytes(cfg: dict) -> tuple[str, str]:
+    result = run_config(cfg)
+    return json.dumps(result.report_dict(), sort_keys=True), json.dumps(result.model.to_dict(), sort_keys=True)
+
+
+def test_every_setting_is_varied_or_listed_with_its_reason():
+    assert set(VARIATIONS) | set(UNVARIED) == every_setting()
+
+
+def test_every_setting_has_an_effect(tmp_path, monkeypatch):
+    """Two valid values of each setting give different report or model bytes (ROADMAP item 21's
+    general rule), on a config of at most 40 samples or 20 rows: 44 runs, 0.06 s on a 2-vCPU Xeon."""
+    monkeypatch.chdir(tmp_path)
+    for name, rows in (("one", "0,1\n1,3\n2,5\n3,7\n"), ("two", "0,1\n1,2\n2,5\n3,6\n")):
+        (tmp_path / f"{name}.csv").write_text("u,y\n" + rows)
+        (tmp_path / f"{name}.json").write_text(json.dumps([dict(zip("uy", map(float, row.split(","))))
+                                                           for row in rows.splitlines()]))
+    (tmp_path / "traces.json").write_text(json.dumps(TRACES))
+    same = {setting for setting, (cfg, path, a, b) in VARIATIONS.items()
+            if written_bytes(mutated(path, a, cfg)) == written_bytes(mutated(path, b, cfg))}
+    assert same == set(VARIATIONS) & set(UNVARIED)

@@ -1,9 +1,9 @@
 """Static checks of the package source: every import is used, every export exists, every
-``json.load`` / ``json.loads`` call sits in a try that catches RecursionError, no module
-calls BLAS (no ``@``, ``dot``, ``matmul``, ``einsum`` or ``linalg``), the exact kernels sum
-only in the order their code writes (no ``np.add.reduce``, ``sum`` or ``mean``), the exact
-kernels and the metrics square by a multiply (no ``**``, ``float_power``, ``np.power`` or
-``math.pow``), every
+``json.load`` / ``json.loads`` call sits in a try that catches RecursionError, every module
+keeps one arithmetic rule: it calls no BLAS (no ``@``, ``dot``, ``matmul``, ``einsum`` or
+``linalg``), no numpy reduction (no ``sum``, ``mean``, ``var`` or ``std`` function or method, no
+``np.add.reduce``), so every total is ``metrics._fold_sum``, and no power (no ``**``,
+``float_power``, ``power`` or ``pow``), so every square is a multiply; every
 public name has a caller outside the tests, every defaulted parameter of a public callable
 is passed outside the tests, only ``dataset.py`` and ``transforms.py`` build a Dataset
 without checking its columns, no module imports ``base64``, so columns have one encoding
@@ -132,109 +132,50 @@ def test_base64_rule_sees_each_form():
     assert [line for line, module in imported_modules(ast.parse(source)) if module == "base64"] == [1, 2, 3, 5]
 
 
-# numpy names that call BLAS (or LAPACK), whose result depends on the CPU kernel it picks.
+# What the one arithmetic rule refuses, by the name a module reads. BLAS (or LAPACK) names pick
+# their order from the CPU's kernel; numpy's reductions pick theirs from the memory layout, where
+# ``metrics._fold_sum`` states one; ``pow`` is the C library's, which IEEE 754 does not require to
+# round correctly, where a multiply it rounds correctly on every host.
 BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+REDUCTION_NAMES = {"sum", "mean", "var", "std"}
+POWER_NAMES = {"float_power", "power", "pow"}
 
 
-def blas_uses(node: ast.AST):
-    """(line, what) for each ``@`` and each BLAS name read under ``node``."""
+def arithmetic_uses(node: ast.AST):
+    """(line, what) for each ``@``, ``**``, ``np.add.reduce``, BLAS or power name, and
+    reduction function or method read under ``node``. A reduction is refused as an attribute
+    only: a bare ``mean`` or ``std`` is a local float, and the builtin ``sum`` adds Python ints."""
     for sub in ast.walk(node):
-        if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.MatMult):
-            yield sub.lineno, "@"
-        elif isinstance(sub, ast.Attribute) and sub.attr in BLAS_NAMES:
+        if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, (ast.MatMult, ast.Pow)):
+            yield sub.lineno, "@" if isinstance(sub.op, ast.MatMult) else "**"
+        elif isinstance(sub, ast.Attribute) and sub.attr in BLAS_NAMES | REDUCTION_NAMES | POWER_NAMES:
             yield sub.lineno, sub.attr
-        elif isinstance(sub, ast.Name) and sub.id in BLAS_NAMES:
+        elif isinstance(sub, ast.Attribute) and sub.attr == "reduce" and getattr(sub.value, "attr", None) == "add":
+            yield sub.lineno, "add.reduce"
+        elif isinstance(sub, ast.Name) and sub.id in BLAS_NAMES | POWER_NAMES:
             yield sub.lineno, sub.id
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
-def test_no_module_calls_blas(path):
-    """The library computes with elementwise ufuncs and its exact kernels, so no byte it writes
-    depends on the CPU's BLAS kernel."""
-    assert list(blas_uses(ast.parse(path.read_text(encoding="utf-8")))) == []
+def test_every_module_keeps_the_one_arithmetic_rule(path):
+    """No byte the library writes depends on the CPU's BLAS kernel, on the order numpy picks for a
+    reduction, or on the C library's ``pow``: totals are ``metrics._fold_sum`` (and the split
+    search's prefix sums ``np.cumsum``), products elementwise ufuncs, and squares a multiply."""
+    assert list(arithmetic_uses(ast.parse(path.read_text(encoding="utf-8")))) == []
 
 
-def test_blas_rule_sees_each_form():
-    source = "def f(a, b):\n    a @ b\n    a.dot(b)\n    np.einsum('i,i', a, b)\n    np.linalg.solve(a, b)\n"
-    assert [what for _, what in blas_uses(ast.parse(source))] == ["@", "dot", "einsum", "linalg"]
-
-
-def numpy_ordered_sums(node: ast.AST):
-    """(line, what) for each ``np.add.reduce`` and each ``sum`` or ``mean`` function or method read
-    under ``node``: reductions that sum recursively or pairwise as numpy picks from the memory layout."""
-    for sub in ast.walk(node):
-        if not isinstance(sub, ast.Attribute):
-            continue
-        if sub.attr == "reduce" and isinstance(sub.value, ast.Attribute) and sub.value.attr == "add":
-            yield sub.lineno, "add.reduce"
-        elif sub.attr in {"sum", "mean"}:
-            yield sub.lineno, sub.attr
-
-
-# The exact kernels and the fits and predictions built on them: each sums in a stated order.
-EXACT_KERNELS = {
-    "_fold_sum",
-    "_row_product",
-    "_triangularize",
-    "_rank_rule",
-    "_forward_substitute",
-    "_back_substitute",
-    "LinearModel",
-    "fit_linear",
-    "IncrementalLinearLearner",
-    "EpsilonGreedyActiveLearner",
-}
-
-
-def exact_kernels() -> list:
-    """The definitions in ``learners.py`` named in EXACT_KERNELS, each of them found."""
-    tree = ast.parse(Path(cpslearn.learners.__file__).read_text(encoding="utf-8"))
-    owners = [node for node in tree.body
-              if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in EXACT_KERNELS]
-    assert {node.name for node in owners} == EXACT_KERNELS
-    return owners
-
-
-def test_exact_kernels_sum_in_the_order_their_code_writes():
-    assert [use for node in exact_kernels() for use in numpy_ordered_sums(node)] == []
-
-
-def test_ordered_sum_rule_sees_each_form():
+def test_arithmetic_rule_sees_each_form():
     source = (
-        "def f(a):\n    np.add.reduce(a, axis=0)\n    np.sum(a)\n    a.sum(axis=1)\n    np.mean(a)\n"
-        "    a.mean()\n    total = np.add.reduce\n    a += a[0]\n    sum(a)\n"
+        "def f(a, b):\n    a @ b\n    a @= b\n    a.dot(b)\n    np.einsum('i,i', a, b)\n    np.linalg.solve(a, b)\n"
+        "    np.add.reduce(a, axis=0)\n    np.sum(a)\n    a.sum(axis=1)\n    np.mean(a)\n    a.mean()\n"
+        "    np.var(a)\n    a.std()\n    total = np.add.reduce\n    a ** 2\n    a **= b\n"
+        "    np.float_power(a, 2.0)\n    np.power(a, 2)\n    math.pow(a, 2)\n    pow(a, 2)\n"
+        "    a += a[0]\n    sum(a)\n    mean = std = np.cumsum(a)\n    np.add.accumulate(a)\n"
     )
-    assert sorted(numpy_ordered_sums(ast.parse(source))) == [
-        (2, "add.reduce"), (3, "sum"), (4, "sum"), (5, "mean"), (6, "mean"), (7, "add.reduce"),
-    ]
-
-
-# Names that raise to a power through the C library's ``pow``, which IEEE 754 does not require
-# to round correctly; a multiply it rounds correctly on every host.
-POWER_NAMES = {"float_power", "power", "pow"}
-
-
-def power_uses(node: ast.AST):
-    """(line, what) for each ``**`` and each power function read under ``node``."""
-    for sub in ast.walk(node):
-        if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.Pow):
-            yield sub.lineno, "**"
-        elif isinstance(sub, ast.Attribute) and sub.attr in POWER_NAMES:
-            yield sub.lineno, sub.attr
-        elif isinstance(sub, ast.Name) and sub.id in POWER_NAMES:
-            yield sub.lineno, sub.id
-
-
-def test_exact_kernels_and_metrics_square_by_a_multiply():
-    metrics = ast.parse(Path(cpslearn.metrics.__file__).read_text(encoding="utf-8"))
-    assert [use for node in [*exact_kernels(), metrics] for use in power_uses(node)] == []
-
-
-def test_power_rule_sees_each_form():
-    source = ("def f(a, b):\n    a ** 2\n    a **= b\n    np.float_power(a, 2.0)\n    np.power(a, 2)\n"
-              "    math.pow(a, 2)\n    pow(a, 2)\n")
-    assert sorted(power_uses(ast.parse(source))) == [
-        (2, "**"), (3, "**"), (4, "float_power"), (5, "power"), (6, "pow"), (7, "pow"),
+    assert sorted(arithmetic_uses(ast.parse(source))) == [
+        (2, "@"), (3, "@"), (4, "dot"), (5, "einsum"), (6, "linalg"), (7, "add.reduce"), (8, "sum"),
+        (9, "sum"), (10, "mean"), (11, "mean"), (12, "var"), (13, "std"), (14, "add.reduce"), (15, "**"),
+        (16, "**"), (17, "float_power"), (18, "power"), (19, "pow"), (20, "pow"),
     ]
 
 

@@ -45,7 +45,7 @@ from cpslearn.learners import (
     TreeNode,
     TreeTooDeep,
 )
-from conftest import random_dataset, recursion_headroom
+from conftest import pairwise_mean, pairwise_sum, random_dataset, recursion_headroom
 
 
 def brute_force_stump(matrix: np.ndarray, y: np.ndarray, min_leaf: int = 1):
@@ -60,9 +60,11 @@ def brute_force_stump(matrix: np.ndarray, y: np.ndarray, min_leaf: int = 1):
             n_left = int(mask.sum())
             if n_left < min_leaf or n - n_left < min_leaf:
                 continue
-            score = (n_left * np.var(y[mask]) + (n - n_left) * np.var(y[~mask])) / n
+            left, right = pairwise_mean(y[mask]), pairwise_mean(y[~mask])
+            score = (pairwise_sum((v - left) * (v - left) for v in y[mask])
+                     + pairwise_sum((v - right) * (v - right) for v in y[~mask])) / n
             if best is None or score < best[0]:
-                best = (score, feature, threshold, float(np.mean(y[mask])), float(np.mean(y[~mask])))
+                best = (score, feature, threshold, left, right)
     return best
 
 
@@ -94,12 +96,14 @@ def reference_best_split(matrix: np.ndarray, y: np.ndarray, min_samples_leaf: in
 
 def reference_tree(matrix: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_samples_leaf: int) -> dict:
     """Oracle: the tree grown on each node's own row subset, searched by
-    ``reference_best_split``, as the ``root`` entry of its model document."""
-    if depth >= max_depth or len(y) < 2 * min_samples_leaf or np.var(y) == 0.0:
-        return {"value": float(np.mean(y)), "samples": len(y)}
+    ``reference_best_split``, as the ``root`` entry of its model document; a leaf's value is
+    the pairwise mean of its targets in row order, and a node whose least and greatest target
+    are equal is a leaf."""
+    if depth >= max_depth or len(y) < 2 * min_samples_leaf or min(y) == max(y):
+        return {"value": pairwise_mean(y), "samples": len(y)}
     split = reference_best_split(matrix, y, min_samples_leaf)
     if split is None:
-        return {"value": float(np.mean(y)), "samples": len(y)}
+        return {"value": pairwise_mean(y), "samples": len(y)}
     _, feature, threshold = split
     mask = matrix[:, feature] <= threshold
     return {
@@ -454,6 +458,12 @@ class TestRegressionTree:
         model = fit_tree(Dataset({"x": [1.0, 2.0]}), Dataset({"y": [1.0, 3.0]}), 0)
         assert model.root.is_leaf
         assert model.root.value == 2.0
+
+    def test_leaf_mean_is_pairwise(self):
+        """Left to right, 1e-16 is lost against 1.0 and the mean is 0.0; pairwise, 1.0 meets
+        -1.0 first."""
+        model = fit_tree(Dataset({"x": [1.0, 2.0, 3.0]}), Dataset({"y": [1.0, 1e-16, -1.0]}), 0)
+        assert model.root.value == 3.3333333333333335e-17
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):

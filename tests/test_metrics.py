@@ -24,24 +24,19 @@ from cpslearn.metrics import (
     r2,
     recall,
 )
+from conftest import pairwise_mean, pairwise_sum
 
 
-# Reference implementations: straightforward loops, written independently of
-# the package internals, matching the documented conventions.
+# Reference implementations: loops over Python floats that add pairwise (conftest's
+# ``pairwise_sum``), written independently of the package internals, matching the documented
+# conventions.
 
 def ref_mae(p, a):
-    s = 0.0
-    for pi, ai in zip(p, a):
-        s += abs(pi - ai)
-    return s / len(p)
+    return pairwise_sum(abs(pi - ai) for pi, ai in zip(p, a)) / len(p)
 
 
 def ref_mse(p, a):
-    s = 0.0
-    for pi, ai in zip(p, a):
-        error = pi - ai
-        s += error * error
-    return s / len(p)
+    return pairwise_sum((pi - ai) * (pi - ai) for pi, ai in zip(p, a)) / len(p)
 
 
 def ref_max_error(p, a):
@@ -52,16 +47,9 @@ def ref_max_error(p, a):
 
 
 def ref_r2(p, a):
-    s = 0.0
-    for ai in a:
-        s += ai
-    mean = s / len(a)
-    num = 0.0
-    den = 0.0
-    for pi, ai in zip(p, a):
-        residual, deviation = ai - pi, ai - mean
-        num += residual * residual
-        den += deviation * deviation
+    mean = pairwise_mean(a)
+    num = pairwise_sum((ai - pi) * (ai - pi) for pi, ai in zip(p, a))
+    den = pairwise_sum((ai - mean) * (ai - mean) for ai in a)
     return 1.0 - num / den
 
 
@@ -117,6 +105,11 @@ class TestRegressionMetrics:
         assert r2([1.0, 1.0], [1.0, 1.0]) == 1.0
         with pytest.raises(ConstantActuals):
             r2([1.0, 2.0], [1.0, 1.0])
+
+    def test_sums_are_pairwise(self):
+        """Left to right, each 1 is lost against 1e16 (2500000000000000.0); pairwise, the second
+        and fourth errors add to 2 before they meet 1e16, and 1e16 + 2 is a float."""
+        assert mae([1e16, 1.0, 1.0, 1.0], [0.0] * 4) == 2500000000000000.5
 
     def test_length_and_empty_errors(self):
         with pytest.raises(LengthMismatch):

@@ -16,7 +16,7 @@ from cpslearn.transforms import (
     StatisticsOverflow,
     WindowLargerThanData,
 )
-from conftest import random_dataset
+from conftest import pairwise_mean, pairwise_sum, random_dataset
 
 
 class TestSlidingWindow:
@@ -181,6 +181,17 @@ class TestStandardize:
         assert abs(np.mean(out)) < 1e-10
         assert abs(np.std(out) - 1.0) < 1e-10
 
+    def test_statistics_match_a_pairwise_loop_bit_for_bit(self):
+        """The first column's mean is that of the tree's depth-0 leaf on those targets: left to
+        right, 1e-16 is lost against 1.0 and the mean is 0.0."""
+        rng = np.random.default_rng(12)
+        columns = [[1.0, 1e-16, -1.0], *(rng.normal(size=n) * 1e3 + 1e6 for n in (2, 7, 8, 9, 127, 128, 129, 1000))]
+        for values in columns:
+            mean = pairwise_mean(values)
+            std = math.sqrt(pairwise_sum((v - mean) * (v - mean) for v in values) / len(values))
+            assert Standardize(["a"]).fit(Dataset({"a": values})).fitted_stats["a"] == (mean, std, False)
+        assert pairwise_mean(columns[0]) == 3.3333333333333335e-17
+
     @pytest.mark.parametrize("values", [[5.0, 5.0], [123456.789] * 10, [1e300] * 10, [0.0, 5e-324]],
                              ids=["small", "std-rounds-to-1.46e-11", "std-overflows", "deviations-underflow"])
     def test_constant_column_maps_to_zero(self, values):
@@ -233,7 +244,8 @@ class TestStandardize:
         out = Standardize(["a"]).fit(d).apply(d)
         assert out.column("b").tolist() == [5.0, 7.0]
 
-    @pytest.mark.parametrize("values", [[1e308, 1e308, -1e308], [1e308, -1e308]], ids=["mean", "std"])
+    @pytest.mark.parametrize("values", [[1e308, 1e308, -1e308], [1e308, -1e308], [1e308, -1e308, 1e308, 1e308]],
+                             ids=["mean", "std", "pairwise-mean"])
     def test_overflowing_statistics_are_refused(self, values):
         with pytest.raises(StatisticsOverflow, match="^column 'a': its mean or standard deviation overflows float64$"):
             Standardize(["a"]).fit(Dataset({"a": values}))
