@@ -82,7 +82,12 @@ def _cmd_watertank(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = cfgmod.load_config(args.config)
     diagnostics = cfgmod.validate_config(cfg)
-    print(json.dumps({"diagnostics": diagnostics}, sort_keys=True))
+    try:
+        print(json.dumps({"diagnostics": diagnostics}, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the diagnostics are validate's one output: losing them is a failure
+        _quiet_stdout()
+        raise
     return 0 if not diagnostics else 1
 
 

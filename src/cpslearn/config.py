@@ -286,7 +286,10 @@ def write_result(result: PipelineResult, out_dir) -> tuple[Path, Path]:
         save_model(result.model, staged[model_path])
         staged[report_path].write_text(body, encoding="utf-8")
         for path, temporary in staged.items():
-            os.replace(temporary, path)
+            try:
+                os.replace(temporary, path)
+            except OSError as exc:  # name the output path, not the temporary file removed below
+                raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
     finally:
         for temporary in staged.values():
             temporary.unlink(missing_ok=True)

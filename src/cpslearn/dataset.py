@@ -20,8 +20,7 @@ import operator
 from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import PipelineError
 
 
@@ -128,9 +127,6 @@ def _repeated(names) -> list[str]:
     return sorted(name for name, count in Counter(names).items() if count > 1)
 
 
-_NUMBER_TYPES = (int, float, np.integer, np.floating, np.bool_)  # bool is an int
-
-
 def _unwritable(values) -> bool:
     """Whether nothing can write to ``values``: an array read-only down its chain of bases."""
     while isinstance(values, np.ndarray):
@@ -150,9 +146,11 @@ def _floats(values, name: str) -> np.ndarray:
         if values.dtype.kind not in "biuf":
             raise ValueError(f"unsupported array dtype: {values.dtype}")
     else:
-        booleans = len(values) > 0 and isinstance(values[0], (bool, np.bool_))  # the first value decides
+        # Built per call, not at import: no module reads ``np`` before its first use. bool is an int.
+        number_types, bool_types = (int, float, np.integer, np.floating, np.bool_), (bool, np.bool_)
+        booleans = len(values) > 0 and isinstance(values[0], bool_types)  # the first value decides
         for v in values:
-            if not isinstance(v, _NUMBER_TYPES) or isinstance(v, (bool, np.bool_)) != booleans:
+            if not isinstance(v, number_types) or isinstance(v, bool_types) != booleans:
                 raise ValueError(f"column values must be numbers, booleans, or numeric traces, got {v!r}")
     try:
         array = np.asarray(values, np.float64) if _unwritable(values) else np.array(values, np.float64)

@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
+from ._numpy import np
 from .dataset import Dataset, load_csv, load_json
 from .errors import PipelineError
 from .transforms import Transform, TransformChain, _column_name, _number, _positive, _positive_int, _setting

@@ -30,9 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import strategies
+from ._numpy import np
 from .dataset import Dataset, _is_int, _is_number, _names, _non_negative_int
 from .environments import ActionSpace, DatasetStream, OfflineEnvironment
 from .errors import PipelineError

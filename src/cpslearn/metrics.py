@@ -15,8 +15,7 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
+from ._numpy import np
 from .dataset import _is_number, _names
 from .errors import PipelineError
 

@@ -69,8 +69,7 @@ import threading
 import time
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .dataset import Dataset, _names
 from .errors import PipelineError
 from .learners import Model, ShapeMismatch, _check_input_columns, fit_linear, model_from_dict

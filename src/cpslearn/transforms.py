@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .dataset import Dataset, NonFiniteValue, _check, _is_int, _is_number, _names, _setting, _unchecked_dataset
 from .errors import PipelineError
 from .metrics import _fold_sum

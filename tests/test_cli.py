@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -253,6 +254,36 @@ class TestValidateCommand:
         }
         assert not (tmp_path / "out").exists()
 
+    def test_a_closed_stdout_is_one_record_and_exit_1(self, tank_config, tmp_path, capsys, monkeypatch):
+        """The diagnostics are validate's one output, so losing them fails the command: one
+        BrokenPipeError record, exit 1, and stdout pointed at os.devnull for the flush at exit."""
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedStdout(fd))
+            assert main(["validate", str(tank_config)]) == 1
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == {"error": "BrokenPipeError", "module": "builtins",
+                                             "message": "[Errno 32] Broken pipe"}
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_a_pipe_with_no_reader_is_one_record_and_exit_1(self, tank_config, unbuffered):
+        """As ``cpslearn validate cfg | head -c 0`` leaves stdout: buffered diagnostics fail at
+        validate's own flush, not at the flush at exit, which adds nothing to stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run([sys.executable, "-m", "cpslearn.cli", "validate", str(tank_config)],
+                                 stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                                 env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write_end)
+        assert run.returncode == 1
+        (line,) = run.stderr.splitlines()
+        assert json.loads(line)["error"]["error"] == "BrokenPipeError"
+
     def test_validation_collects_many(self):
         diags = validate_config({"environment": {"kind": "teapot"}, "split_fraction": 2})
         fields = " ".join(diags)
@@ -386,6 +417,81 @@ def test_readme_synopsis_matches_the_parser():
             if action.choices is not None:
                 shown = re.search(re.escape(action.option_strings[0]) + r" ([\w|]+)", line)
                 assert shown and shown[1].split("|") == list(action.choices), line
+
+
+# Run in a fresh interpreter: each CLI call in turn, printing after each whether numpy is loaded.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import cpslearn
+from cpslearn import cli
+steps = [("import cpslearn", None, "numpy" in sys.modules)]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exited:
+            status = exited.code
+    steps.append((" ".join(argv[:2]), status, "numpy" in sys.modules))
+print(json.dumps(steps))
+"""
+
+
+class TestNumpyOnFirstUse:
+    def test_validate_and_error_records_load_no_numpy(self, tmp_path, tank_trajectory):
+        """``import cpslearn``, ``validate``, ``--help`` and the records of a refused config and
+        of a bad command line never read ``np``, so a fresh interpreter never imports numpy."""
+        write_csv(tank_trajectory, tmp_path / "tank.csv")
+        configs = {
+            "csv": sweep_config(tmp_path / "tank.csv", {"kind": "regression_tree"}),
+            "ode": watertank_config(),
+            "remote": sweep_config(tmp_path / "tank.csv", {"kind": "remote", "address": "127.0.0.1:9"}),
+            "refused": {**watertank_config(), "learner": {"kind": "teapot"}},
+        }
+        for name, cfg in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        argvs = [["validate", str(tmp_path / f"{name}.json")] for name in configs]
+        argvs += [["run", str(tmp_path / "refused.json"), "--out", str(tmp_path / "out")],
+                  ["run", str(tmp_path / "ode.json"), "--seed", "3"], ["validate", "--help"]]
+        probe = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs)],
+                               capture_output=True, text=True, timeout=60)
+        assert probe.returncode == 0, probe.stderr
+        steps = [tuple(step) for step in json.loads(probe.stdout)]
+        assert [(status, loaded) for _, status, loaded in steps] == [
+            (None, False), (0, False), (0, False), (0, False), (1, False), (1, False), (1, False), (0, False),
+        ], steps
+        assert not (tmp_path / "out").exists()
+
+    def test_the_binding_becomes_numpy_itself(self):
+        """After its first read the binding is a plain module holding numpy's own objects, its
+        lazily loaded submodules included; a name numpy lacks raises numpy's AttributeError."""
+        from cpslearn import _numpy, learners
+
+        learners.np.zeros
+        assert type(learners.np) is type(np) and learners.np.zeros is np.zeros
+        fresh = _numpy._Numpy("numpy")
+        assert fresh.linalg is np.linalg and type(fresh) is type(np)
+        with pytest.raises(AttributeError, match="module 'numpy' has no attribute 'teapot'"):
+            fresh.teapot
+
+    def test_first_reads_from_many_threads_agree(self):
+        """Server sessions may make the first read at once: each thread gets numpy's objects."""
+        from cpslearn import _numpy
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                fresh, seen = _numpy._Numpy("numpy"), []
+                threads = [threading.Thread(target=lambda: seen.append((fresh.zeros, fresh.linalg)))
+                           for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert seen == [(np.zeros, np.linalg)] * 8 and type(fresh) is type(np)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestErrorRecords:
@@ -754,7 +860,9 @@ class TestOutputFiles:
             (tmp_path / "report.json").write_bytes(old_report)
         assert main(["watertank", "--learner", "linear", "--out", str(tmp_path)]) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["error"]["error"] == "IsADirectoryError"
+        record = json.loads(lines[0])["error"] if len(lines) == 1 else None
+        assert record == {"error": "IsADirectoryError", "module": "builtins",
+                          "message": f"[Errno 21] Is a directory: '{tmp_path / 'model.fcm.json'}'"}
         names = sorted(path.name for path in tmp_path.iterdir())
         assert names == (["model.fcm.json"] if old_report is None else ["model.fcm.json", "report.json"])
         if old_report is not None:

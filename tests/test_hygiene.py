@@ -7,7 +7,9 @@ keeps one arithmetic rule: it calls no BLAS (no ``@``, ``dot``, ``matmul``, ``ei
 public name has a caller outside the tests, every defaulted parameter of a public callable
 is passed outside the tests, only ``dataset.py`` and ``transforms.py`` build a Dataset
 without checking its columns, no module imports ``base64``, so columns have one encoding
-on the wire: their float64 bytes, only ``load_csv`` has a ``global`` statement, so its
+on the wire: their float64 bytes, only ``_numpy.py`` imports numpy and no module reads ``np``
+at import time (in a module or class body, a decorator or a parameter default), so importing the
+package loads no numpy, only ``load_csv`` has a ``global`` statement, so its
 memo is the one process-wide mutable state,
 no module writes a float literal in (0, 1e-9] except as a parameter default, so no absolute
 tolerance ties a result to the unit of the data,
@@ -130,6 +132,63 @@ def test_no_module_imports_base64(path):
 def test_base64_rule_sees_each_form():
     source = "import base64\nimport os, base64 as b\nfrom base64 import b64encode\ndef f():\n    import base64.x\n"
     assert [line for line, module in imported_modules(ast.parse(source)) if module == "base64"] == [1, 2, 3, 5]
+
+
+def import_time_reads(node: ast.AST, name: str):
+    """The line of each read of ``name`` under ``node`` that runs when the module is imported: in a
+    module or class body, a decorator, a base class or a parameter default, but not in a function or
+    lambda body, nor in an annotation, which ``from __future__ import annotations`` leaves a string."""
+    if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+        yield node.lineno
+    if isinstance(node, (*FUNCTIONS, ast.Lambda)):
+        children = [*getattr(node, "decorator_list", ()), *node.args.defaults, *node.args.kw_defaults]
+    elif isinstance(node, ast.AnnAssign):
+        children = [node.target, node.value]
+    else:
+        children = ast.iter_child_nodes(node)
+    for child in children:
+        if child is not None:
+            yield from import_time_reads(child, name)
+
+
+def postpones_annotations(tree: ast.Module) -> bool:
+    return any(isinstance(node, ast.ImportFrom) and node.module == "__future__"
+               and any(alias.name == "annotations" for alias in node.names) for node in tree.body)
+
+
+def test_only_the_numpy_module_imports_numpy():
+    importers = [path.name for path in sorted(Path(cpslearn.__file__).resolve().parent.glob("*.py"))
+                 for _, module in imported_modules(ast.parse(path.read_text(encoding="utf-8"))) if module == "numpy"]
+    assert importers == ["_numpy.py"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_module_reads_np_at_import_time(path):
+    """numpy is imported at the first read of ``np`` (``cpslearn._numpy``), so a read at import
+    time would load it for ``validate`` and every CLI error record."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert list(import_time_reads(tree, "np")) == []
+    assert "np" not in module_imports(tree) or postpones_annotations(tree)
+
+
+def test_import_time_rule_sees_each_form():
+    source = (
+        "TYPES = (np.integer, int)\n"
+        "@np.vectorize\n"
+        "def f(a=np.nan, *, b=np.inf, c: np.ndarray = None) -> np.ndarray:\n"
+        "    return np.zeros(a)\n"
+        "class C(np.ndarray):\n"
+        "    dtype = np.float64\n"
+        "    shape: np.ndarray = 0\n"
+        "    def m(self, d=np.e): return np.ones(d)\n"
+        "g = lambda e=np.pi: np.exp(e)\n"
+        "rows = [np.float64(x) for x in ()]\n"
+        "np = None\n"
+        "h: np.ndarray\n"
+    )
+    assert sorted(import_time_reads(ast.parse(source), "np")) == [1, 2, 3, 3, 5, 6, 8, 9, 10]
+    assert not postpones_annotations(ast.parse(source))
+    assert postpones_annotations(ast.parse("from __future__ import annotations\n" + source))
 
 
 # What the one arithmetic rule refuses, by the name a module reads. BLAS (or LAPACK) names pick
